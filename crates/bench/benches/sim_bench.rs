@@ -16,7 +16,7 @@ fn bench_slot_throughput(c: &mut Criterion) {
             || Simulation::new(&scenario, RewardConfig::default()),
             |mut sim| {
                 let mut policy = FirstFitPolicy;
-                black_box(sim.run(&mut policy, 0))
+                black_box(sim.drive(RunInput::Generated, &mut policy, RunOptions::new()))
             },
             BatchSize::SmallInput,
         )

@@ -3,16 +3,13 @@
 //! (the DRL observation width depends on N, so each size trains its own
 //! manager), merged into a single report.
 //!
-//! The DRL manager appears three times: `drl` evaluates through the
-//! engine's batched-inference path (per-slot batched forwards,
-//! `parallel_eval` fan-out with one warm workspace per worker),
-//! `drl-seq` is the same trained network forced onto per-decision
-//! forwards — the figure's µs/decision column is the batched win, and
-//! both columns' quality metrics are bit-identical by construction —
-//! and `drl-snap` re-runs the batched network under
-//! `DecisionSemantics::SlotSnapshot` (whole-slot frozen-snapshot
-//! wavefronts with joint conflict-checked apply), so the snapshot
-//! semantics' policy-quality delta is a column of the same figure.
+//! The DRL manager appears twice: `drl` evaluates the paper's sequential
+//! loop (one forward per decision, `parallel_eval` fan-out with one warm
+//! workspace per worker), and `drl-snap` re-runs the same trained network
+//! under `DecisionSemantics::SlotSnapshot` (whole-slot frozen-snapshot
+//! wavefronts answered by fused forwards, with joint conflict-checked
+//! apply), so the snapshot semantics' µs/decision and policy-quality
+//! deltas are a column of the same figure.
 //!
 //! Decision time is deliberately *kept* in this figure's cells (the whole
 //! point is timing), so unlike the other figures its CSV is not covered
@@ -54,7 +51,7 @@ fn main() {
     });
 
     // One evaluation report per size: the heuristic baselines run through
-    // the grid; both DRL variants fan out through `parallel_eval`, one
+    // the grid; both DRL columns fan out through `parallel_eval`, one
     // warm policy clone per worker thread.
     let reports: Vec<BenchReport> = trained
         .into_iter()
@@ -70,21 +67,10 @@ fn main() {
                 .run();
 
             let cells = cells_for_seeds(&label, n as f64, &scenario, &eval_seeds());
-            let batched = t.policy;
-            let mut sequential = batched.clone();
-            sequential.set_batched_inference(false);
             let started = Instant::now();
-            let mut drl_cells = parallel_eval(&batched, "drl", reward, &cells, None, true);
-            drl_cells.extend(parallel_eval(
-                &sequential,
-                "drl-seq",
-                reward,
-                &cells,
-                None,
-                true,
-            ));
+            let mut drl_cells = parallel_eval(&t.policy, "drl", reward, &cells, None, true);
             drl_cells.extend(parallel_eval_semantics(
-                &batched,
+                &t.policy,
                 "drl-snap",
                 reward,
                 &cells,

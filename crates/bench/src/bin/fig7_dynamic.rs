@@ -82,7 +82,11 @@ fn main() {
         let mut policy = factory();
         policy.set_training(false);
         let mut sim = Simulation::new(scenario, reward);
-        let _ = sim.run(policy.as_mut(), TRACE_SEED);
+        let _ = sim.drive(
+            RunInput::Generated,
+            policy.as_mut(),
+            RunOptions::new().with_seed_offset(TRACE_SEED),
+        );
         let label = policy.name();
         sim.metrics()
             .slots()

@@ -237,7 +237,7 @@ fn main() {
         inner: FirstFitPolicy,
         contexts: Vec::new(),
     };
-    sim.run(&mut capture, 0);
+    sim.drive(RunInput::Generated, &mut capture, RunOptions::new());
     let contexts = capture.contexts;
     assert!(
         contexts.len() >= 16,
@@ -455,7 +455,7 @@ fn main() {
         let mut sim = Simulation::new(&event_scenario, RewardConfig::default());
         let mut policy = FirstFitPolicy;
         let t0 = Instant::now();
-        let _ = sim.run_trace(trace, &mut policy, 0);
+        let _ = sim.drive(RunInput::Trace(trace), &mut policy, RunOptions::new());
         (
             t0.elapsed().as_secs_f64(),
             sim.events_processed(),
@@ -507,7 +507,7 @@ fn main() {
     // simulations each running per-decision sequential inference on a
     // private policy clone — the pre-serving deployment shape. The two
     // modes legitimately take different trajectories (snapshot vs
-    // speculative semantics), so each side counts its own decisions.
+    // sequential semantics), so each side counts its own decisions.
     let serve_sims: usize = 8;
     let serve_seeds: Vec<u64> = (0..serve_sims as u64).collect();
     // A busy serving workload: wide per-slot wavefronts are the regime
@@ -553,11 +553,7 @@ fn main() {
         let counts = run_indexed_with(
             serve_sims,
             serve_sims,
-            || {
-                let mut worker = serve_policy.clone();
-                worker.set_batched_inference(false);
-                worker
-            },
+            || serve_policy.clone(),
             |worker, index| {
                 let mut sim = Simulation::new(&serve_scenario, RewardConfig::default());
                 sim.drive(

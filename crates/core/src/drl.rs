@@ -37,10 +37,6 @@ pub struct DrlPolicy {
     agent: DqnAgent,
     label: String,
     training: bool,
-    /// Whether the engine may route greedy evaluation decisions through
-    /// the batched-inference path (on by default; the scalability figure's
-    /// sequential reference column switches it off).
-    batched_inference: bool,
     /// Return of the episode currently being accumulated.
     current_episode_return: f32,
     /// Completed placement-episode returns (drained by the harness for
@@ -72,7 +68,6 @@ impl DrlPolicy {
             agent,
             label: config.label,
             training: true,
-            batched_inference: true,
             current_episode_return: 0.0,
             episode_returns: Vec::new(),
         }
@@ -81,14 +76,6 @@ impl DrlPolicy {
     /// Read access to the wrapped agent (diagnostics).
     pub fn agent(&self) -> &DqnAgent {
         &self.agent
-    }
-
-    /// Enables/disables the batched greedy-inference path (enabled by
-    /// default). Selection is bit-identical either way; disabling it
-    /// forces the per-decision forward passes — the sequential reference
-    /// the determinism tests and the scalability figure compare against.
-    pub fn set_batched_inference(&mut self, enabled: bool) {
-        self.batched_inference = enabled;
     }
 
     /// Drains accumulated per-episode returns (for convergence plots).
@@ -143,7 +130,7 @@ impl PlacementPolicy for DrlPolicy {
     }
 
     fn supports_greedy_batch(&self) -> bool {
-        !self.training && self.batched_inference
+        !self.training
     }
 
     fn greedy_batch(&mut self, states: &nn::tensor::Matrix, masks: &[bool], out: &mut Vec<usize>) {

@@ -7,7 +7,7 @@ use crate::drl::DrlPolicy;
 use crate::metrics::RunSummary;
 use crate::policy::{DecisionContext, DecisionFeedback, PlacementPolicy};
 use crate::reward::RewardConfig;
-use crate::sim::Simulation;
+use crate::sim::{RunInput, RunOptions, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::reinforce::{ReinforceAgent, ReinforceConfig};
@@ -38,9 +38,6 @@ pub struct PgPolicy {
     agent: ReinforceAgent,
     label: String,
     training: bool,
-    /// Whether the engine may route greedy evaluation decisions through
-    /// the batched-inference path (on by default).
-    batched_inference: bool,
     episode_returns: Vec<f32>,
 }
 
@@ -67,7 +64,6 @@ impl PgPolicy {
             agent,
             label: config.label,
             training: true,
-            batched_inference: true,
             episode_returns: Vec::new(),
         }
     }
@@ -75,12 +71,6 @@ impl PgPolicy {
     /// Read access to the wrapped agent.
     pub fn agent(&self) -> &ReinforceAgent {
         &self.agent
-    }
-
-    /// Enables/disables the batched greedy-inference path (enabled by
-    /// default; selection is bit-identical either way).
-    pub fn set_batched_inference(&mut self, enabled: bool) {
-        self.batched_inference = enabled;
     }
 
     /// Drains accumulated per-episode returns.
@@ -128,7 +118,7 @@ impl PlacementPolicy for PgPolicy {
     }
 
     fn supports_greedy_batch(&self) -> bool {
-        !self.training && self.batched_inference
+        !self.training
     }
 
     fn greedy_batch(&mut self, states: &nn::tensor::Matrix, masks: &[bool], out: &mut Vec<usize>) {
@@ -170,13 +160,21 @@ pub fn train_pg(
     let mut summaries = Vec::with_capacity(passes);
     for pass in 0..passes {
         let mut sim = Simulation::new(scenario, reward);
-        let summary = sim.run(&mut policy, pass as u64);
+        let summary = sim.drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(pass as u64),
+        );
         returns.extend(policy.take_episode_returns());
         summaries.push(summary);
 
         policy.set_training(false);
         let mut val_sim = Simulation::new(scenario, reward);
-        let val = val_sim.run(&mut policy, 0xA11CE);
+        let val = val_sim.drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(0xA11CE),
+        );
         policy.set_training(true);
         let objective =
             val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);

@@ -148,7 +148,11 @@ pub fn train_drl_with_catalogs(
     let mut pass_summaries = Vec::with_capacity(passes);
     for pass in 0..passes {
         let mut sim = Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-        let summary = sim.run(&mut policy, pass as u64);
+        let summary = sim.drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(pass as u64),
+        );
         episode_returns.extend(policy.take_episode_returns());
         pass_summaries.push(summary);
 
@@ -160,7 +164,11 @@ pub fn train_drl_with_catalogs(
             policy.set_training(false);
             let mut val_sim =
                 Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-            let val = val_sim.run(&mut policy, VALIDATION_OFFSET);
+            let val = val_sim.drive(
+                RunInput::Generated,
+                &mut policy,
+                RunOptions::new().with_seed_offset(VALIDATION_OFFSET),
+            );
             policy.take_episode_returns(); // validation episodes don't belong in the curve
             policy.set_training(true);
             let objective =
@@ -190,7 +198,11 @@ pub fn evaluate_policy_with_catalogs(
 ) -> PolicyResult {
     policy.set_training(false);
     let mut sim = Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-    let summary = sim.run(policy, seed_offset);
+    let summary = sim.drive(
+        RunInput::Generated,
+        policy,
+        RunOptions::new().with_seed_offset(seed_offset),
+    );
     PolicyResult {
         policy: policy.name(),
         summary,

@@ -9,18 +9,18 @@
 //!
 //! Two engines drive the lifecycle:
 //!
-//! * the **event engine** ([`Simulation::run_trace`], the default):
+//! * the **event engine** ([`Simulation::drive`], the default):
 //!   departures, network events, retire checks, arrivals and policy
 //!   decisions pop from a deterministic [`crate::timeline::EventQueue`];
 //!   completed slots are billed lazily, so a mostly-idle trace costs
 //!   ~O(events), not O(slots) of work. In *slot-compatibility* mode every
 //!   event lands on a slot boundary and the run is bit-identical to the
-//!   slot loop (pinned by `tests/event_slot_equivalence.rs`); the sparse
-//!   entry point [`Simulation::run_events`] additionally resolves
-//!   sub-slot lifetimes (`Request::duration_ms`) pro rata instead of
-//!   rounding them up to whole slots.
+//!   slot loop (pinned by `tests/event_slot_equivalence.rs`);
+//!   [`BillingMode::Sparse`] additionally resolves sub-slot lifetimes
+//!   (`Request::duration_ms`) pro rata instead of rounding them up to
+//!   whole slots.
 //! * the **slot loop** ([`Simulation::advance_slot`] /
-//!   [`Simulation::run_trace_slotted`]): the paper's original fixed-slot
+//!   [`RunEngine::SlottedOracle`]): the paper's original fixed-slot
 //!   sweep, kept as the equivalence oracle and for step-by-step tests.
 
 use crate::action::{ActionSpace, PlacementAction};
@@ -113,9 +113,8 @@ pub enum MetricsMode {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DecisionSemantics {
     /// The paper's sequential loop (the default): each decision sees
-    /// every earlier placement of the same group. Batched inference is
-    /// speculative here — rows are validated bitwise against the
-    /// sequential state and die at the group's first acceptance.
+    /// every earlier placement of the same group, so every decision is
+    /// its own `decide` call — `greedy_batch` is never used here.
     #[default]
     Sequential,
     /// Snapshot-commit: all of a group's decisions are planned against
@@ -219,7 +218,7 @@ impl<'t> RunOptions<'t> {
 
 /// The workload input of one [`Simulation::drive`] call.
 pub enum RunInput<'a> {
-    /// Generate the scenario's own trace (what [`Simulation::run`] does).
+    /// Generate the scenario's own trace from its seed and workload.
     Generated,
     /// A pre-generated slot-resolution trace.
     Trace(&'a Trace),
@@ -299,38 +298,6 @@ struct CostCache {
     nodes_down: u32,
 }
 
-/// One slot's pending position-0 decisions, assembled for a single
-/// batched forward pass: every arrival's encoded state as one row of a
-/// long-lived matrix, the row-major action masks, and the policy's
-/// selected action per row.
-///
-/// The batch is *speculative*: it is encoded against the world as it
-/// stands when the slot's arrivals begin. Placing request `i` mutates the
-/// world (capacity, instances), so request `i+1`'s actual decision state
-/// may differ from its batch row. The engine therefore validates each row
-/// bitwise against the sequential path's freshly-encoded state before
-/// using the precomputed action, and falls back to a per-decision forward
-/// on any mismatch — which is what keeps the batched run bit-identical to
-/// the sequential one by construction (rows are independent under the
-/// kernels, pinned by the batch-parity tests).
-#[derive(Default)]
-struct ArrivalBatch {
-    /// Whether the batch holds this slot's arrivals (false = fall back).
-    valid: bool,
-    /// Encoded position-0 states, one arrival per row.
-    states: Matrix,
-    /// Row-major action masks (`action_space.len()` entries per row).
-    masks: Vec<bool>,
-    /// Policy-selected greedy action per row.
-    actions: Vec<usize>,
-    /// Batched-forward wall time amortized per row (decision-time metric).
-    per_row_ns: u64,
-    /// Row-staging buffers, reused across rows and slots.
-    candidates: Vec<CandidateInfo>,
-    mask_row: Vec<bool>,
-    state_row: Vec<f32>,
-}
-
 /// One planned decision of a slot-snapshot group: the action the policy
 /// chose against the frozen group-start world, the frozen step reward,
 /// and the row of [`GroupPlans::states`] holding the frozen observation
@@ -360,9 +327,8 @@ struct ArrivalPlan {
 /// A slot-snapshot group's jointly planned decisions: every arrival of
 /// the group is decided against ONE frozen group-start world, chain
 /// positions batched into wavefronts (one fused `greedy_batch` forward
-/// per position when the policy batches — no speculation, nothing to
-/// invalidate). The apply phase then replays the plans against the
-/// mutating world in arrival order.
+/// per position when the policy batches). The apply phase then replays
+/// the plans against the mutating world in arrival order.
 #[derive(Default)]
 struct GroupPlans {
     /// Whether the plans cover the currently pending arrival group.
@@ -384,6 +350,15 @@ struct GroupPlans {
     /// consumed so far under the frozen marginals).
     at_nodes: Vec<NodeId>,
     consumed: Vec<f64>,
+    /// Wave staging: the wave's encoded states (one live arrival per
+    /// row), row-major masks and the policy's selected action per row.
+    wave_states: Matrix,
+    wave_masks: Vec<bool>,
+    wave_actions: Vec<usize>,
+    /// Wave staging: row buffers, reused across rows and waves.
+    candidates: Vec<CandidateInfo>,
+    mask_row: Vec<bool>,
+    state_row: Vec<f32>,
 }
 
 /// Engine-owned hot-path buffers, reused across every placement decision.
@@ -409,8 +384,6 @@ struct SimScratch {
     all_true: Vec<bool>,
     /// Cached zero state (terminal next-state filler).
     zero_state: Vec<f32>,
-    /// The slot's speculative batched-inference state.
-    batch: ArrivalBatch,
     /// The group's snapshot plans ([`DecisionSemantics::SlotSnapshot`]).
     plans: GroupPlans,
 }
@@ -441,9 +414,6 @@ pub struct Simulation {
     deployment_cost_this_slot: f64,
     metrics: MetricsCollector,
     scratch: SimScratch,
-    /// Decisions served from the slot's batched forward (validated hits)
-    /// or from a snapshot wave's fused forward.
-    batched_decisions: u64,
     /// How arrival groups are decided ([`RunOptions::semantics`]).
     semantics: DecisionSemantics,
     /// Duration of one slot on the ms-resolution timeline.
@@ -463,7 +433,7 @@ pub struct Simulation {
     /// Traffic accrued by sub-slot departures inside the current slot.
     partial_traffic: f64,
     /// Slot-compatibility accounting: billing matches the slot loop bit
-    /// for bit. [`Simulation::run_events`] clears it for sparse runs.
+    /// for bit. [`BillingMode::Sparse`] runs clear it.
     slot_compat: bool,
     /// Slots with a RetireCheck already scheduled (dedupe).
     retire_checks: BTreeSet<u64>,
@@ -545,7 +515,6 @@ impl Simulation {
             prev_mask: Vec::new(),
             all_true: vec![true; action_space.len()],
             zero_state: encoder.zero_state(),
-            batch: ArrivalBatch::default(),
             plans: GroupPlans::default(),
         };
         Self {
@@ -564,7 +533,6 @@ impl Simulation {
             deployment_cost_this_slot: 0.0,
             metrics: MetricsCollector::new(),
             scratch,
-            batched_decisions: 0,
             semantics: DecisionSemantics::Sequential,
             slot_ms: ((scenario.slot_seconds * 1000.0).round() as u64).max(1),
             mode: EngineMode::Slot,
@@ -619,13 +587,6 @@ impl Simulation {
     /// Number of currently active flows.
     pub fn active_flow_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Decisions served by the slot-level batched forward so far (each one
-    /// replaced a per-decision network call after its speculative row
-    /// validated bitwise against the sequential state).
-    pub fn batched_decisions(&self) -> u64 {
-        self.batched_decisions
     }
 
     /// Sets the decision semantics for subsequent arrival groups.
@@ -890,52 +851,6 @@ impl Simulation {
         }
     }
 
-    /// Assembles the slot's arrival batch — every arrival's position-0
-    /// decision context encoded against the current world, one row each —
-    /// and asks the policy for all greedy actions through ONE batched
-    /// forward pass. Leaves the batch invalid (sequential fallback) when
-    /// the policy cannot batch or a single arrival leaves nothing to
-    /// amortize.
-    fn prepare_arrival_batch(&mut self, arrivals: &[Request], policy: &mut dyn PlacementPolicy) {
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.valid = false;
-        if arrivals.len() >= 2 && policy.supports_greedy_batch() {
-            batch.states.begin_rows(arrivals.len(), self.encoder.dim());
-            batch.masks.clear();
-            for request in arrivals {
-                let chain = self.chains.get(request.chain);
-                self.candidates_into(chain, 0, request.source, &mut batch.candidates);
-                batch.mask_row.clear();
-                batch
-                    .mask_row
-                    .extend(batch.candidates.iter().map(|c| c.feasible));
-                batch.mask_row.push(true); // reject always valid
-                self.encoder.encode_into(
-                    self.network.ledger(),
-                    &self.pool,
-                    &self.vnfs,
-                    chain,
-                    0,
-                    request.source,
-                    request.source,
-                    0.0,
-                    self.scenario.max_instance_utilization,
-                    self.slot,
-                    self.network.health(),
-                    &batch.candidates,
-                    &mut batch.state_row,
-                );
-                batch.states.push_row(&batch.state_row);
-                batch.masks.extend_from_slice(&batch.mask_row);
-            }
-            let started = Instant::now();
-            policy.greedy_batch(&batch.states, &batch.masks, &mut batch.actions);
-            batch.per_row_ns = started.elapsed().as_nanos() as u64 / arrivals.len() as u64;
-            batch.valid = true;
-        }
-        self.scratch.batch = batch;
-    }
-
     /// Runs one request's placement episode under `policy`.
     ///
     /// The decision loop is allocation-free at steady state: the decision
@@ -947,24 +862,6 @@ impl Simulation {
         request: &Request,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
-    ) -> PlacementOutcome {
-        self.place_request_hinted(request, policy, rng, None)
-    }
-
-    /// [`Simulation::place_request`] with an optional speculative hint:
-    /// `hint = Some(row)` names this request's row in the slot's
-    /// [`ArrivalBatch`]. The hint only short-circuits the *position-0*
-    /// network call, and only after the row's encoded state and mask
-    /// compare bit-equal to the freshly filled context — placements by
-    /// earlier arrivals of the slot invalidate later rows, which then take
-    /// the ordinary per-decision path. Action selection is therefore
-    /// identical to the unhinted run in every case.
-    fn place_request_hinted(
-        &mut self,
-        request: &Request,
-        policy: &mut dyn PlacementPolicy,
-        rng: &mut StdRng,
-        hint: Option<usize>,
     ) -> PlacementOutcome {
         let chain = self.chains.get(request.chain).clone();
         let mut ctx = self.take_ctx(request, &chain);
@@ -998,61 +895,16 @@ impl Simulation {
                     rng,
                 );
             }
-            // Position-0 decisions may be served from the slot's batched
-            // forward: if this request's speculative row still matches the
-            // just-encoded context bit for bit, the batched selection IS
-            // the sequential selection and the per-decision forward is
-            // skipped. Any earlier placement this slot perturbs the
-            // encoding and drops us back to `policy.decide`. The
-            // speculation cost — this row's share of the batched forward
-            // plus the bitwise validation — is charged to the decision
-            // either way: a hit pays it *instead of* `decide`, a miss
-            // pays it *on top*, so the decision-time metric reflects
-            // wasted speculative work honestly.
-            let (action_index, decision_ns) = {
-                let mut speculation_ns = 0u64;
-                let mut hit = None;
-                if position == 0 && self.scratch.batch.valid {
-                    if let Some(row) = hint {
-                        let started = Instant::now();
-                        let batch = &self.scratch.batch;
-                        let stride = self.action_space.len();
-                        let state_matches = ctx.encoded_state.len() == batch.states.cols()
-                            && ctx
-                                .encoded_state
-                                .iter()
-                                .zip(batch.states.row(row).iter())
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                        let mask_matches =
-                            ctx.mask[..] == batch.masks[row * stride..(row + 1) * stride];
-                        if state_matches && mask_matches {
-                            hit = Some(batch.actions[row]);
-                        }
-                        speculation_ns = batch.per_row_ns + started.elapsed().as_nanos() as u64;
-                    }
-                }
-                match hit {
-                    Some(served) => {
-                        self.batched_decisions += 1;
-                        (served, speculation_ns)
-                    }
-                    None => {
-                        let started = Instant::now();
-                        let action = policy.decide(&ctx, rng);
-                        (
-                            self.action_space.encode(action),
-                            speculation_ns + started.elapsed().as_nanos() as u64,
-                        )
-                    }
-                }
-            };
-            self.metrics.push_decision_time(decision_ns);
+            let started = Instant::now();
+            let action = policy.decide(&ctx, rng);
+            self.metrics
+                .push_decision_time(started.elapsed().as_nanos() as u64);
+            let action_index = self.action_space.encode(action);
             assert!(
                 ctx.mask[action_index],
                 "policy {} chose masked action {action_index} at position {position}",
                 policy.name()
             );
-            let action = self.action_space.decode(action_index);
 
             match action {
                 PlacementAction::Reject => {
@@ -1235,8 +1087,8 @@ impl Simulation {
     /// wavefront: all live arrivals' position-`p` decisions are assembled
     /// into one batch and answered by a single fused `greedy_batch`
     /// forward (or per-decision `decide` calls in arrival order for
-    /// policies that cannot batch). Whole batches survive by
-    /// construction — no speculation, nothing invalidates a row.
+    /// policies that cannot batch). The world is frozen, so no row of a
+    /// wave can invalidate another.
     fn plan_group_snapshot(
         &mut self,
         arrivals: &[Request],
@@ -1252,12 +1104,6 @@ impl Simulation {
         plans
             .plans
             .resize_with(arrivals.len(), ArrivalPlan::default);
-        if arrivals.is_empty() {
-            plans.valid = true;
-            self.scratch.plans = plans;
-            return;
-        }
-
         let stride = self.action_space.len();
         let node_count = self.network.topology().node_count();
         let dim = self.encoder.dim();
@@ -1275,13 +1121,11 @@ impl Simulation {
         plans.consumed.resize(arrivals.len(), 0.0);
 
         let use_batch = policy.supports_greedy_batch();
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.valid = false;
         let mut position = 0usize;
         while !plans.live.is_empty() {
-            batch.states.begin_rows(plans.live.len(), dim);
-            batch.masks.clear();
-            batch.actions.clear();
+            plans.wave_states.begin_rows(plans.live.len(), dim);
+            plans.wave_masks.clear();
+            plans.wave_actions.clear();
             plans.cand_lat.clear();
             plans.cand_cost.clear();
             if use_batch {
@@ -1290,12 +1134,12 @@ impl Simulation {
                     let i = plans.live[w];
                     let request = &arrivals[i];
                     let chain = self.chains.get(request.chain);
-                    self.candidates_into(chain, position, plans.at_nodes[i], &mut batch.candidates);
-                    batch.mask_row.clear();
-                    batch
+                    self.candidates_into(chain, position, plans.at_nodes[i], &mut plans.candidates);
+                    plans.mask_row.clear();
+                    plans
                         .mask_row
-                        .extend(batch.candidates.iter().map(|c| c.feasible));
-                    batch.mask_row.push(true); // reject always valid
+                        .extend(plans.candidates.iter().map(|c| c.feasible));
+                    plans.mask_row.push(true); // reject always valid
                     self.encoder.encode_into(
                         self.network.ledger(),
                         &self.pool,
@@ -1308,25 +1152,28 @@ impl Simulation {
                         self.scenario.max_instance_utilization,
                         self.slot,
                         self.network.health(),
-                        &batch.candidates,
-                        &mut batch.state_row,
+                        &plans.candidates,
+                        &mut plans.state_row,
                     );
-                    batch.states.push_row(&batch.state_row);
-                    batch.masks.extend_from_slice(&batch.mask_row);
+                    plans.wave_states.push_row(&plans.state_row);
+                    plans.wave_masks.extend_from_slice(&plans.mask_row);
                     plans
                         .cand_lat
-                        .extend(batch.candidates.iter().map(|c| c.marginal_latency_ms));
+                        .extend(plans.candidates.iter().map(|c| c.marginal_latency_ms));
                     plans
                         .cand_cost
-                        .extend(batch.candidates.iter().map(|c| c.marginal_cost_usd));
+                        .extend(plans.candidates.iter().map(|c| c.marginal_cost_usd));
                 }
                 let started = Instant::now();
-                policy.greedy_batch(&batch.states, &batch.masks, &mut batch.actions);
+                policy.greedy_batch(
+                    &plans.wave_states,
+                    &plans.wave_masks,
+                    &mut plans.wave_actions,
+                );
                 let per_row_ns = started.elapsed().as_nanos() as u64 / plans.live.len() as u64;
                 for _ in 0..plans.live.len() {
                     self.metrics.push_decision_time(per_row_ns);
                 }
-                self.batched_decisions += plans.live.len() as u64;
             } else {
                 // Unbatched policies see the same frozen contexts,
                 // decided in arrival order.
@@ -1346,9 +1193,9 @@ impl Simulation {
                     let action = policy.decide(&ctx, rng);
                     self.metrics
                         .push_decision_time(started.elapsed().as_nanos() as u64);
-                    batch.states.push_row(&ctx.encoded_state);
-                    batch.masks.extend_from_slice(&ctx.mask);
-                    batch.actions.push(self.action_space.encode(action));
+                    plans.wave_states.push_row(&ctx.encoded_state);
+                    plans.wave_masks.extend_from_slice(&ctx.mask);
+                    plans.wave_actions.push(self.action_space.encode(action));
                     plans
                         .cand_lat
                         .extend(ctx.candidates.iter().map(|c| c.marginal_latency_ms));
@@ -1362,12 +1209,12 @@ impl Simulation {
             plans.next_live.clear();
             for w in 0..plans.live.len() {
                 let i = plans.live[w];
-                let action_index = batch.actions[w];
+                let action_index = plans.wave_actions[w];
                 let row = plans.states.rows();
-                plans.states.push_row(batch.states.row(w));
+                plans.states.push_row(plans.wave_states.row(w));
                 plans
                     .masks
-                    .extend_from_slice(&batch.masks[w * stride..(w + 1) * stride]);
+                    .extend_from_slice(&plans.wave_masks[w * stride..(w + 1) * stride]);
                 assert!(
                     plans.masks[row * stride + action_index],
                     "policy {} chose masked action {action_index} at position {position}",
@@ -1402,7 +1249,6 @@ impl Simulation {
             position += 1;
         }
         plans.valid = true;
-        self.scratch.batch = batch;
         self.scratch.plans = plans;
     }
 
@@ -1515,6 +1361,34 @@ impl Simulation {
             }
         }
         self.scratch.plans = plans;
+        outcome
+    }
+
+    /// Decides member `row` of an arrival group (one slot's arrivals in
+    /// the slot loop, one timestamp's in the event engine) — the single
+    /// decision path both engines take. Sequential semantics place the
+    /// request against the world its predecessors left behind. Snapshot
+    /// semantics plan the WHOLE group against the frozen world when its
+    /// first member comes up (nothing has committed yet), apply this
+    /// member's plan, and drop the plans after the last member.
+    fn decide_group_member(
+        &mut self,
+        group: &[Request],
+        row: usize,
+        policy: &mut dyn PlacementPolicy,
+        rng: &mut StdRng,
+    ) -> PlacementOutcome {
+        let request = &group[row];
+        if self.semantics != DecisionSemantics::SlotSnapshot {
+            return self.place_request(request, policy, rng);
+        }
+        if row == 0 {
+            self.plan_group_snapshot(group, policy, rng);
+        }
+        let outcome = self.apply_planned_request(row, request, policy, rng);
+        if row + 1 == group.len() {
+            self.scratch.plans.valid = false; // stale once the group ran
+        }
         outcome
     }
 
@@ -1792,8 +1666,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation already ran event-driven ([`Simulation::run_trace`]
-    /// or [`Simulation::run_events`]).
+    /// Panics if the simulation already ran event-driven
+    /// ([`Simulation::drive`] under [`RunEngine::Event`]).
     pub fn advance_slot(
         &mut self,
         arrivals: &[Request],
@@ -1816,30 +1690,11 @@ impl Simulation {
 
         self.retire_idle_instances();
 
-        // Sequential semantics: all of the slot's arrivals get their
-        // position-0 decision states encoded into one batch and answered
-        // by a single batched forward; each row is consumed only if it
-        // survives bitwise validation inside the (otherwise unchanged)
-        // sequential placement loop. Snapshot semantics instead plan
-        // EVERY position of every arrival against the frozen slot-start
-        // world, then apply jointly in arrival order.
-        let snapshot = self.semantics == DecisionSemantics::SlotSnapshot;
-        if snapshot {
-            self.plan_group_snapshot(arrivals, policy, rng);
-        } else {
-            self.prepare_arrival_batch(arrivals, policy);
-        }
-
         let mut accepted = 0u32;
         let mut rejected = 0u32;
         let mut sla_violations = 0u32;
-        for (row, request) in arrivals.iter().enumerate() {
-            let outcome = if snapshot {
-                self.apply_planned_request(row, request, policy, rng)
-            } else {
-                self.place_request_hinted(request, policy, rng, Some(row))
-            };
-            match outcome {
+        for row in 0..arrivals.len() {
+            match self.decide_group_member(arrivals, row, policy, rng) {
                 PlacementOutcome::Accepted { sla_violated, .. } => {
                     accepted += 1;
                     if sla_violated {
@@ -1849,10 +1704,6 @@ impl Simulation {
                 PlacementOutcome::Rejected => rejected += 1,
             }
         }
-        // Stale once the slot's arrivals ran.
-        self.scratch.batch.valid = false;
-        self.scratch.plans.valid = false;
-
         let (compute, energy, traffic, mean_latency) = self.slot_costs_and_latency(None);
         let record = SlotRecord {
             slot: self.slot,
@@ -1877,7 +1728,7 @@ impl Simulation {
         record
     }
 
-    /// Generates the trace [`Simulation::run`] would feed the engine.
+    /// Generates the scenario's own trace for [`RunInput::Generated`].
     fn generate_run_trace(&self, seed_offset: u64) -> Trace {
         let mut trace_rng = StdRng::seed_from_u64(
             self.scenario
@@ -1894,8 +1745,8 @@ impl Simulation {
         )
     }
 
-    /// The decision RNG every run entry point derives from the scenario
-    /// seed — identical across engines so their policy draws align.
+    /// The decision RNG every run derives from the scenario seed —
+    /// identical across engines so their policy draws align.
     fn decision_rng(&self, seed_offset: u64) -> StdRng {
         StdRng::seed_from_u64(
             self.scenario
@@ -1906,21 +1757,14 @@ impl Simulation {
         )
     }
 
-    /// The unified run entry point: drives `input` through the engine,
+    /// The one run entry point: drives `input` through the engine,
     /// billing, metrics retention and observer selected by `opts`, and
     /// returns the run's [`RunSummary`].
     ///
-    /// Every legacy entry point ([`Simulation::run`],
-    /// [`Simulation::run_slotted`], [`Simulation::run_trace`],
-    /// [`Simulation::run_trace_slotted`], [`Simulation::run_events`]) is
-    /// a thin wrapper over this method, so all of them share its
-    /// validation:
-    ///
     /// # Panics
     ///
-    /// * [`BillingMode::SlotCompat`] after any sparse run on the same
-    ///   simulation — the two accountings cannot mix (previously a
-    ///   doc-only warning on `run_events`).
+    /// * [`BillingMode::SlotCompat`] after any [`BillingMode::Sparse`]
+    ///   run on the same simulation — the two accountings cannot mix.
     /// * [`RunEngine::SlottedOracle`] combined with sparse billing,
     ///   ms-resolution input ([`RunInput::Events`]/[`RunInput::Stream`])
     ///   or a telemetry sink.
@@ -1935,9 +1779,9 @@ impl Simulation {
         match opts.billing {
             BillingMode::SlotCompat => assert!(
                 self.slot_compat,
-                "BillingMode::SlotCompat requested, but this simulation already ran sparse \
-                 (run_events / BillingMode::Sparse); the two accountings cannot mix on one \
-                 simulation — build a fresh Simulation instead"
+                "BillingMode::SlotCompat requested, but this simulation already ran under \
+                 BillingMode::Sparse; the two accountings cannot mix on one simulation — \
+                 build a fresh Simulation instead"
             ),
             BillingMode::Sparse => {}
         }
@@ -2003,104 +1847,6 @@ impl Simulation {
             *sink = self.telemetry.take().expect("sink attached above");
         }
         summary
-    }
-
-    /// Runs the scenario's full horizon with a freshly generated trace.
-    ///
-    /// `seed_offset` decorrelates repeated runs (training passes) of the
-    /// same scenario. Equivalent to [`Simulation::drive`] with
-    /// [`RunInput::Generated`] and default options.
-    pub fn run(&mut self, policy: &mut dyn PlacementPolicy, seed_offset: u64) -> RunSummary {
-        self.drive(
-            RunInput::Generated,
-            policy,
-            RunOptions::new().with_seed_offset(seed_offset),
-        )
-    }
-
-    /// [`Simulation::run`] driven by the legacy slotted loop instead of
-    /// the event engine — the equivalence suite's reference path.
-    /// Equivalent to [`Simulation::drive`] with the slotted oracle.
-    pub fn run_slotted(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        seed_offset: u64,
-    ) -> RunSummary {
-        self.drive(
-            RunInput::Generated,
-            policy,
-            RunOptions::new().slotted().with_seed_offset(seed_offset),
-        )
-    }
-
-    /// Runs a pre-generated trace through the discrete-event engine in
-    /// slot-compatibility mode: every lifecycle event lands on a slot
-    /// boundary, so the output — `RunSummary` and the full `SlotRecord`
-    /// stream — is bit-identical to [`Simulation::run_trace_slotted`],
-    /// while idle stretches of the trace are skipped in O(1) per slot
-    /// instead of paying a full per-slot sweep. Equivalent to
-    /// [`Simulation::drive`] with [`RunInput::Trace`].
-    pub fn run_trace(
-        &mut self,
-        trace: &Trace,
-        policy: &mut dyn PlacementPolicy,
-        seed_offset: u64,
-    ) -> RunSummary {
-        self.drive(
-            RunInput::Trace(trace),
-            policy,
-            RunOptions::new().with_seed_offset(seed_offset),
-        )
-    }
-
-    /// Runs a pre-generated trace through the paper's original slotted
-    /// loop ([`Simulation::advance_slot`] per slot). Kept as the
-    /// equivalence oracle for the event engine; see
-    /// `tests/event_slot_equivalence.rs`. Equivalent to
-    /// [`Simulation::drive`] with the slotted oracle and
-    /// [`RunInput::Trace`].
-    pub fn run_trace_slotted(
-        &mut self,
-        trace: &Trace,
-        policy: &mut dyn PlacementPolicy,
-        seed_offset: u64,
-    ) -> RunSummary {
-        self.drive(
-            RunInput::Trace(trace),
-            policy,
-            RunOptions::new().slotted().with_seed_offset(seed_offset),
-        )
-    }
-
-    /// Runs an explicit ms-resolution arrival schedule through the event
-    /// engine for `horizon_slots` slots — the *sparse* entry point.
-    /// Arrivals may land anywhere inside a slot and requests may carry
-    /// sub-slot holding times ([`Request::duration_ms`]), which are billed
-    /// pro rata instead of being rounded up to whole slots. Scheduled
-    /// network events from the scenario still fire on their slot
-    /// boundaries. Arrivals before the clock or at/after the horizon are
-    /// dropped.
-    ///
-    /// Unlike [`Simulation::run_trace`] this permanently leaves
-    /// slot-compatibility accounting: a later slot-compatible run on the
-    /// same simulation panics (enforced by [`Simulation::drive`]).
-    /// Equivalent to `drive` with [`RunInput::Events`] and sparse
-    /// billing.
-    pub fn run_events(
-        &mut self,
-        arrivals: &[TimedArrival],
-        policy: &mut dyn PlacementPolicy,
-        seed_offset: u64,
-        horizon_slots: u64,
-    ) -> RunSummary {
-        self.drive(
-            RunInput::Events(arrivals),
-            policy,
-            RunOptions::new()
-                .sparse()
-                .with_seed_offset(seed_offset)
-                .with_horizon(horizon_slots),
-        )
     }
 
     /// [`Simulation::drive`]'s slotted-oracle engine: the paper's
@@ -2233,7 +1979,7 @@ impl Simulation {
             let mut arrival = f.next.take().expect("head checked above");
             f.last_ms = arrival.at.ms();
             if arrival.at < self.queue.now() {
-                continue; // before the clock — dropped, like run_events
+                continue; // before the clock — dropped, like `RunInput::Events`
             }
             arrival.request.arrival_slot = arrival.at.slot(self.slot_ms);
             self.queue
@@ -2449,7 +2195,8 @@ impl Simulation {
     /// sequence)` order until the horizon, lazily billing completed slots
     /// before each event and once more at the end. Same-timestamp groups
     /// of network events and of arrivals are drained together — the
-    /// latter is what feeds speculative batched inference.
+    /// latter is the group [`DecisionSemantics::SlotSnapshot`] plans
+    /// against one frozen world.
     fn run_event_loop(
         &mut self,
         end_slot: u64,
@@ -2518,18 +2265,9 @@ impl Simulation {
                             sink.on_requested(t.ms(), request, false);
                         }
                     }
-                    // Batch assembly groups the arrivals that share this
-                    // timestamp (the slot loop groups per slot; on a
-                    // slot-boundary schedule those coincide): speculative
-                    // position-0 rows under sequential semantics, full
-                    // frozen-world plans under snapshot semantics.
-                    let pending = std::mem::take(&mut self.pending_arrivals);
-                    if self.semantics == DecisionSemantics::SlotSnapshot {
-                        self.plan_group_snapshot(&pending, policy, rng);
-                    } else {
-                        self.prepare_arrival_batch(&pending, policy);
-                    }
-                    self.pending_arrivals = pending;
+                    // The arrivals sharing this timestamp form one
+                    // decision group (the slot loop groups per slot; on a
+                    // slot-boundary schedule those coincide).
                     for row in 0..self.pending_arrivals.len() {
                         self.queue.schedule_at(t, SimEvent::PolicyDecision { row });
                     }
@@ -2538,12 +2276,9 @@ impl Simulation {
                     let Some((_, SimEvent::PolicyDecision { row })) = self.queue.pop() else {
                         unreachable!("peeked decision vanished");
                     };
-                    let request = self.pending_arrivals[row].clone();
-                    let outcome = if self.semantics == DecisionSemantics::SlotSnapshot {
-                        self.apply_planned_request(row, &request, policy, rng)
-                    } else {
-                        self.place_request_hinted(&request, policy, rng, Some(row))
-                    };
+                    let group = std::mem::take(&mut self.pending_arrivals);
+                    let outcome = self.decide_group_member(&group, row, policy, rng);
+                    self.pending_arrivals = group;
                     match outcome {
                         PlacementOutcome::Accepted { sla_violated, .. } => {
                             self.counters.accepted += 1;
@@ -2554,11 +2289,6 @@ impl Simulation {
                         PlacementOutcome::Rejected => self.counters.rejected += 1,
                     }
                     self.cost_cache = None;
-                    if row + 1 == self.pending_arrivals.len() {
-                        // Stale once the group's last episode ran.
-                        self.scratch.batch.valid = false;
-                        self.scratch.plans.valid = false;
-                    }
                 }
             }
             self.current_rank = 0;
@@ -2584,9 +2314,8 @@ impl Simulation {
 }
 
 /// A request with an explicit millisecond arrival time, for
-/// [`Simulation::run_events`] / [`RunInput::Events`] /
-/// [`RunInput::Stream`] — the sparse engine inputs where arrivals need
-/// not land on slot boundaries.
+/// [`RunInput::Events`] / [`RunInput::Stream`] — the event-engine
+/// inputs where arrivals need not land on slot boundaries.
 #[derive(Debug, Clone)]
 pub struct TimedArrival {
     /// When the request arrives.
@@ -2733,7 +2462,7 @@ mod tests {
     fn full_run_produces_consistent_summary() {
         let mut s = sim();
         let mut policy = RandomPolicy;
-        let summary = s.run(&mut policy, 0);
+        let summary = s.drive(RunInput::Generated, &mut policy, RunOptions::new());
         assert_eq!(summary.slots, s.scenario().horizon_slots);
         assert_eq!(
             summary.total_arrivals,
@@ -2749,7 +2478,11 @@ mod tests {
         let run = |seed_offset: u64| {
             let mut s = Simulation::new(&scenario, RewardConfig::default());
             let mut policy = RandomPolicy;
-            let mut summary = s.run(&mut policy, seed_offset);
+            let mut summary = s.drive(
+                RunInput::Generated,
+                &mut policy,
+                RunOptions::new().with_seed_offset(seed_offset),
+            );
             // Wall-clock decision timing is legitimately non-deterministic.
             summary.mean_decision_time_us = 0.0;
             summary
@@ -2916,7 +2649,11 @@ mod tests {
         let run = || {
             let mut s = Simulation::new(&scenario, RewardConfig::default());
             let mut policy = FirstFitPolicy;
-            let mut summary = s.run(&mut policy, 11);
+            let mut summary = s.drive(
+                RunInput::Generated,
+                &mut policy,
+                RunOptions::new().with_seed_offset(11),
+            );
             summary.mean_decision_time_us = 0.0;
             summary
         };

@@ -115,8 +115,8 @@ pub enum SimEvent {
     /// Re-examine idle instances against the retirement grace period.
     /// Checks are cheap idempotent sweeps; duplicates are harmless.
     RetireCheck,
-    /// A request arrives. Same-timestamp arrivals are staged together so
-    /// speculative batch assembly can group them into one forward pass.
+    /// A request arrives. Same-timestamp arrivals are staged together as
+    /// one decision group (what snapshot semantics plan jointly).
     FlowArrival(Request),
     /// Run the placement episode for staged arrival `row`.
     PolicyDecision {

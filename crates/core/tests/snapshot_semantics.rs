@@ -187,23 +187,40 @@ fn snapshot_engine_equivalence_and_rerun_determinism() {
     assert_eq!(slots_event_a, slots_slotted);
 }
 
+/// Hides `P`'s `greedy_batch` from the engine (`supports_greedy_batch`
+/// stays at the trait default), forcing per-row `decide` planning.
+struct Unbatched<P>(P);
+
+impl<P: PlacementPolicy> PlacementPolicy for Unbatched<P> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn decide(&mut self, ctx: &DecisionContext, rng: &mut StdRng) -> PlacementAction {
+        self.0.decide(ctx, rng)
+    }
+    fn observe(&mut self, feedback: DecisionFeedback<'_>, rng: &mut StdRng) {
+        self.0.observe(feedback, rng);
+    }
+    fn set_training(&mut self, training: bool) {
+        self.0.set_training(training);
+    }
+}
+
 #[test]
 fn wavefront_batching_matches_per_row_decides() {
     // The fused wavefront forward is a pure row function: planning the
-    // same snapshot with `greedy_batch` (batched inference on) and with
-    // per-row `decide` calls (batched inference off) must produce
-    // bit-identical runs.
+    // same snapshot with `greedy_batch` and with per-row `decide` calls
+    // (the same policy behind `Unbatched`) must produce bit-identical
+    // runs.
     let mut scenario = Scenario::small_test();
     scenario.horizon_slots = 40;
     let policy = frozen_drl(&scenario);
 
-    let run = |batched: bool| {
-        let mut worker = policy.clone();
-        worker.set_batched_inference(batched);
+    let run = |worker: &mut dyn PlacementPolicy| {
         let mut result = evaluate_policy_with_semantics(
             &scenario,
             RewardConfig::default(),
-            &mut worker,
+            worker,
             9,
             DecisionSemantics::SlotSnapshot,
         );
@@ -211,7 +228,12 @@ fn wavefront_batching_matches_per_row_decides() {
         result.summary
     };
 
-    assert_eq!(run(true), run(false), "fused wavefront changed a decision");
+    assert!(policy.supports_greedy_batch());
+    assert_eq!(
+        run(&mut policy.clone()),
+        run(&mut Unbatched(policy.clone())),
+        "fused wavefront changed a decision"
+    );
 }
 
 fn frozen_drl(scenario: &Scenario) -> DrlPolicy {

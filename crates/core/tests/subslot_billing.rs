@@ -2,7 +2,7 @@
 //! exposed: the paper's slotted accounting rounds every holding time up
 //! to whole slots, so a flow that really lives for *half* a slot still
 //! bills one full slot of traffic. The sparse event engine
-//! ([`Simulation::run_events`] + [`Request::duration_ms`]) makes sub-slot
+//! ([`BillingMode::Sparse`] + [`Request::duration_ms`]) makes sub-slot
 //! lifetimes explicit and bills them pro rata; slot-compatibility mode
 //! deliberately keeps the old rounding so the figure suite stays
 //! bit-identical with the paper's loop.
@@ -44,7 +44,7 @@ fn slot_compat_keeps_the_full_slot_rounding() {
     // The pinned legacy behavior: without an explicit `duration_ms`, a
     // one-slot flow bills one whole slot of traffic on BOTH engines —
     // bit-identically. This is the rounding the equivalence suite relies
-    // on; the corrected accounting below is opt-in via `run_events`.
+    // on; the corrected accounting below is opt-in via `BillingMode::Sparse`.
     let scenario = scenario();
     let trace = Trace {
         requests: boundary_requests(),
@@ -53,11 +53,16 @@ fn slot_compat_keeps_the_full_slot_rounding() {
 
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let slot_summary = zeroed(slot_sim.run_trace_slotted(&trace, &mut policy, 0));
+    let slot_summary = zeroed(slot_sim.drive(
+        RunInput::Trace(&trace),
+        &mut policy,
+        RunOptions::new().slotted(),
+    ));
 
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let event_summary = zeroed(event_sim.run_trace(&trace, &mut policy, 0));
+    let event_summary =
+        zeroed(event_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new()));
 
     assert_eq!(slot_summary, event_summary);
     assert_eq!(slot_sim.metrics().slots(), event_sim.metrics().slots());
@@ -88,7 +93,7 @@ fn sparse_mode_bills_sub_slot_flows_pro_rata() {
         requests: boundary_requests(),
         horizon_slots: scenario.horizon_slots,
     };
-    let _ = compat_sim.run_trace(&trace, &mut policy, 0);
+    let _ = compat_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
     let compat_first = compat_sim.metrics().slots()[0].clone();
 
     let arrivals: Vec<TimedArrival> = boundary_requests()
@@ -100,7 +105,11 @@ fn sparse_mode_bills_sub_slot_flows_pro_rata() {
         .collect();
     let mut sparse_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let _ = sparse_sim.run_events(&arrivals, &mut policy, 0, scenario.horizon_slots);
+    let _ = sparse_sim.drive(
+        RunInput::Events(&arrivals),
+        &mut policy,
+        RunOptions::new().sparse(),
+    );
     let sparse_first = sparse_sim.metrics().slots()[0].clone();
 
     assert_eq!(sparse_first.accepted, 4);
@@ -146,7 +155,11 @@ fn mid_slot_arrival_prorates_its_first_slot() {
 
     let mut sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let _ = sim.run_events(&arrivals, &mut policy, 0, scenario.horizon_slots);
+    let _ = sim.drive(
+        RunInput::Events(&arrivals),
+        &mut policy,
+        RunOptions::new().sparse(),
+    );
     let records = sim.metrics().slots();
 
     assert_eq!(records[0].accepted, 1);

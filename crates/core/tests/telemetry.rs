@@ -259,41 +259,6 @@ fn stream_input_matches_materialized_events() {
 }
 
 #[test]
-fn legacy_wrappers_match_drive() {
-    let scenario = Scenario::small_test();
-
-    let mut wrapper_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut wrapper_policy = FirstFitPolicy;
-    let via_wrapper = zeroed(wrapper_sim.run(&mut wrapper_policy, 3));
-
-    let mut drive_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut drive_policy = FirstFitPolicy;
-    let via_drive = zeroed(drive_sim.drive(
-        RunInput::Generated,
-        &mut drive_policy,
-        RunOptions::new().with_seed_offset(3),
-    ));
-    assert_eq!(via_wrapper, via_drive, "run() drifted from drive()");
-
-    let mut slotted_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut slotted_policy = FirstFitPolicy;
-    let via_slotted = zeroed(slotted_sim.run_slotted(&mut slotted_policy, 3));
-
-    let mut oracle_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut oracle_policy = FirstFitPolicy;
-    let via_oracle = zeroed(oracle_sim.drive(
-        RunInput::Generated,
-        &mut oracle_policy,
-        RunOptions::new().slotted().with_seed_offset(3),
-    ));
-    assert_eq!(
-        via_slotted, via_oracle,
-        "run_slotted() drifted from drive(..slotted())"
-    );
-    assert_eq!(via_wrapper, via_oracle, "engines drifted from each other");
-}
-
-#[test]
 #[should_panic(expected = "cannot mix")]
 fn slot_compat_after_sparse_is_rejected() {
     let scenario = Scenario::small_test();

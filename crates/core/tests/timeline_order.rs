@@ -117,7 +117,7 @@ proptest! {
     }
 
     /// Arrivals with pairwise-distinct timestamps produce the same run no
-    /// matter what order they are handed to `run_events` in: the queue's
+    /// matter what order `RunInput::Events` hands them over in: the queue's
     /// `(time, kind_rank, seq)` order makes insertion order irrelevant
     /// whenever timestamps don't collide.
     #[test]
@@ -135,7 +135,7 @@ proptest! {
                     RequestId(i),
                     ChainId((i % 4) as usize),
                     edgenet::node::NodeId((i % 4) as usize),
-                    0, // rewritten from `at` by run_events
+                    0, // rewritten from `at` by the engine
                     1 + (i % 5) as u32,
                 ),
             })
@@ -146,7 +146,7 @@ proptest! {
         let run = |schedule: &[TimedArrival]| {
             let mut sim = Simulation::new(&scenario, RewardConfig::default());
             let mut policy = FirstFitPolicy;
-            let mut summary = sim.run_events(schedule, &mut policy, 3, scenario.horizon_slots);
+            let mut summary = sim.drive(RunInput::Events(schedule), &mut policy, RunOptions::new().sparse().with_seed_offset(3));
             summary.mean_decision_time_us = 0.0;
             (summary, sim.metrics().slots().to_vec())
         };

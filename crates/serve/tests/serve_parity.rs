@@ -137,8 +137,8 @@ fn served_results_are_thread_count_invariant() {
 #[test]
 fn sequential_semantics_also_serve_correctly() {
     // The serving layer is semantics-agnostic: a Sequential run through
-    // the server (per-decision round trips at the speculative batch's
-    // mercy) still matches its in-process twin.
+    // the server (one round trip per decision) still matches its
+    // in-process twin.
     let scenario = scenario();
     let policy = frozen_policy(&scenario);
     let mut worker = policy.clone();

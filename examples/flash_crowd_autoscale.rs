@@ -24,7 +24,7 @@ fn main() {
     // lens on the engine's scale-out/scale-in behaviour without training.
     let mut policy = WeightedGreedyPolicy::default();
     let mut sim = Simulation::new(&scenario, reward);
-    let _summary = sim.run(&mut policy, 0);
+    let _summary = sim.drive(RunInput::Generated, &mut policy, RunOptions::new());
 
     println!("slot | load phase   | active flows | instances | util % | cost/slot");
     println!("-----|--------------|--------------|-----------|--------|----------");

@@ -3,7 +3,7 @@
 //! of (scenario, seed). Any hidden global state, HashMap iteration-order
 //! dependence, or wall-clock leakage into metrics fails here.
 //!
-//! Since the event-queue refactor, `Simulation::run` drives everything
+//! Since the event-queue refactor, `Simulation::drive` runs everything
 //! through the discrete-event engine in slot-compatibility mode, so every
 //! test below exercises the event path; the cross-engine and sparse-mode
 //! tests pin it against the slotted oracle and against itself explicitly.
@@ -43,7 +43,11 @@ fn same_seed_slot_records_are_bit_identical() {
     let run = || {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut policy = GreedyCostPolicy;
-        let _ = sim.run(&mut policy, 7);
+        let _ = sim.drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(7),
+        );
         sim.metrics().slots().to_vec()
     };
     let (a, b) = (run(), run());
@@ -119,11 +123,9 @@ fn event_engine_matches_the_slotted_oracle() {
     let run = |slotted: bool| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut policy = WeightedGreedyPolicy::default();
-        let mut summary = if slotted {
-            sim.run_slotted(&mut policy, 42)
-        } else {
-            sim.run(&mut policy, 42)
-        };
+        let opts = RunOptions::new().with_seed_offset(42);
+        let opts = if slotted { opts.slotted() } else { opts };
+        let mut summary = sim.drive(RunInput::Generated, &mut policy, opts);
         summary.mean_decision_time_us = 0.0;
         (summary, sim.metrics().slots().to_vec())
     };
@@ -139,7 +141,7 @@ fn event_engine_matches_the_slotted_oracle() {
 
 #[test]
 fn sparse_engine_same_schedule_is_bit_identical() {
-    // The sparse entry point (`run_events`, mid-slot arrivals, sub-slot
+    // Sparse runs (`BillingMode::Sparse`, mid-slot arrivals, sub-slot
     // holding times) must be exactly as reproducible as the slotted path.
     let scenario = Scenario::small_test();
     let run = || {
@@ -152,14 +154,21 @@ fn sparse_engine_same_schedule_is_bit_identical() {
                     RequestId(i),
                     ChainId((i % 4) as usize),
                     NodeId((i % 4) as usize),
-                    0, // rewritten from `at` by run_events
+                    0, // rewritten from `at` by the engine
                     1 + (i % 4) as u32,
                 )
                 .with_duration_ms(slot_ms / 2 + i * 200),
             })
             .collect();
         let mut policy = WeightedGreedyPolicy::default();
-        let mut summary = sim.run_events(&arrivals, &mut policy, 9, 30);
+        let mut summary = sim.drive(
+            RunInput::Events(&arrivals),
+            &mut policy,
+            RunOptions::new()
+                .sparse()
+                .with_seed_offset(9)
+                .with_horizon(30),
+        );
         summary.mean_decision_time_us = 0.0;
         assert!(sim.events_processed() > 0, "the queue must drive the run");
         (summary, sim.metrics().slots().to_vec())

@@ -36,16 +36,24 @@ fn capacity_is_conserved_through_a_full_run() {
     scenario.horizon_slots = 60;
     let mut sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = WeightedGreedyPolicy::default();
-    let _ = sim.run(&mut policy, 1);
+    let _ = sim.drive(
+        RunInput::Generated,
+        &mut policy,
+        RunOptions::new().with_seed_offset(1),
+    );
     // Drain: no arrivals for long enough that all flows depart and every
-    // instance passes the idle grace period. `run` left the simulation in
+    // instance passes the idle grace period. The run left the simulation in
     // event mode, so the drain rides the event engine too (departure and
     // retire-check events scheduled past the first horizon fire here).
     let drain = Trace {
         requests: Vec::new(),
         horizon_slots: 400,
     };
-    let _ = sim.run_trace(&drain, &mut policy, 1);
+    let _ = sim.drive(
+        RunInput::Trace(&drain),
+        &mut policy,
+        RunOptions::new().with_seed_offset(1),
+    );
     assert_eq!(sim.active_flow_count(), 0);
     assert_eq!(sim.pool.len(), 0, "all instances retired after drain");
     assert_eq!(sim.ledger().total_used_cpu(), 0.0, "no leaked capacity");
@@ -163,7 +171,7 @@ fn trace_generation_feeds_engine_consistently() {
     let trace = generate_trace(&scenario.workload, &sites, scenario.horizon_slots, &mut rng);
     let mut sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let summary = sim.run_trace(&trace, &mut policy, 0);
+    let summary = sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
     assert_eq!(summary.total_arrivals as usize, trace.len());
 }
 

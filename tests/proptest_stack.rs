@@ -36,7 +36,7 @@ proptest! {
         let scenario = scenario_from(rate, sites, seed);
         let mut policy = policy_by_index(policy_index);
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
-        let summary = sim.run(policy.as_mut(), seed);
+        let summary = sim.drive(RunInput::Generated, policy.as_mut(), RunOptions::new().with_seed_offset(seed));
 
         prop_assert_eq!(summary.total_arrivals, summary.total_accepted + summary.total_rejected);
         prop_assert!((0.0..=1.0).contains(&summary.acceptance_ratio));
@@ -61,10 +61,10 @@ proptest! {
         let scenario = scenario_from(rate, 3, seed);
         let mut policy = policy_by_index(policy_index);
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
-        let _ = sim.run(policy.as_mut(), 0);
-        // `run` leaves the simulation in event mode; drain there too.
+        let _ = sim.drive(RunInput::Generated, policy.as_mut(), RunOptions::new());
+        // The run leaves the simulation in event mode; drain there too.
         let drain = Trace { requests: Vec::new(), horizon_slots: 300 };
-        let _ = sim.run_trace(&drain, policy.as_mut(), 0);
+        let _ = sim.drive(RunInput::Trace(&drain), policy.as_mut(), RunOptions::new());
         prop_assert_eq!(sim.active_flow_count(), 0);
         prop_assert_eq!(sim.pool.len(), 0);
         prop_assert!(sim.ledger().total_used_cpu().abs() < 1e-6);

@@ -27,6 +27,10 @@
 #                           # search twice (second run on a single worker
 #                           # thread) and byte-diffs the two
 #                           # BENCH_search_smoke.json outputs
+#   ./verify.sh perf-smoke  # the standalone perf/ benchmark package's own
+#                           # smoke test (every workload at --quick
+#                           # sizes): a library API change that breaks
+#                           # `perfbench` fails here, not in acceptance
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -130,6 +134,13 @@ run_search_smoke() {
   rm -f "$RESULTS_DIR/BENCH_search_smoke.reference.json"
 }
 
+# perf/ is its own package (empty [workspace], its own target dir), so
+# the workspace gates above never compile it.
+perf_smoke() {
+  echo "==> cargo test --offline -q --manifest-path perf/Cargo.toml"
+  cargo test --offline -q --manifest-path perf/Cargo.toml
+}
+
 search_smoke() {
   export FAST=1
   export RESULTS_DIR="${RESULTS_DIR:-results}"
@@ -186,12 +197,13 @@ case "${1:-all}" in
   bench-full) bench_full ;;
   sweep-smoke) sweep_smoke ;;
   search-smoke) search_smoke ;;
+  perf-smoke) perf_smoke ;;
   all)
     lint
     test_
     ;;
   *)
-    echo "usage: $0 [lint|test|bench-smoke|bench-full|sweep-smoke|search-smoke|all]" >&2
+    echo "usage: $0 [lint|test|bench-smoke|bench-full|sweep-smoke|search-smoke|perf-smoke|all]" >&2
     exit 2
     ;;
 esac
