@@ -25,6 +25,10 @@
 //!   the report carries the measured idle-overhead ratio as evidence
 //!   that sparse time is O(events), not O(slots) of work.
 //!
+//! Beside the train-step rate sits **`train_gemm_ratio`**: the time of the
+//! learn step's widest dL/dW product over that of a forward product of
+//! equal flops — near 1 while both run the one register-tile kernel.
+//!
 //! And the serving layer (`crates/serve`):
 //!
 //! * **serve decisions/sec** — eight concurrent simulations sharing one
@@ -403,6 +407,45 @@ fn main() {
         baseline_train = baseline_train.max(rate(train_steps, t0.elapsed().as_secs_f64()));
     }
 
+    // ---- train_gemm_ratio: the learn step's widest dL/dW product
+    // (batch x hidden input, transposed, times batch x hidden dL/dz),
+    // computed the way `Dense` computes it — pack the transpose, then
+    // `matmul_into` — over a forward product of equal flops (batch x
+    // hidden times hidden x hidden). Both run the one register-tile
+    // kernel, so the ratio sits a little above 1 (the pack). It is
+    // informational, not trend-gated: a compiler or CPU on which the
+    // training product stops vectorizing shows up here as a number instead
+    // of hiding inside train-steps/sec.
+    let train_gemm_ratio = {
+        let hidden = baseline_net.layers[0].0.cols();
+        let dense = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 31 + c * 17) % 23) as f32 * 0.125 - 1.0
+            })
+        };
+        let x = dense(config.batch_size, hidden);
+        let grad_z = dense(config.batch_size, hidden);
+        let w = dense(hidden, hidden);
+        let (mut x_t, mut out) = (Matrix::default(), Matrix::default());
+        let calls = scaled(2_000, 200);
+        let (mut train_wall, mut forward_wall) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..timing_reps {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                std::hint::black_box(&x).transpose_into(&mut x_t);
+                x_t.matmul_into(std::hint::black_box(&grad_z), &mut out);
+            }
+            train_wall = train_wall.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                std::hint::black_box(&x).matmul_into(std::hint::black_box(&w), &mut out);
+            }
+            forward_wall = forward_wall.min(t0.elapsed().as_secs_f64());
+        }
+        std::hint::black_box(&out);
+        train_wall / forward_wall.max(1e-12)
+    };
+
     let decision_speedup = optimized_decisions / baseline_decisions.max(1e-9);
     let batched_speedup = batched_decisions / optimized_decisions.max(1e-9);
     let train_speedup = optimized_train / baseline_train.max(1e-9);
@@ -414,6 +457,10 @@ fn main() {
     );
     eprintln!(
         "[hotpath] train-steps/sec: {optimized_train:.1} vs baseline {baseline_train:.1} ({train_speedup:.2}x)"
+    );
+
+    eprintln!(
+        "[hotpath] train_gemm_ratio: {train_gemm_ratio:.2} (dL/dW product over an equal-flop forward product)"
     );
 
     // ---- events/sec + the idle-trace sparsity sweep.
@@ -711,6 +758,10 @@ fn main() {
     };
     doc.insert("sparse", sparse);
     doc.insert("speedup", serde_json::Value::Object(speedup));
+    doc.insert(
+        "train_gemm_ratio",
+        serde_json::Value::from(train_gemm_ratio),
+    );
     doc.insert(
         "wall_clock_secs",
         serde_json::Value::from(started.elapsed().as_secs_f64()),

@@ -136,6 +136,16 @@ pub fn results_markdown(dir: &Path) -> String {
             rate("optimized", "train_steps_per_sec"),
             rate("speedup", "train_steps"),
         ));
+        if let Some(ratio) = doc
+            .get("train_gemm_ratio")
+            .and_then(serde_json::Value::as_f64)
+        {
+            out.push_str(&format!(
+                "
+train_gemm_ratio {ratio:.2} (dL/dW product over an equal-flop forward product; informational)
+"
+            ));
+        }
     }
     if let Some(doc) = &metro {
         let num = |key: &str| -> f64 {
@@ -472,7 +482,8 @@ mod tests {
             r#"{"name":"hotpath",
                 "optimized":{"decisions_per_sec":50000.0,"batched_decisions_per_sec":90000.0,
                              "train_steps_per_sec":800.0},
-                "speedup":{"decisions":2.3,"batched_decisions":1.8,"train_steps":2.4}}"#,
+                "speedup":{"decisions":2.3,"batched_decisions":1.8,"train_steps":2.4},
+                "train_gemm_ratio":1.234}"#,
         )
         .unwrap();
         std::fs::write(dir.join("BENCH_broken.json"), "{oops").unwrap();
@@ -490,6 +501,7 @@ mod tests {
             "{md}"
         );
         assert!(md.contains("| train steps | 800.0 | 2.40x |"), "{md}");
+        assert!(md.contains("train_gemm_ratio 1.23 "), "{md}");
         assert!(
             md.contains("skipped unparseable: BENCH_broken.json"),
             "{md}"

@@ -29,8 +29,8 @@ pub struct Dense {
     /// Whether the accumulators hold gradients from a backward pass.
     #[serde(skip)]
     has_grads: bool,
-    /// Persistent forward tensors (input and pre-activation), overwritten
-    /// in place by every [`Dense::forward_train_into`].
+    /// Persistent forward tensors (transposed input and pre-activation),
+    /// overwritten in place by every [`Dense::forward_train_into`].
     #[serde(skip)]
     cache: ForwardCache,
     /// Whether `cache` holds tensors a backward pass may consume.
@@ -43,7 +43,10 @@ pub struct Dense {
 
 #[derive(Debug, Clone, Default)]
 struct ForwardCache {
-    input: Matrix,
+    /// The layer input, stored transposed (`in_dim x batch`): its only
+    /// reader is dL/dW = xᵀ · dL/dz, which then runs on the row-streaming
+    /// matmul kernel with no further copy.
+    input_t: Matrix,
     pre_activation: Matrix,
 }
 
@@ -179,11 +182,11 @@ impl Dense {
         out
     }
 
-    /// Training forward pass into a caller-owned buffer. The input and
-    /// pre-activation are copied into the layer's persistent cache, so the
-    /// whole call is allocation-free at steady state.
+    /// Training forward pass into a caller-owned buffer. The (transposed)
+    /// input and the pre-activation land in the layer's persistent cache,
+    /// so the whole call is allocation-free at steady state.
     pub fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        self.cache.input.copy_from(input);
+        input.transpose_into(&mut self.cache.input_t);
         input.matmul_into(&self.weights, &mut self.cache.pre_activation);
         self.cache
             .pre_activation
@@ -249,8 +252,10 @@ impl Dense {
         // dL/dz = dL/da ⊙ f'(z), fused.
         self.activation
             .derivative_mul_into(&self.cache.pre_activation, grad_output, grad_z);
-        // dL/dW = xᵀ · dL/dz ; dL/db = column-sum(dL/dz)
-        self.cache.input.tmatmul_into(grad_z, grad_w);
+        // dL/dW = xᵀ · dL/dz, xᵀ packed by the forward pass (ascending
+        // batch row per element, as the transpose-free form accumulated —
+        // bit-identical) ; dL/db = column-sum(dL/dz)
+        self.cache.input_t.matmul_into(grad_z, grad_w);
         grad_z.col_sum_into(grad_b);
         if self.has_grads {
             self.grad_weights.add_scaled_assign(grad_w, 1.0);
@@ -326,6 +331,24 @@ impl Dense {
         self.has_grads = false;
         self.grad_weights.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    /// Hard copy of `other`'s parameters (target-network sync), into the
+    /// existing allocations. Nothing but weights and bias is copied:
+    /// `other`'s forward cache, gradient accumulators and backward scratch
+    /// are training state a target network never uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layers have different shapes.
+    pub fn copy_parameters_from(&mut self, other: &Dense) {
+        assert_eq!(
+            self.weights.shape(),
+            other.weights.shape(),
+            "parameter copy shape mismatch"
+        );
+        self.weights.copy_from(&other.weights);
+        self.bias.copy_from(&other.bias);
     }
 
     /// Applies a parameter delta in place: `W += dw`, `b += db`.
@@ -438,6 +461,43 @@ mod tests {
         let grad_in = layer.backward(&g);
         let expected = g.matmul_t(layer.weights());
         assert_eq!(grad_in, expected);
+    }
+
+    #[test]
+    fn copy_parameters_leaves_training_state_behind() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut online = Dense::new(5, 4, Activation::Relu, Init::HeUniform, &mut rng);
+        let mut target = Dense::new(5, 4, Activation::Relu, Init::HeUniform, &mut rng);
+        let x = Matrix::full(3, 5, 0.25);
+        let _ = online.forward_train(&x);
+        let _ = online.backward(&Matrix::full(3, 4, 1.0));
+        let weights_at = target.weights().as_slice().as_ptr();
+        let bias_at = target.bias().as_slice().as_ptr();
+
+        target.copy_parameters_from(&online);
+
+        assert_eq!(target.weights(), online.weights());
+        assert_eq!(target.bias(), online.bias());
+        assert_eq!(target.forward(&x), online.forward(&x));
+        // Copied into the allocations the target already had ...
+        assert_eq!(target.weights().as_slice().as_ptr(), weights_at);
+        assert_eq!(target.bias().as_slice().as_ptr(), bias_at);
+        // ... and none of the online layer's cache, gradients or scratch.
+        assert!(target.cache.input_t.is_empty() && target.cache.pre_activation.is_empty());
+        assert!(target.scratch.grad_z.is_empty() && target.scratch.w_t.is_empty());
+        assert!(target.gradients().is_none() && !target.cache_armed);
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter copy shape mismatch")]
+    fn copy_parameters_rejects_other_shape() {
+        let mut a = layer_2x3();
+        let b = Dense::from_parameters(
+            Matrix::zeros(3, 3),
+            Matrix::zeros(1, 3),
+            Activation::Identity,
+        );
+        a.copy_parameters_from(&b);
     }
 
     #[test]

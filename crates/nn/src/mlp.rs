@@ -5,7 +5,7 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::linear::Dense;
 use crate::loss::Loss;
-use crate::optimizer::{clip_global_norm, Optimizer, OptimizerConfig};
+use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::tensor::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -313,22 +313,28 @@ impl Mlp {
         optimizer: &mut Optimizer,
         max_grad_norm: Option<f32>,
     ) -> f32 {
-        let norm = {
-            let mut refs: Vec<&mut Matrix> = Vec::with_capacity(self.layers.len() * 2);
-            for layer in self.layers.iter_mut() {
-                let (gw, gb) = layer.grads_mut();
-                refs.push(gw);
-                refs.push(gb);
+        // Global norm in one pass over the layers, scale in a second: the
+        // arithmetic of `clip_global_norm` (per-matrix norms squared and
+        // summed in order W, b, W, b, ...) without its `Vec` of borrows.
+        let mut sum_sq = 0.0f32;
+        for layer in self.layers.iter_mut() {
+            let (gw, gb) = layer.grads_mut();
+            for n in [gw.frobenius_norm(), gb.frobenius_norm()] {
+                sum_sq += n * n;
             }
-            match max_grad_norm {
-                Some(limit) => clip_global_norm(&mut refs, limit),
-                None => refs
-                    .iter()
-                    .map(|g| g.frobenius_norm().powi(2))
-                    .sum::<f32>()
-                    .sqrt(),
+        }
+        let norm = sum_sq.sqrt();
+        if let Some(limit) = max_grad_norm {
+            assert!(limit > 0.0, "max_norm must be positive");
+            if norm > limit {
+                let scale = limit / norm;
+                for layer in self.layers.iter_mut() {
+                    let (gw, gb) = layer.grads_mut();
+                    gw.scale_assign(scale);
+                    gb.scale_assign(scale);
+                }
             }
-        };
+        }
         optimizer.begin_step();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let (w, b, gw, gb) = layer.params_grads();
@@ -375,8 +381,9 @@ impl Mlp {
         max_grad_norm: Option<f32>,
     ) -> (f32, Vec<f32>) {
         assert_eq!(input.cols(), self.config.input_dim, "input width mismatch");
-        // Forward, TD errors, and the loss gradient all run inside the
-        // network-owned scratch; only the returned TD vector allocates.
+        // Forward, TD errors, the loss gradient, backward and the clipped
+        // update all run inside network- and layer-owned buffers; the
+        // returned TD vector is a warm step's only allocation.
         let (l, td) = {
             let TrainScratch {
                 fwd_a,
@@ -493,7 +500,9 @@ impl Mlp {
             self.config, other.config,
             "cannot copy parameters between different architectures"
         );
-        self.layers = other.layers.clone();
+        for (mine, theirs) in self.layers.iter_mut().zip(other.layers.iter()) {
+            mine.copy_parameters_from(theirs);
+        }
     }
 
     /// Polyak soft update `p ← (1-tau)·p + tau·other` (target-network track).
@@ -688,6 +697,43 @@ mod tests {
         net.train_batch(&x, &target, Loss::Mse, &mut opt, Some(0.1));
         let after = net.layers()[0].weights().get(0, 0);
         assert!((after - before).abs() <= 0.1 + 1e-4);
+    }
+
+    #[test]
+    fn apply_gradients_clips_like_clip_global_norm_bitwise() {
+        // The in-place two-pass clip against the slice-of-borrows form on
+        // drained gradients, with a limit small enough that it fires.
+        let config = MlpConfig::new(3, &[6, 5], 2);
+        let mut fused = Mlp::new(&config, &mut rng());
+        let mut staged = fused.clone();
+        let x = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1.0, 0.25, -0.75]]);
+        let grad = Matrix::from_rows(&[&[3.0, -2.0], &[0.5, 4.0]]);
+        let limit = 0.05;
+
+        let _ = fused.forward_train(&x);
+        fused.backward(&grad);
+        let mut opt = OptimizerConfig::sgd(1.0).build();
+        let norm = fused.apply_gradients(&mut opt, Some(limit));
+
+        let _ = staged.forward_train(&x);
+        staged.backward(&grad);
+        let mut grads = staged.drain_gradients();
+        let mut refs: Vec<&mut Matrix> = Vec::new();
+        for (gw, gb) in grads.iter_mut() {
+            refs.push(gw);
+            refs.push(gb);
+        }
+        let expected_norm = crate::optimizer::clip_global_norm(&mut refs, limit);
+        let mut opt = OptimizerConfig::sgd(1.0).build();
+        opt.begin_step();
+        staged.apply_external_gradients(&grads, &mut opt, 0);
+
+        assert!(norm > limit, "the clip must fire, norm {norm}");
+        assert_eq!(norm.to_bits(), expected_norm.to_bits());
+        for (a, b) in fused.layers().iter().zip(staged.layers().iter()) {
+            assert_eq!(a.weights(), b.weights());
+            assert_eq!(a.bias(), b.bias());
+        }
     }
 
     #[test]

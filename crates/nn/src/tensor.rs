@@ -7,17 +7,25 @@
 //!
 //! Every product has two forms: an allocating method (`matmul`) and an
 //! `*_into` variant writing into a caller-owned buffer whose allocation is
-//! reused across calls. Both run the same blocked, branch-free kernels with
-//! unrolled [`slice::chunks_exact`] accumulators that auto-vectorize; the
-//! per-output-element accumulation order is identical to the historical
-//! naive loops (kept in [`reference`]), so results are bit-identical.
+//! reused across calls. There is **one** product kernel,
+//! [`Matrix::matmul_into`]: a register-tiled micro-kernel over whole
+//! tiles, with a k-blocked zero-skip [`axpy`] loop for the row and column
+//! tails. The transposed products (`aᵀ·b`, `a·bᵀ`) are *pack-transpose +
+//! that kernel*: the transposed operand is first made row-major with the
+//! blocked [`Matrix::transpose_into`]. The copy is the cheap part: a
+//! transpose-free tile loop over the same accumulators is compiled (rustc
+//! 1.95, AVX-512, `target-cpu=native`) to a tile on the stack with a
+//! gather and a scatter per contraction step, and runs an order of
+//! magnitude slower than the copy it saves. The per-output-element
+//! accumulation order is identical to the historical naive loops (kept in
+//! [`reference`]), so results are bit-identical.
 
 use serde::{Deserialize, Serialize};
 
-/// Number of `k` (contraction) indices processed per block in
-/// [`Matrix::matmul_into`] / [`Matrix::tmatmul_into`]: keeps the streamed
-/// panel of the right-hand operand hot in L1 across output rows while
-/// preserving ascending-`k` accumulation per output element.
+/// Number of `k` (contraction) indices processed per block in the axpy
+/// tails of [`Matrix::matmul_into`]: keeps the streamed panel of the
+/// right-hand operand hot in L1 across output rows while preserving
+/// ascending-`k` accumulation per output element.
 const K_BLOCK: usize = 64;
 
 /// Tile shape of the register-blocked micro-kernel in
@@ -32,6 +40,11 @@ const J_TILE: usize = 16;
 
 /// Row depth of the micro-kernel tile (see [`J_TILE`]).
 const ROW_TILE: usize = 8;
+
+/// Edge of the square blocks [`Matrix::transpose_into`] copies: one block
+/// is 16 cache lines read and 16 written, so neither side of the copy
+/// walks the whole matrix at a power-of-two stride.
+const TRANSPOSE_BLOCK: usize = 16;
 
 /// `out[j] += a * b[j]` over two equal-length slices, eight lanes per
 /// iteration. Each output lane is independent, so the unroll reassociates
@@ -607,7 +620,7 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `selfᵀ * other` without materializing the transpose.
+    /// Matrix product `selfᵀ * other`.
     ///
     /// # Panics
     ///
@@ -618,18 +631,13 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * other` written into `out`. The training-GEMM twin of
-    /// [`Matrix::matmul_into`]: output tiles of [`ROW_TILE`] ×
-    /// [`J_TILE`] accumulators live in registers across the whole
-    /// contraction (over `self`'s *rows*, so both per-step operand slices
-    /// are contiguous), and whatever the micro-kernel cannot tile — row
-    /// tail, column tail, outputs narrower than a tile — falls through to
-    /// the historical k-blocked zero-skip [`axpy`] kernel, column-ranged.
-    /// Both paths accumulate every output element over ascending `r`, so
-    /// on finite inputs the split is invisible in the bits and the result
-    /// stays bit-identical to [`reference::tmatmul`] (the tile's dense
-    /// `±0·b` terms are no-ops on the never-`-0.0` accumulators; see
-    /// [`Matrix::matmul_tile_acc`]).
+    /// `selfᵀ * other` written into `out`: `self` is packed row-major by
+    /// [`Matrix::transpose_into`] (a temporary, allocated per call) and the
+    /// product runs on [`Matrix::matmul_into`]. Every output element still
+    /// accumulates over ascending rows of `self` from `+0.0`, so on finite
+    /// inputs the result is bit-identical to [`reference::tmatmul`]. A
+    /// caller that repeats the product keeps the packed operand itself and
+    /// calls `matmul_into` directly, as `Dense` does with its cached input.
     ///
     /// # Panics
     ///
@@ -640,87 +648,10 @@ impl Matrix {
             "tmatmul shape mismatch: ({}x{})ᵀ * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (c1, c2) = (self.cols, other.cols);
-        out.reset_zeroed(c1, c2);
-        let tiled_rows = if c2 >= J_TILE { c1 - c1 % ROW_TILE } else { 0 };
-        let tiled_cols = if tiled_rows > 0 { c2 - c2 % J_TILE } else { 0 };
-        let mut j = 0;
-        while j < tiled_cols {
-            let mut i = 0;
-            while i < tiled_rows {
-                self.tmatmul_tile::<ROW_TILE>(other, out, i, j);
-                i += ROW_TILE;
-            }
-            j += J_TILE;
-        }
-        self.tmatmul_axpy_ranged(other, out, 0..tiled_rows, tiled_cols..c2);
-        self.tmatmul_axpy_ranged(other, out, tiled_rows..c1, 0..c2);
+        self.transpose().matmul_into(other, out);
     }
 
-    /// One register tile of `selfᵀ * other`: `R` output rows (contraction
-    /// column indices `i..i+R` of `self`) × [`J_TILE`] output columns.
-    /// Each contraction step `r` reads `R` contiguous `a` scalars and one
-    /// contiguous [`J_TILE`]-wide `b` tile, feeding all `R * J_TILE`
-    /// register accumulators — dense, branch-free, ascending `r` per
-    /// element (the bit-identity argument of [`Matrix::matmul_tile_acc`]).
-    #[inline]
-    fn tmatmul_tile<const R: usize>(&self, other: &Matrix, out: &mut Matrix, i: usize, j: usize) {
-        let (r_total, c1, c2) = (self.rows, self.cols, other.cols);
-        let mut acc = [[0.0f32; J_TILE]; R];
-        for r in 0..r_total {
-            let a_vals: &[f32; R] = self.data[r * c1 + i..r * c1 + i + R]
-                .try_into()
-                .expect("tile depth is R");
-            let b_tile: &[f32; J_TILE] = other.data[r * c2 + j..r * c2 + j + J_TILE]
-                .try_into()
-                .expect("tile width is J_TILE");
-            for (acc_row, &a) in acc.iter_mut().zip(a_vals.iter()) {
-                for t in 0..J_TILE {
-                    acc_row[t] += a * b_tile[t];
-                }
-            }
-        }
-        for (rr, acc_row) in acc.iter().enumerate() {
-            let start = (i + rr) * c2 + j;
-            out.data[start..start + J_TILE].copy_from_slice(acc_row);
-        }
-    }
-
-    /// The pre-tiling `tmatmul_into` body over a row/column sub-range of
-    /// the output: the contraction runs over `self`'s rows in `K_BLOCK`
-    /// blocks (ascending within and across blocks) with the unrolled
-    /// [`axpy`] inner loop, and zero `a` scalars skip their whole `axpy`
-    /// — in the backward pass `self` is the layer input, whose ReLU zeros
-    /// make the skip a measured win on the untiled shapes.
-    fn tmatmul_axpy_ranged(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) {
-        if rows.is_empty() || cols.is_empty() {
-            return;
-        }
-        let (r_total, c1, c2) = (self.rows, self.cols, other.cols);
-        let mut r0 = 0;
-        while r0 < r_total {
-            let r1 = (r0 + K_BLOCK).min(r_total);
-            for r in r0..r1 {
-                let a_row = &self.data[r * c1 + rows.start..r * c1 + rows.end];
-                let b_row = &other.data[r * c2 + cols.start..r * c2 + cols.end];
-                for (i, &a) in rows.clone().zip(a_row.iter()) {
-                    if a != 0.0 {
-                        let out_row = &mut out.data[i * c2 + cols.start..i * c2 + cols.end];
-                        axpy(out_row, b_row, a);
-                    }
-                }
-            }
-            r0 = r1;
-        }
-    }
-
-    /// Matrix product `self * otherᵀ` without materializing the transpose.
+    /// Matrix product `self * otherᵀ`.
     ///
     /// # Panics
     ///
@@ -731,21 +662,14 @@ impl Matrix {
         out
     }
 
-    /// `self * otherᵀ` written into `out`. Register-tiled like the other
-    /// training GEMMs: [`ROW_TILE`] rows of `self` are dotted against
-    /// [`J_TILE`] rows of `other` simultaneously, every `b` element
-    /// gathered per contraction step feeding [`ROW_TILE`] accumulator
-    /// lanes. Each output element keeps a single accumulator over
-    /// ascending `k` — the tile is dense (no zero skip; `±0·b` adds are
-    /// no-ops on the never-`-0.0` accumulators for finite `b`, see
-    /// [`Matrix::matmul_tile_acc`]) — so on finite inputs every element
-    /// is bit-identical to [`reference::matmul_t`]; `0·±inf`/`0·NaN`
-    /// terms are skipped rather than propagated (a diverged network is
-    /// caught by the `has_non_finite` tripwires, not by kernel NaN flow).
-    /// Row/column tails fall back to the historical zero-skip dot kernel,
-    /// ranged — in the backward pass `self` is dL/dz, which the
-    /// selected-action loss and ReLU derivatives leave mostly zero, so
-    /// the skip still pays on the untiled shapes.
+    /// `self * otherᵀ` written into `out`: `other` is packed row-major by
+    /// [`Matrix::transpose_into`] (a temporary, allocated per call) and the
+    /// product runs on [`Matrix::matmul_into`]. Each output element keeps a
+    /// single accumulator over ascending `k`, so on finite inputs it is
+    /// bit-identical to [`reference::matmul_t`]; `0·±inf`/`0·NaN` terms in
+    /// the zero-skip tails are skipped rather than propagated (a diverged
+    /// network is caught by the `has_non_finite` tripwires, not by kernel
+    /// NaN flow).
     ///
     /// # Panics
     ///
@@ -756,100 +680,7 @@ impl Matrix {
             "matmul_t shape mismatch: {}x{} * ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.rows);
-        out.reset_for_overwrite(m, n);
-        let tiled_rows = if n >= J_TILE { m - m % ROW_TILE } else { 0 };
-        let tiled_cols = if tiled_rows > 0 { n - n % J_TILE } else { 0 };
-        let mut j = 0;
-        while j < tiled_cols {
-            let mut i = 0;
-            while i < tiled_rows {
-                self.matmul_t_tile::<ROW_TILE>(other, out, i, j);
-                i += ROW_TILE;
-            }
-            j += J_TILE;
-        }
-        self.matmul_t_dot_ranged(other, out, 0..tiled_rows, tiled_cols..n);
-        self.matmul_t_dot_ranged(other, out, tiled_rows..m, 0..n);
-    }
-
-    /// One register tile of `self * otherᵀ`: `R` rows of `self` against
-    /// [`J_TILE`] rows of `other`, all `R * J_TILE` dot accumulators held
-    /// across the ascending-`k` sweep. The per-step gather of the
-    /// [`J_TILE`] `b` scalars (one per `other` row) is the transpose-free
-    /// price; each gathered value then feeds `R` multiply-add lanes.
-    #[inline]
-    fn matmul_t_tile<const R: usize>(&self, other: &Matrix, out: &mut Matrix, i: usize, j: usize) {
-        let (k, n) = (self.cols, other.rows);
-        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &self.data[(i + r) * k..(i + r + 1) * k]);
-        let b_rows: [&[f32]; J_TILE] =
-            std::array::from_fn(|t| &other.data[(j + t) * k..(j + t + 1) * k]);
-        let mut acc = [[0.0f32; J_TILE]; R];
-        for kk in 0..k {
-            let b_vals: [f32; J_TILE] = std::array::from_fn(|t| b_rows[t][kk]);
-            for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter()) {
-                let a = a_row[kk];
-                for t in 0..J_TILE {
-                    acc_row[t] += a * b_vals[t];
-                }
-            }
-        }
-        for (rr, acc_row) in acc.iter().enumerate() {
-            let start = (i + rr) * n + j;
-            out.data[start..start + J_TILE].copy_from_slice(acc_row);
-        }
-    }
-
-    /// The pre-tiling `matmul_t_into` body over a row/column sub-range of
-    /// the output: four independent zero-skip dot chains per column
-    /// block, then a scalar-column tail, each accumulator ascending `k`.
-    fn matmul_t_dot_ranged(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) {
-        if rows.is_empty() || cols.is_empty() {
-            return;
-        }
-        let (k, n) = (self.cols, other.rows);
-        for i in rows {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j = cols.start;
-            while j + 4 <= cols.end {
-                let b0 = &other.data[j * k..(j + 1) * k];
-                let b1 = &other.data[(j + 1) * k..(j + 2) * k];
-                let b2 = &other.data[(j + 2) * k..(j + 3) * k];
-                let b3 = &other.data[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (kk, &a) in a_row.iter().enumerate() {
-                    if a != 0.0 {
-                        s0 += a * b0[kk];
-                        s1 += a * b1[kk];
-                        s2 += a * b2[kk];
-                        s3 += a * b3[kk];
-                    }
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            while j < cols.end {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    if a != 0.0 {
-                        acc += a * b;
-                    }
-                }
-                out_row[j] = acc;
-                j += 1;
-            }
-        }
+        self.matmul_into(&other.transpose(), out);
     }
 
     /// Transposed copy.
@@ -859,16 +690,26 @@ impl Matrix {
         out
     }
 
-    /// Transpose into a caller-owned buffer (allocation-free once warm).
-    /// Materializing a weight transpose turns the backward pass's
-    /// `grad · Wᵀ` into a vectorizable row-streaming matmul — a few
-    /// microseconds of copying that unlocks the fast kernel.
+    /// Transpose into a caller-owned buffer (allocation-free once warm) —
+    /// the pack step that puts a transposed operand in front of
+    /// [`Matrix::matmul_into`]. Copied in [`TRANSPOSE_BLOCK`]-square
+    /// blocks: a plain row walk writes one element per output row at a
+    /// stride of `rows` floats, which for 128 rows lands every store of a
+    /// sweep in the same few L1 sets; a block touches 16 lines on each side
+    /// and finishes them before moving on.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reset_for_overwrite(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
+        let (rows, cols) = (self.rows, self.cols);
+        out.reset_for_overwrite(cols, rows);
+        for r0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
+            let r1 = (r0 + TRANSPOSE_BLOCK).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
+                let c1 = (c0 + TRANSPOSE_BLOCK).min(cols);
+                for c in c0..c1 {
+                    let out_row = &mut out.data[c * rows + r0..c * rows + r1];
+                    for (o, r) in out_row.iter_mut().zip(r0..r1) {
+                        *o = self.data[r * cols + c];
+                    }
+                }
             }
         }
     }
@@ -1315,6 +1156,34 @@ mod tests {
     fn transpose_round_trip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
+    }
+
+    #[test]
+    fn transpose_into_matches_naive_loop_bitwise() {
+        // Block-edge cases: single row, single column, one past the block
+        // on both sides, exactly one block, several blocks, empty. One
+        // `out` is reused throughout and starts larger than every later
+        // shape, so stale contents would show.
+        let mut out = Matrix::full(64, 64, f32::NAN);
+        for &(rows, cols) in &[
+            (1usize, 37usize),
+            (37, 1),
+            (17, 33),
+            (16, 16),
+            (32, 74),
+            (0, 0),
+        ] {
+            let a = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 - 0.5);
+            let mut expected = Matrix::zeros(cols, rows);
+            for r in 0..rows {
+                for c in 0..cols {
+                    expected.set(c, r, a.get(r, c));
+                }
+            }
+            a.transpose_into(&mut out);
+            assert_eq!(out, expected, "transpose of {rows}x{cols}");
+            assert_eq!(a.transpose(), expected, "allocating form, {rows}x{cols}");
+        }
     }
 
     #[test]

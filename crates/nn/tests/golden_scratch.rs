@@ -20,8 +20,13 @@ use rand::{Rng, SeedableRng};
 /// Random matrix with zeros sprinkled in (~30%), so the reference kernels'
 /// historical `a == 0.0` skip branch actually fires during comparison.
 fn sparse_random(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+    sparse_random_with(rows, cols, 0.3, rng)
+}
+
+/// [`sparse_random`] with a chosen share of zeros.
+fn sparse_random_with(rows: usize, cols: usize, zero_share: f32, rng: &mut StdRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| {
-        if rng.gen::<f32>() < 0.3 {
+        if rng.gen::<f32>() < zero_share {
             0.0
         } else {
             rng.gen_range(-2.0..2.0)
@@ -33,44 +38,52 @@ fn sparse_random(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
 fn blocked_kernels_match_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(42);
     // Shapes straddling the unroll width (8), the register block (4), and
-    // the K block (64): remainders on every path get exercised. The last
-    // four rows reach the 8x16 register tile of every product (output
-    // m >= 8 and n >= 16) — exact tile grids, row tails, column tails,
-    // and both at once.
-    for &(m, k, n) in &[
-        (1usize, 1usize, 1usize),
-        (1, 74, 128),
-        (3, 8, 8),
-        (5, 7, 9),
-        (32, 128, 10),
-        (4, 130, 67),
-        (2, 64, 4),
-        (8, 20, 16),
-        (16, 70, 33),
-        (9, 64, 17),
-        (24, 5, 40),
-    ] {
-        let a = sparse_random(m, k, &mut rng);
-        let b = sparse_random(k, n, &mut rng);
-        assert_eq!(
-            a.matmul(&b),
-            reference::matmul(&a, &b),
-            "matmul {m}x{k}*{k}x{n}"
-        );
+    // the K block (64): remainders on every path get exercised. The four
+    // rows from (8, 20, 16) reach the 8x16 register tile of every product
+    // (output m >= 8 and n >= 16) — exact tile grids, row tails, column
+    // tails, and both at once. The last three are the learn step's dL/dW
+    // products (contraction over the 32 batch rows): 74 rows leave a
+    // two-row tail, 10 columns are narrower than a tile. Every shape runs
+    // at the encoder's ~30% zeros and at the ~50% a ReLU layer hands on.
+    for &zero_share in &[0.3f32, 0.5] {
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (1, 74, 128),
+            (3, 8, 8),
+            (5, 7, 9),
+            (32, 128, 10),
+            (4, 130, 67),
+            (2, 64, 4),
+            (8, 20, 16),
+            (16, 70, 33),
+            (9, 64, 17),
+            (24, 5, 40),
+            (74, 32, 128),
+            (128, 32, 128),
+            (128, 32, 10),
+        ] {
+            let a = sparse_random_with(m, k, zero_share, &mut rng);
+            let b = sparse_random_with(k, n, zero_share, &mut rng);
+            assert_eq!(
+                a.matmul(&b),
+                reference::matmul(&a, &b),
+                "matmul {m}x{k}*{k}x{n}"
+            );
 
-        let at = sparse_random(k, m, &mut rng);
-        assert_eq!(
-            at.tmatmul(&b),
-            reference::tmatmul(&at, &b),
-            "tmatmul ({k}x{m})T*{k}x{n}"
-        );
+            let at = sparse_random_with(k, m, zero_share, &mut rng);
+            assert_eq!(
+                at.tmatmul(&b),
+                reference::tmatmul(&at, &b),
+                "tmatmul ({k}x{m})T*{k}x{n}"
+            );
 
-        let bt = sparse_random(n, k, &mut rng);
-        assert_eq!(
-            a.matmul_t(&bt),
-            reference::matmul_t(&a, &bt),
-            "matmul_t {m}x{k}*({n}x{k})T"
-        );
+            let bt = sparse_random_with(n, k, zero_share, &mut rng);
+            assert_eq!(
+                a.matmul_t(&bt),
+                reference::matmul_t(&a, &bt),
+                "matmul_t {m}x{k}*({n}x{k})T"
+            );
+        }
     }
 }
 
@@ -191,6 +204,33 @@ fn backward_matches_reference_bitwise() {
             assert_eq!(gw, ew, "layer {l} dW (batch {batch})");
             assert_eq!(gb, eb, "layer {l} db (batch {batch})");
         }
+    }
+}
+
+/// One `Dense` at the learn step's first-layer shape (32 x 74 -> 128, ReLU,
+/// half-zero input): forward_train -> backward must hand back the
+/// gradients of `reference::tmatmul` / `reference::matmul_t`, cold and
+/// then again on a warm cache and scratch.
+#[test]
+fn dense_backward_at_learn_step_shape_matches_reference_bitwise() {
+    let mut rng = StdRng::seed_from_u64(74);
+    let mut layer = Dense::new(74, 128, Activation::Relu, Init::HeUniform, &mut rng);
+    let x = sparse_random_with(32, 74, 0.5, &mut rng);
+    let grad_out = sparse_random(32, 128, &mut rng);
+
+    let (expected_dw, expected_db) =
+        reference_backward(std::slice::from_ref(&layer), &x, &grad_out).remove(0);
+    let z = reference::add_row_broadcast(&reference::matmul(&x, layer.weights()), layer.bias());
+    let grad_z = grad_out.hadamard(&layer.activation().derivative(&z));
+    let expected_dx = reference::matmul_t(&grad_z, layer.weights());
+
+    for pass in 0..2 {
+        let _ = layer.forward_train(&x);
+        let grad_in = layer.backward(&grad_out);
+        let (dw, db) = layer.take_gradients();
+        assert_eq!(dw, expected_dw, "dL/dW, pass {pass}");
+        assert_eq!(db, expected_db, "dL/db, pass {pass}");
+        assert_eq!(grad_in, expected_dx, "dL/dx, pass {pass}");
     }
 }
 

@@ -687,6 +687,67 @@ mod tests {
         assert!((stats.mean_abs_td - expected_td.abs()).abs() < 1e-3);
     }
 
+    /// A hard sync copies the online parameters *into* the target: the
+    /// target then answers bit for bit like the online network, from the
+    /// very buffers it held before (same address and length — nothing was
+    /// reallocated, and nothing of the online net's training state came
+    /// along to be reallocated). Both network variants.
+    #[test]
+    fn target_sync_matches_online_bitwise_in_place() {
+        fn parameter_buffers(net: &QNetwork) -> Vec<(*const f32, usize)> {
+            let subnets: Vec<&Mlp> = match net {
+                QNetwork::Standard(mlp) => vec![mlp],
+                QNetwork::Dueling {
+                    trunk,
+                    value,
+                    advantage,
+                } => vec![trunk, value, advantage],
+            };
+            subnets
+                .iter()
+                .flat_map(|mlp| mlp.layers())
+                .flat_map(|l| [l.weights().as_slice(), l.bias().as_slice()])
+                .map(|p| (p.as_ptr(), p.len()))
+                .collect()
+        }
+        for network in [
+            QNetworkConfig::Standard { hidden: vec![16] },
+            QNetworkConfig::Dueling {
+                trunk: vec![16],
+                head: 8,
+            },
+        ] {
+            let mut rng = StdRng::seed_from_u64(12);
+            let config = DqnConfig {
+                network,
+                target_sync_every: 1_000_000, // only the forced sync below
+                ..tiny_config()
+            };
+            let mut agent = DqnAgent::new(config, 2, 2, &mut rng);
+            push_n(&mut agent, 60, &mut rng);
+            assert!(agent.learn_steps() > 0);
+
+            let states = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0], &[2.0, 1.0]]);
+            let (mut ws_online, mut ws_target) = (QNetWorkspace::new(), QNetWorkspace::new());
+            let target = agent.target.as_ref().expect("hard-sync agent has a target");
+            assert_ne!(
+                target.forward_into(&states, &mut ws_target),
+                agent.online.forward_into(&states, &mut ws_online),
+                "training moved the online network away from the target"
+            );
+            let before = parameter_buffers(target);
+
+            agent.sync_target();
+
+            let target = agent.target.as_ref().expect("hard-sync agent has a target");
+            assert_eq!(
+                target.forward_into(&states, &mut ws_target),
+                agent.online.forward_into(&states, &mut ws_online)
+            );
+            assert_eq!(parameter_buffers(target), before);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "fully-masked")]
     fn fully_masked_act_panics() {
