@@ -159,7 +159,7 @@ impl StreamingTotals {
 ///   decision time is kept — memory grows with the horizon, and
 ///   [`MetricsCollector::summarize`] computes exact statistics.
 /// * **Streaming** ([`MetricsCollector::enable_streaming`]):
-///   observations fold into [`StreamingTotals`] on arrival — O(1) memory
+///   observations fold into running totals on arrival — O(1) memory
 ///   in trace length. Sums, counts and ratios summarize to the same
 ///   values as full mode (bit-identical where the fold order matches,
 ///   which it does for every slot-derived field); latency percentiles

@@ -1,6 +1,6 @@
 //! Parallel greedy-evaluation fan-out: N evaluation cells of ONE frozen
 //! policy, executed with one policy clone — and therefore one warm
-//! inference [`Workspace`](nn::prelude::Workspace) — per worker thread.
+//! inference `nn::mlp::Workspace` — per worker thread.
 //!
 //! The experiment grid clones its policies once per *cell* (factories keep
 //! cells fully independent). That is the right default for mixed policy

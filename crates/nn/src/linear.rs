@@ -151,9 +151,10 @@ impl Dense {
 
     /// Inference forward pass into a caller-owned buffer: matmul, bias
     /// broadcast, and activation all land in `out` with no allocation,
-    /// through the fused kernel — bias and activation are applied while
-    /// each micro-kernel tile is still in registers, sparing the batched
-    /// decision path two full memory passes over the output. Identical
+    /// through the fused kernel — bias and activation are applied at the
+    /// one store of each output element, while its tile or strip is still
+    /// in registers, sparing the decision path two full memory passes over
+    /// the output. Identical
     /// per-element arithmetic in identical order to the unfused
     /// matmul → broadcast → activate sequence, so results are
     /// bit-identical (pinned by the golden scratch tests). The common

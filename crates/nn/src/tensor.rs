@@ -8,25 +8,25 @@
 //! Every product has two forms: an allocating method (`matmul`) and an
 //! `*_into` variant writing into a caller-owned buffer whose allocation is
 //! reused across calls. There is **one** product kernel,
-//! [`Matrix::matmul_into`]: a register-tiled micro-kernel over whole
-//! tiles, with a k-blocked zero-skip [`axpy`] loop for the row and column
-//! tails. The transposed products (`aᵀ·b`, `a·bᵀ`) are *pack-transpose +
-//! that kernel*: the transposed operand is first made row-major with the
-//! blocked [`Matrix::transpose_into`]. The copy is the cheap part: a
-//! transpose-free tile loop over the same accumulators is compiled (rustc
-//! 1.95, AVX-512, `target-cpu=native`) to a tile on the stack with a
-//! gather and a scatter per contraction step, and runs an order of
-//! magnitude slower than the copy it saves. The per-output-element
-//! accumulation order is identical to the historical naive loops (kept in
-//! [`reference`]), so results are bit-identical.
+//! [`Matrix::matmul_into`], made of two loops that both hold their
+//! accumulators in registers across the whole contraction and store every
+//! output element exactly once. Whole 8 x 16 tiles of the output go through
+//! a dense register tile (`matmul_tile_acc`). Everything a tile cannot
+//! take — products of fewer than 8 rows (every single-row decision), row
+//! tails, column tails, outputs narrower than 16 columns (the Q-value
+//! layer) — goes row by row through column *strips* (`strip`) that visit
+//! only the row's non-zero inputs. The transposed products (`aᵀ·b`,
+//! `a·bᵀ`) are *pack-transpose + that kernel*: the transposed operand is
+//! first made row-major with the blocked [`Matrix::transpose_into`]. The
+//! copy is the cheap part: a transpose-free tile loop over the same
+//! accumulators is compiled (rustc 1.95, AVX-512, `target-cpu=native`) to a
+//! tile on the stack with a gather and a scatter per contraction step, and
+//! runs an order of magnitude slower than the copy it saves. The
+//! per-output-element accumulation order is identical to the historical
+//! naive loops (kept in [`mod@reference`]), so results are
+//! bit-identical.
 
 use serde::{Deserialize, Serialize};
-
-/// Number of `k` (contraction) indices processed per block in the axpy
-/// tails of [`Matrix::matmul_into`]: keeps the streamed panel of the
-/// right-hand operand hot in L1 across output rows while preserving
-/// ascending-`k` accumulation per output element.
-const K_BLOCK: usize = 64;
 
 /// Tile shape of the register-blocked micro-kernel in
 /// [`Matrix::matmul_into`]: [`ROW_TILE`] rows × [`J_TILE`] columns of
@@ -35,42 +35,88 @@ const K_BLOCK: usize = 64;
 /// workspace-level `target-cpu=native` build), so each loaded `b`
 /// element feeds [`ROW_TILE`] multiply-add lanes and every accumulator
 /// is stored exactly once instead of once per `k`. On narrower ISAs the
-/// tile spills and merely matches the axpy path — correct either way.
+/// tile spills — slower, correct either way.
 const J_TILE: usize = 16;
 
 /// Row depth of the micro-kernel tile (see [`J_TILE`]).
 const ROW_TILE: usize = 8;
+
+/// Contraction indices [`strip`] takes at a time: the non-zero positions of
+/// one chunk of the input row are the set bits of one `u64`.
+const NZ_CHUNK: usize = 64;
 
 /// Edge of the square blocks [`Matrix::transpose_into`] copies: one block
 /// is 16 cache lines read and 16 written, so neither side of the copy
 /// walks the whole matrix at a power-of-two stride.
 const TRANSPOSE_BLOCK: usize = 16;
 
-/// `out[j] += a * b[j]` over two equal-length slices, eight lanes per
-/// iteration. Each output lane is independent, so the unroll reassociates
-/// nothing — results are bit-identical to the scalar loop.
+/// One strip of one output row: `out[t] = store(Σₖ a_row[k] · b[k][j + t])`
+/// for the `out.len() <= W` columns starting at `j`. The `W` accumulators
+/// stay in registers across the whole contraction and each output element
+/// is stored once, by `store(out, acc, j)` (which reads the first
+/// `out.len()` accumulators).
+///
+/// Only the row's non-zero `a` are visited, in ascending `k`: each chunk of
+/// the row is compared against zero into a bit mask (a vector compare, no
+/// branch) and the loop walks the set bits. Encoder states are
+/// one-hot-heavy and ReLU activations are half zeros, so a
+/// compare-and-skip inside the accumulation loop would be an
+/// unpredictable branch per `k`. Skipping is bit-safe: adding `±0·b`
+/// changes no accumulator for finite `b`, and `0·±inf`/`0·NaN` terms are
+/// skipped rather than propagated, exactly as [`reference::matmul`] skips
+/// them. Per output element the surviving terms accumulate from `+0.0` in
+/// ascending `k`, so the result is bit-identical to that oracle.
+///
+/// A row's last strip may be narrower than its `W` lanes. Its loads still
+/// take `W` floats from each `b` row — the extra ones belong to the start
+/// of the next `b` row, feed lanes nobody stores, and keep the inner loop
+/// at a constant width — except where that would run past the end of `b`
+/// (its last row or so), which goes through [`padded_strip`].
 #[inline]
-fn axpy(out: &mut [f32], b: &[f32], a: f32) {
-    debug_assert_eq!(out.len(), b.len());
-    let mut o_chunks = out.chunks_exact_mut(8);
-    let mut b_chunks = b.chunks_exact(8);
-    for (o, bv) in o_chunks.by_ref().zip(b_chunks.by_ref()) {
-        o[0] += a * bv[0];
-        o[1] += a * bv[1];
-        o[2] += a * bv[2];
-        o[3] += a * bv[3];
-        o[4] += a * bv[4];
-        o[5] += a * bv[5];
-        o[6] += a * bv[6];
-        o[7] += a * bv[7];
+fn strip<const W: usize>(
+    a_row: &[f32],
+    b: &Matrix,
+    j: usize,
+    out: &mut [f32],
+    store: &impl Fn(&mut [f32], &[f32], usize),
+) {
+    let n = b.cols;
+    let mut acc = [0.0f32; W];
+    for (chunk, a_chunk) in a_row.chunks(NZ_CHUNK).enumerate() {
+        let mut nz = 0u64;
+        for (t, &a) in a_chunk.iter().enumerate() {
+            nz |= u64::from(a != 0.0) << t;
+        }
+        while nz != 0 {
+            let kk = nz.trailing_zeros() as usize;
+            nz &= nz - 1;
+            let a = a_chunk[kk];
+            let start = (chunk * NZ_CHUNK + kk) * n + j;
+            let padded;
+            let b_strip: &[f32; W] = match b.data.get(start..start + W) {
+                Some(full) => full.try_into().expect("strip width is W"),
+                None => {
+                    padded = padded_strip(&b.data[start..]);
+                    &padded
+                }
+            };
+            for (acc, &bv) in acc.iter_mut().zip(b_strip) {
+                *acc += a * bv;
+            }
+        }
     }
-    for (o, &bv) in o_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(b_chunks.remainder())
-    {
-        *o += a * bv;
-    }
+    store(out, &acc, j);
+}
+
+/// The last `rest.len() < W` floats of a matrix, zero-padded to a strip's
+/// width. Out of line and cold so that [`strip`]'s loop, which needs it for
+/// at most the last row or so of a narrow strip, carries only the call.
+#[cold]
+#[inline(never)]
+fn padded_strip<const W: usize>(rest: &[f32]) -> [f32; W] {
+    let mut padded = [0.0f32; W];
+    padded[..rest.len()].copy_from_slice(rest);
+    padded
 }
 
 /// A dense row-major matrix of `f32`.
@@ -399,48 +445,24 @@ impl Matrix {
     /// Matrix product `self * other` written into `out` (allocation-free
     /// once `out` has capacity).
     ///
-    /// Blocked i-k-j kernel: `k` is tiled so the touched panel of `other`
-    /// stays in L1 across output rows, and the inner `j` loop is the
-    /// unrolled branch-free [`axpy`]. Zero `a` scalars skip their whole
-    /// `axpy` — one predictable scalar branch per `k`, hoisted entirely
-    /// outside the vector loop. The hotpath microbench keeps this: encoder
-    /// states are one-hot-heavy (~half zeros) and ReLU activations zero
-    /// another half, so the skip roughly halves the work on real inputs
-    /// (skipping is bit-safe: adding `0·b` changes no finite accumulator;
-    /// `0·±inf`/`0·NaN` terms are skipped rather than propagated, matching
-    /// the historical kernel's own skip). Per output element the surviving
-    /// `k` terms accumulate in ascending order, so on finite inputs the
-    /// result is bit-identical to [`reference::matmul`].
+    /// Whole 8 x 16 tiles of the output run through the dense register
+    /// tile; every other element — all of them when the product has fewer
+    /// than 8 rows or 16 columns — belongs to a per-row column strip that
+    /// skips the row's zero inputs (`strip` in this module's source). Both
+    /// loops accumulate each output element from `+0.0` over ascending `k`
+    /// and store it once, so the split is invisible in the bits and on
+    /// finite inputs the result is bit-identical to [`reference::matmul`].
+    /// A strip skips `0·±inf`/`0·NaN` terms as that oracle does; a tile
+    /// propagates them (a diverged network is caught by the
+    /// `has_non_finite` tripwires, not by kernel NaN flow).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, n) = (self.rows, other.cols);
-        out.reset_zeroed(m, n);
-        // Batched inputs go through the register-tiled micro-kernel;
-        // whatever it cannot tile (row tail, column tail, single-row
-        // calls) falls through to the k-blocked axpy kernel. Both paths
-        // accumulate every output element over ascending `k`, so the
-        // split is invisible in the bits.
-        let tiled_rows = if n >= J_TILE { m - m % ROW_TILE } else { 0 };
-        let tiled_cols = if tiled_rows > 0 { n - n % J_TILE } else { 0 };
-        let mut j = 0;
-        while j < tiled_cols {
-            let mut i = 0;
-            while i < tiled_rows {
-                self.matmul_tile::<ROW_TILE>(other, out, i, j);
-                i += ROW_TILE;
-            }
-            j += J_TILE;
-        }
-        self.matmul_axpy_ranged(other, out, 0..tiled_rows, tiled_cols..n);
-        self.matmul_axpy_ranged(other, out, tiled_rows..m, 0..n);
+        self.product_into(other, out, |out, acc, _| {
+            out.copy_from_slice(&acc[..out.len()])
+        });
     }
 
     /// The shared accumulation core of one `R`-row × [`J_TILE`]-column
@@ -449,11 +471,8 @@ impl Matrix {
     /// feeds all `R` rows. The loop is deliberately branch-free — no zero
     /// skip: lanes whose `a` is zero contribute `±0·b` terms, which are
     /// bit-level no-ops on the (never `-0.0`) accumulators for finite
-    /// `b`, so results stay bit-identical to the per-row zero-skip of the
-    /// axpy kernel while the dense inner loop vectorizes cleanly. Both
-    /// the plain and the fused tile apply their own store epilogue to the
-    /// returned accumulators, so the hot loop cannot diverge between
-    /// them.
+    /// `b`, so results stay bit-identical to the per-row zero-skip of
+    /// [`strip`] while the dense inner loop vectorizes cleanly.
     #[inline]
     fn matmul_tile_acc<const R: usize>(
         &self,
@@ -482,27 +501,16 @@ impl Matrix {
         acc
     }
 
-    /// One plain tile of the product: [`Matrix::matmul_tile_acc`] stored
-    /// once.
-    #[inline]
-    fn matmul_tile<const R: usize>(&self, other: &Matrix, out: &mut Matrix, i: usize, j: usize) {
-        let n = other.cols;
-        let acc = self.matmul_tile_acc::<R>(other, i, j);
-        for (r, acc_row) in acc.iter().enumerate() {
-            let start = (i + r) * n + j;
-            out.data[start..start + J_TILE].copy_from_slice(acc_row);
-        }
-    }
-
     /// Fused inference product: `out = f(self * other + bias)`, with
     /// `bias` a `1 x n` row broadcast over output rows and `f` an
     /// element-wise epilogue (the layer activation). Exactly the
     /// arithmetic of [`Matrix::matmul_into`] followed by
     /// [`Matrix::add_row_broadcast_assign`] and an element-wise map —
     /// identical operations per element in identical order, so results
-    /// are bit-identical — but the epilogue runs while each micro-kernel
-    /// tile is still in registers, sparing the batched forward two full
-    /// read-modify-write passes over the output.
+    /// are bit-identical — but the bias and the epilogue are applied at
+    /// the one store of each element, while its tile or strip is still in
+    /// registers, sparing the forward two full read-modify-write passes
+    /// over the output.
     ///
     /// # Panics
     ///
@@ -515,108 +523,80 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         assert_eq!(
+            bias.shape(),
+            (1, other.cols),
+            "bias must be 1x{}, got {}x{}",
+            other.cols,
+            bias.rows,
+            bias.cols
+        );
+        let bias_row = bias.row(0);
+        self.product_into(other, out, |out, acc, j| {
+            let bias = &bias_row[j..j + out.len()];
+            for (o, (&v, &b)) in out.iter_mut().zip(acc.iter().zip(bias)) {
+                *o = f(v + b);
+            }
+        });
+    }
+
+    /// The product behind [`Matrix::matmul_into`] and
+    /// [`Matrix::matmul_bias_map_into`]: one loop over whole tiles, one
+    /// loop over the strips of everything else. `store(out, acc, j)`
+    /// writes the `out.len()` finished elements of one output row that
+    /// start at column `j` from the first `out.len()` accumulators; it is
+    /// called exactly once per element, which is what lets `out` keep its
+    /// stale contents until then.
+    #[inline]
+    fn product_into(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        store: impl Fn(&mut [f32], &[f32], usize),
+    ) {
+        assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.cols);
-        assert_eq!(
-            bias.shape(),
-            (1, n),
-            "bias must be 1x{n}, got {}x{}",
-            bias.rows,
-            bias.cols
-        );
-        out.reset_zeroed(m, n);
+        let (m, k, n) = (self.rows, self.cols, other.cols);
+        out.reset_for_overwrite(m, n);
         let tiled_rows = if n >= J_TILE { m - m % ROW_TILE } else { 0 };
         let tiled_cols = if tiled_rows > 0 { n - n % J_TILE } else { 0 };
-        let bias_row = bias.row(0);
-        let mut j = 0;
-        while j < tiled_cols {
-            let mut i = 0;
-            while i < tiled_rows {
-                self.matmul_tile_fused::<ROW_TILE, F>(other, bias_row, f, out, i, j);
-                i += ROW_TILE;
-            }
-            j += J_TILE;
-        }
-        // Tails: plain ranged products, then the same bias + epilogue per
-        // element (the order each element experiences is unchanged).
-        self.matmul_axpy_ranged(other, out, 0..tiled_rows, tiled_cols..n);
-        self.matmul_axpy_ranged(other, out, tiled_rows..m, 0..n);
-        let mut finish = |rows: std::ops::Range<usize>, cols: std::ops::Range<usize>| {
-            for i in rows {
-                let row = &mut out.data[i * n + cols.start..i * n + cols.end];
-                for (o, &b) in row.iter_mut().zip(bias_row[cols.clone()].iter()) {
-                    *o = f(*o + b);
+        for j in (0..tiled_cols).step_by(J_TILE) {
+            for i in (0..tiled_rows).step_by(ROW_TILE) {
+                let acc = self.matmul_tile_acc::<ROW_TILE>(other, i, j);
+                for (r, acc_row) in acc.iter().enumerate() {
+                    let start = (i + r) * n + j;
+                    store(&mut out.data[start..start + J_TILE], acc_row, j);
                 }
             }
-        };
-        finish(0..tiled_rows, tiled_cols..n);
-        finish(tiled_rows..m, 0..n);
-    }
-
-    /// One fused tile of the product: [`Matrix::matmul_tile_acc`] with
-    /// the bias + epilogue applied as the tile leaves its registers.
-    #[inline]
-    fn matmul_tile_fused<const R: usize, F: Fn(f32) -> f32 + Copy>(
-        &self,
-        other: &Matrix,
-        bias_row: &[f32],
-        f: F,
-        out: &mut Matrix,
-        i: usize,
-        j: usize,
-    ) {
-        let n = other.cols;
-        let acc = self.matmul_tile_acc::<R>(other, i, j);
-        let bias_tile: &[f32; J_TILE] = bias_row[j..j + J_TILE]
-            .try_into()
-            .expect("tile width is J_TILE");
-        for (r, acc_row) in acc.iter().enumerate() {
-            let start = (i + r) * n + j;
-            for (o, (&v, &b)) in out.data[start..start + J_TILE]
-                .iter_mut()
-                .zip(acc_row.iter().zip(bias_tile.iter()))
-            {
-                *o = f(v + b);
-            }
         }
-    }
-
-    /// The k-blocked axpy kernel over a row/column sub-range of the
-    /// product (the pre-tiling `matmul_into` body, column-ranged so it
-    /// can finish what the micro-kernel left). Zero `a` scalars skip
-    /// their whole axpy; per output element the surviving `k` terms
-    /// accumulate in ascending order.
-    fn matmul_axpy_ranged(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) {
-        if rows.is_empty() || cols.is_empty() {
-            return;
-        }
-        let (k, n) = (self.cols, other.cols);
-        let mut k0 = 0;
-        while k0 < k {
-            let k1 = (k0 + K_BLOCK).min(k);
-            for i in rows.clone() {
-                let a_block = &self.data[i * k + k0..i * k + k1];
-                let out_row = &mut out.data[i * n + cols.start..i * n + cols.end];
-                for (kk, &a) in (k0..k1).zip(a_block.iter()) {
-                    if a != 0.0 {
-                        axpy(
-                            out_row,
-                            &other.data[kk * n + cols.start..kk * n + cols.end],
-                            a,
-                        );
-                    }
-                }
+        // Strips, widest first, so a 128-column layer is one strip per row
+        // and a row's non-zero mask is rebuilt as few times as its width
+        // allows.
+        for i in 0..m {
+            let a_row = &self.data[i * k..(i + 1) * k];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let mut j = if i < tiled_rows { tiled_cols } else { 0 };
+            while n - j >= 128 {
+                strip::<128>(a_row, other, j, &mut out_row[j..j + 128], &store);
+                j += 128;
             }
-            k0 = k1;
+            if n - j >= 64 {
+                strip::<64>(a_row, other, j, &mut out_row[j..j + 64], &store);
+                j += 64;
+            }
+            if n - j >= 32 {
+                strip::<32>(a_row, other, j, &mut out_row[j..j + 32], &store);
+                j += 32;
+            }
+            if n - j >= 16 {
+                strip::<16>(a_row, other, j, &mut out_row[j..j + 16], &store);
+                j += 16;
+            }
+            if j < n {
+                strip::<16>(a_row, other, j, &mut out_row[j..], &store);
+            }
         }
     }
 
@@ -666,10 +646,10 @@ impl Matrix {
     /// [`Matrix::transpose_into`] (a temporary, allocated per call) and the
     /// product runs on [`Matrix::matmul_into`]. Each output element keeps a
     /// single accumulator over ascending `k`, so on finite inputs it is
-    /// bit-identical to [`reference::matmul_t`]; `0·±inf`/`0·NaN` terms in
-    /// the zero-skip tails are skipped rather than propagated (a diverged
-    /// network is caught by the `has_non_finite` tripwires, not by kernel
-    /// NaN flow).
+    /// bit-identical to [`reference::matmul_t`]; the strips skip
+    /// `0·±inf`/`0·NaN` terms rather than propagate them (a diverged network
+    /// is caught by the `has_non_finite` tripwires, not by kernel NaN
+    /// flow).
     ///
     /// # Panics
     ///
@@ -692,11 +672,11 @@ impl Matrix {
 
     /// Transpose into a caller-owned buffer (allocation-free once warm) —
     /// the pack step that puts a transposed operand in front of
-    /// [`Matrix::matmul_into`]. Copied in [`TRANSPOSE_BLOCK`]-square
-    /// blocks: a plain row walk writes one element per output row at a
-    /// stride of `rows` floats, which for 128 rows lands every store of a
-    /// sweep in the same few L1 sets; a block touches 16 lines on each side
-    /// and finishes them before moving on.
+    /// [`Matrix::matmul_into`]. Copied in 16 x 16 blocks: a plain row walk
+    /// writes one element per output row at a stride of `rows` floats,
+    /// which for 128 rows lands every store of a sweep in the same few L1
+    /// sets; a block touches 16 lines on each side and finishes them
+    /// before moving on.
     pub fn transpose_into(&self, out: &mut Matrix) {
         let (rows, cols) = (self.rows, self.cols);
         out.reset_for_overwrite(cols, rows);

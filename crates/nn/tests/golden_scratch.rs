@@ -34,17 +34,25 @@ fn sparse_random_with(rows: usize, cols: usize, zero_share: f32, rng: &mut StdRn
     })
 }
 
+/// The ReLU epilogue handed to the fused kernel.
+fn relu(z: f32) -> f32 {
+    Activation::Relu.apply_scalar(z)
+}
+
 #[test]
 fn blocked_kernels_match_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(42);
-    // Shapes straddling the unroll width (8), the register block (4), and
-    // the K block (64): remainders on every path get exercised. The four
-    // rows from (8, 20, 16) reach the 8x16 register tile of every product
-    // (output m >= 8 and n >= 16) — exact tile grids, row tails, column
-    // tails, and both at once. The last three are the learn step's dL/dW
-    // products (contraction over the 32 batch rows): 74 rows leave a
-    // two-row tail, 10 columns are narrower than a tile. Every shape runs
-    // at the encoder's ~30% zeros and at the ~50% a ReLU layer hands on.
+    // Shapes on both sides of every split the kernel makes: fewer than 8
+    // rows or 16 columns (strips only), exact 8x16 tile grids, row tails,
+    // column tails, both at once, and contractions around the 64-index
+    // chunk of the strips' non-zero mask. (74, 32, 128), (128, 32, 128) and
+    // (128, 32, 10) are the learn step's dL/dW products (contraction over
+    // the 32 batch rows). The block from (1, 128, 11) is the serving shape:
+    // the DQN's single-row layers, the 14 rows a served wave carries (one
+    // tile of 8 plus 6 strip rows), the 11-wide Q layer at batch size, a
+    // 300-long contraction whose 200 columns split into 128 + 64 + 8, and
+    // the empty products. Every shape runs at the encoder's ~30% zeros and
+    // at the ~50% a ReLU layer hands on.
     for &zero_share in &[0.3f32, 0.5] {
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -61,6 +69,15 @@ fn blocked_kernels_match_reference_bitwise() {
             (74, 32, 128),
             (128, 32, 128),
             (128, 32, 10),
+            (1, 128, 11),
+            (1, 128, 128),
+            (14, 128, 128),
+            (14, 128, 11),
+            (32, 128, 11),
+            (1, 300, 200),
+            (3, 0, 5),
+            (0, 4, 5),
+            (4, 5, 0),
         ] {
             let a = sparse_random_with(m, k, zero_share, &mut rng);
             let b = sparse_random_with(k, n, zero_share, &mut rng);
@@ -68,6 +85,14 @@ fn blocked_kernels_match_reference_bitwise() {
                 a.matmul(&b),
                 reference::matmul(&a, &b),
                 "matmul {m}x{k}*{k}x{n}"
+            );
+            let bias = sparse_random_with(1, n, zero_share, &mut rng);
+            let mut fused = Matrix::default();
+            a.matmul_bias_map_into(&b, &bias, relu, &mut fused);
+            assert_eq!(
+                fused,
+                reference::add_row_broadcast(&reference::matmul(&a, &b), &bias).map(relu),
+                "fused matmul {m}x{k}*{k}x{n}"
             );
 
             let at = sparse_random_with(k, m, zero_share, &mut rng);
@@ -87,22 +112,114 @@ fn blocked_kernels_match_reference_bitwise() {
     }
 }
 
+/// Compares raw bits, so `NaN` equals `NaN` and `-0.0` differs from `+0.0`.
+fn assert_bits_eq(got: &Matrix, expected: &Matrix, what: &str) {
+    assert_eq!(got.shape(), expected.shape(), "{what}: shape");
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(got), bits(expected), "{what}");
+}
+
+/// What the strips skip: a row of nothing but zeros, `-0.0` inputs, and
+/// non-finite weights that only zero inputs touch. All three are products
+/// no register tile takes part in (one row, or fewer than 16 columns), so
+/// they must equal `reference::matmul`, skip for skip.
+#[test]
+fn strips_skip_zero_inputs_like_the_reference() {
+    let mut rng = StdRng::seed_from_u64(5);
+
+    // An all-zero input row yields `+0.0` (then bias + epilogue) whatever
+    // the weights, here beside a non-zero row in one three-row product.
+    let mut a = sparse_random(3, 70, &mut rng);
+    a.row_mut(1).fill(0.0);
+    let b = sparse_random(70, 150, &mut rng);
+    let bias = sparse_random(1, 150, &mut rng);
+    let expected = reference::matmul(&a, &b);
+    assert!(expected.row(1).iter().all(|v| v.to_bits() == 0));
+    assert_bits_eq(&a.matmul(&b), &expected, "all-zero row");
+    let mut fused = Matrix::default();
+    a.matmul_bias_map_into(&b, &bias, relu, &mut fused);
+    assert_bits_eq(
+        &fused,
+        &reference::add_row_broadcast(&expected, &bias).map(relu),
+        "all-zero row, fused",
+    );
+
+    // `-0.0` is skipped like `+0.0`: the poisoned weight rows it would
+    // multiply never reach an accumulator.
+    let a = Matrix::from_fn(2, 130, |r, c| match (r + c) % 3 {
+        0 => -0.0,
+        1 => 0.0,
+        _ => (c as f32 - 60.0) * 0.125,
+    });
+    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for &n in &[11usize, 128, 200] {
+        // Weight row `k` is non-finite wherever some input row has a zero
+        // at `k` and no input row has a non-zero there.
+        let b = Matrix::from_fn(130, n, |k, c| {
+            if (0..2).all(|r| a.get(r, k) == 0.0) {
+                poison[(k + c) % 3]
+            } else {
+                ((k * n + c) % 17) as f32 * 0.25 - 2.0
+            }
+        });
+        assert!(b.has_non_finite());
+        let expected = reference::matmul(&a, &b);
+        assert!(!expected.has_non_finite(), "oracle skipped the poison");
+        assert_bits_eq(&a.matmul(&b), &expected, "non-finite under zeros");
+    }
+
+    // A non-finite weight under a *non-zero* input does propagate, and to
+    // the same bits as in the oracle (NaN payloads included).
+    let a = Matrix::row_vector(&[0.0, 1.5, -0.0, -2.0]);
+    let b = Matrix::from_fn(4, 20, |k, c| match (k, c % 4) {
+        (0, _) | (2, _) => f32::NAN,
+        (1 | 3, 0) => f32::INFINITY,
+        (3, 1) => f32::NAN,
+        _ => (k + c) as f32,
+    });
+    let expected = reference::matmul(&a, &b);
+    assert!(expected.has_non_finite());
+    assert_bits_eq(&a.matmul(&b), &expected, "non-finite under non-zeros");
+}
+
 #[test]
 fn into_kernels_reuse_buffers_without_contamination() {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut out = Matrix::default();
-    // Alternate shapes through ONE output buffer; stale contents from a
-    // larger previous result must never leak into a smaller one.
+    // Alternate shapes through ONE output buffer per kernel. The products
+    // keep `out`'s stale contents whenever the element count is unchanged
+    // and rely on storing every element exactly once. So the buffers start
+    // as NaN at the first product's size, the same element count comes
+    // back under other shapes (14x128 again, then 128x14: strips only),
+    // and larger -> smaller -> larger runs sit in between.
+    let mut out = Matrix::full(14, 128, f32::NAN);
+    let mut fused = out.clone();
     for &(m, k, n) in &[
-        (8usize, 16usize, 12usize),
+        (14usize, 128usize, 128usize),
+        (14, 74, 128),
+        (128, 32, 14),
+        (8, 16, 12),
         (2, 3, 4),
         (8, 16, 12),
         (1, 1, 1),
+        (14, 128, 128),
+        (1, 128, 11),
+        (9, 20, 33),
+        (1, 74, 128),
+        (1, 128, 128),
+        (32, 128, 11),
     ] {
         let a = sparse_random(m, k, &mut rng);
         let b = sparse_random(k, n, &mut rng);
+        let bias = sparse_random(1, n, &mut rng);
+        let expected = reference::matmul(&a, &b);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, reference::matmul(&a, &b));
+        assert_eq!(out, expected, "matmul_into {m}x{k}*{k}x{n}");
+        a.matmul_bias_map_into(&b, &bias, relu, &mut fused);
+        assert_eq!(
+            fused,
+            reference::add_row_broadcast(&expected, &bias).map(relu),
+            "matmul_bias_map_into {m}x{k}*{k}x{n}"
+        );
     }
 }
 

@@ -45,6 +45,53 @@ fn random_batch(
     (states, masks)
 }
 
+/// The serving shape, 74 -> 128 -> 128 -> 11, at the row counts a served
+/// wave hands the kernel: one row (strips only), 7 (below a tile), 9 and 14
+/// (one 8-row tile plus a strip tail), 37 (four tiles plus five rows — the
+/// widest tick on record). Every Q-row of the batched forward must equal
+/// the single-row forward bit for bit, for both network variants.
+#[test]
+fn served_wave_q_rows_equal_single_row_forwards() {
+    let (state_dim, actions) = (74, 11);
+    for network in [
+        QNetworkConfig::Standard {
+            hidden: vec![128, 128],
+        },
+        QNetworkConfig::Dueling {
+            trunk: vec![128],
+            head: 128,
+        },
+    ] {
+        let mut rng = StdRng::seed_from_u64(2026);
+        let config = DqnConfig {
+            network,
+            epsilon: EpsilonSchedule::Constant(0.0),
+            ..DqnConfig::default()
+        };
+        let mut agent = DqnAgent::new(config, state_dim, actions, &mut rng);
+        for rows in [1usize, 7, 9, 14, 37] {
+            let (states, masks) = random_batch(&mut rng, rows, state_dim, actions);
+            let q_batch = agent.q_values_batch_into(&states).clone();
+            assert_eq!(q_batch.shape(), (rows, actions));
+            let mut batch_actions = Vec::new();
+            agent.act_greedy_batch(&states, &masks, &mut batch_actions);
+            for r in 0..rows {
+                assert_eq!(
+                    q_batch.row(r),
+                    agent.q_values(states.row(r)),
+                    "Q-row {r} of {rows}"
+                );
+                let mask = &masks[r * actions..(r + 1) * actions];
+                assert_eq!(
+                    batch_actions[r],
+                    agent.act_greedy(states.row(r), mask),
+                    "action {r} of {rows}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

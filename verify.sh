@@ -6,7 +6,8 @@
 #
 # Usage:
 #   ./verify.sh             # lint + test (the tier-1 gate)
-#   ./verify.sh lint        # rustfmt + clippy only (fast feedback)
+#   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc (fast
+#                           # feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
@@ -48,6 +49,9 @@ lint() {
 
   echo "==> cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
+
+  echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 }
 
 test_() {
