@@ -9,8 +9,9 @@
 //! per-slot records are folded, not retained.
 //!
 //! Outputs `fig13_metro.csv` (one row per scale) and `BENCH_metro.json`
-//! (top-level `requests_per_sec` at the largest scale feeds the
-//! `hotpath_gate` trend series; `peak_mem_ratio` / `throughput_ratio`
+//! (top-level `requests_per_sec` is the rate at the largest scale — the
+//! tracked series for it is `requests_per_s` on `perf/`'s
+//! `metro_heuristic` workload; `peak_mem_ratio` / `throughput_ratio`
 //! compare the largest scale against the smallest).
 //!
 //! `FAST=1` sweeps 1x/4x/10x on a short base horizon for CI smoke runs;
@@ -177,7 +178,7 @@ fn main() {
         })
         .collect();
     doc.insert("scales", serde_json::Value::Array(scales_json));
-    // Gate series: throughput at the largest scale, where regressions in
+    // Headline rate: throughput at the largest scale, where regressions in
     // the streaming path hurt most.
     doc.insert(
         "requests_per_sec",

@@ -1,8 +1,9 @@
 //! Drives a sharded sweep end to end on one machine: spawns N
 //! `sweep_worker` processes over a registry grid, merges their fragments,
 //! checks the merged canonical JSON byte-for-byte against an in-process
-//! reference run, and records the sharded throughput in
-//! `BENCH_hotpath.json`.
+//! reference run, and prints the sharded and single-process cells/s to
+//! stderr (the tracked in-process sweep rate is `requests_per_s` on
+//! `perf/`'s `grid_sweep` workload).
 //!
 //! ```text
 //! sweep_drive --grid fig2_load --shards 4 --workers 4
@@ -18,7 +19,6 @@
 //! from this process's environment.
 
 use bench::sweep_grids::{build_sweep_grid, sweep_grid_names};
-use serde_json::Value;
 use std::path::Path;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -49,8 +49,10 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--in-process" => in_process = true,
             "--grid" => grid = Some(args.next().unwrap_or_else(|| usage())),
-            "--shards" => shards = args.next().and_then(|v| v.parse().ok()),
-            "--workers" => workers = args.next().and_then(|v| v.parse().ok()),
+            // A missing or unparsable count is a usage error, not a silent
+            // fall-back to the default fleet.
+            "--shards" => shards = args.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
+            "--workers" => workers = args.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
             _ => usage(),
         }
     }
@@ -174,55 +176,6 @@ fn run_fleet(args: &Args, per_worker_threads: usize) -> f64 {
     started.elapsed().as_secs_f64()
 }
 
-/// Rebuilds a JSON object with one top-level key replaced (the vendored
-/// `serde_json` map is append-only — no `get_mut`).
-fn with_key(doc: &Value, key: &str, value: Value) -> Value {
-    let mut out = serde_json::Map::new();
-    if let Some(obj) = doc.as_object() {
-        for (k, v) in obj.iter() {
-            if k != key {
-                out.insert(k, v.clone());
-            }
-        }
-    }
-    out.insert(key, value);
-    Value::Object(out)
-}
-
-/// Folds the sweep throughput into `BENCH_hotpath.json`:
-/// `optimized.sweep_cells_per_sec` (the gated trend series) plus a
-/// `sweep` section with the full measurement context. Creates a minimal
-/// skeleton when no hotpath report exists yet (standalone sweep runs).
-fn record_hotpath(results: &Path, sweep_section: Value, cells_per_sec: f64) {
-    let path = results.join("BENCH_hotpath.json");
-    let doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok())
-        .unwrap_or_else(|| {
-            let mut m = serde_json::Map::new();
-            m.insert("schema_version", Value::from(1u64));
-            m.insert("name", Value::from("hotpath"));
-            Value::Object(m)
-        });
-    let optimized = doc
-        .get("optimized")
-        .cloned()
-        .unwrap_or_else(|| Value::Object(serde_json::Map::new()));
-    let optimized = with_key(
-        &optimized,
-        "sweep_cells_per_sec",
-        Value::from(cells_per_sec),
-    );
-    let doc = with_key(&doc, "optimized", optimized);
-    let doc = with_key(&doc, "sweep", sweep_section);
-    mano::report::write_lines(&path, &[serde_json::to_string_pretty(&doc)])
-        .expect("write hotpath report");
-    eprintln!(
-        "[sweep_drive] recorded sweep_cells_per_sec in {}",
-        path.display()
-    );
-}
-
 fn main() {
     let args = parse_args();
     let Some(grid) = build_sweep_grid(&args.grid) else {
@@ -327,21 +280,4 @@ fn main() {
             args.workers
         );
     }
-
-    let mut sweep = serde_json::Map::new();
-    sweep.insert("grid", Value::from(args.grid.as_str()));
-    sweep.insert("cells", Value::from(cells as u64));
-    sweep.insert("shards", Value::from(args.shards as u64));
-    sweep.insert("workers", Value::from(args.workers as u64));
-    sweep.insert("worker_threads", Value::from(per_worker_threads as u64));
-    sweep.insert("core_budget", Value::from(budget as u64));
-    sweep.insert("wall_clock_secs", Value::from(fleet_wall));
-    sweep.insert("cells_per_sec", Value::from(cells_per_sec));
-    sweep.insert("single_process_wall_clock_secs", Value::from(single_wall));
-    sweep.insert(
-        "single_process_cells_per_sec",
-        Value::from(single_cells_per_sec),
-    );
-    sweep.insert("speedup", Value::from(speedup));
-    record_hotpath(&results, Value::Object(sweep), cells_per_sec);
 }

@@ -13,7 +13,6 @@
 pub mod manifests;
 pub mod summary;
 pub mod sweep_grids;
-pub mod trend;
 
 use exper::prelude::*;
 use mano::prelude::*;

@@ -16,10 +16,10 @@ struct ReportLine {
 
 /// Renders the markdown digest of every `BENCH_*.json` in `dir`: a
 /// headline table for the grid reports (cells, threads, wall clock,
-/// slots/s) and, when present, dedicated tables for the hotpath
-/// tracker's rates and speedups and the fig13 metro streaming sweep. Reports are listed in file-name order so
-/// the output is stable; unparseable files are skipped with a note rather
-/// than failing the summary.
+/// slots/s) and, when present, a dedicated table for the fig13 metro
+/// streaming sweep. Reports are listed in file-name order so the output is
+/// stable; unparseable files are skipped with a note rather than failing
+/// the summary.
 pub fn results_markdown(dir: &Path) -> String {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .map(|entries| {
@@ -34,7 +34,6 @@ pub fn results_markdown(dir: &Path) -> String {
 
     let mut grid_lines: Vec<ReportLine> = Vec::new();
     let mut searches: Vec<mano::report::SearchReport> = Vec::new();
-    let mut hotpath: Option<serde_json::Value> = None;
     let mut metro: Option<serde_json::Value> = None;
     let mut skipped: Vec<String> = Vec::new();
     for name in &names {
@@ -47,10 +46,6 @@ pub fn results_markdown(dir: &Path) -> String {
             continue;
         };
         let doc: serde_json::Value = doc;
-        if name == "BENCH_hotpath.json" {
-            hotpath = Some(doc);
-            continue;
-        }
         if name == "BENCH_metro.json" {
             metro = Some(doc);
             continue;
@@ -90,12 +85,7 @@ pub fn results_markdown(dir: &Path) -> String {
 
     let mut out = String::from("## Bench results\n\n");
     let shards = shards_markdown(dir);
-    if grid_lines.is_empty()
-        && searches.is_empty()
-        && hotpath.is_none()
-        && metro.is_none()
-        && shards.is_empty()
-    {
+    if grid_lines.is_empty() && searches.is_empty() && metro.is_none() && shards.is_empty() {
         out.push_str("_no BENCH_*.json reports found_\n");
         return out;
     }
@@ -106,44 +96,6 @@ pub fn results_markdown(dir: &Path) -> String {
             out.push_str(&format!(
                 "| {} | {} | {} | {:.2} | {:.0} |\n",
                 line.name, line.cells, line.threads, line.wall_clock_secs, line.slots_per_sec
-            ));
-        }
-    }
-    if let Some(doc) = &hotpath {
-        let rate = |section: &str, key: &str| -> f64 {
-            doc.get(section)
-                .and_then(|s| s.get(key))
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0)
-        };
-        out.push_str("\n### Hotpath tracker (BENCH_hotpath.json)\n\n");
-        out.push_str("| series | rate/s | vs pre-opt baseline |\n");
-        out.push_str("|---|---:|---:|\n");
-        out.push_str(&format!(
-            "| decisions (per-decision) | {:.0} | {:.2}x |\n",
-            rate("optimized", "decisions_per_sec"),
-            rate("speedup", "decisions"),
-        ));
-        let batched = rate("optimized", "batched_decisions_per_sec");
-        if batched > 0.0 {
-            out.push_str(&format!(
-                "| decisions (batched) | {batched:.0} | {:.2}x |\n",
-                rate("speedup", "batched_decisions"),
-            ));
-        }
-        out.push_str(&format!(
-            "| train steps | {:.1} | {:.2}x |\n",
-            rate("optimized", "train_steps_per_sec"),
-            rate("speedup", "train_steps"),
-        ));
-        if let Some(ratio) = doc
-            .get("train_gemm_ratio")
-            .and_then(serde_json::Value::as_f64)
-        {
-            out.push_str(&format!(
-                "
-train_gemm_ratio {ratio:.2} (dL/dW product over an equal-flop forward product; informational)
-"
             ));
         }
     }
@@ -469,21 +421,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_hotpath_tables_render() {
+    fn grid_table_renders_and_skips_unparseable() {
         let dir = temp_dir("full");
         std::fs::write(
             dir.join("BENCH_alpha.json"),
             r#"{"name":"alpha","threads":4,"wall_clock_secs":1.5,"slots_simulated":600,
                 "throughput_slots_per_sec":400.0,"cells":[{"a":1},{"a":2}],"aggregates":[]}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("BENCH_hotpath.json"),
-            r#"{"name":"hotpath",
-                "optimized":{"decisions_per_sec":50000.0,"batched_decisions_per_sec":90000.0,
-                             "train_steps_per_sec":800.0},
-                "speedup":{"decisions":2.3,"batched_decisions":1.8,"train_steps":2.4},
-                "train_gemm_ratio":1.234}"#,
         )
         .unwrap();
         std::fs::write(dir.join("BENCH_broken.json"), "{oops").unwrap();
@@ -492,16 +435,6 @@ mod tests {
             md.contains("| BENCH_alpha.json | 2 | 4 | 1.50 | 400 |"),
             "{md}"
         );
-        assert!(
-            md.contains("| decisions (per-decision) | 50000 | 2.30x |"),
-            "{md}"
-        );
-        assert!(
-            md.contains("| decisions (batched) | 90000 | 1.80x |"),
-            "{md}"
-        );
-        assert!(md.contains("| train steps | 800.0 | 2.40x |"), "{md}");
-        assert!(md.contains("train_gemm_ratio 1.23 "), "{md}");
         assert!(
             md.contains("skipped unparseable: BENCH_broken.json"),
             "{md}"

@@ -191,3 +191,25 @@ fn fragments_survive_the_disk_roundtrip_byte_identically() {
     assert_eq!(canonical_bytes(&merged), reference_bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A count flag whose value is missing or unparsable must be a usage error
+/// (exit 2), not a silent fall-back to the default four-shard fleet.
+#[test]
+fn sweep_drive_rejects_malformed_counts() {
+    for bad in [
+        &["--shards", "abc"][..],
+        &["--workers", "4x"],
+        &["--shards"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sweep_drive"))
+            .args(["--grid", "fig2_load"])
+            .args(bad)
+            .output()
+            .expect("spawn sweep_drive");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: sweep_drive"),
+            "{bad:?}"
+        );
+    }
+}

@@ -1,13 +1,15 @@
 //! Property tests for the event timeline's determinism guarantees:
 //! arbitrary interleavings of `schedule_at`/`schedule_in` with colliding
 //! timestamps pop in the documented `(time, kind_rank, sequence_id)`
-//! order, and a sparse run's summary depends only on the schedule's
-//! content, not on the order arrivals were inserted into the queue.
+//! order, a sparse run's summary depends only on the schedule's content,
+//! not on the order arrivals were inserted into the queue, and an idle
+//! tail costs events in proportion to arrivals, not slots.
 
 use mano::prelude::*;
 use proptest::prelude::*;
 use sfc::chain::ChainId;
 use sfc::request::{Request, RequestId};
+use workload::trace::Trace;
 
 /// A schedulable op the property generates: `(use_schedule_in, time, kind)`
 /// — `use_schedule_in` as 0/1. All three payload-carrying kinds are
@@ -165,4 +167,52 @@ fn scheduling_behind_the_clock_panics() {
     queue.schedule_at(SimTime::from_ms(10), SimEvent::RetireCheck);
     let _ = queue.pop();
     queue.schedule_at(SimTime::from_ms(5), SimEvent::RetireCheck);
+}
+
+/// The sparse-timeline claim, on event counts: the same 80-request,
+/// 20-slot prefix replayed with a 10x-longer all-idle tail drains the
+/// flows still alive at slot 20 (departures plus their retire checks) but
+/// schedules nothing per slot, so the extra pops stay below one per idle
+/// slot while every slot is still billed.
+#[test]
+fn idle_tail_pops_events_per_arrival_not_per_slot() {
+    let active_slots: u64 = 20;
+    let idle_factor: u64 = 10;
+    let requests: Vec<Request> = (0..active_slots * 4)
+        .map(|i| {
+            Request::new(
+                RequestId(i),
+                ChainId((i % 4) as usize),
+                edgenet::node::NodeId((i % 4) as usize),
+                i / 4,
+                1 + ((i * 7) % 4) as u32,
+            )
+        })
+        .collect();
+    let scenario = Scenario::small_test();
+
+    let run = |horizon_slots: u64| {
+        let trace = Trace {
+            requests: requests.clone(),
+            horizon_slots,
+        };
+        let mut sim = Simulation::new(&scenario, RewardConfig::default());
+        let _ = sim.drive(
+            RunInput::Trace(&trace),
+            &mut FirstFitPolicy,
+            RunOptions::new(),
+        );
+        (sim.events_processed(), sim.metrics().slots().len() as u64)
+    };
+
+    let (busy_events, busy_slots) = run(active_slots);
+    let (idle_events, idle_slots) = run(active_slots * idle_factor);
+    assert_eq!(busy_slots, active_slots);
+    assert_eq!(idle_slots, active_slots * idle_factor);
+    let extra_events = idle_events - busy_events;
+    assert!(
+        extra_events < (idle_factor - 1) * active_slots,
+        "idle tail popped {extra_events} extra events over {busy_events} — \
+         that smells like per-slot work"
+    );
 }

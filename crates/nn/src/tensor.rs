@@ -5,7 +5,7 @@
 //! single concrete shape keeps every operation allocation-explicit and easy
 //! to audit, which matters more here than n-d generality.
 //!
-//! Every product has two forms: an allocating method (`matmul`) and an
+//! The product has two forms: an allocating method (`matmul`) and an
 //! `*_into` variant writing into a caller-owned buffer whose allocation is
 //! reused across calls. There is **one** product kernel,
 //! [`Matrix::matmul_into`], made of two loops that both hold their
@@ -600,53 +600,24 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `selfᵀ * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != other.rows`.
-    pub fn tmatmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.tmatmul_into(other, &mut out);
-        out
-    }
-
-    /// `selfᵀ * other` written into `out`: `self` is packed row-major by
-    /// [`Matrix::transpose_into`] (a temporary, allocated per call) and the
-    /// product runs on [`Matrix::matmul_into`]. Every output element still
-    /// accumulates over ascending rows of `self` from `+0.0`, so on finite
-    /// inputs the result is bit-identical to [`reference::tmatmul`]. A
-    /// caller that repeats the product keeps the packed operand itself and
+    /// Matrix product `selfᵀ * other`: `self` packed row-major by
+    /// [`Matrix::transpose`], then [`Matrix::matmul`]. Every output element
+    /// still accumulates over ascending rows of `self` from `+0.0`, so on
+    /// finite inputs the result is bit-identical to [`reference::tmatmul`].
+    /// A caller that repeats the product keeps the packed operand itself and
     /// calls `matmul_into` directly, as `Dense` does with its cached input.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows`.
-    pub fn tmatmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, other.rows,
-            "tmatmul shape mismatch: ({}x{})ᵀ * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.transpose().matmul_into(other, out);
+    pub fn tmatmul(&self, other: &Matrix) -> Matrix {
+        self.transpose().matmul(other)
     }
 
-    /// Matrix product `self * otherᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.cols`.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// `self * otherᵀ` written into `out`: `other` is packed row-major by
-    /// [`Matrix::transpose_into`] (a temporary, allocated per call) and the
-    /// product runs on [`Matrix::matmul_into`]. Each output element keeps a
-    /// single accumulator over ascending `k`, so on finite inputs it is
-    /// bit-identical to [`reference::matmul_t`]; the strips skip
+    /// Matrix product `self * otherᵀ`: `other` packed row-major by
+    /// [`Matrix::transpose`], then [`Matrix::matmul`]. Each output element
+    /// keeps a single accumulator over ascending `k`, so on finite inputs it
+    /// is bit-identical to [`reference::matmul_t`]; the strips skip
     /// `0·±inf`/`0·NaN` terms rather than propagate them (a diverged network
     /// is caught by the `has_non_finite` tripwires, not by kernel NaN
     /// flow).
@@ -654,13 +625,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.cols != other.cols`.
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.matmul_into(&other.transpose(), out);
+    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        self.matmul(&other.transpose())
     }
 
     /// Transposed copy.
@@ -998,11 +964,9 @@ fn masked_row_best(row: &[f32], mask: &[bool]) -> Option<(usize, f32)> {
 /// The pre-optimization kernels, preserved verbatim as the bit-exactness
 /// oracle for the blocked kernels above.
 ///
-/// Golden-equality tests and the `hotpath` benchmark's baseline both build
-/// on these: the tests assert the optimized kernels reproduce them bit for
-/// bit, and the benchmark measures how much faster the optimized path is
-/// against the same arithmetic performed the old allocate-per-call way
-/// (naive i-k-j loops with the dense-hostile `a == 0.0` skip branch).
+/// The golden-equality tests build on these: they assert the optimized
+/// kernels reproduce them bit for bit (naive i-k-j loops with the
+/// dense-hostile `a == 0.0` skip branch, allocating per call).
 pub mod reference {
     use super::Matrix;
 

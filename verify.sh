@@ -13,9 +13,10 @@
 #                           # full and FAST=1 horizons)
 #   ./verify.sh bench-smoke # FAST=1 run of every fig/table binary;
 #                           # writes CSV/JSON artifacts into $RESULTS_DIR,
-#                           # then runs the hotpath trend gate (fails on a
-#                           # sustained >20% regression) and prints the
-#                           # markdown digest of the BENCH_*.json rates
+#                           # runs the sweep and search smokes below, and
+#                           # prints the markdown digest of the
+#                           # BENCH_*.json reports (rates are measured by
+#                           # perf/run.sh, not gated here)
 #   ./verify.sh bench-full  # the same suite at full resolution (no FAST);
 #                           # slow — CI exposes it as a manual
 #                           # workflow_dispatch job
@@ -40,7 +41,6 @@ FIG_BINARIES=(
   fig5_scalability fig6_chain_length fig7_dynamic fig8_optgap fig9_ablation
   fig10_reward_weights fig11_pg_vs_dqn fig12_resilience fig13_metro
   table1_params table2_hyperparams table3_summary
-  hotpath
 )
 
 lint() {
@@ -80,15 +80,12 @@ run_figures() {
 
   echo "==> artifacts in $RESULTS_DIR:"
   ls -l "$RESULTS_DIR"
-  # The perf trajectory needs at least one machine-readable report, the
-  # resilience sweep must have produced its report, and the hotpath
-  # throughput tracker (decisions/sec, batched decisions/sec and
-  # train-steps/sec, with its in-report pre-optimization baseline) must
-  # have emitted its report, as must the fig13 metro-scale streaming
-  # sweep (requests/sec + peak heap across the 1x→100x horizon growth).
+  # The suite must leave at least one machine-readable report, the
+  # resilience sweep must have produced its report, and so must the fig13
+  # metro-scale streaming sweep (requests/sec + peak heap across the
+  # 1x→100x horizon growth).
   ls "$RESULTS_DIR"/BENCH_*.json >/dev/null
   ls "$RESULTS_DIR"/BENCH_resilience.json >/dev/null
-  ls "$RESULTS_DIR"/BENCH_hotpath.json >/dev/null
   ls "$RESULTS_DIR"/BENCH_metro.json >/dev/null
 }
 
@@ -162,30 +159,20 @@ bench_smoke() {
   export RESULTS_DIR="${RESULTS_DIR:-results}"
   run_figures
 
-  # Sharded-sweep smoke between the figures and the gate: sweep_drive
-  # records optimized.sweep_cells_per_sec into the BENCH_hotpath.json the
-  # figures just produced, so the trend gate below genuinely gates it.
+  # Sweep and search smokes ahead of the summary: the merged grid reports
+  # and BENCH_search_smoke.json land in $RESULTS_DIR so the summary's grid
+  # table and search digest (and the fingerprint-drift ⚠) cover fresh
+  # documents.
   run_sweep_smoke
-
-  # Manifest-search smoke ahead of the trend gate: its
-  # BENCH_search_smoke.json lands in $RESULTS_DIR so the summary's search
-  # digest (and the fingerprint-drift ⚠) covers a fresh document.
   run_search_smoke
-
-  # Trend gate: compares BENCH_hotpath.json against the persisted series
-  # state (restored across CI runs via actions/cache; accumulated in
-  # $RESULTS_DIR locally). Soft-logs a single >20% dip, fails the job on
-  # two consecutive ones.
-  echo "==> hotpath trend gate"
-  ./target/release/hotpath_gate
 
   echo "==> bench summary (markdown)"
   ./target/release/bench_summary
 }
 
 bench_full() {
-  # Full-resolution on-demand sample of the perf trajectory: no FAST, its
-  # own results dir, no trend gate (the tracked series is the smoke run's).
+  # Full-resolution on-demand run of the figure suite: no FAST, its own
+  # results dir.
   unset FAST
   export RESULTS_DIR="${RESULTS_DIR:-results-full}"
   run_figures
