@@ -41,10 +41,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc::chain::{ChainCatalog, ChainSpec};
 use sfc::delay::{admits_load, mm1_sojourn_ms};
-use sfc::instance::{InstanceId, InstancePool};
+use sfc::instance::{Instance, InstanceId, InstancePool};
 use sfc::placement::{assignment_latency, ChainAssignment};
 use sfc::request::{Request, RequestId};
-use sfc::vnf::VnfCatalog;
+use sfc::vnf::{VnfCatalog, VnfType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 use workload::metro::TimedRequest;
@@ -386,6 +386,9 @@ struct SimScratch {
     zero_state: Vec<f32>,
     /// The group's snapshot plans ([`DecisionSemantics::SlotSnapshot`]).
     plans: GroupPlans,
+    /// The episode's committed steps so far, `(instance, newly_spawned)`,
+    /// kept for rollback.
+    placed: Vec<(InstanceId, bool)>,
 }
 
 /// The simulation: all mutable world state plus immutable catalogs.
@@ -516,6 +519,7 @@ impl Simulation {
             all_true: vec![true; action_space.len()],
             zero_state: encoder.zero_state(),
             plans: GroupPlans::default(),
+            placed: Vec::new(),
         };
         Self {
             network,
@@ -631,20 +635,7 @@ impl Simulation {
             // can only be rejected until the site recovers).
             let alive = self.network.node_alive(node_id) && self.network.node_alive(at_node);
             let reachable = alive && (at_node == node_id || routes.reachable(at_node, node_id));
-            // Reuse: any instance of the type with queueing headroom.
-            let reusable = self
-                .pool
-                .instances_of(vnf.id, node_id)
-                .into_iter()
-                .filter(|inst| {
-                    admits_load(
-                        vnf.service_rate_rps,
-                        inst.lambda_rps,
-                        chain.arrival_rate_rps,
-                        self.scenario.max_instance_utilization,
-                    )
-                })
-                .min_by(|a, b| a.lambda_rps.partial_cmp(&b.lambda_rps).unwrap());
+            let reusable = self.reusable_instance(vnf, chain, node_id);
             let can_spawn = self
                 .network
                 .ledger()
@@ -696,6 +687,37 @@ impl Simulation {
         }));
     }
 
+    /// The engine's one reuse rule: among the instances of `vnf` at `node`
+    /// with queueing headroom for one more flow of `chain`, the least
+    /// loaded — the lowest id on a tie (`instances_of` yields ascending
+    /// ids and `min_by` keeps the first minimum). What a candidate
+    /// advertises and what [`Simulation::commit_step`] then does both
+    /// come from here.
+    fn reusable_instance(
+        &self,
+        vnf: &VnfType,
+        chain: &ChainSpec,
+        node: NodeId,
+    ) -> Option<&Instance> {
+        self.pool
+            .instances_of(vnf.id, node)
+            .filter(|inst| {
+                admits_load(
+                    vnf.service_rate_rps,
+                    inst.lambda_rps,
+                    chain.arrival_rate_rps,
+                    self.scenario.max_instance_utilization,
+                )
+            })
+            // `partial_cmp`, not `total_cmp`: `remove_flow` can leave
+            // `-0.0`, which must tie with `0.0`.
+            .min_by(|a, b| {
+                a.lambda_rps
+                    .partial_cmp(&b.lambda_rps)
+                    .expect("arrival rates are never NaN")
+            })
+    }
+
     /// Builds the full decision context for one placement decision.
     pub fn decision_context(
         &self,
@@ -716,7 +738,7 @@ impl Simulation {
             candidates: Vec::new(),
             slot: self.slot,
         };
-        self.fill_context(&mut ctx, chain, position, at_node, consumed_latency_ms);
+        self.fill_context(&mut ctx, position, at_node, consumed_latency_ms);
         ctx
     }
 
@@ -724,16 +746,16 @@ impl Simulation {
     /// candidate list, the action mask, and the encoded state all land in
     /// the context's reusable buffers (identical values to a freshly built
     /// [`Simulation::decision_context`]). The episode-scoped fields
-    /// (`request`, `chain`) are the caller's responsibility.
+    /// (`request`, `chain`) are the caller's responsibility and are read
+    /// from the context itself.
     fn fill_context(
         &self,
         ctx: &mut DecisionContext,
-        chain: &ChainSpec,
         position: usize,
         at_node: NodeId,
         consumed_latency_ms: f64,
     ) {
-        self.candidates_into(chain, position, at_node, &mut ctx.candidates);
+        self.candidates_into(&ctx.chain, position, at_node, &mut ctx.candidates);
         ctx.mask.clear();
         ctx.mask.extend(ctx.candidates.iter().map(|c| c.feasible));
         ctx.mask.push(true); // reject always valid
@@ -741,7 +763,7 @@ impl Simulation {
             self.network.ledger(),
             &self.pool,
             &self.vnfs,
-            chain,
+            &ctx.chain,
             position,
             ctx.request.source,
             at_node,
@@ -759,9 +781,11 @@ impl Simulation {
     }
 
     /// Takes the recycled decision context (or builds a fresh one) and
-    /// re-targets it at `request`/`chain`. `clone_from` reuses the chain
-    /// buffers held from the previous episode.
-    fn take_ctx(&mut self, request: &Request, chain: &ChainSpec) -> DecisionContext {
+    /// re-targets it at `request` and its chain. `clone_from` reuses the
+    /// chain buffers held from the previous episode, so the episode reads
+    /// the chain from the context instead of cloning the catalog entry.
+    fn take_ctx(&mut self, request: &Request) -> DecisionContext {
+        let chain = self.chains.get(request.chain);
         match self.scratch.ctx.take() {
             Some(mut ctx) => {
                 ctx.request = request.clone();
@@ -791,22 +815,8 @@ impl Simulation {
         position: usize,
         node: NodeId,
     ) -> (InstanceId, bool, f64) {
-        let vnf = self.vnfs.get(chain.vnfs[position]).clone();
-        let reusable = self
-            .pool
-            .instances_of(vnf.id, node)
-            .into_iter()
-            .filter(|inst| {
-                admits_load(
-                    vnf.service_rate_rps,
-                    inst.lambda_rps,
-                    chain.arrival_rate_rps,
-                    self.scenario.max_instance_utilization,
-                )
-            })
-            .min_by(|a, b| a.lambda_rps.partial_cmp(&b.lambda_rps).unwrap())
-            .map(|inst| inst.id);
-        match reusable {
+        let vnf = self.vnfs.get(chain.vnfs[position]);
+        match self.reusable_instance(vnf, chain, node).map(|inst| inst.id) {
             Some(id) => {
                 self.pool
                     .add_flow(id, chain.arrival_rate_rps)
@@ -853,19 +863,25 @@ impl Simulation {
 
     /// Runs one request's placement episode under `policy`.
     ///
-    /// The decision loop is allocation-free at steady state: the decision
-    /// context is recycled across episodes, its buffers are refilled in
-    /// place per decision, and feedback borrows engine-owned buffers
-    /// (policies clone only transitions they store).
+    /// A decision allocates nothing at steady state: the decision context
+    /// (chain included) and the rollback list are recycled across
+    /// episodes, their buffers are refilled in place per decision, the
+    /// instance pool is read through its `(node, type)` index, and
+    /// feedback borrows engine-owned buffers (policies clone only
+    /// transitions they store). What an *admitted request* still allocates
+    /// is its flow record: the instance list moved into the active-flow
+    /// map, plus that map's and the telemetry sink's `BTreeMap` nodes —
+    /// 1.5 allocations per request on the `metro_heuristic` world, pinned
+    /// as a count by `tests/decision_allocs.rs`.
     pub fn place_request(
         &mut self,
         request: &Request,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
     ) -> PlacementOutcome {
-        let chain = self.chains.get(request.chain).clone();
-        let mut ctx = self.take_ctx(request, &chain);
-        let mut placed: Vec<(InstanceId, bool)> = Vec::with_capacity(chain.len());
+        let mut ctx = self.take_ctx(request);
+        let mut placed = std::mem::take(&mut self.scratch.placed);
+        placed.clear();
         let mut at_node = request.source;
         let mut consumed = 0.0f64;
         let mut deployment_cost = 0.0f64;
@@ -873,14 +889,14 @@ impl Simulation {
         // The previous observation itself parks in `scratch.prev_*`.
         let mut pending: Option<(usize, f32)> = None;
 
-        for position in 0..chain.len() {
+        for position in 0..ctx.chain.len() {
             if pending.is_some() {
                 // Keep the previous observation alive while the context
                 // buffers are refilled for the new decision.
                 std::mem::swap(&mut self.scratch.prev_state, &mut ctx.encoded_state);
                 std::mem::swap(&mut self.scratch.prev_mask, &mut ctx.mask);
             }
-            self.fill_context(&mut ctx, &chain, position, at_node, consumed);
+            self.fill_context(&mut ctx, position, at_node, consumed);
             if let Some((action_index, reward)) = pending.take() {
                 policy.observe(
                     DecisionFeedback {
@@ -908,7 +924,7 @@ impl Simulation {
 
             match action {
                 PlacementAction::Reject => {
-                    self.rollback(&chain, &placed);
+                    self.rollback(&ctx.chain, &placed);
                     policy.observe(
                         DecisionFeedback {
                             state: &ctx.encoded_state,
@@ -922,6 +938,7 @@ impl Simulation {
                         rng,
                     );
                     self.scratch.ctx = Some(ctx);
+                    self.scratch.placed = placed;
                     let now = self.now_ms();
                     if let Some(sink) = self.telemetry.as_mut() {
                         sink.on_rejected(request.id, now);
@@ -934,15 +951,16 @@ impl Simulation {
                         .reward_config
                         .step_reward(info.marginal_latency_ms, info.marginal_cost_usd);
                     consumed += info.marginal_latency_ms;
-                    let (instance, spawned, dep_cost) = self.commit_step(&chain, position, node);
+                    let (instance, spawned, dep_cost) =
+                        self.commit_step(&ctx.chain, position, node);
                     deployment_cost += dep_cost;
                     placed.push((instance, spawned));
                     at_node = node;
 
-                    if position + 1 == chain.len() {
+                    if position + 1 == ctx.chain.len() {
                         let instances = placed.iter().map(|&(id, _)| id).collect();
                         let (latency_ms, sla_violated) =
-                            self.admit_flow(request, &chain, instances, deployment_cost);
+                            self.admit_flow(request, &ctx.chain, instances, deployment_cost);
                         let terminal_reward =
                             reward + self.reward_config.completion_reward(sla_violated);
                         policy.observe(
@@ -958,6 +976,7 @@ impl Simulation {
                             rng,
                         );
                         self.scratch.ctx = Some(ctx);
+                        self.scratch.placed = placed;
                         return PlacementOutcome::Accepted {
                             latency_ms,
                             sla_violated,
@@ -1061,19 +1080,7 @@ impl Simulation {
         if !alive || (at_node != node && !self.network.routes().reachable(at_node, node)) {
             return false;
         }
-        let reusable = self
-            .pool
-            .instances_of(vnf.id, node)
-            .into_iter()
-            .any(|inst| {
-                admits_load(
-                    vnf.service_rate_rps,
-                    inst.lambda_rps,
-                    chain.arrival_rate_rps,
-                    self.scenario.max_instance_utilization,
-                )
-            });
-        reusable
+        self.reusable_instance(vnf, chain, node).is_some()
             || self
                 .network
                 .ledger()
@@ -1179,16 +1186,8 @@ impl Simulation {
                 // decided in arrival order.
                 for w in 0..plans.live.len() {
                     let i = plans.live[w];
-                    let request = arrivals[i].clone();
-                    let chain = self.chains.get(request.chain).clone();
-                    let mut ctx = self.take_ctx(&request, &chain);
-                    self.fill_context(
-                        &mut ctx,
-                        &chain,
-                        position,
-                        plans.at_nodes[i],
-                        plans.consumed[i],
-                    );
+                    let mut ctx = self.take_ctx(&arrivals[i]);
+                    self.fill_context(&mut ctx, position, plans.at_nodes[i], plans.consumed[i]);
                     let started = Instant::now();
                     let action = policy.decide(&ctx, rng);
                     self.metrics
@@ -1273,17 +1272,19 @@ impl Simulation {
         let plans = std::mem::take(&mut self.scratch.plans);
         debug_assert!(plans.valid, "apply without a planned group");
         let plan = &plans.plans[index];
-        let chain = self.chains.get(request.chain).clone();
+        let ctx = self.take_ctx(request);
+        let chain = &ctx.chain;
         let stride = self.action_space.len();
-        let mut placed: Vec<(InstanceId, bool)> = Vec::with_capacity(plan.steps.len());
+        let mut placed = std::mem::take(&mut self.scratch.placed);
+        placed.clear();
         let mut deployment_cost = 0.0f64;
         let mut at_node = request.source;
         let mut conflict_at: Option<usize> = None;
         for (p, step) in plan.steps.iter().enumerate() {
             // A planned Reject is always the final step; nothing commits.
             if let PlacementAction::Place(node) = self.action_space.decode(step.action_index) {
-                if self.step_feasible(&chain, p, at_node, node) {
-                    let (instance, spawned, dep_cost) = self.commit_step(&chain, p, node);
+                if self.step_feasible(chain, p, at_node, node) {
+                    let (instance, spawned, dep_cost) = self.commit_step(chain, p, node);
                     deployment_cost += dep_cost;
                     placed.push((instance, spawned));
                     at_node = node;
@@ -1300,7 +1301,7 @@ impl Simulation {
         let (outcome, terminal_reward) = if accepted {
             let instances = placed.iter().map(|&(id, _)| id).collect();
             let (latency_ms, sla_violated) =
-                self.admit_flow(request, &chain, instances, deployment_cost);
+                self.admit_flow(request, chain, instances, deployment_cost);
             (
                 PlacementOutcome::Accepted {
                     latency_ms,
@@ -1309,7 +1310,7 @@ impl Simulation {
                 plan.steps[last].reward + self.reward_config.completion_reward(sla_violated),
             )
         } else {
-            self.rollback(&chain, &placed);
+            self.rollback(chain, &placed);
             let now = self.now_ms();
             if let Some(sink) = self.telemetry.as_mut() {
                 sink.on_rejected(request.id, now);
@@ -1361,6 +1362,8 @@ impl Simulation {
             }
         }
         self.scratch.plans = plans;
+        self.scratch.ctx = Some(ctx);
+        self.scratch.placed = placed;
         outcome
     }
 

@@ -102,7 +102,10 @@ impl StateEncoder {
     /// * `health` — aggregate network degradation (live-node and
     ///   capacity-loss fractions) so policies can condition on failures.
     /// * `candidates` — per-node placement candidates (marginal latency /
-    ///   cost features); must have exactly `node_count` entries.
+    ///   cost features, and `reuse_available` for the reuse indicator);
+    ///   must have exactly `node_count` entries, built against this `pool`
+    ///   for this `chain`/`position` and `max_instance_utilization`
+    ///   (checked in debug builds).
     ///
     /// # Panics
     ///
@@ -205,23 +208,30 @@ impl StateEncoder {
             v[i] = cpu_u as f32;
             v[n + i] = mem_u as f32;
         }
-        // Reusable-instance indicator for the next VNF type.
+        // Reusable-instance indicator for the next VNF type. The candidate
+        // builder has just applied the engine's reuse rule at every site
+        // with these same arguments, so 1.0 is its answer and the pool is
+        // only asked whether the site holds an instance at all.
         let next_type = chain.vnfs[position];
         let mu = vnfs.get(next_type).service_rate_rps;
-        for i in 0..n {
-            let insts = pool.instances_of(next_type, NodeId(i));
-            if insts.is_empty() {
-                continue;
+        for (i, c) in candidates.iter().enumerate() {
+            debug_assert_eq!(
+                c.reuse_available,
+                pool.instances_of(next_type, NodeId(i)).any(|inst| {
+                    sfc::delay::admits_load(
+                        mu,
+                        inst.lambda_rps,
+                        chain.arrival_rate_rps,
+                        max_instance_utilization,
+                    )
+                }),
+                "candidate {i} was not built against this pool and chain position"
+            );
+            if c.reuse_available {
+                v[2 * n + i] = 1.0;
+            } else if pool.instances_of(next_type, NodeId(i)).len() > 0 {
+                v[2 * n + i] = 0.5;
             }
-            let has_headroom = insts.iter().any(|inst| {
-                sfc::delay::admits_load(
-                    mu,
-                    inst.lambda_rps,
-                    chain.arrival_rate_rps,
-                    max_instance_utilization,
-                )
-            });
-            v[2 * n + i] = if has_headroom { 1.0 } else { 0.5 };
         }
         // One-hots.
         v[3 * n + source.0] = 1.0;
@@ -405,6 +415,8 @@ mod tests {
         let chain = f.chains.get(ChainId(1)).clone(); // nat, firewall
         let nat = chain.vnfs[0];
         let id = f.pool.spawn(nat, NodeId(0), 0);
+        let mut reusable = candidates(4);
+        reusable[0].reuse_available = true;
         let v = f.encoder.encode(
             &f.ledger,
             &f.pool,
@@ -417,7 +429,7 @@ mod tests {
             0.9,
             0,
             NetworkHealth::healthy(),
-            &candidates(4),
+            &reusable,
         );
         assert_eq!(v[2 * 4], 1.0, "fresh instance has headroom");
         // Saturate the instance.

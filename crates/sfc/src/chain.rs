@@ -15,7 +15,7 @@ impl std::fmt::Display for ChainId {
 }
 
 /// A service function chain specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChainSpec {
     /// Dense id within the catalog.
     pub id: ChainId,
@@ -30,6 +30,41 @@ pub struct ChainSpec {
     /// Mean request intensity one admitted flow adds to each traversed
     /// instance, in requests/second (the M/M/1 λ contribution).
     pub arrival_rate_rps: f64,
+}
+
+/// Written out for `clone_from`: the derived one is `*self = source.clone()`,
+/// which reallocates the name and the VNF list; this one reuses both
+/// buffers, so the engine's recycled decision context re-targets at a
+/// request's chain without touching the heap.
+impl Clone for ChainSpec {
+    fn clone(&self) -> Self {
+        Self {
+            id: self.id,
+            name: self.name.clone(),
+            vnfs: self.vnfs.clone(),
+            latency_budget_ms: self.latency_budget_ms,
+            traffic_gb: self.traffic_gb,
+            arrival_rate_rps: self.arrival_rate_rps,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured so that a new field fails to compile here.
+        let Self {
+            id,
+            name,
+            vnfs,
+            latency_budget_ms,
+            traffic_gb,
+            arrival_rate_rps,
+        } = source;
+        self.id = *id;
+        self.name.clone_from(name);
+        self.vnfs.clone_from(vnfs);
+        self.latency_budget_ms = *latency_budget_ms;
+        self.traffic_gb = *traffic_gb;
+        self.arrival_rate_rps = *arrival_rate_rps;
+    }
 }
 
 impl ChainSpec {

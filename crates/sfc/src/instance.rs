@@ -53,10 +53,24 @@ impl std::fmt::Display for InstanceError {
 impl std::error::Error for InstanceError {}
 
 /// The pool of all live instances in a simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// `instances` is the one store of instance state. `index` holds ids only
+/// (`index[node][vnf_type]`, ascending), so [`InstancePool::instances_of`]
+/// visits one site's instances instead of the whole pool; only the
+/// membership mutators (`spawn`, `retire`, `evict_node`) write it. It is
+/// derived data: equality ignores it, and the pool is not serialisable
+/// because a round trip would have to rebuild it.
+#[derive(Debug, Clone, Default)]
 pub struct InstancePool {
     instances: BTreeMap<u64, Instance>,
     next_id: u64,
+    index: Vec<Vec<Vec<u64>>>,
+}
+
+impl PartialEq for InstancePool {
+    fn eq(&self, other: &Self) -> bool {
+        self.instances == other.instances && self.next_id == other.next_id
+    }
 }
 
 impl InstancePool {
@@ -69,6 +83,15 @@ impl InstancePool {
     pub fn spawn(&mut self, vnf_type: VnfTypeId, node: NodeId, slot: u64) -> InstanceId {
         let id = InstanceId(self.next_id);
         self.next_id += 1;
+        if self.index.len() <= node.0 {
+            self.index.resize_with(node.0 + 1, Vec::new);
+        }
+        let buckets = &mut self.index[node.0];
+        if buckets.len() <= vnf_type.0 {
+            buckets.resize_with(vnf_type.0 + 1, Vec::new);
+        }
+        // Ids are monotone, so a push keeps the bucket ascending.
+        buckets[vnf_type.0].push(id.0);
         self.instances.insert(
             id.0,
             Instance {
@@ -80,6 +103,9 @@ impl InstancePool {
                 created_slot: slot,
             },
         );
+        if cfg!(debug_assertions) {
+            self.check_index();
+        }
         id
     }
 
@@ -90,11 +116,19 @@ impl InstancePool {
     /// [`InstanceError::Busy`] if it still serves flows,
     /// [`InstanceError::Unknown`] if the id does not exist.
     pub fn retire(&mut self, id: InstanceId) -> Result<Instance, InstanceError> {
-        match self.instances.get(&id.0) {
-            None => Err(InstanceError::Unknown(id)),
-            Some(inst) if inst.flows > 0 => Err(InstanceError::Busy(id)),
-            Some(_) => Ok(self.instances.remove(&id.0).expect("checked present")),
+        let inst = self
+            .instances
+            .get(&id.0)
+            .ok_or(InstanceError::Unknown(id))?;
+        if inst.flows > 0 {
+            return Err(InstanceError::Busy(id));
         }
+        let inst = self.instances.remove(&id.0).expect("checked present");
+        self.index[inst.node.0][inst.vnf_type.0].retain(|&indexed| indexed != id.0);
+        if cfg!(debug_assertions) {
+            self.check_index();
+        }
+        Ok(inst)
     }
 
     /// Instance by id.
@@ -148,23 +182,54 @@ impl InstancePool {
         self.instances.is_empty()
     }
 
-    /// Instances of `vnf_type` hosted at `node`.
-    pub fn instances_of(&self, vnf_type: VnfTypeId, node: NodeId) -> Vec<&Instance> {
-        self.instances
-            .values()
-            .filter(|i| i.vnf_type == vnf_type && i.node == node)
-            .collect()
+    /// Instances of `vnf_type` hosted at `node`, in ascending id order
+    /// (empty for a node or type the pool has never seen). Allocates
+    /// nothing and visits only that site's instances.
+    pub fn instances_of(
+        &self,
+        vnf_type: VnfTypeId,
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = &Instance> + '_ {
+        let ids: &[u64] = self
+            .index
+            .get(node.0)
+            .and_then(|buckets| buckets.get(vnf_type.0))
+            .map_or(&[], Vec::as_slice);
+        ids.iter().map(|id| &self.instances[id])
     }
 
-    /// Count of instances per node for `vnf_type`, over `node_count` nodes.
-    pub fn count_per_node(&self, vnf_type: VnfTypeId, node_count: usize) -> Vec<usize> {
-        let mut counts = vec![0; node_count];
-        for inst in self.instances.values() {
-            if inst.vnf_type == vnf_type && inst.node.0 < node_count {
-                counts[inst.node.0] += 1;
+    /// Checks that the `(node, type)` index and the instance store agree:
+    /// every bucket is strictly ascending and lists only live instances of
+    /// its own node and type, and the buckets together hold every live
+    /// instance exactly once. The membership mutators run it in debug
+    /// builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first disagreement.
+    pub fn check_index(&self) {
+        let mut indexed = 0;
+        for (node, buckets) in self.index.iter().enumerate() {
+            for (vnf_type, bucket) in buckets.iter().enumerate() {
+                assert!(
+                    bucket.windows(2).all(|w| w[0] < w[1]),
+                    "bucket (node {node}, type {vnf_type}) is not strictly ascending: {bucket:?}"
+                );
+                for id in bucket {
+                    let inst = self.instances.get(id);
+                    assert!(
+                        inst.is_some_and(|i| i.node.0 == node && i.vnf_type.0 == vnf_type),
+                        "bucket (node {node}, type {vnf_type}) lists id {id}, the store has {inst:?}"
+                    );
+                }
+                indexed += bucket.len();
             }
         }
-        counts
+        assert_eq!(
+            indexed,
+            self.instances.len(),
+            "index and store disagree on the number of live instances"
+        );
     }
 
     /// Ids of every instance hosted at `node` (any type), ordered by id.
@@ -181,10 +246,19 @@ impl InstancePool {
     /// caller owns disrupting those flows. Returns the removed instances
     /// ordered by id.
     pub fn evict_node(&mut self, node: NodeId) -> Vec<Instance> {
-        let ids = self.instances_on(node);
-        ids.into_iter()
-            .map(|id| self.instances.remove(&id.0).expect("listed instance"))
-            .collect()
+        let mut ids: Vec<u64> = match self.index.get_mut(node.0) {
+            Some(buckets) => buckets.iter_mut().flat_map(|b| b.drain(..)).collect(),
+            None => Vec::new(),
+        };
+        ids.sort_unstable();
+        let evicted = ids
+            .into_iter()
+            .map(|id| self.instances.remove(&id).expect("indexed instance"))
+            .collect();
+        if cfg!(debug_assertions) {
+            self.check_index();
+        }
+        evicted
     }
 
     /// Idle instances (zero flows), optionally older than `min_age_slots`.
@@ -267,8 +341,10 @@ mod tests {
         pool.spawn(VnfTypeId(0), NodeId(0), 0);
         pool.spawn(VnfTypeId(0), NodeId(1), 0);
         pool.spawn(VnfTypeId(1), NodeId(1), 0);
-        assert_eq!(pool.count_per_node(VnfTypeId(0), 3), vec![1, 1, 0]);
+        assert_eq!(pool.instances_of(VnfTypeId(0), NodeId(0)).len(), 1);
         assert_eq!(pool.instances_of(VnfTypeId(1), NodeId(1)).len(), 1);
+        assert_eq!(pool.instances_of(VnfTypeId(1), NodeId(0)).len(), 0);
+        assert_eq!(pool.instances_of(VnfTypeId(7), NodeId(9)).len(), 0);
     }
 
     #[test]

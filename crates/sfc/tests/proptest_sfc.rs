@@ -11,6 +11,35 @@ fn catalogs() -> (VnfCatalog, ChainCatalog) {
     (vnfs, chains)
 }
 
+/// The index is derived data: pools with the same instances and next id
+/// are equal whatever sites their histories touched, and a clone answers
+/// `instances_of` like its original and then goes its own way.
+#[test]
+fn equality_and_clone_ignore_index_history() {
+    // Same instances and next id, reached through different sites: `a`
+    // keeps emptied buckets for node 5 / type 2 that `b` never grew.
+    let mut a = InstancePool::new();
+    let mut b = InstancePool::new();
+    a.spawn(VnfTypeId(0), NodeId(0), 0);
+    b.spawn(VnfTypeId(0), NodeId(0), 0);
+    let gone_a = a.spawn(VnfTypeId(2), NodeId(5), 0);
+    let gone_b = b.spawn(VnfTypeId(0), NodeId(0), 0);
+    a.retire(gone_a).unwrap();
+    b.retire(gone_b).unwrap();
+    assert_eq!(a, b);
+    b.spawn(VnfTypeId(0), NodeId(0), 0);
+    assert_ne!(a, b);
+
+    let mut copy = b.clone();
+    assert_eq!(copy, b);
+    assert!(copy
+        .instances_of(VnfTypeId(0), NodeId(0))
+        .eq(b.instances_of(VnfTypeId(0), NodeId(0))));
+    copy.evict_node(NodeId(0));
+    assert_eq!(copy.instances_of(VnfTypeId(0), NodeId(0)).len(), 0);
+    assert_eq!(b.instances_of(VnfTypeId(0), NodeId(0)).len(), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -108,6 +137,56 @@ proptest! {
             &chain, src, &[NodeId(detour), src], &[0.0, 0.0], &vnfs, &routes,
         );
         prop_assert!(colocated <= detoured + 1e-9);
+    }
+
+    /// The `(node, type)` index against the whole-pool scan it replaced,
+    /// after every operation of a random history: `instances_of` yields
+    /// exactly `iter().filter(..)`, element for element in id order, for
+    /// every site including nodes and types the pool has never seen.
+    #[test]
+    fn instances_of_matches_a_whole_pool_scan(
+        ops in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64, 0.1f64..40.0), 1..80)
+    ) {
+        const NODES: usize = 4;
+        const TYPES: usize = 3;
+        let mut pool = InstancePool::new();
+        for (op, a, b, lambda) in ops {
+            let live: Vec<InstanceId> = pool.iter().map(|i| i.id).collect();
+            let pick = live.get(a % live.len().max(1)).copied();
+            match (op, pick) {
+                (0, _) => {
+                    pool.spawn(VnfTypeId(a % TYPES), NodeId(b % NODES), 0);
+                }
+                (1, Some(id)) => pool.add_flow(id, lambda).unwrap(),
+                (2, Some(id)) => pool.remove_flow(id, lambda).unwrap(),
+                (3, Some(id)) => {
+                    // Busy instances refuse and must leave the index alone.
+                    let busy = pool.get(id).unwrap().flows > 0;
+                    prop_assert_eq!(pool.retire(id).is_err(), busy);
+                }
+                (4, _) => {
+                    let node = NodeId(b % (NODES + 1));
+                    let expected = pool.instances_on(node);
+                    let evicted: Vec<InstanceId> =
+                        pool.evict_node(node).iter().map(|i| i.id).collect();
+                    prop_assert_eq!(evicted, expected);
+                }
+                _ => {}
+            }
+            pool.check_index();
+            let mut indexed = 0;
+            for t in 0..TYPES + 2 {
+                for n in 0..NODES + 2 {
+                    let (t, n) = (VnfTypeId(t), NodeId(n));
+                    let of = pool.instances_of(t, n);
+                    indexed += of.len();
+                    let scanned: Vec<&Instance> =
+                        pool.iter().filter(|i| i.vnf_type == t && i.node == n).collect();
+                    prop_assert_eq!(of.collect::<Vec<_>>(), scanned);
+                }
+            }
+            prop_assert_eq!(indexed, pool.len());
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 #
 # Usage:
 #   ./verify.sh             # lint + test (the tier-1 gate)
-#   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc (fast
-#                           # feedback)
+#   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc + the
+#                           # library unwrap/expect ratchet (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
@@ -52,6 +52,28 @@ lint() {
 
   echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+  unwrap_ratchet
+}
+
+# `.unwrap()` / `.expect(` occurrences in library sources (`crates/*/src`
+# and `src/`, binaries excluded; in-file unit tests count). The number only
+# goes down: above it the lint fails, below it prints the number to record
+# here.
+UNWRAP_EXPECT_MAX=216
+
+unwrap_ratchet() {
+  echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
+  local count
+  count=$(grep -rEo --include='*.rs' '\.unwrap\(\)|\.expect\(' crates/*/src src |
+    grep -vc '^crates/[^/]*/src/bin/')
+  if [ "$count" -gt "$UNWRAP_EXPECT_MAX" ]; then
+    echo "library unwrap/expect count rose: $count > $UNWRAP_EXPECT_MAX" \
+      "(return a Result, or remove as many elsewhere)" >&2
+    return 1
+  elif [ "$count" -lt "$UNWRAP_EXPECT_MAX" ]; then
+    echo "library unwrap/expect count fell to $count: record UNWRAP_EXPECT_MAX=$count in verify.sh"
+  fi
 }
 
 test_() {
