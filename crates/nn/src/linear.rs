@@ -21,7 +21,8 @@ pub struct Dense {
     bias: Matrix,
     activation: Activation,
     /// Gradient accumulators, same shape as the parameters. Allocated once
-    /// at construction and zero-filled (never dropped) when cleared.
+    /// at construction and never dropped; their contents mean something
+    /// only while `has_grads` is set (see [`Dense::settle_grads`]).
     #[serde(skip)]
     grad_weights: Matrix,
     #[serde(skip)]
@@ -53,8 +54,6 @@ struct ForwardCache {
 #[derive(Debug, Clone, Default)]
 struct BackwardScratch {
     grad_z: Matrix,
-    grad_w: Matrix,
-    grad_b: Matrix,
     /// Transposed weights, re-materialized per backward pass: `grad · Wᵀ`
     /// through the row-streaming matmul kernel beats the dot-product form
     /// by far, and the accumulation order (ascending `k`) is unchanged.
@@ -152,11 +151,10 @@ impl Dense {
     /// Inference forward pass into a caller-owned buffer: matmul, bias
     /// broadcast, and activation all land in `out` with no allocation,
     /// through the fused kernel — bias and activation are applied at the
-    /// one store of each output element, while its tile or strip is still
-    /// in registers, sparing the decision path two full memory passes over
-    /// the output. Identical
-    /// per-element arithmetic in identical order to the unfused
-    /// matmul → broadcast → activate sequence, so results are
+    /// one store of each output element, while its strip is still in
+    /// registers, sparing the decision path two full memory passes over
+    /// the output. Identical per-element arithmetic in identical order to
+    /// the unfused matmul → broadcast → activate sequence, so results are
     /// bit-identical (pinned by the golden scratch tests). The common
     /// activations get monomorphized epilogues; the rest dispatch through
     /// [`Activation::apply_scalar`].
@@ -185,13 +183,13 @@ impl Dense {
 
     /// Training forward pass into a caller-owned buffer. The (transposed)
     /// input and the pre-activation land in the layer's persistent cache,
-    /// so the whole call is allocation-free at steady state.
+    /// so the whole call is allocation-free at steady state. The bias joins
+    /// the pre-activation at the kernel's store, as in
+    /// [`Dense::forward_into`].
     pub fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) {
         input.transpose_into(&mut self.cache.input_t);
-        input.matmul_into(&self.weights, &mut self.cache.pre_activation);
-        self.cache
-            .pre_activation
-            .add_row_broadcast_assign(&self.bias);
+        let pre_activation = &mut self.cache.pre_activation;
+        input.matmul_bias_map_into(&self.weights, &self.bias, |z| z, pre_activation);
         self.activation.apply_into(&self.cache.pre_activation, out);
         self.cache_armed = true;
     }
@@ -209,8 +207,9 @@ impl Dense {
         grad_input
     }
 
-    /// Backward pass writing dL/dx into a caller-owned buffer. Every
-    /// intermediate (dL/dz, dW, db) lives in the layer's reusable scratch.
+    /// Backward pass writing dL/dx into a caller-owned buffer. dL/dz and
+    /// Wᵀ live in the layer's reusable scratch; dW and db go straight into
+    /// the accumulators.
     ///
     /// # Panics
     ///
@@ -237,47 +236,42 @@ impl Dense {
         self.backward_params(grad_output);
     }
 
-    /// Shared core: dL/dz, dL/dW, dL/db into scratch + accumulators.
+    /// Shared core: dL/dz into scratch, dL/dW and dL/db into the
+    /// accumulators.
     fn backward_params(&mut self, grad_output: &Matrix) {
         assert!(
             self.cache_armed,
             "Dense::backward called without a cached forward_train pass"
         );
         self.cache_armed = false;
-        let BackwardScratch {
-            grad_z,
-            grad_w,
-            grad_b,
-            ..
-        } = &mut self.scratch;
+        let grad_z = &mut self.scratch.grad_z;
         // dL/dz = dL/da ⊙ f'(z), fused.
         self.activation
             .derivative_mul_into(&self.cache.pre_activation, grad_output, grad_z);
         // dL/dW = xᵀ · dL/dz, xᵀ packed by the forward pass (ascending
         // batch row per element, as the transpose-free form accumulated —
-        // bit-identical) ; dL/db = column-sum(dL/dz)
-        self.cache.input_t.matmul_into(grad_z, grad_w);
-        grad_z.col_sum_into(grad_b);
+        // bit-identical) ; dL/db = column-sum(dL/dz). Both overwrite the
+        // accumulators when nothing is pending, which is every backward of
+        // a training loop; summing several backward passes before one
+        // update goes through temporaries.
+        let input_t = &self.cache.input_t;
         if self.has_grads {
-            self.grad_weights.add_scaled_assign(grad_w, 1.0);
-            self.grad_bias.add_scaled_assign(grad_b, 1.0);
+            self.grad_weights
+                .add_scaled_assign(&input_t.matmul(grad_z), 1.0);
+            self.grad_bias.add_scaled_assign(&grad_z.col_sum(), 1.0);
         } else {
-            self.grad_weights.copy_from(grad_w);
-            self.grad_bias.copy_from(grad_b);
+            input_t.matmul_into(grad_z, &mut self.grad_weights);
+            grad_z.col_sum_into(&mut self.grad_bias);
             self.has_grads = true;
         }
     }
 
-    /// Removes and returns accumulated `(dW, db)` gradients, resetting the
-    /// accumulators. Returns zero matrices if no backward pass happened.
+    /// Removes and returns accumulated `(dW, db)` gradients, leaving
+    /// nothing pending. Returns zero matrices if no backward pass happened.
     pub fn take_gradients(&mut self) -> (Matrix, Matrix) {
         if self.has_grads {
             self.has_grads = false;
-            let gw = self.grad_weights.clone();
-            let gb = self.grad_bias.clone();
-            self.grad_weights.fill(0.0);
-            self.grad_bias.fill(0.0);
-            (gw, gb)
+            (self.grad_weights.clone(), self.grad_bias.clone())
         } else {
             (
                 Matrix::zeros(self.weights.rows(), self.weights.cols()),
@@ -295,29 +289,34 @@ impl Dense {
         }
     }
 
-    /// Keeps the accumulators shaped like the parameters (they start empty
-    /// after deserialization, whose skip-fields default to `0 x 0`).
-    fn ensure_grad_shapes(&mut self) {
-        if self.grad_weights.shape() != self.weights.shape() {
+    /// Makes the accumulators say what is pending. With no backward pass
+    /// since they were last cleared that is a zero gradient, while their
+    /// contents are the previous step's (or `0 x 0` after deserialization,
+    /// whose skip-fields default to empty): zero-fill them at the
+    /// parameters' shapes. Call before [`Dense::grad_slices`],
+    /// [`Dense::grads_mut`] or [`Dense::params_grads`].
+    pub(crate) fn settle_grads(&mut self) {
+        if !self.has_grads {
             self.grad_weights
                 .reset_zeroed(self.weights.rows(), self.weights.cols());
-        }
-        if self.grad_bias.shape() != self.bias.shape() {
             self.grad_bias.reset_zeroed(1, self.bias.cols());
         }
     }
 
-    /// Mutable access to both accumulators (shape-ensured) for in-place
-    /// gradient clipping.
+    /// The settled accumulators as flat slices, `[dW, db]`.
+    pub(crate) fn grad_slices(&self) -> [&[f32]; 2] {
+        [self.grad_weights.as_slice(), self.grad_bias.as_slice()]
+    }
+
+    /// Mutable access to both settled accumulators for in-place gradient
+    /// clipping.
     pub(crate) fn grads_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
-        self.ensure_grad_shapes();
         (&mut self.grad_weights, &mut self.grad_bias)
     }
 
-    /// Parameters and accumulated gradients together, for in-place
+    /// Parameters and settled accumulators together, for in-place
     /// optimizer updates: `(weights, bias, grad_weights, grad_bias)`.
     pub(crate) fn params_grads(&mut self) -> (&mut Matrix, &mut Matrix, &Matrix, &Matrix) {
-        self.ensure_grad_shapes();
         (
             &mut self.weights,
             &mut self.bias,
@@ -326,12 +325,12 @@ impl Dense {
         )
     }
 
-    /// Zero-fills the accumulators in place (the allocation-free sibling of
-    /// [`Dense::take_gradients`]).
+    /// Drops what is pending (the allocation-free sibling of
+    /// [`Dense::take_gradients`]). Nothing is zero-filled: the next
+    /// backward pass overwrites every element, and a reader without one
+    /// goes through [`Dense::settle_grads`].
     pub(crate) fn clear_grads(&mut self) {
         self.has_grads = false;
-        self.grad_weights.fill(0.0);
-        self.grad_bias.fill(0.0);
     }
 
     /// Hard copy of `other`'s parameters (target-network sync), into the

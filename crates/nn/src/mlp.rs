@@ -116,7 +116,8 @@ impl Workspace {
 }
 
 /// Training-pass scratch owned by the network (forward/backward ping-pong
-/// buffers and the loss gradient), reused across steps.
+/// buffers, the loss gradient and the gradient norm's per-matrix sums),
+/// reused across steps.
 #[derive(Debug, Clone, Default)]
 struct TrainScratch {
     fwd_a: Matrix,
@@ -124,6 +125,69 @@ struct TrainScratch {
     grad_a: Matrix,
     grad_b: Matrix,
     loss_grad: Matrix,
+    norm_order: Vec<usize>,
+    norm_sums: Vec<f32>,
+}
+
+/// Sums of squares a [`sums_of_squares_lockstep`] pass advances side by
+/// side: enough independent chains to hide the latency of one scalar add,
+/// few enough to stay in registers.
+const LOCKSTEP: usize = 4;
+
+/// `sums[i] = slice(i).iter().map(|v| v * v).sum::<f32>()` for every `i`,
+/// bit for bit: each sum starts at `-0.0` (what `Sum` starts from, and what
+/// it returns for an empty slice) and takes its squares in ascending index
+/// order, the arithmetic of [`Matrix::frobenius_norm`] before the root. A
+/// single such sum is one dependency chain as long as its slice, and one
+/// chain after another costs the total length. The chains are independent
+/// of each other, so they advance in lockstep instead: in order of slice
+/// length, every slice that reaches into a segment of indices moves
+/// through it together with the others, and the whole pass costs about
+/// the longest slice. `order` is scratch.
+fn sums_of_squares_lockstep<'a>(
+    slice: impl Fn(usize) -> &'a [f32],
+    order: &mut Vec<usize>,
+    sums: &mut [f32],
+) {
+    fn advance<'a, const N: usize>(
+        which: [usize; N],
+        segment: std::ops::Range<usize>,
+        slice: &impl Fn(usize) -> &'a [f32],
+        sums: &mut [f32],
+    ) {
+        let rows = which.map(|i| &slice(i)[segment.clone()]);
+        let mut acc = which.map(|i| sums[i]);
+        for t in 0..segment.len() {
+            for (acc, row) in acc.iter_mut().zip(&rows) {
+                *acc += row[t] * row[t];
+            }
+        }
+        for (i, acc) in which.into_iter().zip(acc) {
+            sums[i] = acc;
+        }
+    }
+
+    sums.fill(-0.0);
+    order.clear();
+    order.extend(0..sums.len());
+    order.sort_unstable_by_key(|&i| slice(i).len());
+    let mut start = 0;
+    for shortest in 0..order.len() {
+        let end = slice(order[shortest]).len();
+        if end == start {
+            continue;
+        }
+        for group in order[shortest..].chunks(LOCKSTEP) {
+            match *group {
+                [a] => advance([a], start..end, &slice, sums),
+                [a, b] => advance([a, b], start..end, &slice, sums),
+                [a, b, c] => advance([a, b, c], start..end, &slice, sums),
+                [a, b, c, d] => advance([a, b, c, d], start..end, &slice, sums),
+                _ => unreachable!("chunks of at most LOCKSTEP"),
+            }
+        }
+        start = end;
+    }
 }
 
 /// A feed-forward network of dense layers.
@@ -315,13 +379,27 @@ impl Mlp {
     ) -> f32 {
         // Global norm in one pass over the layers, scale in a second: the
         // arithmetic of `clip_global_norm` (per-matrix norms squared and
-        // summed in order W, b, W, b, ...) without its `Vec` of borrows.
-        let mut sum_sq = 0.0f32;
+        // summed in order W, b, W, b, ...) without its `Vec` of borrows,
+        // and with the per-matrix sums advanced side by side.
         for layer in self.layers.iter_mut() {
-            let (gw, gb) = layer.grads_mut();
-            for n in [gw.frobenius_norm(), gb.frobenius_norm()] {
-                sum_sq += n * n;
-            }
+            layer.settle_grads();
+        }
+        let layers = &self.layers;
+        let TrainScratch {
+            norm_order,
+            norm_sums,
+            ..
+        } = &mut self.scratch;
+        norm_sums.resize(2 * layers.len(), 0.0);
+        sums_of_squares_lockstep(
+            |i| layers[i / 2].grad_slices()[i % 2],
+            norm_order,
+            norm_sums,
+        );
+        let mut sum_sq = 0.0f32;
+        for sum in norm_sums.iter() {
+            let n = sum.sqrt();
+            sum_sq += n * n;
         }
         let norm = sum_sq.sqrt();
         if let Some(limit) = max_grad_norm {
@@ -733,6 +811,66 @@ mod tests {
         for (a, b) in fused.layers().iter().zip(staged.layers().iter()) {
             assert_eq!(a.weights(), b.weights());
             assert_eq!(a.bias(), b.bias());
+        }
+    }
+
+    #[test]
+    fn apply_gradients_without_backward_is_a_zero_gradient_step() {
+        // One real step leaves its gradients behind in the accumulators
+        // (nothing zero-fills them); an update with no backward pass since
+        // must read zeros, not those.
+        let config = MlpConfig::new(3, &[6], 2);
+        let mut net = Mlp::new(&config, &mut rng());
+        let mut opt = OptimizerConfig::sgd(0.5).build();
+        let x = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1.0, 0.25, -0.75]]);
+        let y = Matrix::from_rows(&[&[1.0, -1.0], &[0.0, 2.0]]);
+        net.train_batch(&x, &y, Loss::Mse, &mut opt, None);
+        let before = net.clone();
+
+        let norm = net.apply_gradients(&mut opt, Some(1.0));
+
+        assert_eq!(norm, 0.0);
+        for (a, b) in net.layers().iter().zip(before.layers().iter()) {
+            assert_eq!(a.weights(), b.weights());
+            assert_eq!(a.bias(), b.bias());
+        }
+        assert!(net
+            .drain_gradients()
+            .iter()
+            .all(|(gw, gb)| { gw.as_slice().iter().chain(gb.as_slice()).all(|&g| g == 0.0) }));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lockstep_sums_equal_the_per_matrix_norm_fold_bitwise(
+            shapes in proptest::collection::vec((0usize..=300, 0usize..=300), 1..6),
+            seed in 0u64..10_000,
+        ) {
+            // One (weights, bias) pair of flat gradients per layer, zeros
+            // mixed in, lengths free of each other, and one empty matrix
+            // whatever the draw.
+            use rand::Rng as _;
+            let mut r = StdRng::seed_from_u64(seed);
+            let grads: Vec<Matrix> = shapes
+                .iter()
+                .flat_map(|&(w, b)| [w, b])
+                .chain([0])
+                .map(|len| {
+                    Matrix::from_fn(1, len, |_, _| {
+                        if r.gen_bool(0.3) { 0.0 } else { r.gen_range(-3.0f32..3.0) }
+                    })
+                })
+                .collect();
+            let mut sums = vec![f32::NAN; grads.len()];
+            sums_of_squares_lockstep(|i| grads[i].as_slice(), &mut Vec::new(), &mut sums);
+
+            // Equal terms, so `apply_gradients` folds them to the total
+            // `clip_global_norm` folds from `frobenius_norm`.
+            for (sum, g) in sums.iter().zip(&grads) {
+                proptest::prop_assert_eq!(sum.sqrt().to_bits(), g.frobenius_norm().to_bits());
+            }
         }
     }
 

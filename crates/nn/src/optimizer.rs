@@ -119,7 +119,8 @@ pub struct Optimizer {
     step: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Moments of one parameter; empty until the slot's first update.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct SlotState {
     /// First moment / momentum buffer.
     m: Matrix,
@@ -156,13 +157,18 @@ impl Optimizer {
             grad.shape(),
             "optimizer update shape mismatch"
         );
-        while self.slots.len() <= slot {
-            self.slots.push(SlotState {
-                m: Matrix::zeros(param.rows(), param.cols()),
-                v: Matrix::zeros(param.rows(), param.cols()),
-            });
+        // Slot indices may be sparse (a dueling network's sub-networks sit
+        // 100 apart) and first used in any order: the indices skipped on
+        // the way carry no state, and a slot takes its parameter's shape
+        // at its own first update.
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, SlotState::default);
         }
         let state = &mut self.slots[slot];
+        if state.m.is_empty() {
+            state.m.reset_zeroed(param.rows(), param.cols());
+            state.v.reset_zeroed(param.rows(), param.cols());
+        }
         assert_eq!(
             state.m.shape(),
             param.shape(),
@@ -350,6 +356,49 @@ mod tests {
         opt.update(1, &mut b, &gb);
         assert!(a.get(0, 0) < 1.0);
         assert_eq!(b.get(0, 0), 1.0); // zero grad, zero momentum -> unchanged
+    }
+
+    #[test]
+    fn sparse_slots_take_their_shape_on_first_use_in_any_order() {
+        // Descending first use with a different shape per slot: padding
+        // the skipped indices with state shaped like slot 200's parameter
+        // made slot 100's first update a "shape changed" panic.
+        let shapes = [(200usize, (3usize, 4usize)), (100, (2, 5)), (0, (1, 7))];
+        let mut sparse = OptimizerConfig::adam(0.01).build();
+        let mut packed = OptimizerConfig::adam(0.01).build();
+        let mut params: Vec<(Matrix, Matrix)> = shapes
+            .iter()
+            .map(|&(_, (r, c))| {
+                let p = Matrix::from_fn(r, c, |i, j| (i * c + j) as f32 * 0.125 - 0.5);
+                (p.clone(), p)
+            })
+            .collect();
+        for step in 0..3 {
+            sparse.begin_step();
+            packed.begin_step();
+            for (i, (&(slot, (r, c)), (a, b))) in shapes.iter().zip(params.iter_mut()).enumerate() {
+                let grad = Matrix::from_fn(r, c, |x, y| (x + 2 * y + step) as f32 * 0.25 - 1.0);
+                sparse.update(slot, a, &grad);
+                // Slots are independent, so the same parameter on a packed
+                // index is the reference.
+                packed.update(i, b, &grad);
+                assert_eq!(a, b, "slot {slot}, step {step}");
+            }
+        }
+        // 201 slots, three with moments; the rest hold nothing.
+        assert_eq!(sparse.slots.len(), 201);
+        let used = sparse.slots.iter().filter(|s| !s.m.is_empty()).count();
+        assert_eq!(used, 3);
+        assert!(sparse.slots[150].v.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "optimizer slot 1 shape changed")]
+    fn slot_reused_with_other_shape_panics() {
+        let mut opt = OptimizerConfig::adam(0.01).build();
+        opt.begin_step();
+        opt.update(1, &mut Matrix::zeros(2, 2), &Matrix::zeros(2, 2));
+        opt.update(1, &mut Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -8,38 +8,29 @@
 //! The product has two forms: an allocating method (`matmul`) and an
 //! `*_into` variant writing into a caller-owned buffer whose allocation is
 //! reused across calls. There is **one** product kernel,
-//! [`Matrix::matmul_into`], made of two loops that both hold their
-//! accumulators in registers across the whole contraction and store every
-//! output element exactly once. Whole 8 x 16 tiles of the output go through
-//! a dense register tile (`matmul_tile_acc`). Everything a tile cannot
-//! take — products of fewer than 8 rows (every single-row decision), row
-//! tails, column tails, outputs narrower than 16 columns (the Q-value
-//! layer) — goes row by row through column *strips* (`strip`) that visit
-//! only the row's non-zero inputs. The transposed products (`aᵀ·b`,
-//! `a·bᵀ`) are *pack-transpose + that kernel*: the transposed operand is
-//! first made row-major with the blocked [`Matrix::transpose_into`]. The
-//! copy is the cheap part: a transpose-free tile loop over the same
-//! accumulators is compiled (rustc 1.95, AVX-512, `target-cpu=native`) to a
-//! tile on the stack with a gather and a scatter per contraction step, and
-//! runs an order of magnitude slower than the copy it saves. The
-//! per-output-element accumulation order is identical to the historical
-//! naive loops (kept in [`mod@reference`]), so results are
-//! bit-identical.
+//! [`Matrix::matmul_into`], and it is one loop: every output row of every
+//! product — a single-row decision, the 14 rows of a served wave, the 32
+//! rows of a learn step, the Q-value layer's 10 columns — is cut into
+//! column *strips* (`strip`) of up to 128 lanes that hold their
+//! accumulators in registers across the whole contraction, visit only the
+//! row's non-zero inputs and store every output element exactly once.
+//! Rows share nothing, so a batched product costs its rows' single-row
+//! products. Every left operand this repository multiplies is more than
+//! half zeros (encoder states, ReLU activations and the gradients masked
+//! by them), which is why no dense kernel sits beside the strips
+//! (`docs/perf.md` has the measurement, and the one case a dense tile
+//! won). The transposed products (`aᵀ·b`, `a·bᵀ`) are *pack-transpose +
+//! that kernel*: the transposed operand is first made row-major with the
+//! blocked [`Matrix::transpose_into`]. The copy is the cheap part: a
+//! transpose-free loop over the same accumulators is compiled (rustc 1.95,
+//! AVX-512, `target-cpu=native`) to accumulators on the stack with a gather
+//! and a scatter per contraction step, and runs an order of magnitude
+//! slower than the copy it saves. The per-output-element accumulation
+//! order and zero-skip rule are those of the historical naive loops (kept
+//! in [`mod@reference`]), so results are bit-identical to them for every
+//! shape and every input, non-finite weights included.
 
 use serde::{Deserialize, Serialize};
-
-/// Tile shape of the register-blocked micro-kernel in
-/// [`Matrix::matmul_into`]: [`ROW_TILE`] rows × [`J_TILE`] columns of
-/// accumulators live in registers across the whole `k` sweep (16 ×
-/// 8-lane vectors under AVX2, 8 × 16-lane under AVX-512 — enabled by the
-/// workspace-level `target-cpu=native` build), so each loaded `b`
-/// element feeds [`ROW_TILE`] multiply-add lanes and every accumulator
-/// is stored exactly once instead of once per `k`. On narrower ISAs the
-/// tile spills — slower, correct either way.
-const J_TILE: usize = 16;
-
-/// Row depth of the micro-kernel tile (see [`J_TILE`]).
-const ROW_TILE: usize = 8;
 
 /// Contraction indices [`strip`] takes at a time: the non-zero positions of
 /// one chunk of the input row are the set bits of one `u64`.
@@ -445,16 +436,12 @@ impl Matrix {
     /// Matrix product `self * other` written into `out` (allocation-free
     /// once `out` has capacity).
     ///
-    /// Whole 8 x 16 tiles of the output run through the dense register
-    /// tile; every other element — all of them when the product has fewer
-    /// than 8 rows or 16 columns — belongs to a per-row column strip that
-    /// skips the row's zero inputs (`strip` in this module's source). Both
-    /// loops accumulate each output element from `+0.0` over ascending `k`
-    /// and store it once, so the split is invisible in the bits and on
-    /// finite inputs the result is bit-identical to [`reference::matmul`].
-    /// A strip skips `0·±inf`/`0·NaN` terms as that oracle does; a tile
-    /// propagates them (a diverged network is caught by the
-    /// `has_non_finite` tripwires, not by kernel NaN flow).
+    /// Every output row is cut into column strips (`strip` in this
+    /// module's source) that skip the row's zero inputs, accumulate each
+    /// output element from `+0.0` over ascending `k` and store it once:
+    /// bit-identical to [`reference::matmul`] for every shape and every
+    /// input, `0·±inf`/`0·NaN` terms skipped exactly as that oracle skips
+    /// them.
     ///
     /// # Panics
     ///
@@ -465,42 +452,6 @@ impl Matrix {
         });
     }
 
-    /// The shared accumulation core of one `R`-row × [`J_TILE`]-column
-    /// micro-kernel tile: the `R * J_TILE` accumulators stay in registers
-    /// across the whole ascending-`k` sweep and each streamed `b` element
-    /// feeds all `R` rows. The loop is deliberately branch-free — no zero
-    /// skip: lanes whose `a` is zero contribute `±0·b` terms, which are
-    /// bit-level no-ops on the (never `-0.0`) accumulators for finite
-    /// `b`, so results stay bit-identical to the per-row zero-skip of
-    /// [`strip`] while the dense inner loop vectorizes cleanly.
-    #[inline]
-    fn matmul_tile_acc<const R: usize>(
-        &self,
-        other: &Matrix,
-        i: usize,
-        j: usize,
-    ) -> [[f32; J_TILE]; R] {
-        let (k, n) = (self.cols, other.cols);
-        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &self.data[(i + r) * k..(i + r + 1) * k]);
-        let mut acc = [[0.0f32; J_TILE]; R];
-        // Indexing by `kk` keeps the R row reads and the `b` tile visibly in
-        // lockstep on the same contraction index; an iterator chain over R
-        // slices plus the strided `b` walk would obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for kk in 0..k {
-            let b_tile: &[f32; J_TILE] = other.data[kk * n + j..kk * n + j + J_TILE]
-                .try_into()
-                .expect("tile width is J_TILE");
-            for r in 0..R {
-                let ar = a_rows[r][kk];
-                for t in 0..J_TILE {
-                    acc[r][t] += ar * b_tile[t];
-                }
-            }
-        }
-        acc
-    }
-
     /// Fused inference product: `out = f(self * other + bias)`, with
     /// `bias` a `1 x n` row broadcast over output rows and `f` an
     /// element-wise epilogue (the layer activation). Exactly the
@@ -508,7 +459,7 @@ impl Matrix {
     /// [`Matrix::add_row_broadcast_assign`] and an element-wise map —
     /// identical operations per element in identical order, so results
     /// are bit-identical — but the bias and the epilogue are applied at
-    /// the one store of each element, while its tile or strip is still in
+    /// the one store of each element, while its strip is still in
     /// registers, sparing the forward two full read-modify-write passes
     /// over the output.
     ///
@@ -540,12 +491,11 @@ impl Matrix {
     }
 
     /// The product behind [`Matrix::matmul_into`] and
-    /// [`Matrix::matmul_bias_map_into`]: one loop over whole tiles, one
-    /// loop over the strips of everything else. `store(out, acc, j)`
-    /// writes the `out.len()` finished elements of one output row that
-    /// start at column `j` from the first `out.len()` accumulators; it is
-    /// called exactly once per element, which is what lets `out` keep its
-    /// stale contents until then.
+    /// [`Matrix::matmul_bias_map_into`]: one loop over the strips of every
+    /// output row. `store(out, acc, j)` writes the `out.len()` finished
+    /// elements of one output row that start at column `j` from the first
+    /// `out.len()` accumulators; it is called exactly once per element,
+    /// which is what lets `out` keep its stale contents until then.
     #[inline]
     fn product_into(
         &self,
@@ -560,24 +510,13 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reset_for_overwrite(m, n);
-        let tiled_rows = if n >= J_TILE { m - m % ROW_TILE } else { 0 };
-        let tiled_cols = if tiled_rows > 0 { n - n % J_TILE } else { 0 };
-        for j in (0..tiled_cols).step_by(J_TILE) {
-            for i in (0..tiled_rows).step_by(ROW_TILE) {
-                let acc = self.matmul_tile_acc::<ROW_TILE>(other, i, j);
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let start = (i + r) * n + j;
-                    store(&mut out.data[start..start + J_TILE], acc_row, j);
-                }
-            }
-        }
         // Strips, widest first, so a 128-column layer is one strip per row
         // and a row's non-zero mask is rebuilt as few times as its width
         // allows.
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
             let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j = if i < tiled_rows { tiled_cols } else { 0 };
+            let mut j = 0;
             while n - j >= 128 {
                 strip::<128>(a_row, other, j, &mut out_row[j..j + 128], &store);
                 j += 128;
@@ -602,8 +541,9 @@ impl Matrix {
 
     /// Matrix product `selfᵀ * other`: `self` packed row-major by
     /// [`Matrix::transpose`], then [`Matrix::matmul`]. Every output element
-    /// still accumulates over ascending rows of `self` from `+0.0`, so on
-    /// finite inputs the result is bit-identical to [`reference::tmatmul`].
+    /// still accumulates over ascending rows of `self` from `+0.0` and skips
+    /// the zeros of `self`, so the result is bit-identical to
+    /// [`reference::tmatmul`].
     /// A caller that repeats the product keeps the packed operand itself and
     /// calls `matmul_into` directly, as `Dense` does with its cached input.
     ///

@@ -42,18 +42,19 @@ fn relu(z: f32) -> f32 {
 #[test]
 fn blocked_kernels_match_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(42);
-    // Shapes on both sides of every split the kernel makes: fewer than 8
-    // rows or 16 columns (strips only), exact 8x16 tile grids, row tails,
-    // column tails, both at once, and contractions around the 64-index
-    // chunk of the strips' non-zero mask. (74, 32, 128), (128, 32, 128) and
-    // (128, 32, 10) are the learn step's dL/dW products (contraction over
-    // the 32 batch rows). The block from (1, 128, 11) is the serving shape:
-    // the DQN's single-row layers, the 14 rows a served wave carries (one
-    // tile of 8 plus 6 strip rows), the 11-wide Q layer at batch size, a
-    // 300-long contraction whose 200 columns split into 128 + 64 + 8, and
-    // the empty products. Every shape runs at the encoder's ~30% zeros and
-    // at the ~50% a ReLU layer hands on.
-    for &zero_share in &[0.3f32, 0.5] {
+    // Shapes on both sides of every split the kernel makes: each strip
+    // width (128, 64, 32, 16) alone, in sequence and with a narrower last
+    // strip, outputs under 16 columns, one row and many, and contractions
+    // around the 64-index chunk of the strips' non-zero mask. (74, 32, 128),
+    // (128, 32, 128) and (128, 32, 10) are the learn step's dL/dW products
+    // (contraction over the 32 batch rows). The block from (1, 128, 11) is
+    // the serving shape: the DQN's single-row layers, the 14 rows a served
+    // wave carries, the 11-wide Q layer at batch size, a 300-long
+    // contraction whose 200 columns split into 128 + 64 + 8, and the empty
+    // products. Every shape runs at the encoder's ~30% zeros, at the ~50% a
+    // ReLU layer hands on, and at the two ends: a dense left operand (no
+    // skip ever fires) and an all-zero one (every one does).
+    for &zero_share in &[0.3f32, 0.5, 0.0, 1.0] {
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (1, 74, 128),
@@ -120,9 +121,9 @@ fn assert_bits_eq(got: &Matrix, expected: &Matrix, what: &str) {
 }
 
 /// What the strips skip: a row of nothing but zeros, `-0.0` inputs, and
-/// non-finite weights that only zero inputs touch. All three are products
-/// no register tile takes part in (one row, or fewer than 16 columns), so
-/// they must equal `reference::matmul`, skip for skip.
+/// non-finite weights that only zero inputs touch. Every product is strips
+/// and nothing else, whatever its shape, so all of them must equal
+/// `reference::matmul`, skip for skip.
 #[test]
 fn strips_skip_zero_inputs_like_the_reference() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -146,17 +147,29 @@ fn strips_skip_zero_inputs_like_the_reference() {
 
     // `-0.0` is skipped like `+0.0`: the poisoned weight rows it would
     // multiply never reach an accumulator.
-    let a = Matrix::from_fn(2, 130, |r, c| match (r + c) % 3 {
-        0 => -0.0,
-        1 => 0.0,
-        _ => (c as f32 - 60.0) * 0.125,
-    });
+    // The shapes from 8 rows x 16 columns up are the ones a dense
+    // 8 x 16 register tile used to take, multiplying the zeros and so
+    // carrying the poison into the output.
     let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-    for &n in &[11usize, 128, 200] {
+    for &(m, n) in &[
+        (2usize, 11usize),
+        (2, 128),
+        (2, 200),
+        (8, 16),
+        (14, 128),
+        (32, 200),
+    ] {
+        // Two distinct zero patterns, alternating by row, which leave every
+        // third `k` zero in all rows.
+        let a = Matrix::from_fn(m, 130, |r, c| match (r % 2 + c) % 3 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => (c as f32 - 60.0) * 0.125,
+        });
         // Weight row `k` is non-finite wherever some input row has a zero
         // at `k` and no input row has a non-zero there.
         let b = Matrix::from_fn(130, n, |k, c| {
-            if (0..2).all(|r| a.get(r, k) == 0.0) {
+            if (0..m).all(|r| a.get(r, k) == 0.0) {
                 poison[(k + c) % 3]
             } else {
                 ((k * n + c) % 17) as f32 * 0.25 - 2.0
@@ -165,7 +178,8 @@ fn strips_skip_zero_inputs_like_the_reference() {
         assert!(b.has_non_finite());
         let expected = reference::matmul(&a, &b);
         assert!(!expected.has_non_finite(), "oracle skipped the poison");
-        assert_bits_eq(&a.matmul(&b), &expected, "non-finite under zeros");
+        let what = format!("non-finite under zeros, {m}x130*130x{n}");
+        assert_bits_eq(&a.matmul(&b), &expected, &what);
     }
 
     // A non-finite weight under a *non-zero* input does propagate, and to
@@ -189,8 +203,8 @@ fn into_kernels_reuse_buffers_without_contamination() {
     // keep `out`'s stale contents whenever the element count is unchanged
     // and rely on storing every element exactly once. So the buffers start
     // as NaN at the first product's size, the same element count comes
-    // back under other shapes (14x128 again, then 128x14: strips only),
-    // and larger -> smaller -> larger runs sit in between.
+    // back under other shapes (14x128 again, then 128x14: one narrow strip
+    // per row), and larger -> smaller -> larger runs sit in between.
     let mut out = Matrix::full(14, 128, f32::NAN);
     let mut fused = out.clone();
     for &(m, k, n) in &[

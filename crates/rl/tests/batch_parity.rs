@@ -46,10 +46,10 @@ fn random_batch(
 }
 
 /// The serving shape, 74 -> 128 -> 128 -> 11, at the row counts a served
-/// wave hands the kernel: one row (strips only), 7 (below a tile), 9 and 14
-/// (one 8-row tile plus a strip tail), 37 (four tiles plus five rows — the
-/// widest tick on record). Every Q-row of the batched forward must equal
-/// the single-row forward bit for bit, for both network variants.
+/// wave hands the kernel: one row, 7, 9, 14 (the mean tick) and 37 (the
+/// widest tick on record). The kernel takes a batch row by row, so every
+/// Q-row of the batched forward must equal the single-row forward bit for
+/// bit, for both network variants.
 #[test]
 fn served_wave_q_rows_equal_single_row_forwards() {
     let (state_dim, actions) = (74, 11);

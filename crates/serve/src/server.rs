@@ -9,7 +9,9 @@
 //! row-slice of the fused answer back in one message. There is no timer
 //! — a tick is "everything pending now" — so a lone simulation degrades
 //! gracefully to per-wave batches while 8 busy simulations fuse into
-//! 8x-wider forwards that reach the register-tiled kernels.
+//! 8x-wider forwards. The kernel takes a forward row by row, so width
+//! buys fewer dispatches and hand-overs per decision, not cheaper rows
+//! (`docs/serving.md`, "Measured").
 //!
 //! Determinism contract: a row's greedy action is a pure function of its
 //! (state, mask) bits — batch composition cannot change it, because the

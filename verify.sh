@@ -5,12 +5,16 @@
 # are vendored under vendor/ — no network needed).
 #
 # Usage:
-#   ./verify.sh             # lint + test (the tier-1 gate)
+#   ./verify.sh             # lint + test + vector-width (the tier-1 gate)
 #   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc + the
 #                           # library unwrap/expect ratchet (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
+#   ./verify.sh vector-width# on an AVX-512 host building with the flags of
+#                           # .cargo/config.toml: nn's release assembly
+#                           # must use 512-bit registers (prints "skipped"
+#                           # anywhere else)
 #   ./verify.sh bench-smoke # FAST=1 run of every fig/table binary;
 #                           # writes CSV/JSON artifacts into $RESULTS_DIR,
 #                           # runs the sweep and search smokes below, and
@@ -60,7 +64,7 @@ lint() {
 # and `src/`, binaries excluded; in-file unit tests count). The number only
 # goes down: above it the lint fails, below it prints the number to record
 # here.
-UNWRAP_EXPECT_MAX=216
+UNWRAP_EXPECT_MAX=215
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
@@ -89,6 +93,39 @@ test_() {
   # scenarios' horizons, which shifts which slots carry events).
   echo "==> FAST=1 cargo test -q -p mano --test event_slot_equivalence"
   FAST=1 cargo test -q -p mano --test event_slot_equivalence
+}
+
+# .cargo/config.toml asks for 512-bit vectors where the host has them
+# (`-prefer-256-bit`): nn's strip kernel is sized for 8 zmm accumulators. The
+# flag is an LLVM tuning feature rustc passes through unchecked, so a
+# toolchain that renames or drops it would fall back to 256 bits without a
+# word, and the only symptom would be a slower benchmark. Look at the code
+# instead. An environment RUSTFLAGS replaces the config file's flags
+# wholesale (CI does that), and then there is nothing to check.
+vector_width() {
+  echo "==> vector width of nn's release build"
+  if ! grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+    echo "vector-width: skipped (host does not advertise avx512f)"
+    return
+  fi
+  if [ -n "${RUSTFLAGS+set}" ]; then
+    echo "vector-width: skipped (RUSTFLAGS is set and replaces .cargo/config.toml's flags)"
+    return
+  fi
+  # Its own target directory, emptied first: cargo does not re-emit an
+  # assembly file that was deleted, nor delete one from other flags (a few
+  # seconds: nn depends on the vendored rand and serde only).
+  local dir="${CARGO_TARGET_DIR:-target}/vector-width"
+  rm -rf "$dir"
+  cargo rustc --release -p nn --lib --target-dir "$dir" -- --emit asm
+  local lines
+  lines=$(cat "$dir"/release/deps/nn-*.s | grep -c '%zmm[0-9]') || true
+  if [ "$lines" -eq 0 ]; then
+    echo "nn's release assembly holds no zmm operand on an avx512f host:" \
+      "-prefer-256-bit (.cargo/config.toml) no longer reaches the code" >&2
+    return 1
+  fi
+  echo "vector-width: $lines lines of nn's release assembly use zmm registers"
 }
 
 run_figures() {
@@ -211,12 +248,14 @@ case "${1:-all}" in
   sweep-smoke) sweep_smoke ;;
   search-smoke) search_smoke ;;
   perf-smoke) perf_smoke ;;
+  vector-width) vector_width ;;
   all)
     lint
     test_
+    vector_width
     ;;
   *)
-    echo "usage: $0 [lint|test|bench-smoke|bench-full|sweep-smoke|search-smoke|perf-smoke|all]" >&2
+    echo "usage: $0 [lint|test|vector-width|bench-smoke|bench-full|sweep-smoke|search-smoke|perf-smoke|all]" >&2
     exit 2
     ;;
 esac
