@@ -70,20 +70,6 @@ fn parse_args() -> Args {
     }
 }
 
-/// The driver's total core budget: its own `EXPER_THREADS` if set,
-/// otherwise the machine's available parallelism.
-fn core_budget() -> usize {
-    match std::env::var(exper::pool::THREADS_ENV) {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n > 0),
-        Err(_) => None,
-    }
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 /// One queued shard execution (spawn + single retry bookkeeping).
 struct Slot {
     shard: usize,
@@ -215,7 +201,9 @@ fn main() {
     let single_wall = started.elapsed().as_secs_f64();
     let reference_bytes = serde_json::to_string_pretty(&reference.canonical_json());
 
-    let budget = core_budget();
+    // The driver's total core budget: its own `EXPER_THREADS` if set,
+    // otherwise the machine's available parallelism.
+    let budget = exper::pool::thread_count();
     let per_worker_threads = (budget / args.workers).max(1);
     eprintln!(
         "[sweep_drive] {}: {} shards on {} workers × {} threads (budget {})…",

@@ -82,8 +82,8 @@ pub mod prelude {
         PolicyResult, TrainedDrl,
     };
     pub use crate::sim::{
-        BillingMode, DecisionSemantics, MetricsMode, PlacementOutcome, RunEngine, RunInput,
-        RunOptions, Simulation, TimedArrival,
+        BillingMode, DecisionSemantics, MetricsMode, PlacementOutcome, RunInput, RunOptions,
+        Simulation, TimedArrival,
     };
     pub use crate::state::{StateEncoder, StateEncoderConfig};
     pub use crate::telemetry::{

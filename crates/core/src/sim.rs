@@ -7,21 +7,23 @@
 //! allocation), shapes the reward, and delivers feedback — so DRL and
 //! heuristic policies are driven through exactly the same code path.
 //!
-//! Two engines drive the lifecycle:
+//! One engine drives the lifecycle, and one reference checks it:
 //!
-//! * the **event engine** ([`Simulation::drive`], the default):
-//!   departures, network events, retire checks, arrivals and policy
-//!   decisions pop from a deterministic [`crate::timeline::EventQueue`];
-//!   completed slots are billed lazily, so a mostly-idle trace costs
-//!   ~O(events), not O(slots) of work. In *slot-compatibility* mode every
-//!   event lands on a slot boundary and the run is bit-identical to the
-//!   slot loop (pinned by `tests/event_slot_equivalence.rs`);
-//!   [`BillingMode::Sparse`] additionally resolves sub-slot lifetimes
-//!   (`Request::duration_ms`) pro rata instead of rounding them up to
-//!   whole slots.
+//! * the **event engine** ([`Simulation::drive`]): arrivals come from the
+//!   run's input in time order and are merged with a deterministic
+//!   [`crate::timeline::EventQueue`] holding what the engine cannot know
+//!   in advance (departures, network events, retire checks); each
+//!   arrival is decided where it is handled. Completed slots are billed
+//!   lazily, so a mostly-idle trace costs ~O(events), not O(slots) of
+//!   work. In *slot-compatibility* mode everything lands on a slot
+//!   boundary and the run is bit-identical to the slot loop (pinned by
+//!   `tests/event_slot_equivalence.rs`); [`BillingMode::Sparse`]
+//!   additionally resolves sub-slot lifetimes (`Request::duration_ms`)
+//!   pro rata instead of rounding them up to whole slots.
 //! * the **slot loop** ([`Simulation::advance_slot`] /
-//!   [`RunEngine::SlottedOracle`]): the paper's original fixed-slot
-//!   sweep, kept as the equivalence oracle and for step-by-step tests.
+//!   [`Simulation::drive_slotted`]): the paper's original fixed-slot
+//!   sweep, kept as the reference the engine is compared against and for
+//!   step-by-step tests.
 
 use crate::action::{ActionSpace, PlacementAction};
 use crate::config::Scenario;
@@ -62,20 +64,6 @@ pub enum PlacementOutcome {
     },
     /// The request was rejected (by choice or by infeasibility).
     Rejected,
-}
-
-/// Which engine [`Simulation::drive`] uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RunEngine {
-    /// The discrete-event engine (the default): departures, network
-    /// events, retire checks, arrivals and policy decisions pop from a
-    /// deterministic timeline; idle stretches are ~free.
-    #[default]
-    Event,
-    /// The paper's original fixed-slot sweep, kept as the equivalence
-    /// oracle. Only supports slot-compatible billing with `Generated` or
-    /// `Trace` input and no telemetry.
-    SlottedOracle,
 }
 
 /// How completed slots are billed by [`Simulation::drive`].
@@ -130,7 +118,8 @@ pub enum DecisionSemantics {
 }
 
 /// Options for [`Simulation::drive`] — the one knob set selecting
-/// engine, billing, metrics retention, seeding, horizon and telemetry.
+/// billing, metrics retention, decision semantics, seeding, horizon and
+/// telemetry.
 ///
 /// ```
 /// # use mano::prelude::*;
@@ -141,8 +130,6 @@ pub enum DecisionSemantics {
 /// ```
 #[derive(Debug, Default)]
 pub struct RunOptions<'t> {
-    /// Which engine drives the run.
-    pub engine: RunEngine,
     /// Slot-compatible vs sparse billing.
     pub billing: BillingMode,
     /// Full vs streaming metrics retention.
@@ -156,21 +143,15 @@ pub struct RunOptions<'t> {
     pub horizon_slots: Option<u64>,
     /// Observer receiving per-flow lifecycle and per-slot snapshot
     /// hooks. Purely observational: the `RunSummary` is bit-identical
-    /// with or without a sink. Event engine only.
+    /// with or without a sink.
     pub telemetry: Option<&'t mut TelemetrySink>,
 }
 
 impl<'t> RunOptions<'t> {
-    /// The defaults: event engine, slot-compatible billing, full
-    /// metrics, seed offset 0, input-derived horizon, no telemetry.
+    /// The defaults: slot-compatible billing, full metrics, sequential
+    /// decisions, seed offset 0, input-derived horizon, no telemetry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the slotted-oracle engine ([`RunEngine::SlottedOracle`]).
-    pub fn slotted(mut self) -> Self {
-        self.engine = RunEngine::SlottedOracle;
-        self
     }
 
     /// Selects sparse billing ([`BillingMode::Sparse`]).
@@ -216,29 +197,24 @@ impl<'t> RunOptions<'t> {
     }
 }
 
-/// The workload input of one [`Simulation::drive`] call.
+/// The workload input of one [`Simulation::drive`] call. Every variant
+/// reaches the engine the same way: as arrivals in time order, taken one
+/// timestamp's group at a time as simulation time reaches them — no
+/// input is copied into the event queue.
 pub enum RunInput<'a> {
     /// Generate the scenario's own trace from its seed and workload.
     Generated,
-    /// A pre-generated slot-resolution trace.
+    /// A pre-generated slot-resolution trace. Requests out of slot order
+    /// are taken in slot order, same-slot requests in the order given.
     Trace(&'a Trace),
-    /// An explicit ms-resolution arrival schedule (need not be sorted).
+    /// An explicit ms-resolution arrival schedule. Need not be sorted:
+    /// arrivals are taken in time order, same-instant ones in the order
+    /// given.
     Events(&'a [TimedArrival]),
     /// A lazily generated ms-resolution arrival stream, pulled as
-    /// simulation time advances — the whole trace is never materialized.
-    /// Must yield arrivals in non-decreasing time order (checked).
+    /// simulation time advances. Must yield arrivals in non-decreasing
+    /// time order (checked).
     Stream(&'a mut dyn Iterator<Item = TimedArrival>),
-}
-
-impl std::fmt::Debug for RunInput<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunInput::Generated => write!(f, "Generated"),
-            RunInput::Trace(t) => write!(f, "Trace({} requests)", t.requests.len()),
-            RunInput::Events(e) => write!(f, "Events({})", e.len()),
-            RunInput::Stream(_) => write!(f, "Stream(..)"),
-        }
-    }
 }
 
 /// A flow currently being served.
@@ -355,10 +331,6 @@ struct GroupPlans {
     wave_states: Matrix,
     wave_masks: Vec<bool>,
     wave_actions: Vec<usize>,
-    /// Wave staging: row buffers, reused across rows and waves.
-    candidates: Vec<CandidateInfo>,
-    mask_row: Vec<bool>,
-    state_row: Vec<f32>,
 }
 
 /// Engine-owned hot-path buffers, reused across every placement decision.
@@ -425,10 +397,13 @@ pub struct Simulation {
     mode: EngineMode,
     /// The discrete-event queue (event mode).
     queue: EventQueue,
-    /// Rank of the event currently being handled (retire-check timing).
+    /// Rank of what is currently being handled (retire-check timing):
+    /// the queued event's, `ARRIVAL_RANK` for an arrival group.
     current_rank: u8,
-    /// The staged same-timestamp arrival group (event mode).
-    pending_arrivals: Vec<Request>,
+    /// Arrivals and their placement episodes handled so far: the
+    /// occurrences [`Simulation::events_processed`] counts that the queue
+    /// never held.
+    unqueued_events: u64,
     /// Counters accumulated since the last billed slot (event mode).
     counters: SlotCounters,
     /// End-of-slot snapshot; `None` after any world mutation.
@@ -542,7 +517,7 @@ impl Simulation {
             mode: EngineMode::Slot,
             queue: EventQueue::new(),
             current_rank: 0,
-            pending_arrivals: Vec::new(),
+            unqueued_events: 0,
             counters: SlotCounters::default(),
             cost_cache: None,
             partial_traffic: 0.0,
@@ -1043,6 +1018,9 @@ impl Simulation {
             },
         );
         self.latest_activation_ms = self.latest_activation_ms.max(activated_ms);
+        // The event loop decides an arrival group in one call because no
+        // departure can come due inside it.
+        debug_assert!(departure_ms > activated_ms, "a flow holds for some time");
         match self.mode {
             EngineMode::Slot => self
                 .departures
@@ -1135,42 +1113,32 @@ impl Simulation {
             plans.wave_actions.clear();
             plans.cand_lat.clear();
             plans.cand_cost.clear();
-            if use_batch {
-                // Assemble the whole wave, then ONE fused forward.
-                for w in 0..plans.live.len() {
-                    let i = plans.live[w];
-                    let request = &arrivals[i];
-                    let chain = self.chains.get(request.chain);
-                    self.candidates_into(chain, position, plans.at_nodes[i], &mut plans.candidates);
-                    plans.mask_row.clear();
-                    plans
-                        .mask_row
-                        .extend(plans.candidates.iter().map(|c| c.feasible));
-                    plans.mask_row.push(true); // reject always valid
-                    self.encoder.encode_into(
-                        self.network.ledger(),
-                        &self.pool,
-                        &self.vnfs,
-                        chain,
-                        position,
-                        request.source,
-                        plans.at_nodes[i],
-                        plans.consumed[i],
-                        self.scenario.max_instance_utilization,
-                        self.slot,
-                        self.network.health(),
-                        &plans.candidates,
-                        &mut plans.state_row,
-                    );
-                    plans.wave_states.push_row(&plans.state_row);
-                    plans.wave_masks.extend_from_slice(&plans.mask_row);
-                    plans
-                        .cand_lat
-                        .extend(plans.candidates.iter().map(|c| c.marginal_latency_ms));
-                    plans
-                        .cand_cost
-                        .extend(plans.candidates.iter().map(|c| c.marginal_cost_usd));
+            // Every row is built against the frozen world, in arrival
+            // order. A policy that batches answers the assembled wave
+            // with ONE fused forward; any other decides each row's
+            // context as it is built.
+            for w in 0..plans.live.len() {
+                let i = plans.live[w];
+                let mut ctx = self.take_ctx(&arrivals[i]);
+                self.fill_context(&mut ctx, position, plans.at_nodes[i], plans.consumed[i]);
+                if !use_batch {
+                    let started = Instant::now();
+                    let action = policy.decide(&ctx, rng);
+                    self.metrics
+                        .push_decision_time(started.elapsed().as_nanos() as u64);
+                    plans.wave_actions.push(self.action_space.encode(action));
                 }
+                plans.wave_states.push_row(&ctx.encoded_state);
+                plans.wave_masks.extend_from_slice(&ctx.mask);
+                plans
+                    .cand_lat
+                    .extend(ctx.candidates.iter().map(|c| c.marginal_latency_ms));
+                plans
+                    .cand_cost
+                    .extend(ctx.candidates.iter().map(|c| c.marginal_cost_usd));
+                self.scratch.ctx = Some(ctx);
+            }
+            if use_batch {
                 let started = Instant::now();
                 policy.greedy_batch(
                     &plans.wave_states,
@@ -1180,28 +1148,6 @@ impl Simulation {
                 let per_row_ns = started.elapsed().as_nanos() as u64 / plans.live.len() as u64;
                 for _ in 0..plans.live.len() {
                     self.metrics.push_decision_time(per_row_ns);
-                }
-            } else {
-                // Unbatched policies see the same frozen contexts,
-                // decided in arrival order.
-                for w in 0..plans.live.len() {
-                    let i = plans.live[w];
-                    let mut ctx = self.take_ctx(&arrivals[i]);
-                    self.fill_context(&mut ctx, position, plans.at_nodes[i], plans.consumed[i]);
-                    let started = Instant::now();
-                    let action = policy.decide(&ctx, rng);
-                    self.metrics
-                        .push_decision_time(started.elapsed().as_nanos() as u64);
-                    plans.wave_states.push_row(&ctx.encoded_state);
-                    plans.wave_masks.extend_from_slice(&ctx.mask);
-                    plans.wave_actions.push(self.action_space.encode(action));
-                    plans
-                        .cand_lat
-                        .extend(ctx.candidates.iter().map(|c| c.marginal_latency_ms));
-                    plans
-                        .cand_cost
-                        .extend(ctx.candidates.iter().map(|c| c.marginal_cost_usd));
-                    self.scratch.ctx = Some(ctx);
                 }
             }
             // Record the wave and advance the surviving episodes.
@@ -1670,7 +1616,7 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the simulation already ran event-driven
-    /// ([`Simulation::drive`] under [`RunEngine::Event`]).
+    /// ([`Simulation::drive`]).
     pub fn advance_slot(
         &mut self,
         arrivals: &[Request],
@@ -1760,17 +1706,14 @@ impl Simulation {
         )
     }
 
-    /// The one run entry point: drives `input` through the engine,
-    /// billing, metrics retention and observer selected by `opts`, and
-    /// returns the run's [`RunSummary`].
+    /// The one run entry point: drives `input` through the event engine
+    /// with the billing, metrics retention, decision semantics and
+    /// observer selected by `opts`, and returns the run's [`RunSummary`].
     ///
     /// # Panics
     ///
     /// * [`BillingMode::SlotCompat`] after any [`BillingMode::Sparse`]
     ///   run on the same simulation — the two accountings cannot mix.
-    /// * [`RunEngine::SlottedOracle`] combined with sparse billing,
-    ///   ms-resolution input ([`RunInput::Events`]/[`RunInput::Stream`])
-    ///   or a telemetry sink.
     /// * [`MetricsMode::Streaming`] on a collector already holding
     ///   full-mode data from an earlier run.
     pub fn drive(
@@ -1786,24 +1729,7 @@ impl Simulation {
                  BillingMode::Sparse; the two accountings cannot mix on one simulation — \
                  build a fresh Simulation instead"
             ),
-            BillingMode::Sparse => {}
-        }
-        if opts.engine == RunEngine::SlottedOracle {
-            assert_eq!(
-                opts.billing,
-                BillingMode::SlotCompat,
-                "the slotted oracle only bills whole slots"
-            );
-            assert!(
-                matches!(input, RunInput::Generated | RunInput::Trace(_)),
-                "the slotted oracle needs slot-resolution input (Generated or Trace), \
-                 got {input:?}"
-            );
-            assert!(
-                opts.telemetry.is_none(),
-                "telemetry hooks are wired into the event engine; the slotted oracle does \
-                 not support a TelemetrySink"
-            );
+            BillingMode::Sparse => self.slot_compat = false,
         }
         if opts.metrics == MetricsMode::Streaming {
             self.metrics.enable_streaming();
@@ -1817,50 +1743,77 @@ impl Simulation {
             self.telemetry = Some(std::mem::take(sink));
         }
 
-        let sparse = opts.billing == BillingMode::Sparse;
-        let summary = match input {
+        let mut rng = self.decision_rng(opts.seed_offset);
+        self.enter_event_mode();
+        let own_horizon = opts.horizon_slots.unwrap_or(self.scenario.horizon_slots);
+        match input {
             RunInput::Generated => {
                 let trace = self.generate_run_trace(opts.seed_offset);
-                match opts.engine {
-                    RunEngine::SlottedOracle => {
-                        self.drive_slotted(&trace, policy, opts.seed_offset, opts.horizon_slots)
-                    }
-                    RunEngine::Event => self.drive_event(
-                        RunInput::Trace(&trace),
-                        policy,
-                        opts.seed_offset,
-                        opts.horizon_slots,
-                        sparse,
-                    ),
-                }
+                self.run_trace(&trace, opts.horizon_slots, policy, &mut rng);
             }
-            input => match opts.engine {
-                RunEngine::SlottedOracle => {
-                    let RunInput::Trace(trace) = input else {
-                        unreachable!("oracle input validated above");
-                    };
-                    self.drive_slotted(trace, policy, opts.seed_offset, opts.horizon_slots)
-                }
-                RunEngine::Event => {
-                    self.drive_event(input, policy, opts.seed_offset, opts.horizon_slots, sparse)
-                }
-            },
-        };
-        if let Some(sink) = caller_sink {
-            *sink = self.telemetry.take().expect("sink attached above");
+            RunInput::Trace(trace) => self.run_trace(trace, opts.horizon_slots, policy, &mut rng),
+            RunInput::Events(arrivals) => {
+                let mut arrivals = in_time_order(arrivals, |a| a.at).cloned();
+                self.run_event_loop(own_horizon, &mut arrivals, policy, &mut rng);
+            }
+            RunInput::Stream(stream) => self.run_event_loop(own_horizon, stream, policy, &mut rng),
         }
-        summary
+        if let (Some(sink), Some(attached)) = (caller_sink, self.telemetry.take()) {
+            *sink = attached;
+        }
+        self.metrics.summarize()
     }
 
-    /// [`Simulation::drive`]'s slotted-oracle engine: the paper's
-    /// original per-slot sweep over a pre-generated trace.
-    fn drive_slotted(
+    /// Runs a slot-resolution trace through the event loop: each request
+    /// arrives on its slot's boundary, counted from the run's first slot.
+    fn run_trace(
         &mut self,
         trace: &Trace,
+        horizon_slots: Option<u64>,
+        policy: &mut dyn PlacementPolicy,
+        rng: &mut StdRng,
+    ) {
+        let (start, slot_ms) = (self.slot, self.slot_ms);
+        let mut arrivals =
+            in_time_order(&trace.requests, |r| r.arrival_slot).map(|r| TimedArrival {
+                at: SimTime::from_slot(r.arrival_slot + start, slot_ms),
+                request: r.clone(),
+            });
+        self.run_event_loop(
+            horizon_slots.unwrap_or(trace.horizon_slots),
+            &mut arrivals,
+            policy,
+            rng,
+        );
+    }
+
+    /// The reference [`Simulation::drive`] is checked against: the
+    /// paper's original per-slot sweep ([`Simulation::advance_slot`] once
+    /// per slot) over `trace`, or over the scenario's own generated trace
+    /// when `None` — the trace and the decision seed
+    /// [`RunInput::Generated`] uses, so the two runs are comparable bit
+    /// for bit. Whole-slot billing, no telemetry; decision semantics come
+    /// from [`Simulation::set_decision_semantics`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation already ran event-driven
+    /// ([`Simulation::drive`]).
+    pub fn drive_slotted(
+        &mut self,
+        trace: Option<&Trace>,
         policy: &mut dyn PlacementPolicy,
         seed_offset: u64,
         horizon_slots: Option<u64>,
     ) -> RunSummary {
+        let generated;
+        let trace = match trace {
+            Some(trace) => trace,
+            None => {
+                generated = self.generate_run_trace(seed_offset);
+                &generated
+            }
+        };
         let mut rng = self.decision_rng(seed_offset);
         let start = self.slot;
         let horizon = horizon_slots.unwrap_or(trace.horizon_slots);
@@ -1878,116 +1831,6 @@ impl Simulation {
             self.advance_slot(&arrivals, policy, &mut rng);
         }
         self.metrics.summarize()
-    }
-
-    /// [`Simulation::drive`]'s event engine: schedules (or, for stream
-    /// input, lazily feeds) the arrivals and runs the event loop.
-    fn drive_event(
-        &mut self,
-        input: RunInput<'_>,
-        policy: &mut dyn PlacementPolicy,
-        seed_offset: u64,
-        horizon_slots: Option<u64>,
-        sparse: bool,
-    ) -> RunSummary {
-        let mut rng = self.decision_rng(seed_offset);
-        let start = self.slot;
-        self.enter_event_mode();
-        if sparse {
-            self.slot_compat = false;
-        }
-        let mut feed: Option<ArrivalFeed<'_>> = None;
-        let end_slot = match input {
-            RunInput::Generated => unreachable!("drive materializes Generated into Trace"),
-            RunInput::Trace(trace) => {
-                let end_slot = start + horizon_slots.unwrap_or(trace.horizon_slots);
-                for r in &trace.requests {
-                    let slot = r.arrival_slot + start;
-                    if slot >= end_slot {
-                        continue; // the slot loop never reaches these either
-                    }
-                    let mut shifted = r.clone();
-                    shifted.arrival_slot = slot;
-                    self.queue.schedule_at(
-                        SimTime::from_slot(slot, self.slot_ms),
-                        SimEvent::FlowArrival(shifted),
-                    );
-                }
-                end_slot
-            }
-            RunInput::Events(arrivals) => {
-                let end_slot = start + horizon_slots.unwrap_or(self.scenario.horizon_slots);
-                let end_ms = end_slot.saturating_mul(self.slot_ms);
-                for arrival in arrivals {
-                    if arrival.at.ms() >= end_ms || arrival.at < self.queue.now() {
-                        continue;
-                    }
-                    let mut request = arrival.request.clone();
-                    request.arrival_slot = arrival.at.slot(self.slot_ms);
-                    self.queue
-                        .schedule_at(arrival.at, SimEvent::FlowArrival(request));
-                }
-                end_slot
-            }
-            RunInput::Stream(stream) => {
-                feed = Some(ArrivalFeed {
-                    stream,
-                    next: None,
-                    last_ms: 0,
-                });
-                start + horizon_slots.unwrap_or(self.scenario.horizon_slots)
-            }
-        };
-        self.schedule_window_network_events(start, end_slot);
-        self.run_event_loop(end_slot, policy, &mut rng, feed);
-        self.metrics.summarize()
-    }
-
-    /// Admits every stream arrival that is due — at or before the next
-    /// queued event (all in-horizon arrivals when the queue is empty) —
-    /// onto the queue. Runs before each event pop, which guarantees a
-    /// timestamp's arrival group is complete before that group drains
-    /// (the stream is time-ordered, so nothing at the group's instant
-    /// can appear later). Sets `*feed` to `None` once exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream yields arrivals out of time order.
-    fn feed_due_arrivals(&mut self, feed: &mut Option<ArrivalFeed<'_>>, end_ms: u64) {
-        let Some(f) = feed.as_mut() else { return };
-        loop {
-            if f.next.is_none() {
-                f.next = f.stream.next();
-            }
-            let Some(head) = f.next.as_ref() else {
-                *feed = None; // exhausted
-                return;
-            };
-            let at = head.at;
-            assert!(
-                at.ms() >= f.last_ms,
-                "RunInput::Stream must be time-ordered: got an arrival at {}ms after one \
-                 at {}ms",
-                at.ms(),
-                f.last_ms
-            );
-            if at.ms() >= end_ms {
-                return; // ordered stream: the rest is beyond the horizon too
-            }
-            if let Some((t, _)) = self.queue.peek() {
-                if at > t {
-                    return; // not due yet
-                }
-            }
-            let mut arrival = f.next.take().expect("head checked above");
-            f.last_ms = arrival.at.ms();
-            if arrival.at < self.queue.now() {
-                continue; // before the clock — dropped, like `RunInput::Events`
-            }
-            arrival.request.arrival_slot = arrival.at.slot(self.slot_ms);
-            self.queue
-                .schedule_at(arrival.at, SimEvent::FlowArrival(arrival.request));
-        }
     }
 
     /// Flips the simulation into event mode, migrating departures that
@@ -2035,7 +1878,8 @@ impl Simulation {
 
     /// First slot whose retire phase is still ahead of the clock: the
     /// current slot while handling a pre-retire-rank event exactly on the
-    /// boundary, the next slot otherwise.
+    /// boundary, the next slot otherwise (an arrival group included: it
+    /// follows the retire check of its own instant).
     fn earliest_retire_slot(&self) -> u64 {
         let now = self.queue.now().ms();
         if now == self.slot.saturating_mul(self.slot_ms)
@@ -2194,115 +2038,174 @@ impl Simulation {
         self.cost_cache = None;
     }
 
-    /// The event engine's core loop: pop events in `(time, kind_rank,
-    /// sequence)` order until the horizon, lazily billing completed slots
-    /// before each event and once more at the end. Same-timestamp groups
-    /// of network events and of arrivals are drained together — the
-    /// latter is the group [`DecisionSemantics::SlotSnapshot`] plans
-    /// against one frozen world.
-    fn run_event_loop(
+    /// Applies `first` and the network events queued behind it at `at` as
+    /// one batch (the slot loop's per-slot event list) and sends the flows
+    /// they disrupt back through the policy.
+    fn handle_network_events(
         &mut self,
-        end_slot: u64,
+        at: SimTime,
+        first: NetworkEvent,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
-        mut feed: Option<ArrivalFeed<'_>>,
     ) {
-        let end_ms = end_slot.saturating_mul(self.slot_ms);
-        loop {
-            // Stream input is admitted lazily: pull every arrival due at
-            // or before the next queued event, so a timestamp's arrival
-            // group is complete before it drains below.
-            self.feed_due_arrivals(&mut feed, end_ms);
-            let Some((t, kind)) = self.queue.peek() else {
-                break;
-            };
-            if t.ms() >= end_ms {
-                break; // horizon reached; leftovers stay for chained runs
+        let mut events = vec![first];
+        while let Some(SimEvent::Network(event)) = self.queue.pop_if(at, SimEventKind::Network) {
+            events.push(event);
+        }
+        let disrupted = self.apply_network_events(&events);
+        self.counters.flows_disrupted += disrupted.len() as u32;
+        if let Some(sink) = self.telemetry.as_mut() {
+            for flow in &disrupted {
+                sink.on_disrupted(flow.request.id, at.ms());
             }
-            self.bill_slots_through(t.ms());
-            self.current_rank = kind.rank();
-            match kind {
-                SimEventKind::FlowDeparture => {
-                    let Some((_, SimEvent::FlowDeparture { request })) = self.queue.pop() else {
-                        unreachable!("peeked departure vanished");
-                    };
-                    self.handle_departure(t, request);
-                }
-                SimEventKind::Network => {
-                    let mut events: Vec<NetworkEvent> = Vec::new();
-                    while let Some(ev) = self.queue.pop_if(t, SimEventKind::Network) {
-                        match ev {
-                            SimEvent::Network(e) => events.push(e),
-                            other => unreachable!("network group held {other:?}"),
-                        }
-                    }
-                    let disrupted = self.apply_network_events(&events);
-                    self.counters.flows_disrupted += disrupted.len() as u32;
-                    if let Some(sink) = self.telemetry.as_mut() {
-                        for flow in &disrupted {
-                            sink.on_disrupted(flow.request.id, t.ms());
-                        }
-                    }
-                    let replaced = self.replace_disrupted(disrupted, policy, rng);
-                    self.counters.flows_replaced += replaced;
-                    self.cost_cache = None;
-                }
-                SimEventKind::RetireCheck => {
-                    self.queue.pop();
-                    self.retire_checks.remove(&t.slot(self.slot_ms));
-                    if self.retire_idle_instances() > 0 {
-                        self.cost_cache = None;
-                    }
-                }
-                SimEventKind::FlowArrival => {
-                    self.pending_arrivals.clear();
-                    while let Some(ev) = self.queue.pop_if(t, SimEventKind::FlowArrival) {
-                        match ev {
-                            SimEvent::FlowArrival(request) => self.pending_arrivals.push(request),
-                            other => unreachable!("arrival group held {other:?}"),
-                        }
-                    }
-                    self.counters.arrivals += self.pending_arrivals.len() as u32;
-                    if let Some(sink) = self.telemetry.as_mut() {
-                        for request in &self.pending_arrivals {
-                            sink.on_requested(t.ms(), request, false);
-                        }
-                    }
-                    // The arrivals sharing this timestamp form one
-                    // decision group (the slot loop groups per slot; on a
-                    // slot-boundary schedule those coincide).
-                    for row in 0..self.pending_arrivals.len() {
-                        self.queue.schedule_at(t, SimEvent::PolicyDecision { row });
+        }
+        let replaced = self.replace_disrupted(disrupted, policy, rng);
+        self.counters.flows_replaced += replaced;
+        self.cost_cache = None;
+    }
+
+    /// Runs the idle-instance retirement sweep queued for `at`'s slot.
+    fn handle_retire_check(&mut self, at: SimTime) {
+        self.retire_checks.remove(&at.slot(self.slot_ms));
+        if self.retire_idle_instances() > 0 {
+            self.cost_cache = None;
+        }
+    }
+
+    /// Decides the arrivals sharing instant `at`, in input order, as one
+    /// decision group (the slot loop groups per slot; on a slot-boundary
+    /// schedule those coincide) — the group
+    /// [`DecisionSemantics::SlotSnapshot`] plans against one frozen world.
+    fn handle_arrivals(
+        &mut self,
+        at: SimTime,
+        group: &[Request],
+        policy: &mut dyn PlacementPolicy,
+        rng: &mut StdRng,
+    ) {
+        self.counters.arrivals += group.len() as u32;
+        self.unqueued_events += 2 * group.len() as u64;
+        if let Some(sink) = self.telemetry.as_mut() {
+            for request in group {
+                sink.on_requested(at.ms(), request, false);
+            }
+        }
+        for row in 0..group.len() {
+            match self.decide_group_member(group, row, policy, rng) {
+                PlacementOutcome::Accepted { sla_violated, .. } => {
+                    self.counters.accepted += 1;
+                    if sla_violated {
+                        self.counters.sla_violations += 1;
                     }
                 }
-                SimEventKind::PolicyDecision => {
-                    let Some((_, SimEvent::PolicyDecision { row })) = self.queue.pop() else {
-                        unreachable!("peeked decision vanished");
-                    };
-                    let group = std::mem::take(&mut self.pending_arrivals);
-                    let outcome = self.decide_group_member(&group, row, policy, rng);
-                    self.pending_arrivals = group;
-                    match outcome {
-                        PlacementOutcome::Accepted { sla_violated, .. } => {
-                            self.counters.accepted += 1;
-                            if sla_violated {
-                                self.counters.sla_violations += 1;
-                            }
-                        }
-                        PlacementOutcome::Rejected => self.counters.rejected += 1,
+                PlacementOutcome::Rejected => self.counters.rejected += 1,
+            }
+        }
+        self.cost_cache = None;
+    }
+
+    /// The event engine's core loop over the next `horizon_slots` slots:
+    /// take whichever is due first, the next queued event (`(time,
+    /// kind_rank, sequence)` order) or the next group of `arrivals`, a
+    /// queued event first on a tie, lazily billing completed slots before
+    /// each and once more at the end.
+    ///
+    /// # Why a group is decided without looking at the queue
+    ///
+    /// A queued event goes before the arrivals of its own instant, and
+    /// the loop consults the queue once per group, not once per member.
+    /// That visits every occurrence in `(time, rank)` order, exactly as if
+    /// each arrival and each decision were itself a queued event of a
+    /// later rank, because
+    ///
+    /// * the arrival feed is in time order, so when the group at instant
+    ///   `t` starts, every arrival at `t` is at its head and the group is
+    ///   complete; and
+    /// * nothing a decision at `t` schedules can land at `t`: a departure
+    ///   is a whole holding time later (`Request::new` asserts at least
+    ///   one slot, `Request::with_duration_ms` at least one millisecond;
+    ///   `admit_flow` re-checks in debug builds), and a retire check noted
+    ///   during a decision lands on the next slot boundary
+    ///   ([`Simulation::earliest_retire_slot`] answers `slot + 1` under
+    ///   [`ARRIVAL_RANK`]). So no queued event can become due between two
+    ///   decisions of a group.
+    fn run_event_loop(
+        &mut self,
+        horizon_slots: u64,
+        arrivals: &mut dyn Iterator<Item = TimedArrival>,
+        policy: &mut dyn PlacementPolicy,
+        rng: &mut StdRng,
+    ) {
+        let end_slot = self.slot + horizon_slots;
+        let end_ms = end_slot.saturating_mul(self.slot_ms);
+        self.schedule_window_network_events(self.slot, end_slot);
+        let mut last_ms = 0;
+        let mut feed = arrivals
+            .inspect(|arrival| {
+                let ms = arrival.at.ms();
+                assert!(
+                    ms >= last_ms,
+                    "RunInput::Stream must be time-ordered: got an arrival at {ms}ms after one \
+                     at {last_ms}ms"
+                );
+                last_ms = ms;
+            })
+            .peekable();
+        // Arrivals before the clock (a chained run's input reaching back
+        // into the previous run) are dropped.
+        let start = self.queue.now();
+        while feed.next_if(|arrival| arrival.at < start).is_some() {}
+        let mut group: Vec<Request> = Vec::new();
+        loop {
+            // The feed is ordered: past its first arrival at or beyond the
+            // horizon there is nothing for this run. Queued events there
+            // stay queued for chained runs.
+            let next_arrival = feed.peek().map(|a| a.at).filter(|at| at.ms() < end_ms);
+            let due = self
+                .queue
+                .peek()
+                .filter(|&(t, _)| t.ms() < end_ms && next_arrival.is_none_or(|at| t <= at));
+            if let Some((t, kind)) = due {
+                self.bill_slots_through(t.ms());
+                self.current_rank = kind.rank();
+                match self.queue.pop() {
+                    Some((_, SimEvent::FlowDeparture { request })) => {
+                        self.handle_departure(t, request);
                     }
-                    self.cost_cache = None;
+                    Some((_, SimEvent::Network(first))) => {
+                        self.handle_network_events(t, first, policy, rng);
+                    }
+                    Some((_, SimEvent::RetireCheck)) => self.handle_retire_check(t),
+                    None => unreachable!("peeked event vanished"),
                 }
+            } else if let Some(at) = next_arrival {
+                self.bill_slots_through(at.ms());
+                self.queue.advance_to(at);
+                self.current_rank = ARRIVAL_RANK;
+                group.clear();
+                while let Some(arrival) = feed.next_if(|arrival| arrival.at == at) {
+                    group.push(Request {
+                        arrival_slot: at.slot(self.slot_ms),
+                        ..arrival.request
+                    });
+                }
+                self.handle_arrivals(at, &group, policy, rng);
+            } else {
+                break;
             }
             self.current_rank = 0;
         }
         self.bill_slots_through(end_ms);
     }
 
-    /// Lifecycle events popped by the event engine so far. The `perf/`
-    /// benchmark reads this for `sim.events` and `sim.self_ns_per_event`.
+    /// Occurrences the event engine has handled so far: every event
+    /// popped from the queue (departures, network events, retire checks),
+    /// plus one per arrival and one per arrival's placement episode —
+    /// which the engine takes from its input and decides in place, but
+    /// which are handled all the same. The `perf/` benchmark reads this
+    /// for `sim.events` and `sim.self_ns_per_event`.
     pub fn events_processed(&self) -> u64 {
-        self.queue.popped()
+        self.queue.popped() + self.unqueued_events
     }
 
     /// Duration of one slot on the millisecond timeline.
@@ -2340,16 +2243,21 @@ impl From<TimedRequest> for TimedArrival {
     }
 }
 
-/// Pull-based arrival source backing [`RunInput::Stream`]: holds the
-/// stream's head so the event loop can admit arrivals exactly when the
-/// timeline reaches them. The queue stays bounded by concurrent flows
-/// plus one timestamp's arrivals instead of the whole trace.
-struct ArrivalFeed<'a> {
-    stream: &'a mut dyn Iterator<Item = TimedArrival>,
-    /// The stream's head, pulled but not yet admitted to the queue.
-    next: Option<TimedArrival>,
-    /// Monotonicity check: the last admitted arrival instant.
-    last_ms: u64,
+/// The rank an arrival group is handled at: one past the last queued
+/// kind, since a queued event goes first on a tie.
+const ARRIVAL_RANK: u8 = SimEventKind::RetireCheck as u8 + 1;
+
+/// `items` in ascending `key` order, ties in the order given: how a
+/// [`RunInput::Trace`] or [`RunInput::Events`] that is not sorted becomes
+/// a time-ordered feed. Input already in order (every generated trace)
+/// costs the one `is_sorted` pass.
+fn in_time_order<T, K: Ord>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator<Item = &T> {
+    let order = (!items.is_sorted_by_key(&key)).then(|| {
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by_key(|&i| key(&items[i]));
+        order
+    });
+    (0..items.len()).map(move |i| &items[order.as_ref().map_or(i, |order| order[i])])
 }
 
 #[cfg(test)]
@@ -2459,6 +2367,15 @@ mod tests {
         // Both flows share instances.
         let max_flows = s.pool.iter().map(|i| i.flows).max().unwrap();
         assert_eq!(max_flows, 2);
+    }
+
+    #[test]
+    fn unsorted_input_is_taken_in_time_order_ties_as_given() {
+        let sorted = [(0, 'a'), (0, 'b'), (1, 'c')];
+        assert!(in_time_order(&sorted, |x| x.0).eq(&sorted));
+        let unsorted = [(1, 'a'), (0, 'b'), (1, 'c'), (0, 'd')];
+        let taken: String = in_time_order(&unsorted, |x| x.0).map(|x| x.1).collect();
+        assert_eq!(taken, "bdac");
     }
 
     #[test]

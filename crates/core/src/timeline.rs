@@ -11,21 +11,25 @@
 //!    timestamp, chosen to mirror the slot engine's phase order so a
 //!    slot-boundary schedule reproduces the slot loop exactly:
 //!    [`SimEvent::FlowDeparture`] (0) < [`SimEvent::Network`] (1) <
-//!    [`SimEvent::RetireCheck`] (2) < [`SimEvent::FlowArrival`] (3) <
-//!    [`SimEvent::PolicyDecision`] (4).
+//!    [`SimEvent::RetireCheck`] (2).
 //! 3. **`sequence_id`** — a monotone insertion counter breaking every
 //!    remaining tie, so events of one kind at one timestamp pop in the
-//!    order they were scheduled (arrivals keep trace order, a timeline's
-//!    network events keep their declared order).
+//!    order they were scheduled (a timeline's network events keep their
+//!    declared order).
 //!
-//! Billing is deliberately *not* an event: the engine bills every
-//! completed slot lazily before touching any event at a later timestamp,
-//! which is what makes a long idle stretch cost O(slots billed) instead
-//! of O(heap traffic) — see `docs/timeline.md` for the engine-side
-//! contract and how to add new event kinds.
+//! The queue holds only what the engine cannot know in advance.
+//! Arrivals are *merged input*, not events: the engine already holds them
+//! in time order and takes the next one when no queued event is due at
+//! or before it, so at one timestamp they follow every queued kind (the
+//! slot loop's last phase). A placement decision is a *call* made while
+//! its arrival is handled. Billing is deliberately not an event either:
+//! the engine bills every completed slot lazily before touching anything
+//! at a later timestamp, which is what makes a long idle stretch cost
+//! O(slots billed) instead of O(heap traffic) — see `docs/timeline.md`
+//! for the engine-side contract and how to add new event kinds.
 
 use edgenet::view::NetworkEvent;
-use sfc::request::{Request, RequestId};
+use sfc::request::RequestId;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -85,10 +89,6 @@ pub enum SimEventKind {
     Network = 1,
     /// Re-examine idle instances against the retirement grace period.
     RetireCheck = 2,
-    /// A request arrives and is staged for placement.
-    FlowArrival = 3,
-    /// The policy decides one staged arrival's placement episode.
-    PolicyDecision = 4,
 }
 
 impl SimEventKind {
@@ -115,14 +115,6 @@ pub enum SimEvent {
     /// Re-examine idle instances against the retirement grace period.
     /// Checks are cheap idempotent sweeps; duplicates are harmless.
     RetireCheck,
-    /// A request arrives. Same-timestamp arrivals are staged together as
-    /// one decision group (what snapshot semantics plan jointly).
-    FlowArrival(Request),
-    /// Run the placement episode for staged arrival `row`.
-    PolicyDecision {
-        /// Index into the currently staged arrival group.
-        row: usize,
-    },
 }
 
 impl SimEvent {
@@ -132,8 +124,6 @@ impl SimEvent {
             SimEvent::FlowDeparture { .. } => SimEventKind::FlowDeparture,
             SimEvent::Network(_) => SimEventKind::Network,
             SimEvent::RetireCheck => SimEventKind::RetireCheck,
-            SimEvent::FlowArrival(_) => SimEventKind::FlowArrival,
-            SimEvent::PolicyDecision { .. } => SimEventKind::PolicyDecision,
         }
     }
 }
@@ -265,6 +255,22 @@ impl EventQueue {
         self.heap.peek().map(|Reverse(s)| (s.time, s.event.kind()))
     }
 
+    /// Advances the clock to `to` without popping: how the engine keeps
+    /// time when it handles something that was never queued (an arrival
+    /// group merged from its input).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is behind the clock or would pass a queued event.
+    pub fn advance_to(&mut self, to: SimTime) {
+        let (now, next) = (self.now, self.peek().map_or(to, |(next, _)| next));
+        assert!(
+            now <= to && to <= next,
+            "cannot move the clock from {now} to {to}: the next event is at {next}"
+        );
+        self.now = to;
+    }
+
     /// Pops the next event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, SimEvent)> {
         let Reverse(s) = self.heap.pop()?;
@@ -274,8 +280,7 @@ impl EventQueue {
     }
 
     /// Pops the next event only if it matches `(time, kind)` exactly —
-    /// the group-draining primitive (all same-timestamp network events,
-    /// all same-timestamp arrivals).
+    /// the group-draining primitive (all same-timestamp network events).
     pub fn pop_if(&mut self, time: SimTime, kind: SimEventKind) -> Option<SimEvent> {
         match self.peek() {
             Some((t, k)) if t == time && k == kind => self.pop().map(|(_, ev)| ev),
@@ -287,19 +292,22 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgenet::node::NodeId;
+
+    fn departure(id: u64) -> SimEvent {
+        SimEvent::FlowDeparture {
+            request: RequestId(id),
+        }
+    }
 
     #[test]
     fn pops_in_time_then_rank_then_seq_order() {
         let mut q = EventQueue::new();
         // Same timestamp, inserted in deliberately shuffled kind order.
-        q.schedule_at(SimTime::from_ms(10), SimEvent::PolicyDecision { row: 0 });
         q.schedule_at(SimTime::from_ms(10), SimEvent::RetireCheck);
-        q.schedule_at(
-            SimTime::from_ms(10),
-            SimEvent::FlowDeparture {
-                request: RequestId(1),
-            },
-        );
+        let node_up = NetworkEvent::NodeUp { node: NodeId(0) };
+        q.schedule_at(SimTime::from_ms(10), SimEvent::Network(node_up));
+        q.schedule_at(SimTime::from_ms(10), departure(1));
         // Earlier timestamp beats every rank.
         q.schedule_at(SimTime::from_ms(5), SimEvent::RetireCheck);
         let kinds: Vec<(u64, SimEventKind)> = std::iter::from_fn(|| q.pop())
@@ -310,8 +318,8 @@ mod tests {
             vec![
                 (5, SimEventKind::RetireCheck),
                 (10, SimEventKind::FlowDeparture),
+                (10, SimEventKind::Network),
                 (10, SimEventKind::RetireCheck),
-                (10, SimEventKind::PolicyDecision),
             ]
         );
     }
@@ -319,33 +327,33 @@ mod tests {
     #[test]
     fn same_key_pops_in_insertion_order() {
         let mut q = EventQueue::new();
-        for row in 0..5 {
-            q.schedule_at(SimTime::from_ms(3), SimEvent::PolicyDecision { row });
+        for id in 0..5 {
+            q.schedule_at(SimTime::from_ms(3), departure(id));
         }
-        let rows: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, ev)| match ev {
-                SimEvent::PolicyDecision { row } => row,
+                SimEvent::FlowDeparture { request } => request.0,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(rows, vec![0, 1, 2, 3, 4]);
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn pop_if_drains_only_the_matching_group() {
         let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ms(7), departure(0));
+        q.schedule_at(SimTime::from_ms(7), departure(1));
         q.schedule_at(SimTime::from_ms(7), SimEvent::RetireCheck);
-        q.schedule_at(SimTime::from_ms(7), SimEvent::RetireCheck);
-        q.schedule_at(SimTime::from_ms(7), SimEvent::PolicyDecision { row: 0 });
         let mut drained = 0;
         while q
-            .pop_if(SimTime::from_ms(7), SimEventKind::RetireCheck)
+            .pop_if(SimTime::from_ms(7), SimEventKind::FlowDeparture)
             .is_some()
         {
             drained += 1;
         }
         assert_eq!(drained, 2);
-        assert_eq!(q.len(), 1, "the decision stays queued");
+        assert_eq!(q.len(), 1, "the retire check stays queued");
     }
 
     #[test]
@@ -353,10 +361,21 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_in(100, SimEvent::RetireCheck);
         assert_eq!(q.now(), SimTime::ZERO);
+        q.advance_to(SimTime::from_ms(40));
+        assert_eq!(q.now(), SimTime::from_ms(40));
+        assert_eq!(q.popped(), 0, "advancing the clock handles no event");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_ms(100));
         assert_eq!(q.now(), t);
         assert_eq!(q.popped(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the next event is at 50ms")]
+    fn advancing_past_a_queued_event_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_ms(50), SimEvent::RetireCheck);
+        q.advance_to(SimTime::from_ms(51));
     }
 
     #[test]

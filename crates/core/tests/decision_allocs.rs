@@ -83,9 +83,12 @@ fn a_decision_allocates_nothing_and_a_request_a_handful() {
 
     let requests = summary.total_arrivals;
     let decisions = sim.metrics().decision_count();
+    // 74,273 = two per request (the arrival and its placement episode)
+    // plus 24,867 queue pops (departures and retire checks): what `perf/`
+    // reports as `sim.events`.
     assert_eq!(
-        (requests, decisions),
-        (24_703, 83_711),
+        (requests, decisions, sim.events_processed()),
+        (24_703, 83_711, 74_273),
         "the world moved; re-measure the ceiling"
     );
     let per_request = allocations as f64 / requests as f64;

@@ -1,7 +1,7 @@
 //! Golden slot-equivalence suite: every scenario family used by the
-//! figure binaries runs through BOTH engines — the paper's slotted loop
-//! ([`RunEngine::SlottedOracle`]) and the discrete-event queue on its
-//! slot-boundary compatibility schedule ([`RunEngine::Event`]) — and
+//! figure binaries runs through BOTH the paper's slotted loop
+//! ([`Simulation::drive_slotted`], the reference) and the event engine on
+//! its slot-boundary compatibility schedule ([`Simulation::drive`]), and
 //! must produce a bit-identical [`RunSummary`] plus a bit-identical
 //! per-slot [`SlotRecord`] stream.
 //!
@@ -33,16 +33,26 @@ fn scaled(full: u64, fast: u64) -> u64 {
     }
 }
 
-/// One generated-trace run of `sim` on `engine`.
+/// Which loop [`run`] takes: the reference or the engine.
+#[derive(Clone, Copy)]
+enum Engine {
+    SlotLoop,
+    Event,
+}
+
+/// One generated-trace run of `sim` on `engine`: the same trace and the
+/// same decision seed either way.
 fn run(
     sim: &mut Simulation,
     policy: &mut dyn PlacementPolicy,
     seed_offset: u64,
-    engine: RunEngine,
+    engine: Engine,
 ) -> RunSummary {
-    let mut opts = RunOptions::new().with_seed_offset(seed_offset);
-    opts.engine = engine;
-    sim.drive(RunInput::Generated, policy, opts)
+    let opts = RunOptions::new().with_seed_offset(seed_offset);
+    match engine {
+        Engine::SlotLoop => sim.drive_slotted(None, policy, seed_offset, None),
+        Engine::Event => sim.drive(RunInput::Generated, policy, opts),
+    }
 }
 
 /// Runs `scenario` through both engines with freshly built policies and
@@ -65,16 +75,11 @@ fn assert_engines_match(
 
     let mut slot_policy = make_policy();
     let mut slot_sim = build(scenario);
-    let mut slot_summary = run(
-        &mut slot_sim,
-        slot_policy.as_mut(),
-        7,
-        RunEngine::SlottedOracle,
-    );
+    let mut slot_summary = run(&mut slot_sim, slot_policy.as_mut(), 7, Engine::SlotLoop);
 
     let mut event_policy = make_policy();
     let mut event_sim = build(scenario);
-    let mut event_summary = run(&mut event_sim, event_policy.as_mut(), 7, RunEngine::Event);
+    let mut event_summary = run(&mut event_sim, event_policy.as_mut(), 7, Engine::Event);
 
     // Wall-clock decision timing is legitimately non-deterministic.
     slot_summary.mean_decision_time_us = 0.0;
@@ -259,11 +264,11 @@ fn frozen_drl_is_engine_equivalent() {
 
     let mut slot_policy = template.clone();
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 7, RunEngine::SlottedOracle);
+    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 7, Engine::SlotLoop);
 
     let mut event_policy = template.clone();
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut event_summary = run(&mut event_sim, &mut event_policy, 7, RunEngine::Event);
+    let mut event_summary = run(&mut event_sim, &mut event_policy, 7, Engine::Event);
 
     slot_summary.mean_decision_time_us = 0.0;
     event_summary.mean_decision_time_us = 0.0;
@@ -280,13 +285,13 @@ fn chained_runs_stay_engine_equivalent() {
 
     let mut slot_policy = WeightedGreedyPolicy::default();
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
-    let _ = run(&mut slot_sim, &mut slot_policy, 1, RunEngine::SlottedOracle);
-    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 2, RunEngine::SlottedOracle);
+    let _ = run(&mut slot_sim, &mut slot_policy, 1, Engine::SlotLoop);
+    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 2, Engine::SlotLoop);
 
     let mut event_policy = WeightedGreedyPolicy::default();
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
-    let _ = run(&mut event_sim, &mut event_policy, 1, RunEngine::Event);
-    let mut event_summary = run(&mut event_sim, &mut event_policy, 2, RunEngine::Event);
+    let _ = run(&mut event_sim, &mut event_policy, 1, Engine::Event);
+    let mut event_summary = run(&mut event_sim, &mut event_policy, 2, Engine::Event);
 
     for (a, b) in slot_sim
         .metrics()

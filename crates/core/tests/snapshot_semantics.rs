@@ -162,24 +162,30 @@ fn conflicts_resolve_in_arrival_order() {
 
 #[test]
 fn snapshot_engine_equivalence_and_rerun_determinism() {
-    // A frozen DRL policy through both engines under SlotSnapshot, run
-    // twice each: all four summaries (and the slot-record streams) must
-    // be bit-identical.
+    // A frozen DRL policy under SlotSnapshot through the event engine
+    // twice and through the slot loop once: all three summaries (and the
+    // slot-record streams) must be bit-identical.
     let mut scenario = Scenario::small_test();
     scenario.horizon_slots = 40;
     let policy = frozen_drl(&scenario);
 
-    let run = |opts: RunOptions| {
+    let run = |slotted: bool| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut worker = policy.clone();
-        let mut summary = sim.drive(RunInput::Generated, &mut worker, opts.with_seed_offset(3));
+        let mut summary = if slotted {
+            sim.set_decision_semantics(DecisionSemantics::SlotSnapshot);
+            sim.drive_slotted(None, &mut worker, 3, None)
+        } else {
+            let opts = RunOptions::new().snapshot().with_seed_offset(3);
+            sim.drive(RunInput::Generated, &mut worker, opts)
+        };
         summary.mean_decision_time_us = 0.0;
         (summary, sim.metrics().slots().to_vec())
     };
 
-    let (event_a, slots_event_a) = run(RunOptions::new().snapshot());
-    let (event_b, slots_event_b) = run(RunOptions::new().snapshot());
-    let (slotted, slots_slotted) = run(RunOptions::new().slotted().snapshot());
+    let (event_a, slots_event_a) = run(false);
+    let (event_b, slots_event_b) = run(false);
+    let (slotted, slots_slotted) = run(true);
 
     assert_eq!(event_a, event_b, "snapshot reruns diverged");
     assert_eq!(slots_event_a, slots_event_b);

@@ -53,11 +53,7 @@ fn slot_compat_keeps_the_full_slot_rounding() {
 
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let slot_summary = zeroed(slot_sim.drive(
-        RunInput::Trace(&trace),
-        &mut policy,
-        RunOptions::new().slotted(),
-    ));
+    let slot_summary = zeroed(slot_sim.drive_slotted(Some(&trace), &mut policy, 0, None));
 
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;

@@ -10,7 +10,8 @@
 //!   exactly on counts/sums and within histogram tolerance on latency
 //!   quantiles;
 //! * [`RunInput::Stream`] is observationally identical to the same
-//!   arrivals materialized as [`RunInput::Events`];
+//!   arrivals materialized as [`RunInput::Events`], and slot-boundary
+//!   arrivals to the same requests as a [`RunInput::Trace`];
 //! * mixing slot-compat billing onto a simulation that already ran
 //!   sparse is an enforced error, not a doc warning.
 
@@ -225,37 +226,40 @@ fn stream_input_matches_materialized_events() {
         .collect();
     assert!(!materialized.is_empty(), "metro profile generated no load");
 
-    let mut events_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut events_policy = FirstFitPolicy;
-    let from_events = zeroed(events_sim.drive(
-        RunInput::Events(&materialized),
-        &mut events_policy,
-        RunOptions::new().sparse().with_horizon(horizon),
-    ));
+    let run = |input: RunInput<'_>| {
+        let mut sim = Simulation::new(&scenario, RewardConfig::default());
+        let opts = RunOptions::new().sparse().with_horizon(horizon);
+        let summary = zeroed(sim.drive(input, &mut FirstFitPolicy, opts));
+        (summary, sim.metrics().slots().to_vec())
+    };
 
     let mut stream = profile
         .stream(&sites, horizon, slot_ms)
         .map(TimedArrival::from);
-    let mut stream_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut stream_policy = FirstFitPolicy;
-    let from_stream = zeroed(stream_sim.drive(
-        RunInput::Stream(&mut stream),
-        &mut stream_policy,
-        RunOptions::new().sparse().with_horizon(horizon),
-    ));
-
     assert_eq!(
-        from_events, from_stream,
+        run(RunInput::Events(&materialized)),
+        run(RunInput::Stream(&mut stream)),
         "lazy stream input diverged from the materialized schedule"
     );
-    for (a, b) in events_sim
-        .metrics()
-        .slots()
+
+    // Moved to the start of their slots, the same arrivals are something
+    // a `Trace` can say too: a third input, the same run.
+    let on_boundaries: Vec<TimedArrival> = materialized
         .iter()
-        .zip(stream_sim.metrics().slots())
-    {
-        assert_eq!(a, b, "slot record diverged at slot {}", a.slot);
-    }
+        .map(|a| TimedArrival {
+            at: SimTime::from_slot(a.request.arrival_slot, slot_ms),
+            request: a.request.clone(),
+        })
+        .collect();
+    let trace = workload::trace::Trace {
+        requests: on_boundaries.iter().map(|a| a.request.clone()).collect(),
+        horizon_slots: horizon,
+    };
+    assert_eq!(
+        run(RunInput::Events(&on_boundaries)),
+        run(RunInput::Trace(&trace)),
+        "a slot-resolution trace diverged from the same arrivals as events"
+    );
 }
 
 #[test]
@@ -272,20 +276,6 @@ fn slot_compat_after_sparse_is_rejected() {
     // Sparse billing has already diverged from whole-slot accounting;
     // this must panic rather than silently mix the two.
     let _ = sim.drive(RunInput::Generated, &mut policy, RunOptions::new());
-}
-
-#[test]
-#[should_panic(expected = "slotted oracle")]
-fn slotted_oracle_rejects_telemetry() {
-    let scenario = Scenario::small_test();
-    let mut sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut policy = FirstFitPolicy;
-    let mut sink = TelemetrySink::new();
-    let _ = sim.drive(
-        RunInput::Generated,
-        &mut policy,
-        RunOptions::new().slotted().with_telemetry(&mut sink),
-    );
 }
 
 proptest! {

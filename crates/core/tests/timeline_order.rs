@@ -1,10 +1,12 @@
 //! Property tests for the event timeline's determinism guarantees:
 //! arbitrary interleavings of `schedule_at`/`schedule_in` with colliding
 //! timestamps pop in the documented `(time, kind_rank, sequence_id)`
-//! order, a sparse run's summary depends only on the schedule's content,
-//! not on the order arrivals were inserted into the queue, and an idle
-//! tail costs events in proportion to arrivals, not slots.
+//! order, a run's summary depends only on its input's content, not on
+//! the order the arrivals were handed over in, and an idle tail costs
+//! events in proportion to arrivals, not slots.
 
+use edgenet::node::NodeId;
+use edgenet::view::NetworkEvent;
 use mano::prelude::*;
 use proptest::prelude::*;
 use sfc::chain::ChainId;
@@ -12,12 +14,12 @@ use sfc::request::{Request, RequestId};
 use workload::trace::Trace;
 
 /// A schedulable op the property generates: `(use_schedule_in, time, kind)`
-/// — `use_schedule_in` as 0/1. All three payload-carrying kinds are
+/// — `use_schedule_in` as 0/1. Both payload-carrying kinds are
 /// exercised; the payload encodes the insertion index so ties can be
 /// checked for sequence order. Times come from a tiny range so collisions
 /// are the common case.
 fn op_strategy() -> impl Strategy<Value = (u8, u64, u8)> {
-    (0u8..2, 0u64..6, 0u8..3)
+    (0u8..2, 0u64..6, 0u8..2)
 }
 
 fn tagged_event(kind: u8, tag: usize) -> (SimEventKind, SimEvent) {
@@ -28,19 +30,9 @@ fn tagged_event(kind: u8, tag: usize) -> (SimEventKind, SimEvent) {
                 request: RequestId(tag as u64),
             },
         ),
-        1 => (
-            SimEventKind::FlowArrival,
-            SimEvent::FlowArrival(Request::new(
-                RequestId(tag as u64),
-                ChainId(0),
-                edgenet::node::NodeId(0),
-                0,
-                1,
-            )),
-        ),
         _ => (
-            SimEventKind::PolicyDecision,
-            SimEvent::PolicyDecision { row: tag },
+            SimEventKind::Network,
+            SimEvent::Network(NetworkEvent::NodeDown { node: NodeId(tag) }),
         ),
     }
 }
@@ -48,8 +40,7 @@ fn tagged_event(kind: u8, tag: usize) -> (SimEventKind, SimEvent) {
 fn tag_of(event: &SimEvent) -> usize {
     match event {
         SimEvent::FlowDeparture { request } => request.0 as usize,
-        SimEvent::FlowArrival(request) => request.id.0 as usize,
-        SimEvent::PolicyDecision { row } => *row,
+        SimEvent::Network(NetworkEvent::NodeDown { node }) => node.0,
         other => panic!("untagged event popped: {other:?}"),
     }
 }
@@ -119,9 +110,11 @@ proptest! {
     }
 
     /// Arrivals with pairwise-distinct timestamps produce the same run no
-    /// matter what order `RunInput::Events` hands them over in: the queue's
-    /// `(time, kind_rank, seq)` order makes insertion order irrelevant
-    /// whenever timestamps don't collide.
+    /// matter what order `RunInput::Events` hands them over in: the engine
+    /// takes them in time order, which makes the order given irrelevant
+    /// whenever timestamps don't collide. The same holds for a `Trace`
+    /// whose requests are out of slot order, which also gives the run of
+    /// the slot loop on that trace (it buckets requests by slot itself).
     #[test]
     fn run_summary_invariant_to_insertion_order(rotation in 0usize..17, seed in 0u64..100) {
         let mut scenario = Scenario::small_test();
@@ -136,27 +129,37 @@ proptest! {
                 request: Request::new(
                     RequestId(i),
                     ChainId((i % 4) as usize),
-                    edgenet::node::NodeId((i % 4) as usize),
-                    0, // rewritten from `at` by the engine
+                    NodeId((i % 4) as usize),
+                    i, // rewritten from `at` by the engine, to the same slot
                     1 + (i % 5) as u32,
                 ),
             })
             .collect();
         let mut rotated = arrivals.clone();
         rotated.rotate_left(rotation);
+        let trace = |arrivals: &[TimedArrival]| Trace {
+            requests: arrivals.iter().map(|a| a.request.clone()).collect(),
+            horizon_slots: 20,
+        };
+        let (trace_sorted, trace_rotated) = (trace(&arrivals), trace(&rotated));
 
-        let run = |schedule: &[TimedArrival]| {
+        let run = |drive: &dyn Fn(&mut Simulation, &mut FirstFitPolicy) -> RunSummary| {
             let mut sim = Simulation::new(&scenario, RewardConfig::default());
-            let mut policy = FirstFitPolicy;
-            let mut summary = sim.drive(RunInput::Events(schedule), &mut policy, RunOptions::new().sparse().with_seed_offset(3));
+            let mut summary = drive(&mut sim, &mut FirstFitPolicy);
             summary.mean_decision_time_us = 0.0;
             (summary, sim.metrics().slots().to_vec())
         };
+        let events = |schedule: &[TimedArrival]| run(&|sim, policy| {
+            sim.drive(RunInput::Events(schedule), policy, RunOptions::new().sparse().with_seed_offset(3))
+        });
+        let traced = |trace: &Trace| run(&|sim, policy| {
+            sim.drive(RunInput::Trace(trace), policy, RunOptions::new().with_seed_offset(3))
+        });
+        let slot_loop = run(&|sim, policy| sim.drive_slotted(Some(&trace_rotated), policy, 3, None));
 
-        let (summary_sorted, records_sorted) = run(&arrivals);
-        let (summary_rotated, records_rotated) = run(&rotated);
-        prop_assert_eq!(summary_sorted, summary_rotated);
-        prop_assert_eq!(records_sorted, records_rotated);
+        prop_assert_eq!(events(&arrivals), events(&rotated));
+        prop_assert_eq!(&traced(&trace_sorted), &traced(&trace_rotated));
+        prop_assert_eq!(traced(&trace_sorted), slot_loop);
     }
 }
 
@@ -183,7 +186,7 @@ fn idle_tail_pops_events_per_arrival_not_per_slot() {
             Request::new(
                 RequestId(i),
                 ChainId((i % 4) as usize),
-                edgenet::node::NodeId((i % 4) as usize),
+                NodeId((i % 4) as usize),
                 i / 4,
                 1 + ((i * 7) % 4) as u32,
             )

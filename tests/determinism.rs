@@ -123,9 +123,12 @@ fn event_engine_matches_the_slotted_oracle() {
     let run = |slotted: bool| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut policy = WeightedGreedyPolicy::default();
-        let opts = RunOptions::new().with_seed_offset(42);
-        let opts = if slotted { opts.slotted() } else { opts };
-        let mut summary = sim.drive(RunInput::Generated, &mut policy, opts);
+        let mut summary = if slotted {
+            sim.drive_slotted(None, &mut policy, 42, None)
+        } else {
+            let opts = RunOptions::new().with_seed_offset(42);
+            sim.drive(RunInput::Generated, &mut policy, opts)
+        };
         summary.mean_decision_time_us = 0.0;
         (summary, sim.metrics().slots().to_vec())
     };
