@@ -106,7 +106,6 @@ fn main() {
             RunInput::Stream(&mut stream),
             &mut policy,
             RunOptions::new()
-                .sparse()
                 .with_streaming_metrics()
                 .with_horizon(horizon)
                 .with_telemetry(&mut sink),

@@ -10,7 +10,7 @@
 //!   (α·latency + β·cost shaping with acceptance bonuses).
 //! * **Engine** — [`sim`] drives the flow lifecycle over a discrete-event
 //!   [`timeline`]: arrivals → per-VNF placement decisions → departures →
-//!   cost accounting, with a slot-compatibility schedule that reproduces
+//!   prorated cost accounting, which on slot-boundary input reproduces
 //!   the paper's slotted loop bit for bit. DRL and heuristics run through
 //!   the identical code path.
 //! * **Managers** — [`drl`] (the DQN policy) and [`baselines`] (random,
@@ -82,8 +82,8 @@ pub mod prelude {
         PolicyResult, TrainedDrl,
     };
     pub use crate::sim::{
-        BillingMode, DecisionSemantics, MetricsMode, PlacementOutcome, RunInput, RunOptions,
-        Simulation, TimedArrival,
+        DecisionSemantics, MetricsMode, PlacementOutcome, RunInput, RunOptions, Simulation,
+        TimedArrival,
     };
     pub use crate::state::{StateEncoder, StateEncoderConfig};
     pub use crate::telemetry::{

@@ -10,8 +10,9 @@ impl Simulation {
     ///
     /// `window = Some((slot_start_ms, slot_ms))` prorates each flow's
     /// traffic by the fraction of the slot it was actually active for
-    /// (sparse mode); `None` bills whole slots, exactly like the paper's
-    /// slotted accounting.
+    /// (the event engine); `None` bills whole slots as the slot loop
+    /// writes it. A flow active since the slot's start has fraction 1.0
+    /// and `1.0 * x` is `x`: on slot-boundary input, the same bits.
     pub(super) fn slot_costs_and_latency(
         &self,
         window: Option<(u64, u64)>,
@@ -85,18 +86,13 @@ impl Simulation {
             // full share, so its snapshot is specific to THIS slot and
             // must not be cached for the next one. Activations clear the
             // cache, so a live cache implies no clipping.
-            let clips = !self.slot_compat
-                && self.latest_activation_ms > self.slot.saturating_mul(self.slot_ms);
+            let clips = self.latest_activation_ms > self.slot.saturating_mul(self.slot_ms);
             let snapshot = match self.cost_cache.filter(|_| !clips) {
                 Some(c) => c,
                 None => {
-                    let window = if self.slot_compat {
-                        None
-                    } else {
-                        Some((self.slot * self.slot_ms, self.slot_ms))
-                    };
+                    let window = (self.slot * self.slot_ms, self.slot_ms);
                     let (compute, energy, traffic, mean_latency) =
-                        self.slot_costs_and_latency(window);
+                        self.slot_costs_and_latency(Some(window));
                     let c = CostCache {
                         compute,
                         energy,
@@ -115,8 +111,8 @@ impl Simulation {
             };
             let mut traffic_cost = snapshot.traffic;
             if self.partial_traffic != 0.0 {
-                // Added (and branch-gated) separately so slot-compat
-                // billing reuses the snapshot's bits untouched.
+                // Added (and branch-gated) separately so slot-boundary
+                // runs reuse the snapshot's bits untouched.
                 traffic_cost += self.partial_traffic;
                 self.partial_traffic = 0.0;
             }

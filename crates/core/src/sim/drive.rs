@@ -22,6 +22,7 @@
 //!   decisions of a group.
 
 use super::*;
+use std::collections::btree_map::Entry;
 
 /// The rank an arrival group is handled at: one past the last queued
 /// kind, since a queued event goes first on a tie.
@@ -41,8 +42,10 @@ fn in_time_order<T, K: Ord>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator
 }
 
 impl Simulation {
-    /// Generates the scenario's own trace for [`RunInput::Generated`].
-    pub(super) fn generate_run_trace(&self, seed_offset: u64) -> Trace {
+    /// Generates the scenario's own trace for [`RunInput::Generated`],
+    /// its request ids continuing where the previous generated trace
+    /// stopped: an earlier run's flows may still be live under theirs.
+    pub(super) fn generate_run_trace(&mut self, seed_offset: u64) -> Trace {
         let mut trace_rng = StdRng::seed_from_u64(
             self.scenario
                 .seed
@@ -50,12 +53,17 @@ impl Simulation {
                 .wrapping_mul(0x2545_F491),
         );
         let sites = self.network.topology().edge_nodes();
-        generate_trace(
+        let mut trace = generate_trace(
             &self.scenario.workload,
             &sites,
             self.scenario.horizon_slots,
             &mut trace_rng,
-        )
+        );
+        for request in &mut trace.requests {
+            request.id.0 += self.generated_requests;
+        }
+        self.generated_requests += trace.requests.len() as u64;
+        trace
     }
 
     /// The decision RNG every run derives from the scenario seed —
@@ -71,30 +79,23 @@ impl Simulation {
     }
 
     /// The one run entry point: drives `input` through the event engine
-    /// with the billing, metrics retention, decision semantics and
-    /// observer selected by `opts`, and returns the run's [`RunSummary`].
+    /// with the metrics retention, decision semantics and observer
+    /// selected by `opts`, and returns the run's [`RunSummary`].
     ///
     /// # Panics
     ///
-    /// * [`BillingMode::SlotCompat`] after any [`BillingMode::Sparse`]
-    ///   run on the same simulation — the two accountings cannot mix.
     /// * [`MetricsMode::Streaming`] on a collector already holding
     ///   full-mode data from an earlier run.
+    /// * A [`RunInput::Stream`] that yields an arrival earlier than the
+    ///   one before it.
+    /// * An arrival under the request id of a flow that is still active:
+    ///   ids must be unique among live flows (a gone flow's id is free).
     pub fn drive(
         &mut self,
         input: RunInput<'_>,
         policy: &mut dyn PlacementPolicy,
         mut opts: RunOptions<'_>,
     ) -> RunSummary {
-        match opts.billing {
-            BillingMode::SlotCompat => assert!(
-                self.slot_compat,
-                "BillingMode::SlotCompat requested, but this simulation already ran under \
-                 BillingMode::Sparse; the two accountings cannot mix on one simulation — \
-                 build a fresh Simulation instead"
-            ),
-            BillingMode::Sparse => self.slot_compat = false,
-        }
         if opts.metrics == MetricsMode::Streaming {
             self.metrics.enable_streaming();
         }
@@ -235,26 +236,22 @@ impl Simulation {
     }
 
     /// Removes one departing flow, charging its share of the current
-    /// (partial) slot's traffic in sparse mode. Duplicate departure
-    /// events are ignored; in sparse mode, stale ones (left behind by a
-    /// re-placement, or by a chained run reusing the request id) are
-    /// ignored too. Slot-compatibility mode must NOT filter stale events:
-    /// the slot loop departs by id, whichever flow currently holds it —
-    /// including a later flow that reused the id — and bit-equivalence
-    /// means reproducing exactly that.
+    /// (partial) slot's traffic. A departure event departs the flow it
+    /// was scheduled for and no other: it is ignored when the flow is
+    /// gone (departed, or disrupted and not re-placed) or the id's current
+    /// flow departs at another instant (the event is a re-placement's
+    /// leftover, or a gone flow's whose id a later arrival took over).
     fn handle_departure(&mut self, at: SimTime, request: RequestId) {
-        match self.active.get(&request.0) {
-            None => return, // already departed or disrupted
-            Some(flow) if !self.slot_compat && flow.departure_ms != at.ms() => return,
-            Some(_) => {}
-        }
-        let flow = self.active.remove(&request.0).expect("checked present");
+        let flow = match self.active.entry(request.0) {
+            Entry::Occupied(entry) if entry.get().departure_ms == at.ms() => entry.remove(),
+            _ => return,
+        };
         if let Some(sink) = self.telemetry.as_mut() {
             sink.on_completed(request, at.ms());
         }
         // Sub-slot lifetimes: a flow leaving mid-slot owes the fraction of
         // this slot it actually occupied. Zero for boundary departures, so
-        // slot-compatibility runs never accrue anything here.
+        // slot-boundary runs never accrue anything here.
         let slot_start_ms = at.slot(self.slot_ms).saturating_mul(self.slot_ms);
         let occupied_ms = at.ms().saturating_sub(flow.activated_ms.max(slot_start_ms));
         if occupied_ms > 0 {

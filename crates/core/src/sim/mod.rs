@@ -15,11 +15,11 @@
 //!   in advance (departures, network events, retire checks); each
 //!   arrival is decided where it is handled. Completed slots are billed
 //!   lazily, so a mostly-idle trace costs ~O(events), not O(slots) of
-//!   work. In *slot-compatibility* mode everything lands on a slot
-//!   boundary and the run is bit-identical to the slot loop (pinned by
-//!   `tests/event_slot_equivalence.rs`); [`BillingMode::Sparse`]
-//!   additionally resolves sub-slot lifetimes (`Request::duration_ms`)
-//!   pro rata instead of rounding them up to whole slots.
+//!   work. Billing is prorated: a flow owes each slot the fraction of it
+//!   the flow was active for (sub-slot lifetimes, `Request::duration_ms`,
+//!   and mid-slot arrivals bill what they used). On slot-boundary input
+//!   every fraction is 1.0 and the run is bit-identical to the slot loop
+//!   (pinned by `tests/event_slot_equivalence.rs`).
 //! * the **slot loop** ([`Simulation::advance_slot`] /
 //!   [`Simulation::drive_slotted`]): the paper's original fixed-slot
 //!   sweep, kept as the reference the engine is compared against and for
@@ -77,21 +77,6 @@ pub enum PlacementOutcome {
     Rejected,
 }
 
-/// How completed slots are billed by [`Simulation::drive`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BillingMode {
-    /// Accounting matches the slot loop bit for bit (the default):
-    /// lifetimes round up to whole slots, each active flow bills full
-    /// slots. Requesting this after any sparse run on the same
-    /// simulation is an error (the two accountings cannot mix).
-    #[default]
-    SlotCompat,
-    /// Sparse accounting: sub-slot lifetimes ([`Request::duration_ms`])
-    /// are billed pro rata. Permanently leaves slot compatibility —
-    /// later `SlotCompat` runs on this simulation panic.
-    Sparse,
-}
-
 /// How run metrics are retained by [`Simulation::drive`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MetricsMode {
@@ -129,8 +114,8 @@ pub enum DecisionSemantics {
 }
 
 /// Options for [`Simulation::drive`] — the one knob set selecting
-/// billing, metrics retention, decision semantics, seeding, horizon and
-/// telemetry.
+/// metrics retention, decision semantics, seeding, horizon and
+/// telemetry (not billing: that is prorated, whatever the input).
 ///
 /// ```
 /// # use mano::prelude::*;
@@ -141,8 +126,6 @@ pub enum DecisionSemantics {
 /// ```
 #[derive(Debug, Default)]
 pub struct RunOptions<'t> {
-    /// Slot-compatible vs sparse billing.
-    pub billing: BillingMode,
     /// Full vs streaming metrics retention.
     pub metrics: MetricsMode,
     /// Sequential vs slot-snapshot decision semantics.
@@ -159,15 +142,15 @@ pub struct RunOptions<'t> {
 }
 
 impl<'t> RunOptions<'t> {
-    /// The defaults: slot-compatible billing, full metrics, sequential
-    /// decisions, seed offset 0, input-derived horizon, no telemetry.
+    /// The defaults: full metrics, sequential decisions, seed offset 0,
+    /// input-derived horizon, no telemetry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Selects sparse billing ([`BillingMode::Sparse`]).
-    pub fn sparse(mut self) -> Self {
-        self.billing = BillingMode::Sparse;
+    /// Does nothing: billing is always prorated. Kept only because the
+    /// `perf/` benchmark calls it; it goes with the next benchmark PR.
+    pub fn sparse(self) -> Self {
         self
     }
 
@@ -241,10 +224,10 @@ struct ActiveFlow {
     /// drift from flows joining/leaving shared instances between events.
     latency_ms: f64,
     /// Activation instant (ms): admission or re-placement time. The
-    /// sparse engine bills the activation slot pro rata from here.
+    /// event engine bills the activation slot pro rata from here.
     activated_ms: u64,
-    /// Scheduled departure instant (ms). The event engine uses it to
-    /// ignore stale departure events left behind by a re-placement.
+    /// Scheduled departure instant (ms). A departure event for any other
+    /// instant is stale (a re-placement's, or a gone flow's) and ignored.
     departure_ms: u64,
 }
 
@@ -362,14 +345,14 @@ pub struct Simulation {
     cost_cache: Option<CostCache>,
     /// Traffic accrued by sub-slot departures inside the current slot.
     partial_traffic: f64,
-    /// Slot-compatibility accounting: billing matches the slot loop bit
-    /// for bit. [`BillingMode::Sparse`] runs clear it.
-    slot_compat: bool,
     /// Slots with a RetireCheck already scheduled (dedupe).
     retire_checks: BTreeSet<u64>,
-    /// Latest flow-activation instant (monotone). Sparse billing uses it
-    /// to tell which slots' windows can still clip a flow's share.
+    /// Latest flow-activation instant (monotone). Billing uses it to
+    /// tell which slots' windows can still clip a flow's share.
     latest_activation_ms: u64,
+    /// Request ids this simulation's generated traces have used so far;
+    /// the next [`RunInput::Generated`] trace continues from here.
+    generated_requests: u64,
     /// The observer attached for the duration of one [`Simulation::drive`]
     /// call (swapped in from the caller's sink and back out afterwards).
     /// Read-only with respect to the world: hooks never affect the run.
@@ -473,9 +456,9 @@ impl Simulation {
             counters: SlotCounters::default(),
             cost_cache: None,
             partial_traffic: 0.0,
-            slot_compat: true,
             retire_checks: BTreeSet::new(),
             latest_activation_ms: 0,
+            generated_requests: 0,
             telemetry: None,
         }
     }

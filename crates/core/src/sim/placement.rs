@@ -420,18 +420,24 @@ impl Simulation {
         let latency_ms = breakdown.total_ms();
         let sla_violated = latency_ms > chain.latency_budget_ms;
         self.deployment_cost_this_slot += deployment_cost;
-        // In slot mode flows activate on their arrival-slot boundary; in
-        // event mode at the clock, which on a slot-boundary schedule is
-        // the same instant.
-        let activated_ms = match self.mode {
-            EngineMode::Slot => request.arrival_slot * self.slot_ms,
-            EngineMode::Event => self.queue.now().ms(),
+        // Slot mode: whole slots, from the arrival-slot boundary to the
+        // slot the departure is registered under below. Event mode: from
+        // the clock (the same instant on a slot-boundary schedule) for the
+        // stated holding time. Either way `departure_ms` is the instant
+        // the flow's departure event carries (`handle_departure`).
+        let slot_ms = self.slot_ms;
+        let (activated_ms, departure_ms) = match self.mode {
+            EngineMode::Slot => (
+                request.arrival_slot * slot_ms,
+                request.departure_slot() * slot_ms,
+            ),
+            EngineMode::Event => {
+                let now = self.queue.now().ms();
+                let whole_slots = request.duration_slots as u64 * slot_ms;
+                (now, now + request.duration_ms.unwrap_or(whole_slots))
+            }
         };
-        let departure_ms = activated_ms
-            + request
-                .duration_ms
-                .unwrap_or(request.duration_slots as u64 * self.slot_ms);
-        self.active.insert(
+        let displaced = self.active.insert(
             request.id.0,
             ActiveFlow {
                 request: request.clone(),
@@ -445,6 +451,13 @@ impl Simulation {
                 activated_ms,
                 departure_ms,
             },
+        );
+        // An overwritten flow's shares would stay on its instances, which
+        // then never go idle and bill compute forever.
+        assert!(
+            displaced.is_none(),
+            "request id {} is already active: ids must be unique among live flows",
+            request.id.0
         );
         self.latest_activation_ms = self.latest_activation_ms.max(activated_ms);
         // The event loop decides an arrival group in one call because no

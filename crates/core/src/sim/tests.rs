@@ -53,6 +53,26 @@ fn departure_releases_flows_and_idle_retirement_frees_capacity() {
 }
 
 #[test]
+fn flow_placed_in_slot_mode_departs_after_the_switch_to_events() {
+    // Placed directly (slot mode), a flow's departure is registered by
+    // slot, whatever `duration_ms` says; the event engine must take the
+    // migrated departure event for this flow's own, not a stale one.
+    let mut s = sim();
+    let mut policy = FirstFitPolicy;
+    let mut rng = StdRng::seed_from_u64(1);
+    let req = request(0, 1, 0, 0, 2).with_duration_ms(s.slot_ms() / 2);
+    s.place_request(&req, &mut policy, &mut rng);
+    assert_eq!(s.active_flow_count(), 1);
+    let drain = Trace {
+        requests: Vec::new(),
+        horizon_slots: 10,
+    };
+    let _ = s.drive(RunInput::Trace(&drain), &mut policy, RunOptions::new());
+    assert_eq!(s.active_flow_count(), 0);
+    assert_eq!(s.pool.len(), 0, "idle instances retired");
+}
+
+#[test]
 fn rejection_rolls_back_everything() {
     let mut s = sim();
     // A policy that places the first VNF then rejects.

@@ -36,8 +36,8 @@ use std::collections::BinaryHeap;
 /// A point on the simulation clock, in integer milliseconds.
 ///
 /// Slots are spans of `slot_ms` milliseconds: slot `s` covers
-/// `[s·slot_ms, (s+1)·slot_ms)`. The slot engine only ever produces
-/// boundary times; the sparse engine may schedule anywhere.
+/// `[s·slot_ms, (s+1)·slot_ms)`. Slot-resolution input only ever produces
+/// boundary times; ms-resolution input may schedule anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 

@@ -72,7 +72,6 @@ fn a_decision_allocates_nothing_and_a_request_a_handful() {
     let mut sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
     let options = RunOptions::new()
-        .sparse()
         .with_streaming_metrics()
         .with_horizon(horizon)
         .with_telemetry(&mut sink);

@@ -1,9 +1,11 @@
 //! Golden slot-equivalence suite: every scenario family used by the
 //! figure binaries runs through BOTH the paper's slotted loop
-//! ([`Simulation::drive_slotted`], the reference) and the event engine on
-//! its slot-boundary compatibility schedule ([`Simulation::drive`]), and
-//! must produce a bit-identical [`RunSummary`] plus a bit-identical
-//! per-slot [`SlotRecord`] stream.
+//! ([`Simulation::drive_slotted`], the reference) and the event engine
+//! ([`Simulation::drive`]), and must produce a bit-identical
+//! [`RunSummary`] plus a bit-identical per-slot [`SlotRecord`] stream.
+//! The slot loop bills every active flow one whole slot, literally; the
+//! engine prorates, which on this slot-boundary input must come to the
+//! same bits: the suite is the proof that it does.
 //!
 //! This is the contract that let `exper`, the `fig*` binaries and the
 //! `BENCH_*` reports migrate to the event engine without output drift.
@@ -278,9 +280,11 @@ fn frozen_drl_is_engine_equivalent() {
 
 #[test]
 fn chained_runs_stay_engine_equivalent() {
-    // `exper` chains multiple passes on one simulation (training then
-    // eval); state carried across run boundaries — live flows, pending
-    // departures, instance ages — must migrate identically.
+    // No library or binary code chains runs (`runner`, `pg` and every
+    // bin build a fresh `Simulation` per run), but `drive` allows it:
+    // state carried across run boundaries — live flows, pending
+    // departures, instance ages, the next generated request id — must
+    // migrate identically.
     let scenario = bench_family(5.0);
 
     let mut slot_policy = WeightedGreedyPolicy::default();

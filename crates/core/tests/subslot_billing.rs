@@ -1,11 +1,11 @@
 //! Regression suite for the slot-quantization bug the event engine
 //! exposed: the paper's slotted accounting rounds every holding time up
 //! to whole slots, so a flow that really lives for *half* a slot still
-//! bills one full slot of traffic. The sparse event engine
-//! ([`BillingMode::Sparse`] + [`Request::duration_ms`]) makes sub-slot
-//! lifetimes explicit and bills them pro rata; slot-compatibility mode
-//! deliberately keeps the old rounding so the figure suite stays
-//! bit-identical with the paper's loop.
+//! bills one full slot of traffic. The event engine bills pro rata: a
+//! request that states its lifetime ([`Request::duration_ms`]) or
+//! arrives mid-slot owes the fraction of each slot it occupied, and a
+//! slot-aligned request that states neither owes whole slots, which is
+//! what keeps the figure suite bit-identical with the paper's loop.
 
 use mano::prelude::*;
 use sfc::chain::ChainId;
@@ -40,11 +40,12 @@ fn zeroed(mut summary: RunSummary) -> RunSummary {
 }
 
 #[test]
-fn slot_compat_keeps_the_full_slot_rounding() {
-    // The pinned legacy behavior: without an explicit `duration_ms`, a
-    // one-slot flow bills one whole slot of traffic on BOTH engines —
-    // bit-identically. This is the rounding the equivalence suite relies
-    // on; the corrected accounting below is opt-in via `BillingMode::Sparse`.
+fn slot_aligned_input_bills_whole_slots() {
+    // Without an explicit `duration_ms`, a one-slot flow arriving on a
+    // boundary bills one whole slot of traffic on the engine and on the
+    // slot loop, bit-identically: the prorated share of a flow active
+    // for the whole slot is 1.0. This is what the equivalence suite
+    // relies on; the requests below opt out by stating a lifetime.
     let scenario = scenario();
     let trace = Trace {
         requests: boundary_requests(),
@@ -78,19 +79,20 @@ fn slot_compat_keeps_the_full_slot_rounding() {
 #[test]
 fn sparse_mode_bills_sub_slot_flows_pro_rata() {
     // The same four flows, now declaring that they really only live for
-    // half a slot. The sparse engine departs them mid-slot and bills the
-    // occupied fraction: exactly half the compat run's slot-0 traffic.
+    // half a slot. Under the same default options the engine departs
+    // them mid-slot and bills the occupied fraction: exactly half the
+    // aligned run's slot-0 traffic.
     let scenario = scenario();
     let slot_ms = Simulation::new(&scenario, RewardConfig::default()).slot_ms();
 
-    let mut compat_sim = Simulation::new(&scenario, RewardConfig::default());
+    let mut aligned_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
     let trace = Trace {
         requests: boundary_requests(),
         horizon_slots: scenario.horizon_slots,
     };
-    let _ = compat_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
-    let compat_first = compat_sim.metrics().slots()[0].clone();
+    let _ = aligned_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
+    let aligned_first = aligned_sim.metrics().slots()[0].clone();
 
     let arrivals: Vec<TimedArrival> = boundary_requests()
         .into_iter()
@@ -99,33 +101,29 @@ fn sparse_mode_bills_sub_slot_flows_pro_rata() {
             request: r.with_duration_ms(slot_ms / 2),
         })
         .collect();
-    let mut sparse_sim = Simulation::new(&scenario, RewardConfig::default());
+    let mut half_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let _ = sparse_sim.drive(
-        RunInput::Events(&arrivals),
-        &mut policy,
-        RunOptions::new().sparse(),
-    );
-    let sparse_first = sparse_sim.metrics().slots()[0].clone();
+    let _ = half_sim.drive(RunInput::Events(&arrivals), &mut policy, RunOptions::new());
+    let half_first = half_sim.metrics().slots()[0].clone();
 
-    assert_eq!(sparse_first.accepted, 4);
-    assert!(compat_first.traffic_cost > 0.0);
+    assert_eq!(half_first.accepted, 4);
+    assert!(aligned_first.traffic_cost > 0.0);
     assert!(
-        (sparse_first.traffic_cost - 0.5 * compat_first.traffic_cost).abs() < 1e-12,
+        (half_first.traffic_cost - 0.5 * aligned_first.traffic_cost).abs() < 1e-12,
         "half-slot lifetimes must bill exactly half the slot's traffic \
-         (sparse {} vs compat {})",
-        sparse_first.traffic_cost,
-        compat_first.traffic_cost
+         (half-slot {} vs aligned {})",
+        half_first.traffic_cost,
+        aligned_first.traffic_cost
     );
     assert_eq!(
-        sparse_first.active_flows, 0,
+        half_first.active_flows, 0,
         "sub-slot flows are gone before the slot-end snapshot"
     );
     // Total across the run, not just slot 0: the correction must lower
     // the bill, never shift it into later slots.
     let total =
         |sim: &Simulation| -> f64 { sim.metrics().slots().iter().map(|r| r.traffic_cost).sum() };
-    assert!(total(&sparse_sim) < total(&compat_sim));
+    assert!(total(&half_sim) < total(&aligned_sim));
 }
 
 #[test]
@@ -151,11 +149,7 @@ fn mid_slot_arrival_prorates_its_first_slot() {
 
     let mut sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let _ = sim.drive(
-        RunInput::Events(&arrivals),
-        &mut policy,
-        RunOptions::new().sparse(),
-    );
+    let _ = sim.drive(RunInput::Events(&arrivals), &mut policy, RunOptions::new());
     let records = sim.metrics().slots();
 
     assert_eq!(records[0].accepted, 1);
@@ -172,4 +166,47 @@ fn mid_slot_arrival_prorates_its_first_slot() {
     // The boundary-aligned departure itself accrues nothing extra.
     assert_eq!(records[2].traffic_cost, 0.0);
     assert_eq!(records[2].active_flows, 0);
+}
+
+#[test]
+fn stale_departure_does_not_end_a_later_flow_of_the_same_id() {
+    // Flow 7 is admitted at slot 0 for four slots, so its departure is
+    // queued for slot 4. Its ingress dies at slot 1: the flow is torn
+    // out and cannot be re-placed (a dead ingress serves nothing). The
+    // ingress recovers at slot 2 and a new request arrives at slot 3
+    // under the same id, again for four slots. The departure queued for
+    // slot 4 belongs to the flow that is gone: the new flow must hold
+    // through slot 6 and leave at slot 7.
+    let ingress = edgenet::node::NodeId(1);
+    let mut scenario = scenario();
+    scenario.events = EventSchedule::Timeline(vec![
+        TimedEvent {
+            slot: 1,
+            event: edgenet::view::NetworkEvent::NodeDown { node: ingress },
+        },
+        TimedEvent {
+            slot: 2,
+            event: edgenet::view::NetworkEvent::NodeUp { node: ingress },
+        },
+    ]);
+    let flow_at = |slot| Request::new(RequestId(7), ChainId(1), ingress, slot, 4);
+    let trace = Trace {
+        requests: vec![flow_at(0), flow_at(3)],
+        horizon_slots: scenario.horizon_slots,
+    };
+
+    let mut sim = Simulation::new(&scenario, RewardConfig::default());
+    let mut policy = FirstFitPolicy;
+    let summary = sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
+
+    assert_eq!(summary.total_accepted, 2);
+    assert_eq!(summary.flows_disrupted, 1);
+    assert_eq!(summary.replacement_success_rate, 0.0);
+    let active: Vec<u32> = sim
+        .metrics()
+        .slots()
+        .iter()
+        .map(|r| r.active_flows)
+        .collect();
+    assert_eq!(active, [1, 0, 0, 1, 1, 1, 1, 0]);
 }

@@ -2,7 +2,7 @@
 //!
 //! * attaching a [`TelemetrySink`] is pure observation — the
 //!   [`RunSummary`] is bit-identical with and without one, on healthy
-//!   and failure-injected scenarios, slot-compat and sparse alike;
+//!   and failure-injected scenarios;
 //! * every flow record respects the lifecycle funnel
 //!   `requested ≤ placed ≤ active ≤ torn_down` (property-tested over
 //!   random scenarios);
@@ -11,9 +11,9 @@
 //!   quantiles;
 //! * [`RunInput::Stream`] is observationally identical to the same
 //!   arrivals materialized as [`RunInput::Events`], and slot-boundary
-//!   arrivals to the same requests as a [`RunInput::Trace`];
-//! * mixing slot-compat billing onto a simulation that already ran
-//!   sparse is an enforced error, not a doc warning.
+//!   arrivals to the same requests as a [`RunInput::Trace`], each
+//!   followed by a [`RunInput::Generated`] run on the same simulation
+//!   (there is one accounting, so any input may follow any other).
 
 use mano::prelude::*;
 use proptest::prelude::*;
@@ -27,21 +27,10 @@ fn zeroed(mut summary: RunSummary) -> RunSummary {
 /// Runs `scenario` twice through [`Simulation::drive`] — once bare, once
 /// with a telemetry sink — and asserts bit-identical summaries. Returns
 /// the populated sink for further inspection.
-fn run_with_and_without_telemetry(
-    scenario: &Scenario,
-    sparse: bool,
-) -> (RunSummary, TelemetrySink) {
-    let opts = || {
-        if sparse {
-            RunOptions::new().sparse()
-        } else {
-            RunOptions::new()
-        }
-    };
-
+fn run_with_and_without_telemetry(scenario: &Scenario) -> (RunSummary, TelemetrySink) {
     let mut bare_sim = Simulation::new(scenario, RewardConfig::default());
     let mut bare_policy = FirstFitPolicy;
-    let bare = zeroed(bare_sim.drive(RunInput::Generated, &mut bare_policy, opts()));
+    let bare = zeroed(bare_sim.drive(RunInput::Generated, &mut bare_policy, RunOptions::new()));
 
     let mut sink = TelemetrySink::new();
     let mut obs_sim = Simulation::new(scenario, RewardConfig::default());
@@ -49,7 +38,7 @@ fn run_with_and_without_telemetry(
     let observed = zeroed(obs_sim.drive(
         RunInput::Generated,
         &mut obs_policy,
-        opts().with_telemetry(&mut sink),
+        RunOptions::new().with_telemetry(&mut sink),
     ));
 
     assert_eq!(
@@ -62,7 +51,7 @@ fn run_with_and_without_telemetry(
 #[test]
 fn telemetry_is_bit_identical_on_healthy_scenario() {
     let scenario = Scenario::small_test();
-    let (summary, sink) = run_with_and_without_telemetry(&scenario, false);
+    let (summary, sink) = run_with_and_without_telemetry(&scenario);
 
     let totals = sink.totals();
     assert_eq!(totals.requested, summary.total_arrivals);
@@ -87,7 +76,7 @@ fn telemetry_is_bit_identical_on_healthy_scenario() {
 #[test]
 fn telemetry_is_bit_identical_under_failures() {
     let scenario = Scenario::small_test().with_failures(0.05, 6.0);
-    let (summary, sink) = run_with_and_without_telemetry(&scenario, false);
+    let (summary, sink) = run_with_and_without_telemetry(&scenario);
     assert!(
         summary.downtime_slots > 0,
         "failure scenario saw no downtime"
@@ -105,18 +94,9 @@ fn telemetry_is_bit_identical_under_failures() {
 }
 
 #[test]
-fn telemetry_is_bit_identical_on_sparse_billing() {
-    let scenario = Scenario::small_test();
-    let (_, sink) = run_with_and_without_telemetry(&scenario, true);
-    for record in sink.recent_flows() {
-        assert!(record.funnel_ordered(), "funnel violated: {record:?}");
-    }
-}
-
-#[test]
 fn csv_exports_are_rectangular() {
     let scenario = Scenario::small_test();
-    let (_, sink) = run_with_and_without_telemetry(&scenario, false);
+    let (_, sink) = run_with_and_without_telemetry(&scenario);
 
     let flows = sink.flows_csv();
     let mut lines = flows.lines();
@@ -226,11 +206,17 @@ fn stream_input_matches_materialized_events() {
         .collect();
     assert!(!materialized.is_empty(), "metro profile generated no load");
 
+    // Each input is followed by a generated run on the same simulation:
+    // with one accounting, an ms-resolution run (sub-slot lifetimes,
+    // mid-slot departures) chains with a slot-aligned one, and the second
+    // run's records are compared along with the first's.
     let run = |input: RunInput<'_>| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
-        let opts = RunOptions::new().sparse().with_horizon(horizon);
-        let summary = zeroed(sim.drive(input, &mut FirstFitPolicy, opts));
-        (summary, sim.metrics().slots().to_vec())
+        let opts = RunOptions::new().with_horizon(horizon);
+        let first = zeroed(sim.drive(input, &mut FirstFitPolicy, opts));
+        let both = zeroed(sim.drive(RunInput::Generated, &mut FirstFitPolicy, RunOptions::new()));
+        assert_eq!(both.slots, 2 * horizon);
+        (first, both, sim.metrics().slots().to_vec())
     };
 
     let mut stream = profile
@@ -260,22 +246,6 @@ fn stream_input_matches_materialized_events() {
         run(RunInput::Trace(&trace)),
         "a slot-resolution trace diverged from the same arrivals as events"
     );
-}
-
-#[test]
-#[should_panic(expected = "cannot mix")]
-fn slot_compat_after_sparse_is_rejected() {
-    let scenario = Scenario::small_test();
-    let mut sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut policy = FirstFitPolicy;
-    let _ = sim.drive(
-        RunInput::Events(&[]),
-        &mut policy,
-        RunOptions::new().sparse().with_horizon(4),
-    );
-    // Sparse billing has already diverged from whole-slot accounting;
-    // this must panic rather than silently mix the two.
-    let _ = sim.drive(RunInput::Generated, &mut policy, RunOptions::new());
 }
 
 proptest! {

@@ -150,7 +150,7 @@ proptest! {
             (summary, sim.metrics().slots().to_vec())
         };
         let events = |schedule: &[TimedArrival]| run(&|sim, policy| {
-            sim.drive(RunInput::Events(schedule), policy, RunOptions::new().sparse().with_seed_offset(3))
+            sim.drive(RunInput::Events(schedule), policy, RunOptions::new().with_seed_offset(3))
         });
         let traced = |trace: &Trace| run(&|sim, policy| {
             sim.drive(RunInput::Trace(trace), policy, RunOptions::new().with_seed_offset(3))

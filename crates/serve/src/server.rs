@@ -3,7 +3,7 @@
 //! concurrent simulations with one fused batched forward per tick.
 //!
 //! Tick model: the server blocks until at least one decision wave is
-//! queued, drains whatever has accumulated (up to `tick_capacity`
+//! queued, drains whatever has accumulated (up to `TICK_CAPACITY`
 //! waves), concatenates every wave's rows into one matrix, runs ONE
 //! `greedy_batch` forward, and replies by ticket — each wave gets its
 //! row-slice of the fused answer back in one message. There is no timer
@@ -19,7 +19,7 @@
 //! by the nn golden suite and the serve parity tests). Scheduling only
 //! decides *which* rows share a forward, never what any row's answer is,
 //! so every simulation's run is bit-identical to the same run served
-//! in-process, for any thread count or tick capacity.
+//! in-process, for any thread count.
 
 use crate::ring::{ring, RingSender};
 use mano::prelude::PlacementPolicy;
@@ -27,22 +27,23 @@ use nn::tensor::Matrix;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
+/// Most decision waves fused into one tick's forward (each wave carries
+/// one simulation's pending rows). Not a knob: fusion width buys no
+/// arithmetic, only fewer dispatches, and no fleet here comes near it.
+const TICK_CAPACITY: usize = 256;
+
 /// Server knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Bounded ring depth: how many decision waves may queue before
     /// producers block (backpressure).
     pub queue_capacity: usize,
-    /// Most decision waves fused into one tick's forward (each wave
-    /// carries one simulation's pending rows).
-    pub tick_capacity: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 1024,
-            tick_capacity: 256,
         }
     }
 }
@@ -120,14 +121,13 @@ impl PolicyServer {
             policy.name()
         );
         let (sender, receiver) = ring::<DecisionRequest>(config.queue_capacity);
-        let tick_capacity = config.tick_capacity;
         let handle = std::thread::spawn(move || {
-            let mut pending: Vec<DecisionRequest> = Vec::with_capacity(tick_capacity);
+            let mut pending: Vec<DecisionRequest> = Vec::with_capacity(TICK_CAPACITY);
             let mut states = Matrix::default();
             let mut masks: Vec<bool> = Vec::new();
             let mut actions: Vec<usize> = Vec::new();
             let mut stats = ServeStats::default();
-            while receiver.recv_batch(tick_capacity, &mut pending) {
+            while receiver.recv_batch(TICK_CAPACITY, &mut pending) {
                 let dim = pending[0].states.cols();
                 let stride = pending[0].masks.len() / pending[0].states.rows().max(1);
                 let total_rows: usize = pending.iter().map(|req| req.states.rows()).sum();

@@ -4,9 +4,9 @@
 //! dependence, or wall-clock leakage into metrics fails here.
 //!
 //! Since the event-queue refactor, `Simulation::drive` runs everything
-//! through the discrete-event engine in slot-compatibility mode, so every
-//! test below exercises the event path; the cross-engine and sparse-mode
-//! tests pin it against the slotted oracle and against itself explicitly.
+//! through the discrete-event engine, so every test below exercises the
+//! event path; the cross-engine and sparse-schedule tests pin it against
+//! the slotted oracle and against itself explicitly.
 
 use drl_vnf_edge::prelude::*;
 
@@ -144,8 +144,8 @@ fn event_engine_matches_the_slotted_oracle() {
 
 #[test]
 fn sparse_engine_same_schedule_is_bit_identical() {
-    // Sparse runs (`BillingMode::Sparse`, mid-slot arrivals, sub-slot
-    // holding times) must be exactly as reproducible as the slotted path.
+    // Sparse schedules (mid-slot arrivals, sub-slot holding times) must
+    // be exactly as reproducible as slot-aligned ones.
     let scenario = Scenario::small_test();
     let run = || {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
@@ -167,10 +167,7 @@ fn sparse_engine_same_schedule_is_bit_identical() {
         let mut summary = sim.drive(
             RunInput::Events(&arrivals),
             &mut policy,
-            RunOptions::new()
-                .sparse()
-                .with_seed_offset(9)
-                .with_horizon(30),
+            RunOptions::new().with_seed_offset(9).with_horizon(30),
         );
         summary.mean_decision_time_us = 0.0;
         assert!(sim.events_processed() > 0, "the queue must drive the run");

@@ -28,6 +28,22 @@ fn full_pipeline_workload_to_summary() {
     assert!(s.total_cost_usd > 0.0);
 }
 
+/// Drains `sim`: no arrivals for long enough that all flows depart and
+/// every instance passes the idle grace period, then checks nothing is
+/// left. The runs before left the simulation in event mode, so the drain
+/// rides the event engine too (departure and retire-check events
+/// scheduled past the last horizon fire here).
+fn assert_drains_to_empty(sim: &mut Simulation, policy: &mut dyn PlacementPolicy) {
+    let drain = Trace {
+        requests: Vec::new(),
+        horizon_slots: 400,
+    };
+    let _ = sim.drive(RunInput::Trace(&drain), policy, RunOptions::new());
+    assert_eq!(sim.active_flow_count(), 0);
+    assert_eq!(sim.pool.len(), 0, "all instances retired after drain");
+    assert_eq!(sim.ledger().total_used_cpu(), 0.0, "no leaked capacity");
+}
+
 #[test]
 fn capacity_is_conserved_through_a_full_run() {
     // After every flow departs and idle instances are retired, the ledger
@@ -41,22 +57,47 @@ fn capacity_is_conserved_through_a_full_run() {
         &mut policy,
         RunOptions::new().with_seed_offset(1),
     );
-    // Drain: no arrivals for long enough that all flows depart and every
-    // instance passes the idle grace period. The run left the simulation in
-    // event mode, so the drain rides the event engine too (departure and
-    // retire-check events scheduled past the first horizon fire here).
-    let drain = Trace {
-        requests: Vec::new(),
-        horizon_slots: 400,
+    assert_drains_to_empty(&mut sim, &mut policy);
+}
+
+#[test]
+fn capacity_is_conserved_through_chained_generated_runs() {
+    // Four short generated runs on one simulation: each run's first
+    // arrivals come while flows of the run before are still live. Were
+    // every run's request ids to restart at 0, a new flow would take a
+    // live flow's place in the active set and the old flow's shares
+    // would stay on its instances forever (20 instances never retired).
+    let mut scenario = small_scenario(4.0);
+    scenario.horizon_slots = 6;
+    let mut sim = Simulation::new(&scenario, RewardConfig::default());
+    let mut policy = WeightedGreedyPolicy::default();
+    for seed_offset in 0..4 {
+        let _ = sim.drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(seed_offset),
+        );
+    }
+    assert_drains_to_empty(&mut sim, &mut policy);
+}
+
+#[test]
+#[should_panic(expected = "already active")]
+fn readmitting_a_live_request_id_is_refused() {
+    // Ids the caller supplies are the caller's to keep unique: a second
+    // arrival under the id of a flow still being served is an error.
+    let scenario = small_scenario(4.0);
+    let mut sim = Simulation::new(&scenario, RewardConfig::default());
+    let arrival = |slot| TimedArrival {
+        at: SimTime::from_slot(slot, sim.slot_ms()),
+        request: Request::new(RequestId(0), ChainId(1), NodeId(1), slot, 10),
     };
+    let arrivals = [arrival(0), arrival(3)];
     let _ = sim.drive(
-        RunInput::Trace(&drain),
-        &mut policy,
-        RunOptions::new().with_seed_offset(1),
+        RunInput::Events(&arrivals),
+        &mut FirstFitPolicy,
+        RunOptions::new(),
     );
-    assert_eq!(sim.active_flow_count(), 0);
-    assert_eq!(sim.pool.len(), 0, "all instances retired after drain");
-    assert_eq!(sim.ledger().total_used_cpu(), 0.0, "no leaked capacity");
 }
 
 #[test]
