@@ -55,7 +55,7 @@ const HIST_LO_MS: f64 = 1e-3;
 const HIST_HI_MS: f64 = 1e5;
 
 /// A fixed-size log-spaced histogram over admission latencies — the
-/// O(1)-memory stand-in for the full-mode sorted latency vector.
+/// O(1)-memory stand-in for full retention's sorted latency vector.
 /// Percentiles are read as the geometric center of the bin holding the
 /// same order statistic the exact computation would pick.
 #[derive(Debug, Clone)]
@@ -85,7 +85,7 @@ impl LatencyHistogram {
         HIST_LO_MS * (HIST_HI_MS / HIST_LO_MS).powf(i as f64 / (HIST_BINS - 1) as f64)
     }
 
-    /// The same order statistic the full-mode percentile picks
+    /// The same order statistic full retention's percentile picks
     /// (`round((n-1)·p)`), resolved to its bin's center value.
     fn percentile(&self, p: f64) -> f64 {
         if self.total == 0 {
@@ -103,11 +103,11 @@ impl LatencyHistogram {
     }
 }
 
-/// O(1)-memory folds of everything [`MetricsCollector::summarize`]
-/// needs — what a streaming collector keeps instead of the per-slot and
-/// per-admission vectors.
+/// O(1)-memory folds of every observation, kept under both retentions:
+/// everything [`MetricsCollector::summarize`] reads except the latency
+/// percentiles (and, under full retention, the latency mean).
 #[derive(Debug, Clone)]
-struct StreamingTotals {
+struct Totals {
     slots: u64,
     arrivals: u64,
     accepted: u64,
@@ -122,29 +122,30 @@ struct StreamingTotals {
     downtime_slots: u64,
     latency_sum: f64,
     latency_count: u64,
-    latency_hist: LatencyHistogram,
     decision_ns_sum: u64,
     decision_count: u64,
 }
 
-impl StreamingTotals {
-    fn new() -> Self {
+impl Default for Totals {
+    /// Float sums start at `-0.0`, where `Iterator::sum` starts, so each
+    /// is the bits a sum over the slot records would give, zero sign
+    /// included.
+    fn default() -> Self {
         Self {
             slots: 0,
             arrivals: 0,
             accepted: 0,
             rejected: 0,
             sla_violations: 0,
-            cost: 0.0,
-            utilization_sum: 0.0,
-            active_flows_sum: 0.0,
-            live_instances_sum: 0.0,
+            cost: -0.0,
+            utilization_sum: -0.0,
+            active_flows_sum: -0.0,
+            live_instances_sum: -0.0,
             flows_disrupted: 0,
             flows_replaced: 0,
             downtime_slots: 0,
-            latency_sum: 0.0,
+            latency_sum: -0.0,
             latency_count: 0,
-            latency_hist: LatencyHistogram::new(),
             decision_ns_sum: 0,
             decision_count: 0,
         }
@@ -153,29 +154,30 @@ impl StreamingTotals {
 
 /// Collects observations during a run.
 ///
-/// Two retention modes:
+/// Every observation folds into running totals as it lands, whatever the
+/// retention, and [`MetricsCollector::summarize`] reads every count, cost,
+/// utilization, flow, instance, disruption and decision-time field from
+/// them. The retention decides only what is kept besides:
 ///
-/// * **Full** (the default): every [`SlotRecord`], admission latency and
-///   decision time is kept — memory grows with the horizon, and
-///   [`MetricsCollector::summarize`] computes exact statistics.
-/// * **Streaming** ([`MetricsCollector::enable_streaming`]):
-///   observations fold into running totals on arrival — O(1) memory
-///   in trace length. Sums, counts and ratios summarize to the same
-///   values as full mode (bit-identical where the fold order matches,
-///   which it does for every slot-derived field); latency percentiles
-///   come from a log-spaced histogram with ≈2% relative error, and the
-///   latency mean may differ in final ulps (full mode sums after
-///   sorting). [`MetricsCollector::slots`] returns an empty slice in
-///   streaming mode.
+/// * **Full** (the default): every [`SlotRecord`] and admission latency —
+///   memory grows with the horizon; latency percentiles are exact order
+///   statistics and the latency mean is summed after sorting.
+/// * **Streaming** ([`MetricsCollector::enable_streaming`]): a log-spaced
+///   latency histogram — O(1) memory in trace length; percentiles carry
+///   ≈2% relative error, and the latency mean is the running sum's, which
+///   may differ from full retention's in final ulps.
+///   [`MetricsCollector::slots`] returns an empty slice.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
+    /// Both retentions: every observation, folded as it lands.
+    totals: Totals,
+    /// Full retention: every slot record.
     slots: Vec<SlotRecord>,
-    /// End-to-end latency of each accepted request at admission (ms).
+    /// Full retention: each accepted request's admission latency (ms).
     admission_latencies: Vec<f64>,
-    /// Wall-clock nanoseconds per placement decision.
-    decision_times_ns: Vec<u64>,
-    /// `Some` in streaming mode; observations fold here instead.
-    streaming: Option<StreamingTotals>,
+    /// Streaming retention (`Some` once enabled): where latencies land
+    /// instead of `admission_latencies`.
+    latency_hist: Option<LatencyHistogram>,
 }
 
 impl MetricsCollector {
@@ -184,239 +186,120 @@ impl MetricsCollector {
         Self::default()
     }
 
-    /// Switches to streaming retention (idempotent). Must be called
-    /// before any observation lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the collector already holds full-mode data — the two
-    /// retentions cannot be stitched into one consistent summary.
+    /// Switches to streaming retention (idempotent). Latencies kept so
+    /// far fold into the histogram and kept slot records are dropped;
+    /// the totals carry on, so the summary still covers them.
     pub fn enable_streaming(&mut self) {
-        if self.streaming.is_some() {
+        if self.latency_hist.is_some() {
             return;
         }
-        assert!(
-            self.slots.is_empty()
-                && self.admission_latencies.is_empty()
-                && self.decision_times_ns.is_empty(),
-            "cannot enable streaming metrics on a collector already holding full-mode data"
-        );
-        self.streaming = Some(StreamingTotals::new());
+        let mut hist = LatencyHistogram::new();
+        for &latency_ms in &self.admission_latencies {
+            hist.push(latency_ms);
+        }
+        self.latency_hist = Some(hist);
+        self.slots = Vec::new();
+        self.admission_latencies = Vec::new();
     }
 
     /// `true` once [`MetricsCollector::enable_streaming`] has run.
     pub fn is_streaming(&self) -> bool {
-        self.streaming.is_some()
+        self.latency_hist.is_some()
     }
 
     /// Appends a slot record.
     pub fn push_slot(&mut self, record: SlotRecord) {
-        if let Some(s) = self.streaming.as_mut() {
-            s.slots += 1;
-            s.arrivals += record.arrivals as u64;
-            s.accepted += record.accepted as u64;
-            s.rejected += record.rejected as u64;
-            s.sla_violations += record.sla_violations as u64;
-            s.cost += record.total_cost();
-            s.utilization_sum += record.mean_utilization;
-            s.active_flows_sum += record.active_flows as f64;
-            s.live_instances_sum += record.live_instances as f64;
-            s.flows_disrupted += record.flows_disrupted as u64;
-            s.flows_replaced += record.flows_replaced as u64;
-            s.downtime_slots += record.nodes_down as u64;
-            return;
+        let t = &mut self.totals;
+        t.slots += 1;
+        t.arrivals += record.arrivals as u64;
+        t.accepted += record.accepted as u64;
+        t.rejected += record.rejected as u64;
+        t.sla_violations += record.sla_violations as u64;
+        t.cost += record.total_cost();
+        t.utilization_sum += record.mean_utilization;
+        t.active_flows_sum += record.active_flows as f64;
+        t.live_instances_sum += record.live_instances as f64;
+        t.flows_disrupted += record.flows_disrupted as u64;
+        t.flows_replaced += record.flows_replaced as u64;
+        t.downtime_slots += record.nodes_down as u64;
+        if self.latency_hist.is_none() {
+            self.slots.push(record);
         }
-        self.slots.push(record);
     }
 
     /// Records an accepted request's admission latency.
     pub fn push_admission_latency(&mut self, latency_ms: f64) {
-        if let Some(s) = self.streaming.as_mut() {
-            s.latency_sum += latency_ms;
-            s.latency_count += 1;
-            s.latency_hist.push(latency_ms);
-            return;
+        self.totals.latency_sum += latency_ms;
+        self.totals.latency_count += 1;
+        match self.latency_hist.as_mut() {
+            Some(hist) => hist.push(latency_ms),
+            None => self.admission_latencies.push(latency_ms),
         }
-        self.admission_latencies.push(latency_ms);
     }
 
     /// Records a decision's wall-clock duration.
     pub fn push_decision_time(&mut self, ns: u64) {
-        if let Some(s) = self.streaming.as_mut() {
-            s.decision_ns_sum += ns;
-            s.decision_count += 1;
-            return;
-        }
-        self.decision_times_ns.push(ns);
+        self.totals.decision_ns_sum += ns;
+        self.totals.decision_count += 1;
     }
 
-    /// Number of placement decisions recorded so far (works in both full
-    /// and streaming mode) — throughput denominators for benchmarks.
+    /// Number of placement decisions recorded so far — throughput
+    /// denominators for benchmarks.
     pub fn decision_count(&self) -> u64 {
-        match self.streaming.as_ref() {
-            Some(s) => s.decision_count,
-            None => self.decision_times_ns.len() as u64,
-        }
+        self.totals.decision_count
     }
 
-    /// All slot records (empty in streaming mode — per-slot history is
-    /// exactly what streaming retention does not keep; attach a
+    /// All slot records (empty under streaming retention — per-slot
+    /// history is exactly what it does not keep; attach a
     /// `TelemetrySink` for a rolling snapshot tail instead).
     pub fn slots(&self) -> &[SlotRecord] {
         &self.slots
     }
 
-    fn summarize_streaming(s: &StreamingTotals) -> RunSummary {
-        RunSummary {
-            slots: s.slots,
-            total_arrivals: s.arrivals,
-            total_accepted: s.accepted,
-            total_rejected: s.rejected,
-            acceptance_ratio: if s.arrivals > 0 {
-                s.accepted as f64 / s.arrivals as f64
-            } else {
-                1.0
-            },
-            sla_violation_ratio: if s.accepted > 0 {
-                s.sla_violations as f64 / s.accepted as f64
-            } else {
-                0.0
-            },
-            mean_admission_latency_ms: if s.latency_count > 0 {
-                s.latency_sum / s.latency_count as f64
-            } else {
-                0.0
-            },
-            p50_admission_latency_ms: s.latency_hist.percentile(0.50),
-            p95_admission_latency_ms: s.latency_hist.percentile(0.95),
-            total_cost_usd: s.cost,
-            mean_slot_cost_usd: if s.slots > 0 {
-                s.cost / s.slots as f64
-            } else {
-                0.0
-            },
-            mean_utilization: if s.slots > 0 {
-                s.utilization_sum / s.slots as f64
-            } else {
-                0.0
-            },
-            mean_active_flows: if s.slots > 0 {
-                s.active_flows_sum / s.slots as f64
-            } else {
-                0.0
-            },
-            mean_live_instances: if s.slots > 0 {
-                s.live_instances_sum / s.slots as f64
-            } else {
-                0.0
-            },
-            mean_decision_time_us: if s.decision_count > 0 {
-                s.decision_ns_sum as f64 / s.decision_count as f64 / 1000.0
-            } else {
-                0.0
-            },
-            flows_disrupted: s.flows_disrupted,
-            replacement_success_rate: if s.flows_disrupted > 0 {
-                s.flows_replaced as f64 / s.flows_disrupted as f64
-            } else {
-                1.0
-            },
-            downtime_slots: s.downtime_slots,
-        }
-    }
-
     /// Finalizes into a summary.
     pub fn summarize(&self) -> RunSummary {
-        if let Some(s) = self.streaming.as_ref() {
-            return Self::summarize_streaming(s);
-        }
-        let total_arrivals: u64 = self.slots.iter().map(|s| s.arrivals as u64).sum();
-        let total_accepted: u64 = self.slots.iter().map(|s| s.accepted as u64).sum();
-        let total_rejected: u64 = self.slots.iter().map(|s| s.rejected as u64).sum();
-        let total_sla_violations: u64 = self.slots.iter().map(|s| s.sla_violations as u64).sum();
-        let total_cost: f64 = self.slots.iter().map(SlotRecord::total_cost).sum();
-        let flows_disrupted: u64 = self.slots.iter().map(|s| s.flows_disrupted as u64).sum();
-        let flows_replaced: u64 = self.slots.iter().map(|s| s.flows_replaced as u64).sum();
-        let downtime_slots: u64 = self.slots.iter().map(|s| s.nodes_down as u64).sum();
-        let slot_count = self.slots.len() as f64;
-
-        let mut sorted = self.admission_latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let percentile = |p: f64| -> f64 {
-            if sorted.is_empty() {
-                return 0.0;
+        let t = &self.totals;
+        let ratio = |num: f64, den: u64, empty: f64| if den > 0 { num / den as f64 } else { empty };
+        let per_slot = |sum: f64| ratio(sum, t.slots, 0.0);
+        let (mean_latency, p50, p95) = match &self.latency_hist {
+            Some(hist) => (
+                ratio(t.latency_sum, t.latency_count, 0.0),
+                hist.percentile(0.50),
+                hist.percentile(0.95),
+            ),
+            None => {
+                let mut sorted = self.admission_latencies.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                let percentile = |p: f64| -> f64 {
+                    if sorted.is_empty() {
+                        return 0.0;
+                    }
+                    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+                    sorted[idx.min(sorted.len() - 1)]
+                };
+                let mean = ratio(sorted.iter().sum::<f64>(), sorted.len() as u64, 0.0);
+                (mean, percentile(0.50), percentile(0.95))
             }
-            let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-            sorted[idx.min(sorted.len() - 1)]
         };
-        let mean_latency = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
-        };
-        let mean_decision_us = if self.decision_times_ns.is_empty() {
-            0.0
-        } else {
-            self.decision_times_ns.iter().sum::<u64>() as f64
-                / self.decision_times_ns.len() as f64
-                / 1000.0
-        };
-
         RunSummary {
-            slots: self.slots.len() as u64,
-            total_arrivals,
-            total_accepted,
-            total_rejected,
-            acceptance_ratio: if total_arrivals > 0 {
-                total_accepted as f64 / total_arrivals as f64
-            } else {
-                1.0
-            },
-            sla_violation_ratio: if total_accepted > 0 {
-                total_sla_violations as f64 / total_accepted as f64
-            } else {
-                0.0
-            },
+            slots: t.slots,
+            total_arrivals: t.arrivals,
+            total_accepted: t.accepted,
+            total_rejected: t.rejected,
+            acceptance_ratio: ratio(t.accepted as f64, t.arrivals, 1.0),
+            sla_violation_ratio: ratio(t.sla_violations as f64, t.accepted, 0.0),
             mean_admission_latency_ms: mean_latency,
-            p50_admission_latency_ms: percentile(0.50),
-            p95_admission_latency_ms: percentile(0.95),
-            total_cost_usd: total_cost,
-            mean_slot_cost_usd: if slot_count > 0.0 {
-                total_cost / slot_count
-            } else {
-                0.0
-            },
-            mean_utilization: if slot_count > 0.0 {
-                self.slots.iter().map(|s| s.mean_utilization).sum::<f64>() / slot_count
-            } else {
-                0.0
-            },
-            mean_active_flows: if slot_count > 0.0 {
-                self.slots
-                    .iter()
-                    .map(|s| s.active_flows as f64)
-                    .sum::<f64>()
-                    / slot_count
-            } else {
-                0.0
-            },
-            mean_live_instances: if slot_count > 0.0 {
-                self.slots
-                    .iter()
-                    .map(|s| s.live_instances as f64)
-                    .sum::<f64>()
-                    / slot_count
-            } else {
-                0.0
-            },
-            mean_decision_time_us: mean_decision_us,
-            flows_disrupted,
-            replacement_success_rate: if flows_disrupted > 0 {
-                flows_replaced as f64 / flows_disrupted as f64
-            } else {
-                1.0
-            },
-            downtime_slots,
+            p50_admission_latency_ms: p50,
+            p95_admission_latency_ms: p95,
+            total_cost_usd: t.cost,
+            mean_slot_cost_usd: per_slot(t.cost),
+            mean_utilization: per_slot(t.utilization_sum),
+            mean_active_flows: per_slot(t.active_flows_sum),
+            mean_live_instances: per_slot(t.live_instances_sum),
+            mean_decision_time_us: ratio(t.decision_ns_sum as f64, t.decision_count, 0.0) / 1000.0,
+            flows_disrupted: t.flows_disrupted,
+            replacement_success_rate: ratio(t.flows_replaced as f64, t.flows_disrupted, 1.0),
+            downtime_slots: t.downtime_slots,
         }
     }
 }

@@ -168,18 +168,22 @@ pub fn train_pg(
         returns.extend(policy.take_episode_returns());
         summaries.push(summary);
 
-        policy.set_training(false);
-        let mut val_sim = Simulation::new(scenario, reward);
-        let val = val_sim.drive(
-            RunInput::Generated,
-            &mut policy,
-            RunOptions::new().with_seed_offset(0xA11CE),
-        );
-        policy.set_training(true);
-        let objective =
-            val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);
-        if best.as_ref().is_none_or(|(b, _)| objective < *b) {
-            best = Some((objective, policy.clone()));
+        // As in `train_drl`: with a single pass the only checkpoint wins
+        // unconditionally, so there is nothing to validate.
+        if passes > 1 {
+            policy.set_training(false);
+            let mut val_sim = Simulation::new(scenario, reward);
+            let val = val_sim.drive(
+                RunInput::Generated,
+                &mut policy,
+                RunOptions::new().with_seed_offset(0xA11CE),
+            );
+            policy.set_training(true);
+            let objective =
+                val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);
+            if best.as_ref().is_none_or(|(b, _)| objective < *b) {
+                best = Some((objective, policy.clone()));
+            }
         }
     }
     let mut policy = best.map(|(_, p)| p).unwrap_or(policy);

@@ -357,6 +357,13 @@ impl BenchReport {
     /// The deterministic payload: cells + aggregates only. Two runs of the
     /// same grid serialize this identically regardless of thread count.
     pub fn payload_json(&self) -> Value {
+        let mut map = serde_json::Map::new();
+        self.insert_payload(&mut map);
+        Value::Object(map)
+    }
+
+    /// Inserts the payload's two members, `cells` and `aggregates`.
+    fn insert_payload(&self, map: &mut serde_json::Map) {
         let cells: Vec<Value> = self.cells.iter().map(cell_json).collect();
         let aggregates: Vec<Value> = self
             .aggregates
@@ -370,10 +377,8 @@ impl BenchReport {
                 Value::Object(map)
             })
             .collect();
-        let mut map = serde_json::Map::new();
         map.insert("cells", Value::Array(cells));
         map.insert("aggregates", Value::Array(aggregates));
-        Value::Object(map)
     }
 
     /// The full document written to `BENCH_<name>.json`.
@@ -406,18 +411,7 @@ impl BenchReport {
         if !self.fingerprint.is_empty() {
             map.insert("fingerprint", Value::from(self.fingerprint.as_str()));
         }
-        let payload = self.payload_json();
-        map.insert(
-            "cells",
-            payload.get("cells").expect("payload has cells").clone(),
-        );
-        map.insert(
-            "aggregates",
-            payload
-                .get("aggregates")
-                .expect("payload has aggregates")
-                .clone(),
-        );
+        self.insert_payload(&mut map);
         Value::Object(map)
     }
 
@@ -432,15 +426,7 @@ impl BenchReport {
             .get("cells")?
             .as_array()?
             .iter()
-            .map(|c| {
-                Some(BenchCell {
-                    scenario: c.get("scenario")?.as_str()?.to_string(),
-                    policy: c.get("policy")?.as_str()?.to_string(),
-                    x: c.get("x")?.as_f64()?,
-                    seed: c.get("seed")?.as_u64()?,
-                    summary: summary_from_json(c.get("summary")?)?,
-                })
-            })
+            .map(cell_from_json)
             .collect::<Option<Vec<_>>>()?;
         let aggregates = group_aggregates(&cells);
         Some(Self {

@@ -81,11 +81,12 @@ impl Simulation {
     /// The one run entry point: drives `input` through the event engine
     /// with the metrics retention, decision semantics and observer
     /// selected by `opts`, and returns the run's [`RunSummary`].
+    /// [`MetricsMode::Streaming`] after full-retention runs switches the
+    /// collector: their latencies fold into its histogram and their
+    /// records are dropped.
     ///
     /// # Panics
     ///
-    /// * [`MetricsMode::Streaming`] on a collector already holding
-    ///   full-mode data from an earlier run.
     /// * A [`RunInput::Stream`] that yields an arrival earlier than the
     ///   one before it.
     /// * An arrival under the request id of a flow that is still active:
@@ -100,6 +101,9 @@ impl Simulation {
             self.metrics.enable_streaming();
         }
         self.semantics = opts.semantics;
+        // The world may have changed since the last snapshot was taken
+        // (`advance_slot`, `place_request`, the `pub` fields).
+        self.cost_cache = None;
         // Swap the caller's sink in for the run (and back out below) so
         // the hot path tests one `Option` field instead of threading a
         // reference through every engine frame.
@@ -109,7 +113,6 @@ impl Simulation {
         }
 
         let mut rng = self.decision_rng(opts.seed_offset);
-        self.enter_event_mode();
         let own_horizon = opts.horizon_slots.unwrap_or(self.scenario.horizon_slots);
         match input {
             RunInput::Generated => {
@@ -152,29 +155,6 @@ impl Simulation {
         );
     }
 
-    /// Flips the simulation into event mode, migrating departures that
-    /// direct [`Simulation::place_request`] calls (or an earlier slotted
-    /// run) registered in the slot-keyed map onto the queue. Past-due
-    /// keys are dropped — the slot loop would never reach them either.
-    fn enter_event_mode(&mut self) {
-        if self.mode == EngineMode::Event {
-            return;
-        }
-        self.mode = EngineMode::Event;
-        let departures = std::mem::take(&mut self.departures);
-        for (slot, ids) in departures {
-            if slot < self.slot {
-                continue;
-            }
-            for id in ids {
-                self.queue.schedule_at(
-                    SimTime::from_slot(slot, self.slot_ms),
-                    SimEvent::FlowDeparture { request: id },
-                );
-            }
-        }
-    }
-
     /// Moves the scenario's network events due in `[start, end_slot)`
     /// from the slot timeline onto the queue (later windows stay put for
     /// chained runs).
@@ -210,15 +190,11 @@ impl Simulation {
         }
     }
 
-    /// Event-mode bookkeeping after a flow releases instance `id`: if the
-    /// instance is now idle, schedule a retire check for the first slot
-    /// whose retire phase both hasn't passed and clears the creation-age
-    /// grace period — exactly when the slot loop's per-slot sweep would
-    /// retire it. No-op in slot mode (the sweep runs every slot there).
+    /// Bookkeeping after a flow releases instance `id`: if the instance is
+    /// now idle, schedule a retire check for the first slot whose retire
+    /// phase both hasn't passed and clears the creation-age grace period —
+    /// exactly when the slot loop's per-slot sweep would retire it.
     pub(super) fn note_possible_idle(&mut self, id: InstanceId) {
-        if self.mode != EngineMode::Event {
-            return;
-        }
         let Some(inst) = self.pool.get(id) else {
             return;
         };
@@ -241,7 +217,7 @@ impl Simulation {
     /// gone (departed, or disrupted and not re-placed) or the id's current
     /// flow departs at another instant (the event is a re-placement's
     /// leftover, or a gone flow's whose id a later arrival took over).
-    fn handle_departure(&mut self, at: SimTime, request: RequestId) {
+    pub(super) fn handle_departure(&mut self, at: SimTime, request: RequestId) {
         let flow = match self.active.entry(request.0) {
             Entry::Occupied(entry) if entry.get().departure_ms == at.ms() => entry.remove(),
             _ => return,

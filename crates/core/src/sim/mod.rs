@@ -24,6 +24,12 @@
 //!   [`Simulation::drive_slotted`]): the paper's original fixed-slot
 //!   sweep, kept as the reference the engine is compared against and for
 //!   step-by-step tests.
+//!
+//! Both keep one clock, the queue's: every admission schedules its
+//! departure there, and the slot loop takes the departures due by each
+//! slot's start off the queue before it sweeps. So `drive`,
+//! `drive_slotted`, `advance_slot` and `place_request` may follow one
+//! another in any order on one simulation.
 
 use crate::action::{ActionSpace, PlacementAction};
 use crate::config::Scenario;
@@ -80,15 +86,15 @@ pub enum PlacementOutcome {
 /// How run metrics are retained by [`Simulation::drive`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MetricsMode {
-    /// Keep whatever mode the collector is in (full per-slot records and
+    /// Keep whatever retention the collector has (full per-slot records and
     /// per-admission latencies unless a previous run enabled streaming).
     #[default]
     Full,
-    /// Fold observations into O(1)-memory streaming aggregates as they
-    /// arrive (`RunSummary` percentiles come from a log-spaced
-    /// histogram, ≈2% relative error). Once enabled the collector stays
-    /// streaming; enabling it on a collector already holding full-mode
-    /// data panics.
+    /// Keep only O(1)-memory aggregates (`RunSummary` percentiles come
+    /// from a log-spaced histogram, ≈2% relative error). Once enabled the
+    /// collector stays streaming; on a collector holding full records
+    /// from earlier runs, their latencies fold into the histogram and the
+    /// records are dropped.
     Streaming,
 }
 
@@ -231,15 +237,6 @@ struct ActiveFlow {
     departure_ms: u64,
 }
 
-/// Which engine owns lifecycle bookkeeping (where departures and retire
-/// checks are registered). A simulation starts in slot mode and flips to
-/// event mode on its first event-driven run; the two cannot interleave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EngineMode {
-    Slot,
-    Event,
-}
-
 /// Per-slot counters the event engine accumulates between billing
 /// boundaries (the slot loop derives them inside `advance_slot`).
 #[derive(Debug, Default, Clone, Copy)]
@@ -317,7 +314,6 @@ pub struct Simulation {
     pub reward_config: RewardConfig,
     scenario: Scenario,
     active: BTreeMap<u64, ActiveFlow>,
-    departures: BTreeMap<u64, Vec<RequestId>>,
     /// Slot-keyed network events, consumed as slots advance.
     event_timeline: BTreeMap<u64, Vec<NetworkEvent>>,
     slot: u64,
@@ -328,9 +324,8 @@ pub struct Simulation {
     semantics: DecisionSemantics,
     /// Duration of one slot on the ms-resolution timeline.
     slot_ms: u64,
-    /// Which engine drives lifecycle bookkeeping.
-    mode: EngineMode,
-    /// The discrete-event queue (event mode).
+    /// The discrete-event queue, whose clock is the simulation's one
+    /// clock: both loops take departures and retire checks off it.
     queue: EventQueue,
     /// Rank of what is currently being handled (retire-check timing):
     /// the queued event's, `ARRIVAL_RANK` for an arrival group.
@@ -339,7 +334,7 @@ pub struct Simulation {
     /// occurrences [`Simulation::events_processed`] counts that the queue
     /// never held.
     unqueued_events: u64,
-    /// Counters accumulated since the last billed slot (event mode).
+    /// Counters the event engine accumulates since its last billed slot.
     counters: SlotCounters,
     /// End-of-slot snapshot; `None` after any world mutation.
     cost_cache: Option<CostCache>,
@@ -441,7 +436,6 @@ impl Simulation {
             reward_config,
             scenario: scenario.clone(),
             active: BTreeMap::new(),
-            departures: BTreeMap::new(),
             event_timeline,
             slot: 0,
             deployment_cost_this_slot: 0.0,
@@ -449,7 +443,6 @@ impl Simulation {
             scratch,
             semantics: DecisionSemantics::Sequential,
             slot_ms: ((scenario.slot_seconds * 1000.0).round() as u64).max(1),
-            mode: EngineMode::Slot,
             queue: EventQueue::new(),
             current_rank: 0,
             unqueued_events: 0,
@@ -489,13 +482,9 @@ impl Simulation {
         self.slot
     }
 
-    /// The current instant on the ms timeline: the event clock in event
-    /// mode, the current slot's start in slot mode.
+    /// The current instant on the ms timeline (the queue's clock).
     fn now_ms(&self) -> u64 {
-        match self.mode {
-            EngineMode::Slot => self.slot.saturating_mul(self.slot_ms),
-            EngineMode::Event => self.queue.now().ms(),
-        }
+        self.queue.now().ms()
     }
 
     /// Number of currently active flows.

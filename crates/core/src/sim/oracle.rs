@@ -1,24 +1,29 @@
-//! The paper's slot loop, kept unchanged as the reference the event engine
-//! is compared against (`tests/event_slot_equivalence.rs`).
+//! The paper's slot loop, kept as the reference the event engine is
+//! compared against (`tests/event_slot_equivalence.rs`). It shares the
+//! engine's clock: departures come off the same queue.
 
 use super::*;
 
 impl Simulation {
-    /// Processes departures scheduled for the current slot.
+    /// Takes every event due by the current slot's start off the queue
+    /// and moves the clock there. Departures depart; retire checks are
+    /// dropped, because this loop sweeps every slot itself.
     fn process_departures(&mut self) {
-        let Some(ids) = self.departures.remove(&self.slot) else {
-            return;
-        };
-        for id in ids {
-            let Some(flow) = self.active.remove(&id.0) else {
-                continue;
-            };
-            for inst_id in flow.instances {
-                self.pool
-                    .remove_flow(inst_id, flow.arrival_rate_rps)
-                    .expect("active flow's instance exists");
+        let slot_start = SimTime::from_slot(self.slot, self.slot_ms);
+        while let Some((t, _)) = self.queue.peek().filter(|&(t, _)| t <= slot_start) {
+            match self.queue.pop() {
+                Some((_, SimEvent::FlowDeparture { request })) => self.handle_departure(t, request),
+                Some((_, SimEvent::RetireCheck)) => {
+                    self.retire_checks.remove(&t.slot(self.slot_ms));
+                }
+                // `drive` handles every network event it queues before its
+                // horizon; the slot loop reads its own timeline.
+                _ => unreachable!("a queued network event outlived its run"),
             }
         }
+        self.queue.advance_to(slot_start);
+        // A mid-slot departure's share was billed with the whole slot.
+        self.partial_traffic = 0.0;
     }
 
     /// Applies the network events scheduled for the current slot. Node
@@ -40,25 +45,16 @@ impl Simulation {
     /// re-placement), idle retirement, the slot's arrivals, then cost
     /// accounting. Returns the slot record.
     ///
-    /// This is the paper's original slotted loop; it cannot be mixed with
-    /// the event engine on the same simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already ran event-driven
-    /// ([`Simulation::drive`]).
+    /// This is the paper's original slotted loop. It runs on the event
+    /// engine's clock, so it may follow or precede [`Simulation::drive`]
+    /// on the same simulation; arrivals are decided at the slot's start.
     pub fn advance_slot(
         &mut self,
         arrivals: &[Request],
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
     ) -> SlotRecord {
-        assert!(
-            self.mode == EngineMode::Slot,
-            "advance_slot drives the slot loop; this simulation is already event-driven"
-        );
         self.process_departures();
-        self.deployment_cost_this_slot = 0.0;
 
         // Network events fire after departures (a flow that leaves this
         // slot cannot be disrupted) and before arrivals (new requests see
@@ -96,7 +92,8 @@ impl Simulation {
             compute_cost: compute,
             energy_cost: energy,
             traffic_cost: traffic,
-            deployment_cost: self.deployment_cost_this_slot,
+            // Taken, not read: a `drive` next must not bill it again.
+            deployment_cost: std::mem::take(&mut self.deployment_cost_this_slot),
             mean_utilization: self.network.ledger().mean_utilization(),
             flows_disrupted,
             flows_replaced,
@@ -114,11 +111,6 @@ impl Simulation {
     /// [`RunInput::Generated`] uses, so the two runs are comparable bit
     /// for bit. Whole-slot billing, no telemetry; decision semantics come
     /// from [`Simulation::set_decision_semantics`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already ran event-driven
-    /// ([`Simulation::drive`]).
     pub fn drive_slotted(
         &mut self,
         trace: Option<&Trace>,

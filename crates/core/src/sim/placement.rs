@@ -265,7 +265,10 @@ impl Simulation {
         }
     }
 
-    /// Runs one request's placement episode under `policy`.
+    /// Runs one request's placement episode under `policy`, at the
+    /// simulation's current instant (the clock the last run or slot left
+    /// behind): an admitted flow is active from there for its holding
+    /// time, and its departure is queued for whichever loop runs next.
     ///
     /// A decision allocates nothing at steady state: the decision context
     /// (chain included) and the rollback list are recycled across
@@ -420,23 +423,12 @@ impl Simulation {
         let latency_ms = breakdown.total_ms();
         let sla_violated = latency_ms > chain.latency_budget_ms;
         self.deployment_cost_this_slot += deployment_cost;
-        // Slot mode: whole slots, from the arrival-slot boundary to the
-        // slot the departure is registered under below. Event mode: from
-        // the clock (the same instant on a slot-boundary schedule) for the
-        // stated holding time. Either way `departure_ms` is the instant
-        // the flow's departure event carries (`handle_departure`).
-        let slot_ms = self.slot_ms;
-        let (activated_ms, departure_ms) = match self.mode {
-            EngineMode::Slot => (
-                request.arrival_slot * slot_ms,
-                request.departure_slot() * slot_ms,
-            ),
-            EngineMode::Event => {
-                let now = self.queue.now().ms();
-                let whole_slots = request.duration_slots as u64 * slot_ms;
-                (now, now + request.duration_ms.unwrap_or(whole_slots))
-            }
-        };
+        // From the clock for the stated holding time; `departure_ms` is
+        // the instant the flow's departure event carries
+        // (`handle_departure`).
+        let activated_ms = self.now_ms();
+        let whole_slots = request.duration_slots as u64 * self.slot_ms;
+        let departure_ms = activated_ms + request.duration_ms.unwrap_or(whole_slots);
         let displaced = self.active.insert(
             request.id.0,
             ActiveFlow {
@@ -463,19 +455,12 @@ impl Simulation {
         // The event loop decides an arrival group in one call because no
         // departure can come due inside it.
         debug_assert!(departure_ms > activated_ms, "a flow holds for some time");
-        match self.mode {
-            EngineMode::Slot => self
-                .departures
-                .entry(request.departure_slot())
-                .or_default()
-                .push(request.id),
-            EngineMode::Event => self.queue.schedule_at(
-                SimTime::from_ms(departure_ms),
-                SimEvent::FlowDeparture {
-                    request: request.id,
-                },
-            ),
-        }
+        self.queue.schedule_at(
+            SimTime::from_ms(departure_ms),
+            SimEvent::FlowDeparture {
+                request: request.id,
+            },
+        );
         self.metrics.push_admission_latency(latency_ms);
         if let Some(sink) = self.telemetry.as_mut() {
             sink.on_admitted(request.id, activated_ms, latency_ms);

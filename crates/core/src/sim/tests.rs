@@ -52,24 +52,107 @@ fn departure_releases_flows_and_idle_retirement_frees_capacity() {
     assert_eq!(s.ledger().total_used_cpu(), 0.0, "capacity returned");
 }
 
+fn drain(slots: u64) -> Trace {
+    Trace {
+        requests: Vec::new(),
+        horizon_slots: slots,
+    }
+}
+
 #[test]
-fn flow_placed_in_slot_mode_departs_after_the_switch_to_events() {
-    // Placed directly (slot mode), a flow's departure is registered by
-    // slot, whatever `duration_ms` says; the event engine must take the
-    // migrated departure event for this flow's own, not a stale one.
+fn flows_placed_before_a_drive_are_handed_over_to_it() {
+    // (a) A directly placed flow departs when its `duration_ms` says,
+    // half-way through the first slot `drive` runs, not at a slot
+    // boundary: there is one clock and the departure is already on it.
     let mut s = sim();
     let mut policy = FirstFitPolicy;
     let mut rng = StdRng::seed_from_u64(1);
     let req = request(0, 1, 0, 0, 2).with_duration_ms(s.slot_ms() / 2);
     s.place_request(&req, &mut policy, &mut rng);
     assert_eq!(s.active_flow_count(), 1);
-    let drain = Trace {
-        requests: Vec::new(),
-        horizon_slots: 10,
-    };
-    let _ = s.drive(RunInput::Trace(&drain), &mut policy, RunOptions::new());
-    assert_eq!(s.active_flow_count(), 0);
+    let _ = s.drive(RunInput::Trace(&drain(1)), &mut policy, RunOptions::new());
+    assert_eq!(s.active_flow_count(), 0, "gone half-way through slot 0");
+    let _ = s.drive(RunInput::Trace(&drain(10)), &mut policy, RunOptions::new());
     assert_eq!(s.pool.len(), 0, "idle instances retired");
+
+    // (b) Instances the slot loop leaves idle retire once `drive` takes
+    // over: their release queued a retire check the engine then runs.
+    let mut s = sim();
+    s.advance_slot(&[request(0, 1, 0, 0, 2)], &mut policy, &mut rng);
+    s.advance_slot(&[], &mut policy, &mut rng);
+    s.advance_slot(&[], &mut policy, &mut rng);
+    assert_eq!(s.active_flow_count(), 0);
+    assert_eq!(s.pool.len(), 2, "idle, inside the retirement grace period");
+    let _ = s.drive(RunInput::Trace(&drain(20)), &mut policy, RunOptions::new());
+    assert_eq!(s.pool.len(), 0, "idle instances retired");
+    assert_eq!(s.ledger().total_used_cpu(), 0.0, "capacity returned");
+}
+
+#[test]
+fn slot_loop_and_event_engine_hand_over_in_any_order() {
+    // On slot-aligned input the engine is the slot loop bit for bit, so a
+    // run that alternates between them must match the slot loop alone:
+    // same records, whichever loop has each third of the trace (random
+    // decisions and node failures included).
+    let scenario = Scenario::small_test()
+        .with_arrival_rate(3.0)
+        .with_failures(0.05, 4.0);
+    let trace = Simulation::new(&scenario, RewardConfig::default()).generate_run_trace(0);
+    let h = trace.horizon_slots;
+    let cuts = [0, h / 3, 2 * h / 3, h];
+    let part = |i: usize| Trace {
+        requests: trace
+            .requests
+            .iter()
+            .filter(|r| (cuts[i]..cuts[i + 1]).contains(&r.arrival_slot))
+            .map(|r| Request {
+                arrival_slot: r.arrival_slot - cuts[i],
+                ..r.clone()
+            })
+            .collect(),
+        horizon_slots: cuts[i + 1] - cuts[i],
+    };
+    let run = |engine_parts: [bool; 3]| {
+        let mut s = Simulation::new(&scenario, RewardConfig::default());
+        let mut policy = RandomPolicy;
+        for (i, event) in engine_parts.into_iter().enumerate() {
+            if event {
+                let _ = s.drive(RunInput::Trace(&part(i)), &mut policy, RunOptions::new());
+            } else {
+                let _ = s.drive_slotted(Some(&part(i)), &mut policy, 0, None);
+            }
+        }
+        let summary = s.metrics().summarize();
+        assert!(summary.total_rejected > 0 && summary.flows_disrupted > 0);
+        s.metrics().slots().to_vec()
+    };
+    let reference = run([false; 3]);
+    assert_eq!(reference.len() as u64, h);
+    assert_eq!(run([true, false, true]), reference);
+    assert_eq!(run([false, true, false]), reference);
+
+    // What the slot loop changes without a departure beside it reaches
+    // the engine's next billed slot, and what it billed is not billed
+    // again.
+    let mut s = sim();
+    let mut policy = FirstFitPolicy;
+    let mut rng = StdRng::seed_from_u64(1);
+    let _ = s.drive(RunInput::Trace(&drain(1)), &mut policy, RunOptions::new());
+    s.advance_slot(&[request(0, 1, 0, 1, 5)], &mut policy, &mut rng);
+    let _ = s.drive(RunInput::Trace(&drain(1)), &mut policy, RunOptions::new());
+    let billed = &s.metrics().slots()[2];
+    assert_eq!((billed.active_flows, billed.live_instances), (1, 2));
+    assert_eq!(billed.deployment_cost, 0.0, "billed in slot 1");
+
+    // Nor is the traffic of a flow the slot loop billed whole and then
+    // departed mid-slot (first-fit serves node 1 from node 0).
+    let mut s = sim();
+    let half_slot = request(0, 1, 1, 0, 1).with_duration_ms(s.slot_ms() / 2);
+    s.advance_slot(&[half_slot], &mut policy, &mut rng);
+    s.advance_slot(&[], &mut policy, &mut rng);
+    let _ = s.drive(RunInput::Trace(&drain(1)), &mut policy, RunOptions::new());
+    assert!(s.metrics().slots()[0].traffic_cost > 0.0);
+    assert_eq!(s.metrics().slots()[2].traffic_cost, 0.0);
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! * every flow record respects the lifecycle funnel
 //!   `requested ≤ placed ≤ active ≤ torn_down` (property-tested over
 //!   random scenarios);
-//! * streaming metrics retention reproduces the full-mode summary
+//! * streaming metrics retention reproduces the full-retention summary
 //!   exactly on counts/sums and within histogram tolerance on latency
-//!   quantiles;
+//!   quantiles, and may follow full retention on one simulation;
 //! * [`RunInput::Stream`] is observationally identical to the same
 //!   arrivals materialized as [`RunInput::Events`], and slot-boundary
 //!   arrivals to the same requests as a [`RunInput::Trace`], each
@@ -138,7 +138,7 @@ fn streaming_metrics_match_full_mode() {
     assert!(stream_sim.metrics().is_streaming());
     assert!(
         stream_sim.metrics().slots().is_empty(),
-        "streaming mode must not retain per-slot records"
+        "streaming retention must not keep per-slot records"
     );
 
     // Counts and slot-derived sums fold in the same order → exact.
@@ -187,6 +187,26 @@ fn streaming_metrics_match_full_mode() {
     ] {
         assert!(close(a, b, 0.05), "{name} diverged: {a} vs {b}");
     }
+
+    // Streaming may follow full retention on one simulation: the second
+    // run's summary covers both runs, exactly like two full runs'.
+    let two_runs = |second: RunOptions<'static>| {
+        let mut sim = Simulation::new(&scenario, RewardConfig::default());
+        let _ = sim.drive(RunInput::Generated, &mut FirstFitPolicy, RunOptions::new());
+        let summary = sim.drive(RunInput::Generated, &mut FirstFitPolicy, second);
+        (summary, sim)
+    };
+    let (both_full, _) = two_runs(RunOptions::new());
+    let (switched, switched_sim) = two_runs(RunOptions::new().with_streaming_metrics());
+    assert!(switched_sim.metrics().is_streaming());
+    assert!(switched_sim.metrics().slots().is_empty());
+    assert_eq!(switched.slots, 2 * scenario.horizon_slots);
+    assert_eq!(both_full.slots, switched.slots);
+    assert_eq!(both_full.total_arrivals, switched.total_arrivals);
+    assert_eq!(both_full.total_accepted, switched.total_accepted);
+    assert_eq!(both_full.total_cost_usd, switched.total_cost_usd);
+    assert_eq!(both_full.mean_utilization, switched.mean_utilization);
+    assert_eq!(both_full.mean_live_instances, switched.mean_live_instances);
 }
 
 #[test]

@@ -30,9 +30,8 @@ fn full_pipeline_workload_to_summary() {
 
 /// Drains `sim`: no arrivals for long enough that all flows depart and
 /// every instance passes the idle grace period, then checks nothing is
-/// left. The runs before left the simulation in event mode, so the drain
-/// rides the event engine too (departure and retire-check events
-/// scheduled past the last horizon fire here).
+/// left. Departure and retire-check events the runs before scheduled past
+/// their horizon fire here.
 fn assert_drains_to_empty(sim: &mut Simulation, policy: &mut dyn PlacementPolicy) {
     let drain = Trace {
         requests: Vec::new(),

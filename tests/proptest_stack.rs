@@ -62,7 +62,7 @@ proptest! {
         let mut policy = policy_by_index(policy_index);
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let _ = sim.drive(RunInput::Generated, policy.as_mut(), RunOptions::new());
-        // The run leaves the simulation in event mode; drain there too.
+        // Drain: what the run queued past its horizon fires here.
         let drain = Trace { requests: Vec::new(), horizon_slots: 300 };
         let _ = sim.drive(RunInput::Trace(&drain), policy.as_mut(), RunOptions::new());
         prop_assert_eq!(sim.active_flow_count(), 0);
