@@ -12,8 +12,13 @@
 //! deltas are a column of the same figure.
 //!
 //! Decision time is deliberately *kept* in this figure's cells (the whole
-//! point is timing), so unlike the other figures its CSV is not covered
-//! by the byte-identical determinism guarantee.
+//! point is timing). The engine reads no clock, so both the grid
+//! (`keep_decision_time()`) and the fan-out (`keep_decision_time = true`)
+//! run each cell's policy inside `exper`'s decision timer, which times
+//! every `decide` and every `greedy_batch` row and writes the mean into
+//! the cell's `mean_decision_time_us`. Unlike the other figures, this
+//! CSV is therefore not covered by the byte-identical determinism
+//! guarantee.
 
 use bench::{
     comparison_factories, default_passes, drl_default, emit_csv, emit_report, eval_seeds, scaled,
@@ -92,7 +97,7 @@ fn main() {
     emit_csv("fig5_scalability.csv", &sweep_csv(&report));
     for a in &report.aggregates {
         eprintln!(
-            "[fig5] n={:>2} {:>16}: {:>6.2} ms, ${:.4}/slot, {:.1} µs/decision",
+            "[fig5] n={:>2} {:>16}: {:>6.2} ms, ${:.4}/slot, {:.3} µs/decision",
             a.x,
             a.policy,
             a.aggregate.mean("mean_latency_ms"),

@@ -25,6 +25,10 @@ impl PlacementPolicy for RandomPolicy {
         "random".into()
     }
 
+    fn reads_state(&self) -> bool {
+        false
+    }
+
     fn decide(&mut self, ctx: &DecisionContext, rng: &mut StdRng) -> PlacementAction {
         let feasible: Vec<NodeId> = ctx.feasible_candidates().map(|c| c.node).collect();
         if feasible.is_empty() {
@@ -42,6 +46,10 @@ pub struct FirstFitPolicy;
 impl PlacementPolicy for FirstFitPolicy {
     fn name(&self) -> String {
         "first-fit".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
@@ -62,6 +70,10 @@ impl PlacementPolicy for BestFitPolicy {
         "best-fit".into()
     }
 
+    fn reads_state(&self) -> bool {
+        false
+    }
+
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
         ctx.feasible_candidates()
             .max_by(|a, b| a.utilization.partial_cmp(&b.utilization).unwrap())
@@ -76,6 +88,10 @@ pub struct WorstFitPolicy;
 impl PlacementPolicy for WorstFitPolicy {
     fn name(&self) -> String {
         "worst-fit".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
@@ -93,6 +109,10 @@ pub struct GreedyLatencyPolicy;
 impl PlacementPolicy for GreedyLatencyPolicy {
     fn name(&self) -> String {
         "greedy-latency".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
@@ -116,6 +136,10 @@ impl PlacementPolicy for GreedyCostPolicy {
         "greedy-cost".into()
     }
 
+    fn reads_state(&self) -> bool {
+        false
+    }
+
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
         ctx.feasible_candidates()
             .min_by(|a, b| {
@@ -135,6 +159,10 @@ pub struct CloudOnlyPolicy;
 impl PlacementPolicy for CloudOnlyPolicy {
     fn name(&self) -> String {
         "cloud-only".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
@@ -172,6 +200,10 @@ impl Default for WeightedGreedyPolicy {
 impl PlacementPolicy for WeightedGreedyPolicy {
     fn name(&self) -> String {
         "weighted-greedy".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
@@ -282,6 +314,10 @@ impl ExhaustivePolicy {
 impl PlacementPolicy for ExhaustivePolicy {
     fn name(&self) -> String {
         "exhaustive".into()
+    }
+
+    fn reads_state(&self) -> bool {
+        false
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {

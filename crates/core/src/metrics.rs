@@ -122,7 +122,6 @@ struct Totals {
     downtime_slots: u64,
     latency_sum: f64,
     latency_count: u64,
-    decision_ns_sum: u64,
     decision_count: u64,
 }
 
@@ -146,7 +145,6 @@ impl Default for Totals {
             downtime_slots: 0,
             latency_sum: -0.0,
             latency_count: 0,
-            decision_ns_sum: 0,
             decision_count: 0,
         }
     }
@@ -156,8 +154,10 @@ impl Default for Totals {
 ///
 /// Every observation folds into running totals as it lands, whatever the
 /// retention, and [`MetricsCollector::summarize`] reads every count, cost,
-/// utilization, flow, instance, disruption and decision-time field from
-/// them. The retention decides only what is kept besides:
+/// utilization, flow, instance and disruption field from them. It counts
+/// decisions but reads no clock, so [`RunSummary::mean_decision_time_us`]
+/// stays 0 here; `exper`'s decision timer fills it for the cells that keep
+/// it. The retention decides only what is kept besides:
 ///
 /// * **Full** (the default): every [`SlotRecord`] and admission latency —
 ///   memory grows with the horizon; latency percentiles are exact order
@@ -237,10 +237,9 @@ impl MetricsCollector {
         }
     }
 
-    /// Records a decision's wall-clock duration.
-    pub fn push_decision_time(&mut self, ns: u64) {
-        self.totals.decision_ns_sum += ns;
-        self.totals.decision_count += 1;
+    /// Counts `n` placement decisions.
+    pub fn count_decisions(&mut self, n: u64) {
+        self.totals.decision_count += n;
     }
 
     /// Number of placement decisions recorded so far — throughput
@@ -296,7 +295,7 @@ impl MetricsCollector {
             mean_utilization: per_slot(t.utilization_sum),
             mean_active_flows: per_slot(t.active_flows_sum),
             mean_live_instances: per_slot(t.live_instances_sum),
-            mean_decision_time_us: ratio(t.decision_ns_sum as f64, t.decision_count, 0.0) / 1000.0,
+            mean_decision_time_us: 0.0,
             flows_disrupted: t.flows_disrupted,
             replacement_success_rate: ratio(t.flows_replaced as f64, t.flows_disrupted, 1.0),
             downtime_slots: t.downtime_slots,
@@ -336,7 +335,10 @@ pub struct RunSummary {
     pub mean_active_flows: f64,
     /// Mean live instances.
     pub mean_live_instances: f64,
-    /// Mean wall-clock time per placement decision (µs).
+    /// Mean wall-clock time per placement decision (µs). The engine reads
+    /// no clock, so a `drive` summary leaves this at 0; `exper`'s decision
+    /// timer fills it for grid and fan-out cells that keep decision time
+    /// (the scalability figure).
     pub mean_decision_time_us: f64,
     /// Active flows disrupted by node failures over the run.
     pub flows_disrupted: u64,
@@ -558,14 +560,6 @@ mod tests {
         assert_eq!(s.flows_disrupted, 6);
         assert!((s.replacement_success_rate - 0.5).abs() < 1e-9);
         assert_eq!(s.downtime_slots, 3);
-    }
-
-    #[test]
-    fn decision_time_mean_in_us() {
-        let mut m = MetricsCollector::new();
-        m.push_decision_time(1_000);
-        m.push_decision_time(3_000);
-        assert!((m.summarize().mean_decision_time_us - 2.0).abs() < 1e-9);
     }
 
     fn summary_with_latency(latency: f64) -> RunSummary {

@@ -8,6 +8,10 @@ use serde::{Deserialize, Serialize};
 use sfc::chain::ChainSpec;
 use sfc::request::Request;
 
+/// The state-row matrix [`PlacementPolicy::greedy_batch`] takes, re-exported
+/// so that crates wrapping a policy can name it without depending on `nn`.
+pub use nn::tensor::Matrix;
+
 /// Everything a policy may want to know about one candidate node for the
 /// next VNF of the pending request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,7 +136,7 @@ pub trait PlacementPolicy {
     /// `true`. Implementations must select exactly what `decide` would
     /// pick for each row in isolation — the engine's batched decision
     /// loop relies on that to stay bit-identical to the sequential path.
-    fn greedy_batch(&mut self, states: &nn::tensor::Matrix, masks: &[bool], out: &mut Vec<usize>) {
+    fn greedy_batch(&mut self, states: &Matrix, masks: &[bool], out: &mut Vec<usize>) {
         let _ = (states, masks, out);
         unreachable!("greedy_batch called on a policy that does not support it");
     }
@@ -141,6 +145,20 @@ pub trait PlacementPolicy {
     /// frozen) behaviour. Heuristics ignore this.
     fn set_training(&mut self, training: bool) {
         let _ = training;
+    }
+
+    /// `true` if the policy reads [`DecisionContext::encoded_state`] — in
+    /// `decide`, in `observe`'s feedback, or through `greedy_batch`'s
+    /// state rows. When it is `false` the engine skips the state encoding
+    /// and hands the policy an empty `encoded_state` (and width-0 rows in
+    /// feedback), so answering `false` is legal only for a policy that
+    /// decides from the candidates, the mask and the episode fields alone
+    /// and never looks at a state. The default is `true` because a wrong
+    /// `true` only costs an encoding, while a wrong `false` silently feeds
+    /// a policy empty observations; wrappers that do not forward this
+    /// method therefore keep the state.
+    fn reads_state(&self) -> bool {
+        true
     }
 
     /// `true` if the policy learns online (affects how runners report it).

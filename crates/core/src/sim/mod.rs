@@ -54,7 +54,6 @@ use sfc::placement::{assignment_latency, ChainAssignment};
 use sfc::request::{Request, RequestId};
 use sfc::vnf::{VnfCatalog, VnfType};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 use workload::metro::TimedRequest;
 use workload::trace::{generate_trace, Trace};
 

@@ -142,42 +142,49 @@ impl Simulation {
             candidates: Vec::new(),
             slot: self.slot,
         };
-        self.fill_context(&mut ctx, position, at_node, consumed_latency_ms);
+        self.fill_context(&mut ctx, position, at_node, consumed_latency_ms, true);
         ctx
     }
 
     /// Refills a decision context's per-decision fields in place: the
-    /// candidate list, the action mask, and the encoded state all land in
-    /// the context's reusable buffers (identical values to a freshly built
-    /// [`Simulation::decision_context`]). The episode-scoped fields
-    /// (`request`, `chain`) are the caller's responsibility and are read
-    /// from the context itself.
+    /// candidate list, the action mask, and (when `encode`) the encoded
+    /// state all land in the context's reusable buffers (identical values
+    /// to a freshly built [`Simulation::decision_context`]). Without
+    /// `encode` the state is left empty: the policy answered
+    /// [`PlacementPolicy::reads_state`] with `false`. The episode-scoped
+    /// fields (`request`, `chain`) are the caller's responsibility and are
+    /// read from the context itself.
     pub(super) fn fill_context(
         &self,
         ctx: &mut DecisionContext,
         position: usize,
         at_node: NodeId,
         consumed_latency_ms: f64,
+        encode: bool,
     ) {
         self.candidates_into(&ctx.chain, position, at_node, &mut ctx.candidates);
         ctx.mask.clear();
         ctx.mask.extend(ctx.candidates.iter().map(|c| c.feasible));
         ctx.mask.push(true); // reject always valid
-        self.encoder.encode_into(
-            self.network.ledger(),
-            &self.pool,
-            &self.vnfs,
-            &ctx.chain,
-            position,
-            ctx.request.source,
-            at_node,
-            consumed_latency_ms,
-            self.scenario.max_instance_utilization,
-            self.slot,
-            self.network.health(),
-            &ctx.candidates,
-            &mut ctx.encoded_state,
-        );
+        if encode {
+            self.encoder.encode_into(
+                self.network.ledger(),
+                &self.pool,
+                &self.vnfs,
+                &ctx.chain,
+                position,
+                ctx.request.source,
+                at_node,
+                consumed_latency_ms,
+                self.scenario.max_instance_utilization,
+                self.slot,
+                self.network.health(),
+                &ctx.candidates,
+                &mut ctx.encoded_state,
+            );
+        } else {
+            ctx.encoded_state.clear();
+        }
         ctx.position = position;
         ctx.at_node = at_node;
         ctx.consumed_latency_ms = consumed_latency_ms;
@@ -289,6 +296,7 @@ impl Simulation {
         let mut ctx = self.take_ctx(request);
         let mut placed = std::mem::take(&mut self.scratch.placed);
         placed.clear();
+        let encode = policy.reads_state();
         let mut at_node = request.source;
         let mut consumed = 0.0f64;
         let mut deployment_cost = 0.0f64;
@@ -303,7 +311,7 @@ impl Simulation {
                 std::mem::swap(&mut self.scratch.prev_state, &mut ctx.encoded_state);
                 std::mem::swap(&mut self.scratch.prev_mask, &mut ctx.mask);
             }
-            self.fill_context(&mut ctx, position, at_node, consumed);
+            self.fill_context(&mut ctx, position, at_node, consumed, encode);
             if let Some((action_index, reward)) = pending.take() {
                 policy.observe(
                     DecisionFeedback {
@@ -318,10 +326,8 @@ impl Simulation {
                     rng,
                 );
             }
-            let started = Instant::now();
             let action = policy.decide(&ctx, rng);
-            self.metrics
-                .push_decision_time(started.elapsed().as_nanos() as u64);
+            self.metrics.count_decisions(1);
             let action_index = self.action_space.encode(action);
             assert!(
                 ctx.mask[action_index],

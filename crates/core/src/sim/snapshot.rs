@@ -38,7 +38,8 @@ struct ArrivalPlan {
 pub(super) struct GroupPlans {
     /// Whether the plans cover the currently pending arrival group.
     valid: bool,
-    /// Frozen observations, one row per planned decision.
+    /// Frozen observations, one row per planned decision (width 0 for a
+    /// policy that reads no state).
     states: Matrix,
     /// Row-major masks parallel to `states` (`action_space.len()` each).
     masks: Vec<bool>,
@@ -113,7 +114,9 @@ impl Simulation {
             .resize_with(arrivals.len(), ArrivalPlan::default);
         let stride = self.action_space.len();
         let node_count = self.network.topology().node_count();
-        let dim = self.encoder.dim();
+        // A policy that reads no state plans on width-0 state rows.
+        let encode = policy.reads_state();
+        let dim = if encode { self.encoder.dim() } else { 0 };
         let total_rows: usize = arrivals
             .iter()
             .map(|r| self.chains.get(r.chain).len())
@@ -142,12 +145,16 @@ impl Simulation {
             for w in 0..plans.live.len() {
                 let i = plans.live[w];
                 let mut ctx = self.take_ctx(&arrivals[i]);
-                self.fill_context(&mut ctx, position, plans.at_nodes[i], plans.consumed[i]);
+                self.fill_context(
+                    &mut ctx,
+                    position,
+                    plans.at_nodes[i],
+                    plans.consumed[i],
+                    encode,
+                );
                 if !use_batch {
-                    let started = Instant::now();
                     let action = policy.decide(&ctx, rng);
-                    self.metrics
-                        .push_decision_time(started.elapsed().as_nanos() as u64);
+                    self.metrics.count_decisions(1);
                     plans.wave_actions.push(self.action_space.encode(action));
                 }
                 plans.wave_states.push_row(&ctx.encoded_state);
@@ -161,16 +168,12 @@ impl Simulation {
                 self.scratch.ctx = Some(ctx);
             }
             if use_batch {
-                let started = Instant::now();
                 policy.greedy_batch(
                     &plans.wave_states,
                     &plans.wave_masks,
                     &mut plans.wave_actions,
                 );
-                let per_row_ns = started.elapsed().as_nanos() as u64 / plans.live.len() as u64;
-                for _ in 0..plans.live.len() {
-                    self.metrics.push_decision_time(per_row_ns);
-                }
+                self.metrics.count_decisions(plans.live.len() as u64);
             }
             // Record the wave and advance the surviving episodes.
             plans.next_live.clear();

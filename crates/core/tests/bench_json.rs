@@ -14,8 +14,7 @@ fn sample_report() -> BenchReport {
             } else {
                 Box::new(GreedyLatencyPolicy)
             };
-            let mut result = evaluate_policy(&scenario, RewardConfig::default(), p.as_mut(), seed);
-            result.summary.mean_decision_time_us = 0.0;
+            let result = evaluate_policy(&scenario, RewardConfig::default(), p.as_mut(), seed);
             cells.push(BenchCell {
                 scenario: "small".into(),
                 policy: policy.to_string(),

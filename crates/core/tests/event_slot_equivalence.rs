@@ -77,15 +77,12 @@ fn assert_engines_match(
 
     let mut slot_policy = make_policy();
     let mut slot_sim = build(scenario);
-    let mut slot_summary = run(&mut slot_sim, slot_policy.as_mut(), 7, Engine::SlotLoop);
+    let slot_summary = run(&mut slot_sim, slot_policy.as_mut(), 7, Engine::SlotLoop);
 
     let mut event_policy = make_policy();
     let mut event_sim = build(scenario);
-    let mut event_summary = run(&mut event_sim, event_policy.as_mut(), 7, Engine::Event);
+    let event_summary = run(&mut event_sim, event_policy.as_mut(), 7, Engine::Event);
 
-    // Wall-clock decision timing is legitimately non-deterministic.
-    slot_summary.mean_decision_time_us = 0.0;
-    event_summary.mean_decision_time_us = 0.0;
     assert_eq!(slot_summary, event_summary, "{label}: RunSummary diverged");
 
     let slot_records = slot_sim.metrics().slots();
@@ -266,14 +263,12 @@ fn frozen_drl_is_engine_equivalent() {
 
     let mut slot_policy = template.clone();
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 7, Engine::SlotLoop);
+    let slot_summary = run(&mut slot_sim, &mut slot_policy, 7, Engine::SlotLoop);
 
     let mut event_policy = template.clone();
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
-    let mut event_summary = run(&mut event_sim, &mut event_policy, 7, Engine::Event);
+    let event_summary = run(&mut event_sim, &mut event_policy, 7, Engine::Event);
 
-    slot_summary.mean_decision_time_us = 0.0;
-    event_summary.mean_decision_time_us = 0.0;
     assert_eq!(slot_summary, event_summary, "DRL run diverged");
     assert_eq!(slot_sim.metrics().slots(), event_sim.metrics().slots());
 }
@@ -290,12 +285,12 @@ fn chained_runs_stay_engine_equivalent() {
     let mut slot_policy = WeightedGreedyPolicy::default();
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
     let _ = run(&mut slot_sim, &mut slot_policy, 1, Engine::SlotLoop);
-    let mut slot_summary = run(&mut slot_sim, &mut slot_policy, 2, Engine::SlotLoop);
+    let slot_summary = run(&mut slot_sim, &mut slot_policy, 2, Engine::SlotLoop);
 
     let mut event_policy = WeightedGreedyPolicy::default();
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
     let _ = run(&mut event_sim, &mut event_policy, 1, Engine::Event);
-    let mut event_summary = run(&mut event_sim, &mut event_policy, 2, Engine::Event);
+    let event_summary = run(&mut event_sim, &mut event_policy, 2, Engine::Event);
 
     for (a, b) in slot_sim
         .metrics()
@@ -305,7 +300,5 @@ fn chained_runs_stay_engine_equivalent() {
     {
         assert_eq!(a, b, "chained: record for slot {} diverged", a.slot);
     }
-    slot_summary.mean_decision_time_us = 0.0;
-    event_summary.mean_decision_time_us = 0.0;
     assert_eq!(slot_summary, event_summary, "chained RunSummary diverged");
 }

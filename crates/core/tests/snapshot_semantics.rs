@@ -172,14 +172,13 @@ fn snapshot_engine_equivalence_and_rerun_determinism() {
     let run = |slotted: bool| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut worker = policy.clone();
-        let mut summary = if slotted {
+        let summary = if slotted {
             sim.set_decision_semantics(DecisionSemantics::SlotSnapshot);
             sim.drive_slotted(None, &mut worker, 3, None)
         } else {
             let opts = RunOptions::new().snapshot().with_seed_offset(3);
             sim.drive(RunInput::Generated, &mut worker, opts)
         };
-        summary.mean_decision_time_us = 0.0;
         (summary, sim.metrics().slots().to_vec())
     };
 
@@ -223,14 +222,13 @@ fn wavefront_batching_matches_per_row_decides() {
     let policy = frozen_drl(&scenario);
 
     let run = |worker: &mut dyn PlacementPolicy| {
-        let mut result = evaluate_policy_with_semantics(
+        let result = evaluate_policy_with_semantics(
             &scenario,
             RewardConfig::default(),
             worker,
             9,
             DecisionSemantics::SlotSnapshot,
         );
-        result.summary.mean_decision_time_us = 0.0;
         result.summary
     };
 

@@ -34,11 +34,6 @@ fn boundary_requests() -> Vec<Request> {
         .collect()
 }
 
-fn zeroed(mut summary: RunSummary) -> RunSummary {
-    summary.mean_decision_time_us = 0.0;
-    summary
-}
-
 #[test]
 fn slot_aligned_input_bills_whole_slots() {
     // Without an explicit `duration_ms`, a one-slot flow arriving on a
@@ -54,12 +49,11 @@ fn slot_aligned_input_bills_whole_slots() {
 
     let mut slot_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let slot_summary = zeroed(slot_sim.drive_slotted(Some(&trace), &mut policy, 0, None));
+    let slot_summary = slot_sim.drive_slotted(Some(&trace), &mut policy, 0, None);
 
     let mut event_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut policy = FirstFitPolicy;
-    let event_summary =
-        zeroed(event_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new()));
+    let event_summary = event_sim.drive(RunInput::Trace(&trace), &mut policy, RunOptions::new());
 
     assert_eq!(slot_summary, event_summary);
     assert_eq!(slot_sim.metrics().slots(), event_sim.metrics().slots());

@@ -18,28 +18,22 @@
 use mano::prelude::*;
 use proptest::prelude::*;
 
-fn zeroed(mut summary: RunSummary) -> RunSummary {
-    // Wall-clock decision timing is legitimately non-deterministic.
-    summary.mean_decision_time_us = 0.0;
-    summary
-}
-
 /// Runs `scenario` twice through [`Simulation::drive`] — once bare, once
 /// with a telemetry sink — and asserts bit-identical summaries. Returns
 /// the populated sink for further inspection.
 fn run_with_and_without_telemetry(scenario: &Scenario) -> (RunSummary, TelemetrySink) {
     let mut bare_sim = Simulation::new(scenario, RewardConfig::default());
     let mut bare_policy = FirstFitPolicy;
-    let bare = zeroed(bare_sim.drive(RunInput::Generated, &mut bare_policy, RunOptions::new()));
+    let bare = bare_sim.drive(RunInput::Generated, &mut bare_policy, RunOptions::new());
 
     let mut sink = TelemetrySink::new();
     let mut obs_sim = Simulation::new(scenario, RewardConfig::default());
     let mut obs_policy = FirstFitPolicy;
-    let observed = zeroed(obs_sim.drive(
+    let observed = obs_sim.drive(
         RunInput::Generated,
         &mut obs_policy,
         RunOptions::new().with_telemetry(&mut sink),
-    ));
+    );
 
     assert_eq!(
         bare, observed,
@@ -126,15 +120,15 @@ fn streaming_metrics_match_full_mode() {
 
     let mut full_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut full_policy = FirstFitPolicy;
-    let full = zeroed(full_sim.drive(RunInput::Generated, &mut full_policy, RunOptions::new()));
+    let full = full_sim.drive(RunInput::Generated, &mut full_policy, RunOptions::new());
 
     let mut stream_sim = Simulation::new(&scenario, RewardConfig::default());
     let mut stream_policy = FirstFitPolicy;
-    let streaming = zeroed(stream_sim.drive(
+    let streaming = stream_sim.drive(
         RunInput::Generated,
         &mut stream_policy,
         RunOptions::new().with_streaming_metrics(),
-    ));
+    );
     assert!(stream_sim.metrics().is_streaming());
     assert!(
         stream_sim.metrics().slots().is_empty(),
@@ -233,8 +227,8 @@ fn stream_input_matches_materialized_events() {
     let run = |input: RunInput<'_>| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let opts = RunOptions::new().with_horizon(horizon);
-        let first = zeroed(sim.drive(input, &mut FirstFitPolicy, opts));
-        let both = zeroed(sim.drive(RunInput::Generated, &mut FirstFitPolicy, RunOptions::new()));
+        let first = sim.drive(input, &mut FirstFitPolicy, opts);
+        let both = sim.drive(RunInput::Generated, &mut FirstFitPolicy, RunOptions::new());
         assert_eq!(both.slots, 2 * horizon);
         (first, both, sim.metrics().slots().to_vec())
     };

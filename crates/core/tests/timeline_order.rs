@@ -145,8 +145,7 @@ proptest! {
 
         let run = |drive: &dyn Fn(&mut Simulation, &mut FirstFitPolicy) -> RunSummary| {
             let mut sim = Simulation::new(&scenario, RewardConfig::default());
-            let mut summary = drive(&mut sim, &mut FirstFitPolicy);
-            summary.mean_decision_time_us = 0.0;
+            let summary = drive(&mut sim, &mut FirstFitPolicy);
             (summary, sim.metrics().slots().to_vec())
         };
         let events = |schedule: &[TimedArrival]| run(&|sim, policy| {

@@ -14,6 +14,7 @@
 //! results stay index-keyed deterministic for any thread count.
 
 use crate::pool::{run_indexed_with, thread_count};
+use crate::timer::evaluate_timed;
 use mano::prelude::*;
 use mano::report::group_aggregates;
 
@@ -46,9 +47,11 @@ pub fn cells_for_seeds(label: &str, x: f64, scenario: &Scenario, seeds: &[u64]) 
 
 /// Evaluates `policy` on every cell, fanning out over the std scoped
 /// thread pool with one policy clone per worker. Results come back in
-/// cell order (index-keyed, bit-identical for any thread count);
-/// wall-clock decision times are scrubbed unless `keep_decision_time`
-/// (they are measurement noise that would break byte-identical outputs).
+/// cell order (index-keyed, bit-identical for any thread count). With
+/// `keep_decision_time` each cell runs its policy inside a decision timer
+/// that fills `mean_decision_time_us`; without it nothing is timed and the
+/// field stays 0 (timings are measurement noise that would break
+/// byte-identical outputs).
 ///
 /// `threads = None` uses the engine default (`EXPER_THREADS` override or
 /// available parallelism).
@@ -99,16 +102,9 @@ where
         || policy.clone(),
         |worker, index| {
             let cell = &cells[index];
-            let mut result = evaluate_policy_with_semantics(
-                &cell.scenario,
-                reward,
-                worker,
-                cell.seed,
-                semantics,
-            );
-            if !keep_decision_time {
-                result.summary.mean_decision_time_us = 0.0;
-            }
+            let result = evaluate_timed(worker, keep_decision_time, |policy| {
+                evaluate_policy_with_semantics(&cell.scenario, reward, policy, cell.seed, semantics)
+            });
             BenchCell {
                 scenario: cell.label.clone(),
                 policy: policy_label.to_string(),
@@ -178,9 +174,8 @@ mod tests {
         assert_eq!(got.len(), 2);
         for (cell, spec) in got.iter().zip(cells.iter()) {
             let mut policy = FirstFitPolicy;
-            let mut expected =
+            let expected =
                 evaluate_policy(&scenario, RewardConfig::default(), &mut policy, spec.seed);
-            expected.summary.mean_decision_time_us = 0.0;
             assert_eq!(cell.summary, expected.summary);
             assert_eq!(cell.policy, "first-fit");
         }

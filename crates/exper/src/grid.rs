@@ -8,6 +8,7 @@
 //! `EXPER_THREADS=1`.
 
 use crate::pool::{run_indexed, thread_count};
+use crate::timer::evaluate_timed;
 use mano::prelude::*;
 use mano::report::group_aggregates;
 use sfc::chain::ChainCatalog;
@@ -134,10 +135,12 @@ impl ExperimentGrid {
         self
     }
 
-    /// Keeps wall-clock decision times in cell summaries. They are
-    /// scrubbed to zero by default because they are measurement noise
-    /// that would break the byte-identical-output guarantee; the
-    /// scalability figure opts back in (its whole point is timing).
+    /// Keeps wall-clock decision times in cell summaries: each cell's
+    /// policy runs inside a decision timer that fills
+    /// `mean_decision_time_us`. By default nothing is timed and the field
+    /// stays 0, because timings are measurement noise that would break the
+    /// byte-identical-output guarantee; the scalability figure opts in
+    /// (its whole point is timing).
     pub fn keep_decision_time(mut self) -> Self {
         self.scrub_decision_time = false;
         self
@@ -211,20 +214,21 @@ impl ExperimentGrid {
         let (policy_label, factory) = &self.policies[(index % per_scenario) / per_policy];
         let seed = self.seeds[index % per_policy];
         let mut policy = factory();
-        let mut result = match &self.catalogs {
-            Some((vnfs, chains)) => evaluate_policy_with_catalogs(
-                &row.scenario,
-                self.reward,
-                policy.as_mut(),
-                seed,
-                vnfs,
-                chains,
-            ),
-            None => evaluate_policy(&row.scenario, self.reward, policy.as_mut(), seed),
-        };
-        if self.scrub_decision_time {
-            result.summary.mean_decision_time_us = 0.0;
-        }
+        let result = evaluate_timed(
+            policy.as_mut(),
+            !self.scrub_decision_time,
+            |policy| match &self.catalogs {
+                Some((vnfs, chains)) => evaluate_policy_with_catalogs(
+                    &row.scenario,
+                    self.reward,
+                    policy,
+                    seed,
+                    vnfs,
+                    chains,
+                ),
+                None => evaluate_policy(&row.scenario, self.reward, policy, seed),
+            },
+        );
         BenchCell {
             scenario: row.label.clone(),
             policy: policy_label.clone(),

@@ -27,9 +27,10 @@
 //!
 //! `report.cells` and `report.aggregates` of a grid run are bit-identical
 //! for every thread count (cells carry their grid index; reduction sorts
-//! by index, and per-cell wall-clock decision timing is scrubbed unless
-//! explicitly kept). Only `wall_clock_secs` / `throughput_slots_per_sec`
-//! / `threads` — measurement metadata — vary between runs.
+//! by index, and the engine reads no clock: per-cell decision timing is
+//! measured only when explicitly kept). Only `wall_clock_secs` /
+//! `throughput_slots_per_sec` / `threads` — measurement metadata — and a
+//! kept `mean_decision_time_us` vary between runs.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,6 +40,7 @@ pub mod grid;
 pub mod manifest;
 pub mod pool;
 pub mod search;
+mod timer;
 
 /// Convenient glob-import of the engine's surface.
 pub mod prelude {

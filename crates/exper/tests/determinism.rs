@@ -138,8 +138,50 @@ fn stateful_policy_cells_stay_independent() {
 
     for (cell, seed) in report.cells.iter().zip([5u64, 6]) {
         let mut fresh = trained.clone();
-        let mut direct = evaluate_policy(&scenario, RewardConfig::default(), &mut fresh, seed);
-        direct.summary.mean_decision_time_us = 0.0;
+        let direct = evaluate_policy(&scenario, RewardConfig::default(), &mut fresh, seed);
         assert_eq!(cell.summary, direct.summary, "seed {seed} diverged");
+    }
+}
+
+#[test]
+fn snapshot_fan_out_times_decisions_only_when_kept() {
+    // A frozen DQN under SlotSnapshot answers each wave with one
+    // greedy_batch call, which the decision timer must time per row. The
+    // engine itself reads no clock, so an untimed cell reads exactly 0.
+    let scenario = Scenario::small_test();
+    let mut agent_rng = rand::SeedableRng::seed_from_u64(23);
+    let probe = Simulation::new(&scenario, RewardConfig::default());
+    let mut policy = DrlPolicy::new(
+        DrlManagerConfig::default(),
+        probe.encoder.dim(),
+        probe.action_space.len(),
+        &mut agent_rng,
+    );
+    drop(probe);
+    policy.set_training(false);
+    assert!(policy.supports_greedy_batch());
+
+    let cells = cells_for_seeds("small", 1.0, &scenario, &[1, 2]);
+    let eval = |keep_decision_time| {
+        parallel_eval_semantics(
+            &policy,
+            "drl-snap",
+            RewardConfig::default(),
+            &cells,
+            Some(2),
+            keep_decision_time,
+            DecisionSemantics::SlotSnapshot,
+        )
+    };
+    let (kept, untimed) = (eval(true), eval(false));
+    for (k, u) in kept.iter().zip(&untimed) {
+        assert!(k.summary.mean_decision_time_us > 0.0, "seed {}", k.seed);
+        assert_eq!(u.summary.mean_decision_time_us, 0.0, "seed {}", u.seed);
+        // Timing observes the run; it changes nothing else.
+        let k_untimed = RunSummary {
+            mean_decision_time_us: 0.0,
+            ..k.summary.clone()
+        };
+        assert_eq!(k_untimed, u.summary, "seed {}", k.seed);
     }
 }

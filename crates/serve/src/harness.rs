@@ -16,8 +16,9 @@ use mano::prelude::*;
 
 /// Evaluates every cell through one policy server, fanning the cells out
 /// over `threads` concurrent simulations (defaults to one thread per
-/// cell, capped at 8). Returns the per-cell summaries (in cell order,
-/// decision-time scrubbed) and the server's fusion counters.
+/// cell, capped at 8). Returns the per-cell summaries (in cell order;
+/// the engine reads no clock, so no decision time) and the server's fusion
+/// counters.
 pub fn serve_evaluations<P>(
     policy: P,
     config: ServeConfig,
@@ -37,14 +38,13 @@ where
         || ServedPolicy::new(&server),
         |client, index| {
             let cell = &cells[index];
-            let mut result = evaluate_policy_with_semantics(
+            let result = evaluate_policy_with_semantics(
                 &cell.scenario,
                 reward,
                 client,
                 cell.seed,
                 semantics,
             );
-            result.summary.mean_decision_time_us = 0.0;
             BenchCell {
                 scenario: cell.label.clone(),
                 policy: "served".to_string(),

@@ -10,13 +10,10 @@
 
 use drl_vnf_edge::prelude::*;
 
-/// Evaluate `policy` on `scenario` and return the summary with the single
-/// wall-clock-derived field zeroed (decision timing is measured in
-/// nanoseconds of real time and is legitimately non-deterministic).
+/// Evaluate `policy` on `scenario` and return the whole summary: the
+/// engine reads no clock, so no field needs scrubbing.
 fn summary_for(scenario: &Scenario, mut policy: Box<dyn PlacementPolicy>, seed: u64) -> RunSummary {
-    let mut result = evaluate_policy(scenario, RewardConfig::default(), policy.as_mut(), seed);
-    result.summary.mean_decision_time_us = 0.0;
-    result.summary
+    evaluate_policy(scenario, RewardConfig::default(), policy.as_mut(), seed).summary
 }
 
 #[test]
@@ -123,13 +120,12 @@ fn event_engine_matches_the_slotted_oracle() {
     let run = |slotted: bool| {
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
         let mut policy = WeightedGreedyPolicy::default();
-        let mut summary = if slotted {
+        let summary = if slotted {
             sim.drive_slotted(None, &mut policy, 42, None)
         } else {
             let opts = RunOptions::new().with_seed_offset(42);
             sim.drive(RunInput::Generated, &mut policy, opts)
         };
-        summary.mean_decision_time_us = 0.0;
         (summary, sim.metrics().slots().to_vec())
     };
     let (slot_summary, slot_records) = run(true);
@@ -164,12 +160,11 @@ fn sparse_engine_same_schedule_is_bit_identical() {
             })
             .collect();
         let mut policy = WeightedGreedyPolicy::default();
-        let mut summary = sim.drive(
+        let summary = sim.drive(
             RunInput::Events(&arrivals),
             &mut policy,
             RunOptions::new().with_seed_offset(9).with_horizon(30),
         );
-        summary.mean_decision_time_us = 0.0;
         assert!(sim.events_processed() > 0, "the queue must drive the run");
         (summary, sim.metrics().slots().to_vec())
     };

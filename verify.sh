@@ -8,7 +8,8 @@
 #   ./verify.sh             # lint + test + vector-width (the tier-1 gate)
 #   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc + the
 #                           # library unwrap/expect ratchet + no caller of
-#                           # the `.sparse()` shim (fast feedback)
+#                           # the `.sparse()` shim + no clock in the engine
+#                           # (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
@@ -60,6 +61,7 @@ lint() {
 
   unwrap_ratchet
   sparse_shim_unused
+  engine_reads_no_clock
 }
 
 # `.unwrap()` / `.expect(` occurrences in library sources (`crates/*/src`
@@ -89,6 +91,18 @@ sparse_shim_unused() {
   echo "==> no .sparse() caller outside perf/"
   if grep -rn --include='*.rs' '\.sparse()' crates src tests examples; then
     echo "RunOptions::sparse() is a no-op kept for perf/ alone: drop the call" >&2
+    return 1
+  fi
+}
+
+# The engine's only clock is the simulation's: a run is a pure function of
+# its inputs, and decision time is measured outside it (exper's decision
+# timer, for the cells that keep it). No wall-clock type may come back into
+# core::sim or the metrics it folds into.
+engine_reads_no_clock() {
+  echo "==> no wall clock in crates/core/src/sim/ or metrics.rs"
+  if grep -rnE 'Instant|SystemTime|std::time' crates/core/src/sim crates/core/src/metrics.rs; then
+    echo "core::sim and metrics read no wall clock: time decisions in exper's timer" >&2
     return 1
   fi
 }
