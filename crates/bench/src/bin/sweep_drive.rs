@@ -215,10 +215,10 @@ fn main() {
     let mut fragments = Vec::with_capacity(args.shards);
     for shard_id in 0..args.shards {
         let path = dir.join(fragment_file_name(&args.grid, shard_id, args.shards));
-        match load_fragment(&path) {
-            Some(frag) => fragments.push(frag),
-            None => {
-                eprintln!("[sweep_drive] missing fragment {}", path.display());
+        match ShardFragment::load(&path) {
+            Ok(frag) => fragments.push(frag),
+            Err(e) => {
+                eprintln!("[sweep_drive] fragment refused: {e}");
                 std::process::exit(1);
             }
         }

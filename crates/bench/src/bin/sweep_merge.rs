@@ -55,13 +55,10 @@ fn main() {
     let mut fragments = Vec::with_capacity(of);
     for shard_id in 0..of {
         let path = dir.join(fragment_file_name(&grid_name, shard_id, of));
-        match load_fragment(&path) {
-            Some(frag) => fragments.push(frag),
-            None => {
-                eprintln!(
-                    "[sweep_merge] missing or unreadable fragment {}",
-                    path.display()
-                );
+        match ShardFragment::load(&path) {
+            Ok(frag) => fragments.push(frag),
+            Err(e) => {
+                eprintln!("[sweep_merge] fragment refused: {e}");
                 std::process::exit(1);
             }
         }

@@ -312,7 +312,7 @@ pub fn load_sweep_grid() -> BenchReport {
         RewardConfig::default(),
     );
     if sweep_cache_enabled() {
-        if let Some(cached) = load_bench_report(&results_dir(), "load_sweep") {
+        if let Ok(cached) = load_bench_report(&results_dir(), "load_sweep") {
             if cached.fingerprint == fingerprint {
                 eprintln!("[sweep] reusing cached BENCH_load_sweep.json");
                 return cached;

@@ -2,24 +2,59 @@
 //! to `$GITHUB_STEP_SUMMARY` so headline rates are readable per run
 //! without downloading the results artifact.
 
+use mano::report::{BenchReport, SearchReport};
+use serde_json::{Error as JsonError, FromJson, Value};
 use std::path::Path;
+use sweep::fragment::ShardFragment;
 
-/// One engine report's headline numbers.
-#[derive(Debug, Clone, PartialEq)]
-struct ReportLine {
-    name: String,
-    cells: usize,
-    threads: u64,
-    wall_clock_secs: f64,
-    slots_per_sec: f64,
+/// One row of `BENCH_metro.json`'s `scales` (fig13's streaming sweep).
+struct MetroScale {
+    scale: u64,
+    requests: u64,
+    requests_per_sec: f64,
+    peak_mem_bytes: f64,
+}
+
+impl FromJson for MetroScale {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(Self {
+            scale: v.req("scale")?,
+            requests: v.req("requests")?,
+            requests_per_sec: v.req("requests_per_sec")?,
+            peak_mem_bytes: v.req("peak_mem_bytes")?,
+        })
+    }
+}
+
+/// The fig13 metro streaming sweep's table.
+fn metro_markdown(doc: &Value) -> Result<String, JsonError> {
+    let scales: Vec<MetroScale> = doc.req("scales")?;
+    let mut out = String::from("\n### Metro streaming sweep (BENCH_metro.json)\n\n");
+    out.push_str("| scale | requests | req/s | peak heap (MiB) |\n");
+    out.push_str("|---:|---:|---:|---:|\n");
+    for s in &scales {
+        out.push_str(&format!(
+            "| {}x | {} | {:.0} | {:.1} |\n",
+            s.scale,
+            s.requests,
+            s.requests_per_sec,
+            s.peak_mem_bytes / (1024.0 * 1024.0),
+        ));
+    }
+    out.push_str(&format!(
+        "\nacross the sweep: throughput {:.2}x, peak heap {:.2}x\n",
+        doc.req::<f64>("throughput_ratio")?,
+        doc.req::<f64>("peak_mem_ratio")?,
+    ));
+    Ok(out)
 }
 
 /// Renders the markdown digest of every `BENCH_*.json` in `dir`: a
 /// headline table for the grid reports (cells, threads, wall clock,
 /// slots/s) and, when present, a dedicated table for the fig13 metro
-/// streaming sweep. Reports are listed in file-name order so the output is
-/// stable; unparseable files are skipped with a note rather than failing
-/// the summary.
+/// streaming sweep. Each file is read and parsed once, in file-name order
+/// so the output is stable; a file that does not read as its kind of
+/// report is skipped with the reason rather than failing the summary.
 pub fn results_markdown(dir: &Path) -> String {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .map(|entries| {
@@ -32,112 +67,56 @@ pub fn results_markdown(dir: &Path) -> String {
         .unwrap_or_default();
     names.sort();
 
-    let mut grid_lines: Vec<ReportLine> = Vec::new();
-    let mut searches: Vec<mano::report::SearchReport> = Vec::new();
-    let mut metro: Option<serde_json::Value> = None;
+    let mut grids: Vec<(&str, BenchReport)> = Vec::new();
+    let mut searches: Vec<SearchReport> = Vec::new();
+    let mut metro: Option<String> = None;
     let mut skipped: Vec<String> = Vec::new();
     for name in &names {
-        let Ok(text) = std::fs::read_to_string(dir.join(name)) else {
-            skipped.push(name.clone());
-            continue;
-        };
-        let Ok(doc) = serde_json::from_str(&text) else {
-            skipped.push(name.clone());
-            continue;
-        };
-        let doc: serde_json::Value = doc;
-        if name == "BENCH_metro.json" {
-            metro = Some(doc);
-            continue;
-        }
-        if let Some(search) = name
-            .strip_prefix("BENCH_search_")
-            .and_then(|s| s.strip_suffix(".json"))
-        {
-            match mano::report::load_search_report(dir, search) {
-                Some(report) => searches.push(report),
-                None => skipped.push(name.clone()),
+        let read = serde_json::from_file::<Value>(&dir.join(name)).and_then(|doc| {
+            if name == "BENCH_metro.json" {
+                metro = Some(metro_markdown(&doc)?);
+            } else if name.starts_with("BENCH_search_") {
+                searches.push(SearchReport::from_json(&doc)?);
+            } else {
+                grids.push((name, BenchReport::from_json(&doc)?));
             }
-            continue;
-        }
-        let cells = doc
-            .get("cells")
-            .and_then(serde_json::Value::as_array)
-            .map(|a| a.len())
-            .unwrap_or(0);
-        grid_lines.push(ReportLine {
-            name: name.clone(),
-            cells,
-            threads: doc
-                .get("threads")
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0),
-            wall_clock_secs: doc
-                .get("wall_clock_secs")
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0),
-            slots_per_sec: doc
-                .get("throughput_slots_per_sec")
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0),
+            Ok(())
         });
+        if let Err(e) = read {
+            skipped.push(format!("`{name}`: {}", JsonError { file: None, ..e }));
+        }
     }
 
     let mut out = String::from("## Bench results\n\n");
     let shards = shards_markdown(dir);
-    if grid_lines.is_empty() && searches.is_empty() && metro.is_none() && shards.is_empty() {
+    if grids.is_empty()
+        && searches.is_empty()
+        && metro.is_none()
+        && skipped.is_empty()
+        && shards.is_empty()
+    {
         out.push_str("_no BENCH_*.json reports found_\n");
         return out;
     }
-    if !grid_lines.is_empty() {
+    if !grids.is_empty() {
         out.push_str("| report | cells | threads | wall (s) | slots/s |\n");
         out.push_str("|---|---:|---:|---:|---:|\n");
-        for line in &grid_lines {
+        for (name, r) in &grids {
             out.push_str(&format!(
-                "| {} | {} | {} | {:.2} | {:.0} |\n",
-                line.name, line.cells, line.threads, line.wall_clock_secs, line.slots_per_sec
+                "| {name} | {} | {} | {:.2} | {:.0} |\n",
+                r.cells.len(),
+                r.threads,
+                r.wall_clock_secs,
+                r.throughput_slots_per_sec
             ));
         }
     }
-    if let Some(doc) = &metro {
-        let num = |key: &str| -> f64 {
-            doc.get(key)
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0)
-        };
-        out.push_str("\n### Metro streaming sweep (BENCH_metro.json)\n\n");
-        out.push_str("| scale | requests | req/s | peak heap (MiB) |\n");
-        out.push_str("|---:|---:|---:|---:|\n");
-        if let Some(scales) = doc.get("scales").and_then(serde_json::Value::as_array) {
-            for row in scales {
-                let v = |key: &str| -> f64 {
-                    row.get(key)
-                        .and_then(serde_json::Value::as_f64)
-                        .unwrap_or(0.0)
-                };
-                out.push_str(&format!(
-                    "| {}x | {} | {:.0} | {:.1} |\n",
-                    v("scale") as u64,
-                    v("requests") as u64,
-                    v("requests_per_sec"),
-                    v("peak_mem_bytes") / (1024.0 * 1024.0),
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "\nacross the sweep: throughput {:.2}x, peak heap {:.2}x\n",
-            num("throughput_ratio"),
-            num("peak_mem_ratio"),
-        ));
-    }
+    out.push_str(metro.as_deref().unwrap_or_default());
     if !searches.is_empty() {
         out.push_str(&searches_markdown(&searches));
     }
-    if !skipped.is_empty() {
-        out.push_str(&format!(
-            "\n_skipped unparseable: {}_\n",
-            skipped.join(", ")
-        ));
+    for line in &skipped {
+        out.push_str(&format!("\n⚠ skipped {line}\n"));
     }
     out.push_str(&shards);
     out
@@ -148,7 +127,7 @@ pub fn results_markdown(dir: &Path) -> String {
 /// whenever a search's recorded manifest fingerprint no longer matches
 /// the checked-in manifest of the same name — that search's results
 /// describe a manifest that has since been edited.
-fn searches_markdown(searches: &[mano::report::SearchReport]) -> String {
+fn searches_markdown(searches: &[SearchReport]) -> String {
     let mut out = String::from("\n### Manifest searches (BENCH_search_*.json)\n\n");
     out.push_str("| search | best policy | scenario | α | β | health | runs |\n");
     out.push_str("|---|---|---|---:|---:|---:|---:|\n");
@@ -223,9 +202,13 @@ fn shards_markdown(dir: &Path) -> String {
     // (grid, shard_of) -> (landed shards, cells)
     let mut coverage: Vec<((String, usize), (usize, usize))> = Vec::new();
     for name in &names {
-        let Some(frag) = sweep::fragment::load_fragment(&shard_dir.join(name)) else {
-            warnings.push(format!("`{name}`: unreadable or not a shard fragment"));
-            continue;
+        let frag = match ShardFragment::load(&shard_dir.join(name)) {
+            Ok(frag) => frag,
+            Err(e) => {
+                let e = JsonError { file: None, ..e };
+                warnings.push(format!("`{name}`: not a shard fragment: {e}"));
+                continue;
+            }
         };
         if frag.schema_version != sweep::plan::SWEEP_SCHEMA_VERSION {
             warnings.push(format!(
@@ -342,7 +325,10 @@ mod tests {
             md.contains("schema version 99") && md.contains("merge will refuse"),
             "{md}"
         );
-        assert!(md.contains("`junk.json`: unreadable"), "{md}");
+        assert!(
+            md.contains("`junk.json`: not a shard fragment: byte 1: expected `\"`, found `o`"),
+            "{md}"
+        );
     }
 
     #[test]
@@ -421,23 +407,52 @@ mod tests {
     }
 
     #[test]
-    fn grid_table_renders_and_skips_unparseable() {
+    fn grid_table_renders_and_skips_unparseable() -> std::io::Result<()> {
         let dir = temp_dir("full");
-        std::fs::write(
-            dir.join("BENCH_alpha.json"),
-            r#"{"name":"alpha","threads":4,"wall_clock_secs":1.5,"slots_simulated":600,
-                "throughput_slots_per_sec":400.0,"cells":[{"a":1},{"a":2}],"aggregates":[]}"#,
-        )
-        .unwrap();
-        std::fs::write(dir.join("BENCH_broken.json"), "{oops").unwrap();
+        let report = BenchReport {
+            name: "alpha".into(),
+            threads: 4,
+            wall_clock_secs: 1.5,
+            slots_simulated: 600,
+            throughput_slots_per_sec: 400.0,
+            fingerprint: String::new(),
+            cells: Vec::new(),
+            aggregates: Vec::new(),
+        };
+        report.write_to(&dir)?;
+        std::fs::write(dir.join("BENCH_broken.json"), "{oops")?;
+        std::fs::write(dir.join("BENCH_beta.json"), r#"{"schema_version":1}"#)?;
         let md = results_markdown(&dir);
         assert!(
-            md.contains("| BENCH_alpha.json | 2 | 4 | 1.50 | 400 |"),
+            md.contains("| BENCH_alpha.json | 0 | 4 | 1.50 | 400 |"),
             "{md}"
         );
         assert!(
-            md.contains("skipped unparseable: BENCH_broken.json"),
+            md.contains("⚠ skipped `BENCH_broken.json`: byte 1: expected `\"`, found `o`"),
             "{md}"
         );
+        assert!(
+            md.contains("⚠ skipped `BENCH_beta.json`: cells: expected a field, found none"),
+            "{md}"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn search_report_with_best_out_of_range_is_skipped_not_a_panic() -> std::io::Result<()> {
+        let dir = temp_dir("search_best");
+        let mut report = search_report("offbook", "offbook-1111111111111111");
+        report.best = 3;
+        report.write_canonical_to(&dir)?;
+        let md = results_markdown(&dir);
+        assert!(
+            md.contains(
+                "⚠ skipped `BENCH_search_offbook.json`: best: expected an index below 1 \
+                 (the candidate count), found 3"
+            ),
+            "{md}"
+        );
+        assert!(!md.contains("| offbook |"), "{md}");
+        Ok(())
     }
 }

@@ -5,10 +5,9 @@
 //! action rejects the request outright.
 
 use edgenet::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A decoded placement action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementAction {
     /// Host the next VNF on this node.
     Place(NodeId),
@@ -17,7 +16,7 @@ pub enum PlacementAction {
 }
 
 /// Fixed-size action space over `node_count` nodes plus reject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionSpace {
     node_count: usize,
 }

@@ -8,12 +8,11 @@ use edgenet::topology::{Topology, TopologyBuilder};
 use edgenet::view::NetworkEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use workload::trace::WorkloadSpec;
 
 /// Which topology the scenario runs on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologySpec {
     /// `n` real metro sites, fully meshed, plus a cloud.
     Metro {
@@ -65,7 +64,7 @@ impl TopologySpec {
 }
 
 /// A network event pinned to a simulation slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedEvent {
     /// Slot at which the event fires (applied at slot start, after
     /// departures, before arrivals).
@@ -77,7 +76,7 @@ pub struct TimedEvent {
 /// Stochastic failure/repair process for edge nodes: each live edge node
 /// fails independently per slot; a failed node recovers after a
 /// geometrically distributed downtime. The cloud never fails.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureModel {
     /// Per-slot failure probability of each live edge node, in `[0, 1)`.
     pub failure_rate: f64,
@@ -111,7 +110,7 @@ impl FailureModel {
 
 /// The scenario's network-event timeline: what happens to the network
 /// itself (as opposed to the workload) over the horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventSchedule {
     /// Static network: no events (the classic experiments).
     None,
@@ -229,7 +228,7 @@ impl EventSchedule {
 }
 
 /// Full scenario: the unit of experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Topology to build.
     pub topology: TopologySpec,

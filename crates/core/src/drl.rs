@@ -11,10 +11,9 @@ use crate::policy::{DecisionContext, DecisionFeedback, PlacementPolicy};
 use rand::rngs::StdRng;
 use rl::dqn::{DqnAgent, DqnConfig};
 use rl::transition::Transition;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the DRL manager (a thin wrapper over [`DqnConfig`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrlManagerConfig {
     /// The underlying DQN hyperparameters.
     pub dqn: DqnConfig,

@@ -71,9 +71,9 @@ pub mod prelude {
     pub use crate::report::{
         aggregate_csv_header, aggregate_csv_row, convergence_csv, group_aggregates,
         load_bench_report, load_search_report, markdown_aggregate_comparison, markdown_comparison,
-        slot_csv_header, slot_csv_row, summary_csv_header, summary_csv_row, summary_from_json,
-        summary_json, write_lines, BenchAggregate, BenchCell, BenchReport, SearchCandidate,
-        SearchPointReport, SearchReport, BENCH_SCHEMA_VERSION, SEARCH_SCHEMA_VERSION,
+        slot_csv_header, slot_csv_row, summary_csv_header, summary_csv_row, summary_json,
+        write_lines, BenchAggregate, BenchCell, BenchReport, SearchCandidate, SearchPointReport,
+        SearchReport, BENCH_SCHEMA_VERSION, SEARCH_SCHEMA_VERSION,
     };
     pub use crate::reward::{RewardConfig, INFEASIBLE_LATENCY_MS};
     pub use crate::runner::{
@@ -90,4 +90,5 @@ pub mod prelude {
         FlowOutcome, FlowRecord, FlowTotals, RingBuffer, SimSnapshot, StreamingStat, TelemetrySink,
     };
     pub use crate::timeline::{EventQueue, SimEvent, SimEventKind, SimTime};
+    pub use serde_json::FromJson;
 }

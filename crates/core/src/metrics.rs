@@ -1,9 +1,7 @@
 //! Per-slot and per-run metrics: everything the experiment harness plots.
 
-use serde::{Deserialize, Serialize};
-
 /// One slot's worth of observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotRecord {
     /// Slot index.
     pub slot: u64,
@@ -305,7 +303,7 @@ impl MetricsCollector {
 
 /// Aggregated results of one simulation run — the row every comparison
 /// table in EXPERIMENTS.md reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Number of simulated slots.
     pub slots: u64,
@@ -385,7 +383,7 @@ pub const SUMMARY_METRICS: &[SummaryMetric] = &[
 
 /// Mean, sample standard deviation and 95% confidence-interval half-width
 /// of one metric across seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricStats {
     /// Arithmetic mean across seeds.
     pub mean: f64,

@@ -11,10 +11,9 @@ use crate::sim::{RunInput, RunOptions, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::reinforce::{ReinforceAgent, ReinforceConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the policy-gradient manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PgManagerConfig {
     /// REINFORCE hyperparameters.
     pub reinforce: ReinforceConfig,

@@ -4,7 +4,6 @@
 use crate::action::PlacementAction;
 use edgenet::node::NodeId;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use sfc::chain::ChainSpec;
 use sfc::request::Request;
 
@@ -14,7 +13,7 @@ pub use nn::tensor::Matrix;
 
 /// Everything a policy may want to know about one candidate node for the
 /// next VNF of the pending request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateInfo {
     /// The candidate node.
     pub node: NodeId,

@@ -6,7 +6,7 @@ use crate::metrics::{
     aggregate_summaries, MetricStats, RunSummary, SlotRecord, SummaryAggregate, SUMMARY_METRICS,
 };
 use crate::runner::PolicyResult;
-use serde_json::Value;
+use serde_json::{Error as JsonError, FromJson, Value};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -287,30 +287,30 @@ pub fn summary_json(s: &RunSummary) -> Value {
     Value::Object(map)
 }
 
-/// Parses a [`RunSummary`] back out of [`summary_json`] output.
-pub fn summary_from_json(v: &Value) -> Option<RunSummary> {
-    let u = |k: &str| v.get(k).and_then(Value::as_u64);
-    let f = |k: &str| v.get(k).and_then(Value::as_f64);
-    Some(RunSummary {
-        slots: u("slots")?,
-        total_arrivals: u("total_arrivals")?,
-        total_accepted: u("total_accepted")?,
-        total_rejected: u("total_rejected")?,
-        acceptance_ratio: f("acceptance_ratio")?,
-        sla_violation_ratio: f("sla_violation_ratio")?,
-        mean_admission_latency_ms: f("mean_admission_latency_ms")?,
-        p50_admission_latency_ms: f("p50_admission_latency_ms")?,
-        p95_admission_latency_ms: f("p95_admission_latency_ms")?,
-        total_cost_usd: f("total_cost_usd")?,
-        mean_slot_cost_usd: f("mean_slot_cost_usd")?,
-        mean_utilization: f("mean_utilization")?,
-        mean_active_flows: f("mean_active_flows")?,
-        mean_live_instances: f("mean_live_instances")?,
-        mean_decision_time_us: f("mean_decision_time_us")?,
-        flows_disrupted: u("flows_disrupted")?,
-        replacement_success_rate: f("replacement_success_rate")?,
-        downtime_slots: u("downtime_slots")?,
-    })
+/// Reads [`summary_json`] output.
+impl FromJson for RunSummary {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(RunSummary {
+            slots: v.req("slots")?,
+            total_arrivals: v.req("total_arrivals")?,
+            total_accepted: v.req("total_accepted")?,
+            total_rejected: v.req("total_rejected")?,
+            acceptance_ratio: v.req("acceptance_ratio")?,
+            sla_violation_ratio: v.req("sla_violation_ratio")?,
+            mean_admission_latency_ms: v.req("mean_admission_latency_ms")?,
+            p50_admission_latency_ms: v.req("p50_admission_latency_ms")?,
+            p95_admission_latency_ms: v.req("p95_admission_latency_ms")?,
+            total_cost_usd: v.req("total_cost_usd")?,
+            mean_slot_cost_usd: v.req("mean_slot_cost_usd")?,
+            mean_utilization: v.req("mean_utilization")?,
+            mean_active_flows: v.req("mean_active_flows")?,
+            mean_live_instances: v.req("mean_live_instances")?,
+            mean_decision_time_us: v.req("mean_decision_time_us")?,
+            flows_disrupted: v.req("flows_disrupted")?,
+            replacement_success_rate: v.req("replacement_success_rate")?,
+            downtime_slots: v.req("downtime_slots")?,
+        })
+    }
 }
 
 /// Serializes one [`BenchCell`] with exact field names — the unit shared
@@ -327,15 +327,35 @@ pub fn cell_json(c: &BenchCell) -> Value {
     Value::Object(map)
 }
 
-/// Parses a [`BenchCell`] back out of [`cell_json`] output.
-pub fn cell_from_json(v: &Value) -> Option<BenchCell> {
-    Some(BenchCell {
-        scenario: v.get("scenario")?.as_str()?.to_string(),
-        policy: v.get("policy")?.as_str()?.to_string(),
-        x: v.get("x")?.as_f64()?,
-        seed: v.get("seed")?.as_u64()?,
-        summary: summary_from_json(v.get("summary")?)?,
-    })
+/// Reads [`cell_json`] output.
+impl FromJson for BenchCell {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(BenchCell {
+            scenario: v.req("scenario")?,
+            policy: v.req("policy")?,
+            x: v.req("x")?,
+            seed: v.req("seed")?,
+            summary: v.req("summary")?,
+        })
+    }
+}
+
+/// Reads `schema_version` and requires it to be `supported`.
+///
+/// # Errors
+///
+/// When the field is absent, not a `u64`, or another version.
+pub fn check_schema_version(v: &Value, supported: u64) -> Result<(), JsonError> {
+    let found: u64 = v.req("schema_version")?;
+    if found == supported {
+        Ok(())
+    } else {
+        Err(JsonError::new(
+            "schema_version",
+            supported.to_string(),
+            found.to_string(),
+        ))
+    }
 }
 
 fn aggregate_json(agg: &SummaryAggregate) -> Value {
@@ -415,36 +435,6 @@ impl BenchReport {
         Value::Object(map)
     }
 
-    /// Parses a report back from [`BenchReport::to_json`] output.
-    /// Aggregates are recomputed from the cells (they are derived data),
-    /// which also validates the document's internal consistency.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        if v.get("schema_version").and_then(Value::as_u64) != Some(BENCH_SCHEMA_VERSION) {
-            return None;
-        }
-        let cells: Vec<BenchCell> = v
-            .get("cells")?
-            .as_array()?
-            .iter()
-            .map(cell_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let aggregates = group_aggregates(&cells);
-        Some(Self {
-            name: v.get("name")?.as_str()?.to_string(),
-            threads: v.get("threads")?.as_u64()? as usize,
-            wall_clock_secs: v.get("wall_clock_secs")?.as_f64()?,
-            slots_simulated: v.get("slots_simulated")?.as_u64()?,
-            throughput_slots_per_sec: v.get("throughput_slots_per_sec")?.as_f64()?,
-            fingerprint: v
-                .get("fingerprint")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            cells,
-            aggregates,
-        })
-    }
-
     /// Writes the pretty-printed report to `dir/BENCH_<name>.json` and
     /// returns the path.
     ///
@@ -475,10 +465,32 @@ impl BenchReport {
     }
 }
 
-/// Loads and parses `dir/BENCH_<name>.json` if present and well-formed.
-pub fn load_bench_report(dir: &Path, name: &str) -> Option<BenchReport> {
-    let text = std::fs::read_to_string(dir.join(format!("BENCH_{name}.json"))).ok()?;
-    BenchReport::from_json(&serde_json::from_str(&text).ok()?)
+/// Reads [`BenchReport::to_json`] output. Aggregates are recomputed from
+/// the cells (they are derived data).
+impl FromJson for BenchReport {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        check_schema_version(v, BENCH_SCHEMA_VERSION)?;
+        let cells: Vec<BenchCell> = v.req("cells")?;
+        Ok(Self {
+            name: v.req("name")?,
+            threads: v.req("threads")?,
+            wall_clock_secs: v.req("wall_clock_secs")?,
+            slots_simulated: v.req("slots_simulated")?,
+            throughput_slots_per_sec: v.req("throughput_slots_per_sec")?,
+            fingerprint: v.opt("fingerprint")?.unwrap_or_default(),
+            aggregates: group_aggregates(&cells),
+            cells,
+        })
+    }
+}
+
+/// Loads `dir/BENCH_<name>.json`.
+///
+/// # Errors
+///
+/// I/O, syntax and shape failures, naming the file.
+pub fn load_bench_report(dir: &Path, name: &str) -> Result<BenchReport, JsonError> {
+    serde_json::from_file(&dir.join(format!("BENCH_{name}.json")))
 }
 
 /// Version stamp of the `BENCH_search_*.json` schema; bump on breaking
@@ -577,19 +589,72 @@ fn search_candidate_json(c: &SearchCandidate) -> Value {
     Value::Object(map)
 }
 
-fn search_candidate_from_json(v: &Value) -> Option<SearchCandidate> {
-    Some(SearchCandidate {
-        point: v.get("point")?.as_u64()? as usize,
-        scenario: v.get("scenario")?.as_str()?.to_string(),
-        policy: v.get("policy")?.as_str()?.to_string(),
-        x: v.get("x")?.as_f64()?,
-        alpha: v.get("alpha")?.as_f64()?,
-        beta: v.get("beta")?.as_f64()?,
-        screened_health: v.get("screened_health")?.as_f64()?,
-        promoted: v.get("promoted")?.as_bool()?,
-        seeds_run: v.get("seeds_run")?.as_u64()? as usize,
-        health: v.get("health")?.as_f64()?,
-    })
+impl FromJson for SearchCandidate {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(SearchCandidate {
+            point: v.req("point")?,
+            scenario: v.req("scenario")?,
+            policy: v.req("policy")?,
+            x: v.req("x")?,
+            alpha: v.req("alpha")?,
+            beta: v.req("beta")?,
+            screened_health: v.req("screened_health")?,
+            promoted: v.req("promoted")?,
+            seeds_run: v.req("seeds_run")?,
+            health: v.req("health")?,
+        })
+    }
+}
+
+impl FromJson for SearchPointReport {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(SearchPointReport {
+            alpha: v.req("alpha")?,
+            beta: v.req("beta")?,
+            cell_health: v.req("cell_health")?,
+            report: v.req("report")?,
+        })
+    }
+}
+
+/// Writes `(metric, weight, higher_is_better)` health weights as search
+/// reports and manifests store them:
+/// `[{"metric", "weight", "direction": "up" | "down"}]`.
+pub fn health_weights_json(weights: &[(String, f64, bool)]) -> Value {
+    let weights = weights.iter().map(|(metric, weight, up)| {
+        let mut w = serde_json::Map::new();
+        w.insert("metric", Value::from(metric.as_str()));
+        w.insert("weight", Value::from(*weight));
+        w.insert("direction", Value::from(if *up { "up" } else { "down" }));
+        Value::Object(w)
+    });
+    Value::Array(weights.collect())
+}
+
+/// One health weight read back from [`health_weights_json`] output.
+pub struct HealthWeight(pub String, pub f64, pub bool);
+
+impl FromJson for HealthWeight {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let up = match v.req::<String>("direction")?.as_str() {
+            "up" => true,
+            "down" => false,
+            other => {
+                return Err(JsonError::new(
+                    "direction",
+                    "`up` or `down`",
+                    format!("{other:?}"),
+                ))
+            }
+        };
+        Ok(Self(v.req("metric")?, v.req("weight")?, up))
+    }
+}
+
+impl From<HealthWeight> for (String, f64, bool) {
+    fn from(HealthWeight(metric, weight, up): HealthWeight) -> Self {
+        (metric, weight, up)
+    }
 }
 
 impl SearchReport {
@@ -615,18 +680,7 @@ impl SearchReport {
         map.insert("promote_fraction", Value::from(self.promote_fraction));
         map.insert("runs_evaluated", Value::from(self.runs_evaluated));
         map.insert("runs_exhaustive", Value::from(self.runs_exhaustive));
-        let weights: Vec<Value> = self
-            .health_weights
-            .iter()
-            .map(|(metric, weight, up)| {
-                let mut w = serde_json::Map::new();
-                w.insert("metric", Value::from(metric.as_str()));
-                w.insert("weight", Value::from(*weight));
-                w.insert("direction", Value::from(if *up { "up" } else { "down" }));
-                Value::Object(w)
-            })
-            .collect();
-        map.insert("health_weights", Value::Array(weights));
+        map.insert("health_weights", health_weights_json(&self.health_weights));
         map.insert(
             "candidates",
             Value::Array(self.candidates.iter().map(search_candidate_json).collect()),
@@ -651,63 +705,6 @@ impl SearchReport {
         Value::Object(map)
     }
 
-    /// Parses a report back from [`SearchReport::canonical_json`] output.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        if v.get("schema_version").and_then(Value::as_u64) != Some(SEARCH_SCHEMA_VERSION) {
-            return None;
-        }
-        let health_weights = v
-            .get("health_weights")?
-            .as_array()?
-            .iter()
-            .map(|w| {
-                Some((
-                    w.get("metric")?.as_str()?.to_string(),
-                    w.get("weight")?.as_f64()?,
-                    w.get("direction")?.as_str()? == "up",
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let candidates = v
-            .get("candidates")?
-            .as_array()?
-            .iter()
-            .map(search_candidate_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let points = v
-            .get("points")?
-            .as_array()?
-            .iter()
-            .map(|p| {
-                Some(SearchPointReport {
-                    alpha: p.get("alpha")?.as_f64()?,
-                    beta: p.get("beta")?.as_f64()?,
-                    cell_health: p
-                        .get("cell_health")?
-                        .as_array()?
-                        .iter()
-                        .map(Value::as_f64)
-                        .collect::<Option<Vec<_>>>()?,
-                    report: BenchReport::from_json(p.get("report")?)?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            name: v.get("name")?.as_str()?.to_string(),
-            manifest_fingerprint: v.get("manifest_fingerprint")?.as_str()?.to_string(),
-            fast: v.get("fast")?.as_bool()?,
-            screen_seeds: v.get("screen_seeds")?.as_u64()? as usize,
-            full_seeds: v.get("full_seeds")?.as_u64()? as usize,
-            promote_fraction: v.get("promote_fraction")?.as_f64()?,
-            runs_evaluated: v.get("runs_evaluated")?.as_u64()? as usize,
-            runs_exhaustive: v.get("runs_exhaustive")?.as_u64()? as usize,
-            health_weights,
-            candidates,
-            best: v.get("best")?.as_u64()? as usize,
-            points,
-        })
-    }
-
     /// Writes the pretty-printed canonical document to
     /// `dir/BENCH_search_<name>.json` and returns the path. Byte-stable
     /// across executions, so CI compares two runs with `cmp`.
@@ -725,11 +722,48 @@ impl SearchReport {
     }
 }
 
-/// Loads and parses `dir/BENCH_search_<name>.json` if present and
-/// well-formed.
-pub fn load_search_report(dir: &Path, name: &str) -> Option<SearchReport> {
-    let text = std::fs::read_to_string(dir.join(format!("BENCH_search_{name}.json"))).ok()?;
-    SearchReport::from_json(&serde_json::from_str(&text).ok()?)
+/// Reads [`SearchReport::canonical_json`] output, and checks that `best`
+/// indexes a candidate.
+impl FromJson for SearchReport {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        check_schema_version(v, SEARCH_SCHEMA_VERSION)?;
+        let candidates: Vec<SearchCandidate> = v.req("candidates")?;
+        let best: usize = v.req("best")?;
+        if best >= candidates.len() {
+            return Err(JsonError::new(
+                "best",
+                format!("an index below {} (the candidate count)", candidates.len()),
+                best.to_string(),
+            ));
+        }
+        Ok(Self {
+            name: v.req("name")?,
+            manifest_fingerprint: v.req("manifest_fingerprint")?,
+            fast: v.req("fast")?,
+            screen_seeds: v.req("screen_seeds")?,
+            full_seeds: v.req("full_seeds")?,
+            promote_fraction: v.req("promote_fraction")?,
+            runs_evaluated: v.req("runs_evaluated")?,
+            runs_exhaustive: v.req("runs_exhaustive")?,
+            health_weights: v
+                .req::<Vec<HealthWeight>>("health_weights")?
+                .into_iter()
+                .map(Into::into)
+                .collect(),
+            candidates,
+            best,
+            points: v.req("points")?,
+        })
+    }
+}
+
+/// Loads `dir/BENCH_search_<name>.json`.
+///
+/// # Errors
+///
+/// I/O, syntax and shape failures, naming the file.
+pub fn load_search_report(dir: &Path, name: &str) -> Result<SearchReport, JsonError> {
+    serde_json::from_file(&dir.join(format!("BENCH_search_{name}.json")))
 }
 
 #[cfg(test)]
@@ -872,30 +906,35 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_json_roundtrip() {
+    fn bench_report_json_roundtrip() -> Result<(), JsonError> {
         let report = report_fixture();
         let text = serde_json::to_string_pretty(&report.to_json());
-        let parsed = BenchReport::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(parsed, report);
+        assert_eq!(
+            BenchReport::from_json(&serde_json::from_str(&text)?)?,
+            report
+        );
+        Ok(())
     }
 
     #[test]
-    fn summary_json_roundtrip_is_exact() {
+    fn summary_json_roundtrip_is_exact() -> Result<(), JsonError> {
         let s = summary();
-        let v = serde_json::from_str(&serde_json::to_string(&summary_json(&s))).unwrap();
-        assert_eq!(summary_from_json(&v).unwrap(), s);
+        let v = serde_json::from_str(&serde_json::to_string(&summary_json(&s)))?;
+        assert_eq!(RunSummary::from_json(&v)?, s);
+        Ok(())
     }
 
     #[test]
-    fn bench_report_write_and_load() {
+    fn bench_report_write_and_load() -> Result<(), Box<dyn std::error::Error>> {
         let dir = std::env::temp_dir().join("mano_bench_report_test");
         let report = report_fixture();
-        let path = report.write_to(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), "BENCH_unit.json");
-        let loaded = load_bench_report(&dir, "unit").unwrap();
-        assert_eq!(loaded, report);
-        assert_eq!(load_bench_report(&dir, "missing"), None);
+        assert_eq!(report.write_to(&dir)?, dir.join("BENCH_unit.json"));
+        assert_eq!(load_bench_report(&dir, "unit")?, report);
+        let missing = load_bench_report(&dir, "missing").unwrap_err();
+        assert_eq!(missing.file, Some(dir.join("BENCH_missing.json")));
+        assert_eq!(missing.expected, "a readable file");
         let _ = std::fs::remove_dir_all(dir);
+        Ok(())
     }
 
     #[test]
@@ -908,14 +947,15 @@ mod tests {
     }
 
     #[test]
-    fn cell_json_roundtrip_is_exact() {
+    fn cell_json_roundtrip_is_exact() -> Result<(), JsonError> {
         let cell = report_fixture().cells[1].clone();
-        let v = serde_json::from_str(&serde_json::to_string(&cell_json(&cell))).unwrap();
-        assert_eq!(cell_from_json(&v).unwrap(), cell);
+        let v = serde_json::from_str(&serde_json::to_string(&cell_json(&cell)))?;
+        assert_eq!(BenchCell::from_json(&v)?, cell);
+        Ok(())
     }
 
     #[test]
-    fn canonical_json_scrubs_only_measurement_metadata() {
+    fn canonical_json_scrubs_only_measurement_metadata() -> Result<(), JsonError> {
         let mut a = report_fixture();
         let mut b = report_fixture();
         // Same deterministic payload, different execution circumstances.
@@ -936,10 +976,11 @@ mod tests {
             "canonical form must not depend on how the grid was executed"
         );
         // Still a well-formed report document with the full payload.
-        let parsed = BenchReport::from_json(&serde_json::from_str(&canon_a).unwrap()).unwrap();
+        let parsed = BenchReport::from_json(&serde_json::from_str(&canon_a)?)?;
         assert_eq!(parsed.cells, a.cells);
         assert_eq!(parsed.slots_simulated, a.slots_simulated);
         assert_eq!(parsed.threads, 0);
+        Ok(())
     }
 
     #[test]
@@ -1008,10 +1049,10 @@ mod tests {
     }
 
     #[test]
-    fn search_report_json_roundtrip() {
+    fn search_report_json_roundtrip() -> Result<(), JsonError> {
         let report = search_report_fixture();
         let text = serde_json::to_string_pretty(&report.canonical_json());
-        let parsed = SearchReport::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
+        let parsed = SearchReport::from_json(&serde_json::from_str(&text)?)?;
         // The nested bench report's measurement metadata is scrubbed by
         // the canonical form; everything else survives exactly.
         assert_eq!(parsed.name, report.name);
@@ -1022,6 +1063,7 @@ mod tests {
         assert_eq!(parsed.points[0].cell_health, report.points[0].cell_health);
         assert_eq!(parsed.points[0].report.cells, report.points[0].report.cells);
         assert_eq!(parsed.runs_evaluated, 3);
+        Ok(())
     }
 
     #[test]
@@ -1038,15 +1080,102 @@ mod tests {
     }
 
     #[test]
-    fn search_report_write_and_load() {
+    fn search_report_write_and_load() -> Result<(), Box<dyn std::error::Error>> {
         let dir = std::env::temp_dir().join("mano_search_report_test");
         let report = search_report_fixture();
-        let path = report.write_canonical_to(&dir).unwrap();
-        assert_eq!(path.file_name().unwrap(), "BENCH_search_unit.json");
-        let loaded = load_search_report(&dir, "unit").unwrap();
-        assert_eq!(loaded.candidates, report.candidates);
-        assert_eq!(load_search_report(&dir, "missing"), None);
+        let path = report.write_canonical_to(&dir)?;
+        assert_eq!(path, dir.join("BENCH_search_unit.json"));
+        assert_eq!(
+            load_search_report(&dir, "unit")?.candidates,
+            report.candidates
+        );
+        assert!(load_search_report(&dir, "missing").is_err());
         let _ = std::fs::remove_dir_all(dir);
+        Ok(())
+    }
+
+    #[test]
+    fn truncated_bench_report_names_its_file_and_byte() -> Result<(), Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join("mano_truncated_bench_report_test");
+        let text = serde_json::to_string_pretty(&report_fixture().to_json());
+        write_lines(
+            dir.join("BENCH_unit.json"),
+            &[text[..text.len() / 2].to_string()],
+        )?;
+        let e = load_bench_report(&dir, "unit").unwrap_err();
+        assert_eq!(e.file, Some(dir.join("BENCH_unit.json")));
+        assert!(e.path.starts_with("byte "), "{e}");
+        assert_eq!(e.found, "end of input");
+        let _ = std::fs::remove_dir_all(dir);
+        Ok(())
+    }
+
+    #[test]
+    fn mistyped_bench_cell_field_is_named_by_its_path() -> Result<(), JsonError> {
+        let mut report = report_fixture();
+        report.cells[1].summary.total_arrivals = 101;
+        let text = serde_json::to_string(&report.to_json())
+            .replace(r#""total_arrivals":101"#, r#""total_arrivals":-1"#);
+        let e = BenchReport::from_json(&serde_json::from_str(&text)?).unwrap_err();
+        assert_eq!(e.path, "cells[1].summary.total_arrivals");
+        assert_eq!(e.found, "-1");
+        assert_eq!(
+            e.to_string(),
+            "cells[1].summary.total_arrivals: expected a u64 (as a decimal string from 2^53 on), \
+             found -1"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn bench_report_of_another_schema_version_is_refused() -> Result<(), JsonError> {
+        let text = serde_json::to_string(&report_fixture().to_json())
+            .replace(r#""schema_version":1"#, r#""schema_version":2"#);
+        let e = BenchReport::from_json(&serde_json::from_str(&text)?).unwrap_err();
+        assert_eq!(
+            (e.path.as_str(), e.expected.as_str()),
+            ("schema_version", "1")
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn truncated_search_report_names_its_file_and_byte() -> Result<(), Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join("mano_truncated_search_report_test");
+        let text = serde_json::to_string_pretty(&search_report_fixture().canonical_json());
+        write_lines(
+            dir.join("BENCH_search_unit.json"),
+            &[text[..text.len() / 3].to_string()],
+        )?;
+        let e = load_search_report(&dir, "unit").unwrap_err();
+        assert_eq!(e.file, Some(dir.join("BENCH_search_unit.json")));
+        assert_eq!(e.found, "end of input");
+        let _ = std::fs::remove_dir_all(dir);
+        Ok(())
+    }
+
+    #[test]
+    fn mistyped_search_point_field_is_named_by_its_path() -> Result<(), JsonError> {
+        let mut report = search_report_fixture();
+        report.points[0].report.cells[1].summary.total_arrivals = 101;
+        let text = serde_json::to_string(&report.canonical_json())
+            .replace(r#""total_arrivals":101"#, r#""total_arrivals":"many""#);
+        let e = SearchReport::from_json(&serde_json::from_str(&text)?).unwrap_err();
+        assert_eq!(e.path, "points[0].report.cells[1].summary.total_arrivals");
+        assert_eq!(e.found, r#""many""#);
+        Ok(())
+    }
+
+    #[test]
+    fn search_report_best_must_index_a_candidate() -> Result<(), JsonError> {
+        let mut report = search_report_fixture();
+        report.best = 2;
+        let doc = serde_json::from_str(&serde_json::to_string(&report.canonical_json()))?;
+        let e = SearchReport::from_json(&doc).unwrap_err();
+        assert_eq!(e.path, "best");
+        assert_eq!(e.found, "2");
+        assert!(e.expected.contains("below 2"), "{e}");
+        Ok(())
     }
 
     #[test]

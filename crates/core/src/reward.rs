@@ -5,8 +5,6 @@
 //! single terminal reward) keeps the credit-assignment horizon short —
 //! each hop's marginal latency/cost is charged when it is incurred.
 
-use serde::{Deserialize, Serialize};
-
 /// Finite stand-in latency (ms) for an infeasible or overloaded
 /// assignment: far above any real end-to-end latency in the evaluation
 /// topologies, yet small enough to keep metric averages and Q-targets
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub const INFEASIBLE_LATENCY_MS: f64 = 10_000.0;
 
 /// Reward weights and normalization scales.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Weight α on normalized latency.
     pub alpha_latency: f32,

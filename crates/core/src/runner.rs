@@ -9,10 +9,9 @@ use crate::reward::RewardConfig;
 use crate::sim::{DecisionSemantics, RunInput, RunOptions, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labelled evaluation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyResult {
     /// Policy name (table row).
     pub policy: String,

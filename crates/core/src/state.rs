@@ -24,7 +24,6 @@ use crate::policy::CandidateInfo;
 use edgenet::capacity::CapacityLedger;
 use edgenet::node::NodeId;
 use edgenet::view::NetworkHealth;
-use serde::{Deserialize, Serialize};
 use sfc::chain::{ChainCatalog, ChainSpec};
 use sfc::instance::InstancePool;
 use sfc::vnf::VnfCatalog;
@@ -37,7 +36,7 @@ const MARGINAL_LATENCY_SCALE_MS: f64 = 200.0;
 const MARGINAL_COST_SCALE_USD: f64 = 0.2;
 
 /// Configuration of the state encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateEncoderConfig {
     /// Number of nodes in the topology (including cloud).
     pub node_count: usize,
@@ -50,7 +49,7 @@ pub struct StateEncoderConfig {
 }
 
 /// Encodes simulation state into the DQN's observation vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateEncoder {
     config: StateEncoderConfig,
 }

@@ -6,10 +6,9 @@
 
 use crate::node::{NodeId, Resources};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Reasons a capacity operation can fail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CapacityError {
     /// The demand exceeds remaining capacity at the node.
     Insufficient {
@@ -40,7 +39,7 @@ impl std::fmt::Display for CapacityError {
 impl std::error::Error for CapacityError {}
 
 /// Tracks used resources per node against fixed capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityLedger {
     capacity: Vec<Resources>,
     used: Vec<Resources>,

@@ -4,10 +4,9 @@
 //! for utilization `u ∈ [0, 1]` while the node is powered on.
 
 use crate::node::Node;
-use serde::{Deserialize, Serialize};
 
 /// Energy pricing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Electricity price in USD per kWh.
     pub price_per_kwh: f64,

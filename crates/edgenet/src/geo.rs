@@ -1,7 +1,5 @@
 //! Geographic coordinates and propagation-delay estimation.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
@@ -12,7 +10,7 @@ pub const FIBRE_KM_PER_MS: f64 = 200.0;
 pub const ROUTE_CIRCUITY: f64 = 1.6;
 
 /// A point on the Earth's surface (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, `[-90, 90]`.
     pub lat: f64,

@@ -1,10 +1,9 @@
 //! Network links between nodes.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// An undirected link between two nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,

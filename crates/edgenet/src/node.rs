@@ -2,10 +2,9 @@
 //! resource vectors.
 
 use crate::geo::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within a topology (dense, `0..node_count`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl std::fmt::Display for NodeId {
@@ -18,7 +17,7 @@ impl std::fmt::Display for NodeId {
 ///
 /// All capacity accounting in the workspace uses this type; bandwidth is
 /// tracked separately on links.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources {
     /// Virtual CPUs.
     pub cpu: f64,
@@ -100,7 +99,7 @@ impl Resources {
 }
 
 /// Role of a node in the infrastructure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Resource-constrained edge site close to users.
     Edge,
@@ -109,7 +108,7 @@ pub enum NodeKind {
 }
 
 /// A compute node in the geo-distributed infrastructure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Dense identifier within the topology.
     pub id: NodeId,

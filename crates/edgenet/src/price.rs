@@ -2,10 +2,9 @@
 //! deployment (instantiation) cost, and inter-node traffic cost.
 
 use crate::node::Node;
-use serde::{Deserialize, Serialize};
 
 /// Pricing parameters shared across an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceModel {
     /// One-time cost of instantiating a VNF instance (image pull, boot),
     /// in USD.

@@ -13,10 +13,9 @@ use crate::geo::{metro_catalog, GeoPoint};
 use crate::link::Link;
 use crate::node::{Node, NodeBuilder, NodeId, NodeKind, Resources};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An immutable network topology: nodes plus undirected links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -145,7 +144,7 @@ impl Topology {
 }
 
 /// Parameters shared by the topology generators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyBuilder {
     /// Capacity given to each edge node.
     pub edge_capacity: Resources,

@@ -19,10 +19,9 @@ use crate::capacity::CapacityLedger;
 use crate::node::{NodeId, NodeKind, Resources};
 use crate::routing::{dijkstra_filtered, RoutingTable};
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A dynamic change to the network, applied between slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetworkEvent {
     /// The node fails: it stops hosting instances and routing traffic.
     NodeDown {
@@ -68,7 +67,7 @@ impl NetworkEvent {
 }
 
 /// Aggregate degradation signals for policy observations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkHealth {
     /// Fraction of all nodes currently alive, in `[0, 1]`.
     pub live_node_fraction: f64,

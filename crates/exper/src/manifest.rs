@@ -28,9 +28,10 @@
 use crate::grid::{ExperimentGrid, GridScenario, PolicyFactory};
 use edgenet::node::Resources;
 use mano::prelude::*;
+use mano::report::{check_schema_version, health_weights_json, HealthWeight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::Value;
+use serde_json::{Error as JsonError, FromJson, Value};
 use sfc::chain::{ChainCatalog, ChainId, ChainSpec};
 use sfc::vnf::VnfCatalog;
 use std::path::Path;
@@ -162,48 +163,29 @@ impl Axis {
         }
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let kind = req_str(v, "kind", "axis")?;
-        match kind {
-            "list" => {
-                let values = v
-                    .get("values")
-                    .and_then(Value::as_array)
-                    .ok_or("axis list needs a `values` array")?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or("axis values must be numbers"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Axis::List(values))
-            }
+impl FromJson for Axis {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.req::<String>("kind")?.as_str() {
+            "list" => Ok(Axis::List(v.req("values")?)),
             "lin_range" => Ok(Axis::LinRange {
-                start: req_f64(v, "start", "lin_range axis")?,
-                end: req_f64(v, "end", "lin_range axis")?,
-                steps: req_usize(v, "steps", "lin_range axis")?,
+                start: v.req("start")?,
+                end: v.req("end")?,
+                steps: v.req("steps")?,
             }),
             "log_range" => Ok(Axis::LogRange {
-                start: req_f64(v, "start", "log_range axis")?,
-                end: req_f64(v, "end", "log_range axis")?,
-                steps: req_usize(v, "steps", "log_range axis")?,
+                start: v.req("start")?,
+                end: v.req("end")?,
+                steps: v.req("steps")?,
             }),
-            "random" => {
-                // Canonical form is a decimal string (exact for any
-                // u64); a plain integer is accepted for hand-written
-                // files with small seeds.
-                let seed = match v.get("seed").and_then(Value::as_str) {
-                    Some(s) => s
-                        .parse::<u64>()
-                        .map_err(|e| format!("random axis seed `{s}`: {e}"))?,
-                    None => req_u64(v, "seed", "random axis")?,
-                };
-                Ok(Axis::Random {
-                    lo: req_f64(v, "lo", "random axis")?,
-                    hi: req_f64(v, "hi", "random axis")?,
-                    n: req_usize(v, "n", "random axis")?,
-                    seed,
-                })
-            }
-            other => Err(format!("unknown axis kind `{other}`")),
+            "random" => Ok(Axis::Random {
+                lo: v.req("lo")?,
+                hi: v.req("hi")?,
+                n: v.req("n")?,
+                seed: v.req("seed")?,
+            }),
+            other => unknown("kind", &["list", "lin_range", "log_range", "random"], other),
         }
     }
 }
@@ -245,17 +227,18 @@ impl<T: Clone> FastScaled<T> {
         map.insert("fast", f(&self.fast));
         Value::Object(map)
     }
+}
 
-    fn from_json_with(v: &Value, f: impl Fn(&Value) -> Result<T, String>) -> Result<Self, String> {
-        match (v.get("full"), v.get("fast")) {
-            (Some(full), Some(fast)) => Ok(Self {
-                full: f(full)?,
-                fast: f(fast)?,
-            }),
-            // A bare value applies to both modes.
-            (None, None) => Ok(Self::same(f(v)?)),
-            _ => Err("fast-scaled value needs both `full` and `fast` (or a bare value)".into()),
+/// Reads `{"full", "fast"}`, or a bare value that applies to both modes.
+impl<T: FromJson + Clone> FromJson for FastScaled<T> {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        if v.get("full").is_none() && v.get("fast").is_none() {
+            return T::from_json(v).map(Self::same);
         }
+        Ok(Self {
+            full: v.req("full")?,
+            fast: v.req("fast")?,
+        })
     }
 }
 
@@ -296,13 +279,15 @@ impl TopologyFamily {
         map.insert("sites", Value::from(sites));
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let sites = req_usize(v, "sites", "topology")?;
-        match req_str(v, "family", "topology")? {
+impl FromJson for TopologyFamily {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let sites = v.req("sites")?;
+        match v.req::<String>("family")?.as_str() {
             "metro" => Ok(TopologyFamily::Metro { sites }),
             "ring" => Ok(TopologyFamily::Ring { sites }),
-            other => Err(format!("unknown topology family `{other}`")),
+            other => unknown("family", &["metro", "ring"], other),
         }
     }
 }
@@ -340,15 +325,17 @@ impl EventSpec {
         }
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        match req_str(v, "kind", "events")? {
+impl FromJson for EventSpec {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.req::<String>("kind")?.as_str() {
             "none" => Ok(EventSpec::None),
             "stochastic" => Ok(EventSpec::Stochastic {
-                failure_rate: req_f64(v, "failure_rate", "stochastic events")?,
-                mean_downtime_slots: req_f64(v, "mean_downtime_slots", "stochastic events")?,
+                failure_rate: v.req("failure_rate")?,
+                mean_downtime_slots: v.req("mean_downtime_slots")?,
             }),
-            other => Err(format!("unknown event kind `{other}`")),
+            other => unknown("kind", &["none", "stochastic"], other),
         }
     }
 }
@@ -436,30 +423,28 @@ impl ManifestBase {
         map.insert("events", self.events.to_json());
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let edge_capacity = match v.get("edge_capacity") {
-            None => None,
-            Some(cap) => Some((
-                req_f64(cap, "cpu", "edge_capacity")?,
-                req_f64(cap, "mem", "edge_capacity")?,
-            )),
-        };
+impl FromJson for ManifestBase {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(Self {
-            topology: TopologyFamily::from_json(v.get("topology").ok_or("base needs `topology`")?)?,
-            edge_capacity,
-            horizon_slots: FastScaled::from_json_with(
-                v.get("horizon_slots").ok_or("base needs `horizon_slots`")?,
-                |h| h.as_u64().ok_or_else(|| "horizon must be a u64".into()),
-            )?,
-            arrival_rate: req_f64(v, "arrival_rate", "base")?,
-            chain_count: req_usize(v, "chain_count", "base")?,
-            mean_duration_slots: req_f64(v, "mean_duration_slots", "base")?,
-            events: match v.get("events") {
-                None => EventSpec::None,
-                Some(e) => EventSpec::from_json(e)?,
-            },
+            topology: v.req("topology")?,
+            edge_capacity: v.opt::<EdgeCapacity>("edge_capacity")?.map(|c| c.0),
+            horizon_slots: v.req("horizon_slots")?,
+            arrival_rate: v.req("arrival_rate")?,
+            chain_count: v.req("chain_count")?,
+            mean_duration_slots: v.req("mean_duration_slots")?,
+            events: v.opt("events")?.unwrap_or(EventSpec::None),
         })
+    }
+}
+
+/// The `{cpu, mem}` form of [`ManifestBase::edge_capacity`].
+struct EdgeCapacity((f64, f64));
+
+impl FromJson for EdgeCapacity {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(Self((v.req("cpu")?, v.req("mem")?)))
     }
 }
 
@@ -523,33 +508,27 @@ impl SweepSpec {
         }
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        let values = |field: &str| -> Result<FastScaled<Axis>, String> {
-            FastScaled::from_json_with(
-                v.get(field)
-                    .ok_or_else(|| format!("sweep needs `{field}`"))?,
-                Axis::from_json,
-            )
-        };
-        match req_str(v, "kind", "sweep")? {
+impl FromJson for SweepSpec {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.req::<String>("kind")?.as_str() {
             "arrival_rate" => Ok(SweepSpec::ArrivalRate {
-                values: values("values")?,
+                values: v.req("values")?,
             }),
             "sites" => Ok(SweepSpec::Sites {
-                values: values("values")?,
+                values: v.req("values")?,
             }),
-            "chain_length" => Ok(SweepSpec::ChainLength {
-                max: FastScaled::from_json_with(
-                    v.get("max").ok_or("chain_length sweep needs `max`")?,
-                    |m| m.as_u64().ok_or_else(|| "max must be a u64".into()),
-                )?,
-            }),
+            "chain_length" => Ok(SweepSpec::ChainLength { max: v.req("max")? }),
             "failure_rate" => Ok(SweepSpec::FailureRate {
-                values: values("values")?,
-                mean_downtime_slots: req_f64(v, "mean_downtime_slots", "failure_rate sweep")?,
+                values: v.req("values")?,
+                mean_downtime_slots: v.req("mean_downtime_slots")?,
             }),
-            other => Err(format!("unknown sweep kind `{other}`")),
+            other => unknown(
+                "kind",
+                &["arrival_rate", "sites", "chain_length", "failure_rate"],
+                other,
+            ),
         }
     }
 }
@@ -590,15 +569,17 @@ impl PolicySpec {
         }
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
-        match req_str(v, "kind", "policy")? {
-            "baseline" => Ok(PolicySpec::Baseline(req_str(v, "name", "policy")?.into())),
-            "roster" => Ok(PolicySpec::Roster(req_str(v, "name", "policy")?.into())),
+impl FromJson for PolicySpec {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.req::<String>("kind")?.as_str() {
+            "baseline" => Ok(PolicySpec::Baseline(v.req("name")?)),
+            "roster" => Ok(PolicySpec::Roster(v.req("name")?)),
             "trained" => Ok(PolicySpec::Trained {
-                label: req_str(v, "label", "policy")?.into(),
+                label: v.req("label")?,
             }),
-            other => Err(format!("unknown policy kind `{other}`")),
+            other => unknown("kind", &["baseline", "roster", "trained"], other),
         }
     }
 }
@@ -657,15 +638,14 @@ impl RewardAxes {
         map.insert("paired", Value::from(self.paired));
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
+impl FromJson for RewardAxes {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(Self {
-            alpha: Axis::from_json(v.get("alpha").ok_or("reward needs `alpha`")?)?,
-            beta: Axis::from_json(v.get("beta").ok_or("reward needs `beta`")?)?,
-            paired: v
-                .get("paired")
-                .and_then(Value::as_bool)
-                .ok_or("reward needs boolean `paired`")?,
+            alpha: v.req("alpha")?,
+            beta: v.req("beta")?,
+            paired: v.req("paired")?,
         })
     }
 }
@@ -701,18 +681,13 @@ impl SearchParams {
         map.insert("promote_fraction", Value::from(self.promote_fraction));
         Value::Object(map)
     }
+}
 
-    fn from_json(v: &Value) -> Result<Self, String> {
+impl FromJson for SearchParams {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(Self {
-            screen_seeds: FastScaled::from_json_with(
-                v.get("screen_seeds").ok_or("search needs `screen_seeds`")?,
-                |s| {
-                    s.as_u64()
-                        .map(|s| s as usize)
-                        .ok_or_else(|| "screen_seeds must be a u64".into())
-                },
-            )?,
-            promote_fraction: req_f64(v, "promote_fraction", "search")?,
+            screen_seeds: v.req("screen_seeds")?,
+            promote_fraction: v.req("promote_fraction")?,
         })
     }
 }
@@ -984,121 +959,69 @@ impl ScenarioManifest {
             }),
         );
         map.insert("search", self.search.to_json());
-        let health: Vec<Value> = self
-            .health
-            .iter()
-            .map(|(metric, weight, up)| {
-                let mut w = serde_json::Map::new();
-                w.insert("metric", Value::from(metric.as_str()));
-                w.insert("weight", Value::from(*weight));
-                w.insert("direction", Value::from(if *up { "up" } else { "down" }));
-                Value::Object(w)
-            })
-            .collect();
-        map.insert("health", Value::Array(health));
+        map.insert("health", health_weights_json(&self.health));
         Value::Object(map)
-    }
-
-    /// Parses a manifest from its JSON document form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first schema violation found.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let version = v
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or("manifest needs `schema_version`")?;
-        if version != MANIFEST_SCHEMA_VERSION {
-            return Err(format!(
-                "manifest schema version {version} != supported {MANIFEST_SCHEMA_VERSION}"
-            ));
-        }
-        let policies = v
-            .get("policies")
-            .and_then(Value::as_array)
-            .ok_or("manifest needs a `policies` array")?
-            .iter()
-            .map(PolicySpec::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let health = match v.get("health") {
-            None => crate::search::HealthScore::default_weights(),
-            Some(h) => h
-                .as_array()
-                .ok_or("`health` must be an array")?
-                .iter()
-                .map(|w| {
-                    let metric = req_str(w, "metric", "health weight")?.to_string();
-                    let weight = req_f64(w, "weight", "health weight")?;
-                    let up = match req_str(w, "direction", "health weight")? {
-                        "up" => true,
-                        "down" => false,
-                        other => {
-                            return Err(format!("health direction must be up/down, got `{other}`"))
-                        }
-                    };
-                    Ok((metric, weight, up))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-        };
-        Ok(Self {
-            name: req_str(v, "name", "manifest")?.to_string(),
-            base: ManifestBase::from_json(v.get("base").ok_or("manifest needs `base`")?)?,
-            sweep: SweepSpec::from_json(v.get("sweep").ok_or("manifest needs `sweep`")?)?,
-            reward: match v.get("reward") {
-                None => RewardAxes::default(),
-                Some(r) => RewardAxes::from_json(r)?,
-            },
-            policies,
-            seeds: FastScaled::from_json_with(
-                v.get("seeds").ok_or("manifest needs `seeds`")?,
-                |seeds| {
-                    seeds
-                        .as_array()
-                        .ok_or("seeds must be arrays")?
-                        .iter()
-                        .map(|s| s.as_u64().ok_or_else(|| "seeds must be u64s".to_string()))
-                        .collect()
-                },
-            )?,
-            search: match v.get("search") {
-                None => SearchParams::default(),
-                Some(s) => SearchParams::from_json(s)?,
-            },
-            health,
-        })
     }
 
     /// Parses a manifest from JSON text.
     ///
     /// # Errors
     ///
-    /// Returns parse or schema errors as text.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("manifest JSON: {e:?}"))?;
-        Self::from_json(&v)
+    /// The first syntax or schema violation, with its field path.
+    pub fn parse(text: &str) -> Result<Self, JsonError> {
+        Self::from_json(&serde_json::from_str(text)?)
     }
 
     /// Loads `dir/<name>.json`.
     ///
     /// # Errors
     ///
-    /// Returns I/O, parse, or schema errors as text, and an error when
-    /// the file's `name` field disagrees with the file name.
-    pub fn load(dir: &Path, name: &str) -> Result<Self, String> {
+    /// I/O, syntax and schema failures naming the file, and a `name` field
+    /// that disagrees with the file name.
+    pub fn load(dir: &Path, name: &str) -> Result<Self, JsonError> {
         let path = dir.join(format!("{name}.json"));
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let manifest = Self::parse(&text)?;
+        let manifest: Self = serde_json::from_file(&path)?;
         if manifest.name != name {
-            return Err(format!(
-                "manifest file {} names itself `{}`",
-                path.display(),
-                manifest.name
-            ));
+            return Err(JsonError {
+                file: Some(path),
+                ..JsonError::new(
+                    "name",
+                    format!("{name:?} (the file name)"),
+                    format!("{:?}", manifest.name),
+                )
+            });
         }
         Ok(manifest)
     }
+}
+
+impl FromJson for ScenarioManifest {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        check_schema_version(v, MANIFEST_SCHEMA_VERSION)?;
+        Ok(Self {
+            name: v.req("name")?,
+            base: v.req("base")?,
+            sweep: v.req("sweep")?,
+            reward: v.opt("reward")?.unwrap_or_default(),
+            policies: v.req("policies")?,
+            seeds: v.req("seeds")?,
+            search: v.opt("search")?.unwrap_or_default(),
+            health: match v.opt::<Vec<HealthWeight>>("health")? {
+                None => crate::search::HealthScore::default_weights(),
+                Some(weights) => weights.into_iter().map(Into::into).collect(),
+            },
+        })
+    }
+}
+
+/// The error for a `key` whose value is none of the `known` names.
+fn unknown<T>(key: &str, known: &[&str], found: &str) -> Result<T, JsonError> {
+    let known: Vec<String> = known.iter().map(|k| format!("`{k}`")).collect();
+    Err(JsonError::new(
+        key,
+        format!("one of {}", known.join(", ")),
+        format!("{found:?}"),
+    ))
 }
 
 /// One reward point of an expanded manifest: a complete grid definition
@@ -1335,28 +1258,6 @@ pub fn synthetic_chains(vnfs: &VnfCatalog, max_len: usize) -> ChainCatalog {
     ChainCatalog::new(chains, vnfs)
 }
 
-fn req_str<'a>(v: &'a Value, field: &str, ctx: &str) -> Result<&'a str, String> {
-    v.get(field)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{ctx} needs string `{field}`"))
-}
-
-fn req_f64(v: &Value, field: &str, ctx: &str) -> Result<f64, String> {
-    v.get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{ctx} needs number `{field}`"))
-}
-
-fn req_u64(v: &Value, field: &str, ctx: &str) -> Result<u64, String> {
-    v.get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{ctx} needs u64 `{field}`"))
-}
-
-fn req_usize(v: &Value, field: &str, ctx: &str) -> Result<usize, String> {
-    req_u64(v, field, ctx).map(|n| n as usize)
-}
-
 /// FNV-1a 64-bit over bytes (same discipline as the grid fingerprint:
 /// drift detection, not a security boundary).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -1514,7 +1415,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
+    fn json_roundtrip_is_exact() -> Result<(), JsonError> {
         let manifest = tiny_manifest()
             .policy(PolicySpec::Roster("comparison".into()))
             .policy(PolicySpec::Trained {
@@ -1535,9 +1436,53 @@ mod tests {
                 paired: true,
             });
         let text = serde_json::to_string_pretty(&manifest.to_json());
-        let parsed = ScenarioManifest::parse(&text).expect("roundtrip parses");
+        let parsed = ScenarioManifest::parse(&text)?;
         assert_eq!(parsed, manifest);
         assert_eq!(parsed.fingerprint(), manifest.fingerprint());
+        Ok(())
+    }
+
+    #[test]
+    fn truncated_manifest_names_the_byte() {
+        let text = serde_json::to_string_pretty(&tiny_manifest().to_json());
+        let e = ScenarioManifest::parse(&text[..text.len() / 2]).unwrap_err();
+        assert!(e.path.starts_with("byte "), "{e}");
+        assert_eq!(e.found, "end of input");
+    }
+
+    #[test]
+    fn mistyped_nested_field_is_named_by_its_path() {
+        let text = serde_json::to_string(&tiny_manifest().to_json())
+            .replace(r#""fast":24"#, r#""fast":"soon""#);
+        let e = ScenarioManifest::parse(&text).unwrap_err();
+        assert_eq!(e.path, "base.horizon_slots.fast");
+        assert_eq!(e.found, r#""soon""#);
+    }
+
+    #[test]
+    fn unknown_axis_kind_is_named_with_the_known_kinds() {
+        let text = serde_json::to_string(&tiny_manifest().to_json())
+            .replace(r#""kind":"list""#, r#""kind":"spiral""#);
+        let e = ScenarioManifest::parse(&text).unwrap_err();
+        assert_eq!(e.path, "sweep.values.full.kind");
+        assert_eq!(
+            e.to_string(),
+            r#"sweep.values.full.kind: expected one of `list`, `lin_range`, `log_range`, `random`, found "spiral""#
+        );
+    }
+
+    #[test]
+    fn load_names_the_file_on_a_name_mismatch() {
+        let dir = std::env::temp_dir().join(format!("manifest_load_{}", std::process::id()));
+        let path = dir.join("other.json");
+        let text = serde_json::to_string_pretty(&tiny_manifest().to_json());
+        let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, text));
+        assert!(written.is_ok(), "{written:?}");
+        let e = ScenarioManifest::load(&dir, "other").unwrap_err();
+        assert_eq!(e.file.as_deref(), Some(path.as_path()));
+        assert_eq!(e.path, "name");
+        assert_eq!(e.found, r#""unit_manifest""#);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

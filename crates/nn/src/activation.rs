@@ -1,13 +1,12 @@
 //! Element-wise activation functions and their derivatives.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// An element-wise activation function.
 ///
 /// Derivatives are expressed in terms of the *pre-activation* input `z`,
 /// which is what the MLP caches during the forward pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Activation {
     /// `f(z) = z` — used on output layers (Q-values are unbounded).
     Identity,

@@ -8,7 +8,7 @@ use rand::Rng;
 
 /// Weight initialization scheme for a dense layer with `fan_in` inputs and
 /// `fan_out` outputs.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Init {
     /// All weights equal to the given constant (mostly for tests).
     Constant(f32),

@@ -4,7 +4,6 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer computing `a = act(x · W + b)`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// gradient accumulators, and the backward intermediates — live in
 /// long-lived buffers owned by the layer, so a steady-state
 /// forward/backward/update cycle performs no heap allocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     weights: Matrix,
     bias: Matrix,
@@ -23,22 +22,16 @@ pub struct Dense {
     /// Gradient accumulators, same shape as the parameters. Allocated once
     /// at construction and never dropped; their contents mean something
     /// only while `has_grads` is set (see [`Dense::settle_grads`]).
-    #[serde(skip)]
     grad_weights: Matrix,
-    #[serde(skip)]
     grad_bias: Matrix,
     /// Whether the accumulators hold gradients from a backward pass.
-    #[serde(skip)]
     has_grads: bool,
     /// Persistent forward tensors (transposed input and pre-activation),
     /// overwritten in place by every [`Dense::forward_train_into`].
-    #[serde(skip)]
     cache: ForwardCache,
     /// Whether `cache` holds tensors a backward pass may consume.
-    #[serde(skip)]
     cache_armed: bool,
     /// Backward-pass intermediates, reused across calls.
-    #[serde(skip)]
     scratch: BackwardScratch,
 }
 
@@ -291,9 +284,8 @@ impl Dense {
 
     /// Makes the accumulators say what is pending. With no backward pass
     /// since they were last cleared that is a zero gradient, while their
-    /// contents are the previous step's (or `0 x 0` after deserialization,
-    /// whose skip-fields default to empty): zero-fill them at the
-    /// parameters' shapes. Call before [`Dense::grad_slices`],
+    /// contents are the previous step's: zero-fill them at the parameters'
+    /// shapes. Call before [`Dense::grad_slices`],
     /// [`Dense::grads_mut`] or [`Dense::params_grads`].
     pub(crate) fn settle_grads(&mut self) {
         if !self.has_grads {

@@ -6,10 +6,9 @@
 //! zero gradient.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Loss function selector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loss {
     /// Mean squared error, `mean((pred - target)^2) / 2`.
     Mse,

@@ -8,7 +8,6 @@ use crate::loss::Loss;
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Declarative MLP architecture.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// let net = Mlp::new(&config, &mut rng);
 /// assert_eq!(net.output_dim(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpConfig {
     /// Input feature dimension.
     pub input_dim: usize,
@@ -191,12 +190,11 @@ fn sums_of_squares_lockstep<'a>(
 }
 
 /// A feed-forward network of dense layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
     config: MlpConfig,
     /// Reusable training buffers (not part of the model's state).
-    #[serde(skip)]
     scratch: TrainScratch,
 }
 
@@ -607,7 +605,7 @@ impl Mlp {
 }
 
 /// Convenience: build network + optimizer together.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainableMlp {
     /// The network.
     pub net: Mlp,
@@ -877,9 +875,9 @@ mod tests {
     #[test]
     fn parameter_round_trip_preserves_outputs() {
         // Export every layer's parameters and rebuild the layers from them;
-        // the reconstructed stack must be output-identical. (The vendored
-        // offline serde is a no-op, so the roundtrip is exercised at the
-        // parameter level rather than through serde_json.)
+        // the reconstructed stack must be output-identical. (Weights have no
+        // on-disk form, so the round trip is exercised at the parameter
+        // level.)
         let config = MlpConfig::new(3, &[6], 2);
         let net = Mlp::new(&config, &mut rng());
         let restored: Vec<Dense> = net

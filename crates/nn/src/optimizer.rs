@@ -2,14 +2,12 @@
 //!
 //! Optimizers keep per-parameter state keyed by a stable slot index supplied
 //! by the network (two slots per dense layer: weights then bias). This keeps
-//! the optimizer decoupled from network structure while remaining
-//! serialization-friendly.
+//! the optimizer decoupled from network structure.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Optimizer configuration (the algorithm and its hyperparameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerConfig {
     /// Stochastic gradient descent with optional momentum.
     Sgd {
@@ -112,7 +110,7 @@ impl OptimizerConfig {
 }
 
 /// Stateful optimizer; one instance per trained network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Optimizer {
     config: OptimizerConfig,
     slots: Vec<SlotState>,
@@ -120,7 +118,7 @@ pub struct Optimizer {
 }
 
 /// Moments of one parameter; empty until the slot's first update.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct SlotState {
     /// First moment / momentum buffer.
     m: Matrix,

@@ -30,8 +30,6 @@
 //! in [`mod@reference`]), so results are bit-identical to them for every
 //! shape and every input, non-finite weights included.
 
-use serde::{Deserialize, Serialize};
-
 /// Contraction indices [`strip`] takes at a time: the non-zero positions of
 /// one chunk of the input row are the set bits of one `u64`.
 const NZ_CHUNK: usize = 64;
@@ -120,7 +118,7 @@ fn padded_strip<const W: usize>(rest: &[f32]) -> [f32; W] {
 /// let b = Matrix::eye(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -11,13 +11,12 @@ use crate::transition::Transition;
 use nn::prelude::*;
 use nn::tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Full DQN hyperparameter set.
 ///
 /// Defaults reproduce a conservative small-scale DQN suitable for the VNF
 /// placement MDP; every ablation knob is explicit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DqnConfig {
     /// Q-network architecture.
     pub network: QNetworkConfig,
@@ -145,7 +144,7 @@ impl ReplayStore {
 }
 
 /// Telemetry from one learn step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnStats {
     /// Minibatch loss.
     pub loss: f32,

@@ -3,10 +3,9 @@
 use nn::prelude::*;
 use nn::tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Architecture of a Q-network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QNetworkConfig {
     /// Plain MLP: `state -> hidden -> Q(s, ·)`.
     Standard {
@@ -58,7 +57,7 @@ impl QNetWorkspace {
 // path for no measurable memory win — agents hold exactly one or two
 // QNetworks.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum QNetwork {
     /// Plain MLP variant.
     Standard(Mlp),

@@ -4,10 +4,9 @@
 use crate::env::{masked_argmax, DiscreteStateEnvironment};
 use crate::schedule::EpsilonSchedule;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for tabular Q-learning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QTableConfig {
     /// Learning rate α.
     pub alpha: f32,
@@ -35,7 +34,7 @@ impl Default for QTableConfig {
 }
 
 /// A tabular Q-learning agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QTableAgent {
     q: Vec<Vec<f32>>,
     config: QTableConfig,

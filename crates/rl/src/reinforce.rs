@@ -10,13 +10,12 @@ use crate::env::masked_argmax;
 use nn::prelude::*;
 use nn::tensor::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Large negative logit standing in for −∞ on masked actions.
 const MASKED_LOGIT: f32 = -1e9;
 
 /// REINFORCE hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReinforceConfig {
     /// Hidden layer widths of the policy network.
     pub hidden: Vec<usize>,

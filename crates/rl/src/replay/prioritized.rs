@@ -4,10 +4,9 @@ use super::sumtree::SumTree;
 use super::Replay;
 use crate::transition::Transition;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for prioritized replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerConfig {
     /// Priority exponent `α` — 0 is uniform, 1 is fully proportional.
     pub alpha: f32,

@@ -1,9 +1,7 @@
 //! Exploration-rate (ε) schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A schedule mapping a global step counter to an exploration rate ε.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EpsilonSchedule {
     /// Constant ε.
     Constant(f32),

@@ -5,10 +5,9 @@ use crate::dqn::DqnAgent;
 use crate::env::Environment;
 use crate::transition::Transition;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-episode training statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeStats {
     /// Episode index (0-based).
     pub episode: usize,
@@ -24,7 +23,7 @@ pub struct EpisodeStats {
 }
 
 /// Summary of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingHistory {
     /// Per-episode statistics, in order.
     pub episodes: Vec<EpisodeStats>,

@@ -1,11 +1,9 @@
 //! Experience transitions stored by replay buffers.
 
-use serde::{Deserialize, Serialize};
-
 /// One `(s, a, r, s', done)` experience tuple, plus the action mask that
 /// applies in `s'` so that bootstrapped targets never flow through invalid
 /// actions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Observation before the action.
     pub state: Vec<f32>,

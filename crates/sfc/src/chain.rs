@@ -2,10 +2,9 @@
 
 use crate::vnf::{VnfCatalog, VnfTypeId};
 use edgenet::node::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a chain specification (dense within a [`ChainCatalog`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChainId(pub usize);
 
 impl std::fmt::Display for ChainId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for ChainId {
 }
 
 /// A service function chain specification.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct ChainSpec {
     /// Dense id within the catalog.
     pub id: ChainId,
@@ -124,7 +123,7 @@ impl ChainSpec {
 }
 
 /// An immutable set of chain specifications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainCatalog {
     chains: Vec<ChainSpec>,
 }

@@ -2,11 +2,10 @@
 
 use crate::vnf::{VnfCatalog, VnfTypeId};
 use edgenet::node::{NodeId, Resources};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a live VNF instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
 
 impl std::fmt::Display for InstanceId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for InstanceId {
 }
 
 /// A running VNF instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Unique id.
     pub id: InstanceId,
@@ -33,7 +32,7 @@ pub struct Instance {
 }
 
 /// Errors from instance-pool operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InstanceError {
     /// Unknown instance id.
     Unknown(InstanceId),

@@ -7,10 +7,9 @@ use crate::request::RequestId;
 use crate::vnf::VnfCatalog;
 use edgenet::node::NodeId;
 use edgenet::routing::RoutingTable;
-use serde::{Deserialize, Serialize};
 
 /// The instances serving one admitted request, in chain order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainAssignment {
     /// The request being served.
     pub request: RequestId,
@@ -97,7 +96,7 @@ pub fn validate_assignment(
 }
 
 /// Latency breakdown of one chain traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// Sum of network latencies between consecutive hops (ms).
     pub network_ms: f64,

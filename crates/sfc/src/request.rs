@@ -2,10 +2,9 @@
 
 use crate::chain::ChainId;
 use edgenet::node::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a request within a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -16,7 +15,7 @@ impl std::fmt::Display for RequestId {
 
 /// A flow request: a user at `source` needs chain `chain` for
 /// `duration_slots` time slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Unique id.
     pub id: RequestId,

@@ -1,10 +1,9 @@
 //! VNF types: the catalog of network functions the operator can instantiate.
 
 use edgenet::node::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a VNF type within a catalog (dense `0..type_count`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VnfTypeId(pub usize);
 
 impl std::fmt::Display for VnfTypeId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for VnfTypeId {
 
 /// A VNF type: resource footprint and service characteristics of one
 /// instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VnfType {
     /// Dense id within the catalog.
     pub id: VnfTypeId,
@@ -62,7 +61,7 @@ impl VnfType {
 }
 
 /// An immutable catalog of VNF types.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VnfCatalog {
     types: Vec<VnfType>,
 }

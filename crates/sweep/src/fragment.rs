@@ -8,8 +8,8 @@
 //! so a driver (or a human) can see at a glance which shards have landed.
 
 use crate::plan::SWEEP_SCHEMA_VERSION;
-use mano::report::{cell_from_json, cell_json, BenchCell};
-use serde_json::Value;
+use mano::report::{cell_json, BenchCell};
+use serde_json::{Error as JsonError, FromJson, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -73,31 +73,13 @@ impl ShardFragment {
         Value::Object(m)
     }
 
-    /// Parses a fragment back from [`ShardFragment::to_json`] output.
-    /// The JSON round-trip is exact (cells carry `f64` bit patterns
-    /// through the deterministic writer), which is what lets a merged
-    /// report match an in-process run byte for byte.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        let u = |k: &str| v.get(k).and_then(Value::as_u64);
-        let cells = v
-            .get("cells")?
-            .as_array()?
-            .iter()
-            .map(|c| {
-                Some((
-                    c.get("index")?.as_u64()? as usize,
-                    cell_from_json(c.get("cell")?)?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            schema_version: u("schema_version")?,
-            grid_name: v.get("grid_name")?.as_str()?.to_string(),
-            grid_fingerprint: v.get("grid_fingerprint")?.as_str()?.to_string(),
-            shard_id: u("shard_id")? as usize,
-            shard_of: u("shard_of")? as usize,
-            cells,
-        })
+    /// Loads one fragment file.
+    ///
+    /// # Errors
+    ///
+    /// I/O, syntax and shape failures, naming the file.
+    pub fn load(path: &Path) -> Result<Self, JsonError> {
+        serde_json::from_file(path)
     }
 
     /// Writes the fragment into `shards/` under `results_dir` (created if
@@ -110,6 +92,37 @@ impl ShardFragment {
         let path = shards_dir(results_dir).join(self.file_name());
         mano::report::write_lines(&path, &[serde_json::to_string_pretty(&self.to_json())])?;
         Ok(path)
+    }
+}
+
+/// Reads [`ShardFragment::to_json`] output. The round trip is exact
+/// (cells carry `f64` bit patterns through the deterministic writer),
+/// which is what lets a merged report match an in-process run byte for
+/// byte. The schema version is read, not checked: the merge refuses a
+/// stale one with [`crate::merge::MergeError::SchemaVersion`].
+impl FromJson for ShardFragment {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(Self {
+            schema_version: v.req("schema_version")?,
+            grid_name: v.req("grid_name")?,
+            grid_fingerprint: v.req("grid_fingerprint")?,
+            shard_id: v.req("shard_id")?,
+            shard_of: v.req("shard_of")?,
+            cells: v
+                .req::<Vec<IndexedCell>>("cells")?
+                .into_iter()
+                .map(|IndexedCell(index, cell)| (index, cell))
+                .collect(),
+        })
+    }
+}
+
+/// One `{index, cell}` member of a fragment's `cells`.
+struct IndexedCell(usize, BenchCell);
+
+impl FromJson for IndexedCell {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(Self(v.req("index")?, v.req("cell")?))
     }
 }
 
@@ -132,10 +145,10 @@ pub fn fragment(
     }
 }
 
-/// Loads and parses one fragment file, if present and well-formed.
+/// [`ShardFragment::load`] without the reason. Kept only because the
+/// `perf/` benchmark calls it; everything else calls `load`.
 pub fn load_fragment(path: &Path) -> Option<ShardFragment> {
-    let text = std::fs::read_to_string(path).ok()?;
-    ShardFragment::from_json(&serde_json::from_str(&text).ok()?)
+    ShardFragment::load(path).ok()
 }
 
 #[cfg(test)]
@@ -184,22 +197,48 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
+    fn json_roundtrip_is_exact() -> Result<(), JsonError> {
         let f = fragment("unit", "unit-feed", 2, 3, vec![cell(5), cell(3)]);
         let text = serde_json::to_string_pretty(&f.to_json());
-        let parsed = ShardFragment::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(parsed, f);
+        assert_eq!(ShardFragment::from_json(&serde_json::from_str(&text)?)?, f);
+        Ok(())
     }
 
     #[test]
-    fn write_and_load_under_shards_dir() {
+    fn write_and_load_under_shards_dir() -> Result<(), Box<dyn std::error::Error>> {
         let dir = std::env::temp_dir().join(format!("sweep_fragment_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let f = fragment("unit", "unit-feed", 0, 2, vec![cell(0)]);
-        let path = f.write_to(&dir).unwrap();
+        let path = f.write_to(&dir)?;
         assert!(path.starts_with(shards_dir(&dir)));
-        assert_eq!(load_fragment(&path).unwrap(), f);
+        assert_eq!(ShardFragment::load(&path)?, f);
         assert_eq!(load_fragment(&dir.join("missing.json")), None);
         let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    #[test]
+    fn truncated_fragment_names_its_file_and_byte() -> Result<(), Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join(format!("sweep_truncated_{}", std::process::id()));
+        let path = dir.join("BENCH_unit.shard0of1.json");
+        let text =
+            serde_json::to_string_pretty(&fragment("unit", "fp", 0, 1, vec![cell(0)]).to_json());
+        mano::report::write_lines(&path, &[text[..text.len() / 2].to_string()])?;
+        let e = ShardFragment::load(&path).unwrap_err();
+        assert_eq!(e.file.as_deref(), Some(path.as_path()));
+        assert_eq!(e.found, "end of input");
+        let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    #[test]
+    fn mistyped_fragment_cell_is_named_by_its_path() -> Result<(), JsonError> {
+        let f = fragment("unit", "fp", 0, 1, vec![cell(0), cell(1)]);
+        let text = serde_json::to_string(&f.to_json())
+            .replace(r#""total_arrivals":41"#, r#""total_arrivals":4.5"#);
+        let e = ShardFragment::from_json(&serde_json::from_str(&text)?).unwrap_err();
+        assert_eq!(e.path, "cells[1].cell.summary.total_arrivals");
+        assert_eq!(e.found, "4.5");
+        Ok(())
     }
 }

@@ -9,13 +9,15 @@
 //! the core crate:
 //!
 //! * [`plan`] — pure, deterministic shard planning over global cell
-//!   indices: [`plan::ShardPlan`] carries a schema version, the grid's
-//!   structural fingerprint, the `shard_id`/`shard_of` coordinate and its
-//!   half-open [`plan::CellRange`]s, serialized via `serde_json`.
+//!   indices: [`plan::ShardPlan`] carries the grid's structural
+//!   fingerprint, the `shard_id`/`shard_of` coordinate and its half-open
+//!   [`plan::CellRange`]s. Every worker plans locally; plans are never
+//!   written down.
 //! * [`fragment`] — the partitioned output contract: one worker writes
 //!   one `BENCH_<name>.shard<K>of<N>.json` [`fragment::ShardFragment`]
-//!   holding its `(global index, cell)` pairs plus the same version +
-//!   fingerprint stamps.
+//!   holding its `(global index, cell)` pairs plus the protocol version
+//!   and the same fingerprint, and [`fragment::ShardFragment::load`]
+//!   reads it back with a reason on failure.
 //! * [`merge`] — [`merge::merge_fragments`]: validates versions and
 //!   fingerprints, re-keys every cell by global index, recomputes the
 //!   aggregates through the same reduction as an in-process run, and

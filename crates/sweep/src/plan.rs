@@ -2,16 +2,13 @@
 //!
 //! A plan is a pure function of `(cell_count, shard_of)`: contiguous
 //! balanced blocks, the first `cell_count % shard_of` shards one cell
-//! longer. Every worker can therefore recompute the whole plan locally
-//! from the registry grid — no coordinator state to ship — and the plan
-//! document itself is still serializable (schema-versioned, fingerprint-
-//! stamped) so a future multi-host driver can hand shards out explicitly.
+//! longer. Every worker recomputes the whole plan locally from the
+//! registry grid, so there is no coordinator state and no plan document
+//! to ship.
 
-use serde_json::Value;
-
-/// Version stamp of the sweep protocol's serialized artifacts (shard
-/// plans and output fragments). Bump on breaking changes so stale
-/// workers and merges are rejected instead of silently mis-merged.
+/// Version stamp of the sweep protocol's on-disk artifact, the output
+/// fragment. Bump on breaking changes so stale fragments are rejected by
+/// the merge instead of silently mis-merged.
 pub const SWEEP_SCHEMA_VERSION: u64 = 1;
 
 /// A half-open range `[start, end)` of global grid-cell indices.
@@ -35,12 +32,10 @@ impl CellRange {
     }
 }
 
-/// The work order for one shard of a grid: which global cells to run,
-/// plus everything the merge needs to refuse a mismatched fragment.
+/// The work order for one shard of a grid: which grid, and which global
+/// cells to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
-    /// Protocol version ([`SWEEP_SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Registry name of the grid (`BENCH_<name>.json`).
     pub grid_name: String,
     /// Structural fingerprint of the grid (`ExperimentGrid::auto_fingerprint`);
@@ -69,55 +64,6 @@ impl ShardPlan {
     /// Number of cells this shard executes.
     pub fn cell_count(&self) -> usize {
         self.cell_ranges.iter().map(CellRange::len).sum()
-    }
-
-    /// Serializes the plan (the wire/disk form).
-    pub fn to_json(&self) -> Value {
-        let ranges: Vec<Value> = self
-            .cell_ranges
-            .iter()
-            .map(|r| {
-                let mut m = serde_json::Map::new();
-                m.insert("start", Value::from(r.start as u64));
-                m.insert("end", Value::from(r.end as u64));
-                Value::Object(m)
-            })
-            .collect();
-        let mut m = serde_json::Map::new();
-        m.insert("schema_version", Value::from(self.schema_version));
-        m.insert("grid_name", Value::from(self.grid_name.as_str()));
-        m.insert(
-            "grid_fingerprint",
-            Value::from(self.grid_fingerprint.as_str()),
-        );
-        m.insert("shard_id", Value::from(self.shard_id as u64));
-        m.insert("shard_of", Value::from(self.shard_of as u64));
-        m.insert("cell_ranges", Value::Array(ranges));
-        Value::Object(m)
-    }
-
-    /// Parses a plan back from [`ShardPlan::to_json`] output.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        let u = |k: &str| v.get(k).and_then(Value::as_u64);
-        let cell_ranges = v
-            .get("cell_ranges")?
-            .as_array()?
-            .iter()
-            .map(|r| {
-                Some(CellRange {
-                    start: r.get("start")?.as_u64()? as usize,
-                    end: r.get("end")?.as_u64()? as usize,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(Self {
-            schema_version: u("schema_version")?,
-            grid_name: v.get("grid_name")?.as_str()?.to_string(),
-            grid_fingerprint: v.get("grid_fingerprint")?.as_str()?.to_string(),
-            shard_id: u("shard_id")? as usize,
-            shard_of: u("shard_of")? as usize,
-            cell_ranges,
-        })
     }
 }
 
@@ -149,7 +95,6 @@ pub fn plan(
             };
             start = range.end;
             ShardPlan {
-                schema_version: SWEEP_SCHEMA_VERSION,
                 grid_name: grid_name.to_string(),
                 grid_fingerprint: grid_fingerprint.to_string(),
                 shard_id,
@@ -177,7 +122,6 @@ mod tests {
             for (k, p) in plans.iter().enumerate() {
                 assert_eq!(p.shard_id, k);
                 assert_eq!(p.shard_of, shards);
-                assert_eq!(p.schema_version, SWEEP_SCHEMA_VERSION);
                 for i in p.cell_indices() {
                     assert!(!seen[i], "cell {i} planned twice");
                     seen[i] = true;
@@ -197,15 +141,6 @@ mod tests {
     #[test]
     fn plan_is_deterministic() {
         assert_eq!(plan("g", "fp", 17, 4), plan("g", "fp", 17, 4));
-    }
-
-    #[test]
-    fn plan_json_roundtrip_is_exact() {
-        for p in plan("fig2_load", "fig2_load-00ff", 24, 3) {
-            let text = serde_json::to_string_pretty(&p.to_json());
-            let parsed = ShardPlan::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
-            assert_eq!(parsed, p);
-        }
     }
 
     #[test]

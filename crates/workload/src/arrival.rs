@@ -1,7 +1,6 @@
 //! Stochastic arrival processes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Samples a Poisson-distributed count with mean `lambda`.
 ///
@@ -62,7 +61,7 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// A two-state Markov-modulated Poisson process: the arrival rate switches
 /// between a low and a high regime with geometric sojourn times. Models
 /// bursty traffic that a plain Poisson process cannot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mmpp2 {
     /// Arrival rate in the low state (per slot).
     pub low_rate: f64,

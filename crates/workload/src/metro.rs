@@ -15,12 +15,11 @@ use crate::arrival::poisson;
 use edgenet::node::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sfc::chain::ChainId;
 use sfc::request::{Request, RequestId};
 
 /// One Gaussian rush-hour bump on the time-of-day rate curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RushPeak {
     /// Peak center as a fraction of the day in `[0, 1)` (0.33 ≈ 8am).
     pub center: f64,
@@ -48,7 +47,7 @@ pub struct TimedRequest {
 ///
 /// The profile's own `seed` drives both the hotspot choice and the
 /// arrival sampling, so a profile value fully determines its stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetroProfile {
     /// Slots per simulated day (the period of the time-of-day curve).
     pub slots_per_day: u64,

@@ -1,11 +1,9 @@
 //! Time-varying load patterns: the deterministic rate envelope that an
 //! arrival process is modulated by.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic mapping from slot to mean arrival rate (requests per
 /// slot). Stochasticity comes from the arrival process sampling around it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadPattern {
     /// Constant rate.
     Constant {

@@ -2,10 +2,9 @@
 
 use edgenet::node::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How request sources distribute over the edge sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum SpatialDistribution {
     /// Every edge site equally likely.
     #[default]

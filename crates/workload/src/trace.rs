@@ -7,12 +7,11 @@ use crate::pattern::LoadPattern;
 use crate::spatial::SpatialDistribution;
 use edgenet::node::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sfc::chain::ChainId;
 use sfc::request::{Request, RequestId};
 
 /// Workload specification: everything needed to synthesize a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Arrival-rate envelope (requests per slot, across all sites).
     pub pattern: LoadPattern,
@@ -82,7 +81,7 @@ impl WorkloadSpec {
 }
 
 /// A synthesized trace: requests sorted by arrival slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// All requests in arrival order.
     pub requests: Vec<Request>,
