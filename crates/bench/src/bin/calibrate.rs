@@ -2,7 +2,7 @@
 //! default scenario and prints a head-to-head table against the baselines.
 //! Useful when tuning hyperparameters; not part of the figure suite.
 
-use bench::{comparison_baselines, default_passes, drl_default, scaled};
+use bench::{default_passes, drl_default, scaled};
 use drl_vnf_edge::prelude::*;
 
 fn main() {
@@ -42,7 +42,8 @@ fn main() {
         &mut trained.policy,
         1000,
     ));
-    for mut p in comparison_baselines() {
+    for name in roster("comparison").expect("a registry roster") {
+        let mut p = baseline(name).expect("a registry baseline");
         results.push(evaluate_policy(&scenario, reward, p.as_mut(), 1000));
     }
     results.sort_by(|a, b| {

@@ -30,9 +30,12 @@ fn main() {
                 ("dqn".to_string(), t.episode_returns, factory_of(t.policy))
             }
             _ => {
-                let (policy, returns, _) =
-                    train_pg(&scenario, reward, PgManagerConfig::default(), passes);
-                ("reinforce".to_string(), returns, factory_of(policy))
+                let t = train_pg(&scenario, reward, PgManagerConfig::default(), passes);
+                (
+                    "reinforce".to_string(),
+                    t.episode_returns,
+                    factory_of(t.policy),
+                )
             }
         });
 

@@ -57,11 +57,7 @@ fn main() {
         .reward(reward)
         .seeds(&eval_seeds())
         .policy_boxed("drl", factory_of(trained.policy))
-        .policy("weighted-greedy", || {
-            Box::new(WeightedGreedyPolicy::default())
-        })
-        .policy("first-fit", || Box::new(FirstFitPolicy))
-        .policy("greedy-latency", || Box::new(GreedyLatencyPolicy));
+        .baselines(&["weighted-greedy", "first-fit", "greedy-latency"]);
     for &rate in &rates {
         grid = grid.scenario(format!("fail={rate}"), rate, resilience_scenario(rate));
     }

@@ -94,7 +94,7 @@ fn main() {
         );
 
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
-        let mut policy = FirstFitPolicy;
+        let mut policy = baseline("first-fit").expect("a registry baseline");
         let mut sink = TelemetrySink::new();
         let mut stream = profile
             .stream(&sites, horizon, slot_ms)
@@ -104,7 +104,7 @@ fn main() {
         let t0 = Instant::now();
         let summary = sim.drive(
             RunInput::Stream(&mut stream),
-            &mut policy,
+            policy.as_mut(),
             RunOptions::new()
                 .with_streaming_metrics()
                 .with_horizon(horizon)

@@ -20,9 +20,7 @@
 //! CSV is therefore not covered by the byte-identical determinism
 //! guarantee.
 
-use bench::{
-    comparison_factories, default_passes, drl_default, emit_csv, emit_report, eval_seeds, scaled,
-};
+use bench::{default_passes, drl_default, emit_csv, emit_report, eval_seeds, scaled};
 use drl_vnf_edge::prelude::*;
 use std::time::Instant;
 
@@ -68,7 +66,7 @@ fn main() {
                 .reward(reward)
                 .seeds(&eval_seeds())
                 .keep_decision_time()
-                .policies(comparison_factories())
+                .baselines(roster("comparison").expect("a registry roster"))
                 .run();
 
             let cells = cells_for_seeds(&label, n as f64, &scenario, &eval_seeds());
@@ -83,8 +81,9 @@ fn main() {
                 true,
                 DecisionSemantics::SlotSnapshot,
             ));
-            let drl_report = report_from_cells(
+            let drl_report = BenchReport::from_cells(
                 format!("fig5_n{n}_drl"),
+                "",
                 thread_count(),
                 started.elapsed().as_secs_f64(),
                 drl_cells,

@@ -11,8 +11,7 @@
 
 use bench::sweep_grids::synthetic_chains;
 use bench::{
-    comparison_factories, default_passes, drl_default, emit_csv, emit_report, eval_seeds,
-    factory_of, fast_mode, scaled,
+    default_passes, drl_default, emit_csv, emit_report, eval_seeds, factory_of, fast_mode, scaled,
 };
 use drl_vnf_edge::prelude::*;
 
@@ -43,7 +42,7 @@ fn main() {
         .seeds(&eval_seeds())
         .with_catalogs(vnfs, chains)
         .policy_boxed("drl", factory_of(trained.policy))
-        .policies(comparison_factories());
+        .baselines(roster("comparison").expect("a registry roster"));
     for len in 1..=max_len {
         let mut s = scenario.clone();
         s.workload.chain_mix = (0..max_len)

@@ -39,6 +39,9 @@ fn flash_scenario() -> Scenario {
 /// readable; the summary grid below carries the multi-seed bands).
 const TRACE_SEED: u64 = 2024;
 
+/// The static heuristics the DRL manager is traced and graded against.
+const BASELINES: &[&str] = &["weighted-greedy", "first-fit", "greedy-latency"];
+
 fn main() {
     let reward = RewardConfig::default();
     let workloads = [("diurnal", dynamic_scenario()), ("flash", flash_scenario())];
@@ -61,21 +64,10 @@ fn main() {
             scenario.clone(),
             factory_of(t.policy.clone()),
         ));
-        jobs.push((
-            tag.to_string(),
-            scenario.clone(),
-            factory_of(WeightedGreedyPolicy::default()),
-        ));
-        jobs.push((
-            tag.to_string(),
-            scenario.clone(),
-            factory_of(FirstFitPolicy),
-        ));
-        jobs.push((
-            tag.to_string(),
-            scenario.clone(),
-            factory_of(GreedyLatencyPolicy),
-        ));
+        for name in BASELINES {
+            let factory = baseline_factory(name).expect("a registry baseline");
+            jobs.push((tag.to_string(), scenario.clone(), factory));
+        }
     }
     let mut lines = vec![format!("workload,{}", slot_csv_header())];
     let traces = parallel_map(&jobs, |_, (tag, scenario, factory)| {
@@ -108,11 +100,7 @@ fn main() {
                 .reward(reward)
                 .seeds(&eval_seeds())
                 .policy_boxed("drl", factory_of(t.policy.clone()))
-                .policy("weighted-greedy", || {
-                    Box::new(WeightedGreedyPolicy::default())
-                })
-                .policy("first-fit", || Box::new(FirstFitPolicy))
-                .policy("greedy-latency", || Box::new(GreedyLatencyPolicy))
+                .baselines(BASELINES)
                 .run();
             // The same trained manager re-run under SlotSnapshot
             // semantics: the dynamic workloads are where whole-slot
@@ -130,8 +118,9 @@ fn main() {
                 false,
                 DecisionSemantics::SlotSnapshot,
             );
-            let snap = report_from_cells(
+            let snap = BenchReport::from_cells(
                 format!("fig7_{tag}_snap"),
+                "",
                 thread_count(),
                 started.elapsed().as_secs_f64(),
                 snap_cells,

@@ -48,11 +48,7 @@ fn main() {
         .seeds(&eval_seeds())
         .policy_boxed("exhaustive", factory_of(exhaustive))
         .policy_boxed("drl", factory_of(trained.policy))
-        .policy("weighted-greedy", || {
-            Box::new(WeightedGreedyPolicy::default())
-        })
-        .policy("first-fit", || Box::new(FirstFitPolicy))
-        .policy("random", || Box::new(RandomPolicy))
+        .baselines(&["weighted-greedy", "first-fit", "random"])
         .run();
 
     let reference = report.aggregates[0].aggregate.combined_objective(1.0, 1.0);

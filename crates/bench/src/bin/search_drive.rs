@@ -73,10 +73,7 @@ fn main() {
         fast_mode()
     );
     let mut trainer = pretrained_trainer(&manifest);
-    let driver = SearchDriver::new(manifest);
-    let outcome = driver.run_with(fast_mode(), &mut trainer);
-
-    let report = outcome.to_report(driver.health());
+    let report = SearchDriver::new(manifest).run_with(fast_mode(), &mut trainer);
     let path = report
         .write_canonical_to(&results_dir())
         .expect("write search report");
@@ -88,12 +85,12 @@ fn main() {
         report.runs_exhaustive
     );
 
-    let ranking = outcome.ranking();
+    let ranking = report.ranking();
     let mut csv = vec![
         "rank,alpha,beta,scenario,policy,x,seeds_run,screened_health,promoted,health".to_string(),
     ];
     for (rank, &i) in ranking.iter().enumerate() {
-        let c = &outcome.candidates[i];
+        let c = &report.candidates[i];
         csv.push(format!(
             "{},{},{},{},{},{},{},{:.4},{},{:.4}",
             rank + 1,
@@ -110,7 +107,7 @@ fn main() {
     }
     emit_csv(&format!("search_{name}_frontier.csv"), &csv);
 
-    let best = outcome.best_candidate();
+    let best = report.best_candidate();
     let mut md = String::new();
     let _ = writeln!(md, "# Search: {name}\n");
     let _ = writeln!(
@@ -140,7 +137,7 @@ fn main() {
     md.push_str("| rank | α | β | scenario | policy | screened | promoted | seeds | health |\n");
     md.push_str("|---|---|---|---|---|---|---|---|---|\n");
     for (rank, &i) in ranking.iter().enumerate() {
-        let c = &outcome.candidates[i];
+        let c = &report.candidates[i];
         let _ = writeln!(
             md,
             "| {} | {} | {} | {} | {} | {:.4} | {} | {} | {:.4} |",

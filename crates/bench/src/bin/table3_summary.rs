@@ -2,10 +2,7 @@
 //! scenario (λ = 8, scarce edge capacity): the paper's main comparison,
 //! now mean ± 95% CI across the evaluation seeds.
 
-use bench::{
-    bench_scenario, emit_markdown, emit_report, eval_seeds, factory_of, standard_factories,
-    train_headline,
-};
+use bench::{bench_scenario, emit_markdown, emit_report, eval_seeds, factory_of, train_headline};
 use drl_vnf_edge::prelude::*;
 
 fn main() {
@@ -17,7 +14,7 @@ fn main() {
         .scenario("lambda=8", 8.0, scenario)
         .seeds(&eval_seeds())
         .policy_boxed("drl", factory_of(trained.policy))
-        .policies(standard_factories())
+        .baselines(roster("standard").expect("a registry roster"))
         .run();
 
     let mut rows: Vec<(String, SummaryAggregate)> = report

@@ -189,38 +189,6 @@ where
     Box::new(move || Box::new(policy.clone()))
 }
 
-/// The comparison baseline set as labelled grid factories.
-pub fn comparison_factories() -> Vec<(String, PolicyFactory)> {
-    vec![
-        ("random".into(), factory_of(RandomPolicy)),
-        ("first-fit".into(), factory_of(FirstFitPolicy)),
-        ("greedy-latency".into(), factory_of(GreedyLatencyPolicy)),
-        ("greedy-cost".into(), factory_of(GreedyCostPolicy)),
-        ("cloud-only".into(), factory_of(CloudOnlyPolicy)),
-        (
-            "weighted-greedy".into(),
-            factory_of(WeightedGreedyPolicy::default()),
-        ),
-    ]
-}
-
-/// Every standard baseline as labelled grid factories (Table 3).
-pub fn standard_factories() -> Vec<(String, PolicyFactory)> {
-    vec![
-        ("random".into(), factory_of(RandomPolicy)),
-        ("first-fit".into(), factory_of(FirstFitPolicy)),
-        ("best-fit".into(), factory_of(BestFitPolicy)),
-        ("worst-fit".into(), factory_of(WorstFitPolicy)),
-        ("greedy-latency".into(), factory_of(GreedyLatencyPolicy)),
-        ("greedy-cost".into(), factory_of(GreedyCostPolicy)),
-        ("cloud-only".into(), factory_of(CloudOnlyPolicy)),
-        (
-            "weighted-greedy".into(),
-            factory_of(WeightedGreedyPolicy::default()),
-        ),
-    ]
-}
-
 /// Writes `BENCH_<name>.json` for an engine run into [`results_dir`] and
 /// logs the throughput line CI tracks.
 ///
@@ -301,8 +269,9 @@ pub fn load_sweep_grid() -> BenchReport {
     // The fingerprint must cover everything that changes the cells:
     // sweep shape, seed axis, training budget, scenario, the trained
     // manager's full config, the reward, and the policy roster.
-    let policy_roster: Vec<String> = std::iter::once("drl".to_string())
-        .chain(comparison_factories().into_iter().map(|(label, _)| label))
+    let comparison = roster("comparison").expect("a registry roster");
+    let policy_roster: Vec<&str> = std::iter::once("drl")
+        .chain(comparison.iter().copied())
         .collect();
     let fingerprint = format!(
         "load_sweep;v1;rates={rates:?};seeds={seeds:?};passes={};scenario={:?};drl={:?};reward={:?};policies={policy_roster:?}",
@@ -325,7 +294,7 @@ pub fn load_sweep_grid() -> BenchReport {
         .seeds(&seeds)
         .fingerprint(fingerprint)
         .policy_boxed("drl", factory_of(trained.policy))
-        .policies(comparison_factories());
+        .baselines(comparison);
     for &rate in &rates {
         grid = grid.scenario(format!("lambda={rate}"), rate, bench_scenario(rate));
     }
@@ -341,19 +310,6 @@ pub fn load_sweep_rates() -> Vec<f64> {
     } else {
         vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
     }
-}
-
-/// Builds the boxed baseline set used by comparison figures (a subset of
-/// `standard_baselines` that keeps plots readable).
-pub fn comparison_baselines() -> Vec<Box<dyn PlacementPolicy>> {
-    vec![
-        Box::new(RandomPolicy),
-        Box::new(FirstFitPolicy),
-        Box::new(GreedyLatencyPolicy),
-        Box::new(GreedyCostPolicy),
-        Box::new(CloudOnlyPolicy),
-        Box::new(WeightedGreedyPolicy::default()),
-    ]
 }
 
 #[cfg(test)]
@@ -391,11 +347,13 @@ mod tests {
 
     #[test]
     fn factory_labels_match_policy_names() {
-        for (label, factory) in comparison_factories()
-            .into_iter()
-            .chain(standard_factories())
-        {
-            assert_eq!(label, factory().name(), "grid label must equal name()");
+        let comparison = roster("comparison").unwrap_or_default();
+        let standard = roster("standard").unwrap_or_default();
+        assert!(!comparison.is_empty() && !standard.is_empty());
+        for &label in comparison.iter().chain(standard) {
+            let name = baseline(label).map(|policy| policy.name().to_string());
+            assert_eq!(name.as_deref(), Some(label), "grid label must equal name()");
         }
+        assert!(comparison.iter().all(|name| standard.contains(name)));
     }
 }

@@ -1,9 +1,19 @@
-//! Heuristic baseline policies the paper compares against.
+//! Heuristic baseline policies the paper compares against, and their
+//! registry.
 //!
 //! All baselines are myopic (decide from the current decision context)
 //! except [`ExhaustivePolicy`], which enumerates whole node sequences for
 //! the remaining chain — the "offline optimal-ish" comparator used on tiny
 //! instances to measure the optimality gap.
+//!
+//! [`baseline`] is the one place a name is bound to the policy it builds,
+//! and [`roster`] names the sets of them the figures compare. Figure
+//! binaries, manifests (`exper::manifest`) and grids
+//! (`exper::grid::ExperimentGrid::baselines`) all build baselines through
+//! it, so a grid column label always names one construction — the
+//! discipline `ExperimentGrid::auto_fingerprint` relies on. The
+//! exhaustive comparator is not registered: it is built from a
+//! simulation's own topology.
 
 use crate::action::PlacementAction;
 use crate::policy::{DecisionContext, PlacementPolicy};
@@ -353,18 +363,57 @@ impl PlacementPolicy for ExhaustivePolicy {
     }
 }
 
-/// Every baseline as a boxed trait object, for experiment loops.
+/// The registered baseline called `name` (its [`PlacementPolicy::name`]),
+/// freshly built, or `None` for a name the registry does not hold.
+pub fn baseline(name: &str) -> Option<Box<dyn PlacementPolicy>> {
+    Some(match name {
+        "random" => Box::new(RandomPolicy),
+        "first-fit" => Box::new(FirstFitPolicy),
+        "best-fit" => Box::new(BestFitPolicy),
+        "worst-fit" => Box::new(WorstFitPolicy),
+        "greedy-latency" => Box::new(GreedyLatencyPolicy),
+        "greedy-cost" => Box::new(GreedyCostPolicy),
+        "cloud-only" => Box::new(CloudOnlyPolicy),
+        "weighted-greedy" => Box::new(WeightedGreedyPolicy::default()),
+        _ => return None,
+    })
+}
+
+/// The members of a named roster, in column order, or `None` for an
+/// unknown roster: `"comparison"` keeps plots readable, and `"standard"`
+/// is every registered [`baseline`] (the Table 3 set).
+pub fn roster(name: &str) -> Option<&'static [&'static str]> {
+    match name {
+        "comparison" => Some(&[
+            "random",
+            "first-fit",
+            "greedy-latency",
+            "greedy-cost",
+            "cloud-only",
+            "weighted-greedy",
+        ]),
+        "standard" => Some(&[
+            "random",
+            "first-fit",
+            "best-fit",
+            "worst-fit",
+            "greedy-latency",
+            "greedy-cost",
+            "cloud-only",
+            "weighted-greedy",
+        ]),
+        _ => None,
+    }
+}
+
+/// Every baseline (the `"standard"` [`roster`]) as a boxed trait object,
+/// for experiment loops.
 pub fn standard_baselines() -> Vec<Box<dyn PlacementPolicy>> {
-    vec![
-        Box::new(RandomPolicy),
-        Box::new(FirstFitPolicy),
-        Box::new(BestFitPolicy),
-        Box::new(WorstFitPolicy),
-        Box::new(GreedyLatencyPolicy),
-        Box::new(GreedyCostPolicy),
-        Box::new(CloudOnlyPolicy),
-        Box::new(WeightedGreedyPolicy::default()),
-    ]
+    roster("standard")
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|name| baseline(name))
+        .collect()
 }
 
 #[cfg(test)]
@@ -533,6 +582,26 @@ mod tests {
             cost_heavy.decide(&ctx, &mut rng),
             PlacementAction::Place(NodeId(1))
         );
+    }
+
+    #[test]
+    fn registry_names_build_their_own_policies() {
+        let standard = roster("standard").unwrap_or_default();
+        assert_eq!(standard.len(), 8, "the standard roster is every baseline");
+        for &name in standard {
+            let built = baseline(name).map(|p| p.name());
+            assert_eq!(built.as_deref(), Some(name), "label must equal name()");
+        }
+        for roster_name in ["comparison", "standard"] {
+            let members = roster(roster_name).unwrap_or_default();
+            assert!(!members.is_empty(), "{roster_name}");
+            for name in members {
+                assert!(standard.contains(name), "{roster_name}: {name}");
+            }
+        }
+        assert!(baseline("frist-fit").is_none());
+        assert!(baseline("exhaustive").is_none());
+        assert!(roster("no-such-roster").is_none());
     }
 
     #[test]

@@ -57,8 +57,9 @@ pub mod timeline;
 pub mod prelude {
     pub use crate::action::{ActionSpace, PlacementAction};
     pub use crate::baselines::{
-        standard_baselines, BestFitPolicy, CloudOnlyPolicy, ExhaustivePolicy, FirstFitPolicy,
-        GreedyCostPolicy, GreedyLatencyPolicy, RandomPolicy, WeightedGreedyPolicy, WorstFitPolicy,
+        baseline, roster, standard_baselines, BestFitPolicy, CloudOnlyPolicy, ExhaustivePolicy,
+        FirstFitPolicy, GreedyCostPolicy, GreedyLatencyPolicy, RandomPolicy, WeightedGreedyPolicy,
+        WorstFitPolicy,
     };
     pub use crate::config::{EventSchedule, FailureModel, Scenario, TimedEvent, TopologySpec};
     pub use crate::drl::{DrlManagerConfig, DrlPolicy};
@@ -69,17 +70,17 @@ pub mod prelude {
     pub use crate::pg::{train_pg, PgManagerConfig, PgPolicy};
     pub use crate::policy::{CandidateInfo, DecisionContext, DecisionFeedback, PlacementPolicy};
     pub use crate::report::{
-        aggregate_csv_header, aggregate_csv_row, convergence_csv, group_aggregates,
-        load_bench_report, load_search_report, markdown_aggregate_comparison, markdown_comparison,
-        slot_csv_header, slot_csv_row, summary_csv_header, summary_csv_row, summary_json,
-        write_lines, BenchAggregate, BenchCell, BenchReport, SearchCandidate, SearchPointReport,
-        SearchReport, BENCH_SCHEMA_VERSION, SEARCH_SCHEMA_VERSION,
+        aggregate_csv_header, aggregate_csv_row, group_aggregates, load_bench_report,
+        load_search_report, markdown_aggregate_comparison, markdown_comparison, slot_csv_header,
+        slot_csv_row, summary_csv_header, summary_csv_row, summary_json, write_lines,
+        BenchAggregate, BenchCell, BenchReport, SearchCandidate, SearchPointReport, SearchReport,
+        BENCH_SCHEMA_VERSION, SEARCH_SCHEMA_VERSION,
     };
     pub use crate::reward::{RewardConfig, INFEASIBLE_LATENCY_MS};
     pub use crate::runner::{
         compare_policies, evaluate_policy, evaluate_policy_with_catalogs,
         evaluate_policy_with_semantics, moving_average, train_drl, train_drl_with_catalogs,
-        PolicyResult, TrainedDrl,
+        PolicyResult, Trained, TrainedDrl,
     };
     pub use crate::sim::{
         DecisionSemantics, MetricsMode, PlacementOutcome, RunInput, RunOptions, Simulation,

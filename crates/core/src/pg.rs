@@ -3,14 +3,13 @@
 
 use crate::action::PlacementAction;
 use crate::config::Scenario;
-use crate::drl::DrlPolicy;
-use crate::metrics::RunSummary;
 use crate::policy::{DecisionContext, DecisionFeedback, PlacementPolicy};
 use crate::reward::RewardConfig;
-use crate::sim::{RunInput, RunOptions, Simulation};
+use crate::runner::{train, Trained};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rl::reinforce::{ReinforceAgent, ReinforceConfig};
+use sfc::chain::ChainCatalog;
+use sfc::vnf::VnfCatalog;
 
 /// Configuration of the policy-gradient manager.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,8 +110,6 @@ impl PlacementPolicy for PgPolicy {
                     self.episode_returns.push(r);
                 }
             }
-        } else if feedback.done {
-            let _ = feedback; // evaluation: nothing to learn
         }
     }
 
@@ -136,78 +133,37 @@ impl PlacementPolicy for PgPolicy {
     }
 }
 
-/// Trains a policy-gradient manager, mirroring [`crate::runner::train_drl`]
-/// (validation-based checkpoint selection included).
+/// Trains a policy-gradient manager through the same pass loop as
+/// [`crate::runner::train_drl`] (validation-based checkpoint selection
+/// included).
+///
+/// # Panics
+///
+/// Panics if `passes == 0` or the scenario is invalid.
 pub fn train_pg(
     scenario: &Scenario,
     reward: RewardConfig,
     config: PgManagerConfig,
     passes: usize,
-) -> (PgPolicy, Vec<f32>, Vec<RunSummary>) {
-    assert!(passes > 0, "need at least one training pass");
-    let probe = Simulation::new(scenario, reward);
-    let state_dim = probe.encoder.dim();
-    let action_count = probe.action_space.len();
-    drop(probe);
-
-    let mut rng = StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x1357_9BDF));
-    let mut policy = PgPolicy::new(config, state_dim, action_count, &mut rng);
-    policy.set_training(true);
-
-    let mut best: Option<(f64, PgPolicy)> = None;
-    let mut returns = Vec::new();
-    let mut summaries = Vec::with_capacity(passes);
-    for pass in 0..passes {
-        let mut sim = Simulation::new(scenario, reward);
-        let summary = sim.drive(
-            RunInput::Generated,
-            &mut policy,
-            RunOptions::new().with_seed_offset(pass as u64),
-        );
-        returns.extend(policy.take_episode_returns());
-        summaries.push(summary);
-
-        // As in `train_drl`: with a single pass the only checkpoint wins
-        // unconditionally, so there is nothing to validate.
-        if passes > 1 {
-            policy.set_training(false);
-            let mut val_sim = Simulation::new(scenario, reward);
-            let val = val_sim.drive(
-                RunInput::Generated,
-                &mut policy,
-                RunOptions::new().with_seed_offset(0xA11CE),
-            );
-            policy.set_training(true);
-            let objective =
-                val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);
-            if best.as_ref().is_none_or(|(b, _)| objective < *b) {
-                best = Some((objective, policy.clone()));
-            }
-        }
-    }
-    let mut policy = best.map(|(_, p)| p).unwrap_or(policy);
-    policy.set_training(false);
-    (policy, returns, summaries)
-}
-
-/// Convenience: both DRL managers trained on the same scenario, for the
-/// algorithm-comparison experiment.
-pub fn train_both(
-    scenario: &Scenario,
-    reward: RewardConfig,
-    dqn: crate::drl::DrlManagerConfig,
-    pg: PgManagerConfig,
-    passes: usize,
-) -> (DrlPolicy, PgPolicy) {
-    let trained_dqn = crate::runner::train_drl(scenario, reward, dqn, passes);
-    let (trained_pg, _, _) = train_pg(scenario, reward, pg, passes);
-    (trained_dqn.policy, trained_pg)
+) -> Trained<PgPolicy> {
+    let vnfs = VnfCatalog::standard();
+    let chains = ChainCatalog::standard(&vnfs);
+    train(
+        scenario,
+        reward,
+        passes,
+        (&vnfs, &chains),
+        0x1357_9BDF,
+        |state_dim, action_count, rng| PgPolicy::new(config, state_dim, action_count, rng),
+        PgPolicy::take_episode_returns,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::evaluate_policy;
+    use rand::SeedableRng;
 
     fn fast_pg() -> PgManagerConfig {
         PgManagerConfig {
@@ -225,11 +181,11 @@ mod tests {
         let mut scenario = Scenario::small_test();
         scenario.horizon_slots = 40;
         let reward = RewardConfig::default();
-        let (mut policy, returns, summaries) = train_pg(&scenario, reward, fast_pg(), 2);
-        assert_eq!(summaries.len(), 2);
-        assert!(!returns.is_empty());
-        assert!(policy.agent().episodes_trained() > 0);
-        let result = evaluate_policy(&scenario, reward, &mut policy, 50);
+        let mut trained = train_pg(&scenario, reward, fast_pg(), 2);
+        assert_eq!(trained.pass_summaries.len(), 2);
+        assert!(!trained.episode_returns.is_empty());
+        assert!(trained.policy.agent().episodes_trained() > 0);
+        let result = evaluate_policy(&scenario, reward, &mut trained.policy, 50);
         assert!(result.summary.total_arrivals > 0);
     }
 
@@ -238,7 +194,7 @@ mod tests {
         let mut scenario = Scenario::small_test();
         scenario.horizon_slots = 50;
         let reward = RewardConfig::default();
-        let (mut policy, _, _) = train_pg(&scenario, reward, fast_pg(), 3);
+        let mut policy = train_pg(&scenario, reward, fast_pg(), 3).policy;
         let pg = evaluate_policy(&scenario, reward, &mut policy, 77);
         let mut random = crate::baselines::RandomPolicy;
         let rand_result = evaluate_policy(&scenario, reward, &mut random, 77);

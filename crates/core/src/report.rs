@@ -153,17 +153,6 @@ pub fn markdown_aggregate_comparison(rows: &[(String, SummaryAggregate)]) -> Str
     out
 }
 
-/// A convergence-curve CSV: episode index, raw return, smoothed return.
-pub fn convergence_csv(label: &str, returns: &[f32], smoothed: &[f32]) -> Vec<String> {
-    assert_eq!(returns.len(), smoothed.len(), "curve lengths must match");
-    let mut lines = Vec::with_capacity(returns.len() + 1);
-    lines.push("policy,episode,return,smoothed_return".to_string());
-    for (i, (&r, &s)) in returns.iter().zip(smoothed.iter()).enumerate() {
-        lines.push(format!("{label},{i},{r:.4},{s:.4}"));
-    }
-    lines
-}
-
 /// Version stamp of the `BENCH_*.json` schema; bump on breaking changes
 /// so the perf-trajectory tooling can detect old artifacts.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
@@ -374,6 +363,35 @@ fn aggregate_json(agg: &SummaryAggregate) -> Value {
 }
 
 impl BenchReport {
+    /// Packages cells, in grid-index order, as a report: the one place a
+    /// report is assembled. It sums the cells' slots, derives the
+    /// throughput from `wall_clock_secs` (0 when no time was measured),
+    /// and aggregates each (scenario, policy, x) group with
+    /// [`group_aggregates`].
+    pub fn from_cells(
+        name: impl Into<String>,
+        fingerprint: impl Into<String>,
+        threads: usize,
+        wall_clock_secs: f64,
+        cells: Vec<BenchCell>,
+    ) -> Self {
+        let slots_simulated: u64 = cells.iter().map(|c| c.summary.slots).sum();
+        Self {
+            name: name.into(),
+            threads,
+            wall_clock_secs,
+            slots_simulated,
+            throughput_slots_per_sec: if wall_clock_secs > 0.0 {
+                slots_simulated as f64 / wall_clock_secs
+            } else {
+                0.0
+            },
+            fingerprint: fingerprint.into(),
+            aggregates: group_aggregates(&cells),
+            cells,
+        }
+    }
+
     /// The deterministic payload: cells + aggregates only. Two runs of the
     /// same grid serialize this identically regardless of thread count.
     pub fn payload_json(&self) -> Value {
@@ -663,6 +681,22 @@ impl SearchReport {
         &self.candidates[self.best]
     }
 
+    /// Candidate indices ordered healthiest-first (final health, ties
+    /// toward the lower index; promoted candidates outrank screened-out
+    /// ones at equal health since their score is better founded).
+    pub fn ranking(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.candidates.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (ca, cb) = (&self.candidates[a], &self.candidates[b]);
+            cb.health
+                .partial_cmp(&ca.health)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(cb.promoted.cmp(&ca.promoted))
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
     /// The full document written to `BENCH_search_<name>.json`, with
     /// nested reports in their canonical (measurement-scrubbed) form so
     /// two executions of the same search serialize identically.
@@ -844,13 +878,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn convergence_csv_shape() {
-        let lines = convergence_csv("drl", &[1.0, 2.0], &[1.0, 1.5]);
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("drl,0,"));
-    }
-
     fn report_fixture() -> BenchReport {
         let mut cells = Vec::new();
         for policy in ["drl", "first-fit"] {
@@ -866,17 +893,21 @@ mod tests {
                 });
             }
         }
-        let aggregates = group_aggregates(&cells);
-        BenchReport {
-            name: "unit".into(),
-            threads: 4,
-            wall_clock_secs: 1.5,
-            slots_simulated: 40,
-            throughput_slots_per_sec: 40.0 / 1.5,
-            fingerprint: "fp".into(),
-            cells,
-            aggregates,
-        }
+        BenchReport::from_cells("unit", "fp", 4, 1.5, cells)
+    }
+
+    #[test]
+    fn from_cells_sums_slots_and_aggregates_groups() {
+        let report = report_fixture();
+        assert_eq!(report.slots_simulated, 40);
+        assert_eq!(report.throughput_slots_per_sec, 40.0 / 1.5);
+        assert_eq!(report.aggregates, group_aggregates(&report.cells));
+        assert_eq!(report.aggregates.len(), 2);
+        assert_eq!(report.aggregates[0].aggregate.runs, 2);
+        assert_eq!((report.threads, report.fingerprint.as_str()), (4, "fp"));
+        let unmeasured = BenchReport::from_cells("unit", "", 0, 0.0, report.cells);
+        assert_eq!(unmeasured.slots_simulated, 40);
+        assert_eq!(unmeasured.throughput_slots_per_sec, 0.0);
     }
 
     #[test]
@@ -1060,6 +1091,7 @@ mod tests {
         assert_eq!(parsed.candidates, report.candidates);
         assert_eq!(parsed.health_weights, report.health_weights);
         assert_eq!(parsed.best_candidate().policy, "drl");
+        assert_eq!(parsed.ranking(), vec![0, 1]);
         assert_eq!(parsed.points[0].cell_health, report.points[0].cell_health);
         assert_eq!(parsed.points[0].report.cells, report.points[0].report.cells);
         assert_eq!(parsed.runs_evaluated, 3);

@@ -9,6 +9,8 @@ use crate::reward::RewardConfig;
 use crate::sim::{DecisionSemantics, RunInput, RunOptions, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sfc::chain::ChainCatalog;
+use sfc::vnf::VnfCatalog;
 
 /// A labelled evaluation result.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,39 +78,126 @@ pub fn compare_policies(
         .collect()
 }
 
-/// Outcome of DRL training: the trained policy plus learning curves.
-pub struct TrainedDrl {
+/// Outcome of training a manager: the kept checkpoint plus learning
+/// curves.
+pub struct Trained<P> {
     /// The trained policy (switched to evaluation mode).
-    pub policy: DrlPolicy,
+    pub policy: P,
     /// Per-placement-episode returns across all training passes.
     pub episode_returns: Vec<f32>,
     /// Per-pass run summaries during training.
     pub pass_summaries: Vec<RunSummary>,
 }
 
-impl std::fmt::Debug for TrainedDrl {
+/// The outcome of [`train_drl`].
+pub type TrainedDrl = Trained<DrlPolicy>;
+
+impl<P> std::fmt::Debug for Trained<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainedDrl")
+        f.debug_struct("Trained")
             .field("episodes", &self.episode_returns.len())
             .field("passes", &self.pass_summaries.len())
             .finish()
     }
 }
 
-/// Trains a DRL manager on `scenario` for `passes` full traversals of the
-/// horizon, each on a fresh trace realization, keeping learned state and
-/// the network across passes.
+/// Splits an outcome into `(policy, episode_returns, pass_summaries)`.
+impl<P> From<Trained<P>> for (P, Vec<f32>, Vec<RunSummary>) {
+    fn from(t: Trained<P>) -> Self {
+        (t.policy, t.episode_returns, t.pass_summaries)
+    }
+}
+
+/// The training loop both managers share: `passes` traversals of the
+/// horizon, pass `i` on the trace realisation at seed offset `i`. The
+/// simulation *state* (instances, flows) is rebuilt per pass — the agent,
+/// its replay buffer and exploration schedule persist.
 ///
-/// The simulation *state* (instances, flows) is rebuilt per pass — the
-/// agent, replay buffer and exploration schedule persist.
+/// The agent is built by `build` from the observation width, the action
+/// count and an RNG seeded by `scenario.seed × agent_seed`;
+/// `take_returns` drains the episode returns it recorded.
+///
+/// Validation-based model selection: with more than one pass, each pass
+/// ends with the frozen greedy policy on a held-out trace, and the
+/// checkpoint with the lowest combined objective is kept. Training can
+/// drift late (over-fitting the replay distribution); selecting the best
+/// checkpoint is the standard remedy. A single pass is the only
+/// checkpoint, so it skips the validation run (FAST smoke runs hit this
+/// path on every training).
+///
+/// # Panics
+///
+/// Panics if `passes == 0` or the scenario is invalid.
+pub(crate) fn train<P: PlacementPolicy + Clone>(
+    scenario: &Scenario,
+    reward: RewardConfig,
+    passes: usize,
+    (vnfs, chains): (&VnfCatalog, &ChainCatalog),
+    agent_seed: u64,
+    build: impl FnOnce(usize, usize, &mut StdRng) -> P,
+    take_returns: fn(&mut P) -> Vec<f32>,
+) -> Trained<P> {
+    assert!(passes > 0, "need at least one training pass");
+    let simulation = || Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
+    // A probe simulation sizes the observation and action spaces.
+    let probe = simulation();
+    let (state_dim, action_count) = (probe.encoder.dim(), probe.action_space.len());
+    drop(probe);
+
+    let mut agent_rng = StdRng::seed_from_u64(scenario.seed.wrapping_mul(agent_seed));
+    let mut policy = build(state_dim, action_count, &mut agent_rng);
+    policy.set_training(true);
+
+    const VALIDATION_OFFSET: u64 = 0xA11CE;
+    let mut best: Option<(f64, P)> = None;
+    let mut episode_returns = Vec::new();
+    let mut pass_summaries = Vec::with_capacity(passes);
+    for pass in 0..passes {
+        let summary = simulation().drive(
+            RunInput::Generated,
+            &mut policy,
+            RunOptions::new().with_seed_offset(pass as u64),
+        );
+        episode_returns.extend(take_returns(&mut policy));
+        pass_summaries.push(summary);
+
+        if passes > 1 {
+            policy.set_training(false);
+            let val = simulation().drive(
+                RunInput::Generated,
+                &mut policy,
+                RunOptions::new().with_seed_offset(VALIDATION_OFFSET),
+            );
+            take_returns(&mut policy); // validation episodes don't belong in the curve
+            policy.set_training(true);
+            let objective =
+                val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);
+            if best.as_ref().is_none_or(|(b, _)| objective < *b) {
+                best = Some((objective, policy.clone()));
+            }
+        }
+    }
+    let mut policy = best.map(|(_, p)| p).unwrap_or(policy);
+    policy.set_training(false);
+    Trained {
+        policy,
+        episode_returns,
+        pass_summaries,
+    }
+}
+
+/// Trains a DRL manager on `scenario` for `passes` full traversals of the
+/// horizon, each on a fresh trace realisation, keeping the agent, its
+/// replay buffer and exploration schedule across passes. With more than
+/// one pass, the checkpoint that scores best on a held-out trace is kept.
 pub fn train_drl(
     scenario: &Scenario,
     reward: RewardConfig,
     config: DrlManagerConfig,
     passes: usize,
 ) -> TrainedDrl {
-    let vnfs = sfc::vnf::VnfCatalog::standard();
-    let chains = sfc::chain::ChainCatalog::standard(&vnfs);
+    let vnfs = VnfCatalog::standard();
+    let chains = ChainCatalog::standard(&vnfs);
     train_drl_with_catalogs(scenario, reward, config, passes, &vnfs, &chains)
 }
 
@@ -122,68 +211,18 @@ pub fn train_drl_with_catalogs(
     reward: RewardConfig,
     config: DrlManagerConfig,
     passes: usize,
-    vnfs: &sfc::vnf::VnfCatalog,
-    chains: &sfc::chain::ChainCatalog,
+    vnfs: &VnfCatalog,
+    chains: &ChainCatalog,
 ) -> TrainedDrl {
-    assert!(passes > 0, "need at least one training pass");
-    // Build a probe simulation to size the observation/action spaces.
-    let probe = Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-    let state_dim = probe.encoder.dim();
-    let action_count = probe.action_space.len();
-    drop(probe);
-
-    let mut agent_rng = StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x5851_F42D));
-    let mut policy = DrlPolicy::new(config, state_dim, action_count, &mut agent_rng);
-    policy.set_training(true);
-
-    // Validation-based model selection: after each pass, evaluate the
-    // frozen greedy policy on a held-out trace and keep the best network.
-    // DQN training can drift late (over-fitting the replay distribution);
-    // selecting the best checkpoint is the standard remedy.
-    const VALIDATION_OFFSET: u64 = 0xA11CE;
-    let mut best: Option<(f64, DrlPolicy)> = None;
-
-    let mut episode_returns = Vec::new();
-    let mut pass_summaries = Vec::with_capacity(passes);
-    for pass in 0..passes {
-        let mut sim = Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-        let summary = sim.drive(
-            RunInput::Generated,
-            &mut policy,
-            RunOptions::new().with_seed_offset(pass as u64),
-        );
-        episode_returns.extend(policy.take_episode_returns());
-        pass_summaries.push(summary);
-
-        // Checkpoint selection needs at least two candidates; with a
-        // single pass the only checkpoint wins unconditionally, so the
-        // held-out validation run would be pure wasted work (FAST smoke
-        // runs hit this path on every training).
-        if passes > 1 {
-            policy.set_training(false);
-            let mut val_sim =
-                Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());
-            let val = val_sim.drive(
-                RunInput::Generated,
-                &mut policy,
-                RunOptions::new().with_seed_offset(VALIDATION_OFFSET),
-            );
-            policy.take_episode_returns(); // validation episodes don't belong in the curve
-            policy.set_training(true);
-            let objective =
-                val.combined_objective(reward.alpha_latency as f64, reward.beta_cost as f64);
-            if best.as_ref().is_none_or(|(b, _)| objective < *b) {
-                best = Some((objective, policy.clone()));
-            }
-        }
-    }
-    let mut policy = best.map(|(_, p)| p).unwrap_or(policy);
-    policy.set_training(false);
-    TrainedDrl {
-        policy,
-        episode_returns,
-        pass_summaries,
-    }
+    train(
+        scenario,
+        reward,
+        passes,
+        (vnfs, chains),
+        0x5851_F42D,
+        |state_dim, action_count, rng| DrlPolicy::new(config, state_dim, action_count, rng),
+        DrlPolicy::take_episode_returns,
+    )
 }
 
 /// Evaluates `policy` on a simulation built with custom catalogs.
@@ -192,8 +231,8 @@ pub fn evaluate_policy_with_catalogs(
     reward: RewardConfig,
     policy: &mut dyn PlacementPolicy,
     seed_offset: u64,
-    vnfs: &sfc::vnf::VnfCatalog,
-    chains: &sfc::chain::ChainCatalog,
+    vnfs: &VnfCatalog,
+    chains: &ChainCatalog,
 ) -> PolicyResult {
     policy.set_training(false);
     let mut sim = Simulation::with_catalogs(scenario, reward, vnfs.clone(), chains.clone());

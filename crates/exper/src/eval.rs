@@ -16,7 +16,6 @@
 use crate::pool::{run_indexed_with, thread_count};
 use crate::timer::evaluate_timed;
 use mano::prelude::*;
-use mano::report::group_aggregates;
 
 /// One greedy evaluation cell: a labelled scenario coordinate plus the
 /// workload seed offset.
@@ -116,34 +115,6 @@ where
     )
 }
 
-/// Packages evaluation cells (from [`parallel_eval`] or several
-/// concatenated calls) as a [`BenchReport`] with freshly computed
-/// aggregates, so fan-out results merge with grid reports through
-/// [`crate::grid::merge_reports`].
-pub fn report_from_cells(
-    name: impl Into<String>,
-    threads: usize,
-    wall_clock_secs: f64,
-    cells: Vec<BenchCell>,
-) -> BenchReport {
-    let slots_simulated: u64 = cells.iter().map(|c| c.summary.slots).sum();
-    let aggregates = group_aggregates(&cells);
-    BenchReport {
-        name: name.into(),
-        threads,
-        wall_clock_secs,
-        slots_simulated,
-        throughput_slots_per_sec: if wall_clock_secs > 0.0 {
-            slots_simulated as f64 / wall_clock_secs
-        } else {
-            0.0
-        },
-        fingerprint: String::new(),
-        cells,
-        aggregates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,25 +150,5 @@ mod tests {
             assert_eq!(cell.summary, expected.summary);
             assert_eq!(cell.policy, "first-fit");
         }
-    }
-
-    #[test]
-    fn report_from_cells_aggregates_per_group() {
-        let scenario = Scenario::small_test();
-        let cells = cells_for_seeds("small", 1.0, &scenario, &[1, 2]);
-        let cells = parallel_eval(
-            &FirstFitPolicy,
-            "first-fit",
-            RewardConfig::default(),
-            &cells,
-            Some(1),
-            false,
-        );
-        let report = report_from_cells("unit_eval", 1, 0.5, cells);
-        assert_eq!(report.cells.len(), 2);
-        assert_eq!(report.aggregates.len(), 1);
-        assert_eq!(report.aggregates[0].aggregate.runs, 2);
-        assert!(report.slots_simulated > 0);
-        assert!(report.throughput_slots_per_sec > 0.0);
     }
 }

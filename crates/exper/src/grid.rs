@@ -7,10 +7,10 @@
 //! interleaving, which is what makes a parallel run bit-identical to
 //! `EXPER_THREADS=1`.
 
+use crate::manifest::baseline_factory;
 use crate::pool::{run_indexed, thread_count};
 use crate::timer::evaluate_timed;
 use mano::prelude::*;
-use mano::report::group_aggregates;
 use sfc::chain::ChainCatalog;
 use sfc::vnf::VnfCatalog;
 use std::time::Instant;
@@ -106,11 +106,17 @@ impl ExperimentGrid {
         self
     }
 
-    /// Appends a batch of labelled boxed factories (the common "DRL plus
-    /// all baselines" shape).
-    pub fn policies(mut self, policies: Vec<(String, PolicyFactory)>) -> Self {
-        for (label, factory) in policies {
-            self.policies.push((label, factory));
+    /// Appends one column per registered baseline (`mano::baselines`),
+    /// labelled by its name, in the order given.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name the registry does not hold.
+    pub fn baselines(mut self, names: &[&str]) -> Self {
+        for &name in names {
+            let factory =
+                baseline_factory(name).unwrap_or_else(|| panic!("unknown baseline `{name}`"));
+            self.policies.push((name.to_string(), factory));
         }
         self
     }
@@ -183,9 +189,11 @@ impl ExperimentGrid {
     /// determines the deterministic cell payload *except* the policy
     /// factories themselves, which are opaque closures. Callers must keep
     /// the label↔policy binding stable (the registry discipline: a label
-    /// names exactly one construction); under that discipline two grids
-    /// with equal fingerprints produce bit-identical cells, which is what
-    /// the sharded-sweep merge validates before trusting a fragment.
+    /// names exactly one construction, which [`ExperimentGrid::baselines`]
+    /// guarantees by building every baseline column through
+    /// `mano::baselines::baseline`); under that discipline two grids with
+    /// equal fingerprints produce bit-identical cells, which is what the
+    /// sharded-sweep merge validates before trusting a fragment.
     pub fn auto_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut desc = format!(
@@ -292,29 +300,20 @@ impl ExperimentGrid {
         let cells = run_indexed(n, threads, |index| self.cell(index));
         let wall_clock_secs = started.elapsed().as_secs_f64();
 
-        let slots_simulated: u64 = cells.iter().map(|c| c.summary.slots).sum();
-        let aggregates = group_aggregates(&cells);
-        BenchReport {
-            name: self.name.clone(),
+        BenchReport::from_cells(
+            self.name.clone(),
+            self.fingerprint.clone(),
             threads,
             wall_clock_secs,
-            slots_simulated,
-            throughput_slots_per_sec: if wall_clock_secs > 0.0 {
-                slots_simulated as f64 / wall_clock_secs
-            } else {
-                0.0
-            },
-            fingerprint: self.fingerprint.clone(),
             cells,
-            aggregates,
-        }
+        )
     }
 }
 
 /// FNV-1a 64-bit over bytes — dependency-free, stable across platforms,
-/// plenty for detecting grid-structure drift (this is staleness detection,
-/// not a security boundary).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// plenty for detecting grid- and manifest-structure drift (this is
+/// staleness detection, not a security boundary).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -337,22 +336,7 @@ pub fn merge_reports(name: impl Into<String>, reports: Vec<BenchReport>) -> Benc
     let threads = reports.iter().map(|r| r.threads).max().unwrap_or(1);
     let wall_clock_secs: f64 = reports.iter().map(|r| r.wall_clock_secs).sum();
     let cells: Vec<BenchCell> = reports.into_iter().flat_map(|r| r.cells).collect();
-    let slots_simulated: u64 = cells.iter().map(|c| c.summary.slots).sum();
-    let aggregates = group_aggregates(&cells);
-    BenchReport {
-        name: name.into(),
-        threads,
-        wall_clock_secs,
-        slots_simulated,
-        throughput_slots_per_sec: if wall_clock_secs > 0.0 {
-            slots_simulated as f64 / wall_clock_secs
-        } else {
-            0.0
-        },
-        fingerprint: String::new(),
-        cells,
-        aggregates,
-    }
+    BenchReport::from_cells(name, "", threads, wall_clock_secs, cells)
 }
 
 /// Renders a report's aggregates as a band CSV (header + one row per
@@ -385,13 +369,7 @@ mod tests {
     use super::*;
 
     fn tiny_grid(threads: usize) -> BenchReport {
-        ExperimentGrid::new("unit")
-            .scenario("small", 1.0, Scenario::small_test())
-            .policy("first-fit", || Box::new(FirstFitPolicy))
-            .policy("cloud-only", || Box::new(CloudOnlyPolicy))
-            .seeds(&[3, 7])
-            .threads(threads)
-            .run()
+        tiny_grid_def(threads).run()
     }
 
     #[test]
@@ -464,8 +442,7 @@ mod tests {
     fn tiny_grid_def(threads: usize) -> ExperimentGrid {
         ExperimentGrid::new("unit")
             .scenario("small", 1.0, Scenario::small_test())
-            .policy("first-fit", || Box::new(FirstFitPolicy))
-            .policy("cloud-only", || Box::new(CloudOnlyPolicy))
+            .baselines(&["first-fit", "cloud-only"])
             .seeds(&[3, 7])
             .threads(threads)
     }
@@ -519,6 +496,12 @@ mod tests {
             .seeds(&[3, 7])
             .auto_fingerprint();
         assert_ne!(fp, other_label, "policy labels are structural");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown baseline `frist-fit`")]
+    fn unknown_baseline_column_rejected() {
+        let _ = ExperimentGrid::new("unit").baselines(&["frist-fit"]);
     }
 
     #[test]

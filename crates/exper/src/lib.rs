@@ -13,7 +13,9 @@
 //!   multi-seed aggregation and [`mano::report::BenchReport`] output.
 //! * [`eval`] — [`eval::parallel_eval`], the greedy-evaluation fan-out
 //!   that clones one frozen policy per worker thread (one warm inference
-//!   workspace each) instead of per cell.
+//!   workspace each) instead of per cell. Its cells become a report
+//!   through [`mano::report::BenchReport::from_cells`], the one place any
+//!   report is assembled.
 //! * [`manifest`] — declarative [`manifest::ScenarioManifest`]s (JSON or
 //!   code) that expand deterministically into grids: the single
 //!   definition path shared by figure binaries, the sweep registry and
@@ -21,7 +23,8 @@
 //! * [`search`] — composite [`search::HealthScore`]s over
 //!   `SUMMARY_METRICS` and the successive-halving
 //!   [`search::SearchDriver`] that hunts a manifest's frontier on a
-//!   fraction of the exhaustive (cell × seed) budget.
+//!   fraction of the exhaustive (cell × seed) budget and returns its
+//!   persistent [`mano::report::SearchReport`] directly.
 //!
 //! # Determinism guarantee
 //!
@@ -44,20 +47,15 @@ mod timer;
 
 /// Convenient glob-import of the engine's surface.
 pub mod prelude {
-    pub use crate::eval::{
-        cells_for_seeds, parallel_eval, parallel_eval_semantics, report_from_cells, EvalCell,
-    };
+    pub use crate::eval::{cells_for_seeds, parallel_eval, parallel_eval_semantics, EvalCell};
     pub use crate::grid::{
         cells_csv, merge_reports, sweep_csv, ExperimentGrid, GridScenario, PolicyFactory,
     };
     pub use crate::manifest::{
-        baseline_factory, baseline_names, roster, synthetic_chains, Axis, EventSpec, ExpandedPoint,
-        Expansion, FastScaled, ManifestBase, PolicySpec, ResolvedPolicy, RewardAxes,
-        ScenarioManifest, SearchParams, SweepSpec, TopologyFamily, TrainRequest,
-        MANIFEST_SCHEMA_VERSION,
+        baseline_factory, synthetic_chains, Axis, EventSpec, ExpandedPoint, Expansion, FastScaled,
+        ManifestBase, PolicySpec, ResolvedPolicy, RewardAxes, ScenarioManifest, SearchParams,
+        SweepSpec, TopologyFamily, TrainRequest, MANIFEST_SCHEMA_VERSION,
     };
     pub use crate::pool::{parallel_map, run_indexed, run_indexed_with, thread_count, THREADS_ENV};
-    pub use crate::search::{
-        HealthScore, SearchDriver, SearchOutcome, SearchedCandidate, SearchedPoint,
-    };
+    pub use crate::search::{HealthScore, SearchDriver};
 }

@@ -25,7 +25,7 @@
 //!   full and `FAST` variants, so artifacts can be traced back to the
 //!   exact manifest that produced them.
 
-use crate::grid::{ExperimentGrid, GridScenario, PolicyFactory};
+use crate::grid::{fnv1a, ExperimentGrid, GridScenario, PolicyFactory};
 use edgenet::node::Resources;
 use mano::prelude::*;
 use mano::report::{check_schema_version, health_weights_json, HealthWeight};
@@ -536,9 +536,10 @@ impl FromJson for SweepSpec {
 /// One policy-set entry of a manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
-    /// A single named baseline from [`baseline_names`].
+    /// A single registered baseline, by name ([`mano::baselines::baseline`]).
     Baseline(String),
-    /// A named roster of baselines (`"comparison"` or `"standard"`).
+    /// A named roster of baselines ([`mano::baselines::roster`]:
+    /// `"comparison"` or `"standard"`).
     Roster(String),
     /// A DRL manager trained per reward point by the expansion's caller.
     /// `{alpha}` / `{beta}` placeholders in the label are substituted
@@ -571,11 +572,25 @@ impl PolicySpec {
     }
 }
 
+/// Reads a policy entry; a baseline or roster name the registry does not
+/// hold is an error here, at the `name` field, not a panic at expansion.
 impl FromJson for PolicySpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v.req::<String>("kind")?.as_str() {
-            "baseline" => Ok(PolicySpec::Baseline(v.req("name")?)),
-            "roster" => Ok(PolicySpec::Roster(v.req("name")?)),
+            "baseline" => {
+                let name: String = v.req("name")?;
+                match baseline(&name) {
+                    Some(_) => Ok(PolicySpec::Baseline(name)),
+                    None => unknown("name", roster("standard").unwrap_or_default(), &name),
+                }
+            }
+            "roster" => {
+                let name: String = v.req("name")?;
+                match roster(&name) {
+                    Some(_) => Ok(PolicySpec::Roster(name)),
+                    None => unknown("name", ROSTERS, &name),
+                }
+            }
             "trained" => Ok(PolicySpec::Trained {
                 label: v.req("label")?,
             }),
@@ -908,11 +923,7 @@ impl ScenarioManifest {
         for spec in &self.policies {
             match spec {
                 PolicySpec::Baseline(name) => {
-                    assert!(
-                        baseline_names().contains(&name.as_str()),
-                        "unknown baseline `{name}` (known: {:?})",
-                        baseline_names()
-                    );
+                    assert!(baseline(name).is_some(), "unknown baseline `{name}`");
                     out.push(ResolvedPolicy::Baseline(name.clone()));
                 }
                 PolicySpec::Roster(name) => {
@@ -1049,7 +1060,7 @@ pub struct ExpandedPoint {
 /// A policy column after roster flattening and label substitution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResolvedPolicy {
-    /// Named baseline, constructible via [`baseline_factory`].
+    /// Named registry baseline.
     Baseline(String),
     /// Trained column; the factory comes from the expansion's caller.
     Trained {
@@ -1095,8 +1106,8 @@ impl ExpandedPoint {
 
     /// Builds the point's [`ExperimentGrid`], asking `trainer` for a
     /// factory per trained column, and attaches the grid's structural
-    /// fingerprint. Baseline columns resolve through
-    /// [`baseline_factory`].
+    /// fingerprint. Baseline columns resolve through the registry
+    /// ([`ExperimentGrid::baselines`]).
     ///
     /// # Panics
     ///
@@ -1117,10 +1128,7 @@ impl ExpandedPoint {
         }
         for policy in &self.policies {
             grid = match policy {
-                ResolvedPolicy::Baseline(name) => grid.policy_boxed(
-                    name.clone(),
-                    baseline_factory(name).expect("validated baseline name"),
-                ),
+                ResolvedPolicy::Baseline(name) => grid.baselines(&[name]),
                 ResolvedPolicy::Trained { label } => {
                     let scenario = &self
                         .scenarios
@@ -1169,62 +1177,17 @@ pub struct Expansion {
     pub points: Vec<ExpandedPoint>,
 }
 
-/// Every baseline name manifests may reference.
-pub fn baseline_names() -> &'static [&'static str] {
-    &[
-        "random",
-        "first-fit",
-        "best-fit",
-        "worst-fit",
-        "greedy-latency",
-        "greedy-cost",
-        "cloud-only",
-        "weighted-greedy",
-    ]
-}
+/// The roster names [`roster`] knows, for the parse error that names them.
+const ROSTERS: &[&str] = &["comparison", "standard"];
 
-/// The members of a named roster (`"comparison"` keeps plots readable;
-/// `"standard"` is the full Table 3 set), or `None` for unknown names.
-pub fn roster(name: &str) -> Option<&'static [&'static str]> {
-    match name {
-        "comparison" => Some(&[
-            "random",
-            "first-fit",
-            "greedy-latency",
-            "greedy-cost",
-            "cloud-only",
-            "weighted-greedy",
-        ]),
-        "standard" => Some(&[
-            "random",
-            "first-fit",
-            "best-fit",
-            "worst-fit",
-            "greedy-latency",
-            "greedy-cost",
-            "cloud-only",
-            "weighted-greedy",
-        ]),
-        _ => None,
-    }
-}
-
-/// Builds a fresh per-cell factory for a named baseline, or `None` for
-/// unknown names. The label↔construction binding here is the registry
-/// discipline [`ExperimentGrid::auto_fingerprint`] relies on: one name,
-/// one construction, everywhere.
+/// A fresh per-cell factory for a registered baseline, or `None` for a
+/// name the registry (`mano::baselines::baseline`) does not hold.
 pub fn baseline_factory(name: &str) -> Option<PolicyFactory> {
-    Some(match name {
-        "random" => Box::new(|| Box::new(RandomPolicy)),
-        "first-fit" => Box::new(|| Box::new(FirstFitPolicy)),
-        "best-fit" => Box::new(|| Box::new(BestFitPolicy)),
-        "worst-fit" => Box::new(|| Box::new(WorstFitPolicy)),
-        "greedy-latency" => Box::new(|| Box::new(GreedyLatencyPolicy)),
-        "greedy-cost" => Box::new(|| Box::new(GreedyCostPolicy)),
-        "cloud-only" => Box::new(|| Box::new(CloudOnlyPolicy)),
-        "weighted-greedy" => Box::new(|| Box::new(WeightedGreedyPolicy::default())),
-        _ => return None,
-    })
+    baseline(name)?;
+    let name = name.to_string();
+    Some(Box::new(move || {
+        baseline(&name).expect("the registry held this name when the factory was made")
+    }))
 }
 
 /// The synthetic per-length chain catalog shared by the fig6 binary and
@@ -1256,17 +1219,6 @@ pub fn synthetic_chains(vnfs: &VnfCatalog, max_len: usize) -> ChainCatalog {
         })
         .collect();
     ChainCatalog::new(chains, vnfs)
-}
-
-/// FNV-1a 64-bit over bytes (same discipline as the grid fingerprint:
-/// drift detection, not a security boundary).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -1486,6 +1438,21 @@ mod tests {
     }
 
     #[test]
+    fn baseline_factories_match_policy_names() {
+        let names = roster("standard").unwrap_or_default();
+        assert!(!names.is_empty());
+        for &name in names {
+            // Each call is a fresh per-cell policy with the same name.
+            let built: Vec<String> = baseline_factory(name)
+                .into_iter()
+                .flat_map(|factory| [factory(), factory()])
+                .map(|policy| policy.name().to_string())
+                .collect();
+            assert_eq!(built, [name, name]);
+        }
+    }
+
+    #[test]
     fn unknown_names_are_rejected() {
         assert!(baseline_factory("no-such-policy").is_none());
         assert!(roster("no-such-roster").is_none());
@@ -1494,11 +1461,23 @@ mod tests {
     }
 
     #[test]
-    fn baseline_factories_match_policy_names() {
-        for &name in baseline_names() {
-            let factory = baseline_factory(name).expect("known baseline");
-            assert_eq!(factory().name(), name, "label must equal policy name()");
-        }
+    fn unknown_policy_names_fail_at_parse() {
+        let doc = serde_json::to_string(&tiny_manifest().to_json());
+        let typo = doc.replace(r#""name":"greedy-latency""#, r#""name":"frist-fit""#);
+        let e = ScenarioManifest::parse(&typo).unwrap_err();
+        assert_eq!(e.path, "policies[1].name");
+        assert_eq!(e.found, r#""frist-fit""#);
+        assert!(e.expected.contains("`first-fit`"), "{e}");
+        let roster_doc = serde_json::to_string(
+            &tiny_manifest()
+                .policy(PolicySpec::Roster("comparison".into()))
+                .to_json(),
+        )
+        .replace(r#""name":"comparison""#, r#""name":"everything""#);
+        let e = ScenarioManifest::parse(&roster_doc).unwrap_err();
+        assert_eq!(e.path, "policies[2].name");
+        assert_eq!(e.expected, "one of `comparison`, `standard`");
+        assert!(ROSTERS.iter().all(|r| roster(r).is_some()));
     }
 
     #[test]

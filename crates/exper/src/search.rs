@@ -159,147 +159,6 @@ impl HealthScore {
         });
         order
     }
-
-    /// The healthiest aggregate of a report as `(index, health)`, or
-    /// `None` for an empty report.
-    pub fn find_best_cell(&self, report: &BenchReport) -> Option<(usize, f64)> {
-        let ranked = self.rank(&report.aggregates);
-        let best = *ranked.first()?;
-        let health = self.score_aggregates(&report.aggregates)[best];
-        Some((best, health))
-    }
-}
-
-/// One (reward point, scenario, policy) candidate's search trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchedCandidate {
-    /// Index of the reward point in the expansion.
-    pub point: usize,
-    /// Scenario label.
-    pub scenario: String,
-    /// Policy label.
-    pub policy: String,
-    /// Sweep coordinate.
-    pub x: f64,
-    /// α of the reward point.
-    pub alpha: f64,
-    /// β of the reward point.
-    pub beta: f64,
-    /// Health over the screening seeds, normalized across all candidates.
-    pub screened_health: f64,
-    /// Whether the candidate survived the screen.
-    pub promoted: bool,
-    /// Seeds actually evaluated (screen only, or the full budget).
-    pub seeds_run: usize,
-    /// Final health over the evaluated seeds, normalized across all
-    /// candidates.
-    pub health: f64,
-}
-
-/// One reward point's evaluated grid inside a [`SearchOutcome`].
-pub struct SearchedPoint {
-    /// α of the point.
-    pub alpha: f64,
-    /// β of the point.
-    pub beta: f64,
-    /// The point's evaluated cells as a report (ragged: promoted
-    /// candidates carry the full seed budget, screened-out ones only the
-    /// screen prefix). Cells are in global-index order.
-    pub report: BenchReport,
-}
-
-/// The result of a [`SearchDriver`] run.
-pub struct SearchOutcome {
-    /// Name of the searched manifest.
-    pub manifest_name: String,
-    /// Mode-independent fingerprint of the searched manifest.
-    pub manifest_fingerprint: String,
-    /// Whether the `FAST` variant was searched.
-    pub fast: bool,
-    /// Seeds per candidate in the screening pass.
-    pub screen_seeds: usize,
-    /// Seeds per promoted candidate.
-    pub full_seeds: usize,
-    /// Fraction of candidates promoted.
-    pub promote_fraction: f64,
-    /// Total (cell × seed) runs the search evaluated.
-    pub runs_evaluated: usize,
-    /// Runs the exhaustive grid would have evaluated.
-    pub runs_exhaustive: usize,
-    /// Per-reward-point evaluated grids, expansion order.
-    pub points: Vec<SearchedPoint>,
-    /// Every candidate, expansion order (point-major, then scenario,
-    /// then policy).
-    pub candidates: Vec<SearchedCandidate>,
-    /// Index into `candidates` of the healthiest promoted candidate.
-    pub best: usize,
-}
-
-impl SearchOutcome {
-    /// The winning candidate.
-    pub fn best_candidate(&self) -> &SearchedCandidate {
-        &self.candidates[self.best]
-    }
-
-    /// Converts the outcome into its persistent
-    /// [`SearchReport`] form (`BENCH_search_<name>.json`), scoring each
-    /// point's raw cells with `health` for the per-seed scatter.
-    pub fn to_report(&self, health: &HealthScore) -> SearchReport {
-        SearchReport {
-            name: self.manifest_name.clone(),
-            manifest_fingerprint: self.manifest_fingerprint.clone(),
-            fast: self.fast,
-            screen_seeds: self.screen_seeds,
-            full_seeds: self.full_seeds,
-            promote_fraction: self.promote_fraction,
-            runs_evaluated: self.runs_evaluated,
-            runs_exhaustive: self.runs_exhaustive,
-            health_weights: health.weights().to_vec(),
-            candidates: self
-                .candidates
-                .iter()
-                .map(|c| SearchCandidate {
-                    point: c.point,
-                    scenario: c.scenario.clone(),
-                    policy: c.policy.clone(),
-                    x: c.x,
-                    alpha: c.alpha,
-                    beta: c.beta,
-                    screened_health: c.screened_health,
-                    promoted: c.promoted,
-                    seeds_run: c.seeds_run,
-                    health: c.health,
-                })
-                .collect(),
-            best: self.best,
-            points: self
-                .points
-                .iter()
-                .map(|p| SearchPointReport {
-                    alpha: p.alpha,
-                    beta: p.beta,
-                    cell_health: health.score_cells(&p.report.cells),
-                    report: p.report.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Candidate indices ordered healthiest-first (final health, ties
-    /// toward the lower index; promoted candidates outrank screened-out
-    /// ones at equal health since their score is better founded).
-    pub fn ranking(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.candidates[a], &self.candidates[b]);
-            cb.health
-                .partial_cmp(&ca.health)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(cb.promoted.cmp(&ca.promoted))
-                .then(a.cmp(&b))
-        });
-        order
-    }
 }
 
 /// Grid-first successive halving over a manifest's expansion.
@@ -338,18 +197,13 @@ impl SearchDriver {
         Self { manifest, health }
     }
 
-    /// The driver's health score.
-    pub fn health(&self) -> &HealthScore {
-        &self.health
-    }
-
     /// Runs the search for baseline-only manifests.
     ///
     /// # Panics
     ///
     /// Panics when the manifest has trained policy columns (use
     /// [`SearchDriver::run_with`]).
-    pub fn run(&self, fast: bool) -> SearchOutcome {
+    pub fn run(&self, fast: bool) -> SearchReport {
         self.run_with(fast, &mut |req: &TrainRequest| {
             panic!(
                 "manifest has trained column `{}` — use run_with and supply a trainer",
@@ -359,12 +213,15 @@ impl SearchDriver {
     }
 
     /// Runs the search, building trained policy columns via `trainer`
-    /// (called once per (reward point, trained column), expansion order).
+    /// (called once per (reward point, trained column), expansion order),
+    /// and returns its report (`BENCH_search_<name>.json`): every
+    /// candidate's trajectory, and each point's evaluated cells with their
+    /// per-seed health.
     pub fn run_with(
         &self,
         fast: bool,
         trainer: &mut dyn FnMut(&TrainRequest) -> PolicyFactory,
-    ) -> SearchOutcome {
+    ) -> SearchReport {
         let expansion = self.manifest.expand(fast);
         let grids: Vec<ExperimentGrid> = expansion
             .points
@@ -455,13 +312,13 @@ impl SearchDriver {
             slots.iter().map(|sl| aggregate_of(&sl.cells)).collect();
         let final_health = self.health.score_aggregates(&final_aggregates);
 
-        let candidates: Vec<SearchedCandidate> = slots
+        let candidates: Vec<SearchCandidate> = slots
             .iter()
             .enumerate()
             .map(|(si, sl)| {
                 let point = &expansion.points[sl.point];
                 let first = &sl.cells[0];
-                SearchedCandidate {
+                SearchCandidate {
                     point: sl.point,
                     scenario: first.scenario.clone(),
                     policy: first.policy.clone(),
@@ -492,8 +349,11 @@ impl SearchDriver {
         let runs_evaluated: usize = slots.iter().map(|sl| sl.cells.len()).sum();
         let runs_exhaustive = n * full_seeds;
 
-        // Per-point reports, cells in global-index order (ragged seeds).
-        let points: Vec<SearchedPoint> = expansion
+        // Per-point reports, cells in global-index order (ragged seeds:
+        // promoted candidates carry the full seed budget, screened-out ones
+        // only the screen prefix), each cell scored for the per-seed
+        // scatter.
+        let points: Vec<SearchPointReport> = expansion
             .points
             .iter()
             .enumerate()
@@ -502,24 +362,23 @@ impl SearchDriver {
                 for sl in slots.iter().filter(|sl| sl.point == pi) {
                     cells.extend(sl.cells.iter().cloned());
                 }
-                let threads = crate::pool::thread_count();
-                let mut report = crate::eval::report_from_cells(
-                    grids[pi].grid_name().to_string(),
-                    threads,
-                    0.0,
-                    cells,
-                );
-                report.fingerprint = grids[pi].grid_fingerprint().to_string();
-                SearchedPoint {
+                SearchPointReport {
                     alpha: point.alpha,
                     beta: point.beta,
-                    report,
+                    cell_health: self.health.score_cells(&cells),
+                    report: BenchReport::from_cells(
+                        grids[pi].grid_name(),
+                        grids[pi].grid_fingerprint(),
+                        crate::pool::thread_count(),
+                        0.0,
+                        cells,
+                    ),
                 }
             })
             .collect();
 
-        SearchOutcome {
-            manifest_name: expansion.manifest_name,
+        SearchReport {
+            name: expansion.manifest_name,
             manifest_fingerprint: expansion.fingerprint,
             fast,
             screen_seeds,
@@ -527,9 +386,10 @@ impl SearchDriver {
             promote_fraction: self.manifest.search.promote_fraction,
             runs_evaluated,
             runs_exhaustive,
-            points,
+            health_weights: self.health.weights().to_vec(),
             candidates,
             best,
+            points,
         }
     }
 }

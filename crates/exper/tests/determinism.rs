@@ -108,7 +108,7 @@ fn parallel_eval_is_thread_count_invariant_with_warm_worker_clones() {
     assert_eq!(sequential, parallel);
 
     // And the packaged report merges like any grid report.
-    let report = report_from_cells("eval_fanout", 8, 1.0, parallel);
+    let report = BenchReport::from_cells("eval_fanout", "", 8, 1.0, parallel);
     assert_eq!(report.aggregates.len(), 2);
     assert!(report.aggregates.iter().all(|a| a.aggregate.runs == 3));
 }

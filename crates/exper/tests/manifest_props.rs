@@ -5,6 +5,7 @@
 //! fraction of the screened ranking.
 
 use exper::prelude::*;
+use mano::report::SearchCandidate;
 use proptest::prelude::*;
 
 /// Arbitrary sweep-value axis from a `(kind, list, steps, seed)` draw.
@@ -243,7 +244,7 @@ proptest! {
         let n = outcome.candidates.len();
         let screen = screen.clamp(1, seed_count);
         let expected_promoted = ((n as f64 * promote_fraction).ceil() as usize).clamp(1, n);
-        let promoted: Vec<&SearchedCandidate> =
+        let promoted: Vec<&SearchCandidate> =
             outcome.candidates.iter().filter(|c| c.promoted).collect();
         prop_assert_eq!(promoted.len(), expected_promoted);
 
@@ -270,8 +271,8 @@ proptest! {
         // Byte-determinism of the full on-disk document.
         let again = driver.run(true);
         prop_assert_eq!(
-            serde_json::to_string_pretty(&outcome.to_report(driver.health()).canonical_json()),
-            serde_json::to_string_pretty(&again.to_report(driver.health()).canonical_json())
+            serde_json::to_string_pretty(&outcome.canonical_json()),
+            serde_json::to_string_pretty(&again.canonical_json())
         );
     }
 }

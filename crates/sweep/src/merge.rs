@@ -8,7 +8,7 @@
 
 use crate::fragment::ShardFragment;
 use crate::plan::SWEEP_SCHEMA_VERSION;
-use mano::report::{group_aggregates, BenchCell, BenchReport};
+use mano::report::{BenchCell, BenchReport};
 
 /// Why a set of fragments cannot be merged.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,9 +113,8 @@ impl std::error::Error for MergeError {}
 /// any order, with any internal cell order.
 ///
 /// Cells land in index-addressed slots (the cross-process extension of
-/// the in-process index-keyed reduction) and the aggregates are
-/// recomputed from the re-keyed cells through the same
-/// [`group_aggregates`] walk an in-process run uses. Measurement
+/// the in-process index-keyed reduction) and become a report through the
+/// same [`BenchReport::from_cells`] an in-process run uses. Measurement
 /// metadata (`threads`, `wall_clock_secs`, `throughput_slots_per_sec`)
 /// is set to zero — the canonical form; whoever wants wall-clock numbers
 /// reads them from the driver's own log/series, not from the merged
@@ -180,19 +179,15 @@ pub fn merge_fragments(
             cell_count,
         });
     }
-    let cells: Vec<BenchCell> = slots.into_iter().map(|s| s.expect("checked")).collect();
-    let slots_simulated: u64 = cells.iter().map(|c| c.summary.slots).sum();
-    let aggregates = group_aggregates(&cells);
-    Ok(BenchReport {
-        name: grid_name.to_string(),
-        threads: 0,
-        wall_clock_secs: 0.0,
-        slots_simulated,
-        throughput_slots_per_sec: 0.0,
-        fingerprint: grid_fingerprint.to_string(),
+    // Every slot is filled: missing cells were refused above.
+    let cells: Vec<BenchCell> = slots.into_iter().flatten().collect();
+    Ok(BenchReport::from_cells(
+        grid_name,
+        grid_fingerprint,
+        0,
+        0.0,
         cells,
-        aggregates,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 #   ./verify.sh lint        # rustfmt + clippy + warning-free rustdoc + the
 #                           # library unwrap/expect ratchet + no caller of
 #                           # the `.sparse()` shim + no clock in the engine
-#                           # + no serde derive (fast feedback)
+#                           # + no serde derive + one baseline registry
+#                           # (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
@@ -63,13 +64,14 @@ lint() {
   sparse_shim_unused
   engine_reads_no_clock
   no_serde_derives
+  one_baseline_registry
 }
 
 # `.unwrap()` / `.expect(` occurrences in library sources (`crates/*/src`
 # and `src/`, binaries excluded; in-file unit tests count). The number only
 # goes down: above it the lint fails, below it prints the number to record
 # here.
-UNWRAP_EXPECT_MAX=184
+UNWRAP_EXPECT_MAX=183
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
@@ -117,6 +119,21 @@ no_serde_derives() {
   if grep -rnE --include='*.rs' '\b(Serialize|Deserialize)\b|#\[serde\(|use serde\b' \
     crates src tests examples; then
     echo "serde's derives are no-ops here: implement serde_json::FromJson instead" >&2
+    return 1
+  fi
+}
+
+# mano::baselines::baseline is the one binding of a baseline name to the
+# policy it builds; grid fingerprints trust a column label to name one
+# construction. The figure binaries and the manifest layer build baselines
+# by name through it and never name a baseline type themselves.
+one_baseline_registry() {
+  echo "==> baselines built through the registry in bench and exper::manifest"
+  if grep -rnwE --include='*.rs' \
+    'RandomPolicy|FirstFitPolicy|BestFitPolicy|WorstFitPolicy|GreedyLatencyPolicy|GreedyCostPolicy|CloudOnlyPolicy|WeightedGreedyPolicy' \
+    crates/bench/src crates/exper/src/manifest.rs; then
+    echo "build baselines by name: mano::baselines::baseline / roster," \
+      "ExperimentGrid::baselines or exper::manifest::baseline_factory" >&2
     return 1
   fi
 }
