@@ -20,9 +20,6 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("routing_lookup", |b| {
         b.iter(|| black_box(table.latency_ms(NodeId(0), NodeId(12))))
     });
-    c.bench_function("routing_path_reconstruction", |b| {
-        b.iter(|| black_box(table.path(NodeId(0), NodeId(12))))
-    });
 }
 
 fn bench_capacity(c: &mut Criterion) {

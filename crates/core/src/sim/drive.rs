@@ -279,6 +279,9 @@ impl Simulation {
         let replaced = self.replace_disrupted(disrupted, policy, rng);
         self.counters.flows_replaced += replaced;
         self.cost_cache = None;
+        if cfg!(debug_assertions) {
+            self.assert_invariants(at.slot(self.slot_ms));
+        }
     }
 
     /// Runs the idle-instance retirement sweep queued for `at`'s slot.

@@ -59,6 +59,7 @@ use workload::trace::{generate_trace, Trace};
 
 mod billing;
 mod drive;
+mod invariants;
 mod network;
 mod oracle;
 mod placement;
@@ -296,7 +297,7 @@ struct SimScratch {
 
 /// The simulation: all mutable world state plus immutable catalogs.
 pub struct Simulation {
-    /// The network: topology + routes + capacity behind one versioned,
+    /// The network: topology + routes + capacity behind one
     /// event-driven API.
     pub network: NetworkView,
     /// Live VNF instances.

@@ -421,3 +421,31 @@ fn mask_forbids_saturated_nodes() {
     assert!(!ctx.any_feasible());
     assert!(*ctx.mask.last().unwrap(), "reject stays available");
 }
+
+#[test]
+#[should_panic(expected = "dead_nodes_host_nothing")]
+fn a_dead_node_left_hosting_instances_breaks_the_invariants() {
+    // First-fit hosts the chain on node 0; taking node 0 down behind the
+    // engine's back leaves its instances in the pool.
+    let mut s = sim();
+    let mut rng = StdRng::seed_from_u64(12);
+    s.place_request(&request(0, 1, 1, 0, 10), &mut FirstFitPolicy, &mut rng);
+    assert!(s.check_invariants().is_ok());
+    s.network.apply(&NetworkEvent::NodeDown { node: NodeId(0) });
+    s.assert_invariants(0);
+}
+
+#[test]
+#[should_panic(expected = "flows_routable_on_live_nodes")]
+fn a_flow_on_a_retired_instance_breaks_the_invariants() {
+    let mut s = sim();
+    let mut rng = StdRng::seed_from_u64(13);
+    s.place_request(&request(0, 1, 1, 0, 10), &mut FirstFitPolicy, &mut rng);
+    let vnf = s.chains.get(ChainId(1)).vnfs[0];
+    let retired = s.pool.spawn(vnf, NodeId(2), 0);
+    assert!(s.pool.retire(retired).is_ok());
+    for flow in s.active.values_mut() {
+        flow.instances[0] = retired;
+    }
+    s.assert_invariants(0);
+}

@@ -5,10 +5,10 @@
 //! locations, links whose latencies derive from great-circle propagation
 //! delay, latency-weighted shortest-path routing, per-node capacity
 //! accounting, and energy/price models for the operator's cost function.
-//! [`view::NetworkView`] wraps topology + routes + capacity into one
-//! versioned API that stays consistent under dynamic [`view::NetworkEvent`]s
-//! (node failure/recovery, link latency shifts, capacity degradation),
-//! maintaining routes incrementally.
+//! [`view::NetworkView`] wraps topology + routes + capacity into one API
+//! that stays consistent under dynamic [`view::NetworkEvent`]s (node
+//! failure/recovery, link latency shifts, capacity degradation): an event
+//! that changes liveness or a link's latency rebuilds every route.
 //!
 //! The paper's evaluation is simulation-only; this crate is the faithful
 //! synthetic substitute — the relative latency/cost structure (edge close
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::link::Link;
     pub use crate::node::{Node, NodeBuilder, NodeId, NodeKind, Resources};
     pub use crate::price::PriceModel;
-    pub use crate::routing::{dijkstra, dijkstra_filtered, Path, RoutingTable};
+    pub use crate::routing::{dijkstra_filtered, RoutingTable};
     pub use crate::topology::{Topology, TopologyBuilder};
     pub use crate::view::{NetworkEvent, NetworkHealth, NetworkView};
 }

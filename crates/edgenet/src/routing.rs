@@ -6,22 +6,6 @@ use crate::topology::Topology;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A routed path: ordered node sequence plus total one-way latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Path {
-    /// Node sequence from source to destination (inclusive).
-    pub nodes: Vec<NodeId>,
-    /// Sum of link latencies along the path, in milliseconds.
-    pub latency_ms: f64,
-}
-
-impl Path {
-    /// Number of hops (links) on the path.
-    pub fn hop_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-}
-
 #[derive(Debug, PartialEq)]
 struct HeapEntry {
     cost: f64,
@@ -47,18 +31,12 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Single-source Dijkstra over link latency. Returns per-node
-/// `(latency, predecessor)`; unreachable nodes have `f64::INFINITY`.
-pub fn dijkstra(topology: &Topology, source: NodeId) -> Vec<(f64, Option<NodeId>)> {
-    let alive = vec![true; topology.node_count()];
-    dijkstra_filtered(topology, source, &alive, &|li| topology.link(li).latency_ms)
-}
-
-/// [`dijkstra`] over a degraded network: nodes with `alive[i] == false`
-/// are skipped entirely (a dead node neither originates, terminates nor
-/// forwards traffic) and each link's effective latency comes from
-/// `link_latency(link_index)` instead of its base value. A dead source
-/// yields an all-`INFINITY` row.
+/// Single-source Dijkstra over a possibly degraded network. Returns the
+/// latency to every node; unreachable nodes have `f64::INFINITY`. Nodes
+/// with `alive[i] == false` are skipped entirely (a dead node neither
+/// originates, terminates nor forwards traffic) and each link's effective
+/// latency comes from `link_latency(link_index)`. A dead source yields an
+/// all-`INFINITY` row.
 ///
 /// # Panics
 ///
@@ -69,32 +47,31 @@ pub fn dijkstra_filtered(
     source: NodeId,
     alive: &[bool],
     link_latency: &dyn Fn(usize) -> f64,
-) -> Vec<(f64, Option<NodeId>)> {
+) -> Vec<f64> {
     let n = topology.node_count();
     assert!(source.0 < n, "source {source} out of range");
     assert_eq!(alive.len(), n, "alive mask must cover every node");
-    let mut dist: Vec<(f64, Option<NodeId>)> = vec![(f64::INFINITY, None); n];
+    let mut dist = vec![f64::INFINITY; n];
     if !alive[source.0] {
         return dist;
     }
-    dist[source.0] = (0.0, None);
+    dist[source.0] = 0.0;
     let mut heap = BinaryHeap::new();
     heap.push(HeapEntry {
         cost: 0.0,
         node: source,
     });
     while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if cost > dist[node.0].0 {
+        if cost > dist[node.0] {
             continue; // stale entry
         }
         for &(next, li) in topology.neighbours(node) {
             if !alive[next.0] {
                 continue;
             }
-            let w = link_latency(li);
-            let candidate = cost + w;
-            if candidate < dist[next.0].0 {
-                dist[next.0] = (candidate, Some(node));
+            let candidate = cost + link_latency(li);
+            if candidate < dist[next.0] {
+                dist[next.0] = candidate;
                 heap.push(HeapEntry {
                     cost: candidate,
                     node: next,
@@ -105,14 +82,13 @@ pub fn dijkstra_filtered(
     dist
 }
 
-/// All-pairs routing table: latency matrix plus path reconstruction.
-#[derive(Debug, Clone)]
+/// All-pairs routing table: the shortest-path latency matrix. The
+/// `Default` table covers no nodes.
+#[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     n: usize,
     /// `latency[s * n + d]`, `INFINITY` if unreachable.
     latency: Vec<f64>,
-    /// Predecessor of `d` on the shortest path from `s`.
-    predecessor: Vec<Option<NodeId>>,
 }
 
 impl RoutingTable {
@@ -137,18 +113,10 @@ impl RoutingTable {
     ) -> Self {
         let n = topology.node_count();
         let mut latency = Vec::with_capacity(n * n);
-        let mut predecessor = Vec::with_capacity(n * n);
         for s in 0..n {
-            for (d, pred) in dijkstra_filtered(topology, NodeId(s), alive, link_latency) {
-                latency.push(d);
-                predecessor.push(pred);
-            }
+            latency.extend(dijkstra_filtered(topology, NodeId(s), alive, link_latency));
         }
-        Self {
-            n,
-            latency,
-            predecessor,
-        }
+        Self { n, latency }
     }
 
     /// Number of nodes covered.
@@ -170,66 +138,6 @@ impl RoutingTable {
     /// `true` if `d` is reachable from `s`.
     pub fn reachable(&self, s: NodeId, d: NodeId) -> bool {
         self.latency_ms(s, d).is_finite()
-    }
-
-    /// Predecessor of `d` on the shortest path from `s` (`None` at the
-    /// source itself or when unreachable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn predecessor(&self, s: NodeId, d: NodeId) -> Option<NodeId> {
-        assert!(s.0 < self.n && d.0 < self.n, "routing lookup out of range");
-        self.predecessor[s.0 * self.n + d.0]
-    }
-
-    /// Replaces the whole Dijkstra tree rooted at `s` (incremental route
-    /// maintenance after a network event).
-    pub(crate) fn set_row(&mut self, s: NodeId, row: Vec<(f64, Option<NodeId>)>) {
-        assert_eq!(row.len(), self.n, "row must cover every node");
-        for (d, (lat, pred)) in row.into_iter().enumerate() {
-            self.latency[s.0 * self.n + d] = lat;
-            self.predecessor[s.0 * self.n + d] = pred;
-        }
-    }
-
-    /// Patches a single `(s, d)` entry (incremental route maintenance when
-    /// an event provably only changes the path *to* one node).
-    pub(crate) fn set_entry(&mut self, s: NodeId, d: NodeId, latency: f64, pred: Option<NodeId>) {
-        self.latency[s.0 * self.n + d.0] = latency;
-        self.predecessor[s.0 * self.n + d.0] = pred;
-    }
-
-    /// `true` if the undirected link `(a, b)` lies on the shortest-path
-    /// tree rooted at `s` (i.e. some cached path from `s` crosses it).
-    pub(crate) fn tree_uses_link(&self, s: NodeId, a: NodeId, b: NodeId) -> bool {
-        self.predecessor[s.0 * self.n + b.0] == Some(a)
-            || self.predecessor[s.0 * self.n + a.0] == Some(b)
-    }
-
-    /// Reconstructs the shortest path, or `None` if unreachable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn path(&self, s: NodeId, d: NodeId) -> Option<Path> {
-        assert!(s.0 < self.n && d.0 < self.n, "routing lookup out of range");
-        let total = self.latency_ms(s, d);
-        if !total.is_finite() {
-            return None;
-        }
-        let mut nodes = vec![d];
-        let mut current = d;
-        while current != s {
-            let pred = self.predecessor[s.0 * self.n + current.0]?;
-            nodes.push(pred);
-            current = pred;
-        }
-        nodes.reverse();
-        Some(Path {
-            nodes,
-            latency_ms: total,
-        })
     }
 }
 
@@ -272,28 +180,19 @@ mod tests {
     fn ring_path_takes_shorter_arc() {
         let topo = ring(6);
         let table = RoutingTable::build(&topo);
-        // From 0 to 2: two hops forward vs four hops back.
-        let p = table.path(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(p.hop_count(), 2);
-        assert_eq!(p.nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn path_latency_matches_sum_of_links() {
-        let topo = ring(5);
-        let table = RoutingTable::build(&topo);
-        let p = table.path(NodeId(0), NodeId(2)).unwrap();
-        let mut sum = 0.0;
-        for w in p.nodes.windows(2) {
+        let link = |a: usize, b: usize| {
             let li = topo
-                .neighbours(w[0])
+                .links()
                 .iter()
-                .find(|&&(nb, _)| nb == w[1])
-                .map(|&(_, li)| li)
-                .expect("link exists");
-            sum += topo.link(li).latency_ms;
-        }
-        assert!((p.latency_ms - sum).abs() < 1e-9);
+                .position(|l| l.connects(NodeId(a), NodeId(b)))
+                .expect("ring neighbours are linked");
+            topo.link(li).latency_ms
+        };
+        // From 0 to 2: two hops forward (0-1-2) vs four hops back.
+        let forward = link(0, 1) + link(1, 2);
+        let back = link(0, 5) + link(5, 4) + link(4, 3) + link(3, 2);
+        assert!(forward < back);
+        assert_eq!(table.latency_ms(NodeId(0), NodeId(2)), forward);
     }
 
     #[test]
@@ -317,18 +216,10 @@ mod tests {
     fn dijkstra_direct_matches_table() {
         let topo = ring(7);
         let table = RoutingTable::build(&topo);
-        let from_zero = dijkstra(&topo, NodeId(0));
-        for (d, entry) in from_zero.iter().enumerate() {
-            assert!((entry.0 - table.latency_ms(NodeId(0), NodeId(d))).abs() < 1e-12);
+        let alive = vec![true; topo.node_count()];
+        let from_zero = dijkstra_filtered(&topo, NodeId(0), &alive, &|li| topo.link(li).latency_ms);
+        for (d, latency) in from_zero.iter().enumerate() {
+            assert!((latency - table.latency_ms(NodeId(0), NodeId(d))).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn path_endpoints_are_correct() {
-        let topo = TopologyBuilder::default().metro(5);
-        let table = RoutingTable::build(&topo);
-        let p = table.path(NodeId(1), NodeId(4)).unwrap();
-        assert_eq!(*p.nodes.first().unwrap(), NodeId(1));
-        assert_eq!(*p.nodes.last().unwrap(), NodeId(4));
     }
 }

@@ -1,23 +1,20 @@
-//! A versioned, mutable view of the network: topology + routes + capacity
-//! behind one API, kept consistent under dynamic [`NetworkEvent`]s.
+//! A mutable view of the network: topology + routes + capacity behind
+//! one API, kept consistent under dynamic [`NetworkEvent`]s.
 //!
-//! The simulation engine used to hold `Topology`, `RoutingTable` and
-//! `CapacityLedger` as three loose, frozen fields. [`NetworkView`] owns
-//! all three and is the only place allowed to mutate them, so every
-//! consumer observes the same degraded network: dead nodes vanish from
-//! the routes, degraded links stretch every path crossing them, and
+//! [`NetworkView`] owns the `Topology`, its `RoutingTable` and the
+//! `CapacityLedger`, and is the only place allowed to mutate them, so
+//! every consumer observes the same degraded network: dead nodes vanish
+//! from the routes, degraded links stretch every path crossing them, and
 //! shrunken nodes stop admitting new instances.
 //!
-//! Routes are maintained *incrementally*: an event recomputes only the
-//! single-source Dijkstra trees it can actually have changed (the trees
-//! that used a failed node or a shifted link, or that a revived node
-//! could improve) and patches the rest in O(1) per source. A property
-//! test asserts the result is latency-identical to a from-scratch
-//! [`RoutingTable::build_filtered`] after any event sequence.
+//! An event that changes a node's liveness or a link's latency rebuilds
+//! the whole table with [`RoutingTable::build_filtered`] over the live
+//! nodes. Events are rare (a resilience run sees tens, a rebuild costs
+//! microseconds at the topology sizes here), so nothing is patched.
 
 use crate::capacity::CapacityLedger;
 use crate::node::{NodeId, NodeKind, Resources};
-use crate::routing::{dijkstra_filtered, RoutingTable};
+use crate::routing::RoutingTable;
 use crate::topology::Topology;
 
 /// A dynamic change to the network, applied between slots.
@@ -99,29 +96,23 @@ pub struct NetworkView {
     capacity_factor: Vec<f64>,
     /// Baseline (as-built) capacity per node.
     base_capacity: Vec<Resources>,
-    version: u64,
 }
 
 impl NetworkView {
     /// Wraps a topology into a fully healthy view: routes built fresh,
     /// ledger empty, every node alive at baseline capacity.
     pub fn new(topology: Topology) -> Self {
-        let routes = RoutingTable::build(&topology);
-        let ledger = CapacityLedger::for_topology(&topology);
-        let base_capacity: Vec<Resources> = topology.nodes().iter().map(|n| n.capacity).collect();
-        let alive = vec![true; topology.node_count()];
-        let link_factor = vec![1.0; topology.link_count()];
-        let capacity_factor = vec![1.0; topology.node_count()];
-        Self {
+        let mut view = Self {
+            routes: RoutingTable::default(),
+            ledger: CapacityLedger::for_topology(&topology),
+            alive: vec![true; topology.node_count()],
+            link_factor: vec![1.0; topology.link_count()],
+            capacity_factor: vec![1.0; topology.node_count()],
+            base_capacity: topology.nodes().iter().map(|n| n.capacity).collect(),
             topology,
-            routes,
-            ledger,
-            alive,
-            link_factor,
-            capacity_factor,
-            base_capacity,
-            version: 0,
-        }
+        };
+        view.reroute();
+        view
     }
 
     /// The underlying topology (immutable; liveness is tracked here, not
@@ -161,12 +152,6 @@ impl NetworkView {
         self.alive.iter().filter(|&&a| !a).count()
     }
 
-    /// Monotonically increasing counter, bumped once per state-changing
-    /// event (consumers use it to invalidate caches keyed on the network).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Effective latency of link `li` (base × current shift factor).
     pub fn link_latency_ms(&self, li: usize) -> f64 {
         self.topology.link(li).latency_ms * self.link_factor[li]
@@ -204,38 +189,29 @@ impl NetworkView {
         Resources::new(base.cpu * f, base.mem * f)
     }
 
-    /// A from-scratch routing table for the current degraded network —
-    /// the reference the incremental maintenance must match exactly.
-    pub fn rebuild_routes(&self) -> RoutingTable {
-        RoutingTable::build_filtered(&self.topology, &self.alive, &|li| self.link_latency_ms(li))
-    }
-
-    fn recompute_row(&mut self, s: NodeId) {
-        let row = dijkstra_filtered(&self.topology, s, &self.alive, &|li| {
-            self.topology.link(li).latency_ms * self.link_factor[li]
+    /// Recomputes every route over the live nodes at the current link
+    /// latencies: the one place the routing table is written.
+    fn reroute(&mut self) {
+        self.routes = RoutingTable::build_filtered(&self.topology, &self.alive, &|li| {
+            self.link_latency_ms(li)
         });
-        self.routes.set_row(s, row);
     }
 
-    /// Applies one event; returns `true` if it changed any state (a
-    /// `NodeDown` on an already-dead node is a no-op, etc.).
+    /// Applies one event. An event that changes liveness or a link's
+    /// latency rebuilds every route; one that changes nothing (a
+    /// `NodeDown` on a dead node, a shift to the link's current factor)
+    /// leaves them as they are.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range node ids, a `LinkLatencyShift` naming a
     /// non-existent link, or a non-positive factor.
-    pub fn apply(&mut self, event: &NetworkEvent) -> bool {
+    pub fn apply(&mut self, event: &NetworkEvent) {
         let n = self.topology.node_count();
-        let changed = match *event {
+        let routes_changed = match *event {
             NetworkEvent::NodeDown { node } => {
                 assert!(node.0 < n, "event node {node} out of range");
-                if !self.alive[node.0] {
-                    false
-                } else {
-                    self.alive[node.0] = false;
-                    self.routes_after_node_down(node);
-                    true
-                }
+                std::mem::replace(&mut self.alive[node.0], false)
             }
             NetworkEvent::NodeUp { node } => {
                 assert!(node.0 < n, "event node {node} out of range");
@@ -248,7 +224,6 @@ impl NetworkView {
                     self.ledger
                         .set_capacity(node, self.base_capacity[node.0])
                         .expect("ledger covers topology");
-                    self.routes_after_node_up(node);
                     true
                 }
             }
@@ -263,15 +238,7 @@ impl NetworkView {
                     .iter()
                     .position(|l| l.connects(a, b))
                     .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-                if self.link_factor[li] == factor {
-                    false
-                } else {
-                    let old_w = self.link_latency_ms(li);
-                    self.link_factor[li] = factor;
-                    let new_w = self.link_latency_ms(li);
-                    self.routes_after_link_shift(a, b, old_w, new_w);
-                    true
-                }
+                std::mem::replace(&mut self.link_factor[li], factor) != factor
             }
             NetworkEvent::CapacityDegrade { node, factor } => {
                 assert!(node.0 < n, "event node {node} out of range");
@@ -279,106 +246,15 @@ impl NetworkView {
                     factor.is_finite() && factor > 0.0 && factor <= 1.0,
                     "capacity factor must be in (0, 1], got {factor}"
                 );
-                if self.capacity_factor[node.0] == factor {
-                    false
-                } else {
-                    self.capacity_factor[node.0] = factor;
-                    self.ledger
-                        .set_capacity(node, self.effective_capacity(node))
-                        .expect("ledger covers topology");
-                    true
-                }
+                self.capacity_factor[node.0] = factor;
+                self.ledger
+                    .set_capacity(node, self.effective_capacity(node))
+                    .expect("ledger covers topology");
+                false
             }
         };
-        if changed {
-            self.version += 1;
-        }
-        changed
-    }
-
-    /// After `x` died: only trees that routed *through* `x` change. A tree
-    /// rooted at `s` routes through `x` iff `x` is some node's predecessor
-    /// (interior use); the path *to* `x` itself just becomes unreachable.
-    fn routes_after_node_down(&mut self, x: NodeId) {
-        let n = self.topology.node_count();
-        // The dead node's own tree is gone.
-        self.routes.set_row(x, vec![(f64::INFINITY, None); n]);
-        for s in (0..n).map(NodeId) {
-            if s == x || !self.alive[s.0] {
-                continue;
-            }
-            let used_as_interior = (0..n).any(|d| self.routes.predecessor(s, NodeId(d)) == Some(x));
-            if used_as_interior {
-                self.recompute_row(s);
-            } else {
-                self.routes.set_entry(s, x, f64::INFINITY, None);
-            }
-        }
-    }
-
-    /// After `x` revived: its own tree is rebuilt; another tree changes
-    /// only if a path through `x` beats an existing distance. Any improved
-    /// path enters and leaves `x` through live neighbours, so checking
-    /// `dist(s, nb) + w(nb, x) + w(x, nb')` against `dist(s, nb')` over
-    /// neighbour pairs is exact; when no improvement exists only the
-    /// entry for `x` itself needs patching.
-    fn routes_after_node_up(&mut self, x: NodeId) {
-        self.recompute_row(x);
-        let n = self.topology.node_count();
-        let neighbours: Vec<(NodeId, usize)> = self
-            .topology
-            .neighbours(x)
-            .iter()
-            .copied()
-            .filter(|&(nb, _)| self.alive[nb.0])
-            .collect();
-        for s in (0..n).map(NodeId) {
-            if s == x || !self.alive[s.0] {
-                continue;
-            }
-            // New distance to x: best live neighbour plus its link.
-            let mut best: Option<(f64, NodeId)> = None;
-            for &(nb, li) in &neighbours {
-                let via = self.routes.latency_ms(s, nb) + self.link_latency_ms(li);
-                if via.is_finite() && best.is_none_or(|(b, _)| via < b) {
-                    best = Some((via, nb));
-                }
-            }
-            let Some((dist_x, pred)) = best else {
-                self.routes.set_entry(s, x, f64::INFINITY, None);
-                continue;
-            };
-            let improves_others = neighbours
-                .iter()
-                .any(|&(nb, li)| dist_x + self.link_latency_ms(li) < self.routes.latency_ms(s, nb));
-            if improves_others {
-                self.recompute_row(s);
-            } else {
-                self.routes.set_entry(s, x, dist_x, Some(pred));
-            }
-        }
-    }
-
-    /// After link `(a, b)` shifted from `old_w` to `new_w`: trees that
-    /// cross the link must be recomputed either way; trees that do not
-    /// cross it can only change if the link got *cheaper* and now
-    /// undercuts an existing distance.
-    fn routes_after_link_shift(&mut self, a: NodeId, b: NodeId, old_w: f64, new_w: f64) {
-        if !self.alive[a.0] || !self.alive[b.0] {
-            return; // link unused while an endpoint is down
-        }
-        let n = self.topology.node_count();
-        for s in (0..n).map(NodeId) {
-            if !self.alive[s.0] {
-                continue;
-            }
-            let crosses = self.routes.tree_uses_link(s, a, b);
-            let undercuts = new_w < old_w
-                && (self.routes.latency_ms(s, a) + new_w < self.routes.latency_ms(s, b)
-                    || self.routes.latency_ms(s, b) + new_w < self.routes.latency_ms(s, a));
-            if crosses || undercuts {
-                self.recompute_row(s);
-            }
+        if routes_changed {
+            self.reroute();
         }
     }
 }
@@ -392,46 +268,38 @@ mod tests {
         NetworkView::new(TopologyBuilder::default().metro(sites))
     }
 
-    fn assert_routes_match_rebuild(v: &NetworkView) {
-        let fresh = v.rebuild_routes();
+    #[test]
+    fn fresh_view_is_healthy_and_matches_plain_build() {
+        let v = view(5);
+        assert_eq!(v.health(), NetworkHealth::healthy());
+        assert_eq!(v.down_node_count(), 0);
+        let plain = RoutingTable::build(v.topology());
         let n = v.topology().node_count();
-        for s in 0..n {
-            for d in 0..n {
-                let inc = v.routes().latency_ms(NodeId(s), NodeId(d));
-                let ref_ = fresh.latency_ms(NodeId(s), NodeId(d));
-                assert!(
-                    inc == ref_ || (inc.is_infinite() && ref_.is_infinite()),
-                    "route {s}->{d}: incremental {inc} vs rebuild {ref_}"
+        for s in (0..n).map(NodeId) {
+            for d in (0..n).map(NodeId) {
+                assert_eq!(
+                    v.routes().latency_ms(s, d).to_bits(),
+                    plain.latency_ms(s, d).to_bits(),
+                    "route {s}->{d}"
                 );
             }
         }
     }
 
     #[test]
-    fn fresh_view_is_healthy_and_matches_plain_build() {
-        let v = view(5);
-        assert_eq!(v.health(), NetworkHealth::healthy());
-        assert_eq!(v.down_node_count(), 0);
-        assert_eq!(v.version(), 0);
-        assert_routes_match_rebuild(&v);
-    }
-
-    #[test]
     fn node_down_cuts_routes_and_up_restores_them() {
         let mut v = view(5);
         let before = v.routes().latency_ms(NodeId(0), NodeId(1));
-        assert!(v.apply(&NetworkEvent::NodeDown { node: NodeId(1) }));
+        v.apply(&NetworkEvent::NodeDown { node: NodeId(1) });
         assert!(!v.node_alive(NodeId(1)));
         assert!(v.routes().latency_ms(NodeId(0), NodeId(1)).is_infinite());
         assert!(v.routes().latency_ms(NodeId(1), NodeId(0)).is_infinite());
-        assert_routes_match_rebuild(&v);
         // Idempotent.
-        assert!(!v.apply(&NetworkEvent::NodeDown { node: NodeId(1) }));
+        v.apply(&NetworkEvent::NodeDown { node: NodeId(1) });
+        assert_eq!(v.down_node_count(), 1);
 
-        assert!(v.apply(&NetworkEvent::NodeUp { node: NodeId(1) }));
+        v.apply(&NetworkEvent::NodeUp { node: NodeId(1) });
         assert_eq!(v.routes().latency_ms(NodeId(0), NodeId(1)), before);
-        assert_routes_match_rebuild(&v);
-        assert_eq!(v.version(), 2);
     }
 
     #[test]
@@ -448,25 +316,22 @@ mod tests {
         v.apply(&NetworkEvent::NodeDown { node: NodeId(1) });
         let detour = v.routes().latency_ms(NodeId(0), NodeId(2));
         assert!(detour > direct, "path must detour around the dead node");
-        assert_routes_match_rebuild(&v);
         // Killing node 3 as well splits {2} off from {0, 5, 4}.
         v.apply(&NetworkEvent::NodeDown { node: NodeId(3) });
         assert!(v.routes().latency_ms(NodeId(0), NodeId(2)).is_infinite());
-        assert_routes_match_rebuild(&v);
     }
 
     #[test]
     fn link_shift_stretches_and_restores_paths() {
         let mut v = view(4);
         let before = v.routes().latency_ms(NodeId(0), NodeId(1));
-        assert!(v.apply(&NetworkEvent::LinkLatencyShift {
+        v.apply(&NetworkEvent::LinkLatencyShift {
             a: NodeId(0),
             b: NodeId(1),
             factor: 10.0,
-        }));
+        });
         let after = v.routes().latency_ms(NodeId(0), NodeId(1));
         assert!(after > before, "direct link now 10x: path must worsen");
-        assert_routes_match_rebuild(&v);
         // Factors replace, not compound: back to 1.0 restores exactly.
         v.apply(&NetworkEvent::LinkLatencyShift {
             a: NodeId(0),
@@ -474,17 +339,16 @@ mod tests {
             factor: 1.0,
         });
         assert_eq!(v.routes().latency_ms(NodeId(0), NodeId(1)), before);
-        assert_routes_match_rebuild(&v);
     }
 
     #[test]
     fn capacity_degrade_shrinks_ledger_and_recovery_restores() {
         let mut v = view(3);
         let base = v.ledger().capacity_of(NodeId(0)).unwrap();
-        assert!(v.apply(&NetworkEvent::CapacityDegrade {
+        v.apply(&NetworkEvent::CapacityDegrade {
             node: NodeId(0),
             factor: 0.5,
-        }));
+        });
         let degraded = v.ledger().capacity_of(NodeId(0)).unwrap();
         assert!((degraded.cpu - base.cpu * 0.5).abs() < 1e-9);
         assert!(v.health().capacity_loss_fraction > 0.0);

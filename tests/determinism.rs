@@ -60,6 +60,110 @@ fn event_scenario() -> Scenario {
     Scenario::small_test().with_failures(0.02, 8.0)
 }
 
+/// A hand-written timeline over `Scenario::small_test()` that exercises
+/// every kind of network event: a node goes down and comes back, one link
+/// stretches 8x and later shrinks to 0.5x, and one node loses half its
+/// capacity.
+fn timeline_scenario() -> Scenario {
+    let at = |slot: u64, event: NetworkEvent| TimedEvent { slot, event };
+    let mut scenario = Scenario::small_test();
+    scenario.events = EventSchedule::Timeline(vec![
+        at(10, NetworkEvent::NodeDown { node: NodeId(1) }),
+        at(
+            15,
+            NetworkEvent::LinkLatencyShift {
+                a: NodeId(0),
+                b: NodeId(2),
+                factor: 8.0,
+            },
+        ),
+        at(
+            20,
+            NetworkEvent::CapacityDegrade {
+                node: NodeId(3),
+                factor: 0.5,
+            },
+        ),
+        at(25, NetworkEvent::NodeUp { node: NodeId(1) }),
+        at(
+            35,
+            NetworkEvent::LinkLatencyShift {
+                a: NodeId(0),
+                b: NodeId(2),
+                factor: 0.5,
+            },
+        ),
+    ]);
+    scenario
+}
+
+/// What an event-bearing run is pinned by: accepted and disrupted flow
+/// counts, then the bits of the mean and p95 admission latency and of the
+/// total cost.
+fn pinned_figures(scenario: &Scenario, policy: Box<dyn PlacementPolicy>) -> [u64; 5] {
+    let s = summary_for(scenario, policy, 42);
+    [
+        s.total_accepted,
+        s.flows_disrupted,
+        s.mean_admission_latency_ms.to_bits(),
+        s.p95_admission_latency_ms.to_bits(),
+        s.total_cost_usd.to_bits(),
+    ]
+}
+
+#[test]
+fn event_bearing_runs_match_their_pinned_figures() {
+    // Literals, not a rerun: routes rebuilt after each network event must
+    // give the numbers the earlier route maintenance gave. Greedy-latency
+    // reads routed latency in every choice; first-fit only through the
+    // flows it strands and the latencies it reports.
+    let (stochastic, timeline) = (event_scenario(), timeline_scenario());
+    assert_eq!(
+        pinned_figures(&stochastic, Box::new(GreedyLatencyPolicy)),
+        [
+            94,
+            10,
+            4620862518414773104,
+            4624091611855587602,
+            4611734260404099471
+        ],
+        "stochastic/greedy-latency"
+    );
+    assert_eq!(
+        pinned_figures(&stochastic, Box::new(FirstFitPolicy)),
+        [
+            94,
+            10,
+            4627343597682724801,
+            4631595414668661912,
+            4607530527113402298
+        ],
+        "stochastic/first-fit"
+    );
+    assert_eq!(
+        pinned_figures(&timeline, Box::new(GreedyLatencyPolicy)),
+        [
+            101,
+            2,
+            4620920729615923270,
+            4624091611855587602,
+            4611885172430987955
+        ],
+        "timeline/greedy-latency"
+    );
+    assert_eq!(
+        pinned_figures(&timeline, Box::new(FirstFitPolicy)),
+        [
+            101,
+            2,
+            4627745558274301293,
+            4632419140148552374,
+            4607411465934815962
+        ],
+        "timeline/first-fit"
+    );
+}
+
 #[test]
 fn event_scenario_same_seed_is_bit_identical() {
     // Failures, evictions and re-placement episodes must all be pure

@@ -71,7 +71,7 @@ lint() {
 # and `src/`, binaries excluded; in-file unit tests count). The number only
 # goes down: above it the lint fails, below it prints the number to record
 # here.
-UNWRAP_EXPECT_MAX=183
+UNWRAP_EXPECT_MAX=178
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
