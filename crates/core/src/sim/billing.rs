@@ -80,7 +80,13 @@ impl Simulation {
     /// so after the first (possibly recomputed) snapshot the remaining
     /// slots reuse it verbatim — a long idle stretch costs O(1) per slot
     /// and no per-flow or per-instance scans.
+    ///
+    /// Debug builds check the world's invariants once before billing: it
+    /// is the state every slot billed here closed on.
     pub(super) fn bill_slots_through(&mut self, time_ms: u64) {
+        if cfg!(debug_assertions) && (self.slot + 1).saturating_mul(self.slot_ms) <= time_ms {
+            self.assert_invariants();
+        }
         while (self.slot + 1).saturating_mul(self.slot_ms) <= time_ms {
             // A flow activated after this slot's start owes less than a
             // full share, so its snapshot is specific to THIS slot and

@@ -49,6 +49,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc::chain::{ChainCatalog, ChainSpec};
 use sfc::delay::{admits_load, mm1_sojourn_ms};
+use sfc::idmap::IdMap;
 use sfc::instance::{Instance, InstanceId, InstancePool};
 use sfc::placement::{assignment_latency, ChainAssignment};
 use sfc::request::{Request, RequestId};
@@ -67,6 +68,7 @@ mod snapshot;
 #[cfg(test)]
 mod tests;
 
+use invariants::InvariantScratch;
 use snapshot::GroupPlans;
 
 /// Outcome of one request's placement episode.
@@ -293,6 +295,8 @@ struct SimScratch {
     /// The episode's committed steps so far, `(instance, newly_spawned)`,
     /// kept for rollback.
     placed: Vec<(InstanceId, bool)>,
+    /// The invariant checker's buffers (debug builds).
+    invariants: InvariantScratch,
 }
 
 /// The simulation: all mutable world state plus immutable catalogs.
@@ -313,7 +317,8 @@ pub struct Simulation {
     /// Reward shaping.
     pub reward_config: RewardConfig,
     scenario: Scenario,
-    active: BTreeMap<u64, ActiveFlow>,
+    /// Active flows by request id.
+    active: IdMap<ActiveFlow>,
     /// Slot-keyed network events, consumed as slots advance.
     event_timeline: BTreeMap<u64, Vec<NetworkEvent>>,
     slot: u64,
@@ -425,6 +430,7 @@ impl Simulation {
             zero_state: encoder.zero_state(),
             plans: GroupPlans::default(),
             placed: Vec::new(),
+            invariants: InvariantScratch::default(),
         };
         Self {
             network,
@@ -435,7 +441,7 @@ impl Simulation {
             encoder,
             reward_config,
             scenario: scenario.clone(),
-            active: BTreeMap::new(),
+            active: IdMap::new(),
             event_timeline,
             slot: 0,
             deployment_cost_this_slot: 0.0,

@@ -35,10 +35,10 @@ impl Simulation {
                 .active
                 .iter()
                 .filter(|(_, f)| f.instances.iter().any(|i| dead_instances.contains(i)))
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect();
             for id in hit {
-                let flow = self.active.remove(&id).expect("listed flow exists");
+                let flow = self.active.remove(id).expect("listed flow exists");
                 for inst_id in &flow.instances {
                     if !dead_instances.contains(inst_id) {
                         self.pool
@@ -54,7 +54,7 @@ impl Simulation {
         // the cached end-to-end latency of every surviving flow, and
         // strand the ones whose path no longer exists.
         for id in self.refresh_cached_latencies() {
-            let flow = self.active.remove(&id).expect("listed flow exists");
+            let flow = self.active.remove(id).expect("listed flow exists");
             for inst_id in &flow.instances {
                 self.pool
                     .remove_flow(*inst_id, flow.arrival_rate_rps)
@@ -75,7 +75,7 @@ impl Simulation {
     fn refresh_cached_latencies(&mut self) -> Vec<u64> {
         let mut updates: Vec<(u64, f64)> = Vec::new();
         let mut stranded: Vec<u64> = Vec::new();
-        for (&id, flow) in &self.active {
+        for (id, flow) in self.active.iter() {
             let chain = self.chains.get(flow.request.chain);
             let assignment = ChainAssignment {
                 request: flow.request.id,
@@ -108,7 +108,7 @@ impl Simulation {
             }
         }
         for (id, latency) in updates {
-            self.active.get_mut(&id).expect("listed flow").latency_ms = latency;
+            self.active.get_mut(id).expect("listed flow").latency_ms = latency;
         }
         stranded
     }

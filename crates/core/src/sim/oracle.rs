@@ -59,13 +59,9 @@ impl Simulation {
         // Network events fire after departures (a flow that leaves this
         // slot cannot be disrupted) and before arrivals (new requests see
         // the degraded network).
-        let check = cfg!(debug_assertions) && self.event_timeline.contains_key(&self.slot);
         let disrupted = self.apply_due_events();
         let flows_disrupted = disrupted.len() as u32;
         let flows_replaced = self.replace_disrupted(disrupted, policy, rng);
-        if check {
-            self.assert_invariants(self.slot);
-        }
 
         self.retire_idle_instances();
 
@@ -82,6 +78,9 @@ impl Simulation {
                 }
                 PlacementOutcome::Rejected => rejected += 1,
             }
+        }
+        if cfg!(debug_assertions) {
+            self.assert_invariants();
         }
         let (compute, energy, traffic, mean_latency) = self.slot_costs_and_latency(None);
         let record = SlotRecord {

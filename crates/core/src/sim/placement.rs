@@ -283,10 +283,11 @@ impl Simulation {
     /// instance pool is read through its `(node, type)` index, and
     /// feedback borrows engine-owned buffers (policies clone only
     /// transitions they store). What an *admitted request* still allocates
-    /// is its flow record: the instance list moved into the active-flow
-    /// map, plus that map's and the telemetry sink's `BTreeMap` nodes —
-    /// 1.5 allocations per request on the `metro_heuristic` world, pinned
-    /// as a count by `tests/decision_allocs.rs`.
+    /// is the instance list moved into its active-flow record: the
+    /// active flows and the telemetry sink's open records are sorted
+    /// vectors ([`sfc::idmap::IdMap`]) that grow only to the run's largest
+    /// live set. The whole `metro_heuristic` run allocates 1.24 times per
+    /// request, under the ceiling `tests/decision_allocs.rs` pins.
     pub fn place_request(
         &mut self,
         request: &Request,

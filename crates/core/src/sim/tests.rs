@@ -432,7 +432,7 @@ fn a_dead_node_left_hosting_instances_breaks_the_invariants() {
     s.place_request(&request(0, 1, 1, 0, 10), &mut FirstFitPolicy, &mut rng);
     assert!(s.check_invariants().is_ok());
     s.network.apply(&NetworkEvent::NodeDown { node: NodeId(0) });
-    s.assert_invariants(0);
+    s.assert_invariants();
 }
 
 #[test]
@@ -447,5 +447,46 @@ fn a_flow_on_a_retired_instance_breaks_the_invariants() {
     for flow in s.active.values_mut() {
         flow.instances[0] = retired;
     }
-    s.assert_invariants(0);
+    s.assert_invariants();
+}
+
+#[test]
+#[should_panic(expected = "instance_loads_match_flows")]
+fn a_flow_added_behind_the_engines_back_breaks_the_invariants() {
+    let mut s = sim();
+    let mut rng = StdRng::seed_from_u64(14);
+    s.place_request(&request(0, 1, 1, 0, 10), &mut FirstFitPolicy, &mut rng);
+    assert!(s.check_invariants().is_ok());
+    assert!(s.pool.add_flow(InstanceId(0), 1.0).is_ok());
+    s.assert_invariants();
+}
+
+/// Debug builds check the invariants at the close of every slot the
+/// slot loop runs: a load added behind the engine's back is caught when
+/// the next slot closes.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "instance_loads_match_flows: instance inst0 carries 2 flows")]
+fn debug_builds_check_the_invariants_when_advance_slot_closes_a_slot() {
+    let mut s = sim();
+    let mut rng = StdRng::seed_from_u64(15);
+    s.advance_slot(&[request(0, 1, 1, 0, 5)], &mut FirstFitPolicy, &mut rng);
+    assert!(s.pool.add_flow(InstanceId(0), 1.0).is_ok());
+    s.advance_slot(&[], &mut FirstFitPolicy, &mut rng);
+}
+
+/// ... and before every slot `drive` bills.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "(at the close of slot 0)")]
+fn debug_builds_check_the_invariants_when_drive_bills_a_slot() {
+    let mut s = sim();
+    let mut rng = StdRng::seed_from_u64(16);
+    s.place_request(&request(0, 1, 1, 0, 5), &mut FirstFitPolicy, &mut rng);
+    assert!(s.pool.add_flow(InstanceId(0), 1.0).is_ok());
+    let _ = s.drive(
+        RunInput::Trace(&drain(1)),
+        &mut FirstFitPolicy,
+        RunOptions::new(),
+    );
 }

@@ -9,7 +9,9 @@
 //! in `tests/telemetry.rs`).
 //!
 //! Memory contract: the sink holds
-//! * one open [`FlowRecord`] per *currently in-flight* flow,
+//! * one open [`FlowRecord`] per *currently in-flight* flow, in a
+//!   vector sorted by request id ([`sfc::idmap::IdMap`]; ids mostly
+//!   arrive in increasing order, so opening a record is a push),
 //! * the last `flow_capacity` closed records (ring buffer, default
 //!   1024; older records are counted, aggregated and dropped),
 //! * the last `snapshot_capacity` per-slot [`SimSnapshot`]s (default
@@ -22,8 +24,8 @@
 
 use crate::metrics::SlotRecord;
 use serde_json::{Map, Value};
+use sfc::idmap::IdMap;
 use sfc::request::{Request, RequestId};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Terminal state of a flow's lifecycle record — the abandonment-reason
@@ -284,7 +286,7 @@ impl FlowTotals {
 /// a run with a sink attached is bit-identical to one without.
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
-    open: BTreeMap<u64, FlowRecord>,
+    open: IdMap<FlowRecord>,
     flows: RingBuffer<FlowRecord>,
     snapshots: RingBuffer<SimSnapshot>,
     totals: FlowTotals,
@@ -312,7 +314,7 @@ impl TelemetrySink {
     /// Panics if either capacity is 0.
     pub fn with_capacity(flow_capacity: usize, snapshot_capacity: usize) -> Self {
         Self {
-            open: BTreeMap::new(),
+            open: IdMap::new(),
             flows: RingBuffer::new(flow_capacity),
             snapshots: RingBuffer::new(snapshot_capacity),
             totals: FlowTotals::default(),
@@ -356,7 +358,7 @@ impl TelemetrySink {
     pub fn on_admitted(&mut self, id: RequestId, at_ms: u64, latency_ms: f64) {
         self.totals.placed += 1;
         self.admission_latency.push(latency_ms);
-        if let Some(rec) = self.open.get_mut(&id.0) {
+        if let Some(rec) = self.open.get_mut(id.0) {
             rec.placed_ms = Some(at_ms);
             rec.active_ms = Some(at_ms);
             rec.admission_latency_ms = latency_ms;
@@ -367,7 +369,7 @@ impl TelemetrySink {
     /// [`FlowOutcome::Rejected`] (or `ReplacementRejected` for the
     /// retry of a disrupted flow).
     pub fn on_rejected(&mut self, id: RequestId, at_ms: u64) {
-        let outcome = match self.open.get(&id.0) {
+        let outcome = match self.open.get(id.0) {
             Some(rec) if rec.is_replacement => FlowOutcome::ReplacementRejected,
             _ => FlowOutcome::Rejected,
         };
@@ -406,7 +408,7 @@ impl TelemetrySink {
     }
 
     fn close(&mut self, id: RequestId, at_ms: u64, outcome: FlowOutcome, torn_down: bool) {
-        let Some(mut rec) = self.open.remove(&id.0) else {
+        let Some(mut rec) = self.open.remove(id.0) else {
             return; // unknown flow (e.g. sink attached mid-run) — ignore
         };
         if torn_down {

@@ -1,8 +1,8 @@
 //! Live VNF instances and the pool tracking them.
 
+use crate::idmap::IdMap;
 use crate::vnf::{VnfCatalog, VnfTypeId};
 use edgenet::node::{NodeId, Resources};
-use std::collections::BTreeMap;
 
 /// Identifier of a live VNF instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,7 +53,9 @@ impl std::error::Error for InstanceError {}
 
 /// The pool of all live instances in a simulation.
 ///
-/// `instances` is the one store of instance state. `index` holds ids only
+/// `instances` is the one store of instance state, an [`IdMap`] in id
+/// order: ids are issued in increasing order, so a spawn is a push and a
+/// lookup one binary search over the live ids. `index` holds ids only
 /// (`index[node][vnf_type]`, ascending), so [`InstancePool::instances_of`]
 /// visits one site's instances instead of the whole pool; only the
 /// membership mutators (`spawn`, `retire`, `evict_node`) write it. It is
@@ -61,7 +63,7 @@ impl std::error::Error for InstanceError {}
 /// because a round trip would have to rebuild it.
 #[derive(Debug, Clone, Default)]
 pub struct InstancePool {
-    instances: BTreeMap<u64, Instance>,
+    instances: IdMap<Instance>,
     next_id: u64,
     index: Vec<Vec<Vec<u64>>>,
 }
@@ -115,14 +117,11 @@ impl InstancePool {
     /// [`InstanceError::Busy`] if it still serves flows,
     /// [`InstanceError::Unknown`] if the id does not exist.
     pub fn retire(&mut self, id: InstanceId) -> Result<Instance, InstanceError> {
-        let inst = self
-            .instances
-            .get(&id.0)
-            .ok_or(InstanceError::Unknown(id))?;
+        let inst = self.instances.get(id.0).ok_or(InstanceError::Unknown(id))?;
         if inst.flows > 0 {
             return Err(InstanceError::Busy(id));
         }
-        let inst = self.instances.remove(&id.0).expect("checked present");
+        let inst = self.instances.remove(id.0).expect("checked present");
         self.index[inst.node.0][inst.vnf_type.0].retain(|&indexed| indexed != id.0);
         if cfg!(debug_assertions) {
             self.check_index();
@@ -132,7 +131,7 @@ impl InstancePool {
 
     /// Instance by id.
     pub fn get(&self, id: InstanceId) -> Option<&Instance> {
-        self.instances.get(&id.0)
+        self.instances.get(id.0)
     }
 
     /// Adds one flow with `lambda_rps` to the instance.
@@ -143,7 +142,7 @@ impl InstancePool {
     pub fn add_flow(&mut self, id: InstanceId, lambda_rps: f64) -> Result<(), InstanceError> {
         let inst = self
             .instances
-            .get_mut(&id.0)
+            .get_mut(id.0)
             .ok_or(InstanceError::Unknown(id))?;
         inst.lambda_rps += lambda_rps;
         inst.flows += 1;
@@ -159,7 +158,7 @@ impl InstancePool {
     pub fn remove_flow(&mut self, id: InstanceId, lambda_rps: f64) -> Result<(), InstanceError> {
         let inst = self
             .instances
-            .get_mut(&id.0)
+            .get_mut(id.0)
             .ok_or(InstanceError::Unknown(id))?;
         inst.lambda_rps = (inst.lambda_rps - lambda_rps).max(0.0);
         inst.flows = inst.flows.saturating_sub(1);
@@ -194,7 +193,7 @@ impl InstancePool {
             .get(node.0)
             .and_then(|buckets| buckets.get(vnf_type.0))
             .map_or(&[], Vec::as_slice);
-        ids.iter().map(|id| &self.instances[id])
+        ids.iter().map(|&id| &self.instances[id])
     }
 
     /// Checks that the `(node, type)` index and the instance store agree:
@@ -215,7 +214,7 @@ impl InstancePool {
                     "bucket (node {node}, type {vnf_type}) is not strictly ascending: {bucket:?}"
                 );
                 for id in bucket {
-                    let inst = self.instances.get(id);
+                    let inst = self.instances.get(*id);
                     assert!(
                         inst.is_some_and(|i| i.node.0 == node && i.vnf_type.0 == vnf_type),
                         "bucket (node {node}, type {vnf_type}) lists id {id}, the store has {inst:?}"
@@ -252,7 +251,7 @@ impl InstancePool {
         ids.sort_unstable();
         let evicted = ids
             .into_iter()
-            .map(|id| self.instances.remove(&id).expect("indexed instance"))
+            .map(|id| self.instances.remove(id).expect("indexed instance"))
             .collect();
         if cfg!(debug_assertions) {
             self.check_index();

@@ -33,6 +33,7 @@
 
 pub mod chain;
 pub mod delay;
+pub mod idmap;
 pub mod instance;
 pub mod placement;
 pub mod request;

@@ -3,7 +3,9 @@
 
 use edgenet::prelude::*;
 use proptest::prelude::*;
+use sfc::idmap::IdMap;
 use sfc::prelude::*;
+use std::collections::BTreeMap;
 
 fn catalogs() -> (VnfCatalog, ChainCatalog) {
     let vnfs = VnfCatalog::standard();
@@ -186,6 +188,52 @@ proptest! {
                 }
             }
             prop_assert_eq!(indexed, pool.len());
+        }
+    }
+
+    /// `IdMap` against `BTreeMap<u64, _>`, the store it replaced, over a
+    /// random history of inserts (ids past the last key, as the engine
+    /// issues them, and out-of-order ones, as a re-placed flow re-admits
+    /// its old request id), removals, conditional removals and lookups:
+    /// every operation answers alike, and afterwards the two hold the same
+    /// entries in the same ascending order.
+    #[test]
+    fn id_map_matches_a_btree_map(
+        ops in proptest::collection::vec(
+            (0usize..5, proptest::bool::ANY, 0u64..48, 0u32..1000),
+            1..120,
+        )
+    ) {
+        let mut map: IdMap<u32> = IdMap::new();
+        let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+        for (op, past_last, id, value) in ops {
+            let id = if past_last {
+                model.keys().next_back().map_or(0, |&last| last + 1) + id % 3
+            } else {
+                id
+            };
+            match op {
+                0 => prop_assert_eq!(map.insert(id, value), model.insert(id, value)),
+                1 => prop_assert_eq!(map.remove(id), model.remove(&id)),
+                2 => {
+                    let odd = |v: &u32| v % 2 == 1;
+                    let expected = match model.get(&id) {
+                        Some(v) if odd(v) => model.remove(&id),
+                        _ => None,
+                    };
+                    prop_assert_eq!(map.remove_if(id, odd), expected);
+                }
+                3 => prop_assert_eq!(map.get(id), model.get(&id)),
+                _ => {
+                    let mut bump = |v: &mut u32| {
+                        *v += value;
+                        *v
+                    };
+                    prop_assert_eq!(map.get_mut(id).map(&mut bump), model.get_mut(&id).map(bump));
+                }
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert!(map.iter().eq(model.iter().map(|(&id, v)| (id, v))));
         }
     }
 

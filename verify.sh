@@ -10,7 +10,7 @@
 #                           # library unwrap/expect ratchet + no caller of
 #                           # the `.sparse()` shim + no clock in the engine
 #                           # + no serde derive + one baseline registry
-#                           # (fast feedback)
+#                           # + sorted-vector engine stores (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons)
@@ -65,6 +65,7 @@ lint() {
   engine_reads_no_clock
   no_serde_derives
   one_baseline_registry
+  engine_stores_are_sorted
 }
 
 # `.unwrap()` / `.expect(` occurrences in library sources (`crates/*/src`
@@ -134,6 +135,24 @@ one_baseline_registry() {
     crates/bench/src crates/exper/src/manifest.rs; then
     echo "build baselines by name: mano::baselines::baseline / roster," \
       "ExperimentGrid::baselines or exper::manifest::baseline_factory" >&2
+    return 1
+  fi
+}
+
+# The engine's id-keyed stores (live instances, active flows, the
+# telemetry sink's open records) are `sfc::idmap::IdMap`s: sorted vectors,
+# which at the few hundred live entries a run holds beat a B-tree's node
+# allocations and pointer chasing. Any `BTreeMap<` or `BTreeMap::` there
+# fails, whatever its key type or if it is inferred. The two slot-keyed
+# schedules are not id-keyed stores and stay B-trees; they are exempt by
+# their exact declarations, so no other line that names them is.
+engine_stores_are_sorted() {
+  echo "==> no id-keyed BTreeMap in core::sim, core::telemetry or sfc::instance"
+  if grep -rnE 'BTreeMap(<|::)' crates/core/src/sim crates/core/src/telemetry.rs \
+    crates/sfc/src/instance.rs |
+    grep -vE ':[0-9]+:    event_timeline: BTreeMap<u64, Vec<NetworkEvent>>,$' |
+    grep -vE ':[0-9]+:        let mut arrivals_by_slot: BTreeMap<u64, Vec<Request>> = BTreeMap::new\(\);$'; then
+    echo "id-keyed engine stores are sfc::idmap::IdMap, not BTreeMap" >&2
     return 1
   fi
 }
