@@ -29,6 +29,18 @@
 //! order and zero-skip rule are those of the historical naive loops (kept
 //! in [`mod@reference`]), so results are bit-identical to them for every
 //! shape and every input, non-finite weights included.
+//!
+//! Every non-empty matrix keeps its floats on a 64-byte boundary: one cache
+//! line, and one `zmm` load. A 128-wide row is 512 bytes, so a weight row
+//! that starts off a line makes every 64-byte load of it touch two lines; a
+//! plain `Vec<f32>` promises only 4-byte alignment, and where the allocator
+//! puts it is decided by the process's allocation history. The storage is a
+//! `Vec<f32>` over-allocated by up to 15 floats, with the data starting at
+//! the offset `align_offset` reports; the offset is found again whenever
+//! the allocation is replaced, and only growth replaces it. Should
+//! `align_offset` ever decline to answer, the data starts at offset 0:
+//! slower, never wrong, since no kernel depends on the alignment for its
+//! results.
 
 /// Contraction indices [`strip`] takes at a time: the non-zero positions of
 /// one chunk of the input row are the set bits of one `u64`.
@@ -108,7 +120,134 @@ fn padded_strip<const W: usize>(rest: &[f32]) -> [f32; W] {
     padded
 }
 
+/// The boundary, in bytes, that every non-empty [`Matrix`] buffer starts on.
+const ALIGN_BYTES: usize = 64;
+
+/// The most pad floats a buffer can need in front of its data to get from
+/// an `f32`'s own 4-byte alignment to [`ALIGN_BYTES`].
+const MAX_PAD: usize = ALIGN_BYTES / std::mem::size_of::<f32>() - 1;
+
+/// A matrix's floats, starting on a 64-byte boundary: `buf[..pad]` is
+/// padding and `buf[pad..]` the data, which is what the storage derefs to.
+/// Every way the data can grow goes through [`Aligned::reserve`], so `buf`
+/// never reallocates by itself: an allocation that runs out of room is
+/// replaced by a new one, at least twice as large (as a `Vec` grows), and
+/// aligned afresh. Equality and `Debug` see the data only.
+#[derive(Default)]
+struct Aligned {
+    buf: Vec<f32>,
+    pad: usize,
+}
+
+impl Aligned {
+    /// No data, and room for `capacity` floats after the padding.
+    fn with_capacity(capacity: usize) -> Self {
+        if capacity == 0 {
+            return Self::default();
+        }
+        let mut buf: Vec<f32> = Vec::with_capacity(capacity + MAX_PAD);
+        // `align_offset` may decline (`usize::MAX`); the data then starts
+        // unaligned at 0, which costs speed, not correctness.
+        let pad = match buf.as_ptr().align_offset(ALIGN_BYTES) {
+            pad if pad <= MAX_PAD => pad,
+            _ => 0,
+        };
+        buf.resize(pad, 0.0);
+        Self { buf, pad }
+    }
+
+    fn from_slice(data: &[f32]) -> Self {
+        let mut out = Self::with_capacity(data.len());
+        out.buf.extend_from_slice(data);
+        out
+    }
+
+    /// Makes room for `additional` more floats, moving the data to a new
+    /// aligned allocation only when the current one is too small. The new
+    /// one is asked for at least twice the floats the old one was asked
+    /// for: doubling `room`, which includes the unused padding, would
+    /// double that slack on every growth too.
+    fn reserve(&mut self, additional: usize) {
+        let room = self.buf.capacity() - self.pad;
+        let needed = self.len() + additional;
+        if needed > room {
+            let asked = self.buf.capacity().saturating_sub(MAX_PAD);
+            let mut grown = Self::with_capacity(needed.max(2 * asked));
+            grown.buf.extend_from_slice(self);
+            *self = grown;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.buf.truncate(self.pad);
+    }
+
+    fn resize(&mut self, len: usize, value: f32) {
+        self.reserve(len.saturating_sub(self.len()));
+        self.buf.resize(self.pad + len, value);
+    }
+
+    fn extend_from_slice(&mut self, data: &[f32]) {
+        self.reserve(data.len());
+        self.buf.extend_from_slice(data);
+    }
+
+    fn push(&mut self, value: f32) {
+        self.reserve(1);
+        self.buf.push(value);
+    }
+}
+
+impl std::ops::Deref for Aligned {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.pad..]
+    }
+}
+
+impl std::ops::DerefMut for Aligned {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.pad..]
+    }
+}
+
+impl Clone for Aligned {
+    fn clone(&self) -> Self {
+        Self::from_slice(self)
+    }
+}
+
+impl PartialEq for Aligned {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Aligned {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl FromIterator<f32> for Aligned {
+    fn from_iter<I: IntoIterator<Item = f32>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut out = Self::with_capacity(iter.size_hint().0);
+        for value in iter {
+            out.push(value);
+        }
+        out
+    }
+}
+
 /// A dense row-major matrix of `f32`.
+///
+/// A non-empty matrix's data ([`Matrix::as_slice`]) starts on a 64-byte
+/// boundary, whichever constructor or `*_into` kernel shaped it (the module
+/// docs say why, and what happens should `align_offset` decline). The
+/// `*_into` kernels keep the alignment without allocating once the matrix
+/// has held its steady-state shape.
 ///
 /// # Examples
 ///
@@ -117,12 +256,13 @@ fn padded_strip<const W: usize>(rest: &[f32]) -> [f32; W] {
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::eye(2);
 /// assert_eq!(a.matmul(&b), a);
+/// assert_eq!(a.as_slice().as_ptr() as usize % 64, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Aligned,
 }
 
 impl Default for Matrix {
@@ -132,7 +272,7 @@ impl Default for Matrix {
         Self {
             rows: 0,
             cols: 0,
-            data: Vec::new(),
+            data: Aligned::default(),
         }
     }
 }
@@ -140,20 +280,14 @@ impl Default for Matrix {
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::full(rows, cols, 0.0)
     }
 
     /// Creates a `rows x cols` matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
+        let mut data = Aligned::default();
+        data.resize(rows * cols, value);
+        Self { rows, cols, data }
     }
 
     /// Creates the `n x n` identity matrix.
@@ -167,7 +301,7 @@ impl Matrix {
 
     /// Creates a matrix from a generator called as `f(row, col)`.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
+        let mut data = Aligned::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
                 data.push(f(r, c));
@@ -176,7 +310,8 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix taking ownership of a row-major buffer.
+    /// Creates a matrix from a row-major buffer, copied so that it starts
+    /// on a 64-byte boundary.
     ///
     /// # Panics
     ///
@@ -190,7 +325,11 @@ impl Matrix {
             rows,
             cols
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Aligned::from_slice(&data),
+        }
     }
 
     /// Creates a matrix from a slice of row slices.
@@ -202,7 +341,7 @@ impl Matrix {
         assert!(!rows.is_empty(), "matrix must have at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "matrix must have at least one column");
-        let mut data = Vec::with_capacity(rows.len() * cols);
+        let mut data = Aligned::with_capacity(rows.len() * cols);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(
                 r.len(),
@@ -224,7 +363,7 @@ impl Matrix {
         Self {
             rows: 1,
             cols: values.len(),
-            data: values.to_vec(),
+            data: Aligned::from_slice(values),
         }
     }
 
@@ -290,9 +429,7 @@ impl Matrix {
 
     /// Overwrites every element with `value` (shape unchanged).
     pub fn fill(&mut self, value: f32) {
-        for v in &mut self.data {
-            *v = value;
-        }
+        self.data.fill(value);
     }
 
     /// Becomes a copy of `other`, reusing the existing allocation.
@@ -648,7 +785,7 @@ impl Matrix {
 
     /// In-place scale by a scalar.
     pub fn scale_assign(&mut self, factor: f32) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v *= factor;
         }
     }
@@ -728,7 +865,7 @@ impl Matrix {
 
     /// Applies `f` element-wise in place.
     pub fn map_assign<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v = f(*v);
         }
     }
@@ -1169,6 +1306,51 @@ mod tests {
     fn mean_of_empty_is_zero() {
         let m = Matrix::zeros(0, 0);
         assert_eq!(m.mean(), 0.0);
+    }
+
+    /// `from_vec` copies an input that the allocator put off a 64-byte
+    /// boundary onto one.
+    #[test]
+    fn from_vec_aligns_a_misaligned_buffer() {
+        // Every candidate stays alive, so no two share an address.
+        let mut candidates: Vec<Vec<f32>> = (0..64).map(|i| vec![i as f32; 20]).collect();
+        let Some(i) = candidates
+            .iter()
+            .position(|v| !(v.as_ptr() as usize).is_multiple_of(ALIGN_BYTES))
+        else {
+            panic!("the allocator put 64 buffers on 64-byte boundaries");
+        };
+        let data = candidates.swap_remove(i);
+        let m = Matrix::from_vec(4, 5, data.clone());
+        assert_eq!(m.as_slice(), data.as_slice());
+        assert_eq!(m.as_slice().as_ptr() as usize % ALIGN_BYTES, 0);
+    }
+
+    /// Reshaping within the allocation, the steady state of every scratch
+    /// matrix, moves nothing; `Debug` and equality see only the data.
+    #[test]
+    fn warm_reshapes_keep_the_allocation() {
+        let mut m = Matrix::zeros(32, 128);
+        let base = m.as_slice().as_ptr();
+        for rows in [1, 32, 17, 5, 32] {
+            m.reset_for_overwrite(rows, 128);
+            assert_eq!(m.as_slice().as_ptr(), base);
+            m.begin_rows(32, 128);
+            for r in 0..rows {
+                m.push_row(&[r as f32; 128]);
+            }
+            assert_eq!(m.as_slice().as_ptr(), base);
+            m.reset_zeroed(rows, 128);
+            assert_eq!(m.as_slice().as_ptr(), base);
+        }
+        let small = Matrix::from_rows(&[&[1.0, 2.0]]);
+        assert_eq!(
+            format!("{small:?}"),
+            "Matrix { rows: 1, cols: 2, data: [1.0, 2.0] }"
+        );
+        let mut other = Matrix::zeros(8, 8);
+        other.set_row_vector(&[1.0, 2.0]);
+        assert_eq!(other, small);
     }
 
     #[test]

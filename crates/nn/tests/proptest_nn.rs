@@ -168,3 +168,119 @@ proptest! {
         }
     }
 }
+
+/// The storage contract every `Matrix` operation keeps: the shape and data
+/// of a plain `Vec<f32>` model, with non-empty data on a 64-byte boundary.
+fn assert_matches_model(
+    m: &Matrix,
+    (rows, cols, data): &(usize, usize, Vec<f32>),
+    step: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(m.shape(), (*rows, *cols), "{}: shape", step);
+    prop_assert_eq!(m.as_slice(), data.as_slice(), "{}: data", step);
+    if !m.is_empty() {
+        prop_assert_eq!(
+            m.as_slice().as_ptr() as usize % 64,
+            0,
+            "{}: data is not on a 64-byte boundary",
+            step
+        );
+    }
+    Ok(())
+}
+
+/// `rows x cols` values drawn from `seed`, three in ten of them zero so
+/// the products' zero-skip runs too.
+fn seeded(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
+    use rand::Rng as _;
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..rows * cols)
+        .map(|_| {
+            if rng.gen::<f32>() < 0.3 {
+                0.0
+            } else {
+                rng.gen_range(-4.0f32..4.0)
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One matrix carried through a random sequence of every operation
+    /// that shapes or refills storage, shrinking and growing past its
+    /// allocation, checked against a `Vec<f32>` model after each step.
+    #[test]
+    fn storage_stays_aligned_and_equal_to_a_vec_model(
+        ops in proptest::collection::vec((0u8..10, 0usize..40, 0usize..40, 0u64..1000), 1..24)
+    ) {
+        let mut m = Matrix::default();
+        let mut model = (0usize, 0usize, Vec::new());
+        for (i, &(op, r, c, seed)) in ops.iter().enumerate() {
+            let step = format!("step {i}: op {op} ({r}x{c})");
+            match op {
+                0 => {
+                    m = Matrix::zeros(r, c);
+                    model = (r, c, vec![0.0; r * c]);
+                }
+                1 => {
+                    // A fresh `Vec` sits wherever the allocator put it,
+                    // usually off a 64-byte boundary.
+                    let data = seeded(r, c, seed);
+                    m = Matrix::from_vec(r, c, data.clone());
+                    model = (r, c, data);
+                }
+                2 => m = m.clone(),
+                3 => {
+                    let data = seeded(r, c, seed);
+                    m.copy_from(&Matrix::from_vec(r, c, data.clone()));
+                    model = (r, c, data);
+                }
+                4 => {
+                    m.reset_zeroed(r, c);
+                    model = (r, c, vec![0.0; r * c]);
+                }
+                5 => {
+                    m.reset_for_overwrite(r, c);
+                    if model.2.len() != r * c {
+                        model.2 = vec![0.0; r * c];
+                    }
+                    model = (r, c, model.2);
+                }
+                6 => {
+                    // Reserve for half the rows, then push them all.
+                    let data = seeded(r, c, seed);
+                    m.begin_rows(r / 2, c);
+                    for row in data.chunks(c.max(1)).take(r) {
+                        m.push_row(row);
+                    }
+                    let rows = if c == 0 { 0 } else { r };
+                    model = (rows, c, data);
+                }
+                7 => {
+                    let data = seeded(1, c, seed);
+                    m.set_row_vector(&data);
+                    model = (1, c, data);
+                }
+                8 => {
+                    let src = Matrix::from_vec(r, c, seeded(r, c, seed));
+                    src.transpose_into(&mut m);
+                    let mut data = Vec::with_capacity(r * c);
+                    for j in 0..c {
+                        data.extend((0..r).map(|k| src.get(k, j)));
+                    }
+                    model = (c, r, data);
+                }
+                _ => {
+                    let k = (seed % 40) as usize;
+                    let a = Matrix::from_vec(r, k, seeded(r, k, seed));
+                    let b = Matrix::from_vec(k, c, seeded(k, c, seed + 1));
+                    a.matmul_into(&b, &mut m);
+                    model = (r, c, nn::tensor::reference::matmul(&a, &b).as_slice().to_vec());
+                }
+            }
+            assert_matches_model(&m, &model, &step)?;
+        }
+    }
+}

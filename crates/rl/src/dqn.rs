@@ -166,7 +166,8 @@ struct DqnScratch {
     target_ws: QNetWorkspace,
     /// Gathered minibatch of states (`batch x state_dim`).
     states: Matrix,
-    /// Gathered minibatch of next states (`batch x state_dim`).
+    /// Gathered next states of the minibatch's non-terminal transitions,
+    /// in minibatch order (`non-terminal x state_dim`).
     next_states: Matrix,
     /// Sampled replay ids.
     indices: Vec<u64>,
@@ -400,7 +401,10 @@ impl DqnAgent {
 
         // Sample ids, then assemble the minibatch by gathering transition
         // rows straight out of the buffer into two long-lived matrices —
-        // no per-step transition clones, no fresh matrices.
+        // no per-step transition clones, no fresh matrices. A terminal
+        // transition bootstraps nothing, so its next state is not gathered;
+        // both reservations are for the whole batch, so a step with more
+        // non-terminal rows than the last never reallocates.
         {
             let DqnScratch {
                 indices, weights, ..
@@ -421,13 +425,18 @@ impl DqnAgent {
             for &id in indices.iter() {
                 let t = self.replay.get_ref(id);
                 states.push_row(&t.state);
-                next_states.push_row(&t.next_state);
+                if !t.done {
+                    next_states.push_row(&t.next_state);
+                }
                 actions.push(t.action);
             }
         }
 
         // Bootstrapped targets, evaluated through the per-network
-        // workspaces.
+        // workspaces on the non-terminal rows only, and not at all when
+        // every row is terminal. Rows are independent under the kernels, so
+        // each kept row's Q-values are bit-identical to what a forward of
+        // the whole batch gives it.
         {
             let DqnScratch {
                 online_ws,
@@ -439,30 +448,39 @@ impl DqnAgent {
                 ..
             } = &mut self.scratch;
             let bootstrap_net = self.target.as_ref().unwrap_or(&self.online);
-            let q_next_target = bootstrap_net.forward_into(&*next_states, target_ws);
-            let q_next_online = if self.config.double {
-                Some(self.online.forward_into(&*next_states, online_ws))
+            let (q_next_target, q_next_online) = if next_states.rows() == 0 {
+                (None, None)
             } else {
-                None
+                let q_next_target = bootstrap_net.forward_into(&*next_states, target_ws);
+                let q_next_online = self
+                    .config
+                    .double
+                    .then(|| self.online.forward_into(&*next_states, online_ws));
+                (Some(q_next_target), q_next_online)
             };
             targets.clear();
-            for (r, &id) in indices.iter().enumerate() {
+            // The `next_states` row of the next non-terminal transition.
+            let mut next_row = 0;
+            for &id in indices.iter() {
                 let t = self.replay.get_ref(id);
-                let future = if t.done {
-                    0.0
-                } else {
-                    let mask = t.next_mask().unwrap_or(all_valid.as_slice());
-                    match &q_next_online {
-                        Some(online_next) => {
-                            // Double DQN: select with online net, evaluate
-                            // with target net.
-                            match masked_argmax(online_next.row(r), mask) {
-                                Some(a_star) => q_next_target.get(r, a_star),
-                                None => 0.0, // terminal-by-masking
+                let future = match q_next_target {
+                    Some(q_next_target) if !t.done => {
+                        let r = next_row;
+                        next_row += 1;
+                        let mask = t.next_mask().unwrap_or(all_valid.as_slice());
+                        match &q_next_online {
+                            Some(online_next) => {
+                                // Double DQN: select with online net, evaluate
+                                // with target net.
+                                match masked_argmax(online_next.row(r), mask) {
+                                    Some(a_star) => q_next_target.get(r, a_star),
+                                    None => 0.0, // terminal-by-masking
+                                }
                             }
+                            None => masked_max(q_next_target.row(r), mask).unwrap_or(0.0),
                         }
-                        None => masked_max(q_next_target.row(r), mask).unwrap_or(0.0),
                     }
+                    _ => 0.0,
                 };
                 targets.push(t.reward + self.config.gamma * future);
             }
@@ -744,6 +762,79 @@ mod tests {
                 agent.online.forward_into(&states, &mut ws_online)
             );
             assert_eq!(parameter_buffers(target), before);
+        }
+    }
+
+    /// Every target of one learn step, against a per-row computation on
+    /// the networks as they were before it: a terminal row's target is its
+    /// reward; any other row bootstraps from single-row forwards, which the
+    /// kept rows' batched forwards match bit for bit. Minibatches with every
+    /// row terminal, with none, and mixed; both networks, double on and off,
+    /// target network on and off.
+    #[test]
+    fn learn_bootstraps_exactly_the_non_terminal_rows() {
+        for network in [
+            QNetworkConfig::Standard { hidden: vec![16] },
+            QNetworkConfig::Dueling {
+                trunk: vec![16],
+                head: 8,
+            },
+        ] {
+            for double in [false, true] {
+                for target_sync_every in [0, 10] {
+                    for terminal_every in [1, 0, 3] {
+                        let mut rng = StdRng::seed_from_u64(21);
+                        let config = DqnConfig {
+                            network: network.clone(),
+                            double,
+                            target_sync_every,
+                            learn_start: usize::MAX,
+                            ..tiny_config()
+                        };
+                        let mut agent = DqnAgent::new(config, 3, 4, &mut rng);
+                        for i in 0..24 {
+                            let s = vec![(i % 5) as f32 - 2.0, 0.0, (i % 3) as f32];
+                            let next = vec![0.5, (i % 4) as f32, -1.0];
+                            let done = terminal_every > 0 && i % terminal_every == 0;
+                            let mask = vec![i % 2 == 0, true, i % 3 != 0, false];
+                            let t =
+                                Transition::with_mask(s, i % 4, i as f32 - 7.5, next, done, mask);
+                            assert!(agent.observe(t, &mut rng).is_none());
+                        }
+                        let before = agent.clone();
+                        agent.learn(&mut rng);
+
+                        let bootstrap = before.target.as_ref().unwrap_or(&before.online);
+                        let gamma = before.config.gamma;
+                        let mut terminal = 0;
+                        for (&id, &target) in
+                            agent.scratch.indices.iter().zip(&agent.scratch.targets)
+                        {
+                            let t = before.replay.get_ref(id);
+                            if t.done {
+                                terminal += 1;
+                                assert_eq!(target, t.reward);
+                                continue;
+                            }
+                            let mask = t.next_mask().unwrap_or(&before.scratch.all_valid);
+                            let q_target = bootstrap.q_values(&t.next_state);
+                            let future = if double {
+                                let q_online = before.online.q_values(&t.next_state);
+                                masked_argmax(&q_online, mask).map_or(0.0, |a| q_target[a])
+                            } else {
+                                masked_max(&q_target, mask).unwrap_or(0.0)
+                            };
+                            assert_eq!(target, t.reward + gamma * future);
+                        }
+                        let n = agent.scratch.indices.len();
+                        match terminal_every {
+                            1 => assert_eq!(terminal, n),
+                            0 => assert_eq!(terminal, 0),
+                            _ => assert!(terminal > 0 && terminal < n),
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -46,15 +46,18 @@ impl PerConfig {
 ///
 /// New transitions enter with the current maximum priority so everything is
 /// replayed at least once; priorities are subsequently refreshed from TD
-/// errors via [`Replay::update_priorities`].
+/// errors via [`Replay::update_priorities`]. The transitions' storage grows
+/// with use, up to `capacity`; the sum tree is sized for `capacity` up
+/// front.
 #[derive(Debug, Clone)]
 pub struct PrioritizedReplay {
-    storage: Vec<Option<Transition>>,
+    /// The ring's occupied slots: they fill in order, so slot `i` is
+    /// `storage[i]`.
+    storage: Vec<Transition>,
     tree: SumTree,
     config: PerConfig,
     capacity: usize,
     head: usize,
-    len: usize,
     sample_calls: u64,
 }
 
@@ -68,12 +71,11 @@ impl PrioritizedReplay {
         assert!(capacity > 0, "replay capacity must be positive");
         config.validate();
         Self {
-            storage: vec![None; capacity],
+            storage: Vec::new(),
             tree: SumTree::new(capacity),
             config,
             capacity,
             head: 0,
-            len: 0,
             sample_calls: 0,
         }
     }
@@ -99,14 +101,17 @@ impl Replay for PrioritizedReplay {
     fn push(&mut self, transition: Transition) {
         // New samples get max priority so they are seen at least once.
         let p = self.tree.max_priority().max(self.priority_from_td(0.0));
-        self.storage[self.head] = Some(transition);
+        if self.head == self.storage.len() {
+            self.storage.push(transition);
+        } else {
+            self.storage[self.head] = transition;
+        }
         self.tree.set(self.head, p);
         self.head = (self.head + 1) % self.capacity;
-        self.len = (self.len + 1).min(self.capacity);
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.storage.len()
     }
 
     fn capacity(&self) -> usize {
@@ -121,7 +126,10 @@ impl Replay for PrioritizedReplay {
         weights: &mut Vec<f32>,
     ) {
         assert!(batch > 0, "batch size must be positive");
-        assert!(self.len > 0, "cannot sample from an empty replay buffer");
+        assert!(
+            !self.storage.is_empty(),
+            "cannot sample from an empty replay buffer"
+        );
         self.sample_calls += 1;
         let beta = self.beta();
         let total = self.tree.total();
@@ -130,7 +138,7 @@ impl Replay for PrioritizedReplay {
 
         // Stratified sampling: one draw per equal-mass segment.
         let segment = total / batch as f64;
-        let n = self.len as f32;
+        let n = self.storage.len() as f32;
         let mut max_w = 0.0f32;
         for k in 0..batch {
             let lo = segment * k as f64;
@@ -143,7 +151,7 @@ impl Replay for PrioritizedReplay {
             weights.push(w);
             max_w = max_w.max(w);
             debug_assert!(
-                self.storage[idx].is_some(),
+                idx < self.storage.len(),
                 "sum-tree sampled an empty slot — priority/storage desync"
             );
         }
@@ -155,8 +163,8 @@ impl Replay for PrioritizedReplay {
     }
 
     fn get_ref(&self, id: u64) -> &Transition {
-        self.storage[id as usize]
-            .as_ref()
+        self.storage
+            .get(id as usize)
             .expect("sum-tree sampled an empty slot — priority/storage desync")
     }
 
@@ -168,7 +176,7 @@ impl Replay for PrioritizedReplay {
         );
         for (&i, &td) in indices.iter().zip(td_errors.iter()) {
             let idx = i as usize;
-            if idx < self.capacity && self.storage[idx].is_some() {
+            if idx < self.storage.len() {
                 let p = self.priority_from_td(td);
                 self.tree.set(idx, p);
             }
@@ -300,6 +308,20 @@ mod tests {
         b.update_priorities(&[0, 1], &[0.0, 100.0]);
         // With α=0 both priorities are (|td|+eps)^0 = 1.
         assert!((b.tree.get(0) - b.tree.get(1)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn storage_grows_with_use() {
+        let mut b = buf(50_000);
+        for i in 0..100 {
+            b.push(t(i as f32));
+        }
+        assert_eq!(b.len(), 100);
+        assert!(
+            b.storage.capacity() < 50_000,
+            "reserved {} slots for 100 transitions",
+            b.storage.capacity()
+        );
     }
 
     #[test]

@@ -4,7 +4,10 @@ use super::Replay;
 use crate::transition::Transition;
 use rand::Rng;
 
-/// Fixed-capacity ring buffer with uniform random sampling.
+/// Fixed-capacity ring buffer with uniform random sampling. Its storage
+/// grows with use, as a `Vec` grows, until it holds `capacity`
+/// transitions: a buffer allocates for what it holds, not for what it may
+/// hold.
 ///
 /// # Examples
 ///
@@ -41,7 +44,7 @@ impl UniformReplay {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
         Self {
-            storage: Vec::with_capacity(capacity.min(1 << 20)),
+            storage: Vec::new(),
             capacity,
             head: 0,
             pushed: 0,
@@ -176,6 +179,20 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn storage_grows_with_use() {
+        let mut buf = UniformReplay::new(50_000);
+        for i in 0..100 {
+            buf.push(t(i as f32));
+        }
+        assert_eq!(buf.len(), 100);
+        assert!(
+            buf.storage.capacity() < 50_000,
+            "reserved {} slots for 100 transitions",
+            buf.storage.capacity()
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 #                           # full and FAST=1 horizons)
 #   ./verify.sh vector-width# on an AVX-512 host building with the flags of
 #                           # .cargo/config.toml: nn's release assembly
-#                           # must use 512-bit registers (prints "skipped"
-#                           # anywhere else)
+#                           # must use 512-bit registers and hold no
+#                           # gather or scatter instruction (prints
+#                           # "skipped" anywhere else)
 #   ./verify.sh bench-smoke # FAST=1 run of every fig/table binary;
 #                           # writes CSV/JSON artifacts into $RESULTS_DIR,
 #                           # runs the sweep and search smokes below, and
@@ -202,7 +203,19 @@ vector_width() {
       "-prefer-256-bit (.cargo/config.toml) no longer reaches the code" >&2
     return 1
   fi
-  echo "vector-width: $lines lines of nn's release assembly use zmm registers"
+  # The same compile mode turns a loop over a transposed operand into a
+  # gather and a scatter per contraction step (.cargo/config.toml,
+  # docs/perf.md): that is why `aᵀ·b` and `a·bᵀ` pack their operand
+  # row-major. No gather or scatter may come back into nn.
+  local gathers
+  gathers=$(cat "$dir"/release/deps/nn-*.s | grep -cE '^\s+v(p?gather|p?scatter)') || true
+  if [ "$gathers" -ne 0 ]; then
+    cat "$dir"/release/deps/nn-*.s | grep -E '^\s+v(p?gather|p?scatter)' | sort | uniq -c >&2
+    echo "nn's release assembly holds $gathers gather/scatter instructions:" \
+      "a product walks a transposed operand instead of packing it" >&2
+    return 1
+  fi
+  echo "vector-width: $lines lines of nn's release assembly use zmm registers, none a gather or scatter"
 }
 
 run_figures() {
