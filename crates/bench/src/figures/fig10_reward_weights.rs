@@ -10,11 +10,13 @@
 //! Expected shape: latency-heavy weights produce low latency and higher
 //! cost; cost-heavy the reverse; the points form a monotone frontier.
 
-use bench::manifests::{load_checked_manifest, pretrained_trainer};
-use bench::{emit_csv, emit_report, fast_mode};
+use super::Outcome;
+use crate::manifests::{load_checked_manifest, pretrained_trainer};
+use crate::{emit_csv, emit_report, fast_mode};
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `fig10_reward_weights.csv` and `BENCH_fig10_reward_weights.json`.
+pub fn run() -> Outcome {
     let manifest = load_checked_manifest("fig10_reward_weights");
     let health = HealthScore::new(manifest.health.clone());
     let mut trainer = pretrained_trainer(&manifest);
@@ -40,27 +42,28 @@ fn main() {
             .to_string(),
     ];
     for (((alpha, beta), a), h) in weights.iter().zip(&report.aggregates).zip(&healths) {
-        let g = |name: &str| a.aggregate.get(name).expect("standard metric");
+        let g = |name: &str| a.aggregate.get(name).ok_or(format!("no metric `{name}`"));
+        let (latency, cost) = (g("mean_latency_ms")?, g("mean_slot_cost_usd")?);
+        let (acceptance, sla) = (g("acceptance_ratio")?, g("sla_violation_ratio")?);
         eprintln!(
             "[fig10]   α={alpha}, β={beta} → {:.2} ± {:.2} ms, ${:.4}/slot, health {h:.4}",
-            g("mean_latency_ms").mean,
-            g("mean_latency_ms").ci95,
-            g("mean_slot_cost_usd").mean,
+            latency.mean, latency.ci95, cost.mean,
         );
         lines.push(format!(
             "{alpha},{beta},{},{:.4},{:.4},{:.6},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4}",
             a.aggregate.runs,
-            g("mean_latency_ms").mean,
-            g("mean_latency_ms").ci95,
-            g("mean_slot_cost_usd").mean,
-            g("mean_slot_cost_usd").ci95,
-            g("acceptance_ratio").mean,
-            g("acceptance_ratio").ci95,
-            g("sla_violation_ratio").mean,
-            g("sla_violation_ratio").ci95,
+            latency.mean,
+            latency.ci95,
+            cost.mean,
+            cost.ci95,
+            acceptance.mean,
+            acceptance.ci95,
+            sla.mean,
+            sla.ci95,
             h,
         ));
     }
     emit_csv("fig10_reward_weights.csv", &lines);
     emit_report(&report);
+    Ok(())
 }

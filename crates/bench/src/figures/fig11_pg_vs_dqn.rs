@@ -7,13 +7,15 @@
 //! reuses every transition); REINFORCE reaches a comparable final policy
 //! but with noisier curves — the classic trade-off.
 
-use bench::{
-    bench_scenario, default_passes, drl_default, emit_csv, emit_markdown, emit_report, eval_seeds,
-    factory_of,
+use super::Outcome;
+use crate::{
+    aggregate_rows, bench_scenario, default_passes, drl_default, emit_csv, emit_markdown,
+    emit_report, eval_seeds, factory_of,
 };
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `fig11_pg_vs_dqn_curves.csv`, `fig11_pg_vs_dqn.md` and `BENCH_fig11_pg_vs_dqn.json`.
+pub fn run() -> Outcome {
     let scenario = bench_scenario(8.0);
     let reward = RewardConfig::default();
     let passes = default_passes();
@@ -61,13 +63,9 @@ fn main() {
     }
     let report = grid.run();
 
-    let rows: Vec<(String, SummaryAggregate)> = report
-        .aggregates
-        .iter()
-        .map(|a| (a.policy.clone(), a.aggregate.clone()))
-        .collect();
     let mut md = String::from("# Figure 11 — DQN vs REINFORCE managers\n\n");
-    md.push_str(&markdown_aggregate_comparison(&rows));
+    md.push_str(&markdown_aggregate_comparison(&aggregate_rows(&report)));
     emit_markdown("fig11_pg_vs_dqn.md", &md);
     emit_report(&report);
+    Ok(())
 }

@@ -15,7 +15,8 @@
 //! weighted-greedy) degrade more gracefully than first-fit because they
 //! spread load off the (about-to-be-scarce) consolidated nodes.
 
-use bench::{
+use super::Outcome;
+use crate::{
     bench_scenario, default_passes, drl_default, emit_markdown, emit_report, emit_sweep_csv,
     eval_seeds, factory_of, fast_mode,
 };
@@ -38,7 +39,8 @@ fn resilience_scenario(failure_rate: f64) -> Scenario {
     bench_scenario(6.0).with_failures(failure_rate, MEAN_DOWNTIME_SLOTS)
 }
 
-fn main() {
+/// Writes `fig12_resilience.csv`, `fig12_resilience.md` and `BENCH_resilience.json`.
+pub fn run() -> Outcome {
     let reward = RewardConfig::default();
     let rates = failure_rates();
 
@@ -89,4 +91,5 @@ fn main() {
         );
     }
     emit_markdown("fig12_resilience.md", &md);
+    Ok(())
 }

@@ -17,44 +17,37 @@
 //! `FAST=1` sweeps 1x/4x/10x on a short base horizon for CI smoke runs;
 //! the full sweep is 1x/10x/100x.
 
-use bench::{emit_csv, fast_mode, out_path};
+use super::Outcome;
+use crate::{emit_csv, fast_mode, out_path};
 use drl_vnf_edge::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
+use serde_json::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// [`System`] wrapped with live/peak byte counters, so the benchmark can
-/// report peak heap per scale without an external profiler. Counts
-/// allocation requests, not allocator slack — the flat-line comparison
-/// only needs relative growth.
-struct CountingAlloc;
+/// Live heap bytes. The `bench` binary's global allocator keeps this and
+/// [`PEAK_BYTES`] so the figure can report peak heap per scale without an
+/// external profiler. They count allocation requests, not allocator
+/// slack: the flat-line comparison only needs relative growth. Both stay
+/// 0 in a process without that allocator.
+pub static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of [`LIVE_BYTES`] since the last reset.
+pub static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let live = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
+/// A JSON object with `fields` in order.
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Resets the peak-heap watermark to the current live size.
 fn reset_peak() -> usize {
-    let live = CURRENT.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
     live
 }
 
@@ -68,7 +61,8 @@ struct ScaleResult {
     peak_mem_bytes: u64,
 }
 
-fn main() {
+/// Writes `fig13_metro.csv` and `BENCH_metro.json`.
+pub fn run() -> Outcome {
     let started = Instant::now();
     let (base_slots, scales): (u64, &[u64]) = if fast_mode() {
         (288, &[1, 4, 10])
@@ -94,7 +88,7 @@ fn main() {
         );
 
         let mut sim = Simulation::new(&scenario, RewardConfig::default());
-        let mut policy = baseline("first-fit").expect("a registry baseline");
+        let mut policy = baseline("first-fit").ok_or("no first-fit baseline")?;
         let mut sink = TelemetrySink::new();
         let mut stream = profile
             .stream(&sites, horizon, slot_ms)
@@ -111,7 +105,9 @@ fn main() {
                 .with_telemetry(&mut sink),
         );
         let wall_secs = t0.elapsed().as_secs_f64();
-        let peak = PEAK.load(Ordering::Relaxed).saturating_sub(live_before);
+        let peak = PEAK_BYTES
+            .load(Ordering::Relaxed)
+            .saturating_sub(live_before);
 
         eprintln!(
             "[fig13] scale {scale}x: {} arrivals in {wall_secs:.2}s ({:.0} req/s, peak {:.1} MiB, \
@@ -149,58 +145,41 @@ fn main() {
     }
     emit_csv("fig13_metro.csv", &csv);
 
-    let first = results.first().expect("at least one scale");
-    let last = results.last().expect("at least one scale");
+    let (Some(first), Some(last)) = (results.first(), results.last()) else {
+        return Err("no scale ran".into());
+    };
     let throughput_ratio = last.requests_per_sec / first.requests_per_sec.max(1e-9);
     let peak_mem_ratio = last.peak_mem_bytes as f64 / (first.peak_mem_bytes as f64).max(1.0);
 
-    let mut doc = serde_json::Map::new();
-    doc.insert("schema_version", serde_json::Value::from(1u64));
-    doc.insert("name", serde_json::Value::from("fig13_metro"));
-    doc.insert("fast", serde_json::Value::from(fast_mode()));
-    doc.insert("base_slots", serde_json::Value::from(base_slots));
-    let scales_json: Vec<serde_json::Value> = results
+    let scales_json: Vec<Value> = results
         .iter()
         .map(|r| {
-            let mut m = serde_json::Map::new();
-            m.insert("scale", serde_json::Value::from(r.scale));
-            m.insert("slots", serde_json::Value::from(r.slots));
-            m.insert("requests", serde_json::Value::from(r.requests));
-            m.insert("accepted", serde_json::Value::from(r.accepted));
-            m.insert("wall_secs", serde_json::Value::from(r.wall_secs));
-            m.insert(
-                "requests_per_sec",
-                serde_json::Value::from(r.requests_per_sec),
-            );
-            m.insert("peak_mem_bytes", serde_json::Value::from(r.peak_mem_bytes));
-            serde_json::Value::Object(m)
+            object(vec![
+                ("scale", r.scale.into()),
+                ("slots", r.slots.into()),
+                ("requests", r.requests.into()),
+                ("accepted", r.accepted.into()),
+                ("wall_secs", r.wall_secs.into()),
+                ("requests_per_sec", r.requests_per_sec.into()),
+                ("peak_mem_bytes", r.peak_mem_bytes.into()),
+            ])
         })
         .collect();
-    doc.insert("scales", serde_json::Value::Array(scales_json));
-    // Headline rate: throughput at the largest scale, where regressions in
-    // the streaming path hurt most.
-    doc.insert(
-        "requests_per_sec",
-        serde_json::Value::from(last.requests_per_sec),
-    );
-    doc.insert(
-        "throughput_ratio",
-        serde_json::Value::from(throughput_ratio),
-    );
-    doc.insert("peak_mem_ratio", serde_json::Value::from(peak_mem_ratio));
-    doc.insert(
-        "wall_clock_secs",
-        serde_json::Value::from(started.elapsed().as_secs_f64()),
-    );
-
+    let doc = object(vec![
+        ("schema_version", 1u64.into()),
+        ("name", "fig13_metro".into()),
+        ("fast", fast_mode().into()),
+        ("base_slots", base_slots.into()),
+        ("scales", scales_json.into()),
+        // Headline rate: throughput at the largest scale, where
+        // regressions in the streaming path hurt most.
+        ("requests_per_sec", last.requests_per_sec.into()),
+        ("throughput_ratio", throughput_ratio.into()),
+        ("peak_mem_ratio", peak_mem_ratio.into()),
+        ("wall_clock_secs", started.elapsed().as_secs_f64().into()),
+    ]);
     let report_path = out_path("BENCH_metro.json");
-    write_lines(
-        &report_path,
-        &[serde_json::to_string_pretty(&serde_json::Value::Object(
-            doc,
-        ))],
-    )
-    .expect("write BENCH_metro.json");
+    write_lines(&report_path, &[serde_json::to_string_pretty(&doc)])?;
     eprintln!(
         "[fig13] wrote {} (throughput {throughput_ratio:.2}x, peak mem {peak_mem_ratio:.2}x \
          across a {}x horizon growth; {:.2}s wall)",
@@ -208,4 +187,5 @@ fn main() {
         last.scale / first.scale.max(1),
         started.elapsed().as_secs_f64()
     );
+    Ok(())
 }

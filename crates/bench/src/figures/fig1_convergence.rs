@@ -8,12 +8,14 @@
 //! plateau; Double/Dueling converge at least as fast and more stably than
 //! vanilla DQN.
 
-use bench::{
+use super::Outcome;
+use crate::{
     bench_scenario, default_passes, drl_variants, emit_csv, emit_report, eval_seeds, factory_of,
 };
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `fig1_convergence.csv` and `BENCH_fig1_convergence.json`.
+pub fn run() -> Outcome {
     let scenario = bench_scenario(8.0);
     let reward = RewardConfig::default();
 
@@ -56,4 +58,5 @@ fn main() {
         grid = grid.policy_boxed(label, factory_of(t.policy));
     }
     emit_report(&grid.run());
+    Ok(())
 }

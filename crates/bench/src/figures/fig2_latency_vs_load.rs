@@ -5,9 +5,11 @@
 //! latency grows with load as queues fill; DRL tracks the best heuristic
 //! and degrades latest; random/first-fit/cloud-only are dominated.
 
-use bench::{best_per_coordinate, emit_sweep_csv, load_sweep_grid};
+use super::Outcome;
+use crate::{best_per_coordinate, emit_sweep_csv, load_sweep_grid};
 
-fn main() {
+/// Writes `fig2_latency_vs_load.csv` from the shared λ sweep.
+pub fn run() -> Outcome {
     let report = load_sweep_grid();
     emit_sweep_csv("fig2_latency_vs_load.csv", &report);
     // Human-readable digest: best mean latency per sweep coordinate.
@@ -16,7 +18,11 @@ fn main() {
             "[fig2] λ={rate:>4.1}: best latency {} ({:.2} ± {:.2} ms)",
             best.policy,
             best.aggregate.mean("mean_latency_ms"),
-            best.aggregate.get("mean_latency_ms").expect("metric").ci95,
+            best.aggregate
+                .get("mean_latency_ms")
+                .ok_or("no latency metric")?
+                .ci95,
         );
     }
+    Ok(())
 }

@@ -6,9 +6,11 @@
 //! wherever latency is lowest); cloud-only pays the cloud-traffic premium;
 //! DRL and weighted-greedy sit lowest.
 
-use bench::{best_per_coordinate, emit_sweep_csv, load_sweep_grid};
+use super::Outcome;
+use crate::{best_per_coordinate, emit_sweep_csv, load_sweep_grid};
 
-fn main() {
+/// Writes `fig3_cost_vs_load.csv` from the shared λ sweep.
+pub fn run() -> Outcome {
     let report = load_sweep_grid();
     emit_sweep_csv("fig3_cost_vs_load.csv", &report);
     for (rate, best) in best_per_coordinate(&report, "mean_slot_cost_usd") {
@@ -18,8 +20,9 @@ fn main() {
             best.aggregate.mean("mean_slot_cost_usd"),
             best.aggregate
                 .get("mean_slot_cost_usd")
-                .expect("metric")
+                .ok_or("no cost metric")?
                 .ci95,
         );
     }
+    Ok(())
 }

@@ -6,13 +6,18 @@
 //! last; policies ignoring capacity (cloud-only excepted — the cloud is
 //! effectively infinite) drop first.
 
-use bench::{emit_sweep_csv, load_sweep_grid};
+use super::Outcome;
+use crate::{emit_sweep_csv, load_sweep_grid};
 
-fn main() {
+/// Writes `fig4_acceptance.csv` from the shared λ sweep.
+pub fn run() -> Outcome {
     let report = load_sweep_grid();
     emit_sweep_csv("fig4_acceptance.csv", &report);
     for a in &report.aggregates {
-        let acc = a.aggregate.get("acceptance_ratio").expect("metric");
+        let acc = a
+            .aggregate
+            .get("acceptance_ratio")
+            .ok_or("no acceptance metric")?;
         if acc.mean < 0.999 {
             eprintln!(
                 "[fig4] λ={:>4.1}: {} accepts {:.1} ± {:.1}%",
@@ -23,4 +28,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

@@ -20,7 +20,8 @@
 //! CSV is therefore not covered by the byte-identical determinism
 //! guarantee.
 
-use bench::{default_passes, drl_default, emit_csv, emit_report, eval_seeds, scaled};
+use super::Outcome;
+use crate::{default_passes, drl_default, emit_csv, emit_report, eval_seeds, scaled};
 use drl_vnf_edge::prelude::*;
 use std::time::Instant;
 
@@ -32,13 +33,15 @@ fn size_scenario(n: usize) -> Scenario {
     scenario
 }
 
-fn main() {
-    let sizes: Vec<usize> = if bench::fast_mode() {
+/// Writes `fig5_scalability.csv` and `BENCH_fig5_scalability.json`.
+pub fn run() -> Outcome {
+    let sizes: Vec<usize> = if crate::fast_mode() {
         vec![4, 8]
     } else {
         vec![4, 8, 12, 16]
     };
     let reward = RewardConfig::default();
+    let comparison = roster("comparison").ok_or("no comparison roster")?;
 
     // Train one DRL manager per size concurrently.
     eprintln!(
@@ -66,7 +69,7 @@ fn main() {
                 .reward(reward)
                 .seeds(&eval_seeds())
                 .keep_decision_time()
-                .baselines(roster("comparison").expect("a registry roster"))
+                .baselines(comparison)
                 .run();
 
             let cells = cells_for_seeds(&label, n as f64, &scenario, &eval_seeds());
@@ -105,4 +108,5 @@ fn main() {
         );
     }
     emit_report(&report);
+    Ok(())
 }

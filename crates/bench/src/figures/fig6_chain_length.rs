@@ -9,17 +9,20 @@
 //! length for all policies; the gap between placement-aware policies and
 //! random/first-fit widens with length (more decisions to get wrong).
 
-use bench::sweep_grids::synthetic_chains;
-use bench::{
+use super::Outcome;
+use crate::sweep_grids::synthetic_chains;
+use crate::{
     default_passes, drl_default, emit_csv, emit_report, eval_seeds, factory_of, fast_mode, scaled,
 };
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `fig6_chain_length.csv` and `BENCH_fig6_chain_length.json`.
+pub fn run() -> Outcome {
     let max_len = if fast_mode() { 3 } else { 6 };
     let vnfs = VnfCatalog::standard();
     let chains = synthetic_chains(&vnfs, max_len);
     let reward = RewardConfig::default();
+    let comparison = roster("comparison").ok_or("no comparison roster")?;
 
     let mut scenario = Scenario::default_metro().with_arrival_rate(5.0);
     scenario.topology_builder.edge_capacity = edgenet::node::Resources::new(32.0, 128.0);
@@ -42,7 +45,7 @@ fn main() {
         .seeds(&eval_seeds())
         .with_catalogs(vnfs, chains)
         .policy_boxed("drl", factory_of(trained.policy))
-        .baselines(roster("comparison").expect("a registry roster"));
+        .baselines(comparison);
     for len in 1..=max_len {
         let mut s = scenario.clone();
         s.workload.chain_mix = (0..max_len)
@@ -53,4 +56,5 @@ fn main() {
     let report = grid.run();
     emit_csv("fig6_chain_length.csv", &sweep_csv(&report));
     emit_report(&report);
+    Ok(())
 }

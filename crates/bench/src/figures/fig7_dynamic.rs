@@ -7,7 +7,8 @@
 //! the flash crowd the adaptive policies (DRL, weighted-greedy) absorb the
 //! spike by spilling to reuse/cloud while first-fit's latency spikes.
 
-use bench::{default_passes, drl_default, emit_csv, emit_report, eval_seeds, factory_of, scaled};
+use super::Outcome;
+use crate::{default_passes, drl_default, emit_csv, emit_report, eval_seeds, factory_of, scaled};
 use drl_vnf_edge::prelude::*;
 use std::time::Instant;
 
@@ -42,7 +43,8 @@ const TRACE_SEED: u64 = 2024;
 /// The static heuristics the DRL manager is traced and graded against.
 const BASELINES: &[&str] = &["weighted-greedy", "first-fit", "greedy-latency"];
 
-fn main() {
+/// Writes `fig7_dynamic.csv` and `BENCH_fig7_dynamic.json`.
+pub fn run() -> Outcome {
     let reward = RewardConfig::default();
     let workloads = [("diurnal", dynamic_scenario()), ("flash", flash_scenario())];
 
@@ -65,7 +67,7 @@ fn main() {
             factory_of(t.policy.clone()),
         ));
         for name in BASELINES {
-            let factory = baseline_factory(name).expect("a registry baseline");
+            let factory = baseline_factory(name).ok_or("no such baseline")?;
             jobs.push((tag.to_string(), scenario.clone(), factory));
         }
     }
@@ -129,4 +131,5 @@ fn main() {
         })
         .collect();
     emit_report(&merge_reports("fig7_dynamic", reports));
+    Ok(())
 }

@@ -7,8 +7,10 @@
 //! lands within ~5–15%; weighted-greedy close behind; first-fit and
 //! random show large gaps.
 
-use bench::{
-    default_passes, drl_default, emit_markdown, emit_report, eval_seeds, factory_of, scaled,
+use super::Outcome;
+use crate::{
+    aggregate_rows, default_passes, drl_default, emit_markdown, emit_report, eval_seeds,
+    factory_of, scaled,
 };
 use drl_vnf_edge::prelude::*;
 
@@ -23,7 +25,8 @@ fn tiny_scenario() -> Scenario {
     s
 }
 
-fn main() {
+/// Writes `fig8_optgap.md` and `BENCH_fig8_optgap.json`.
+pub fn run() -> Outcome {
     let scenario = tiny_scenario();
     let reward = RewardConfig::default();
 
@@ -52,13 +55,8 @@ fn main() {
         .run();
 
     let reference = report.aggregates[0].aggregate.combined_objective(1.0, 1.0);
-    let rows: Vec<(String, SummaryAggregate)> = report
-        .aggregates
-        .iter()
-        .map(|a| (a.policy.clone(), a.aggregate.clone()))
-        .collect();
     let mut md = String::from("# Figure 8 — optimality gap vs exhaustive (tiny instance)\n\n");
-    md.push_str(&markdown_aggregate_comparison(&rows));
+    md.push_str(&markdown_aggregate_comparison(&aggregate_rows(&report)));
     md.push_str("\n| policy | combined objective | gap vs exhaustive |\n|---|---|---|\n");
     for a in &report.aggregates {
         let obj = a.aggregate.combined_objective(1.0, 1.0);
@@ -71,4 +69,5 @@ fn main() {
     }
     emit_markdown("fig8_optgap.md", &md);
     emit_report(&report);
+    Ok(())
 }

@@ -7,9 +7,10 @@
 //! destabilizes convergence (lower, noisier final return); double/dueling
 //! match or slightly improve the base agent.
 
-use bench::{
-    bench_scenario, default_passes, dqn_config, emit_csv, emit_markdown, emit_report, eval_seeds,
-    factory_of,
+use super::Outcome;
+use crate::{
+    aggregate_rows, bench_scenario, default_passes, dqn_config, emit_csv, emit_markdown,
+    emit_report, eval_seeds, factory_of,
 };
 use drl_vnf_edge::prelude::*;
 
@@ -64,7 +65,8 @@ fn ablations() -> Vec<DrlManagerConfig> {
     ]
 }
 
-fn main() {
+/// Writes `fig9_ablation_curves.csv`, `fig9_ablation.md` and `BENCH_fig9_ablation.json`.
+pub fn run() -> Outcome {
     let scenario = bench_scenario(8.0);
     let reward = RewardConfig::default();
 
@@ -111,12 +113,8 @@ fn main() {
         md.push_str(&format!("| {label} | {ret:.3} |\n"));
     }
     md.push('\n');
-    let rows: Vec<(String, SummaryAggregate)> = report
-        .aggregates
-        .iter()
-        .map(|a| (a.policy.clone(), a.aggregate.clone()))
-        .collect();
-    md.push_str(&markdown_aggregate_comparison(&rows));
+    md.push_str(&markdown_aggregate_comparison(&aggregate_rows(&report)));
     emit_markdown("fig9_ablation.md", &md);
     emit_report(&report);
+    Ok(())
 }

@@ -11,11 +11,12 @@
 //! * `search_<name>_frontier.csv` — every candidate, healthiest first.
 //! * `search_<name>.md` — human-readable frontier table + provenance.
 
-use bench::manifests::{
+use super::Outcome;
+use crate::manifests::{
     checked_in_manifest, checked_in_manifest_names, load_checked_manifest, manifest_dir,
     pretrained_trainer,
 };
-use bench::{emit_csv, emit_markdown, fast_mode, results_dir};
+use crate::{emit_csv, emit_markdown, fast_mode, results_dir};
 use drl_vnf_edge::prelude::*;
 use std::fmt::Write as _;
 
@@ -34,31 +35,28 @@ fn usage() -> ! {
 
 /// Regenerates every checked-in manifest JSON file from its in-code
 /// definition (the recovery path after an intentional definition edit).
-fn write_manifests() {
+fn write_manifests() -> Outcome {
     let dir = manifest_dir();
     for &name in checked_in_manifest_names() {
-        let manifest = checked_in_manifest(name).expect("registered name");
+        let manifest = checked_in_manifest(name).ok_or("unregistered manifest name")?;
         let path = dir.join(format!("{name}.json"));
-        write_lines(&path, &[serde_json::to_string_pretty(&manifest.to_json())])
-            .expect("write manifest file");
+        write_lines(&path, &[serde_json::to_string_pretty(&manifest.to_json())])?;
         eprintln!(
             "[search] wrote {} ({})",
             path.display(),
             manifest.fingerprint()
         );
     }
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Searches the named manifest, or regenerates the checked-in manifest
+/// files (`--write-manifests`).
+pub fn run(args: &[String]) -> Outcome {
     let mut name: Option<String> = None;
-    for arg in &args {
+    for arg in args {
         match arg.as_str() {
-            "--write-manifests" => {
-                write_manifests();
-                return;
-            }
-            "-h" | "--help" => usage(),
+            "--write-manifests" => return write_manifests(),
             other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
             _ => usage(),
         }
@@ -74,9 +72,7 @@ fn main() {
     );
     let mut trainer = pretrained_trainer(&manifest);
     let report = SearchDriver::new(manifest).run_with(fast_mode(), &mut trainer);
-    let path = report
-        .write_canonical_to(&results_dir())
-        .expect("write search report");
+    let path = report.write_canonical_to(&results_dir())?;
     eprintln!(
         "[search] wrote {} ({} candidates, {}/{} runs)",
         path.display(),
@@ -153,4 +149,5 @@ fn main() {
         );
     }
     emit_markdown(&format!("search_{name}.md"), &md);
+    Ok(())
 }

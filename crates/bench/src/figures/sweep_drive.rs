@@ -1,13 +1,13 @@
 //! Drives a sharded sweep end to end on one machine: spawns N
-//! `sweep_worker` processes over a registry grid, merges their fragments,
-//! checks the merged canonical JSON byte-for-byte against an in-process
-//! reference run, and prints the sharded and single-process cells/s to
-//! stderr (the tracked in-process sweep rate is `requests_per_s` on
+//! `bench sweep_worker` processes over a registry grid, merges their
+//! fragments, checks the merged canonical JSON byte-for-byte against an
+//! in-process reference run, and prints the sharded and single-process
+//! cells/s to stderr (the tracked in-process sweep rate is `requests_per_s` on
 //! `perf/`'s `grid_sweep` workload).
 //!
 //! ```text
-//! sweep_drive --grid fig2_load --shards 4 --workers 4
-//! sweep_drive --grid fig2_load --in-process   # reference run only
+//! bench sweep_drive --grid fig2_load --shards 4 --workers 4
+//! bench sweep_drive --grid fig2_load --in-process   # reference run only
 //! ```
 //!
 //! Scheduling: at most `--workers` children run concurrently; each child
@@ -18,11 +18,12 @@
 //! aborts the drive. `FAST` and `RESULTS_DIR` are inherited by workers
 //! from this process's environment.
 
-use bench::sweep_grids::{build_sweep_grid, sweep_grid_names};
+use super::sweep_merge::merge_or_exit;
+use super::Outcome;
+use crate::sweep_grids::{sweep_grid_or_exit, sweep_usage};
 use std::path::Path;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
-use sweep::prelude::*;
 
 struct Args {
     grid: String,
@@ -32,23 +33,19 @@ struct Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: sweep_drive --grid <name> [--shards <n>] [--workers <n>] [--in-process]\n       grids: {}",
-        sweep_grid_names().join(", ")
-    );
-    std::process::exit(2);
+    sweep_usage("sweep_drive --grid <name> [--shards <n>] [--workers <n>] [--in-process]")
 }
 
-fn parse_args() -> Args {
+fn parse_args(args: &[String]) -> Args {
     let mut grid = None;
     let mut shards = None;
     let mut workers = None;
     let mut in_process = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter();
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--in-process" => in_process = true,
-            "--grid" => grid = Some(args.next().unwrap_or_else(|| usage())),
+            "--grid" => grid = Some(args.next().cloned().unwrap_or_else(|| usage())),
             // A missing or unparsable count is a usage error, not a silent
             // fall-back to the default fleet.
             "--shards" => shards = args.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
@@ -80,6 +77,7 @@ struct Slot {
 fn spawn_worker(exe: &Path, grid: &str, shard: usize, of: usize, threads: usize) -> Child {
     Command::new(exe)
         .args([
+            "sweep_worker",
             "--grid",
             grid,
             "--shard",
@@ -95,22 +93,19 @@ fn spawn_worker(exe: &Path, grid: &str, shard: usize, of: usize, threads: usize)
         })
 }
 
-/// Runs all shards as worker processes, retrying each failed shard once.
-/// Returns the fleet's wall-clock seconds (spawn of the first worker to
-/// exit of the last).
-fn run_fleet(args: &Args, per_worker_threads: usize) -> f64 {
-    let exe = std::env::current_exe()
-        .expect("own path")
-        .with_file_name("sweep_worker");
+/// Runs all shards as `bench sweep_worker` processes, retrying each failed
+/// shard once. Returns the fleet's wall-clock seconds (spawn of the first
+/// worker to exit of the last).
+fn run_fleet(args: &Args, per_worker_threads: usize) -> std::io::Result<f64> {
+    let exe = std::env::current_exe()?;
     let started = Instant::now();
-    let mut pending: Vec<usize> = (0..args.shards).collect();
+    let mut pending = 0..args.shards;
     let mut running: Vec<Slot> = Vec::new();
     loop {
         while running.len() < args.workers {
-            let Some(shard) = pending.first().copied() else {
+            let Some(shard) = pending.next() else {
                 break;
             };
-            pending.remove(0);
             eprintln!("[sweep_drive] shard {shard}/{}: launched", args.shards);
             running.push(Slot {
                 shard,
@@ -123,7 +118,7 @@ fn run_fleet(args: &Args, per_worker_threads: usize) -> f64 {
         }
         let mut still_running = Vec::with_capacity(running.len());
         for mut slot in running {
-            match slot.child.try_wait().expect("wait on worker") {
+            match slot.child.try_wait()? {
                 None => still_running.push(slot),
                 Some(status) if status.success() => {
                     eprintln!("[sweep_drive] shard {}/{}: done", slot.shard, args.shards);
@@ -159,38 +154,20 @@ fn run_fleet(args: &Args, per_worker_threads: usize) -> f64 {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    started.elapsed().as_secs_f64()
+    Ok(started.elapsed().as_secs_f64())
 }
 
-fn main() {
-    let args = parse_args();
-    let Some(grid) = build_sweep_grid(&args.grid) else {
-        eprintln!(
-            "[sweep_drive] unknown grid {:?}; known: {}",
-            args.grid,
-            sweep_grid_names().join(", ")
-        );
-        std::process::exit(2);
-    };
-    let results = bench::results_dir();
+/// Runs `--grid` as a sharded worker fleet and checks the merged report
+/// against an in-process reference (or runs only the reference,
+/// `--in-process`).
+pub fn run(args: &[String]) -> Outcome {
+    let args = parse_args(args);
+    let grid = sweep_grid_or_exit("sweep_drive", &args.grid);
+    let results = crate::results_dir();
 
-    if args.in_process {
-        let started = Instant::now();
-        let report = grid.run();
-        let wall = started.elapsed().as_secs_f64();
-        let path = report
-            .write_canonical_to(&results)
-            .expect("write reference report");
-        eprintln!(
-            "[sweep_drive] in-process reference: {} cells in {wall:.2}s -> {}",
-            report.cells.len(),
-            path.display()
-        );
-        return;
-    }
-
-    // Single-process reference first: it provides both the byte-identity
-    // check and the denominator of the speedup measurement.
+    // Single-process reference first: it is the whole run under
+    // `--in-process`, and otherwise both the byte-identity check and the
+    // denominator of the speedup measurement.
     eprintln!(
         "[sweep_drive] {}: single-process reference run ({} cells)…",
         args.grid,
@@ -199,6 +176,15 @@ fn main() {
     let started = Instant::now();
     let reference = grid.run();
     let single_wall = started.elapsed().as_secs_f64();
+    if args.in_process {
+        let path = reference.write_canonical_to(&results)?;
+        eprintln!(
+            "[sweep_drive] in-process reference: {} cells in {single_wall:.2}s -> {}",
+            reference.cells.len(),
+            path.display()
+        );
+        return Ok(());
+    }
     let reference_bytes = serde_json::to_string_pretty(&reference.canonical_json());
 
     // The driver's total core budget: its own `EXPER_THREADS` if set,
@@ -209,32 +195,9 @@ fn main() {
         "[sweep_drive] {}: {} shards on {} workers × {} threads (budget {})…",
         args.grid, args.shards, args.workers, per_worker_threads, budget
     );
-    let fleet_wall = run_fleet(&args, per_worker_threads);
+    let fleet_wall = run_fleet(&args, per_worker_threads)?;
 
-    let dir = shards_dir(&results);
-    let mut fragments = Vec::with_capacity(args.shards);
-    for shard_id in 0..args.shards {
-        let path = dir.join(fragment_file_name(&args.grid, shard_id, args.shards));
-        match ShardFragment::load(&path) {
-            Ok(frag) => fragments.push(frag),
-            Err(e) => {
-                eprintln!("[sweep_drive] fragment refused: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let merged = match merge_fragments(
-        grid.grid_name(),
-        grid.grid_fingerprint(),
-        grid.cell_count(),
-        &fragments,
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("[sweep_drive] merge refused: {e}");
-            std::process::exit(1);
-        }
-    };
+    let merged = merge_or_exit("sweep_drive", &grid, args.shards);
     let merged_bytes = serde_json::to_string_pretty(&merged.canonical_json());
     if merged_bytes != reference_bytes {
         eprintln!(
@@ -244,9 +207,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let path = merged
-        .write_canonical_to(&results)
-        .expect("write merged report");
+    let path = merged.write_canonical_to(&results)?;
 
     let cells = grid.cell_count();
     let cells_per_sec = cells as f64 / fleet_wall.max(1e-9);
@@ -268,4 +229,5 @@ fn main() {
             args.workers
         );
     }
+    Ok(())
 }

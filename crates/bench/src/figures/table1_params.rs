@@ -1,10 +1,12 @@
 //! Table 1 — simulation parameters (the reconstructed parameter table the
 //! paper's evaluation section opens with).
 
-use bench::{bench_scenario, emit_markdown};
+use super::Outcome;
+use crate::{bench_scenario, emit_markdown};
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `table1_params.md`.
+pub fn run() -> Outcome {
     let scenario = bench_scenario(8.0);
     let vnfs = VnfCatalog::standard();
     let chains = ChainCatalog::standard(&vnfs);
@@ -73,4 +75,5 @@ fn main() {
     }
 
     emit_markdown("table1_params.md", &md);
+    Ok(())
 }

@@ -1,9 +1,11 @@
 //! Table 2 — DQN hyperparameters of the DRL manager.
 
-use bench::{dqn_config, emit_markdown};
+use super::Outcome;
+use crate::{dqn_config, emit_markdown};
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `table2_hyperparams.md`.
+pub fn run() -> Outcome {
     let c = dqn_config();
     let mut md =
         String::from("# Table 2 — DQN hyperparameters\n\n| hyperparameter | value |\n|---|---|\n");
@@ -67,4 +69,5 @@ fn main() {
     }
     md.push_str("| training passes | 8 over the horizon (fresh trace each) |\n");
     emit_markdown("table2_hyperparams.md", &md);
+    Ok(())
 }

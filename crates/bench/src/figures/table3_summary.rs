@@ -2,10 +2,15 @@
 //! scenario (λ = 8, scarce edge capacity): the paper's main comparison,
 //! now mean ± 95% CI across the evaluation seeds.
 
-use bench::{bench_scenario, emit_markdown, emit_report, eval_seeds, factory_of, train_headline};
+use super::Outcome;
+use crate::{
+    aggregate_rows, bench_scenario, emit_markdown, emit_report, eval_seeds, factory_of,
+    train_headline,
+};
 use drl_vnf_edge::prelude::*;
 
-fn main() {
+/// Writes `table3_summary.md` and `BENCH_table3_summary.json`.
+pub fn run() -> Outcome {
     let scenario = bench_scenario(8.0);
     eprintln!("[table3] training DRL…");
     let trained = train_headline(&scenario);
@@ -14,14 +19,10 @@ fn main() {
         .scenario("lambda=8", 8.0, scenario)
         .seeds(&eval_seeds())
         .policy_boxed("drl", factory_of(trained.policy))
-        .baselines(roster("standard").expect("a registry roster"))
+        .baselines(roster("standard").ok_or("no standard roster")?)
         .run();
 
-    let mut rows: Vec<(String, SummaryAggregate)> = report
-        .aggregates
-        .iter()
-        .map(|a| (a.policy.clone(), a.aggregate.clone()))
-        .collect();
+    let mut rows = aggregate_rows(&report);
     rows.sort_by(|a, b| {
         a.1.combined_objective(1.0, 1.0)
             .total_cmp(&b.1.combined_objective(1.0, 1.0))
@@ -43,4 +44,5 @@ fn main() {
     }
     emit_markdown("table3_summary.md", &md);
     emit_report(&report);
+    Ok(())
 }

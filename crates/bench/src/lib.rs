@@ -1,15 +1,17 @@
 //! # bench — experiment harness shared utilities
 //!
-//! Presets and plumbing shared by the `fig*`/`table*` binaries that
-//! regenerate every figure and table of the evaluation (see DESIGN.md §4
-//! for the experiment index). Binaries write CSV/markdown plus a
-//! machine-readable `BENCH_<name>.json` into `results/` (override with
-//! the `RESULTS_DIR` environment variable) and fan their evaluation grids
-//! out through the [`exper`] engine (`EXPER_THREADS` controls workers).
+//! Presets and plumbing shared by the [`figures`] that regenerate every
+//! figure and table of the evaluation (see DESIGN.md §4 for the
+//! experiment index), each a subcommand of the one `bench` binary. They
+//! write CSV/markdown plus a machine-readable `BENCH_<name>.json` into
+//! `results/` (override with the `RESULTS_DIR` environment variable) and
+//! fan their evaluation grids out through the [`exper`] engine
+//! (`EXPER_THREADS` controls workers).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod figures;
 pub mod manifests;
 pub mod summary;
 pub mod sweep_grids;
@@ -21,6 +23,7 @@ use rl::qnet::QNetworkConfig;
 use rl::replay::PerConfig;
 use rl::schedule::EpsilonSchedule;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Directory experiment outputs are written to.
 pub fn results_dir() -> PathBuf {
@@ -207,6 +210,16 @@ pub fn emit_report(report: &BenchReport) {
     );
 }
 
+/// The `(policy, aggregate)` rows of `report` in report order, as
+/// `markdown_aggregate_comparison` takes them.
+pub fn aggregate_rows(report: &BenchReport) -> Vec<(String, SummaryAggregate)> {
+    report
+        .aggregates
+        .iter()
+        .map(|a| (a.policy.clone(), a.aggregate.clone()))
+        .collect()
+}
+
 /// Emits a band CSV (mean/std/ci95 per metric) from a grid report.
 pub fn emit_sweep_csv(name: &str, report: &BenchReport) {
     emit_csv(name, &sweep_csv(report));
@@ -247,26 +260,23 @@ pub fn best_per_coordinate<'a>(
         .collect()
 }
 
-/// `true` unless `EXPER_SWEEP_CACHE=0`: figures 2–4 share one λ-sweep
-/// grid, so the first binary to run computes and persists it and the
-/// other two reuse the identical cached cells instead of retraining.
-pub fn sweep_cache_enabled() -> bool {
-    std::env::var_os("EXPER_SWEEP_CACHE").is_none_or(|v| v != "0")
+/// The λ sweep shared by figures 2–4, run once per process: the DRL
+/// manager is trained once at the high end of the sweep (standard
+/// practice — the observation includes utilization, so one policy
+/// generalizes across loads), then every policy × rate × seed cell runs
+/// through the engine. The first call writes `BENCH_load_sweep.json`;
+/// later calls (the other two figures under `bench figures`) return the
+/// same report.
+pub fn load_sweep_grid() -> BenchReport {
+    static SWEEP: OnceLock<BenchReport> = OnceLock::new();
+    SWEEP.get_or_init(run_load_sweep).clone()
 }
 
-/// Runs (or reuses) the λ sweep shared by figures 2–4: the DRL manager is
-/// trained once at the high end of the sweep (standard practice — the
-/// observation includes utilization, so one policy generalizes across
-/// loads), then every policy × rate × seed cell runs through the engine.
-///
-/// The report is cached as `BENCH_load_sweep.json` keyed by a
-/// configuration fingerprint; a cache hit returns cells bit-identical to
-/// a fresh run (the JSON round-trip is exact).
-pub fn load_sweep_grid() -> BenchReport {
+fn run_load_sweep() -> BenchReport {
     let rates = load_sweep_rates();
     let seeds = eval_seeds();
     let train_rate = *rates.last().expect("non-empty sweep") * 0.8;
-    // The fingerprint must cover everything that changes the cells:
+    // The report's fingerprint covers everything that changes the cells:
     // sweep shape, seed axis, training budget, scenario, the trained
     // manager's full config, the reward, and the policy roster.
     let comparison = roster("comparison").expect("a registry roster");
@@ -280,14 +290,6 @@ pub fn load_sweep_grid() -> BenchReport {
         drl_default(),
         RewardConfig::default(),
     );
-    if sweep_cache_enabled() {
-        if let Ok(cached) = load_bench_report(&results_dir(), "load_sweep") {
-            if cached.fingerprint == fingerprint {
-                eprintln!("[sweep] reusing cached BENCH_load_sweep.json");
-                return cached;
-            }
-        }
-    }
     eprintln!("[sweep] training DRL at rate {train_rate:.1}…");
     let trained = train_headline(&bench_scenario(train_rate));
     let mut grid = ExperimentGrid::new("load_sweep")

@@ -1,8 +1,8 @@
 //! Checked-in scenario manifests: the in-code definitions behind the
 //! JSON files under `manifests/`, plus the loading and training plumbing
-//! figure binaries and the search driver share.
+//! figures and the search driver share.
 //!
-//! The JSON files are the source of truth the binaries load at runtime;
+//! The JSON files are the source of truth the figures load at runtime;
 //! the in-code builders here exist so tests can pin the files (a drifted
 //! file fails [`crate::manifests`]' golden test instead of silently
 //! changing an experiment), and so the files can be regenerated
@@ -160,7 +160,7 @@ mod tests {
     /// The checked-in JSON files are byte-for-byte the serialization of
     /// the in-code builders. A mismatch means someone edited one side
     /// only; regenerate with
-    /// `cargo run --bin search_drive -- --write-manifests`.
+    /// `cargo run -p bench -- search_drive --write-manifests`.
     #[test]
     fn checked_in_files_match_in_code_definitions() {
         for &name in checked_in_manifest_names() {

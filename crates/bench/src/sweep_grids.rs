@@ -6,7 +6,7 @@
 //! this registry. Since the manifest redesign the registry holds
 //! [`ScenarioManifest`]s rather than hand-assembled builders: each entry
 //! is a pure value, expansion is a pure function of `(manifest, FAST)`,
-//! and the exact same manifests drive the in-process figure binaries and
+//! and the exact same manifests drive the in-process figures and
 //! the search driver, so the definitions can no longer drift apart. The
 //! structural fingerprint (`ExperimentGrid::auto_fingerprint`) is stamped
 //! on every plan and fragment so a merge refuses cells computed from a
@@ -74,6 +74,28 @@ pub fn sweep_grid_manifest(name: &str) -> Option<ScenarioManifest> {
         _ => return None,
     };
     Some(manifest)
+}
+
+/// Prints `usage: <synopsis>` and the registry's grid names, then exits
+/// 2: the usage error of the sweep tools.
+pub fn sweep_usage(synopsis: &str) -> ! {
+    eprintln!(
+        "usage: {synopsis}\n       grids: {}",
+        sweep_grid_names().join(", ")
+    );
+    std::process::exit(2);
+}
+
+/// [`build_sweep_grid`] for the sweep tool `tool`: an unknown name prints
+/// every known one and exits 2.
+pub fn sweep_grid_or_exit(tool: &str, name: &str) -> ExperimentGrid {
+    build_sweep_grid(name).unwrap_or_else(|| {
+        eprintln!(
+            "[{tool}] unknown grid {name:?}; known: {}",
+            sweep_grid_names().join(", ")
+        );
+        std::process::exit(2);
+    })
 }
 
 /// Builds the named sweep grid with its structural fingerprint attached,

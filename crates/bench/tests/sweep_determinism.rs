@@ -4,10 +4,10 @@
 //! the merged report's canonical JSON is byte-identical to the
 //! single-process `ExperimentGrid::run` output.
 //!
-//! The process-spawning path (real `sweep_worker` fleets) is exercised by
-//! `verify.sh sweep-smoke`, which byte-diffs the merged file on disk;
-//! here the same plan/execute/merge pipeline runs in-process so the
-//! property can be checked across many partitions quickly.
+//! The process-spawning path (real `bench sweep_worker` fleets) is
+//! exercised by `verify.sh sweep-smoke`, which byte-diffs the merged file
+//! on disk; here the same plan/execute/merge pipeline runs in-process so
+//! the property can be checked across many partitions quickly.
 
 use exper::prelude::*;
 use mano::prelude::*;
@@ -201,8 +201,8 @@ fn sweep_drive_rejects_malformed_counts() {
         &["--workers", "4x"],
         &["--shards"],
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sweep_drive"))
-            .args(["--grid", "fig2_load"])
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench"))
+            .args(["sweep_drive", "--grid", "fig2_load"])
             .args(bad)
             .output()
             .expect("spawn sweep_drive");

@@ -159,8 +159,8 @@ impl ExperimentGrid {
         self
     }
 
-    /// Attaches a configuration fingerprint recorded in the report
-    /// (binaries sharing a cached grid use it to detect staleness).
+    /// Attaches a configuration fingerprint recorded in the report, so a
+    /// reader can tell which configuration produced it.
     pub fn fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = fingerprint.into();
         self

@@ -18,7 +18,7 @@
 //!   report is assembled.
 //! * [`manifest`] — declarative [`manifest::ScenarioManifest`]s (JSON or
 //!   code) that expand deterministically into grids: the single
-//!   definition path shared by figure binaries, the sweep registry and
+//!   definition path shared by the figures, the sweep registry and
 //!   the search driver.
 //! * [`search`] — composite [`search::HealthScore`]s over
 //!   `SUMMARY_METRICS` and the successive-halving

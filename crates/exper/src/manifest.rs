@@ -4,7 +4,7 @@
 //! A manifest names every axis an experiment sweeps — topology family,
 //! workload pattern, event schedule, reward weights, policy set, seeds —
 //! instead of hand-assembling grids with ad-hoc builder calls. The same
-//! manifest is the single definition path for in-process figure binaries,
+//! manifest is the single definition path for the in-process figures,
 //! the multi-process sweep registry, and the automated search driver
 //! ([`crate::search`]), so a grid can no longer drift between its
 //! consumers.
@@ -771,7 +771,7 @@ impl ScenarioManifest {
 
     /// A mode-independent structural fingerprint of the manifest (FNV-1a
     /// over its full debug form, covering both the full and `FAST`
-    /// variants). Search artifacts record it so `bench_summary` can flag
+    /// variants). Search artifacts record it so `bench summary` can flag
     /// results produced from a drifted manifest file.
     pub fn fingerprint(&self) -> String {
         format!(

@@ -10,21 +10,25 @@
 #                           # library unwrap/expect ratchet + no caller of
 #                           # the `.sparse()` shim + no clock in the engine
 #                           # + no serde derive + one baseline registry
-#                           # + sorted-vector engine stores (fast feedback)
+#                           # + sorted-vector engine stores + one bench
+#                           # binary (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
-#                           # full and FAST=1 horizons)
+#                           # full and FAST=1 horizons); ends with the
+#                           # seconds each stage took (not gated)
 #   ./verify.sh vector-width# on an AVX-512 host building with the flags of
 #                           # .cargo/config.toml: nn's release assembly
 #                           # must use 512-bit registers and hold no
 #                           # gather or scatter instruction (prints
 #                           # "skipped" anywhere else)
-#   ./verify.sh bench-smoke # FAST=1 run of every fig/table binary;
-#                           # writes CSV/JSON artifacts into $RESULTS_DIR,
+#   ./verify.sh bench-smoke # FAST=1 run of every figure and table
+#                           # (`bench figures`, one process); writes
+#                           # CSV/JSON artifacts into $RESULTS_DIR,
 #                           # runs the sweep and search smokes below, and
 #                           # prints the markdown digest of the
 #                           # BENCH_*.json reports (rates are measured by
-#                           # perf/run.sh, not gated here)
+#                           # perf/run.sh, not gated here); ends with the
+#                           # build and figure-loop seconds (not gated)
 #   ./verify.sh bench-full  # the same suite at full resolution (no FAST);
 #                           # slow — CI exposes it as a manual
 #                           # workflow_dispatch job
@@ -44,12 +48,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-FIG_BINARIES=(
-  fig1_convergence fig2_latency_vs_load fig3_cost_vs_load fig4_acceptance
-  fig5_scalability fig6_chain_length fig7_dynamic fig8_optgap fig9_ablation
-  fig10_reward_weights fig11_pg_vs_dqn fig12_resilience fig13_metro
-  table1_params table2_hyperparams table3_summary
-)
+# The one binary: every figure, table and tool is `$BENCH <name> [args]`.
+BENCH=./target/release/bench
+
+# `timed <label> <command...>` runs the command and keeps its seconds for
+# the line `test` and `bench-smoke` end with (information, not a gate).
+TIMINGS=()
+timed() {
+  local label="$1" start="$EPOCHREALTIME"
+  shift
+  "$@"
+  TIMINGS+=("$label $(awk -v s="$start" -v e="$EPOCHREALTIME" 'BEGIN { printf "%.1f", e - s }') s")
+}
 
 lint() {
   echo "==> cargo fmt --all --check"
@@ -67,19 +77,18 @@ lint() {
   no_serde_derives
   one_baseline_registry
   engine_stores_are_sorted
+  one_bench_binary
 }
 
-# `.unwrap()` / `.expect(` occurrences in library sources (`crates/*/src`
-# and `src/`, binaries excluded; in-file unit tests count). The number only
-# goes down: above it the lint fails, below it prints the number to record
-# here.
+# `.unwrap()` / `.expect(` occurrences in `crates/*/src` and `src/`
+# (in-file unit tests count). The number only goes down: above it the lint
+# fails, below it prints the number to record here.
 UNWRAP_EXPECT_MAX=178
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
   local count
-  count=$(grep -rEo --include='*.rs' '\.unwrap\(\)|\.expect\(' crates/*/src src |
-    grep -vc '^crates/[^/]*/src/bin/')
+  count=$(grep -rEo --include='*.rs' '\.unwrap\(\)|\.expect\(' crates/*/src src | grep -c .)
   if [ "$count" -gt "$UNWRAP_EXPECT_MAX" ]; then
     echo "library unwrap/expect count rose: $count > $UNWRAP_EXPECT_MAX" \
       "(return a Result, or remove as many elsewhere)" >&2
@@ -158,10 +167,29 @@ engine_stores_are_sorted() {
   fi
 }
 
-test_() {
-  echo "==> cargo build --release"
-  cargo build --release
+# A release build optimises the whole stack once per binary target (thin
+# LTO, one codegen unit), so the figures, tables and tools are subcommands
+# of one `bench` binary (bench::figures::REGISTRY). Nothing in crates/,
+# verify.sh or .github/ may run a binary of another name.
+one_bench_binary() {
+  echo "==> one binary target in the bench package, and nothing runs another"
+  local bins
+  bins=$(cargo metadata --no-deps --format-version 1 --offline |
+    grep -oE '"kind":\["bin"\][^}]*"src_path":"[^"]*/crates/bench/[^"]*"' |
+    grep -oE '"name":"[^"]*"' | cut -d'"' -f4 | tr '\n' ' ') || true
+  if [ "$bins" != "bench " ]; then
+    echo "the bench package must have one binary target, bench; found: ${bins:-none}" \
+      "(add a subcommand to bench::figures::REGISTRY instead)" >&2
+    return 1
+  fi
+  if grep -rnoE 'CARGO_BIN_EXE_[A-Za-z0-9_-]+|target/release/[A-Za-z0-9_-]+' crates verify.sh .github |
+    grep -vE ':(CARGO_BIN_EXE_bench|target/release/bench)$'; then
+    echo "run figures and tools as subcommands: target/release/bench <name>, CARGO_BIN_EXE_bench" >&2
+    return 1
+  fi
+}
 
+run_tests() {
   echo "==> cargo test -q"
   cargo test -q
 
@@ -171,6 +199,16 @@ test_() {
   # scenarios' horizons, which shifts which slots carry events).
   echo "==> FAST=1 cargo test -q -p mano --test event_slot_equivalence"
   FAST=1 cargo test -q -p mano --test event_slot_equivalence
+}
+
+test_() {
+  echo "==> cargo build --release"
+  timed "release build" cargo build --release
+
+  echo "==> cargo test --no-run -q"
+  timed "test build" cargo test --no-run -q
+
+  timed "test run" run_tests
 }
 
 # .cargo/config.toml asks for 512-bit vectors where the host has them
@@ -220,12 +258,10 @@ vector_width() {
 
 run_figures() {
   echo "==> cargo build --release -p bench"
-  cargo build --release -p bench
+  timed "release build" cargo build --release -p bench
 
-  for bin in "${FIG_BINARIES[@]}"; do
-    echo "==> $bin (FAST=${FAST:-0} -> $RESULTS_DIR)"
-    ./target/release/"$bin" >/dev/null
-  done
+  echo "==> bench figures (FAST=${FAST:-0} -> $RESULTS_DIR)"
+  timed "figure loop" "$BENCH" figures >/dev/null
 
   echo "==> artifacts in $RESULTS_DIR:"
   ls -l "$RESULTS_DIR"
@@ -239,17 +275,17 @@ run_figures() {
 }
 
 # Byte-identity check for one grid: single-process reference vs a merged
-# N-shard × W-worker run. sweep_drive re-checks the bytes in memory; the
+# N-shard × W-worker run. `bench sweep_drive` re-checks the bytes in memory; the
 # cmp here additionally pins the on-disk artifact (the thing figures and
 # the summary actually consume).
 run_sweep_grid_check() {
   local grid="$1" shards="$2" workers="$3"
   echo "==> sweep: $grid reference (single process)"
-  ./target/release/sweep_drive --grid "$grid" --in-process
+  "$BENCH" sweep_drive --grid "$grid" --in-process
   cp "$RESULTS_DIR/BENCH_$grid.json" "$RESULTS_DIR/BENCH_$grid.reference.json"
 
   echo "==> sweep: $grid sharded ($shards shards, $workers workers)"
-  ./target/release/sweep_drive --grid "$grid" --shards "$shards" --workers "$workers"
+  "$BENCH" sweep_drive --grid "$grid" --shards "$shards" --workers "$workers"
 
   echo "==> sweep: byte-diff merged vs reference"
   cmp "$RESULTS_DIR/BENCH_$grid.reference.json" "$RESULTS_DIR/BENCH_$grid.json"
@@ -273,11 +309,11 @@ run_search_smoke() {
   cargo build --release -p bench
 
   echo "==> search: smoke manifest (reference run)"
-  ./target/release/search_drive smoke
+  "$BENCH" search_drive smoke
   cp "$RESULTS_DIR/BENCH_search_smoke.json" "$RESULTS_DIR/BENCH_search_smoke.reference.json"
 
   echo "==> search: smoke manifest again (EXPER_THREADS=1)"
-  EXPER_THREADS=1 ./target/release/search_drive smoke
+  EXPER_THREADS=1 "$BENCH" search_drive smoke
 
   echo "==> search: byte-diff second run vs reference"
   cmp "$RESULTS_DIR/BENCH_search_smoke.reference.json" "$RESULTS_DIR/BENCH_search_smoke.json"
@@ -316,7 +352,7 @@ bench_smoke() {
   run_search_smoke
 
   echo "==> bench summary (markdown)"
-  ./target/release/bench_summary
+  "$BENCH" summary
 }
 
 bench_full() {
@@ -327,7 +363,7 @@ bench_full() {
   run_figures
 
   echo "==> bench summary (markdown)"
-  ./target/release/bench_summary
+  "$BENCH" summary
 }
 
 case "${1:-all}" in
@@ -350,4 +386,8 @@ case "${1:-all}" in
     ;;
 esac
 
+if [ "${#TIMINGS[@]}" -gt 0 ]; then
+  printf -v line '%s, ' "${TIMINGS[@]}"
+  echo "==> wall clock (not gated): ${line%, }"
+fi
 echo "verify.sh: ${1:-all} gates passed"
