@@ -1,10 +1,13 @@
 //! Micro-benchmarks for the network substrate: routing-table builds and
-//! lookups at experiment topology sizes.
+//! lookups at experiment topology sizes, and the per-node usage
+//! accounting that a spawn and a retire pay.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edgenet::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sfc::instance::InstancePool;
+use sfc::vnf::{VnfCatalog, VnfTypeId};
 
 fn bench_routing(c: &mut Criterion) {
     let metro = TopologyBuilder::default().metro(16);
@@ -23,13 +26,12 @@ fn bench_routing(c: &mut Criterion) {
 }
 
 fn bench_capacity(c: &mut Criterion) {
-    let topo = TopologyBuilder::default().metro(16);
-    let mut ledger = CapacityLedger::for_topology(&topo);
-    let demand = Resources::new(2.0, 4.0);
-    c.bench_function("ledger_alloc_release", |b| {
+    let vnfs = VnfCatalog::standard();
+    let mut pool = InstancePool::new();
+    c.bench_function("pool_spawn_retire", |b| {
         b.iter(|| {
-            ledger.allocate(NodeId(3), &demand).unwrap();
-            ledger.release(NodeId(3), &demand).unwrap();
+            let id = pool.spawn(VnfTypeId(1), NodeId(3), 0, &vnfs);
+            pool.retire(id, &vnfs).unwrap();
         })
     });
 }

@@ -19,6 +19,7 @@ impl Simulation {
     ) -> (f64, f64, f64, f64) {
         let slot_s = self.scenario.slot_seconds;
         let topology = self.network.topology();
+        let ledger = self.network.ledger();
         // Compute: every live instance bills its CPU share.
         let compute: f64 = self
             .pool
@@ -36,7 +37,7 @@ impl Simulation {
             .iter()
             .filter(|n| !n.is_cloud() && self.network.node_alive(n.id))
             .map(|n| {
-                let u = self.network.ledger().utilization_of(n.id).unwrap_or(0.0);
+                let u = ledger.utilization_of(n.id, &self.pool.used_on(n.id));
                 self.scenario.energy.cost_usd(n, u.min(1.0), slot_s)
             })
             .sum();
@@ -104,7 +105,7 @@ impl Simulation {
                         energy,
                         traffic,
                         mean_latency,
-                        mean_utilization: self.network.ledger().mean_utilization(),
+                        mean_utilization: self.mean_utilization(),
                         active_flows: self.active.len() as u32,
                         live_instances: self.pool.len() as u32,
                         nodes_down: self.network.down_node_count() as u32,

@@ -5,11 +5,18 @@
 
 use super::*;
 
-/// Largest relative gap allowed between an instance's `lambda_rps` and
-/// the sum of its flows' arrival rates, relative to that sum or 1 rps,
-/// whichever is larger. The pool adds and subtracts rates one flow at a
-/// time and the check sums them afresh, so the two differ by rounding.
-const LOAD_REL_TOL: f64 = 1e-9;
+/// Largest gap allowed between a running sum the pool keeps and the same
+/// sum taken afresh, relative to the fresh sum or 1, whichever is larger:
+/// an instance's `lambda_rps` against its flows' arrival rates, and a
+/// node's usage against its live instances' demand. The pool adds and
+/// subtracts one term at a time, so the two differ by rounding.
+const REL_TOL: f64 = 1e-9;
+
+/// `true` if the running sum `kept` matches the fresh sum `fresh` to
+/// [`REL_TOL`].
+fn close(kept: f64, fresh: f64) -> bool {
+    (kept - fresh).abs() <= REL_TOL * fresh.max(1.0)
+}
 
 /// The checker's reusable buffers. Once they have grown to the largest
 /// world a run reaches, a debug build's check at each slot close
@@ -21,6 +28,8 @@ pub(super) struct InvariantScratch {
     shares: Vec<(InstanceId, f64)>,
     /// The flow under check, in the form `assignment_latency` takes.
     assignment: ChainAssignment,
+    /// Per node, the catalog demand of its live instances summed afresh.
+    usage: Vec<Resources>,
 }
 
 impl Default for InvariantScratch {
@@ -31,6 +40,7 @@ impl Default for InvariantScratch {
                 request: RequestId(0),
                 instances: Vec::new(),
             },
+            usage: Vec::new(),
         }
     }
 }
@@ -39,6 +49,11 @@ impl Simulation {
     /// Checks the invariants that hold after every handled event:
     ///
     /// * `dead_nodes_host_nothing` — no instance sits on a dead node;
+    /// * `node_usage_matches_instances` — every node's usage in the pool
+    ///   is the sum of its live instances' catalog demand (to the same
+    ///   relative tolerance), and fits its capacity unless a
+    ///   `CapacityDegrade` cut that capacity (the node then admits nothing
+    ///   new until its usage drains);
     /// * `flows_routable_on_live_nodes` — every active flow's instances
     ///   exist, sit on live nodes, and are routed to from its source
     ///   (its `assignment_latency` is `Ok`);
@@ -65,7 +80,38 @@ impl Simulation {
                 inst.id, inst.node
             ));
         }
-        let InvariantScratch { shares, assignment } = scratch;
+        let InvariantScratch {
+            shares,
+            assignment,
+            usage,
+        } = scratch;
+        let topology = self.network.topology();
+        usage.clear();
+        usage.resize(topology.node_count(), Resources::zero());
+        for inst in self.pool.iter() {
+            let fresh = &mut usage[inst.node.0];
+            *fresh = fresh.plus(&self.vnfs.get(inst.vnf_type).demand);
+        }
+        for (node, fresh) in topology.nodes().iter().map(|n| n.id).zip(usage.iter()) {
+            let used = self.pool.used_on(node);
+            if !close(used.cpu, fresh.cpu) || !close(used.mem, fresh.mem) {
+                return Err(format!(
+                    "node_usage_matches_instances: node {node} counts {used:?} in use, \
+                     its live instances demand {fresh:?}"
+                ));
+            }
+            let capacity = self
+                .network
+                .ledger()
+                .capacity_of(node)
+                .map_err(|e| format!("node_usage_matches_instances: {e}"))?;
+            if !capacity.fits(&used) && capacity == topology.node(node).capacity {
+                return Err(format!(
+                    "node_usage_matches_instances: node {node} runs {used:?}, \
+                     past its capacity {capacity:?}"
+                ));
+            }
+        }
         shares.clear();
         for (id, flow) in self.active.iter() {
             assignment.request = flow.request.id;
@@ -93,9 +139,7 @@ impl Simulation {
             let (own, tail) = rest.split_at(rest.partition_point(|&(id, _)| id <= inst.id));
             rest = tail;
             let lambda = own.iter().fold(0.0, |sum, &(_, rate)| sum + rate);
-            if inst.flows as usize != own.len()
-                || (inst.lambda_rps - lambda).abs() > LOAD_REL_TOL * lambda.max(1.0)
-            {
+            if inst.flows as usize != own.len() || !close(inst.lambda_rps, lambda) {
                 return Err(format!(
                     "instance_loads_match_flows: instance {} carries {} flows at {} rps, \
                      the active flows put {} at {lambda} rps on it",

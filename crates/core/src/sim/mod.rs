@@ -3,9 +3,10 @@
 //!
 //! One *placement episode* = all decisions for one request (one per VNF in
 //! its chain, or a reject). The engine builds the decision context, asks
-//! the policy, applies the action (instance reuse or spawn + capacity
-//! allocation), shapes the reward, and delivers feedback — so DRL and
-//! heuristic policies are driven through exactly the same code path.
+//! the policy, applies the action (instance reuse, or a spawn that the
+//! pool counts against its node's capacity), shapes the reward, and
+//! delivers feedback — so DRL and heuristic policies are driven through
+//! exactly the same code path.
 //!
 //! One engine drives the lifecycle, and one reference checks it:
 //!
@@ -40,7 +41,7 @@ use crate::state::StateEncoder;
 use crate::telemetry::TelemetrySink;
 use crate::timeline::{EventQueue, SimEvent, SimEventKind, SimTime};
 use edgenet::capacity::CapacityLedger;
-use edgenet::node::NodeId;
+use edgenet::node::{NodeId, Resources};
 use edgenet::routing::RoutingTable;
 use edgenet::topology::Topology;
 use edgenet::view::{NetworkEvent, NetworkView};
@@ -478,9 +479,19 @@ impl Simulation {
         self.network.routes()
     }
 
-    /// Per-node resource accounting (shorthand for `network.ledger()`).
+    /// Every node's current capacity (shorthand for `network.ledger()`).
+    /// What runs on a node is the pool's to know: `pool.used_on(node)`
+    /// is the running sum of its live instances' demand.
     pub fn ledger(&self) -> &CapacityLedger {
         self.network.ledger()
+    }
+
+    /// Mean dominant utilization across all nodes: the ledger's
+    /// capacities against the pool's usage.
+    fn mean_utilization(&self) -> f64 {
+        self.network
+            .ledger()
+            .mean_utilization(|node| self.pool.used_on(node))
     }
 
     /// Current slot index.

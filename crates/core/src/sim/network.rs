@@ -14,18 +14,12 @@ impl Simulation {
                 downed.push(node);
             }
         }
-        // Evict every instance hosted on a dead node and return its
-        // capacity (the ledger stays consistent for eventual recovery).
+        // Evict every instance hosted on a dead node (the pool takes their
+        // demand off the node's usage).
         let mut dead_instances: BTreeSet<InstanceId> = BTreeSet::new();
         for &node in &downed {
-            for inst in self.pool.evict_node(node) {
-                let demand = self.vnfs.get(inst.vnf_type).demand;
-                self.network
-                    .ledger_mut()
-                    .release(node, &demand)
-                    .expect("node exists");
-                dead_instances.insert(inst.id);
-            }
+            let evicted = self.pool.evict_node(node, &self.vnfs);
+            dead_instances.extend(evicted.iter().map(|inst| inst.id));
         }
         // Tear disrupted flows out of the active set, releasing their load
         // on surviving instances (which may then retire as idle).

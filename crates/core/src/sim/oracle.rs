@@ -97,7 +97,7 @@ impl Simulation {
             traffic_cost: traffic,
             // Taken, not read: a `drive` next must not bill it again.
             deployment_cost: std::mem::take(&mut self.deployment_cost_this_slot),
-            mean_utilization: self.network.ledger().mean_utilization(),
+            mean_utilization: self.mean_utilization(),
             flows_disrupted,
             flows_replaced,
             nodes_down: self.network.down_node_count() as u32,

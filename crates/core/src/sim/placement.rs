@@ -30,6 +30,7 @@ impl Simulation {
         let slot_s = self.scenario.slot_seconds;
         let topology = self.network.topology();
         let routes = self.network.routes();
+        let ledger = self.network.ledger();
         out.clear();
         out.extend((0..topology.node_count()).map(|i| {
             let node_id = NodeId(i);
@@ -40,11 +41,8 @@ impl Simulation {
             let alive = self.network.node_alive(node_id) && self.network.node_alive(at_node);
             let reachable = alive && (at_node == node_id || routes.reachable(at_node, node_id));
             let reusable = self.reusable_instance(vnf, chain, node_id);
-            let can_spawn = self
-                .network
-                .ledger()
-                .fits(node_id, &vnf.demand)
-                .unwrap_or(false);
+            let used = self.pool.used_on(node_id);
+            let can_spawn = ledger.fits(node_id, &used, &vnf.demand);
             let feasible = reachable && (reusable.is_some() || can_spawn);
 
             // Marginal latency: hop + fixed processing + queueing at the
@@ -85,7 +83,7 @@ impl Simulation {
                 reuse_available: reusable.is_some(),
                 marginal_latency_ms: marginal_latency,
                 marginal_cost_usd: cost,
-                utilization: self.network.ledger().utilization_of(node_id).unwrap_or(1.0),
+                utilization: ledger.utilization_of(node_id, &used),
                 is_cloud: node.is_cloud(),
             }
         }));
@@ -219,7 +217,8 @@ impl Simulation {
 
     /// Commits one VNF placement at `node`: reuses an instance with
     /// headroom or spawns a new one. Returns
-    /// `(instance, newly_spawned, deployment_cost_incurred)`.
+    /// `(instance, newly_spawned, deployment_cost_incurred)`. Panics on a
+    /// spawn that does not fit at `node`, in release builds too.
     pub(super) fn commit_step(
         &mut self,
         chain: &ChainSpec,
@@ -235,11 +234,15 @@ impl Simulation {
                 (id, false, 0.0)
             }
             None => {
-                self.network
-                    .ledger_mut()
-                    .allocate(node, &vnf.demand)
-                    .expect("engine only commits feasible placements");
-                let id = self.pool.spawn(vnf.id, node, self.slot);
+                // Candidates offer a spawn only where it fits; one past the
+                // node's capacity would skew every later utilization read.
+                let used = self.pool.used_on(node);
+                assert!(
+                    self.network.ledger().fits(node, &used, &vnf.demand),
+                    "engine only commits feasible placements: {} does not fit at {node}",
+                    vnf.name
+                );
+                let id = self.pool.spawn(vnf.id, node, self.slot, &self.vnfs);
                 self.pool
                     .add_flow(id, chain.arrival_rate_rps)
                     .expect("just spawned");
@@ -251,20 +254,13 @@ impl Simulation {
     /// Rolls back partially placed steps of an abandoned episode.
     pub(super) fn rollback(&mut self, chain: &ChainSpec, placed: &[(InstanceId, bool)]) {
         for &(id, spawned) in placed.iter().rev() {
-            let (node, vnf_type) = {
-                let inst = self.pool.get(id).expect("placed instance exists");
-                (inst.node, inst.vnf_type)
-            };
             self.pool
                 .remove_flow(id, chain.arrival_rate_rps)
                 .expect("flow was added");
             if spawned {
-                self.pool.retire(id).expect("spawned instance is now idle");
-                let demand = self.vnfs.get(vnf_type).demand;
-                self.network
-                    .ledger_mut()
-                    .release(node, &demand)
-                    .expect("node exists");
+                self.pool
+                    .retire(id, &self.vnfs)
+                    .expect("spawned instance is now idle");
             } else {
                 // A reused instance may have just gone idle again.
                 self.note_possible_idle(id);
@@ -483,16 +479,9 @@ impl Simulation {
             .idle_instances(self.slot, self.scenario.idle_retire_slots);
         let retired = ids.len();
         for id in ids {
-            let (node, vnf_type) = {
-                let inst = self.pool.get(id).expect("listed instance exists");
-                (inst.node, inst.vnf_type)
-            };
-            self.pool.retire(id).expect("idle instance retires");
-            let demand = self.vnfs.get(vnf_type).demand;
-            self.network
-                .ledger_mut()
-                .release(node, &demand)
-                .expect("node exists");
+            self.pool
+                .retire(id, &self.vnfs)
+                .expect("idle instance retires");
         }
         retired
     }

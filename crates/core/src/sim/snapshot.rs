@@ -85,8 +85,7 @@ impl Simulation {
             || self
                 .network
                 .ledger()
-                .fits(node, &vnf.demand)
-                .unwrap_or(false)
+                .fits(node, &self.pool.used_on(node), &vnf.demand)
     }
 
     /// Plans a slot-snapshot arrival group: every chain position of every

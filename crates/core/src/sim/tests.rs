@@ -1,9 +1,17 @@
 use super::*;
 use crate::baselines::{FirstFitPolicy, RandomPolicy};
 use sfc::chain::ChainId;
+use sfc::vnf::VnfTypeId;
 
 fn sim() -> Simulation {
     Simulation::new(&Scenario::small_test(), RewardConfig::default())
+}
+
+/// CPU in use summed over every node: the pool's usage.
+fn total_used_cpu(s: &Simulation) -> f64 {
+    (0..s.topology().node_count())
+        .map(|n| s.pool.used_on(NodeId(n)).cpu)
+        .sum()
 }
 
 fn request(id: u64, chain: usize, source: usize, slot: u64, duration: u32) -> Request {
@@ -41,7 +49,7 @@ fn departure_releases_flows_and_idle_retirement_frees_capacity() {
     let req = request(0, 1, 0, 0, 2);
     s.advance_slot(std::slice::from_ref(&req), &mut policy, &mut rng);
     assert_eq!(s.active_flow_count(), 1);
-    let used_before = s.ledger().total_used_cpu();
+    let used_before = total_used_cpu(&s);
     assert!(used_before > 0.0);
     // Advance past departure + idle grace.
     for _ in 0..10 {
@@ -49,7 +57,7 @@ fn departure_releases_flows_and_idle_retirement_frees_capacity() {
     }
     assert_eq!(s.active_flow_count(), 0);
     assert_eq!(s.pool.len(), 0, "idle instances retired");
-    assert_eq!(s.ledger().total_used_cpu(), 0.0, "capacity returned");
+    assert_eq!(total_used_cpu(&s), 0.0, "capacity returned");
 }
 
 fn drain(slots: u64) -> Trace {
@@ -85,7 +93,7 @@ fn flows_placed_before_a_drive_are_handed_over_to_it() {
     assert_eq!(s.pool.len(), 2, "idle, inside the retirement grace period");
     let _ = s.drive(RunInput::Trace(&drain(20)), &mut policy, RunOptions::new());
     assert_eq!(s.pool.len(), 0, "idle instances retired");
-    assert_eq!(s.ledger().total_used_cpu(), 0.0, "capacity returned");
+    assert_eq!(total_used_cpu(&s), 0.0, "capacity returned");
 }
 
 #[test]
@@ -182,8 +190,21 @@ fn rejection_rolls_back_everything() {
     let outcome = s.place_request(&req, &mut policy, &mut rng);
     assert_eq!(outcome, PlacementOutcome::Rejected);
     assert_eq!(s.pool.len(), 0, "spawned instance rolled back");
-    assert_eq!(s.ledger().total_used_cpu(), 0.0, "capacity rolled back");
+    assert_eq!(total_used_cpu(&s), 0.0, "capacity rolled back");
     assert_eq!(s.active_flow_count(), 0);
+}
+
+#[test]
+#[should_panic(expected = "engine only commits feasible placements")]
+fn committing_a_spawn_past_capacity_panics() {
+    let mut s = sim();
+    // Cut to a sliver of its capacity, node 0 fits no instance.
+    s.network.apply(&NetworkEvent::CapacityDegrade {
+        node: NodeId(0),
+        factor: 1e-6,
+    });
+    let chain = s.chains.get(ChainId(1)).clone();
+    s.commit_step(&chain, 0, NodeId(0));
 }
 
 #[test]
@@ -285,7 +306,7 @@ fn node_failure_evicts_instances_and_replaces_flows() {
     }
     assert_eq!(s.active_flow_count(), 0);
     assert_eq!(s.pool.len(), 0);
-    assert!(s.ledger().total_used_cpu().abs() < 1e-9);
+    assert!(total_used_cpu(&s).abs() < 1e-9);
 }
 
 #[test]
@@ -436,14 +457,32 @@ fn a_dead_node_left_hosting_instances_breaks_the_invariants() {
 }
 
 #[test]
+#[should_panic(expected = "node_usage_matches_instances")]
+fn instances_spawned_past_capacity_break_the_invariants() {
+    let mut s = sim();
+    // A degraded node may run past its capacity; a healthy one may not.
+    s.network.apply(&NetworkEvent::CapacityDegrade {
+        node: NodeId(1),
+        factor: 1e-6,
+    });
+    s.pool.spawn(VnfTypeId(0), NodeId(1), 0, &s.vnfs);
+    assert!(s.check_invariants().is_ok());
+    let edge_cpu = s.topology().node(NodeId(0)).capacity.cpu as usize;
+    for _ in 0..=edge_cpu {
+        s.pool.spawn(VnfTypeId(0), NodeId(0), 0, &s.vnfs); // 1 vCPU each
+    }
+    s.assert_invariants();
+}
+
+#[test]
 #[should_panic(expected = "flows_routable_on_live_nodes")]
 fn a_flow_on_a_retired_instance_breaks_the_invariants() {
     let mut s = sim();
     let mut rng = StdRng::seed_from_u64(13);
     s.place_request(&request(0, 1, 1, 0, 10), &mut FirstFitPolicy, &mut rng);
     let vnf = s.chains.get(ChainId(1)).vnfs[0];
-    let retired = s.pool.spawn(vnf, NodeId(2), 0);
-    assert!(s.pool.retire(retired).is_ok());
+    let retired = s.pool.spawn(vnf, NodeId(2), 0, &s.vnfs);
+    assert!(s.pool.retire(retired, &s.vnfs).is_ok());
     for flow in s.active.values_mut() {
         flow.instances[0] = retired;
     }

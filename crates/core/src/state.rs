@@ -188,12 +188,13 @@ impl StateEncoder {
         let v = out;
         v.clear();
         v.resize(self.dim(), 0.0);
-        // Per-node utilizations.
+        // Per-node utilizations: the ledger's capacity against the pool's
+        // usage.
         for i in 0..n {
             let cap = ledger
                 .capacity_of(NodeId(i))
                 .expect("ledger covers topology");
-            let used = ledger.used_of(NodeId(i)).expect("ledger covers topology");
+            let used = pool.used_on(NodeId(i));
             let cpu_u = if cap.cpu > 0.0 {
                 (used.cpu / cap.cpu).min(1.0)
             } else {
@@ -328,9 +329,9 @@ mod tests {
     #[test]
     fn encodes_utilization_and_one_hots() {
         let mut f = fixture();
-        f.ledger
-            .allocate(NodeId(1), &Resources::new(8.0, 0.0))
-            .unwrap();
+        // A video transcoder demands 8 of node 1's 16 vCPU.
+        let transcoder = f.vnfs.by_name("video-transcoder").unwrap().id;
+        f.pool.spawn(transcoder, NodeId(1), 0, &f.vnfs);
         let chain = f.chains.get(ChainId(0)).clone();
         let v = f.encoder.encode(
             &f.ledger,
@@ -413,7 +414,7 @@ mod tests {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone(); // nat, firewall
         let nat = chain.vnfs[0];
-        let id = f.pool.spawn(nat, NodeId(0), 0);
+        let id = f.pool.spawn(nat, NodeId(0), 0, &f.vnfs);
         let mut reusable = candidates(4);
         reusable[0].reuse_available = true;
         let v = f.encoder.encode(
@@ -601,9 +602,10 @@ mod tests {
     #[test]
     fn all_features_bounded() {
         let mut f = fixture();
-        f.ledger
-            .allocate(NodeId(0), &Resources::new(16.0, 32.0))
-            .unwrap();
+        // Two video transcoders fill node 0 (16 vCPU, 32 GB).
+        let transcoder = f.vnfs.by_name("video-transcoder").unwrap().id;
+        f.pool.spawn(transcoder, NodeId(0), 0, &f.vnfs);
+        f.pool.spawn(transcoder, NodeId(0), 0, &f.vnfs);
         let chain = f.chains.get(ChainId(3)).clone();
         let v = f.encoder.encode(
             &f.ledger,

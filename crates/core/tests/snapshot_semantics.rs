@@ -108,8 +108,7 @@ fn joint_apply_admits_exactly_what_fits_and_rejects_the_rest() {
     // Node 0 is exactly full — never oversubscribed.
     let util = sim
         .ledger()
-        .utilization_of(NodeId(0))
-        .expect("node 0 exists");
+        .utilization_of(NodeId(0), &sim.pool.used_on(NodeId(0)));
     assert!(
         (util - 1.0).abs() < 1e-9,
         "node 0 should be exactly full, got {util}"
@@ -302,8 +301,7 @@ proptest! {
                 for node in 0..node_count {
                     let util = sim
                         .ledger()
-                        .utilization_of(NodeId(node))
-                        .expect("node exists");
+                        .utilization_of(NodeId(node), &sim.pool.used_on(NodeId(node)));
                     assert!(
                         util <= 1.0 + 1e-9,
                         "node {node} oversubscribed at {util} after slot {slot}"

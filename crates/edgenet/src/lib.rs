@@ -3,8 +3,8 @@
 //! Models the infrastructure the VNF manager operates on: compute nodes
 //! (edge micro-datacenters plus a remote cloud) placed at real geographic
 //! locations, links whose latencies derive from great-circle propagation
-//! delay, latency-weighted shortest-path routing, per-node capacity
-//! accounting, and energy/price models for the operator's cost function.
+//! delay, latency-weighted shortest-path routing, per-node capacities,
+//! and energy/price models for the operator's cost function.
 //! [`view::NetworkView`] wraps topology + routes + capacity into one API
 //! that stays consistent under dynamic [`view::NetworkEvent`]s (node
 //! failure/recovery, link latency shifts, capacity degradation): an event
@@ -29,10 +29,11 @@
 //! let rtt = 2.0 * routes.latency_ms(edges[0], edges[1]);
 //! assert!(rtt > 0.0);
 //!
-//! // Capacity accounting.
-//! let mut ledger = CapacityLedger::for_topology(&topo);
-//! ledger.allocate(edges[0], &Resources::new(4.0, 8.0)).unwrap();
-//! assert!(ledger.utilization_of(edges[0]).unwrap() > 0.0);
+//! // Capacities; what runs on a node is the caller's to report.
+//! let ledger = CapacityLedger::for_topology(&topo);
+//! let used = Resources::new(4.0, 8.0);
+//! assert!(ledger.utilization_of(edges[0], &used) > 0.0);
+//! assert!(ledger.fits(edges[0], &used, &Resources::new(1.0, 1.0)));
 //! ```
 
 #![deny(missing_docs)]

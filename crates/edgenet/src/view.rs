@@ -5,7 +5,9 @@
 //! `CapacityLedger`, and is the only place allowed to mutate them, so
 //! every consumer observes the same degraded network: dead nodes vanish
 //! from the routes, degraded links stretch every path crossing them, and
-//! shrunken nodes stop admitting new instances.
+//! shrunken nodes stop admitting new instances. The view owns what each
+//! node *can* host; what runs there is the instance pool's to know, and
+//! the view never sees it.
 //!
 //! An event that changes a node's liveness or a link's latency rebuilds
 //! the whole table with [`RoutingTable::build_filtered`] over the live
@@ -13,7 +15,7 @@
 //! microseconds at the topology sizes here), so nothing is patched.
 
 use crate::capacity::CapacityLedger;
-use crate::node::{NodeId, NodeKind, Resources};
+use crate::node::{NodeId, NodeKind};
 use crate::routing::RoutingTable;
 use crate::topology::Topology;
 
@@ -84,6 +86,8 @@ impl NetworkHealth {
 }
 
 /// Topology + routing table + capacity ledger behind one mutable API.
+/// A node's baseline capacity is its topology entry's; the ledger holds
+/// the current one.
 #[derive(Debug, Clone)]
 pub struct NetworkView {
     topology: Topology,
@@ -92,23 +96,17 @@ pub struct NetworkView {
     alive: Vec<bool>,
     /// Per-link latency multiplier relative to base latency.
     link_factor: Vec<f64>,
-    /// Per-node capacity multiplier relative to baseline capacity.
-    capacity_factor: Vec<f64>,
-    /// Baseline (as-built) capacity per node.
-    base_capacity: Vec<Resources>,
 }
 
 impl NetworkView {
     /// Wraps a topology into a fully healthy view: routes built fresh,
-    /// ledger empty, every node alive at baseline capacity.
+    /// every node alive at baseline capacity.
     pub fn new(topology: Topology) -> Self {
         let mut view = Self {
             routes: RoutingTable::default(),
             ledger: CapacityLedger::for_topology(&topology),
             alive: vec![true; topology.node_count()],
             link_factor: vec![1.0; topology.link_count()],
-            capacity_factor: vec![1.0; topology.node_count()],
-            base_capacity: topology.nodes().iter().map(|n| n.capacity).collect(),
             topology,
         };
         view.reroute();
@@ -127,15 +125,10 @@ impl NetworkView {
         &self.routes
     }
 
-    /// The capacity ledger.
+    /// Every node's current capacity (event-driven through
+    /// [`NetworkView::apply`]).
     pub fn ledger(&self) -> &CapacityLedger {
         &self.ledger
-    }
-
-    /// Mutable access to the ledger (allocations/releases only — capacity
-    /// itself is event-driven through [`NetworkView::apply`]).
-    pub fn ledger_mut(&mut self) -> &mut CapacityLedger {
-        &mut self.ledger
     }
 
     /// `true` if `node` is currently alive.
@@ -167,10 +160,9 @@ impl NetworkView {
             if node.kind != NodeKind::Edge {
                 continue;
             }
-            base_edge_cpu += self.base_capacity[node.id.0].cpu;
+            base_edge_cpu += node.capacity.cpu;
             if self.alive[node.id.0] {
-                live_edge_cpu +=
-                    self.base_capacity[node.id.0].cpu * self.capacity_factor[node.id.0];
+                live_edge_cpu += self.ledger.capacity_of(node.id).map_or(0.0, |c| c.cpu);
             }
         }
         NetworkHealth {
@@ -181,12 +173,6 @@ impl NetworkView {
                 0.0
             },
         }
-    }
-
-    fn effective_capacity(&self, node: NodeId) -> Resources {
-        let base = self.base_capacity[node.0];
-        let f = self.capacity_factor[node.0];
-        Resources::new(base.cpu * f, base.mem * f)
     }
 
     /// Recomputes every route over the live nodes at the current link
@@ -220,10 +206,8 @@ impl NetworkView {
                 } else {
                     self.alive[node.0] = true;
                     // Recovered hardware rejoins at full baseline capacity.
-                    self.capacity_factor[node.0] = 1.0;
                     self.ledger
-                        .set_capacity(node, self.base_capacity[node.0])
-                        .expect("ledger covers topology");
+                        .set_capacity(node, self.topology.node(node).capacity);
                     true
                 }
             }
@@ -246,10 +230,8 @@ impl NetworkView {
                     factor.is_finite() && factor > 0.0 && factor <= 1.0,
                     "capacity factor must be in (0, 1], got {factor}"
                 );
-                self.capacity_factor[node.0] = factor;
-                self.ledger
-                    .set_capacity(node, self.effective_capacity(node))
-                    .expect("ledger covers topology");
+                let base = self.topology.node(node).capacity;
+                self.ledger.set_capacity(node, base.scaled(factor));
                 false
             }
         };

@@ -1,5 +1,5 @@
 //! Property tests for the edgenet substrate: routing optimality, routes
-//! under network events, and capacity-ledger invariants.
+//! under network events.
 
 use edgenet::prelude::*;
 use proptest::prelude::*;
@@ -63,37 +63,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ledger_alloc_free_round_trip(
-        ops in proptest::collection::vec((0usize..4, 0.0f64..4.0, 0.0f64..8.0), 1..40)
-    ) {
-        let mut ledger = CapacityLedger::from_capacities(vec![
-            Resources::new(16.0, 32.0); 4
-        ]);
-        let baseline = ledger.clone();
-        let mut applied = Vec::new();
-        for (node, cpu, mem) in ops {
-            let demand = Resources::new(cpu, mem);
-            if ledger.allocate(NodeId(node), &demand).is_ok() {
-                applied.push((node, demand));
-            }
-            // Invariant: utilization never exceeds 1.
-            for i in 0..4 {
-                prop_assert!(ledger.utilization_of(NodeId(i)).unwrap() <= 1.0 + 1e-9);
-            }
-        }
-        // Free everything in reverse; the ledger must return to baseline
-        // modulo floating-point accumulation.
-        for (node, demand) in applied.into_iter().rev() {
-            ledger.release(NodeId(node), &demand).unwrap();
-        }
-        for i in 0..4 {
-            let used = ledger.used_of(NodeId(i)).unwrap();
-            prop_assert!(used.cpu.abs() < 1e-6 && used.mem.abs() < 1e-6);
-        }
-        let _ = baseline;
     }
 
     #[test]

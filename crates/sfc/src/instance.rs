@@ -58,14 +58,19 @@ impl std::error::Error for InstanceError {}
 /// lookup one binary search over the live ids. `index` holds ids only
 /// (`index[node][vnf_type]`, ascending), so [`InstancePool::instances_of`]
 /// visits one site's instances instead of the whole pool; only the
-/// membership mutators (`spawn`, `retire`, `evict_node`) write it. It is
-/// derived data: equality ignores it, and the pool is not serialisable
-/// because a round trip would have to rebuild it.
+/// membership mutators (`spawn`, `retire`, `evict_node`) write it.
+/// `used[node]` is the running sum of the catalog demand of the live
+/// instances at `node`, what [`InstancePool::used_on`] answers; it too is
+/// written only by `spawn`, `retire` and `evict_node`. Both are derived
+/// data, grown lazily to the largest node seen: equality ignores them, and
+/// the pool is not serialisable because a round trip would have to
+/// rebuild them.
 #[derive(Debug, Clone, Default)]
 pub struct InstancePool {
     instances: IdMap<Instance>,
     next_id: u64,
     index: Vec<Vec<Vec<u64>>>,
+    used: Vec<Resources>,
 }
 
 impl PartialEq for InstancePool {
@@ -80,13 +85,23 @@ impl InstancePool {
         Self::default()
     }
 
-    /// Spawns a new instance of `vnf_type` at `node`; returns its id.
-    pub fn spawn(&mut self, vnf_type: VnfTypeId, node: NodeId, slot: u64) -> InstanceId {
+    /// Spawns a new instance of `vnf_type` at `node`, adding its `catalog`
+    /// demand to the node's usage; returns its id. Whether the node has
+    /// room is the caller's question.
+    pub fn spawn(
+        &mut self,
+        vnf_type: VnfTypeId,
+        node: NodeId,
+        slot: u64,
+        catalog: &VnfCatalog,
+    ) -> InstanceId {
         let id = InstanceId(self.next_id);
         self.next_id += 1;
         if self.index.len() <= node.0 {
             self.index.resize_with(node.0 + 1, Vec::new);
+            self.used.resize(node.0 + 1, Resources::zero());
         }
+        self.used[node.0] = self.used[node.0].plus(&catalog.get(vnf_type).demand);
         let buckets = &mut self.index[node.0];
         if buckets.len() <= vnf_type.0 {
             buckets.resize_with(vnf_type.0 + 1, Vec::new);
@@ -110,19 +125,25 @@ impl InstancePool {
         id
     }
 
-    /// Removes an idle instance.
+    /// Removes an idle instance, taking its `catalog` demand off its
+    /// node's usage.
     ///
     /// # Errors
     ///
     /// [`InstanceError::Busy`] if it still serves flows,
     /// [`InstanceError::Unknown`] if the id does not exist.
-    pub fn retire(&mut self, id: InstanceId) -> Result<Instance, InstanceError> {
+    pub fn retire(
+        &mut self,
+        id: InstanceId,
+        catalog: &VnfCatalog,
+    ) -> Result<Instance, InstanceError> {
         let inst = self.instances.get(id.0).ok_or(InstanceError::Unknown(id))?;
         if inst.flows > 0 {
             return Err(InstanceError::Busy(id));
         }
         let inst = self.instances.remove(id.0).expect("checked present");
         self.index[inst.node.0][inst.vnf_type.0].retain(|&indexed| indexed != id.0);
+        self.remove_demand(&inst, catalog);
         if cfg!(debug_assertions) {
             self.check_index();
         }
@@ -241,9 +262,10 @@ impl InstancePool {
 
     /// Force-removes every instance hosted at `node` (node failure): the
     /// instances are destroyed regardless of the flows they serve — the
-    /// caller owns disrupting those flows. Returns the removed instances
-    /// ordered by id.
-    pub fn evict_node(&mut self, node: NodeId) -> Vec<Instance> {
+    /// caller owns disrupting those flows — and their `catalog` demand
+    /// leaves the node's usage one instance at a time, in id order.
+    /// Returns the removed instances ordered by id.
+    pub fn evict_node(&mut self, node: NodeId, catalog: &VnfCatalog) -> Vec<Instance> {
         let mut ids: Vec<u64> = match self.index.get_mut(node.0) {
             Some(buckets) => buckets.iter_mut().flat_map(|b| b.drain(..)).collect(),
             None => Vec::new(),
@@ -251,7 +273,11 @@ impl InstancePool {
         ids.sort_unstable();
         let evicted = ids
             .into_iter()
-            .map(|id| self.instances.remove(id).expect("indexed instance"))
+            .map(|id| {
+                let inst = self.instances.remove(id).expect("indexed instance");
+                self.remove_demand(&inst, catalog);
+                inst
+            })
             .collect();
         if cfg!(debug_assertions) {
             self.check_index();
@@ -270,14 +296,17 @@ impl InstancePool {
             .collect()
     }
 
-    /// Total resources consumed at `node` according to `catalog`.
-    pub fn used_at(&self, node: NodeId, catalog: &VnfCatalog) -> Resources {
-        self.instances
-            .values()
-            .filter(|i| i.node == node)
-            .fold(Resources::zero(), |acc, i| {
-                acc.plus(&catalog.get(i.vnf_type).demand)
-            })
+    /// Resources the live instances at `node` consume: the running sum of
+    /// their catalog demand (zero for a node the pool has never seen).
+    pub fn used_on(&self, node: NodeId) -> Resources {
+        self.used.get(node.0).copied().unwrap_or_default()
+    }
+
+    /// Takes a removed instance's demand off its node's usage, saturating
+    /// at zero against rounding.
+    fn remove_demand(&mut self, inst: &Instance, catalog: &VnfCatalog) {
+        let used = &mut self.used[inst.node.0];
+        *used = used.minus_saturating(&catalog.get(inst.vnf_type).demand);
     }
 }
 
@@ -285,11 +314,16 @@ impl InstancePool {
 mod tests {
     use super::*;
 
+    fn catalog() -> VnfCatalog {
+        VnfCatalog::standard()
+    }
+
     #[test]
     fn spawn_assigns_unique_ids() {
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        let a = pool.spawn(VnfTypeId(0), NodeId(0), 0);
-        let b = pool.spawn(VnfTypeId(0), NodeId(0), 0);
+        let a = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+        let b = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
         assert_ne!(a, b);
         assert_eq!(pool.len(), 2);
     }
@@ -297,7 +331,7 @@ mod tests {
     #[test]
     fn flow_accounting() {
         let mut pool = InstancePool::new();
-        let id = pool.spawn(VnfTypeId(1), NodeId(2), 5);
+        let id = pool.spawn(VnfTypeId(1), NodeId(2), 5, &catalog());
         pool.add_flow(id, 10.0).unwrap();
         pool.add_flow(id, 5.0).unwrap();
         let inst = pool.get(id).unwrap();
@@ -311,13 +345,16 @@ mod tests {
 
     #[test]
     fn retire_rejects_busy() {
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        let id = pool.spawn(VnfTypeId(0), NodeId(0), 0);
+        let id = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
         pool.add_flow(id, 1.0).unwrap();
-        assert_eq!(pool.retire(id), Err(InstanceError::Busy(id)));
+        assert_eq!(pool.retire(id, &vnfs), Err(InstanceError::Busy(id)));
+        assert_eq!(pool.used_on(NodeId(0)), vnfs.get(VnfTypeId(0)).demand);
         pool.remove_flow(id, 1.0).unwrap();
-        assert!(pool.retire(id).is_ok());
+        assert!(pool.retire(id, &vnfs).is_ok());
         assert!(pool.is_empty());
+        assert_eq!(pool.used_on(NodeId(0)), Resources::zero());
     }
 
     #[test]
@@ -328,17 +365,18 @@ mod tests {
             Err(InstanceError::Unknown(InstanceId(9)))
         );
         assert_eq!(
-            pool.retire(InstanceId(9)),
+            pool.retire(InstanceId(9), &catalog()),
             Err(InstanceError::Unknown(InstanceId(9)))
         );
     }
 
     #[test]
     fn counting_and_filtering() {
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        pool.spawn(VnfTypeId(0), NodeId(0), 0);
-        pool.spawn(VnfTypeId(0), NodeId(1), 0);
-        pool.spawn(VnfTypeId(1), NodeId(1), 0);
+        pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+        pool.spawn(VnfTypeId(0), NodeId(1), 0, &vnfs);
+        pool.spawn(VnfTypeId(1), NodeId(1), 0, &vnfs);
         assert_eq!(pool.instances_of(VnfTypeId(0), NodeId(0)).len(), 1);
         assert_eq!(pool.instances_of(VnfTypeId(1), NodeId(1)).len(), 1);
         assert_eq!(pool.instances_of(VnfTypeId(1), NodeId(0)).len(), 0);
@@ -347,10 +385,11 @@ mod tests {
 
     #[test]
     fn idle_instances_respect_age() {
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        let old = pool.spawn(VnfTypeId(0), NodeId(0), 0);
-        let fresh = pool.spawn(VnfTypeId(0), NodeId(0), 9);
-        let busy = pool.spawn(VnfTypeId(0), NodeId(0), 0);
+        let old = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+        let fresh = pool.spawn(VnfTypeId(0), NodeId(0), 9, &vnfs);
+        let busy = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
         pool.add_flow(busy, 1.0).unwrap();
         let idle = pool.idle_instances(10, 5);
         assert!(idle.contains(&old));
@@ -360,31 +399,35 @@ mod tests {
 
     #[test]
     fn evict_node_removes_busy_instances_and_spares_others() {
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        let dead_busy = pool.spawn(VnfTypeId(0), NodeId(1), 0);
-        let dead_idle = pool.spawn(VnfTypeId(1), NodeId(1), 0);
-        let survivor = pool.spawn(VnfTypeId(0), NodeId(2), 0);
+        let dead_busy = pool.spawn(VnfTypeId(0), NodeId(1), 0, &vnfs);
+        let dead_idle = pool.spawn(VnfTypeId(1), NodeId(1), 0, &vnfs);
+        let survivor = pool.spawn(VnfTypeId(0), NodeId(2), 0, &vnfs);
         pool.add_flow(dead_busy, 3.0).unwrap();
         pool.add_flow(survivor, 1.0).unwrap();
         assert_eq!(pool.instances_on(NodeId(1)), vec![dead_busy, dead_idle]);
-        let evicted = pool.evict_node(NodeId(1));
+        let evicted = pool.evict_node(NodeId(1), &vnfs);
         assert_eq!(evicted.len(), 2);
         assert_eq!(evicted[0].id, dead_busy);
         assert_eq!(evicted[0].flows, 1, "eviction ignores live flows");
         assert_eq!(pool.len(), 1);
         assert!(pool.get(survivor).is_some());
         assert!(pool.instances_on(NodeId(1)).is_empty());
-        assert!(pool.evict_node(NodeId(1)).is_empty(), "idempotent");
+        assert_eq!(pool.used_on(NodeId(1)), Resources::zero());
+        assert_eq!(pool.used_on(NodeId(2)), vnfs.get(VnfTypeId(0)).demand);
+        assert!(pool.evict_node(NodeId(1), &vnfs).is_empty(), "idempotent");
     }
 
     #[test]
     fn used_at_sums_demands() {
-        let catalog = VnfCatalog::standard();
+        let vnfs = catalog();
         let mut pool = InstancePool::new();
-        pool.spawn(VnfTypeId(0), NodeId(0), 0); // nat: 1 cpu
-        pool.spawn(VnfTypeId(1), NodeId(0), 0); // firewall: 2 cpu
-        pool.spawn(VnfTypeId(1), NodeId(1), 0);
-        let used = pool.used_at(NodeId(0), &catalog);
-        assert!((used.cpu - 3.0).abs() < 1e-9);
+        pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs); // nat: 1 cpu
+        pool.spawn(VnfTypeId(1), NodeId(0), 0, &vnfs); // firewall: 2 cpu
+        pool.spawn(VnfTypeId(1), NodeId(1), 0, &vnfs);
+        assert!((pool.used_on(NodeId(0)).cpu - 3.0).abs() < 1e-9);
+        assert!((pool.used_on(NodeId(1)).cpu - 2.0).abs() < 1e-9);
+        assert_eq!(pool.used_on(NodeId(9)), Resources::zero(), "never seen");
     }
 }

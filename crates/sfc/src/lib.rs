@@ -21,7 +21,7 @@
 //! let mut pool = InstancePool::new();
 //! let voip = chains.get(ChainId(1)).clone();
 //! let instances: Vec<_> = voip.vnfs.iter()
-//!     .map(|&v| pool.spawn(v, NodeId(0), 0))
+//!     .map(|&v| pool.spawn(v, NodeId(0), 0, &vnfs))
 //!     .collect();
 //! let assignment = ChainAssignment { request: RequestId(1), instances };
 //! let latency = assignment_latency(&assignment, &voip, NodeId(0), &pool, &vnfs, &routes).unwrap();

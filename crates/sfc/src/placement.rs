@@ -230,8 +230,8 @@ mod tests {
     fn valid_assignment_passes() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone(); // voip: nat, firewall
-        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0);
-        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(1), 0);
+        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0, &f.catalog);
+        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(1), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0, i1],
@@ -243,8 +243,8 @@ mod tests {
     fn type_mismatch_detected() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone();
-        let i0 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0); // wrong order
-        let i1 = f.pool.spawn(chain.vnfs[0], NodeId(1), 0);
+        let i0 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0, &f.catalog); // wrong order
+        let i1 = f.pool.spawn(chain.vnfs[0], NodeId(1), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0, i1],
@@ -259,7 +259,7 @@ mod tests {
     fn length_mismatch_detected() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone();
-        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0);
+        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0],
@@ -277,8 +277,8 @@ mod tests {
     fn latency_sums_network_processing_queueing() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone();
-        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0);
-        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(1), 0);
+        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0, &f.catalog);
+        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(1), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0, i1],
@@ -298,8 +298,8 @@ mod tests {
     fn colocated_chain_has_zero_network_latency() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone();
-        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0);
-        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0);
+        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0, &f.catalog);
+        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0, i1],
@@ -313,8 +313,8 @@ mod tests {
     fn loaded_instance_increases_latency() {
         let mut f = fixture();
         let chain = f.chains.get(ChainId(1)).clone();
-        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0);
-        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0);
+        let i0 = f.pool.spawn(chain.vnfs[0], NodeId(0), 0, &f.catalog);
+        let i1 = f.pool.spawn(chain.vnfs[1], NodeId(0), 0, &f.catalog);
         let a = ChainAssignment {
             request: RequestId(1),
             instances: vec![i0, i1],
@@ -341,7 +341,7 @@ mod tests {
             .vnfs
             .iter()
             .zip(nodes.iter())
-            .map(|(&v, &n)| f.pool.spawn(v, n, 0))
+            .map(|(&v, &n)| f.pool.spawn(v, n, 0, &f.catalog))
             .collect();
         let a = ChainAssignment {
             request: RequestId(0),

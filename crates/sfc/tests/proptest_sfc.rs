@@ -13,6 +13,17 @@ fn catalogs() -> (VnfCatalog, ChainCatalog) {
     (vnfs, chains)
 }
 
+/// Resources the live instances at `node` consume according to
+/// `catalog`, summed afresh: the reference `InstancePool::used_on` is
+/// checked against.
+fn used_at(pool: &InstancePool, node: NodeId, catalog: &VnfCatalog) -> Resources {
+    pool.iter()
+        .filter(|i| i.node == node)
+        .fold(Resources::zero(), |acc, i| {
+            acc.plus(&catalog.get(i.vnf_type).demand)
+        })
+}
+
 /// The index is derived data: pools with the same instances and next id
 /// are equal whatever sites their histories touched, and a clone answers
 /// `instances_of` like its original and then goes its own way.
@@ -20,16 +31,17 @@ fn catalogs() -> (VnfCatalog, ChainCatalog) {
 fn equality_and_clone_ignore_index_history() {
     // Same instances and next id, reached through different sites: `a`
     // keeps emptied buckets for node 5 / type 2 that `b` never grew.
+    let (vnfs, _) = catalogs();
     let mut a = InstancePool::new();
     let mut b = InstancePool::new();
-    a.spawn(VnfTypeId(0), NodeId(0), 0);
-    b.spawn(VnfTypeId(0), NodeId(0), 0);
-    let gone_a = a.spawn(VnfTypeId(2), NodeId(5), 0);
-    let gone_b = b.spawn(VnfTypeId(0), NodeId(0), 0);
-    a.retire(gone_a).unwrap();
-    b.retire(gone_b).unwrap();
+    a.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+    b.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+    let gone_a = a.spawn(VnfTypeId(2), NodeId(5), 0, &vnfs);
+    let gone_b = b.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
+    a.retire(gone_a, &vnfs).unwrap();
+    b.retire(gone_b, &vnfs).unwrap();
     assert_eq!(a, b);
-    b.spawn(VnfTypeId(0), NodeId(0), 0);
+    b.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
     assert_ne!(a, b);
 
     let mut copy = b.clone();
@@ -37,7 +49,7 @@ fn equality_and_clone_ignore_index_history() {
     assert!(copy
         .instances_of(VnfTypeId(0), NodeId(0))
         .eq(b.instances_of(VnfTypeId(0), NodeId(0))));
-    copy.evict_node(NodeId(0));
+    copy.evict_node(NodeId(0), &vnfs);
     assert_eq!(copy.instances_of(VnfTypeId(0), NodeId(0)).len(), 0);
     assert_eq!(b.instances_of(VnfTypeId(0), NodeId(0)).len(), 2);
 }
@@ -49,10 +61,10 @@ proptest! {
     fn pool_flow_accounting_never_goes_negative(
         ops in proptest::collection::vec((0usize..3, 0.0f64..50.0, proptest::bool::ANY), 1..60)
     ) {
-        let (_vnfs, _) = catalogs();
+        let (vnfs, _) = catalogs();
         let mut pool = InstancePool::new();
         let ids: Vec<InstanceId> =
-            (0..3).map(|i| pool.spawn(VnfTypeId(i % 2), NodeId(i), 0)).collect();
+            (0..3).map(|i| pool.spawn(VnfTypeId(i % 2), NodeId(i), 0, &vnfs)).collect();
         for (which, lambda, add) in ops {
             let id = ids[which];
             if add {
@@ -69,8 +81,9 @@ proptest! {
     fn add_then_remove_restores_lambda(
         lambdas in proptest::collection::vec(0.1f64..30.0, 1..20)
     ) {
+        let (vnfs, _) = catalogs();
         let mut pool = InstancePool::new();
-        let id = pool.spawn(VnfTypeId(0), NodeId(0), 0);
+        let id = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
         for &l in &lambdas {
             pool.add_flow(id, l).unwrap();
         }
@@ -105,7 +118,7 @@ proptest! {
             .vnfs
             .iter()
             .zip(node_picks.iter())
-            .map(|(&v, &n)| pool.spawn(v, NodeId(n), 0))
+            .map(|(&v, &n)| pool.spawn(v, NodeId(n), 0, &vnfs))
             .collect();
         let assignment = ChainAssignment { request: RequestId(0), instances };
         let breakdown =
@@ -141,41 +154,50 @@ proptest! {
         prop_assert!(colocated <= detoured + 1e-9);
     }
 
-    /// The `(node, type)` index against the whole-pool scan it replaced,
-    /// after every operation of a random history: `instances_of` yields
-    /// exactly `iter().filter(..)`, element for element in id order, for
-    /// every site including nodes and types the pool has never seen.
+    /// The pool's derived data against whole-pool scans, after every
+    /// operation of a random history. The `(node, type)` index:
+    /// `instances_of` yields exactly `iter().filter(..)`, element for
+    /// element in id order, for every site including nodes and types the
+    /// pool has never seen. The usage sums: `used_on` equals a fresh fold
+    /// of the live instances' catalog demand at every node, exactly (the
+    /// standard demands are small integers, so no sum rounds), and is
+    /// exactly zero everywhere once the pool is empty.
     #[test]
     fn instances_of_matches_a_whole_pool_scan(
         ops in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64, 0.1f64..40.0), 1..80)
     ) {
         const NODES: usize = 4;
         const TYPES: usize = 3;
+        let (vnfs, _) = catalogs();
         let mut pool = InstancePool::new();
         for (op, a, b, lambda) in ops {
             let live: Vec<InstanceId> = pool.iter().map(|i| i.id).collect();
             let pick = live.get(a % live.len().max(1)).copied();
             match (op, pick) {
                 (0, _) => {
-                    pool.spawn(VnfTypeId(a % TYPES), NodeId(b % NODES), 0);
+                    pool.spawn(VnfTypeId(a % TYPES), NodeId(b % NODES), 0, &vnfs);
                 }
                 (1, Some(id)) => pool.add_flow(id, lambda).unwrap(),
                 (2, Some(id)) => pool.remove_flow(id, lambda).unwrap(),
                 (3, Some(id)) => {
-                    // Busy instances refuse and must leave the index alone.
+                    // Busy instances refuse and must leave the index and
+                    // the usage alone.
                     let busy = pool.get(id).unwrap().flows > 0;
-                    prop_assert_eq!(pool.retire(id).is_err(), busy);
+                    prop_assert_eq!(pool.retire(id, &vnfs).is_err(), busy);
                 }
                 (4, _) => {
                     let node = NodeId(b % (NODES + 1));
                     let expected = pool.instances_on(node);
                     let evicted: Vec<InstanceId> =
-                        pool.evict_node(node).iter().map(|i| i.id).collect();
+                        pool.evict_node(node, &vnfs).iter().map(|i| i.id).collect();
                     prop_assert_eq!(evicted, expected);
                 }
                 _ => {}
             }
             pool.check_index();
+            for n in 0..NODES + 2 {
+                prop_assert_eq!(pool.used_on(NodeId(n)), used_at(&pool, NodeId(n), &vnfs));
+            }
             let mut indexed = 0;
             for t in 0..TYPES + 2 {
                 for n in 0..NODES + 2 {
@@ -188,6 +210,12 @@ proptest! {
                 }
             }
             prop_assert_eq!(indexed, pool.len());
+        }
+        for n in 0..NODES {
+            pool.evict_node(NodeId(n), &vnfs);
+        }
+        for n in 0..NODES + 2 {
+            prop_assert_eq!(pool.used_on(NodeId(n)), Resources::zero());
         }
     }
 
@@ -234,24 +262,6 @@ proptest! {
             }
             prop_assert_eq!(map.len(), model.len());
             prop_assert!(map.iter().eq(model.iter().map(|(&id, v)| (id, v))));
-        }
-    }
-
-    #[test]
-    fn used_at_matches_manual_sum(picks in proptest::collection::vec((0usize..8, 0usize..3), 0..15)) {
-        let (vnfs, _) = catalogs();
-        let mut pool = InstancePool::new();
-        for &(vnf, node) in &picks {
-            pool.spawn(VnfTypeId(vnf), NodeId(node), 0);
-        }
-        for node in 0..3 {
-            let used = pool.used_at(NodeId(node), &vnfs);
-            let manual_cpu: f64 = picks
-                .iter()
-                .filter(|&&(_, n)| n == node)
-                .map(|&(v, _)| vnfs.get(VnfTypeId(v)).demand.cpu)
-                .sum();
-            prop_assert!((used.cpu - manual_cpu).abs() < 1e-9);
         }
     }
 }

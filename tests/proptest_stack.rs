@@ -67,7 +67,10 @@ proptest! {
         let _ = sim.drive(RunInput::Trace(&drain), policy.as_mut(), RunOptions::new());
         prop_assert_eq!(sim.active_flow_count(), 0);
         prop_assert_eq!(sim.pool.len(), 0);
-        prop_assert!(sim.ledger().total_used_cpu().abs() < 1e-6);
+        let used_cpu: f64 = (0..sim.topology().node_count())
+            .map(|n| sim.pool.used_on(NodeId(n)).cpu)
+            .sum();
+        prop_assert!(used_cpu.abs() < 1e-6);
     }
 
     #[test]
