@@ -1,7 +1,7 @@
 //! Per-slot and per-run metrics: everything the experiment harness plots.
 
 /// One slot's worth of observations.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotRecord {
     /// Slot index.
     pub slot: u64,
@@ -206,7 +206,7 @@ impl MetricsCollector {
     }
 
     /// Appends a slot record.
-    pub fn push_slot(&mut self, record: SlotRecord) {
+    pub(crate) fn push_slot(&mut self, record: SlotRecord) {
         let t = &mut self.totals;
         t.slots += 1;
         t.arrivals += record.arrivals as u64;
@@ -226,7 +226,7 @@ impl MetricsCollector {
     }
 
     /// Records an accepted request's admission latency.
-    pub fn push_admission_latency(&mut self, latency_ms: f64) {
+    pub(crate) fn push_admission_latency(&mut self, latency_ms: f64) {
         self.totals.latency_sum += latency_ms;
         self.totals.latency_count += 1;
         match self.latency_hist.as_mut() {
@@ -236,7 +236,7 @@ impl MetricsCollector {
     }
 
     /// Counts `n` placement decisions.
-    pub fn count_decisions(&mut self, n: u64) {
+    pub(crate) fn count_decisions(&mut self, n: u64) {
         self.totals.decision_count += n;
     }
 

@@ -4,19 +4,17 @@
 use super::*;
 
 impl Simulation {
-    /// Per-slot operational costs plus the mean active-flow latency, in a
-    /// single pass over the active set (cost's traffic term and the
-    /// latency average used to be two separate full scans).
+    /// The end-of-slot snapshot: per-slot operational costs plus the mean
+    /// active-flow latency, in a single pass over the active set (cost's
+    /// traffic term and the latency average used to be two separate full
+    /// scans), and the utilization and counts a slot record closes on.
     ///
     /// `window = Some((slot_start_ms, slot_ms))` prorates each flow's
     /// traffic by the fraction of the slot it was actually active for
     /// (the event engine); `None` bills whole slots as the slot loop
     /// writes it. A flow active since the slot's start has fraction 1.0
     /// and `1.0 * x` is `x`: on slot-boundary input, the same bits.
-    pub(super) fn slot_costs_and_latency(
-        &self,
-        window: Option<(u64, u64)>,
-    ) -> (f64, f64, f64, f64) {
+    pub(super) fn slot_costs_and_latency(&self, window: Option<(u64, u64)>) -> CostCache {
         let slot_s = self.scenario.slot_seconds;
         let topology = self.network.topology();
         let ledger = self.network.ledger();
@@ -73,14 +71,51 @@ impl Simulation {
         } else {
             latency_sum / self.active.len() as f64
         };
-        (compute, energy, traffic, mean_latency)
+        CostCache {
+            compute,
+            energy,
+            traffic,
+            mean_latency,
+            mean_utilization: self.mean_utilization(),
+            active_flows: self.active.len() as u32,
+            live_instances: self.pool.len() as u32,
+            nodes_down: self.network.down_node_count() as u32,
+        }
     }
 
-    /// Bills every slot whose end lies at or before `time_ms`, emitting
-    /// one [`SlotRecord`] each. Between events the world cannot change,
-    /// so after the first (possibly recomputed) snapshot the remaining
-    /// slots reuse it verbatim — a long idle stretch costs O(1) per slot
-    /// and no per-flow or per-instance scans.
+    /// Completes the open slot's [`SlotRecord`] with the end-of-slot
+    /// snapshot `c` and the traffic of the slot's sub-slot departures, and
+    /// opens the next slot.
+    pub(super) fn close_slot(&mut self, c: &CostCache) -> SlotRecord {
+        let open = std::mem::take(&mut self.open_slot);
+        let mut traffic_cost = c.traffic;
+        if open.traffic_cost != 0.0 {
+            // Added (and branch-gated) separately so slot-boundary runs
+            // reuse the snapshot's bits untouched.
+            traffic_cost += open.traffic_cost;
+        }
+        let record = SlotRecord {
+            slot: self.slot,
+            active_flows: c.active_flows,
+            live_instances: c.live_instances,
+            mean_latency_ms: c.mean_latency,
+            compute_cost: c.compute,
+            energy_cost: c.energy,
+            traffic_cost,
+            mean_utilization: c.mean_utilization,
+            nodes_down: c.nodes_down,
+            // What the open slot counted and deployed.
+            ..open
+        };
+        self.slot += 1;
+        record
+    }
+
+    /// Bills every slot whose end lies at or before `time_ms`, closing
+    /// each slot's [`SlotRecord`] and noting it. Between events the world
+    /// cannot change, so after the first (possibly recomputed) snapshot
+    /// the remaining slots reuse it verbatim — a long idle stretch costs
+    /// O(1) per slot and no per-flow or per-instance scans.
     ///
     /// Debug builds check the world's invariants once before billing: it
     /// is the state every slot billed here closed on.
@@ -97,57 +132,16 @@ impl Simulation {
             let snapshot = match self.cost_cache.filter(|_| !clips) {
                 Some(c) => c,
                 None => {
-                    let window = (self.slot * self.slot_ms, self.slot_ms);
-                    let (compute, energy, traffic, mean_latency) =
-                        self.slot_costs_and_latency(Some(window));
-                    let c = CostCache {
-                        compute,
-                        energy,
-                        traffic,
-                        mean_latency,
-                        mean_utilization: self.mean_utilization(),
-                        active_flows: self.active.len() as u32,
-                        live_instances: self.pool.len() as u32,
-                        nodes_down: self.network.down_node_count() as u32,
-                    };
+                    let c =
+                        self.slot_costs_and_latency(Some((self.slot * self.slot_ms, self.slot_ms)));
                     if !clips {
                         self.cost_cache = Some(c);
                     }
                     c
                 }
             };
-            let mut traffic_cost = snapshot.traffic;
-            if self.partial_traffic != 0.0 {
-                // Added (and branch-gated) separately so slot-boundary
-                // runs reuse the snapshot's bits untouched.
-                traffic_cost += self.partial_traffic;
-                self.partial_traffic = 0.0;
-            }
-            let record = SlotRecord {
-                slot: self.slot,
-                arrivals: self.counters.arrivals,
-                accepted: self.counters.accepted,
-                rejected: self.counters.rejected,
-                sla_violations: self.counters.sla_violations,
-                active_flows: snapshot.active_flows,
-                live_instances: snapshot.live_instances,
-                mean_latency_ms: snapshot.mean_latency,
-                compute_cost: snapshot.compute,
-                energy_cost: snapshot.energy,
-                traffic_cost,
-                deployment_cost: self.deployment_cost_this_slot,
-                mean_utilization: snapshot.mean_utilization,
-                flows_disrupted: self.counters.flows_disrupted,
-                flows_replaced: self.counters.flows_replaced,
-                nodes_down: snapshot.nodes_down,
-            };
-            if let Some(sink) = self.telemetry.as_mut() {
-                sink.on_slot_billed(&record, self.slot_ms);
-            }
-            self.metrics.push_slot(record);
-            self.counters = SlotCounters::default();
-            self.deployment_cost_this_slot = 0.0;
-            self.slot += 1;
+            let record = self.close_slot(&snapshot);
+            self.note(Note::SlotBilled(record));
         }
     }
 }

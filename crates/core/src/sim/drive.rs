@@ -1,5 +1,5 @@
-//! The event engine: [`Simulation::drive`], its loop merging the run's
-//! arrivals with the event queue, and one handler per event kind.
+//! The event engine: [`Simulation::drive`], and its loop merging the
+//! run's arrivals with the event queue and handling each in turn.
 //!
 //! # Why a group is decided without looking at the queue
 //!
@@ -223,9 +223,7 @@ impl Simulation {
         else {
             return;
         };
-        if let Some(sink) = self.telemetry.as_mut() {
-            sink.on_completed(request, at.ms());
-        }
+        self.note(Note::Completed(request));
         // Sub-slot lifetimes: a flow leaving mid-slot owes the fraction of
         // this slot it actually occupied. Zero for boundary departures, so
         // slot-boundary runs never accrue anything here.
@@ -245,7 +243,7 @@ impl Simulation {
                 );
                 at_node = node;
             }
-            self.partial_traffic += occupied_ms as f64 / self.slot_ms as f64 * path_cost;
+            self.open_slot.traffic_cost += occupied_ms as f64 / self.slot_ms as f64 * path_cost;
         }
         for &inst_id in &flow.instances {
             self.pool
@@ -256,70 +254,12 @@ impl Simulation {
         self.cost_cache = None;
     }
 
-    /// Applies `first` and the network events queued behind it at `at` as
-    /// one batch (the slot loop's per-slot event list) and sends the flows
-    /// they disrupt back through the policy.
-    fn handle_network_events(
-        &mut self,
-        at: SimTime,
-        first: NetworkEvent,
-        policy: &mut dyn PlacementPolicy,
-        rng: &mut StdRng,
-    ) {
-        let mut events = vec![first];
-        while let Some(SimEvent::Network(event)) = self.queue.pop_if(at, SimEventKind::Network) {
-            events.push(event);
-        }
-        let disrupted = self.apply_network_events(&events);
-        self.counters.flows_disrupted += disrupted.len() as u32;
-        if let Some(sink) = self.telemetry.as_mut() {
-            for flow in &disrupted {
-                sink.on_disrupted(flow.request.id, at.ms());
-            }
-        }
-        let replaced = self.replace_disrupted(disrupted, policy, rng);
-        self.counters.flows_replaced += replaced;
-        self.cost_cache = None;
-    }
-
     /// Runs the idle-instance retirement sweep queued for `at`'s slot.
     fn handle_retire_check(&mut self, at: SimTime) {
         self.retire_checks.remove(&at.slot(self.slot_ms));
         if self.retire_idle_instances() > 0 {
             self.cost_cache = None;
         }
-    }
-
-    /// Decides the arrivals sharing instant `at`, in input order, as one
-    /// decision group (the slot loop groups per slot; on a slot-boundary
-    /// schedule those coincide) — the group
-    /// [`DecisionSemantics::SlotSnapshot`] plans against one frozen world.
-    fn handle_arrivals(
-        &mut self,
-        at: SimTime,
-        group: &[Request],
-        policy: &mut dyn PlacementPolicy,
-        rng: &mut StdRng,
-    ) {
-        self.counters.arrivals += group.len() as u32;
-        self.unqueued_events += 2 * group.len() as u64;
-        if let Some(sink) = self.telemetry.as_mut() {
-            for request in group {
-                sink.on_requested(at.ms(), request, false);
-            }
-        }
-        for row in 0..group.len() {
-            match self.decide_group_member(group, row, policy, rng) {
-                PlacementOutcome::Accepted { sla_violated, .. } => {
-                    self.counters.accepted += 1;
-                    if sla_violated {
-                        self.counters.sla_violations += 1;
-                    }
-                }
-                PlacementOutcome::Rejected => self.counters.rejected += 1,
-            }
-        }
-        self.cost_cache = None;
     }
 
     /// The event engine's core loop over the next `horizon_slots` slots:
@@ -371,7 +311,17 @@ impl Simulation {
                         self.handle_departure(t, request);
                     }
                     Some((_, SimEvent::Network(first))) => {
-                        self.handle_network_events(t, first, policy, rng);
+                        // The events queued behind it at `t` join it as one
+                        // batch (the slot loop's per-slot event list).
+                        let mut events = vec![first];
+                        while let Some(SimEvent::Network(event)) =
+                            self.queue.pop_if(t, SimEventKind::Network)
+                        {
+                            events.push(event);
+                        }
+                        let disrupted = self.apply_network_events(&events);
+                        self.replace_disrupted(disrupted, policy, rng);
+                        self.cost_cache = None;
                     }
                     Some((_, SimEvent::RetireCheck)) => self.handle_retire_check(t),
                     None => unreachable!("peeked event vanished"),
@@ -387,7 +337,10 @@ impl Simulation {
                         ..arrival.request
                     });
                 }
-                self.handle_arrivals(at, &group, policy, rng);
+                // One arrival and one placement episode per request.
+                self.unqueued_events += 2 * group.len() as u64;
+                self.decide_group(&group, policy, rng);
+                self.cost_cache = None;
             } else {
                 break;
             }

@@ -21,7 +21,7 @@ fn close(kept: f64, fresh: f64) -> bool {
 /// The checker's reusable buffers. Once they have grown to the largest
 /// world a run reaches, a debug build's check at each slot close
 /// allocates nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct InvariantScratch {
     /// One `(instance, arrival rate)` share per chain position of every
     /// active flow.
@@ -30,19 +30,6 @@ pub(super) struct InvariantScratch {
     assignment: ChainAssignment,
     /// Per node, the catalog demand of its live instances summed afresh.
     usage: Vec<Resources>,
-}
-
-impl Default for InvariantScratch {
-    fn default() -> Self {
-        Self {
-            shares: Vec::new(),
-            assignment: ChainAssignment {
-                request: RequestId(0),
-                instances: Vec::new(),
-            },
-            usage: Vec::new(),
-        }
-    }
 }
 
 impl Simulation {
@@ -60,7 +47,10 @@ impl Simulation {
     /// * `instance_loads_match_flows` — every live instance's `flows` is
     ///   the number of chain positions of active flows it serves, and its
     ///   `lambda_rps` the sum of those flows' arrival rates (to a relative
-    ///   tolerance of 1e-9 of that sum or 1 rps, whichever is larger).
+    ///   tolerance of 1e-9 of that sum or 1 rps, whichever is larger);
+    /// * `sink_flows_are_active` — with a telemetry sink attached, every
+    ///   flow it holds open is active (a subset, not equality: a sink
+    ///   attached to a later `drive` never saw the flows admitted before).
     ///
     /// # Errors
     ///
@@ -150,7 +140,13 @@ impl Simulation {
                 ));
             }
         }
-        Ok(())
+        let mut open = self.telemetry.iter().flat_map(|sink| sink.open_flow_ids());
+        match open.find(|id| self.active.get(id.0).is_none()) {
+            Some(id) => Err(format!(
+                "sink_flows_are_active: the sink holds {id} open, not active"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Panics, naming the invariant and the current slot, if the events

@@ -63,6 +63,7 @@ mod billing;
 mod drive;
 mod invariants;
 mod network;
+mod note;
 mod oracle;
 mod placement;
 mod snapshot;
@@ -70,6 +71,7 @@ mod snapshot;
 mod tests;
 
 use invariants::InvariantScratch;
+use note::Note;
 use snapshot::GroupPlans;
 
 /// Outcome of one request's placement episode.
@@ -240,18 +242,6 @@ struct ActiveFlow {
     departure_ms: u64,
 }
 
-/// Per-slot counters the event engine accumulates between billing
-/// boundaries (the slot loop derives them inside `advance_slot`).
-#[derive(Debug, Default, Clone, Copy)]
-struct SlotCounters {
-    arrivals: u32,
-    accepted: u32,
-    rejected: u32,
-    sla_violations: u32,
-    flows_disrupted: u32,
-    flows_replaced: u32,
-}
-
 /// End-of-slot world snapshot, reused verbatim across billing boundaries
 /// while no event has touched the world — what makes idle slots O(1).
 /// Reuse is bit-safe: every field is a pure function of world state, and
@@ -323,7 +313,10 @@ pub struct Simulation {
     /// Slot-keyed network events, consumed as slots advance.
     event_timeline: BTreeMap<u64, Vec<NetworkEvent>>,
     slot: u64,
-    deployment_cost_this_slot: f64,
+    /// The open slot's record: its counts ([`Simulation::note`]), and the
+    /// deployment cost and sub-slot departures' traffic it has accrued.
+    /// Billing completes it.
+    open_slot: SlotRecord,
     metrics: MetricsCollector,
     scratch: SimScratch,
     /// How arrival groups are decided ([`RunOptions::semantics`]).
@@ -340,12 +333,8 @@ pub struct Simulation {
     /// occurrences [`Simulation::events_processed`] counts that the queue
     /// never held.
     unqueued_events: u64,
-    /// Counters the event engine accumulates since its last billed slot.
-    counters: SlotCounters,
     /// End-of-slot snapshot; `None` after any world mutation.
     cost_cache: Option<CostCache>,
-    /// Traffic accrued by sub-slot departures inside the current slot.
-    partial_traffic: f64,
     /// Slots with a RetireCheck already scheduled (dedupe).
     retire_checks: BTreeSet<u64>,
     /// Latest flow-activation instant (monotone). Billing uses it to
@@ -445,7 +434,7 @@ impl Simulation {
             active: IdMap::new(),
             event_timeline,
             slot: 0,
-            deployment_cost_this_slot: 0.0,
+            open_slot: SlotRecord::default(),
             metrics: MetricsCollector::new(),
             scratch,
             semantics: DecisionSemantics::Sequential,
@@ -453,9 +442,7 @@ impl Simulation {
             queue: EventQueue::new(),
             current_rank: 0,
             unqueued_events: 0,
-            counters: SlotCounters::default(),
             cost_cache: None,
-            partial_traffic: 0.0,
             retire_checks: BTreeSet::new(),
             latest_activation_ms: 0,
             generated_requests: 0,

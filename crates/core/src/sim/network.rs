@@ -4,8 +4,14 @@
 use super::*;
 
 impl Simulation {
-    /// [`Simulation::apply_due_events`] body, shared with the event
-    /// engine (which drains its own queue instead of the slot timeline).
+    /// Applies one batch of network events: a slot's from the slot loop's
+    /// timeline, an instant's from the event queue. Node failures evict
+    /// every instance on the dead node and tear the flows they served out
+    /// of the active set; flows whose instances survived but whose route
+    /// was severed (a partition) are stranded and torn out too. Every
+    /// disrupted flow is noted and returned for re-placement. Surviving
+    /// flows get their cached latencies refreshed against the changed
+    /// routes.
     pub(super) fn apply_network_events(&mut self, events: &[NetworkEvent]) -> Vec<ActiveFlow> {
         let mut downed: Vec<NodeId> = Vec::new();
         for event in events {
@@ -57,6 +63,9 @@ impl Simulation {
             }
             disrupted.push(flow);
         }
+        for flow in &disrupted {
+            self.note(Note::Disrupted(flow.request.id));
+        }
         disrupted
     }
 
@@ -107,15 +116,14 @@ impl Simulation {
         stranded
     }
 
-    /// Sends disrupted flows back through the policy for re-placement.
-    /// Returns how many were successfully replaced.
+    /// Sends disrupted flows back through the policy for re-placement,
+    /// noting each retry and its outcome as a replacement.
     pub(super) fn replace_disrupted(
         &mut self,
         disrupted: Vec<ActiveFlow>,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
-    ) -> u32 {
-        let mut flows_replaced = 0u32;
+    ) {
         for flow in disrupted {
             let remaining = flow.request.departure_slot().saturating_sub(self.slot);
             if remaining == 0 {
@@ -131,14 +139,12 @@ impl Simulation {
                 duration_ms: None,
                 ..flow.request
             };
-            let now = self.now_ms();
-            if let Some(sink) = self.telemetry.as_mut() {
-                sink.on_requested(now, &retry, true);
-            }
-            if let PlacementOutcome::Accepted { .. } = self.place_request(&retry, policy, rng) {
-                flows_replaced += 1;
-            }
+            self.note(Note::Requested {
+                request: &retry,
+                replacement: true,
+            });
+            let outcome = self.place_request(&retry, policy, rng);
+            self.note(Note::decided(retry.id, &outcome, true));
         }
-        flows_replaced
     }
 }

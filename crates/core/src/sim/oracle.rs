@@ -23,21 +23,7 @@ impl Simulation {
         }
         self.queue.advance_to(slot_start);
         // A mid-slot departure's share was billed with the whole slot.
-        self.partial_traffic = 0.0;
-    }
-
-    /// Applies the network events scheduled for the current slot. Node
-    /// failures evict every instance on the dead node and tear the flows
-    /// they served out of the active set; flows whose instances survived
-    /// but whose route was severed (a partition) are stranded and torn
-    /// out too. All disrupted flows are returned for re-placement.
-    /// Surviving flows get their cached latencies refreshed against the
-    /// changed routes.
-    fn apply_due_events(&mut self) -> Vec<ActiveFlow> {
-        let Some(events) = self.event_timeline.remove(&self.slot) else {
-            return Vec::new();
-        };
-        self.apply_network_events(&events)
+        self.open_slot.traffic_cost = 0.0;
     }
 
     /// Advances one slot: departures, network events (failures evict
@@ -59,51 +45,20 @@ impl Simulation {
         // Network events fire after departures (a flow that leaves this
         // slot cannot be disrupted) and before arrivals (new requests see
         // the degraded network).
-        let disrupted = self.apply_due_events();
-        let flows_disrupted = disrupted.len() as u32;
-        let flows_replaced = self.replace_disrupted(disrupted, policy, rng);
+        let disrupted = match self.event_timeline.remove(&self.slot) {
+            Some(events) => self.apply_network_events(&events),
+            None => Vec::new(),
+        };
+        self.replace_disrupted(disrupted, policy, rng);
 
         self.retire_idle_instances();
 
-        let mut accepted = 0u32;
-        let mut rejected = 0u32;
-        let mut sla_violations = 0u32;
-        for row in 0..arrivals.len() {
-            match self.decide_group_member(arrivals, row, policy, rng) {
-                PlacementOutcome::Accepted { sla_violated, .. } => {
-                    accepted += 1;
-                    if sla_violated {
-                        sla_violations += 1;
-                    }
-                }
-                PlacementOutcome::Rejected => rejected += 1,
-            }
-        }
+        self.decide_group(arrivals, policy, rng);
         if cfg!(debug_assertions) {
             self.assert_invariants();
         }
-        let (compute, energy, traffic, mean_latency) = self.slot_costs_and_latency(None);
-        let record = SlotRecord {
-            slot: self.slot,
-            arrivals: arrivals.len() as u32,
-            accepted,
-            rejected,
-            sla_violations,
-            active_flows: self.active.len() as u32,
-            live_instances: self.pool.len() as u32,
-            mean_latency_ms: mean_latency,
-            compute_cost: compute,
-            energy_cost: energy,
-            traffic_cost: traffic,
-            // Taken, not read: a `drive` next must not bill it again.
-            deployment_cost: std::mem::take(&mut self.deployment_cost_this_slot),
-            mean_utilization: self.mean_utilization(),
-            flows_disrupted,
-            flows_replaced,
-            nodes_down: self.network.down_node_count() as u32,
-        };
-        self.metrics.push_slot(record.clone());
-        self.slot += 1;
+        let record = self.close_slot(&self.slot_costs_and_latency(None));
+        self.note(Note::SlotBilled(record.clone()));
         record
     }
 

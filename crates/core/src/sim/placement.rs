@@ -273,6 +273,10 @@ impl Simulation {
     /// behind): an admitted flow is active from there for its holding
     /// time, and its departure is queued for whichever loop runs next.
     ///
+    /// `drive` and `advance_slot` note the requests they decide and their
+    /// outcomes; a direct call notes nothing, though the next slot billed
+    /// bills its flow and deployment cost like any other.
+    ///
     /// A decision allocates nothing at steady state: the decision context
     /// (chain included) and the rollback list are recycled across
     /// episodes, their buffers are refilled in place per decision, the
@@ -349,10 +353,6 @@ impl Simulation {
                     );
                     self.scratch.ctx = Some(ctx);
                     self.scratch.placed = placed;
-                    let now = self.now_ms();
-                    if let Some(sink) = self.telemetry.as_mut() {
-                        sink.on_rejected(request.id, now);
-                    }
                     return PlacementOutcome::Rejected;
                 }
                 PlacementAction::Place(node) => {
@@ -401,8 +401,9 @@ impl Simulation {
 
     /// Shared admission bookkeeping for a fully committed chain: measures
     /// the true end-to-end latency, activates the flow, schedules its
-    /// departure, and records metrics/telemetry. Returns
-    /// `(latency_ms, sla_violated)`.
+    /// departure, and adds the chain's deployment cost to the open slot.
+    /// Returns `(latency_ms, sla_violated)`; the admission is noted by the
+    /// caller that knows whether it is a replacement.
     pub(super) fn admit_flow(
         &mut self,
         request: &Request,
@@ -425,7 +426,7 @@ impl Simulation {
         .expect("committed assignment is valid");
         let latency_ms = breakdown.total_ms();
         let sla_violated = latency_ms > chain.latency_budget_ms;
-        self.deployment_cost_this_slot += deployment_cost;
+        self.open_slot.deployment_cost += deployment_cost;
         // From the clock for the stated holding time; `departure_ms` is
         // the instant the flow's departure event carries
         // (`handle_departure`).
@@ -464,10 +465,6 @@ impl Simulation {
                 request: request.id,
             },
         );
-        self.metrics.push_admission_latency(latency_ms);
-        if let Some(sink) = self.telemetry.as_mut() {
-            sink.on_admitted(request.id, activated_ms, latency_ms);
-        }
         (latency_ms, sla_violated)
     }
 

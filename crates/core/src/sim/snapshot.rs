@@ -281,10 +281,6 @@ impl Simulation {
             )
         } else {
             self.rollback(chain, &placed);
-            let now = self.now_ms();
-            if let Some(sink) = self.telemetry.as_mut() {
-                sink.on_rejected(request.id, now);
-            }
             let reward = if conflict_at.is_none() {
                 plan.steps[last].reward // the policy's own rejection
             } else {
@@ -337,31 +333,35 @@ impl Simulation {
         outcome
     }
 
-    /// Decides member `row` of an arrival group (one slot's arrivals in
-    /// the slot loop, one timestamp's in the event engine) — the single
-    /// decision path both engines take. Sequential semantics place the
-    /// request against the world its predecessors left behind. Snapshot
-    /// semantics plan the WHOLE group against the frozen world when its
-    /// first member comes up (nothing has committed yet), apply this
-    /// member's plan, and drop the plans after the last member.
-    pub(super) fn decide_group_member(
+    /// Decides an arrival group (a slot's arrivals in the slot loop, an
+    /// instant's in the event engine) in arrival order, noting each request
+    /// and its outcome: the one decision path of both loops. Sequential
+    /// semantics place each request on the world its predecessors left;
+    /// snapshot semantics plan the WHOLE group on the frozen world first.
+    pub(super) fn decide_group(
         &mut self,
         group: &[Request],
-        row: usize,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
-    ) -> PlacementOutcome {
-        let request = &group[row];
-        if self.semantics != DecisionSemantics::SlotSnapshot {
-            return self.place_request(request, policy, rng);
+    ) {
+        for request in group {
+            self.note(Note::Requested {
+                request,
+                replacement: false,
+            });
         }
-        if row == 0 {
+        let snapshot = self.semantics == DecisionSemantics::SlotSnapshot;
+        if snapshot && !group.is_empty() {
             self.plan_group_snapshot(group, policy, rng);
         }
-        let outcome = self.apply_planned_request(row, request, policy, rng);
-        if row + 1 == group.len() {
-            self.scratch.plans.valid = false; // stale once the group ran
+        for (row, request) in group.iter().enumerate() {
+            let outcome = if snapshot {
+                self.apply_planned_request(row, request, policy, rng)
+            } else {
+                self.place_request(request, policy, rng)
+            };
+            self.note(Note::decided(request.id, &outcome, false));
         }
-        outcome
+        self.scratch.plans.valid = false; // stale once the group ran
     }
 }

@@ -459,6 +459,11 @@ impl TelemetrySink {
         self.open.len()
     }
 
+    /// The ids of the flows still in flight, ascending.
+    pub fn open_flow_ids(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.open.iter().map(|(id, _)| RequestId(id))
+    }
+
     /// The retained tail of closed flow records, oldest first.
     pub fn recent_flows(&self) -> impl Iterator<Item = &FlowRecord> {
         self.flows.iter()

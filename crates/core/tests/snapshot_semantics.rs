@@ -191,6 +191,57 @@ fn snapshot_engine_equivalence_and_rerun_determinism() {
     assert_eq!(slots_event_a, slots_slotted);
 }
 
+/// The engine's metrics fold (the `RunSummary` and its slot records) and
+/// the telemetry sink's (`FlowTotals`) count the same outcomes, under both
+/// decision semantics and with node failures, so with disruptions and
+/// replacements: the snapshot path rejects on its own site, and the
+/// replacements are the sink's to count apart.
+#[test]
+fn metrics_and_telemetry_count_the_same_outcomes() {
+    let mut disrupted_somewhere = false;
+    for semantics in [
+        DecisionSemantics::Sequential,
+        DecisionSemantics::SlotSnapshot,
+    ] {
+        for name in ["first-fit", "random"] {
+            for seed in 0..6 {
+                let mut scenario = Scenario::small_test().with_failures(0.05, 4.0);
+                scenario.seed = seed;
+                let mut sim = Simulation::new(&scenario, RewardConfig::default());
+                let mut policy = mano::baselines::baseline(name).expect("registered");
+                let mut sink = TelemetrySink::new();
+                let summary = sim.drive(
+                    RunInput::Generated,
+                    policy.as_mut(),
+                    RunOptions::new()
+                        .with_semantics(semantics)
+                        .with_telemetry(&mut sink),
+                );
+                let replaced: u64 = sim
+                    .metrics()
+                    .slots()
+                    .iter()
+                    .map(|r| u64::from(r.flows_replaced))
+                    .sum();
+                let totals = sink.totals();
+                let case = format!("{semantics:?}, {name}, seed {seed}");
+                assert_eq!(totals.requested, summary.total_arrivals, "{case}");
+                assert_eq!(totals.placed, summary.total_accepted + replaced, "{case}");
+                assert_eq!(totals.rejected, summary.total_rejected, "{case}");
+                assert_eq!(totals.disrupted, summary.flows_disrupted, "{case}");
+                assert_eq!(
+                    totals.replacements_requested,
+                    replaced + totals.replacement_rejected,
+                    "{case}"
+                );
+                assert_eq!(sink.admission_latency().count(), totals.placed, "{case}");
+                disrupted_somewhere |= totals.disrupted > 0;
+            }
+        }
+    }
+    assert!(disrupted_somewhere, "no case saw a disruption");
+}
+
 /// Hides `P`'s `greedy_batch` from the engine (`supports_greedy_batch`
 /// stays at the trait default), forcing per-row `decide` planning.
 struct Unbatched<P>(P);

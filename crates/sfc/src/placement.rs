@@ -9,7 +9,7 @@ use edgenet::node::NodeId;
 use edgenet::routing::RoutingTable;
 
 /// The instances serving one admitted request, in chain order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChainAssignment {
     /// The request being served.
     pub request: RequestId,

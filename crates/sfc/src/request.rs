@@ -4,7 +4,7 @@ use crate::chain::ChainId;
 use edgenet::node::NodeId;
 
 /// Identifier of a request within a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {

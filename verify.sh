@@ -10,8 +10,9 @@
 #                           # library unwrap/expect ratchet + no caller of
 #                           # the `.sparse()` shim + no clock in the engine
 #                           # + no serde derive + one baseline registry
-#                           # + sorted-vector engine stores + one bench
-#                           # binary (fast feedback)
+#                           # + sorted-vector engine stores + one
+#                           # observation path out of the engine + one
+#                           # bench binary (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons); ends with the
@@ -77,6 +78,7 @@ lint() {
   no_serde_derives
   one_baseline_registry
   engine_stores_are_sorted
+  one_observation_path
   one_bench_binary
 }
 
@@ -163,6 +165,28 @@ engine_stores_are_sorted() {
     grep -vE ':[0-9]+:    event_timeline: BTreeMap<u64, Vec<NetworkEvent>>,$' |
     grep -vE ':[0-9]+:        let mut arrivals_by_slot: BTreeMap<u64, Vec<Request>> = BTreeMap::new\(\);$'; then
     echo "id-keyed engine stores are sfc::idmap::IdMap, not BTreeMap" >&2
+    return 1
+  fi
+}
+
+# Every outcome leaves the engine through `Simulation::note`
+# (crates/core/src/sim/note.rs): it alone feeds the telemetry sink's hooks
+# and the metrics collector's pushes, so the two folds see one stream. Such
+# a call anywhere else in core::sim fails; the body of `fn note` is told
+# by rustfmt's indentation (its signature, and the `    }` closing it).
+one_observation_path() {
+  echo "==> sink hooks and metrics pushes in core::sim only inside Simulation::note"
+  if awk '
+    FNR == 1 { in_note = 0 }
+    /^    pub\(super\) fn note\(/ { in_note = 1 }
+    !in_note && /\.on_(requested|admitted|rejected|completed|disrupted|slot_billed)\(|push_slot\(|push_admission_latency\(/ {
+      print FILENAME ":" FNR ":" $0
+      found = 1
+    }
+    in_note && /^    }$/ { in_note = 0 }
+    END { exit !found }
+  ' crates/core/src/sim/*.rs; then
+    echo "note an outcome through Simulation::note, not a sink hook or a metrics push" >&2
     return 1
   fi
 }
