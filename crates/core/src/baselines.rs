@@ -70,8 +70,24 @@ impl PlacementPolicy for FirstFitPolicy {
     }
 }
 
-/// Most-utilized feasible node — consolidates load (bin-packing best fit),
-/// minimizing the number of powered nodes at the price of queueing.
+/// The feasible edge node that `first` ranks first by utilization, the
+/// lowest id among equals (candidates come in node order and `min_by`
+/// keeps the first minimum); the cloud only when no edge node fits.
+fn edge_fit(
+    ctx: &DecisionContext,
+    first: impl Fn(&f64, &f64) -> std::cmp::Ordering,
+) -> PlacementAction {
+    ctx.feasible_candidates()
+        .filter(|c| !c.is_cloud)
+        .min_by(|a, b| first(&a.utilization, &b.utilization))
+        .or_else(|| ctx.feasible_candidates().find(|c| c.is_cloud))
+        .map_or(PlacementAction::Reject, |c| PlacementAction::Place(c.node))
+}
+
+/// Most-utilized feasible edge node — consolidates load (bin-packing best
+/// fit: the fullest bin that still fits), minimizing the number of
+/// powered nodes at the price of queueing. The cloud only when no edge
+/// node fits.
 #[derive(Debug, Default, Clone)]
 pub struct BestFitPolicy;
 
@@ -85,13 +101,12 @@ impl PlacementPolicy for BestFitPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
-        ctx.feasible_candidates()
-            .max_by(|a, b| a.utilization.partial_cmp(&b.utilization).unwrap())
-            .map_or(PlacementAction::Reject, |c| PlacementAction::Place(c.node))
+        edge_fit(ctx, |a, b| b.total_cmp(a))
     }
 }
 
-/// Least-utilized feasible node — spreads load (worst fit).
+/// Least-utilized feasible edge node — spreads load (worst fit: the
+/// emptiest bin). The cloud only when no edge node fits.
 #[derive(Debug, Default, Clone)]
 pub struct WorstFitPolicy;
 
@@ -105,9 +120,7 @@ impl PlacementPolicy for WorstFitPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
-        ctx.feasible_candidates()
-            .min_by(|a, b| a.utilization.partial_cmp(&b.utilization).unwrap())
-            .map_or(PlacementAction::Reject, |c| PlacementAction::Place(c.node))
+        edge_fit(ctx, f64::total_cmp)
     }
 }
 
@@ -489,6 +502,43 @@ mod tests {
         assert_eq!(
             WorstFitPolicy.decide(&ctx, &mut rng),
             PlacementAction::Place(NodeId(0))
+        );
+    }
+
+    #[test]
+    fn fit_rules_rank_the_edge_ties_to_the_lowest_id_and_the_cloud_last() {
+        // Empty edge nodes tie; the cloud (last, as topologies build it)
+        // holds a little load, which `max_by` used to prefer.
+        let ctx = ctx_with(vec![
+            candidate(0, false, 1.0, 0.1, 0.9, false),
+            candidate(1, true, 1.0, 0.1, 0.0, false),
+            candidate(2, true, 1.0, 0.1, 0.0, false),
+            candidate(3, true, 1.0, 0.1, 0.001, true),
+        ]);
+        let mut rng = StdRng::seed_from_u64(0);
+        for policy in [
+            &mut BestFitPolicy as &mut dyn PlacementPolicy,
+            &mut WorstFitPolicy,
+        ] {
+            assert_eq!(
+                policy.decide(&ctx, &mut rng),
+                PlacementAction::Place(NodeId(1)),
+                "{}",
+                policy.name()
+            );
+        }
+        // No edge node fits: the cloud.
+        let ctx = ctx_with(vec![
+            candidate(0, false, 1.0, 0.1, 0.9, false),
+            candidate(1, true, 1.0, 0.1, 0.001, true),
+        ]);
+        assert_eq!(
+            BestFitPolicy.decide(&ctx, &mut rng),
+            PlacementAction::Place(NodeId(1))
+        );
+        assert_eq!(
+            WorstFitPolicy.decide(&ctx, &mut rng),
+            PlacementAction::Place(NodeId(1))
         );
     }
 

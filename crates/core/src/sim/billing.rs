@@ -40,12 +40,12 @@ impl Simulation {
             })
             .sum();
         // One pass over active flows: traffic cost (chain's per-slot
-        // volume along source → VNF₁ → … → VNFₙ) + cached latency sum.
+        // volume along source → VNF₁ → … → VNFₙ, each hop priced at
+        // admission) + cached latency sum.
         let mut traffic = 0.0;
         let mut latency_sum = 0.0;
         for flow in self.active.values() {
             latency_sum += flow.latency_ms;
-            let chain = self.chains.get(flow.request.chain);
             let share = match window {
                 None => 1.0,
                 Some((slot_start_ms, slot_ms)) => {
@@ -54,16 +54,8 @@ impl Simulation {
                     (active_ms as f64 / slot_ms as f64).min(1.0)
                 }
             };
-            let mut at = flow.request.source;
-            for &inst_id in &flow.instances {
-                let node = self.pool.get(inst_id).expect("active instance").node;
-                traffic += share
-                    * self.scenario.prices.traffic_cost_usd(
-                        topology.node(at),
-                        topology.node(node),
-                        chain.traffic_gb,
-                    );
-                at = node;
+            for hop in &flow.hops {
+                traffic += share * hop.traffic_usd;
             }
         }
         let mean_latency = if self.active.is_empty() {

@@ -230,26 +230,14 @@ impl Simulation {
         let slot_start_ms = at.slot(self.slot_ms).saturating_mul(self.slot_ms);
         let occupied_ms = at.ms().saturating_sub(flow.activated_ms.max(slot_start_ms));
         if occupied_ms > 0 {
-            let topology = self.network.topology();
-            let chain = self.chains.get(flow.request.chain);
-            let mut at_node = flow.request.source;
-            let mut path_cost = 0.0;
-            for &inst_id in &flow.instances {
-                let node = self.pool.get(inst_id).expect("active instance").node;
-                path_cost += self.scenario.prices.traffic_cost_usd(
-                    topology.node(at_node),
-                    topology.node(node),
-                    chain.traffic_gb,
-                );
-                at_node = node;
-            }
+            let path_cost = flow.hops.iter().fold(0.0, |sum, hop| sum + hop.traffic_usd);
             self.open_slot.traffic_cost += occupied_ms as f64 / self.slot_ms as f64 * path_cost;
         }
-        for &inst_id in &flow.instances {
+        for hop in &flow.hops {
             self.pool
-                .remove_flow(inst_id, flow.arrival_rate_rps)
+                .remove_flow(hop.instance, flow.arrival_rate_rps)
                 .expect("active flow's instance exists");
-            self.note_possible_idle(inst_id);
+            self.note_possible_idle(hop.instance);
         }
         self.cost_cache = None;
     }

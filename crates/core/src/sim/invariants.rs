@@ -44,6 +44,9 @@ impl Simulation {
     /// * `flows_routable_on_live_nodes` — every active flow's instances
     ///   exist, sit on live nodes, and are routed to from its source
     ///   (its `assignment_latency` is `Ok`);
+    /// * `flow_hops_match_instances` — every hop cost an active flow was
+    ///   admitted with is, bit for bit, the traffic price between its
+    ///   instances' current nodes (the source's, for the first);
     /// * `instance_loads_match_flows` — every live instance's `flows` is
     ///   the number of chain positions of active flows it serves, and its
     ///   `lambda_rps` the sum of those flows' arrival rates (to a relative
@@ -104,13 +107,17 @@ impl Simulation {
         }
         shares.clear();
         for (id, flow) in self.active.iter() {
+            let chain = self.chains.get(flow.request.chain);
             assignment.request = flow.request.id;
-            assignment.instances.clone_from(&flow.instances);
+            assignment.instances.clear();
+            assignment
+                .instances
+                .extend(flow.hops.iter().map(|hop| hop.instance));
             // A route to or from a dead node is infinite, so `Ok` also
             // means every instance sits on a live node.
             if let Err(e) = assignment_latency(
                 assignment,
-                self.chains.get(flow.request.chain),
+                chain,
                 flow.request.source,
                 &self.pool,
                 &self.vnfs,
@@ -118,7 +125,25 @@ impl Simulation {
             ) {
                 return Err(format!("flows_routable_on_live_nodes: flow {id}: {e}"));
             }
-            shares.extend(flow.instances.iter().map(|&i| (i, flow.arrival_rate_rps)));
+            // Every instance exists (checked above).
+            let mut at = flow.request.source;
+            for (position, hop) in flow.hops.iter().enumerate() {
+                let node = self.pool.get(hop.instance).map_or(at, |inst| inst.node);
+                let fresh = self.scenario.prices.traffic_cost_usd(
+                    topology.node(at),
+                    topology.node(node),
+                    chain.traffic_gb,
+                );
+                if hop.traffic_usd.to_bits() != fresh.to_bits() {
+                    return Err(format!(
+                        "flow_hops_match_instances: flow {id} carries {} for hop {position} \
+                         ({at} -> {node}), which costs {fresh}",
+                        hop.traffic_usd
+                    ));
+                }
+                at = node;
+                shares.push((hop.instance, flow.arrival_rate_rps));
+            }
         }
         // Every share names a live instance (checked above), so the
         // sorted shares split into one run per live instance, in the

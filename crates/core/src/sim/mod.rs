@@ -226,7 +226,9 @@ pub enum RunInput<'a> {
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     request: Request,
-    instances: Vec<InstanceId>,
+    /// The chain's instances in order, each with the traffic cost of the
+    /// hop into it.
+    hops: Vec<Hop>,
     /// Per-instance arrival-rate contribution to release on departure.
     arrival_rate_rps: f64,
     /// End-to-end latency cached at admission (or at the last network
@@ -240,6 +242,16 @@ struct ActiveFlow {
     /// Scheduled departure instant (ms). A departure event for any other
     /// instant is stale (a re-placement's, or a gone flow's) and ignored.
     departure_ms: u64,
+}
+
+/// One position of an active flow's chain: the instance serving it, and
+/// the per-slot traffic cost of the hop from the previous position's node
+/// (the flow's source, for the first) to the instance's. Both ends are
+/// fixed for the flow's life, so `admit_flow` prices the hop once.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    instance: InstanceId,
+    traffic_usd: f64,
 }
 
 /// End-of-slot world snapshot, reused verbatim across billing boundaries
@@ -286,6 +298,8 @@ struct SimScratch {
     /// The episode's committed steps so far, `(instance, newly_spawned)`,
     /// kept for rollback.
     placed: Vec<(InstanceId, bool)>,
+    /// The admitted chain, in the form `assignment_latency` takes.
+    assignment: ChainAssignment,
     /// The invariant checker's buffers (debug builds).
     invariants: InvariantScratch,
 }
@@ -420,6 +434,11 @@ impl Simulation {
             zero_state: encoder.zero_state(),
             plans: GroupPlans::default(),
             placed: Vec::new(),
+            // Sized once, so no admission grows it.
+            assignment: ChainAssignment {
+                instances: Vec::with_capacity(chains.max_chain_len()),
+                ..ChainAssignment::default()
+            },
             invariants: InvariantScratch::default(),
         };
         Self {

@@ -34,17 +34,21 @@ impl Simulation {
             let hit: Vec<u64> = self
                 .active
                 .iter()
-                .filter(|(_, f)| f.instances.iter().any(|i| dead_instances.contains(i)))
+                .filter(|(_, f)| {
+                    f.hops
+                        .iter()
+                        .any(|hop| dead_instances.contains(&hop.instance))
+                })
                 .map(|(id, _)| id)
                 .collect();
             for id in hit {
                 let flow = self.active.remove(id).expect("listed flow exists");
-                for inst_id in &flow.instances {
-                    if !dead_instances.contains(inst_id) {
+                for hop in &flow.hops {
+                    if !dead_instances.contains(&hop.instance) {
                         self.pool
-                            .remove_flow(*inst_id, flow.arrival_rate_rps)
+                            .remove_flow(hop.instance, flow.arrival_rate_rps)
                             .expect("surviving instance exists");
-                        self.note_possible_idle(*inst_id);
+                        self.note_possible_idle(hop.instance);
                     }
                 }
                 disrupted.push(flow);
@@ -55,11 +59,11 @@ impl Simulation {
         // strand the ones whose path no longer exists.
         for id in self.refresh_cached_latencies() {
             let flow = self.active.remove(id).expect("listed flow exists");
-            for inst_id in &flow.instances {
+            for hop in &flow.hops {
                 self.pool
-                    .remove_flow(*inst_id, flow.arrival_rate_rps)
+                    .remove_flow(hop.instance, flow.arrival_rate_rps)
                     .expect("stranded flow's instances survived");
-                self.note_possible_idle(*inst_id);
+                self.note_possible_idle(hop.instance);
             }
             disrupted.push(flow);
         }
@@ -82,7 +86,7 @@ impl Simulation {
             let chain = self.chains.get(flow.request.chain);
             let assignment = ChainAssignment {
                 request: flow.request.id,
-                instances: flow.instances.clone(),
+                instances: flow.hops.iter().map(|hop| hop.instance).collect(),
             };
             match assignment_latency(
                 &assignment,

@@ -27,18 +27,26 @@ impl Simulation {
         out: &mut Vec<CandidateInfo>,
     ) {
         let vnf = self.vnfs.get(chain.vnfs[position]);
-        let slot_s = self.scenario.slot_seconds;
         let topology = self.network.topology();
         let routes = self.network.routes();
         let ledger = self.network.ledger();
+        // What the decision fixes for every node: the source's liveness,
+        // the mean lifetime and the hop volume over it, and a fresh
+        // instance's queueing.
+        let source_alive = self.network.node_alive(at_node);
+        let mean_duration_s =
+            self.scenario.workload.mean_duration_slots * self.scenario.slot_seconds;
+        let gb_lifetime = chain.traffic_gb * self.scenario.workload.mean_duration_slots;
+        let fresh_sojourn_ms = mm1_sojourn_ms(vnf.service_rate_rps, chain.arrival_rate_rps);
+        let node_count = topology.node_count();
         out.clear();
-        out.extend((0..topology.node_count()).map(|i| {
+        out.extend((0..node_count).map(|i| {
             let node_id = NodeId(i);
             let node = topology.node(node_id);
             // A dead node can neither host nor be routed to; a dead
             // *source* leaves every candidate infeasible (the request
             // can only be rejected until the site recovers).
-            let alive = self.network.node_alive(node_id) && self.network.node_alive(at_node);
+            let alive = self.network.node_alive(node_id) && source_alive;
             let reachable = alive && (at_node == node_id || routes.reachable(at_node, node_id));
             let reusable = self.reusable_instance(vnf, chain, node_id);
             let used = self.pool.used_on(node_id);
@@ -52,16 +60,18 @@ impl Simulation {
             } else {
                 routes.latency_ms(at_node, node_id)
             };
-            let lambda_after = reusable
-                .map(|inst| inst.lambda_rps + chain.arrival_rate_rps)
-                .unwrap_or(chain.arrival_rate_rps);
-            let marginal_latency =
-                hop + vnf.base_processing_ms + mm1_sojourn_ms(vnf.service_rate_rps, lambda_after);
+            let sojourn_ms = match reusable {
+                Some(inst) => mm1_sojourn_ms(
+                    vnf.service_rate_rps,
+                    inst.lambda_rps + chain.arrival_rate_rps,
+                ),
+                None => fresh_sojourn_ms,
+            };
+            let marginal_latency = hop + vnf.base_processing_ms + sojourn_ms;
 
             // Marginal cost: deployment + compute over the mean flow
             // lifetime (only when a new instance is needed) + hop
             // traffic over the lifetime.
-            let mean_duration_s = self.scenario.workload.mean_duration_slots * slot_s;
             let mut cost = 0.0;
             if reusable.is_none() {
                 cost += self.scenario.prices.deployment_cost;
@@ -70,7 +80,6 @@ impl Simulation {
                         .prices
                         .compute_cost_usd(node, vnf.demand.cpu, mean_duration_s);
             }
-            let gb_lifetime = chain.traffic_gb * self.scenario.workload.mean_duration_slots;
             cost += self.scenario.prices.traffic_cost_usd(
                 topology.node(at_node),
                 node,
@@ -283,7 +292,7 @@ impl Simulation {
     /// instance pool is read through its `(node, type)` index, and
     /// feedback borrows engine-owned buffers (policies clone only
     /// transitions they store). What an *admitted request* still allocates
-    /// is the instance list moved into its active-flow record: the
+    /// is the priced hop list of its active-flow record: the
     /// active flows and the telemetry sink's open records are sorted
     /// vectors ([`sfc::idmap::IdMap`]) that grow only to the run's largest
     /// live set. The whole `metro_heuristic` run allocates 1.24 times per
@@ -368,9 +377,8 @@ impl Simulation {
                     at_node = node;
 
                     if position + 1 == ctx.chain.len() {
-                        let instances = placed.iter().map(|&(id, _)| id).collect();
                         let (latency_ms, sla_violated) =
-                            self.admit_flow(request, &ctx.chain, instances, deployment_cost);
+                            self.admit_flow(request, &ctx.chain, &placed, deployment_cost);
                         let terminal_reward =
                             reward + self.reward_config.completion_reward(sla_violated);
                         policy.observe(
@@ -399,8 +407,9 @@ impl Simulation {
         unreachable!("placement loop always returns from the final position");
     }
 
-    /// Shared admission bookkeeping for a fully committed chain: measures
-    /// the true end-to-end latency, activates the flow, schedules its
+    /// Shared admission bookkeeping for a fully committed chain (`placed`,
+    /// its steps in chain order): measures the true end-to-end latency,
+    /// prices each hop's traffic, activates the flow, schedules its
     /// departure, and adds the chain's deployment cost to the open slot.
     /// Returns `(latency_ms, sla_violated)`; the admission is noted by the
     /// caller that knows whether it is a replacement.
@@ -408,15 +417,17 @@ impl Simulation {
         &mut self,
         request: &Request,
         chain: &ChainSpec,
-        instances: Vec<InstanceId>,
+        placed: &[(InstanceId, bool)],
         deployment_cost: f64,
     ) -> (f64, bool) {
-        let assignment = ChainAssignment {
-            request: request.id,
-            instances,
-        };
+        let assignment = &mut self.scratch.assignment;
+        assignment.request = request.id;
+        assignment.instances.clear();
+        assignment
+            .instances
+            .extend(placed.iter().map(|&(id, _)| id));
         let breakdown = assignment_latency(
-            &assignment,
+            assignment,
             chain,
             request.source,
             &self.pool,
@@ -425,6 +436,27 @@ impl Simulation {
         )
         .expect("committed assignment is valid");
         let latency_ms = breakdown.total_ms();
+        // The hops' endpoints are fixed for the flow's life (an instance
+        // never moves; a re-placement is a new admission), so billing and
+        // departure read these prices instead of taking them again.
+        let topology = self.network.topology();
+        let mut at = request.source;
+        let hops = placed
+            .iter()
+            .map(|&(instance, _)| {
+                let node = self.pool.get(instance).expect("placed instance").node;
+                let traffic_usd = self.scenario.prices.traffic_cost_usd(
+                    topology.node(at),
+                    topology.node(node),
+                    chain.traffic_gb,
+                );
+                at = node;
+                Hop {
+                    instance,
+                    traffic_usd,
+                }
+            })
+            .collect();
         let sla_violated = latency_ms > chain.latency_budget_ms;
         self.open_slot.deployment_cost += deployment_cost;
         // From the clock for the stated holding time; `departure_ms` is
@@ -437,7 +469,7 @@ impl Simulation {
             request.id.0,
             ActiveFlow {
                 request: request.clone(),
-                instances: assignment.instances,
+                hops,
                 arrival_rate_rps: chain.arrival_rate_rps,
                 latency_ms: if latency_ms.is_finite() {
                     latency_ms

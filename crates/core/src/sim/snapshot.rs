@@ -269,9 +269,8 @@ impl Simulation {
         // The step carrying the episode's terminal feedback.
         let last = conflict_at.unwrap_or(plan.steps.len() - 1);
         let (outcome, terminal_reward) = if accepted {
-            let instances = placed.iter().map(|&(id, _)| id).collect();
             let (latency_ms, sla_violated) =
-                self.admit_flow(request, chain, instances, deployment_cost);
+                self.admit_flow(request, chain, &placed, deployment_cost);
             (
                 PlacementOutcome::Accepted {
                     latency_ms,

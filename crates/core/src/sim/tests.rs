@@ -379,7 +379,7 @@ fn partition_strands_flows_even_when_their_instances_survive() {
     let hosts: Vec<NodeId> = s
         .active
         .values()
-        .flat_map(|f| f.instances.iter().map(|&i| s.pool.get(i).unwrap().node))
+        .flat_map(|f| f.hops.iter().map(|h| s.pool.get(h.instance).unwrap().node))
         .collect();
     assert!(
         hosts.iter().all(|&n| n == NodeId(2)),
@@ -484,7 +484,7 @@ fn a_flow_on_a_retired_instance_breaks_the_invariants() {
     let retired = s.pool.spawn(vnf, NodeId(2), 0, &s.vnfs);
     assert!(s.pool.retire(retired, &s.vnfs).is_ok());
     for flow in s.active.values_mut() {
-        flow.instances[0] = retired;
+        flow.hops[0].instance = retired;
     }
     s.assert_invariants();
 }

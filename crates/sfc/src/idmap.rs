@@ -63,14 +63,19 @@ impl<T> IdMap<T> {
 
     /// The value under `id`.
     pub fn get(&self, id: u64) -> Option<&T> {
-        let i = self.ids.binary_search(&id).ok()?;
-        Some(&self.values[i])
+        Some(&self.values[self.position(id)?])
     }
 
     /// The value under `id`, mutably.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let i = self.ids.binary_search(&id).ok()?;
+        let i = self.position(id)?;
         Some(&mut self.values[i])
+    }
+
+    /// Where `id` sits in ascending id order: the index of its value in
+    /// [`IdMap::as_slice`], until an insert or removal below it shifts it.
+    pub fn position(&self, id: u64) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Removes and returns the value under `id`.
@@ -81,12 +86,22 @@ impl<T> IdMap<T> {
     /// Removes and returns the value under `id` if `keep_out` accepts it;
     /// leaves the map unchanged otherwise.
     pub fn remove_if(&mut self, id: u64, keep_out: impl FnOnce(&T) -> bool) -> Option<T> {
-        let i = self.ids.binary_search(&id).ok()?;
+        let i = self.position(id)?;
         if !keep_out(&self.values[i]) {
             return None;
         }
-        self.ids.remove(i);
-        Some(self.values.remove(i))
+        Some(self.remove_at(i))
+    }
+
+    /// Removes and returns the value at `position`; every later entry
+    /// moves down one place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is out of bounds.
+    pub fn remove_at(&mut self, position: usize) -> T {
+        self.ids.remove(position);
+        self.values.remove(position)
     }
 
     /// `(id, value)` pairs in ascending id order.
@@ -97,6 +112,12 @@ impl<T> IdMap<T> {
     /// Values in ascending id order.
     pub fn values(&self) -> std::slice::Iter<'_, T> {
         self.values.iter()
+    }
+
+    /// Values in ascending id order, as a slice indexed by
+    /// [`IdMap::position`].
+    pub fn as_slice(&self) -> &[T] {
+        &self.values
     }
 
     /// Values in ascending id order, mutably.

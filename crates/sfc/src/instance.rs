@@ -55,21 +55,22 @@ impl std::error::Error for InstanceError {}
 ///
 /// `instances` is the one store of instance state, an [`IdMap`] in id
 /// order: ids are issued in increasing order, so a spawn is a push and a
-/// lookup one binary search over the live ids. `index` holds ids only
-/// (`index[node][vnf_type]`, ascending), so [`InstancePool::instances_of`]
-/// visits one site's instances instead of the whole pool; only the
-/// membership mutators (`spawn`, `retire`, `evict_node`) write it.
-/// `used[node]` is the running sum of the catalog demand of the live
-/// instances at `node`, what [`InstancePool::used_on`] answers; it too is
-/// written only by `spawn`, `retire` and `evict_node`. Both are derived
-/// data, grown lazily to the largest node seen: equality ignores them, and
+/// lookup one binary search over the live ids. `index` holds store
+/// positions (`index[node][vnf_type]`, ascending, so in id order too), so
+/// [`InstancePool::instances_of`] visits one site's instances instead of
+/// the whole pool and reads each without a search; only the membership
+/// mutators (`spawn`, `retire`, `evict_node`) write it. `used[node]` is
+/// the running sum of the catalog demand of the live instances at `node`,
+/// what [`InstancePool::used_on`] answers; it too is written only by
+/// `spawn`, `retire` and `evict_node`. Both are derived data, grown lazily
+/// to the largest node seen: equality ignores them, and
 /// the pool is not serialisable because a round trip would have to
 /// rebuild them.
 #[derive(Debug, Clone, Default)]
 pub struct InstancePool {
     instances: IdMap<Instance>,
     next_id: u64,
-    index: Vec<Vec<Vec<u64>>>,
+    index: Vec<Vec<Vec<u32>>>,
     used: Vec<Resources>,
 }
 
@@ -106,8 +107,9 @@ impl InstancePool {
         if buckets.len() <= vnf_type.0 {
             buckets.resize_with(vnf_type.0 + 1, Vec::new);
         }
-        // Ids are monotone, so a push keeps the bucket ascending.
-        buckets[vnf_type.0].push(id.0);
+        // Ids are monotone, so the instance lands past every live one and
+        // a push keeps the bucket ascending.
+        buckets[vnf_type.0].push(self.instances.len() as u32);
         self.instances.insert(
             id.0,
             Instance {
@@ -137,12 +139,28 @@ impl InstancePool {
         id: InstanceId,
         catalog: &VnfCatalog,
     ) -> Result<Instance, InstanceError> {
-        let inst = self.instances.get(id.0).ok_or(InstanceError::Unknown(id))?;
-        if inst.flows > 0 {
+        let pos = self
+            .instances
+            .position(id.0)
+            .ok_or(InstanceError::Unknown(id))?;
+        if self.instances.as_slice()[pos].flows > 0 {
             return Err(InstanceError::Busy(id));
         }
-        let inst = self.instances.remove(id.0).expect("checked present");
-        self.index[inst.node.0][inst.vnf_type.0].retain(|&indexed| indexed != id.0);
+        let inst = self.instances.remove_at(pos);
+        // The store shifted every later instance down one place: so does
+        // the index, in one pass over its buckets (ascending, so each
+        // bucket's shifted entries are its tail).
+        let pos = pos as u32;
+        let bucket = &mut self.index[inst.node.0][inst.vnf_type.0];
+        if let Ok(own) = bucket.binary_search(&pos) {
+            bucket.remove(own);
+        }
+        for bucket in self.index.iter_mut().flatten() {
+            let tail = bucket.partition_point(|&p| p < pos);
+            for p in &mut bucket[tail..] {
+                *p -= 1;
+            }
+        }
         self.remove_demand(&inst, catalog);
         if cfg!(debug_assertions) {
             self.check_index();
@@ -209,24 +227,26 @@ impl InstancePool {
         vnf_type: VnfTypeId,
         node: NodeId,
     ) -> impl ExactSizeIterator<Item = &Instance> + '_ {
-        let ids: &[u64] = self
+        let positions: &[u32] = self
             .index
             .get(node.0)
             .and_then(|buckets| buckets.get(vnf_type.0))
             .map_or(&[], Vec::as_slice);
-        ids.iter().map(|&id| &self.instances[id])
+        let store = self.instances.as_slice();
+        positions.iter().map(move |&pos| &store[pos as usize])
     }
 
     /// Checks that the `(node, type)` index and the instance store agree:
-    /// every bucket is strictly ascending and lists only live instances of
-    /// its own node and type, and the buckets together hold every live
-    /// instance exactly once. The membership mutators run it in debug
-    /// builds.
+    /// every bucket is strictly ascending and lists only store positions
+    /// of live instances of its own node and type, and the buckets
+    /// together hold every live instance exactly once. The membership
+    /// mutators run it in debug builds.
     ///
     /// # Panics
     ///
     /// Panics on the first disagreement.
     pub fn check_index(&self) {
+        let store = self.instances.as_slice();
         let mut indexed = 0;
         for (node, buckets) in self.index.iter().enumerate() {
             for (vnf_type, bucket) in buckets.iter().enumerate() {
@@ -234,11 +254,12 @@ impl InstancePool {
                     bucket.windows(2).all(|w| w[0] < w[1]),
                     "bucket (node {node}, type {vnf_type}) is not strictly ascending: {bucket:?}"
                 );
-                for id in bucket {
-                    let inst = self.instances.get(*id);
+                for &pos in bucket {
+                    let inst = store.get(pos as usize);
                     assert!(
                         inst.is_some_and(|i| i.node.0 == node && i.vnf_type.0 == vnf_type),
-                        "bucket (node {node}, type {vnf_type}) lists id {id}, the store has {inst:?}"
+                        "bucket (node {node}, type {vnf_type}) lists position {pos}, \
+                         the store has {inst:?} there"
                     );
                 }
                 indexed += bucket.len();
@@ -264,21 +285,25 @@ impl InstancePool {
     /// instances are destroyed regardless of the flows they serve — the
     /// caller owns disrupting those flows — and their `catalog` demand
     /// leaves the node's usage one instance at a time, in id order.
-    /// Returns the removed instances ordered by id.
+    /// Returns the removed instances ordered by id. The `(node, type)`
+    /// index is rebuilt from the store afterwards: a failure is rare, and
+    /// it shifts the positions of every instance behind an evicted one.
     pub fn evict_node(&mut self, node: NodeId, catalog: &VnfCatalog) -> Vec<Instance> {
-        let mut ids: Vec<u64> = match self.index.get_mut(node.0) {
-            Some(buckets) => buckets.iter_mut().flat_map(|b| b.drain(..)).collect(),
-            None => Vec::new(),
-        };
-        ids.sort_unstable();
+        let ids = self.instances_on(node);
         let evicted = ids
             .into_iter()
             .map(|id| {
-                let inst = self.instances.remove(id).expect("indexed instance");
+                let inst = self.instances.remove(id.0).expect("listed instance");
                 self.remove_demand(&inst, catalog);
                 inst
             })
             .collect();
+        for bucket in self.index.iter_mut().flatten() {
+            bucket.clear();
+        }
+        for (pos, inst) in self.instances.values().enumerate() {
+            self.index[inst.node.0][inst.vnf_type.0].push(pos as u32);
+        }
         if cfg!(debug_assertions) {
             self.check_index();
         }

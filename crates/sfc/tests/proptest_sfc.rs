@@ -219,6 +219,57 @@ proptest! {
         }
     }
 
+    /// The `(node, type)` index holds store positions, so every
+    /// retirement shifts the positions of the instances behind it and
+    /// every eviction rebuilds the index. A random history biased toward
+    /// exactly those (a retirement always picks an idle instance, so it
+    /// always lands), interleaved with spawns and flow changes: after every
+    /// operation `instances_of` yields exactly `iter().filter(..)` in id
+    /// order for every site, and `used_on` equals a fresh fold of the live
+    /// instances' catalog demand.
+    #[test]
+    fn position_index_follows_retires_and_evictions(
+        ops in proptest::collection::vec((0usize..6, 0usize..64, 0usize..64, 0.1f64..40.0), 1..120)
+    ) {
+        const NODES: usize = 3;
+        const TYPES: usize = 3;
+        let (vnfs, _) = catalogs();
+        let mut pool = InstancePool::new();
+        for (op, a, b, lambda) in ops {
+            let live: Vec<InstanceId> = pool.iter().map(|i| i.id).collect();
+            let idle: Vec<InstanceId> =
+                pool.iter().filter(|i| i.flows == 0).map(|i| i.id).collect();
+            match op {
+                0 | 1 => {
+                    pool.spawn(VnfTypeId(a % TYPES), NodeId(b % NODES), 0, &vnfs);
+                }
+                2 if !idle.is_empty() => {
+                    pool.retire(idle[a % idle.len()], &vnfs).unwrap();
+                }
+                3 => {
+                    pool.evict_node(NodeId(b % (NODES + 1)), &vnfs);
+                }
+                4 if !live.is_empty() => {
+                    pool.add_flow(live[a % live.len()], lambda).unwrap();
+                }
+                5 if !live.is_empty() => {
+                    pool.remove_flow(live[a % live.len()], lambda).unwrap();
+                }
+                _ => {}
+            }
+            for n in 0..NODES + 1 {
+                let n = NodeId(n);
+                prop_assert_eq!(pool.used_on(n), used_at(&pool, n, &vnfs));
+                for t in 0..TYPES + 1 {
+                    let t = VnfTypeId(t);
+                    let scanned: Vec<&Instance> =
+                        pool.iter().filter(|i| i.vnf_type == t && i.node == n).collect();
+                    prop_assert_eq!(pool.instances_of(t, n).collect::<Vec<_>>(), scanned);
+                }
+            }
+        }
+    }
+
     /// `IdMap` against `BTreeMap<u64, _>`, the store it replaced, over a
     /// random history of inserts (ids past the last key, as the engine
     /// issues them, and out-of-order ones, as a re-placed flow re-admits

@@ -11,8 +11,9 @@
 #                           # the `.sparse()` shim + no clock in the engine
 #                           # + no serde derive + one baseline registry
 #                           # + sorted-vector engine stores + one
-#                           # observation path out of the engine + one
-#                           # bench binary (fast feedback)
+#                           # observation path out of the engine + hop
+#                           # costs priced at admission + one bench
+#                           # binary (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons); ends with the
@@ -79,13 +80,14 @@ lint() {
   one_baseline_registry
   engine_stores_are_sorted
   one_observation_path
+  hop_costs_fixed_at_admission
   one_bench_binary
 }
 
 # `.unwrap()` / `.expect(` occurrences in `crates/*/src` and `src/`
 # (in-file unit tests count). The number only goes down: above it the lint
 # fails, below it prints the number to record here.
-UNWRAP_EXPECT_MAX=148
+UNWRAP_EXPECT_MAX=144
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
@@ -187,6 +189,33 @@ one_observation_path() {
     END { exit !found }
   ' crates/core/src/sim/*.rs; then
     echo "note an outcome through Simulation::note, not a sink hook or a metrics push" >&2
+    return 1
+  fi
+}
+
+# An active flow carries each hop's traffic cost, priced once when it is
+# admitted (`admit_flow`); billing and departures add those up. So in
+# core::sim a traffic price is taken only there, by the candidate build
+# (`candidates_into`, which prices hops not yet taken), and by the debug
+# invariant checker (`check_invariants_with`), which takes it afresh to
+# compare. A function is told by rustfmt's indentation, as above.
+hop_costs_fixed_at_admission() {
+  echo "==> traffic prices in core::sim only in admit_flow, candidates_into and the checker"
+  if awk '
+    FNR == 1 { fname = "" }
+    match($0, /^    (pub(\([a-z]+\))? )?fn [a-z_0-9]+/) {
+      fname = substr($0, RSTART, RLENGTH)
+      sub(/.*fn /, "", fname)
+    }
+    /traffic_cost_usd\(/ && fname != "admit_flow" && fname != "candidates_into" &&
+      !(FILENAME ~ /\/invariants\.rs$/ && fname == "check_invariants_with") {
+      print FILENAME ":" FNR ": in " (fname == "" ? "no function" : "fn " fname) ": " $0
+      found = 1
+    }
+    /^    }$/ { fname = "" }
+    END { exit !found }
+  ' crates/core/src/sim/*.rs; then
+    echo "hop costs are priced once, in admit_flow: read ActiveFlow::hops instead" >&2
     return 1
   fi
 }
