@@ -22,23 +22,15 @@ pub fn run() -> Outcome {
         }
     }
     md.push_str(&format!("| discount γ | {} |\n", c.gamma));
-    match c.optimizer {
-        OptimizerConfig::Adam {
-            lr, beta1, beta2, ..
-        } => {
-            md.push_str(&format!(
-                "| optimizer | Adam (lr {lr}, β₁ {beta1}, β₂ {beta2}) |\n"
-            ));
-        }
-        OptimizerConfig::RmsProp { lr, rho, .. } => {
-            md.push_str(&format!("| optimizer | RMSProp (lr {lr}, ρ {rho}) |\n"));
-        }
-        OptimizerConfig::Sgd { lr, momentum } => {
-            md.push_str(&format!(
-                "| optimizer | SGD (lr {lr}, momentum {momentum}) |\n"
-            ));
-        }
-    }
+    let OptimizerConfig::Adam {
+        lr, beta1, beta2, ..
+    } = c.optimizer
+    else {
+        return Err(format!("the headline DQN trains with Adam, not {:?}", c.optimizer).into());
+    };
+    md.push_str(&format!(
+        "| optimizer | Adam (lr {lr}, β₁ {beta1}, β₂ {beta2}) |\n"
+    ));
     md.push_str(&format!("| loss | {:?} |\n", c.loss));
     md.push_str(&format!(
         "| gradient clip (global L2) | {:?} |\n",

@@ -40,13 +40,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Ceiling on allocations per request. Measured: 1.24 (30,668 allocations
+/// Ceiling on allocations per request. Measured: 1.24 (30,670 allocations
 /// over 24,703 requests and 83,711 decisions; 1.50 = 37,088 while the
 /// instance pool, the active flows and the telemetry sink's open records
 /// were `BTreeMap`s, and 20.0 = 494,570 while `InstancePool::instances_of`
 /// collected a `Vec` per call and the episode cloned its catalog entries).
 /// No B-tree node is left, and none of what remains is per decision:
-/// 24,703 are the instance list that moves into each admitted flow's
+/// 24,703 are the hop list that moves into each admitted flow's
 /// record, 5,772 the arrival stream's offset list for each slot that has
 /// arrivals, 115 the idle-id list of each retire check that finds one, and
 /// the rest reused buffers growing to the run's largest world (debug

@@ -3,8 +3,7 @@
 //! A from-scratch, dependency-light neural network library sized exactly for
 //! the needs of the DRL-based VNF manager in this workspace: batched dense
 //! networks (MLPs) with explicit backprop, the DQN-style *selected-output*
-//! loss, SGD/RMSProp/Adam optimizers, gradient clipping, and numerical
-//! gradient checking.
+//! loss, SGD and Adam optimizers, and gradient clipping.
 //!
 //! Design points:
 //!
@@ -14,9 +13,9 @@
 //! * **Determinism.** All randomness flows through caller-provided
 //!   [`rand::Rng`] values; the same seed reproduces the same network and the
 //!   same training trajectory bit-for-bit.
-//! * **Verified backprop.** [`gradcheck`] compares every layer/loss
-//!   combination against central finite differences; the test suite gates on
-//!   it.
+//! * **Verified backprop.** The gradient checker in `tests/support/`
+//!   compares every layer/loss combination against central finite
+//!   differences; the test suite gates on it.
 //!
 //! # Examples
 //!
@@ -42,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod activation;
-pub mod gradcheck;
 pub mod init;
 pub mod linear;
 pub mod loss;

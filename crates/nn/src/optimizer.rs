@@ -1,4 +1,4 @@
-//! First-order gradient optimizers (SGD+momentum, RMSProp, Adam).
+//! First-order gradient optimizers (plain SGD and Adam).
 //!
 //! Optimizers keep per-parameter state keyed by a stable slot index supplied
 //! by the network (two slots per dense layer: weights then bias). This keeps
@@ -9,21 +9,10 @@ use crate::tensor::Matrix;
 /// Optimizer configuration (the algorithm and its hyperparameters).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerConfig {
-    /// Stochastic gradient descent with optional momentum.
+    /// Plain stochastic gradient descent: `p ← p − lr·g`.
     Sgd {
         /// Learning rate.
         lr: f32,
-        /// Momentum coefficient in `[0, 1)`; `0.0` is plain SGD.
-        momentum: f32,
-    },
-    /// RMSProp as used by the original DQN paper.
-    RmsProp {
-        /// Learning rate.
-        lr: f32,
-        /// Decay rate of the squared-gradient moving average.
-        rho: f32,
-        /// Numerical-stability constant.
-        eps: f32,
     },
     /// Adam (Kingma & Ba).
     Adam {
@@ -49,26 +38,15 @@ impl OptimizerConfig {
         }
     }
 
-    /// RMSProp with DQN-paper defaults and the given learning rate.
-    pub fn rmsprop(lr: f32) -> Self {
-        OptimizerConfig::RmsProp {
-            lr,
-            rho: 0.95,
-            eps: 1e-6,
-        }
-    }
-
     /// Plain SGD with the given learning rate.
     pub fn sgd(lr: f32) -> Self {
-        OptimizerConfig::Sgd { lr, momentum: 0.0 }
+        OptimizerConfig::Sgd { lr }
     }
 
     /// The configured learning rate.
     pub fn learning_rate(&self) -> f32 {
         match *self {
-            OptimizerConfig::Sgd { lr, .. }
-            | OptimizerConfig::RmsProp { lr, .. }
-            | OptimizerConfig::Adam { lr, .. } => lr,
+            OptimizerConfig::Sgd { lr } | OptimizerConfig::Adam { lr, .. } => lr,
         }
     }
 
@@ -80,14 +58,8 @@ impl OptimizerConfig {
     /// of range.
     pub fn build(self) -> Optimizer {
         match self {
-            OptimizerConfig::Sgd { lr, momentum } => {
+            OptimizerConfig::Sgd { lr } => {
                 assert!(lr > 0.0, "learning rate must be positive");
-                assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-            }
-            OptimizerConfig::RmsProp { lr, rho, eps } => {
-                assert!(lr > 0.0, "learning rate must be positive");
-                assert!((0.0..1.0).contains(&rho), "rho must be in [0,1)");
-                assert!(eps > 0.0, "eps must be positive");
             }
             OptimizerConfig::Adam {
                 lr,
@@ -120,9 +92,9 @@ pub struct Optimizer {
 /// Moments of one parameter; empty until the slot's first update.
 #[derive(Debug, Clone, Default)]
 struct SlotState {
-    /// First moment / momentum buffer.
+    /// First moment (unused by SGD).
     m: Matrix,
-    /// Second moment buffer (unused by SGD).
+    /// Second moment (unused by SGD).
     v: Matrix,
 }
 
@@ -173,38 +145,7 @@ impl Optimizer {
             "optimizer slot {slot} shape changed"
         );
         match self.config {
-            OptimizerConfig::Sgd { lr, momentum } => {
-                if momentum == 0.0 {
-                    param.add_scaled_assign(grad, -lr);
-                } else {
-                    // m ← momentum*m + grad ; p ← p - lr*m
-                    // (momentum flushed like the Adam/RMSProp moments —
-                    // see `flush_subnormal`.)
-                    state.m.scale_assign(momentum);
-                    state.m.add_scaled_assign(grad, 1.0);
-                    for m in state.m.as_mut_slice() {
-                        *m = flush_subnormal(*m);
-                    }
-                    param.add_scaled_assign(&state.m, -lr);
-                }
-            }
-            OptimizerConfig::RmsProp { lr, rho, eps } => {
-                // Lockstep iterators instead of indexing: the bounds checks
-                // on four distinct slices defeated auto-vectorization of
-                // the sqrt/div pipeline. The iterator form itself changes
-                // no arithmetic; the only deliberate numeric change in this
-                // optimizer is the sub-normal moment flush (see
-                // `flush_subnormal`).
-                let (mp, gp, vp) = (
-                    param.as_mut_slice(),
-                    grad.as_slice(),
-                    state.v.as_mut_slice(),
-                );
-                for ((p, &g), v) in mp.iter_mut().zip(gp.iter()).zip(vp.iter_mut()) {
-                    *v = flush_subnormal(rho * *v + (1.0 - rho) * g * g);
-                    *p -= lr * g / (v.sqrt() + eps);
-                }
-            }
+            OptimizerConfig::Sgd { lr } => param.add_scaled_assign(grad, -lr),
             OptimizerConfig::Adam {
                 lr,
                 beta1,
@@ -216,9 +157,12 @@ impl Optimizer {
                 let bc2 = 1.0 - beta2.powf(t);
                 let (mp, gp) = (param.as_mut_slice(), grad.as_slice());
                 let (mm, vv) = (state.m.as_mut_slice(), state.v.as_mut_slice());
-                // Lockstep iterators (see RmsProp above): no arithmetic
-                // change beyond the documented sub-normal flush, and the
-                // per-element sqrt/div now vectorizes.
+                // Lockstep iterators instead of indexing: the bounds checks
+                // on four distinct slices defeated auto-vectorization of
+                // the sqrt/div pipeline. The iterator form changes no
+                // arithmetic; the only deliberate numeric change in this
+                // optimizer is the sub-normal moment flush (see
+                // `flush_subnormal`).
                 for (((p, &g), m), v) in mp
                     .iter_mut()
                     .zip(gp.iter())
@@ -303,24 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let x = quadratic_descend(
-            OptimizerConfig::Sgd {
-                lr: 0.05,
-                momentum: 0.9,
-            },
-            200,
-        );
-        assert!(x.abs() < 1e-2, "momentum final x = {x}");
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        let x = quadratic_descend(OptimizerConfig::rmsprop(0.05), 500);
-        assert!(x.abs() < 0.05, "rmsprop final x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let x = quadratic_descend(OptimizerConfig::adam(0.2), 300);
         assert!(x.abs() < 1e-2, "adam final x = {x}");
@@ -340,11 +266,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut opt = OptimizerConfig::Sgd {
-            lr: 0.1,
-            momentum: 0.9,
-        }
-        .build();
+        let mut opt = OptimizerConfig::adam(0.1).build();
         let mut a = Matrix::row_vector(&[1.0]);
         let mut b = Matrix::row_vector(&[1.0]);
         let ga = Matrix::row_vector(&[1.0]);
@@ -353,7 +275,7 @@ mod tests {
         opt.update(0, &mut a, &ga);
         opt.update(1, &mut b, &gb);
         assert!(a.get(0, 0) < 1.0);
-        assert_eq!(b.get(0, 0), 1.0); // zero grad, zero momentum -> unchanged
+        assert_eq!(b.get(0, 0), 1.0); // zero grad, zero moments -> unchanged
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests for the nn crate: algebraic identities on matrices,
 //! gradient checking across random architectures, and optimizer invariants.
 
-use nn::gradcheck::check_mlp_gradients;
+mod support;
+
 use nn::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::check_mlp_gradients;
 
 fn small_dim() -> impl Strategy<Value = usize> {
     1usize..6
@@ -114,7 +116,7 @@ proptest! {
         // Only smooth activations here: finite differences straddling the
         // (Leaky)ReLU kink legitimately disagree with the one-sided analytic
         // derivative. The kinked activations are gradient-checked at
-        // kink-free points in nn::gradcheck's unit tests.
+        // kink-free points in `support`'s unit tests.
         let act = match act_pick {
             0 => Activation::Tanh,
             _ => Activation::Sigmoid,

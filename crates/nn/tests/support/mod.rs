@@ -2,11 +2,11 @@
 //!
 //! Backprop bugs are silent — the network still trains, just badly. Every
 //! layer/loss combination in this crate is validated against central finite
-//! differences, both in unit tests and in property tests.
+//! differences, both in the unit tests below and in `proptest_nn.rs`.
 
-use crate::loss::Loss;
-use crate::mlp::Mlp;
-use crate::tensor::Matrix;
+use nn::loss::Loss;
+use nn::mlp::Mlp;
+use nn::tensor::Matrix;
 
 /// Result of comparing analytic and numeric gradients.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,11 +117,10 @@ fn perturbed_loss(
     l
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
-    use crate::mlp::MlpConfig;
+    use nn::activation::Activation;
+    use nn::mlp::MlpConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,80 +1,6 @@
-//! Environment abstraction for discrete-action reinforcement learning.
-
-use rand::RngCore;
-
-/// Outcome of one environment step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepOutcome {
-    /// Observation after the transition.
-    pub next_state: Vec<f32>,
-    /// Scalar reward for the transition.
-    pub reward: f32,
-    /// Whether the episode terminated with this step.
-    pub done: bool,
-}
-
-impl StepOutcome {
-    /// Convenience constructor.
-    pub fn new(next_state: Vec<f32>, reward: f32, done: bool) -> Self {
-        Self {
-            next_state,
-            reward,
-            done,
-        }
-    }
-}
-
-/// A discrete-action environment.
-///
-/// States are dense `f32` feature vectors of fixed dimension; actions are
-/// `0..action_count()`. Environments may additionally advertise a per-state
-/// *action mask* — essential for VNF placement, where saturated edge nodes
-/// are invalid targets and must never be selected or bootstrapped through.
-pub trait Environment {
-    /// Dimension of the observation vector.
-    fn state_dim(&self) -> usize;
-
-    /// Number of discrete actions.
-    fn action_count(&self) -> usize;
-
-    /// Resets the environment and returns the initial observation.
-    fn reset(&mut self, rng: &mut dyn RngCore) -> Vec<f32>;
-
-    /// Applies `action` and returns the transition outcome.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `action >= action_count()` or if the
-    /// action is masked out — callers are expected to respect
-    /// [`Environment::action_mask`].
-    fn step(&mut self, action: usize, rng: &mut dyn RngCore) -> StepOutcome;
-
-    /// Mask of currently valid actions (`true` = allowed).
-    ///
-    /// Default: all actions valid. Invariant: at least one entry must be
-    /// `true` in any non-terminal state.
-    fn action_mask(&self) -> Vec<bool> {
-        vec![true; self.action_count()]
-    }
-
-    /// Optional upper bound on episode length used by trainers; `None`
-    /// means the environment terminates on its own.
-    fn max_episode_steps(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Environments with a small discrete state space, enabling tabular methods.
-///
-/// Used by the validation suite: tabular Q-learning provides a trusted
-/// reference return that the DQN must match on toy problems.
-pub trait DiscreteStateEnvironment: Environment {
-    /// Number of distinct states.
-    fn state_count(&self) -> usize;
-
-    /// Identifier of the current state in `0..state_count()`.
-    fn state_id(&self) -> usize;
-}
+//! Masked selection over one row of action values: saturated edge nodes
+//! must never be selected or bootstrapped through. `nn::tensor::Matrix`'s
+//! batched row reductions follow the same rule (`tests/batch_parity.rs`).
 
 /// Picks the valid action with the highest value from `values`,
 /// respecting `mask` (entries with `mask[i] == false` are skipped).

@@ -379,8 +379,6 @@ pub fn masked_softmax_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Environment;
-    use crate::toy::{BanditEnv, ChainEnv};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -402,83 +400,6 @@ mod tests {
     #[should_panic(expected = "fully-masked")]
     fn fully_masked_softmax_panics() {
         let _ = masked_softmax(&[1.0], &[false]);
-    }
-
-    fn run_episodes(
-        agent: &mut ReinforceAgent,
-        env: &mut impl Environment,
-        episodes: usize,
-        rng: &mut StdRng,
-    ) {
-        let cap = env.max_episode_steps().unwrap_or(100);
-        for _ in 0..episodes {
-            let mut state = env.reset(rng);
-            for _ in 0..cap {
-                let mask = env.action_mask();
-                let action = agent.act(&state, &mask, rng);
-                let outcome = env.step(action, rng);
-                agent.record_step(state, mask, action, outcome.reward);
-                state = outcome.next_state;
-                if outcome.done {
-                    break;
-                }
-            }
-            agent.end_episode();
-        }
-    }
-
-    fn greedy_return(
-        agent: &mut ReinforceAgent,
-        env: &mut impl Environment,
-        episodes: usize,
-        rng: &mut StdRng,
-    ) -> f32 {
-        let cap = env.max_episode_steps().unwrap_or(100);
-        let mut total = 0.0;
-        for _ in 0..episodes {
-            let mut state = env.reset(rng);
-            for _ in 0..cap {
-                let action = agent.act_greedy(&state, &env.action_mask());
-                let outcome = env.step(action, rng);
-                total += outcome.reward;
-                state = outcome.next_state;
-                if outcome.done {
-                    break;
-                }
-            }
-        }
-        total / episodes as f32
-    }
-
-    #[test]
-    fn solves_contextual_bandit() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut env = BanditEnv::new(3, 3);
-        let config = ReinforceConfig {
-            hidden: vec![32],
-            optimizer: OptimizerConfig::adam(5e-3),
-            ..Default::default()
-        };
-        let mut agent = ReinforceAgent::new(config, env.state_dim(), env.action_count(), &mut rng);
-        run_episodes(&mut agent, &mut env, 1_500, &mut rng);
-        let mean = greedy_return(&mut agent, &mut env, 200, &mut rng);
-        assert!(mean > 0.95, "bandit mean reward {mean}");
-    }
-
-    #[test]
-    fn solves_chain() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut env = ChainEnv::new(5, 0.01);
-        let config = ReinforceConfig {
-            hidden: vec![32],
-            optimizer: OptimizerConfig::adam(5e-3),
-            ..Default::default()
-        };
-        let mut agent = ReinforceAgent::new(config, env.state_dim(), env.action_count(), &mut rng);
-        run_episodes(&mut agent, &mut env, 600, &mut rng);
-        let mean = greedy_return(&mut agent, &mut env, 20, &mut rng);
-        // Optimal: 4 steps right → 1 − 0.04 = 0.96.
-        assert!(mean > 0.85, "chain mean return {mean}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A contextual bandit: one-step episodes where the best action depends on
 //! the context bit. Catches agents that ignore their input.
 
-use crate::env::{Environment, StepOutcome};
+use super::{Environment, StepOutcome};
 use rand::{Rng, RngCore};
 
 /// Two-context, `k`-armed bandit. In context `c`, arm `c % k` pays `1.0`;
@@ -72,7 +72,6 @@ impl Environment for BanditEnv {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

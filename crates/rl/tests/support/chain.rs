@@ -2,7 +2,7 @@
 //! the far end. Action 0 = left, action 1 = right. A small per-step penalty
 //! makes the shortest path uniquely optimal.
 
-use crate::env::{DiscreteStateEnvironment, Environment, StepOutcome};
+use super::{Environment, StepOutcome};
 use rand::RngCore;
 
 /// A chain of `n` states; reaching state `n-1` ends the episode with +1.
@@ -29,11 +29,6 @@ impl ChainEnv {
             step_penalty,
             steps_taken: 0,
         }
-    }
-
-    /// Number of states (public accessor used by tabular agents).
-    pub fn state_count_public(&self) -> usize {
-        self.n
     }
 
     fn observe(&self) -> Vec<f32> {
@@ -76,17 +71,6 @@ impl Environment for ChainEnv {
     }
 }
 
-impl DiscreteStateEnvironment for ChainEnv {
-    fn state_count(&self) -> usize {
-        self.n
-    }
-
-    fn state_id(&self) -> usize {
-        self.position
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -114,7 +98,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = env.reset(&mut rng);
         let out = env.step(0, &mut rng);
-        assert_eq!(env.state_id(), 0);
+        assert_eq!(out.next_state[0], 1.0);
         assert!(!out.done);
     }
 

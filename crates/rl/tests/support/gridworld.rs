@@ -2,7 +2,7 @@
 //! check. Actions: 0=up, 1=down, 2=left, 3=right. Walking into a wall or
 //! obstacle is masked out, exercising the action-mask machinery end to end.
 
-use crate::env::{DiscreteStateEnvironment, Environment, StepOutcome};
+use super::{Environment, StepOutcome};
 use rand::RngCore;
 
 /// An `n x n` grid; the agent starts at `(0, 0)` and must reach
@@ -46,11 +46,6 @@ impl GridWorld {
             obstacles: obstacles.to_vec(),
             step_penalty,
         }
-    }
-
-    /// Grid side length.
-    pub fn side(&self) -> usize {
-        self.n
     }
 
     /// Length of the shortest obstacle-free path from start to goal
@@ -160,17 +155,6 @@ impl Environment for GridWorld {
     }
 }
 
-impl DiscreteStateEnvironment for GridWorld {
-    fn state_count(&self) -> usize {
-        self.n * self.n
-    }
-
-    fn state_id(&self) -> usize {
-        self.row * self.n + self.col
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

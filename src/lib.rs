@@ -10,8 +10,8 @@
 //! | experiments | [`exper`] | parallel multi-seed grid engine, deterministic aggregation |
 //! | serving | [`serve`] | cross-simulation policy server: fused batched forwards per tick |
 //! | orchestrator | [`mano`] | MDP formulation, simulation engine, DRL manager, baselines |
-//! | learning | [`rl`] | DQN family, replay buffers, schedules, toy validation envs |
-//! | function approximation | [`nn`] | MLP + backprop, optimizers, gradient checking |
+//! | learning | [`rl`] | masked DQN family, REINFORCE, replay buffers, schedules |
+//! | function approximation | [`nn`] | MLP + backprop, Adam and SGD, gradient clipping |
 //! | infrastructure | [`edgenet`] | geo topologies, routing, capacity, energy/price models |
 //! | services | [`sfc`] | VNF catalog, chains, instances, M/M/1 delay model |
 //! | traffic | [`workload`] | arrival processes, load patterns, trace synthesis |
