@@ -40,12 +40,16 @@ impl PlacementPolicy for RandomPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext, rng: &mut StdRng) -> PlacementAction {
-        let feasible: Vec<NodeId> = ctx.feasible_candidates().map(|c| c.node).collect();
-        if feasible.is_empty() {
-            PlacementAction::Reject
-        } else {
-            PlacementAction::Place(feasible[rng.gen_range(0..feasible.len())])
+        // Count, draw `gen_range(0..count)`, walk to the pick: the draw
+        // indexing a collected list would make, without the list.
+        let count = ctx.feasible_candidates().count();
+        if count == 0 {
+            return PlacementAction::Reject;
         }
+        let pick = rng.gen_range(0..count);
+        ctx.feasible_candidates()
+            .nth(pick)
+            .map_or(PlacementAction::Reject, |c| PlacementAction::Place(c.node))
     }
 }
 
@@ -604,6 +608,39 @@ mod tests {
                 RandomPolicy.decide(&ctx, &mut rng),
                 PlacementAction::Place(NodeId(1))
             );
+        }
+    }
+
+    #[test]
+    fn random_draws_what_the_collected_form_drew() {
+        // The reference is the collect-and-index form `decide` replaced:
+        // the same rng, fed the same contexts, must yield the same nodes.
+        fn collected(ctx: &DecisionContext, rng: &mut StdRng) -> PlacementAction {
+            let feasible: Vec<NodeId> = ctx.feasible_candidates().map(|c| c.node).collect();
+            if feasible.is_empty() {
+                PlacementAction::Reject
+            } else {
+                PlacementAction::Place(feasible[rng.gen_range(0..feasible.len())])
+            }
+        }
+        let mut masks = StdRng::seed_from_u64(0x5eed);
+        for seed in 0..64u64 {
+            let width = masks.gen_range(1..24usize);
+            let ctx = ctx_with(
+                (0..width)
+                    .map(|i| candidate(i, masks.gen_bool(0.4), 1.0, 0.1, 0.1, false))
+                    .collect(),
+            );
+            let mut ours = StdRng::seed_from_u64(seed);
+            let mut theirs = StdRng::seed_from_u64(seed);
+            for _ in 0..16 {
+                assert_eq!(
+                    RandomPolicy.decide(&ctx, &mut ours),
+                    collected(&ctx, &mut theirs),
+                    "seed {seed}, width {width}"
+                );
+            }
+            assert_eq!(ours.gen::<u64>(), theirs.gen::<u64>(), "seed {seed}");
         }
     }
 

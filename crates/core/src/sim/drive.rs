@@ -239,6 +239,9 @@ impl Simulation {
                 .expect("active flow's instance exists");
             self.note_possible_idle(hop.instance);
         }
+        let mut hops = flow.hops;
+        hops.clear();
+        self.scratch.spare_hops.push(hops);
         self.cost_cache = None;
     }
 

@@ -300,6 +300,11 @@ struct SimScratch {
     placed: Vec<(InstanceId, bool)>,
     /// The admitted chain, in the form `assignment_latency` takes.
     assignment: ChainAssignment,
+    /// Departed flows' emptied hop lists, which `admit_flow` refills
+    /// before it allocates a new one.
+    spare_hops: Vec<Vec<Hop>>,
+    /// The retire sweep's idle instance ids.
+    idle: Vec<InstanceId>,
     /// The invariant checker's buffers (debug builds).
     invariants: InvariantScratch,
 }
@@ -439,6 +444,8 @@ impl Simulation {
                 instances: Vec::with_capacity(chains.max_chain_len()),
                 ..ChainAssignment::default()
             },
+            spare_hops: Vec::new(),
+            idle: Vec::new(),
             invariants: InvariantScratch::default(),
         };
         Self {

@@ -441,22 +441,24 @@ impl Simulation {
         // departure read these prices instead of taking them again.
         let topology = self.network.topology();
         let mut at = request.source;
-        let hops = placed
-            .iter()
-            .map(|&(instance, _)| {
-                let node = self.pool.get(instance).expect("placed instance").node;
-                let traffic_usd = self.scenario.prices.traffic_cost_usd(
-                    topology.node(at),
-                    topology.node(node),
-                    chain.traffic_gb,
-                );
-                at = node;
-                Hop {
-                    instance,
-                    traffic_usd,
-                }
-            })
-            .collect();
+        // A departed flow's emptied list, when there is one. It grows to
+        // the chain's exact length, not doubled: spare lists stay on the
+        // heap for the rest of the run.
+        let mut hops = self.scratch.spare_hops.pop().unwrap_or_default();
+        hops.reserve_exact(placed.len());
+        hops.extend(placed.iter().map(|&(instance, _)| {
+            let node = self.pool.get(instance).expect("placed instance").node;
+            let traffic_usd = self.scenario.prices.traffic_cost_usd(
+                topology.node(at),
+                topology.node(node),
+                chain.traffic_gb,
+            );
+            at = node;
+            Hop {
+                instance,
+                traffic_usd,
+            }
+        }));
         let sla_violated = latency_ms > chain.latency_budget_ms;
         self.open_slot.deployment_cost += deployment_cost;
         // From the clock for the stated holding time; `departure_ms` is
@@ -503,15 +505,14 @@ impl Simulation {
     /// Retires instances idle longer than the scenario grace period.
     /// Returns how many were retired.
     pub(super) fn retire_idle_instances(&mut self) -> usize {
-        let ids = self
-            .pool
-            .idle_instances(self.slot, self.scenario.idle_retire_slots);
-        let retired = ids.len();
-        for id in ids {
+        let idle = &mut self.scratch.idle;
+        self.pool
+            .idle_instances_into(self.slot, self.scenario.idle_retire_slots, idle);
+        for &id in idle.iter() {
             self.pool
                 .retire(id, &self.vnfs)
                 .expect("idle instance retires");
         }
-        retired
+        idle.len()
     }
 }

@@ -3,56 +3,28 @@
 //! benchmark world under first-fit, per request. The count is
 //! deterministic, so this is an exact test, not a timing.
 //!
-//! The counting `#[global_allocator]` is the device `fig13_metro` and
-//! `perf/src/alloc.rs` use; an integration test file is its own binary, so
-//! it touches no other suite. Allocations are counted per thread, so the
-//! test harness's own threads cannot disturb the count.
+//! The counting allocator is `counting_alloc`'s, installed for this
+//! binary only.
 
+mod counting_alloc;
+
+use counting_alloc::counting;
 use edgenet::node::{NodeId, Resources};
 use mano::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use workload::metro::MetroProfile;
 
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and publishes no data.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // A thread being torn down has no counter left; its allocations
-        // are not the test's.
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        // SAFETY: `p` was returned by `alloc` above for this `layout`.
-        unsafe { System.dealloc(p, layout) };
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Ceiling on allocations per request. Measured: 1.24 (30,670 allocations
-/// over 24,703 requests and 83,711 decisions; 1.50 = 37,088 while the
-/// instance pool, the active flows and the telemetry sink's open records
-/// were `BTreeMap`s, and 20.0 = 494,570 while `InstancePool::instances_of`
-/// collected a `Vec` per call and the episode cloned its catalog entries).
-/// No B-tree node is left, and none of what remains is per decision:
-/// 24,703 are the hop list that moves into each admitted flow's
-/// record, 5,772 the arrival stream's offset list for each slot that has
-/// arrivals, 115 the idle-id list of each retire check that finds one, and
-/// the rest reused buffers growing to the run's largest world (debug
-/// builds' invariant checker included). One stray `Vec` per request reads
-/// 2.2, one per decision 4.6.
-const MAX_ALLOCATIONS_PER_REQUEST: f64 = 1.5;
+/// Ceiling on allocations per request. Measured: 0.0095 (234 allocations
+/// over 24,703 requests and 83,711 decisions; 244 in debug builds, whose
+/// invariant checker grows its own buffers). None of it is per request or
+/// per decision: 155 are hop lists, allocated while the number of
+/// concurrent flows climbs to its peak (a departed flow's list is
+/// recycled) or regrown to the exact length of a longer chain, and the
+/// rest reused buffers growing to the run's largest world (the
+/// id-keyed stores, the pool's `(node, type)` index, the event queue, the
+/// arrival stream's slot buffers). One stray allocation per retire check
+/// that retires (115 of them) reads 0.0142, one per slot with arrivals
+/// (5,772) 0.24, one per request 1.0.
+const MAX_ALLOCATIONS_PER_REQUEST: f64 = 0.012;
 
 #[test]
 fn a_decision_allocates_nothing_and_a_request_a_handful() {
@@ -79,9 +51,8 @@ fn a_decision_allocates_nothing_and_a_request_a_handful() {
         .with_horizon(horizon)
         .with_telemetry(&mut sink);
 
-    let before = ALLOCATIONS.with(Cell::get);
-    let summary = sim.drive(RunInput::Stream(&mut stream), &mut policy, options);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let (summary, allocations) =
+        counting(|| sim.drive(RunInput::Stream(&mut stream), &mut policy, options));
 
     let requests = summary.total_arrivals;
     let decisions = sim.metrics().decision_count();
@@ -95,14 +66,14 @@ fn a_decision_allocates_nothing_and_a_request_a_handful() {
     );
     let per_request = allocations as f64 / requests as f64;
     println!(
-        "{allocations} allocations / {requests} requests ({} admitted) = {per_request:.2} per \
-         request, {:.2} per decision",
+        "{allocations} allocations / {requests} requests ({} admitted) = {per_request:.4} per \
+         request, {:.4} per decision",
         summary.total_accepted,
         allocations as f64 / decisions as f64
     );
     assert!(
         per_request <= MAX_ALLOCATIONS_PER_REQUEST,
-        "{allocations} allocations over {requests} requests = {per_request:.2} per request \
+        "{allocations} allocations over {requests} requests = {per_request:.4} per request \
          (ceiling {MAX_ALLOCATIONS_PER_REQUEST})"
     );
 }

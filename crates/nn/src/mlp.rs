@@ -539,33 +539,6 @@ impl Mlp {
         }
     }
 
-    /// Adds `delta` to one parameter scalar: layer `layer`, `which` selects
-    /// weights (`0`) or bias (`1`), at `(r, c)`.
-    ///
-    /// Intended for gradient checking; not a training API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn perturb_parameter(
-        &mut self,
-        layer: usize,
-        which: usize,
-        r: usize,
-        c: usize,
-        delta: f32,
-    ) {
-        assert!(layer < self.layers.len(), "layer {layer} out of range");
-        let (w, b) = self.layers[layer].parameters_mut();
-        let target = match which {
-            0 => w,
-            1 => b,
-            other => panic!("`which` must be 0 (weights) or 1 (bias), got {other}"),
-        };
-        let v = target.get(r, c);
-        target.set(r, c, v + delta);
-    }
-
     /// Hard copy of parameters from `other` (target-network sync).
     ///
     /// # Panics

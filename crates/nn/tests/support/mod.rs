@@ -6,6 +6,7 @@
 
 use nn::loss::Loss;
 use nn::mlp::Mlp;
+use nn::optimizer::OptimizerConfig;
 use nn::tensor::Matrix;
 
 /// Result of comparing analytic and numeric gradients.
@@ -110,11 +111,35 @@ fn perturbed_loss(
     target: &Matrix,
     loss: Loss,
 ) -> f32 {
-    net.perturb_parameter(layer, which, r, c, eps);
+    perturb(net, layer, which, r, c, eps);
     let pred = net.forward(x);
     let (l, _) = loss.evaluate(&pred, target);
-    net.perturb_parameter(layer, which, r, c, -eps);
+    perturb(net, layer, which, r, c, -eps);
     l
+}
+
+/// Adds `delta` to one parameter scalar (layer `layer`, weights if `which`
+/// is 0, else bias, at `(r, c)`) through the network's public update
+/// path: plain SGD at rate 1 on a one-hot gradient of `-delta` computes
+/// `p - 1·(-delta) = p + delta` exactly, and its zeros leave every other
+/// parameter as it was (`p + -0.0` is `p` bit for bit, `-0.0` included).
+fn perturb(net: &mut Mlp, layer: usize, which: usize, r: usize, c: usize, delta: f32) {
+    let mut grads: Vec<(Matrix, Matrix)> = net
+        .layers()
+        .iter()
+        .map(|l| {
+            let ((wr, wc), (br, bc)) = (l.weights().shape(), l.bias().shape());
+            (Matrix::zeros(wr, wc), Matrix::zeros(br, bc))
+        })
+        .collect();
+    let (gw, gb) = &mut grads[layer];
+    match which {
+        0 => gw.set(r, c, -delta),
+        _ => gb.set(r, c, -delta),
+    }
+    let mut sgd = OptimizerConfig::sgd(1.0).build();
+    sgd.begin_step();
+    net.apply_external_gradients(&grads, &mut sgd, 0);
 }
 
 mod tests {

@@ -310,15 +310,24 @@ impl InstancePool {
         evicted
     }
 
-    /// Idle instances (zero flows), optionally older than `min_age_slots`.
-    pub fn idle_instances(&self, current_slot: u64, min_age_slots: u64) -> Vec<InstanceId> {
-        self.instances
-            .values()
-            .filter(|i| {
-                i.flows == 0 && current_slot.saturating_sub(i.created_slot) >= min_age_slots
-            })
-            .map(|i| i.id)
-            .collect()
+    /// Replaces `out`'s contents with the idle instances (zero flows) at
+    /// least `min_age_slots` old, in id order. The caller keeps `out`
+    /// between sweeps, so a sweep allocates nothing once it has grown.
+    pub fn idle_instances_into(
+        &self,
+        current_slot: u64,
+        min_age_slots: u64,
+        out: &mut Vec<InstanceId>,
+    ) {
+        out.clear();
+        out.extend(
+            self.instances
+                .values()
+                .filter(|i| {
+                    i.flows == 0 && current_slot.saturating_sub(i.created_slot) >= min_age_slots
+                })
+                .map(|i| i.id),
+        );
     }
 
     /// Resources the live instances at `node` consume: the running sum of
@@ -416,7 +425,9 @@ mod tests {
         let fresh = pool.spawn(VnfTypeId(0), NodeId(0), 9, &vnfs);
         let busy = pool.spawn(VnfTypeId(0), NodeId(0), 0, &vnfs);
         pool.add_flow(busy, 1.0).unwrap();
-        let idle = pool.idle_instances(10, 5);
+        let mut idle = vec![busy];
+        pool.idle_instances_into(10, 5, &mut idle);
+        assert_eq!(idle, vec![old]);
         assert!(idle.contains(&old));
         assert!(!idle.contains(&fresh));
         assert!(!idle.contains(&busy));

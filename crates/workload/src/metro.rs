@@ -12,6 +12,7 @@
 //! requests.
 
 use crate::arrival::poisson;
+use crate::spatial::sample_weighted;
 use edgenet::node::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -244,6 +245,7 @@ impl MetroProfile {
             slot: 0,
             next_id: 0,
             buffer: Vec::new(),
+            offsets: Vec::new(),
         }
     }
 
@@ -282,23 +284,14 @@ pub struct MetroStream {
     next_id: u64,
     /// Current slot's arrivals, reversed so `pop` yields time order.
     buffer: Vec<TimedRequest>,
+    /// The slot's sorted arrival offsets, kept to reuse the allocation.
+    offsets: Vec<u64>,
 }
 
 impl MetroStream {
     /// Requests emitted so far.
     pub fn emitted(&self) -> u64 {
         self.next_id - self.buffer.len() as u64
-    }
-
-    fn sample_source(&mut self) -> NodeId {
-        let mut u: f64 = self.rng.gen();
-        for (i, w) in self.weights.iter().enumerate() {
-            if u < *w {
-                return self.sites[i];
-            }
-            u -= w;
-        }
-        *self.sites.last().expect("non-empty")
     }
 
     /// Generates the next non-empty slot into the buffer (newest first).
@@ -314,14 +307,14 @@ impl MetroStream {
             // Arrival offsets within the slot, sorted so the stream stays
             // time-ordered; ids are assigned after sorting so they are
             // dense AND ascending in time.
-            let mut offsets: Vec<u64> = (0..count)
-                .map(|_| {
-                    ((self.rng.gen::<f64>() * self.slot_ms as f64) as u64).min(self.slot_ms - 1)
-                })
-                .collect();
+            let mut offsets = std::mem::take(&mut self.offsets);
+            offsets.clear();
+            offsets.extend((0..count).map(|_| {
+                ((self.rng.gen::<f64>() * self.slot_ms as f64) as u64).min(self.slot_ms - 1)
+            }));
             offsets.sort_unstable();
-            for at_ms in offsets.into_iter().map(|o| slot_start + o) {
-                let source = self.sample_source();
+            for at_ms in offsets.iter().map(|&o| slot_start + o) {
+                let source = sample_weighted(&self.sites, &self.weights, &mut self.rng);
                 let chain = self.profile.sample_chain(&mut self.rng);
                 let duration_ms = self.profile.sample_duration_ms(&mut self.rng);
                 let duration_slots = duration_ms
@@ -339,6 +332,7 @@ impl MetroStream {
                 self.next_id += 1;
                 self.buffer.push(TimedRequest { at_ms, request });
             }
+            self.offsets = offsets;
             self.buffer.reverse(); // pop() from the back = earliest first
         }
     }

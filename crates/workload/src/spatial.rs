@@ -81,16 +81,32 @@ impl SpatialDistribution {
     ///
     /// Panics under the same conditions as [`SpatialDistribution::weights`].
     pub fn sample<R: Rng + ?Sized>(&self, sites: &[NodeId], rng: &mut R) -> NodeId {
-        let weights = self.weights(sites);
-        let mut u: f64 = rng.gen();
-        for (i, w) in weights.iter().enumerate() {
-            if u < *w {
-                return sites[i];
-            }
-            u -= w;
-        }
-        *sites.last().expect("non-empty")
+        sample_weighted(sites, &self.weights(sites), rng)
     }
+}
+
+/// Samples one of `sites` with probability `weights` (parallel to it,
+/// summing to ~1): one uniform draw, walked down the weights with
+/// `u -= w`; rounding that leaves `u` past the end picks the last site.
+/// Callers that sample many sources compute the weights once and walk
+/// them here, so a draw allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `sites` is empty.
+pub(crate) fn sample_weighted<R: Rng + ?Sized>(
+    sites: &[NodeId],
+    weights: &[f64],
+    rng: &mut R,
+) -> NodeId {
+    let mut u: f64 = rng.gen();
+    for (i, w) in weights.iter().enumerate() {
+        if u < *w {
+            return sites[i];
+        }
+        u -= w;
+    }
+    sites[sites.len() - 1]
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use crate::arrival::poisson;
 use crate::pattern::LoadPattern;
-use crate::spatial::SpatialDistribution;
+use crate::spatial::{sample_weighted, SpatialDistribution};
 use edgenet::node::NodeId;
 use rand::Rng;
 use sfc::chain::ChainId;
@@ -130,13 +130,14 @@ pub fn generate_trace<R: Rng + ?Sized>(
 ) -> Trace {
     spec.validate();
     assert!(!sites.is_empty(), "need at least one site");
+    let weights = spec.spatial.weights(sites);
     let mut requests = Vec::new();
     let mut next_id = 0u64;
     for slot in 0..horizon_slots {
         let rate = spec.pattern.rate_at(slot);
         let count = poisson(rate, rng);
         for _ in 0..count {
-            let source = spec.spatial.sample(sites, rng);
+            let source = sample_weighted(sites, &weights, rng);
             let chain = spec.sample_chain(rng);
             let duration = spec.sample_duration(rng);
             requests.push(Request::new(
