@@ -304,14 +304,17 @@ impl Simulation {
                     Some((_, SimEvent::Network(first))) => {
                         // The events queued behind it at `t` join it as one
                         // batch (the slot loop's per-slot event list).
-                        let mut events = vec![first];
+                        let mut events = std::mem::take(&mut self.scratch.events);
+                        events.clear();
+                        events.push(first);
                         while let Some(SimEvent::Network(event)) =
                             self.queue.pop_if(t, SimEventKind::Network)
                         {
                             events.push(event);
                         }
-                        let disrupted = self.apply_network_events(&events);
-                        self.replace_disrupted(disrupted, policy, rng);
+                        self.apply_network_events(&events);
+                        self.scratch.events = events;
+                        self.replace_disrupted(policy, rng);
                         self.cost_cache = None;
                     }
                     Some((_, SimEvent::RetireCheck)) => self.handle_retire_check(t),

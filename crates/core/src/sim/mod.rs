@@ -300,9 +300,18 @@ struct SimScratch {
     placed: Vec<(InstanceId, bool)>,
     /// The admitted chain, in the form `assignment_latency` takes.
     assignment: ChainAssignment,
-    /// Departed flows' emptied hop lists, which `admit_flow` refills
-    /// before it allocates a new one.
+    /// Departed and disrupted flows' emptied hop lists, which
+    /// `admit_flow` refills before it allocates a new one.
     spare_hops: Vec<Vec<Hop>>,
+    /// One event batch's network events (the event loop's), downed nodes,
+    /// evicted instance ids (sorted), and the ids of the flows it tears
+    /// out.
+    events: Vec<NetworkEvent>,
+    downed: Vec<NodeId>,
+    dead: Vec<InstanceId>,
+    torn: Vec<u64>,
+    /// The flows the last event batch disrupted, awaiting re-placement.
+    disrupted: Vec<ActiveFlow>,
     /// The retire sweep's idle instance ids.
     idle: Vec<InstanceId>,
     /// The invariant checker's buffers (debug builds).
@@ -445,6 +454,11 @@ impl Simulation {
                 ..ChainAssignment::default()
             },
             spare_hops: Vec::new(),
+            events: Vec::new(),
+            downed: Vec::new(),
+            dead: Vec::new(),
+            torn: Vec::new(),
+            disrupted: Vec::new(),
             idle: Vec::new(),
             invariants: InvariantScratch::default(),
         };

@@ -45,11 +45,10 @@ impl Simulation {
         // Network events fire after departures (a flow that leaves this
         // slot cannot be disrupted) and before arrivals (new requests see
         // the degraded network).
-        let disrupted = match self.event_timeline.remove(&self.slot) {
-            Some(events) => self.apply_network_events(&events),
-            None => Vec::new(),
-        };
-        self.replace_disrupted(disrupted, policy, rng);
+        if let Some(events) = self.event_timeline.remove(&self.slot) {
+            self.apply_network_events(&events);
+            self.replace_disrupted(policy, rng);
+        }
 
         self.retire_idle_instances();
 

@@ -189,6 +189,72 @@ fn sums_of_squares_lockstep<'a>(
     }
 }
 
+/// Lanes of [`wide_sum_of_squares`]: four `zmm` registers, enough
+/// independent adds in flight to hide the latency of one.
+const WIDE_LANES: usize = 64;
+
+/// `Σ x²` over every slice, each lane taking every `WIDE_LANES`-th square
+/// of a slice, then one fold of the lanes. The additions run in another
+/// order than [`sums_of_squares_lockstep`]'s, so the result may differ
+/// from the clip norm's square in its last bits; [`norm_certainly_within`]
+/// bounds by how much.
+fn wide_sum_of_squares<'a>(slices: impl Iterator<Item = &'a [f32]>) -> f32 {
+    let mut lanes = [0.0f32; WIDE_LANES];
+    for slice in slices {
+        let (chunks, tail) = slice.as_chunks::<WIDE_LANES>();
+        for chunk in chunks {
+            for (lane, &x) in lanes.iter_mut().zip(chunk) {
+                *lane += x * x;
+            }
+        }
+        for (lane, &x) in lanes.iter_mut().zip(tail) {
+            *lane += x * x;
+        }
+    }
+    lanes.iter().sum()
+}
+
+/// `true` only if the clip norm ν that [`Mlp::apply_gradients`] would take
+/// exactly is at most `limit`, given `wide`, the [`wide_sum_of_squares`]
+/// of the same `entries` floats in `matrices` matrices. Then the clip
+/// cannot fire, and skipping the exact norm changes no bit.
+///
+/// The bound. Let `T` be the real sum of the squares, `u = 2⁻²⁴` and
+/// `k = entries + matrices + 8`. An `f32` operation rounds to nearest:
+/// `fl(a ∘ b) = (a ∘ b)(1 + δ) + η` with `|δ| ≤ u`, and `|η| ≤ 2⁻¹⁵⁰`
+/// only for a product with a sub-normal result (a sum or a root is then
+/// exact or normal). Every term is non-negative, so in any order of
+/// additions a square passes through at most as many roundings as there
+/// are terms (Higham, *Accuracy and Stability of Numerical Algorithms*,
+/// §4.2): `entries + 1` in the wide sum, and in the exact path its own
+/// rounding, its matrix's additions, the per-matrix root and re-square,
+/// the fold over `matrices` sums and the final root (squared), fewer than
+/// `k`. With `γ = ku / (1 − ku)` and `ku ≤ 1/64`:
+///
+/// ```text
+/// wide ≥ (1 − γ)·T − 1.02·entries·2⁻¹⁵⁰
+/// ν²   ≤ (1 + γ)·T + 1.02·(entries + matrices)·2⁻¹⁵⁰
+/// ν²   ≤ (1 + γ)/(1 − γ)·wide + 2.2·(entries + matrices)·2⁻¹⁵⁰
+///      ≤ (1 + 4ku)·wide + k·2⁻¹⁴⁸ = B
+/// ```
+///
+/// since `(1 + γ)/(1 − γ) ≤ 1 + 2.07ku`. `B` is evaluated in `f64`,
+/// where `wide`, `limit²` and `k·2⁻¹⁴⁸` are exact and the slack left in
+/// `4ku` covers the two roundings. `B ≤ limit²` gives `ν ≤ limit`, and
+/// `B ≤ f32::MAX` keeps every partial sum of the exact path finite, the
+/// bound's premise. A NaN or infinite `wide` (a non-finite gradient, or
+/// squares that overflow) decides nothing, nor does a gradient so long
+/// that `ku > 1/64` (over 262,000 floats).
+fn norm_certainly_within(wide: f32, entries: usize, matrices: usize, limit: f32) -> bool {
+    let unit = f64::from(f32::EPSILON) / 2.0;
+    let k = (entries + matrices + 8) as f64;
+    if !wide.is_finite() || k * unit > 1.0 / 64.0 {
+        return false;
+    }
+    let bound = f64::from(wide) * (1.0 + 4.0 * k * unit) + k * 2f64.powi(-148);
+    bound <= f64::from(limit) * f64::from(limit) && bound <= f64::from(f32::MAX)
+}
+
 /// A feed-forward network of dense layers.
 #[derive(Debug, Clone)]
 pub struct Mlp {
@@ -369,20 +435,56 @@ impl Mlp {
     /// the global gradient norm first. Clears the accumulators in place
     /// (their allocations are retained for the next step).
     ///
-    /// Returns the pre-clip global gradient norm.
+    /// The clip is [`clip_global_norm`](crate::optimizer::clip_global_norm)'s
+    /// bit for bit: when the exact global norm exceeds the limit, every
+    /// gradient is scaled by `limit / norm`. That exact norm (per-matrix
+    /// sums of squares in index order, folded in order W, b, W, b, ...) is
+    /// a long chain of dependent adds, so it is taken only when a wide sum
+    /// of squares and its proven error bound (`norm_certainly_within`)
+    /// cannot rule the clip out; a training step whose norm sits well
+    /// below the limit never takes it.
+    ///
+    /// Returns the exact pre-clip norm when it was taken, and `None` when
+    /// the bound decided or there is no limit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the limit is not positive.
     pub fn apply_gradients(
         &mut self,
         optimizer: &mut Optimizer,
         max_grad_norm: Option<f32>,
-    ) -> f32 {
+    ) -> Option<f32> {
+        for layer in self.layers.iter_mut() {
+            layer.settle_grads();
+        }
+        let norm = max_grad_norm.and_then(|limit| self.clip_gradients(limit));
+        optimizer.begin_step();
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (w, b, gw, gb) = layer.params_grads();
+            optimizer.update(2 * i, w, gw);
+            optimizer.update(2 * i + 1, b, gb);
+        }
+        for layer in self.layers.iter_mut() {
+            layer.clear_grads();
+        }
+        norm
+    }
+
+    /// Scales the settled gradients by `limit / norm` when their exact
+    /// global norm exceeds `limit`; returns that norm when it was taken
+    /// ([`Mlp::apply_gradients`]).
+    fn clip_gradients(&mut self, limit: f32) -> Option<f32> {
+        assert!(limit > 0.0, "max_norm must be positive");
+        let layers = &self.layers;
+        let wide = wide_sum_of_squares(layers.iter().flat_map(Dense::grad_slices));
+        if norm_certainly_within(wide, self.param_count(), 2 * layers.len(), limit) {
+            return None;
+        }
         // Global norm in one pass over the layers, scale in a second: the
         // arithmetic of `clip_global_norm` (per-matrix norms squared and
         // summed in order W, b, W, b, ...) without its `Vec` of borrows,
         // and with the per-matrix sums advanced side by side.
-        for layer in self.layers.iter_mut() {
-            layer.settle_grads();
-        }
-        let layers = &self.layers;
         let TrainScratch {
             norm_order,
             norm_sums,
@@ -400,27 +502,15 @@ impl Mlp {
             sum_sq += n * n;
         }
         let norm = sum_sq.sqrt();
-        if let Some(limit) = max_grad_norm {
-            assert!(limit > 0.0, "max_norm must be positive");
-            if norm > limit {
-                let scale = limit / norm;
-                for layer in self.layers.iter_mut() {
-                    let (gw, gb) = layer.grads_mut();
-                    gw.scale_assign(scale);
-                    gb.scale_assign(scale);
-                }
+        if norm > limit {
+            let scale = limit / norm;
+            for layer in self.layers.iter_mut() {
+                let (gw, gb) = layer.grads_mut();
+                gw.scale_assign(scale);
+                gb.scale_assign(scale);
             }
         }
-        optimizer.begin_step();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (w, b, gw, gb) = layer.params_grads();
-            optimizer.update(2 * i, w, gw);
-            optimizer.update(2 * i + 1, b, gb);
-        }
-        for layer in self.layers.iter_mut() {
-            layer.clear_grads();
-        }
-        norm
+        Some(norm)
     }
 
     /// One supervised training step on `(input, target)` with the given
@@ -748,24 +838,21 @@ mod tests {
         assert!((after - before).abs() <= 0.1 + 1e-4);
     }
 
-    #[test]
-    fn apply_gradients_clips_like_clip_global_norm_bitwise() {
-        // The in-place two-pass clip against the slice-of-borrows form on
-        // drained gradients, with a limit small enough that it fires.
-        let config = MlpConfig::new(3, &[6, 5], 2);
-        let mut fused = Mlp::new(&config, &mut rng());
-        let mut staged = fused.clone();
-        let x = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1.0, 0.25, -0.75]]);
-        let grad = Matrix::from_rows(&[&[3.0, -2.0], &[0.5, 4.0]]);
-        let limit = 0.05;
-
-        let _ = fused.forward_train(&x);
-        fused.backward(&grad);
-        let mut opt = OptimizerConfig::sgd(1.0).build();
+    /// One `apply_gradients(Some(limit))` after a backward of `grad` on
+    /// `x`, against `clip_global_norm` and `Optimizer::update` on the same
+    /// gradients drained, both with Adam: every parameter is compared
+    /// through `to_bits`, and so is the norm when `apply_gradients` took
+    /// it. Returns `(apply_gradients's norm, clip_global_norm's norm)`.
+    fn clip_against_staged(net: &Mlp, x: &Matrix, grad: &Matrix, limit: f32) -> (Option<f32>, f32) {
+        let mut fused = net.clone();
+        let _ = fused.forward_train(x);
+        fused.backward(grad);
+        let mut opt = OptimizerConfig::adam(0.01).build();
         let norm = fused.apply_gradients(&mut opt, Some(limit));
 
-        let _ = staged.forward_train(&x);
-        staged.backward(&grad);
+        let mut staged = net.clone();
+        let _ = staged.forward_train(x);
+        staged.backward(grad);
         let mut grads = staged.drain_gradients();
         let mut refs: Vec<&mut Matrix> = Vec::new();
         for (gw, gb) in grads.iter_mut() {
@@ -773,15 +860,79 @@ mod tests {
             refs.push(gb);
         }
         let expected_norm = crate::optimizer::clip_global_norm(&mut refs, limit);
-        let mut opt = OptimizerConfig::sgd(1.0).build();
+        let mut opt = OptimizerConfig::adam(0.01).build();
         opt.begin_step();
         staged.apply_external_gradients(&grads, &mut opt, 0);
 
-        assert!(norm > limit, "the clip must fire, norm {norm}");
-        assert_eq!(norm.to_bits(), expected_norm.to_bits());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (a, b) in fused.layers().iter().zip(staged.layers().iter()) {
-            assert_eq!(a.weights(), b.weights());
-            assert_eq!(a.bias(), b.bias());
+            assert_eq!(bits(a.weights()), bits(b.weights()), "limit {limit}");
+            assert_eq!(bits(a.bias()), bits(b.bias()), "limit {limit}");
+        }
+        if let Some(norm) = norm {
+            assert_eq!(norm.to_bits(), expected_norm.to_bits(), "limit {limit}");
+        }
+        (norm, expected_norm)
+    }
+
+    #[test]
+    fn apply_gradients_clips_like_clip_global_norm_bitwise() {
+        // Limits far from the norm, which the bound decides, and limits
+        // within four ulps of it on both sides, which it cannot. The first
+        // layer has 240 weights: whole 64-lane chunks and a tail.
+        let config = MlpConfig::new(3, &[80, 5], 2);
+        let net = Mlp::new(&config, &mut rng());
+        let x = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1.0, 0.25, -0.75]]);
+        let grad = Matrix::from_rows(&[&[3.0, -2.0], &[0.5, 4.0]]);
+        let (_, norm) = clip_against_staged(&net, &x, &grad, f32::MAX);
+        assert!(norm.is_finite() && norm > 0.0, "norm {norm}");
+
+        for limit in [norm * 0.05, norm * 0.5] {
+            let (taken, _) = clip_against_staged(&net, &x, &grad, limit);
+            assert_eq!(taken, Some(norm), "the clip fires at {limit}");
+        }
+        for limit in [norm * 1.5, norm * 20.0, f32::MAX, f32::INFINITY] {
+            let (taken, _) = clip_against_staged(&net, &x, &grad, limit);
+            assert_eq!(taken, None, "the bound decides at {limit}");
+        }
+        for ulps in -4i32..=4 {
+            let limit = f32::from_bits(norm.to_bits().wrapping_add_signed(ulps));
+            let (taken, _) = clip_against_staged(&net, &x, &grad, limit);
+            assert_eq!(taken, Some(norm), "{ulps} ulps from the norm");
+        }
+    }
+
+    #[test]
+    fn apply_gradients_clips_zero_and_non_finite_gradients_like_clip_global_norm() {
+        // All-zero gradients: the bound decides, no clip. A NaN, an
+        // infinity of either sign, or finite gradients whose squares
+        // overflow: the wide sum is not finite, so the exact path runs and
+        // clips (by `limit / inf = 0`) or not (a NaN norm) as before. The
+        // single layer's positive inputs keep an infinity from meeting its
+        // opposite on the way to the gradients.
+        let net = Mlp::new(&MlpConfig::new(3, &[], 2), &mut rng());
+        let x = Matrix::from_rows(&[&[0.5, 1.5, 2.0], &[1.0, 0.25, 0.75]]);
+        let cases = [
+            (0.0, 0.0, None),
+            (f32::NAN, 1.0, Some(f32::NAN)),
+            (f32::INFINITY, 1.0, Some(f32::INFINITY)),
+            (f32::NEG_INFINITY, 1.0, Some(f32::INFINITY)),
+            (1e30, 1e30, Some(f32::INFINITY)),
+        ];
+        for (first, rest, expected) in cases {
+            let grad = Matrix::from_rows(&[&[first, rest], &[rest, 0.0]]);
+            for limit in [1e-3, 1.0, f32::MAX] {
+                let (taken, norm) = clip_against_staged(&net, &x, &grad, limit);
+                let same = |a: Option<f32>| a.map(|n| (n.is_nan(), n.is_nan() || n == norm));
+                assert_eq!(
+                    same(taken),
+                    same(expected),
+                    "gradient {first}, limit {limit}"
+                );
+                if expected.is_none() {
+                    assert_eq!(norm, 0.0);
+                }
+            }
         }
     }
 
@@ -800,7 +951,9 @@ mod tests {
 
         let norm = net.apply_gradients(&mut opt, Some(1.0));
 
-        assert_eq!(norm, 0.0);
+        // Zero gradients: the bound rules the clip out, so no exact norm
+        // is taken.
+        assert_eq!(norm, None);
         for (a, b) in net.layers().iter().zip(before.layers().iter()) {
             assert_eq!(a.weights(), b.weights());
             assert_eq!(a.bias(), b.bias());
@@ -841,6 +994,50 @@ mod tests {
             // `clip_global_norm` folds from `frobenius_norm`.
             for (sum, g) in sums.iter().zip(&grads) {
                 proptest::prop_assert_eq!(sum.sqrt().to_bits(), g.frobenius_norm().to_bits());
+            }
+        }
+
+        #[test]
+        fn the_bound_never_rules_out_a_clip_that_fires(
+            lens in proptest::collection::vec(0usize..=300, 1..7),
+            seed in 0u64..10_000,
+            scale in -80i32..50,
+            ulps in -3_000i32..3_000,
+        ) {
+            // Gradients at one scale from squares that underflow to ones
+            // near 2¹⁰⁰, and limits up to 3,000 ulps either side of the
+            // exact norm (the bound's slack is a few hundred): wherever
+            // the bound decides, the exact path would not have clipped.
+            use rand::Rng as _;
+            let mut r = StdRng::seed_from_u64(seed);
+            let unit = 2f32.powi(scale);
+            let grads: Vec<Vec<f32>> = lens
+                .iter()
+                .map(|&len| {
+                    (0..len)
+                        .map(|_| if r.gen_bool(0.3) { 0.0 } else { r.gen_range(-1.0f32..1.0) * unit })
+                        .collect()
+                })
+                .collect();
+            let mut sums = vec![0.0; grads.len()];
+            sums_of_squares_lockstep(|i| grads[i].as_slice(), &mut Vec::new(), &mut sums);
+            let mut sum_sq = 0.0f32;
+            for sum in &sums {
+                let n = sum.sqrt();
+                sum_sq += n * n;
+            }
+            let norm = sum_sq.sqrt();
+            let wide = wide_sum_of_squares(grads.iter().map(Vec::as_slice));
+            let entries = lens.iter().sum::<usize>();
+            let limit = f32::from_bits(norm.to_bits().saturating_add_signed(ulps))
+                .max(f32::from_bits(1));
+            if norm_certainly_within(wide, entries, grads.len(), limit) {
+                proptest::prop_assert!(norm <= limit, "norm {norm} > limit {limit}");
+            }
+            // And it decides where the squares are well clear of the
+            // sub-normal range, whose absolute slack it also carries.
+            if norm > 1e-15 {
+                proptest::prop_assert!(norm_certainly_within(wide, entries, grads.len(), norm * 1.01));
             }
         }
     }

@@ -155,27 +155,78 @@ impl Optimizer {
                 let t = self.step.max(1) as f32;
                 let bc1 = 1.0 - beta1.powf(t);
                 let bc2 = 1.0 - beta2.powf(t);
-                let (mp, gp) = (param.as_mut_slice(), grad.as_slice());
-                let (mm, vv) = (state.m.as_mut_slice(), state.v.as_mut_slice());
-                // Lockstep iterators instead of indexing: the bounds checks
-                // on four distinct slices defeated auto-vectorization of
-                // the sqrt/div pipeline. The iterator form changes no
-                // arithmetic; the only deliberate numeric change in this
-                // optimizer is the sub-normal moment flush (see
-                // `flush_subnormal`).
-                for (((p, &g), m), v) in mp
-                    .iter_mut()
-                    .zip(gp.iter())
-                    .zip(mm.iter_mut())
-                    .zip(vv.iter_mut())
-                {
-                    *m = flush_subnormal(beta1 * *m + (1.0 - beta1) * g);
-                    *v = flush_subnormal(beta2 * *v + (1.0 - beta2) * g * g);
-                    let m_hat = *m / bc1;
-                    let v_hat = *v / bc2;
-                    *p -= lr * m_hat / (v_hat.sqrt() + eps);
+                let adam = AdamStep {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                    bc1,
+                    bc2,
+                };
+                let (p, g) = (param.as_mut_slice(), grad.as_slice());
+                let (m, v) = (state.m.as_mut_slice(), state.v.as_mut_slice());
+                // `1 − βᵗ` rounds to exactly 1.0 once βᵗ ≤ 2⁻²⁵: from step
+                // 165 for β = 0.9, 17,321 for β = 0.999. Dividing by it
+                // then changes no bit (`x / 1.0 == x`, NaN payloads
+                // included), so the loop is chosen once per update and
+                // drops each division that has become one.
+                match (bc1 != 1.0, bc2 != 1.0) {
+                    (true, true) => adam.apply::<true, true>(p, g, m, v),
+                    (true, false) => adam.apply::<true, false>(p, g, m, v),
+                    (false, true) => adam.apply::<false, true>(p, g, m, v),
+                    (false, false) => adam.apply::<false, false>(p, g, m, v),
                 }
             }
+        }
+    }
+}
+
+/// One Adam update's scalars: the hyperparameters and this step's bias
+/// corrections `bc1 = 1 − β1ᵗ`, `bc2 = 1 − β2ᵗ`.
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep {
+    /// Updates every parameter and its moments; `DIV1`/`DIV2` say whether
+    /// the step still divides by `bc1`/`bc2`.
+    #[inline(never)]
+    fn apply<const DIV1: bool, const DIV2: bool>(
+        &self,
+        params: &mut [f32],
+        grads: &[f32],
+        ms: &mut [f32],
+        vs: &mut [f32],
+    ) {
+        let AdamStep {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            bc1,
+            bc2,
+        } = *self;
+        // Lockstep iterators instead of indexing: the bounds checks on four
+        // distinct slices defeated auto-vectorization of the sqrt/div
+        // pipeline. The iterator form changes no arithmetic; the only
+        // deliberate numeric change in this optimizer is the sub-normal
+        // moment flush (see `flush_subnormal`).
+        for (((p, &g), m), v) in params
+            .iter_mut()
+            .zip(grads.iter())
+            .zip(ms.iter_mut())
+            .zip(vs.iter_mut())
+        {
+            *m = flush_subnormal(beta1 * *m + (1.0 - beta1) * g);
+            *v = flush_subnormal(beta2 * *v + (1.0 - beta2) * g * g);
+            let m_hat = if DIV1 { *m / bc1 } else { *m };
+            let v_hat = if DIV2 { *v / bc2 } else { *v };
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }
@@ -262,6 +313,78 @@ mod tests {
         opt.begin_step();
         opt.update(0, &mut x, &grad);
         assert!((x.get(0, 0) - (1.0 - 0.1)).abs() < 1e-3);
+    }
+
+    #[test]
+    fn adam_matches_the_divide_always_form_bitwise() {
+        // 300 steps pass both bias corrections' switch to exactly 1.0 when
+        // β2 = 0.5 (bc2 from step 25, bc1 from step 165), and bc1's alone
+        // when β2 = 0.999: all four loops run. The gradients mix signs,
+        // zeros of both signs, sub-normal-bound moments, a NaN with a
+        // payload and both infinities; parameters and moments are compared
+        // through `to_bits`.
+        for (beta1, beta2) in [(0.9f32, 0.5f32), (0.9, 0.999)] {
+            let (lr, eps) = (1e-3f32, 1e-8f32);
+            let mut opt = OptimizerConfig::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            }
+            .build();
+            let n = 37;
+            let mut param = Matrix::from_fn(1, n, |_, j| (j as f32 - 18.0) * 0.0625);
+            let mut expected = param.as_slice().to_vec();
+            let (mut m, mut v) = (vec![0.0f32; n], vec![0.0f32; n]);
+            let payload_nan = f32::from_bits(0x7fc0_1234);
+            for step in 1..=300u64 {
+                let grad = Matrix::from_fn(1, n, |_, j| match j {
+                    0 => payload_nan,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    // Nonzero once, then zero: its moments decay into the
+                    // sub-normal range and are flushed.
+                    5 if step == 1 => 1e-3,
+                    5 => 0.0,
+                    _ => ((j as u64 * 7 + step * 13) % 23) as f32 * 0.125 - 1.375,
+                });
+                opt.begin_step();
+                opt.update(0, &mut param, &grad);
+
+                let t = step as f32;
+                let bc1 = 1.0 - beta1.powf(t);
+                let bc2 = 1.0 - beta2.powf(t);
+                for (j, &g) in grad.as_slice().iter().enumerate() {
+                    m[j] = flush_subnormal(beta1 * m[j] + (1.0 - beta1) * g);
+                    v[j] = flush_subnormal(beta2 * v[j] + (1.0 - beta2) * g * g);
+                    let m_hat = m[j] / bc1;
+                    let v_hat = v[j] / bc2;
+                    expected[j] -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let state = &opt.slots[0];
+                assert_eq!(
+                    bits(param.as_slice()),
+                    bits(&expected),
+                    "β2 {beta2}, step {step}"
+                );
+                assert_eq!(
+                    bits(state.m.as_slice()),
+                    bits(&m),
+                    "β2 {beta2}, step {step}"
+                );
+                assert_eq!(
+                    bits(state.v.as_slice()),
+                    bits(&v),
+                    "β2 {beta2}, step {step}"
+                );
+            }
+            assert_eq!(1.0 - beta1.powf(300.0), 1.0);
+            assert_eq!(1.0 - beta2.powf(300.0) == 1.0, beta2 == 0.5);
+            assert!(param.as_slice()[0].is_nan() && param.as_slice()[6].is_finite());
+        }
     }
 
     #[test]

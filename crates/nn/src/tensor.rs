@@ -21,13 +21,17 @@
 //! (`docs/perf.md` has the measurement, and the one case a dense tile
 //! won). The transposed products (`aᵀ·b`, `a·bᵀ`) are *pack-transpose +
 //! that kernel*: the transposed operand is first made row-major with the
-//! blocked [`Matrix::transpose_into`]. The copy is the cheap part: a
-//! transpose-free loop over the same accumulators is compiled (rustc 1.95,
-//! AVX-512, `target-cpu=native`) to accumulators on the stack with a gather
-//! and a scatter per contraction step, and runs an order of magnitude
-//! slower than the copy it saves. The per-output-element accumulation
-//! order and zero-skip rule are those of the historical naive loops (kept
-//! in [`mod@reference`]), so results are bit-identical to them for every
+//! blocked [`Matrix::transpose_into`]. The copy is not free: a training
+//! step's five transposes (the layers' inputs for the cache, two weight
+//! matrices for the backward) take 11–13 µs of a ~55 µs headline
+//! forward and backward when timed alone, so a block moves through a
+//! stack tile whole rows at a time. It is still far cheaper than what it saves: a
+//! transpose-free loop over the same accumulators is compiled (rustc
+//! 1.95, AVX-512, `target-cpu=native`) to accumulators on the stack with
+//! a gather and a scatter per contraction step, and runs an order of
+//! magnitude slower than the copy. The per-output-element accumulation order and zero-skip
+//! rule are those of the historical naive loops (kept in
+//! [`mod@reference`]), so results are bit-identical to them for every
 //! shape and every input, non-finite weights included.
 //!
 //! Every non-empty matrix keeps its floats on a 64-byte boundary: one cache
@@ -50,6 +54,41 @@ const NZ_CHUNK: usize = 64;
 /// is 16 cache lines read and 16 written, so neither side of the copy
 /// walks the whole matrix at a power-of-two stride.
 const TRANSPOSE_BLOCK: usize = 16;
+
+/// Transposes `tile` in place (`spare` is scratch) by four perfect
+/// shuffles. One round makes row `2i` of the first halves of rows `i` and
+/// `i + 8` interleaved, and row `2i + 1` of their second halves: it moves
+/// the float at row `r`, column `c` to the position whose 8-bit row-column
+/// index is `(r, c)`'s rotated left by one bit. Four rotations swap the
+/// row and column halves of the index, which is the transpose. Each output
+/// row is a fixed two-source permutation of two input rows, so no index
+/// is computed and no float is gathered one at a time.
+#[inline]
+fn shuffle_rounds(
+    tile: &mut [[f32; TRANSPOSE_BLOCK]; TRANSPOSE_BLOCK],
+    spare: &mut [[f32; TRANSPOSE_BLOCK]; TRANSPOSE_BLOCK],
+) {
+    const HALF: usize = TRANSPOSE_BLOCK / 2;
+    #[inline(always)]
+    fn round(
+        from: &[[f32; TRANSPOSE_BLOCK]; TRANSPOSE_BLOCK],
+        to: &mut [[f32; TRANSPOSE_BLOCK]; TRANSPOSE_BLOCK],
+    ) {
+        for i in 0..HALF {
+            let (a, b) = (&from[i], &from[i + HALF]);
+            for k in 0..HALF {
+                to[2 * i][2 * k] = a[k];
+                to[2 * i][2 * k + 1] = b[k];
+                to[2 * i + 1][2 * k] = a[HALF + k];
+                to[2 * i + 1][2 * k + 1] = b[HALF + k];
+            }
+        }
+    }
+    round(tile, spare);
+    round(spare, tile);
+    round(tile, spare);
+    round(spare, tile);
+}
 
 /// One strip of one output row: `out[t] = store(Σₖ a_row[k] · b[k][j + t])`
 /// for the `out.len() <= W` columns starting at `j`. The `W` accumulators
@@ -718,17 +757,34 @@ impl Matrix {
     /// which for 128 rows lands every store of a sweep in the same few L1
     /// sets; a block touches 16 lines on each side and finishes them
     /// before moving on.
+    ///
+    /// A block goes through a stack tile: its rows are copied in whole,
+    /// the tile is transposed by `shuffle_rounds` (whole-row moves the
+    /// compiler turns into two-register permutes), and the tile's rows are
+    /// copied out whole. A ragged edge block takes the same loop: the
+    /// tile's rows and columns past the matrix hold whatever the last
+    /// block left there, and no float of them is copied out. Every float
+    /// is moved, never computed, so NaN payloads and `-0.0` are kept.
     pub fn transpose_into(&self, out: &mut Matrix) {
         let (rows, cols) = (self.rows, self.cols);
         out.reset_for_overwrite(cols, rows);
+        let mut tile = [[0.0f32; TRANSPOSE_BLOCK]; TRANSPOSE_BLOCK];
+        let mut spare = tile;
         for r0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
-            let r1 = (r0 + TRANSPOSE_BLOCK).min(rows);
+            let height = TRANSPOSE_BLOCK.min(rows - r0);
             for c0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
-                let c1 = (c0 + TRANSPOSE_BLOCK).min(cols);
-                for c in c0..c1 {
-                    let out_row = &mut out.data[c * rows + r0..c * rows + r1];
-                    for (o, r) in out_row.iter_mut().zip(r0..r1) {
-                        *o = self.data[r * cols + c];
+                let width = TRANSPOSE_BLOCK.min(cols - c0);
+                // Element loops, not `copy_from_slice`: a copy whose length
+                // the compiler cannot see is a `memcpy` call, 32 per block.
+                for (t, r) in tile[..height].iter_mut().zip(r0..) {
+                    for (t, &x) in t.iter_mut().zip(&self.data[r * cols + c0..][..width]) {
+                        *t = x;
+                    }
+                }
+                shuffle_rounds(&mut tile, &mut spare);
+                for (t, c) in tile[..width].iter().zip(c0..) {
+                    for (o, &x) in out.data[c * rows + r0..][..height].iter_mut().zip(t) {
+                        *o = x;
                     }
                 }
             }
@@ -942,17 +998,8 @@ impl Matrix {
         );
         out.clear();
         out.reserve(self.rows);
-        for (row, mask) in self
-            .data
-            .chunks_exact(self.cols.max(1))
-            .zip(masks.chunks_exact(self.cols.max(1)))
-        {
-            out.push(masked_row_best(row, mask).map(|(i, _)| i));
-        }
-        // chunks_exact yields nothing for a zero-column matrix; rows of
-        // width zero are all "fully masked".
-        if self.cols == 0 {
-            out.resize(self.rows, None);
+        for best in self.masked_row_bests(masks) {
+            out.push(best.map(|(i, _)| i));
         }
     }
 
@@ -973,16 +1020,25 @@ impl Matrix {
         );
         out.clear();
         out.reserve(self.rows);
-        for (row, mask) in self
-            .data
-            .chunks_exact(self.cols.max(1))
-            .zip(masks.chunks_exact(self.cols.max(1)))
-        {
-            out.push(masked_row_best(row, mask).map(|(_, v)| v));
+        for best in self.masked_row_bests(masks) {
+            out.push(best.map(|(_, v)| v));
         }
-        if self.cols == 0 {
-            out.resize(self.rows, None);
-        }
+    }
+
+    /// [`masked_row_best`] of every row, in order; a row of width zero is
+    /// fully masked. The callers push one row at a time: a fill of `None`s
+    /// (a `resize` for zero columns, or an `extend`, whose zero-column case
+    /// the compiler splits out) stores only each element's tag, at a
+    /// stride, and was compiled to a scatter.
+    fn masked_row_bests<'a>(
+        &'a self,
+        masks: &'a [bool],
+    ) -> impl Iterator<Item = Option<(usize, f32)>> + 'a {
+        let width = self.cols;
+        (0..self.rows).map(move |r| {
+            let span = r * width..(r + 1) * width;
+            masked_row_best(&self.data[span.clone()], &masks[span])
+        })
     }
 
     /// Frobenius norm of the matrix.
@@ -1182,8 +1238,12 @@ mod tests {
         // Block-edge cases: single row, single column, one past the block
         // on both sides, exactly one block, several blocks, empty. One
         // `out` is reused throughout and starts larger than every later
-        // shape, so stale contents would show.
+        // shape but the learn step's own (128 x 128, 74 x 128, 32 x 128,
+        // 128 x 11 for a Q-layer with a ragged width), so stale contents
+        // would show. NaNs carry their element's index as payload and
+        // every fifth element is `-0.0`; all compared through `to_bits`.
         let mut out = Matrix::full(64, 64, f32::NAN);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for &(rows, cols) in &[
             (1usize, 37usize),
             (37, 1),
@@ -1191,8 +1251,17 @@ mod tests {
             (16, 16),
             (32, 74),
             (0, 0),
+            (128, 128),
+            (128, 11),
+            (74, 128),
+            (32, 128),
+            (129, 17),
         ] {
-            let a = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32 - 0.5);
+            let a = Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 5 {
+                0 => -0.0,
+                1 => f32::from_bits(0x7fc0_0000 | (r * cols + c) as u32),
+                _ => (r * cols + c) as f32 - 0.5,
+            });
             let mut expected = Matrix::zeros(cols, rows);
             for r in 0..rows {
                 for c in 0..cols {
@@ -1200,8 +1269,14 @@ mod tests {
                 }
             }
             a.transpose_into(&mut out);
-            assert_eq!(out, expected, "transpose of {rows}x{cols}");
-            assert_eq!(a.transpose(), expected, "allocating form, {rows}x{cols}");
+            assert_eq!(out.shape(), (cols, rows));
+            assert_eq!(bits(&out), bits(&expected), "transpose of {rows}x{cols}");
+            let allocated = a.transpose();
+            assert_eq!(
+                bits(&allocated),
+                bits(&expected),
+                "allocating form, {rows}x{cols}"
+            );
         }
     }
 
@@ -1262,6 +1337,20 @@ mod tests {
         let mut maxes = Vec::new();
         a.masked_max_rows_into(&masks, &mut maxes);
         assert_eq!(maxes, vec![Some(7.0), Some(4.0), None]);
+    }
+
+    #[test]
+    fn masked_rows_of_width_zero_are_fully_masked() {
+        // Stale entries in the reused buffers must go too.
+        let mut out = vec![Some(7); 5];
+        let mut maxes = vec![Some(7.0); 5];
+        for rows in [0, 1, 3, 40] {
+            let a = Matrix::zeros(rows, 0);
+            a.masked_argmax_rows_into(&[], &mut out);
+            a.masked_max_rows_into(&[], &mut maxes);
+            assert_eq!(out, vec![None; rows]);
+            assert_eq!(maxes, vec![None; rows]);
+        }
     }
 
     #[test]

@@ -126,3 +126,77 @@ fn learn_step_is_bit_identical_between_cold_and_warm_scratch() {
     let probe = random_state(6, &mut StdRng::seed_from_u64(9));
     assert_eq!(warm.q_values(&probe), cold.q_values(&probe));
 }
+
+/// FNV-1a over the bits of every parameter of a standard Q-network:
+/// layer by layer, weights then bias, row-major.
+fn parameter_digest(net: &QNetwork) -> u64 {
+    let QNetwork::Standard(mlp) = net else {
+        panic!("the pinned agent is a standard Q-network");
+    };
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for layer in mlp.layers() {
+        for &x in layer
+            .weights()
+            .as_slice()
+            .iter()
+            .chain(layer.bias().as_slice())
+        {
+            for byte in x.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// Every parameter bit after 320 learn steps at the headline shape
+/// (74 → 128 → 128 → 10, batch 32, double DQN, Adam, Huber) on one fixed
+/// replay of 600 transitions, a third of them terminal. The steps run past
+/// step 165, where Adam's first bias correction `1 − 0.9ᵗ` rounds to
+/// exactly `1.0`, so both sides of that point are pinned. The two clip
+/// limits are the headline's 10, which no step reaches, and 0.25, which
+/// some steps exceed and some do not; the two digests differ, so the clip
+/// fired. The literals come from the plain forms (the exact norm taken
+/// every step, Adam dividing by both corrections every step, transposes
+/// copied one float at a time); no shortcut may move a bit of them.
+#[test]
+fn learn_steps_on_a_fixed_replay_pin_every_parameter_bit() {
+    const STATE_DIM: usize = 74;
+    const ACTIONS: usize = 10;
+    let mut digests = Vec::new();
+    for (limit, expected) in [
+        (10.0f32, 0x9660_7d9b_a740_9d72u64),
+        (0.25, 0xa295_2848_e270_c107),
+    ] {
+        let mut rng = StdRng::seed_from_u64(4545);
+        let config = DqnConfig {
+            network: QNetworkConfig::Standard {
+                hidden: vec![128, 128],
+            },
+            max_grad_norm: Some(limit),
+            learn_start: usize::MAX,
+            ..DqnConfig::default()
+        };
+        let mut agent = DqnAgent::new(config, STATE_DIM, ACTIONS, &mut rng);
+        for i in 0..600 {
+            let mask: Vec<bool> = (0..ACTIONS).map(|a| a == 0 || (i + a) % 3 != 0).collect();
+            let t = Transition::with_mask(
+                random_state(STATE_DIM, &mut rng),
+                i % ACTIONS,
+                rng.gen_range(-1.0..0.0),
+                random_state(STATE_DIM, &mut rng),
+                i % 3 == 0,
+                mask,
+            );
+            agent.observe(t, &mut rng);
+        }
+        for _ in 0..320 {
+            agent.learn(&mut rng);
+        }
+        let digest = parameter_digest(agent.online_network());
+        println!("max_grad_norm {limit}: {digest:#018x}");
+        assert_eq!(digest, expected, "max_grad_norm {limit}");
+        digests.push(digest);
+    }
+    assert_ne!(digests[0], digests[1], "the small limit must clip");
+}

@@ -21,9 +21,10 @@
 #                           # seconds each stage took (not gated)
 #   ./verify.sh vector-width# on an AVX-512 host building with the flags of
 #                           # .cargo/config.toml: nn's release assembly
-#                           # must use 512-bit registers and hold no
-#                           # gather or scatter instruction (prints
-#                           # "skipped" anywhere else)
+#                           # must use 512-bit registers, hold no gather
+#                           # or scatter instruction and hold a packed
+#                           # vsqrtps (Adam's loop vectorized); prints
+#                           # "skipped" anywhere else
 #   ./verify.sh bench-smoke # FAST=1 run of every figure and table
 #                           # (`bench figures`, one process); writes
 #                           # CSV/JSON artifacts into $RESULTS_DIR,
@@ -89,7 +90,7 @@ lint() {
 # `.unwrap()` / `.expect(` occurrences in `crates/*/src` and `src/`
 # (in-file unit tests count). The number only goes down: above it the lint
 # fails, below it prints the number to record here.
-UNWRAP_EXPECT_MAX=138
+UNWRAP_EXPECT_MAX=137
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
@@ -302,10 +303,15 @@ vector_width() {
   fi
   # Its own target directory, emptied first: cargo does not re-emit an
   # assembly file that was deleted, nor delete one from other flags (a few
-  # seconds: nn depends on the vendored rand and serde only).
+  # seconds: nn depends on the vendored rand and serde only). LTO off: under
+  # the release profile's thin LTO cargo compiles a library with
+  # `-C linker-plugin-lto`, and its assembly is then the pre-link pipeline,
+  # before the loop vectorizer has run, so it could show neither a gather
+  # nor a packed square root. Without LTO the library gets the whole
+  # pipeline, the one the LTO step runs on it when a binary links it.
   local dir="${CARGO_TARGET_DIR:-target}/vector-width"
   rm -rf "$dir"
-  cargo rustc --release -p nn --lib --target-dir "$dir" -- --emit asm
+  CARGO_PROFILE_RELEASE_LTO=off cargo rustc --release -p nn --lib --target-dir "$dir" -- --emit asm
   local lines
   lines=$(cat "$dir"/release/deps/nn-*.s | grep -c '%zmm[0-9]') || true
   if [ "$lines" -eq 0 ]; then
@@ -322,10 +328,22 @@ vector_width() {
   if [ "$gathers" -ne 0 ]; then
     cat "$dir"/release/deps/nn-*.s | grep -E '^\s+v(p?gather|p?scatter)' | sort | uniq -c >&2
     echo "nn's release assembly holds $gathers gather/scatter instructions:" \
-      "a product walks a transposed operand instead of packing it" >&2
+      "a loop walks a strided operand (a transposed product, a tile" \
+      "transpose, a fill of tagged elements) instead of whole rows" >&2
     return 1
   fi
-  echo "vector-width: $lines lines of nn's release assembly use zmm registers, none a gather or scatter"
+  # Adam's update (`Optimizer::update`) is nn's one square root over a
+  # slice, and its divisions and root are most of a learn step's optimizer
+  # time: a loop that falls back to scalar code leaves no packed vsqrtps.
+  local roots
+  roots=$(cat "$dir"/release/deps/nn-*.s | grep -cE '^\s+vsqrtps\s.*%[yz]mm') || true
+  if [ "$roots" -eq 0 ]; then
+    echo "nn's release assembly holds no packed (ymm/zmm) vsqrtps:" \
+      "Adam's update loop is no longer vectorized" >&2
+    return 1
+  fi
+  echo "vector-width: $lines lines of nn's release assembly use zmm registers," \
+    "none a gather or scatter; $roots packed vsqrtps"
 }
 
 run_figures() {
