@@ -3,14 +3,14 @@
 //! Wraps a [`rl::dqn::DqnAgent`] behind the [`PlacementPolicy`] interface:
 //! the simulation engine supplies encoded states and action masks, the
 //! agent picks nodes ε-greedily while training and greedily during
-//! evaluation, and every decision's shaped reward flows back into the
-//! replay buffer.
+//! evaluation, and while training every decision's shaped reward flows
+//! back into the replay buffer.
 
 use crate::action::PlacementAction;
 use crate::policy::{DecisionContext, DecisionFeedback, PlacementPolicy};
 use rand::rngs::StdRng;
 use rl::dqn::{DqnAgent, DqnConfig};
-use rl::transition::Transition;
+use rl::transition::TransitionRef;
 
 /// Configuration of the DRL manager (a thin wrapper over [`DqnConfig`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -36,10 +36,11 @@ pub struct DrlPolicy {
     agent: DqnAgent,
     label: String,
     training: bool,
-    /// Return of the episode currently being accumulated.
+    /// Return of the training episode currently being accumulated.
     current_episode_return: f32,
-    /// Completed placement-episode returns (drained by the harness for
-    /// convergence curves).
+    /// Completed training-episode returns (drained by the harness for
+    /// convergence curves). A frozen policy records none, so a long
+    /// evaluation or a served policy does not grow it.
     episode_returns: Vec<f32>,
 }
 
@@ -82,7 +83,7 @@ impl DrlPolicy {
         std::mem::take(&mut self.episode_returns)
     }
 
-    /// Number of completed placement episodes so far.
+    /// Number of completed training episodes so far.
     pub fn completed_episodes(&self) -> usize {
         self.episode_returns.len()
     }
@@ -108,24 +109,24 @@ impl PlacementPolicy for DrlPolicy {
     }
 
     fn observe(&mut self, feedback: DecisionFeedback<'_>, rng: &mut StdRng) {
+        if !self.training {
+            return;
+        }
         self.current_episode_return += feedback.reward;
         if feedback.done {
             self.episode_returns.push(self.current_episode_return);
             self.current_episode_return = 0.0;
         }
-        if self.training {
-            // The feedback borrows engine scratch; clone exactly what the
-            // replay buffer stores (evaluation mode copies nothing).
-            let transition = Transition::with_mask(
-                feedback.state.to_vec(),
-                feedback.action_index,
-                feedback.reward,
-                feedback.next_state.to_vec(),
-                feedback.done,
-                feedback.next_mask.to_vec(),
-            );
-            self.agent.observe(transition, rng);
-        }
+        // The feedback borrows engine scratch; the replay copies from it.
+        let transition = TransitionRef {
+            state: feedback.state,
+            action: feedback.action_index,
+            reward: feedback.reward,
+            next_state: feedback.next_state,
+            done: feedback.done,
+            next_mask: feedback.next_mask,
+        };
+        self.agent.observe(transition, rng);
     }
 
     fn supports_greedy_batch(&self) -> bool {
@@ -137,6 +138,10 @@ impl PlacementPolicy for DrlPolicy {
     }
 
     fn set_training(&mut self, training: bool) {
+        if self.training && !training {
+            // An episode cut short by freezing is not a training return.
+            self.current_episode_return = 0.0;
+        }
         self.training = training;
     }
 
@@ -212,6 +217,22 @@ mod tests {
             0,
             "eval feedback must not enter replay"
         );
+        assert_eq!(
+            p.completed_episodes(),
+            0,
+            "a frozen policy records no returns"
+        );
+    }
+
+    #[test]
+    fn freezing_mid_episode_drops_its_partial_return() {
+        let (mut p, mut rng) = policy(3);
+        send_feedback(&mut p, &mut rng, -4.0, false, 3);
+        p.set_training(false);
+        send_feedback(&mut p, &mut rng, -8.0, true, 3);
+        p.set_training(true);
+        send_feedback(&mut p, &mut rng, 1.5, true, 3);
+        assert_eq!(p.take_episode_returns(), [1.5]);
     }
 
     #[test]

@@ -76,8 +76,9 @@ impl DecisionContext {
 ///
 /// Feedback *borrows* the engine-owned observation buffers: the engine
 /// reuses them across decisions, so delivering feedback allocates nothing.
-/// A policy that stores experience (DRL replay) clones what it keeps —
-/// heuristics and frozen evaluation runs copy nothing at all.
+/// A policy that stores experience copies what it keeps (the DQN's replay
+/// copies the rows straight out of these borrows) — heuristics and frozen
+/// evaluation runs copy nothing at all.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionFeedback<'a> {
     /// Observation the decision was made from.

@@ -278,7 +278,7 @@ struct CostCache {
 /// [`DecisionContext`] carries the working buffers, `prev_state`/`prev_mask`
 /// hold the previous decision's observation while its feedback is
 /// delivered, and the terminal mask/state are computed once. Policies
-/// receive borrowed views ([`DecisionFeedback`]) and clone only what they
+/// receive borrowed views ([`DecisionFeedback`]) and copy only what they
 /// store.
 struct SimScratch {
     /// Recycled decision context (its vectors keep their allocations

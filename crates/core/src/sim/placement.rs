@@ -290,8 +290,8 @@ impl Simulation {
     /// (chain included) and the rollback list are recycled across
     /// episodes, their buffers are refilled in place per decision, the
     /// instance pool is read through its `(node, type)` index, and
-    /// feedback borrows engine-owned buffers (policies clone only
-    /// transitions they store). What an *admitted request* still allocates
+    /// feedback borrows engine-owned buffers (policies copy only what
+    /// they store). What an *admitted request* still allocates
     /// is the priced hop list of its active-flow record: the
     /// active flows and the telemetry sink's open records are sorted
     /// vectors ([`sfc::idmap::IdMap`]) that grow only to the run's largest

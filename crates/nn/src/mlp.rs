@@ -455,15 +455,34 @@ impl Mlp {
         optimizer: &mut Optimizer,
         max_grad_norm: Option<f32>,
     ) -> Option<f32> {
+        optimizer.begin_step();
+        self.apply_gradients_in_step(optimizer, 0, max_grad_norm)
+    }
+
+    /// [`Mlp::apply_gradients`] inside an optimizer step the caller has
+    /// begun ([`Optimizer::begin_step`]), through optimizer slots
+    /// `slot_base + 2*layer` (weights) and `slot_base + 2*layer + 1`
+    /// (bias): several networks (a dueling Q-network's trunk and heads)
+    /// can then share one step on disjoint slots, each clipped on its own
+    /// norm. The same clip, update and return as `apply_gradients`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the limit is not positive.
+    pub fn apply_gradients_in_step(
+        &mut self,
+        optimizer: &mut Optimizer,
+        slot_base: usize,
+        max_grad_norm: Option<f32>,
+    ) -> Option<f32> {
         for layer in self.layers.iter_mut() {
             layer.settle_grads();
         }
         let norm = max_grad_norm.and_then(|limit| self.clip_gradients(limit));
-        optimizer.begin_step();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let (w, b, gw, gb) = layer.params_grads();
-            optimizer.update(2 * i, w, gw);
-            optimizer.update(2 * i + 1, b, gb);
+            optimizer.update(slot_base + 2 * i, w, gw);
+            optimizer.update(slot_base + 2 * i + 1, b, gb);
         }
         for layer in self.layers.iter_mut() {
             layer.clear_grads();

@@ -5,9 +5,9 @@
 
 use crate::env::{masked_argmax, masked_max};
 use crate::qnet::{QNetWorkspace, QNetwork, QNetworkConfig};
-use crate::replay::{PerConfig, PrioritizedReplay, Replay, UniformReplay};
+use crate::replay::{PerConfig, PrioritizedReplay, Replay, TransitionStore, UniformReplay};
 use crate::schedule::EpsilonSchedule;
-use crate::transition::Transition;
+use crate::transition::AsTransition;
 use nn::prelude::*;
 use nn::tensor::Matrix;
 use rand::Rng;
@@ -93,25 +93,26 @@ impl DqnConfig {
     }
 }
 
-/// Replay storage, chosen at construction.
+/// The replay sampler, chosen at construction; both keep their
+/// transitions in a [`TransitionStore`].
 #[derive(Debug, Clone)]
 enum ReplayStore {
     Uniform(UniformReplay),
     Prioritized(PrioritizedReplay),
 }
 
-impl ReplayStore {
-    fn push(&mut self, t: Transition) {
+impl Replay for ReplayStore {
+    fn push(&mut self, t: impl AsTransition) {
         match self {
             ReplayStore::Uniform(b) => b.push(t),
             ReplayStore::Prioritized(b) => b.push(t),
         }
     }
 
-    fn len(&self) -> usize {
+    fn store(&self) -> &TransitionStore {
         match self {
-            ReplayStore::Uniform(b) => b.len(),
-            ReplayStore::Prioritized(b) => b.len(),
+            ReplayStore::Uniform(b) => b.store(),
+            ReplayStore::Prioritized(b) => b.store(),
         }
     }
 
@@ -125,13 +126,6 @@ impl ReplayStore {
         match self {
             ReplayStore::Uniform(b) => b.sample_into(batch, rng, indices, weights),
             ReplayStore::Prioritized(b) => b.sample_into(batch, rng, indices, weights),
-        }
-    }
-
-    fn get_ref(&self, id: u64) -> &Transition {
-        match self {
-            ReplayStore::Uniform(b) => b.get_ref(id),
-            ReplayStore::Prioritized(b) => b.get_ref(id),
         }
     }
 
@@ -286,6 +280,11 @@ impl DqnAgent {
         self.replay.len()
     }
 
+    /// The replay's stored transitions.
+    pub fn replay_store(&self) -> &TransitionStore {
+        self.replay.store()
+    }
+
     /// ε-greedy action for `state` under `mask`.
     ///
     /// Takes `&mut self` to route inference through the agent-owned
@@ -368,12 +367,14 @@ impl DqnAgent {
         }));
     }
 
-    /// Stores a transition and, if due, performs a learn step.
+    /// Copies a transition into replay and, if due, performs a learn step.
+    /// A borrowed [`TransitionRef`](crate::transition::TransitionRef) is
+    /// stored without an intermediate copy.
     ///
     /// Returns learn-step telemetry when a gradient update happened.
     pub fn observe<R: Rng + ?Sized>(
         &mut self,
-        transition: Transition,
+        transition: impl AsTransition,
         rng: &mut R,
     ) -> Option<LearnStats> {
         self.replay.push(transition);
@@ -424,9 +425,9 @@ impl DqnAgent {
             actions.clear();
             for &id in indices.iter() {
                 let t = self.replay.get_ref(id);
-                states.push_row(&t.state);
+                states.push_row(t.state);
                 if !t.done {
-                    next_states.push_row(&t.next_state);
+                    next_states.push_row(t.next_state);
                 }
                 actions.push(t.action);
             }
@@ -545,6 +546,7 @@ impl DqnAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -817,9 +819,9 @@ mod tests {
                                 continue;
                             }
                             let mask = t.next_mask().unwrap_or(&before.scratch.all_valid);
-                            let q_target = bootstrap.q_values(&t.next_state);
+                            let q_target = bootstrap.q_values(t.next_state);
                             let future = if double {
-                                let q_online = before.online.q_values(&t.next_state);
+                                let q_online = before.online.q_values(t.next_state);
                                 masked_argmax(&q_online, mask).map_or(0.0, |a| q_target[a])
                             } else {
                                 masked_max(&q_target, mask).unwrap_or(0.0)

@@ -66,7 +66,9 @@ pub mod prelude {
     pub use crate::reinforce::{
         masked_softmax, masked_softmax_into, ReinforceAgent, ReinforceConfig,
     };
-    pub use crate::replay::{PerConfig, PrioritizedReplay, Replay, SampleBatch, UniformReplay};
+    pub use crate::replay::{
+        PerConfig, PrioritizedReplay, Replay, SampleBatch, TransitionStore, UniformReplay,
+    };
     pub use crate::schedule::EpsilonSchedule;
-    pub use crate::transition::Transition;
+    pub use crate::transition::{AsTransition, Transition, TransitionRef};
 }

@@ -269,12 +269,18 @@ impl QNetwork {
                 let grad_t = g_t_from_v.add(&g_t_from_a);
                 trunk.backward(&grad_t);
 
-                // Apply all three sub-networks under one optimizer using
-                // disjoint slot ranges (layer indices offset per subnet).
+                // Apply all three sub-networks under one optimizer step
+                // using disjoint slot ranges (layer indices offset per
+                // subnet). Each sub-network is clipped on its own norm, so
+                // `max_grad_norm` bounds three norms, not the whole
+                // network's as for a standard network: that is the update
+                // the dueling rows of the convergence and ablation figures
+                // (fig1, fig9) were produced with, and one global clip
+                // would move their bytes.
                 optimizer.begin_step();
-                apply_subnet(trunk, optimizer, 0, max_grad_norm);
-                apply_subnet(value, optimizer, 100, max_grad_norm);
-                apply_subnet(advantage, optimizer, 200, max_grad_norm);
+                trunk.apply_gradients_in_step(optimizer, 0, max_grad_norm);
+                value.apply_gradients_in_step(optimizer, 100, max_grad_norm);
+                advantage.apply_gradients_in_step(optimizer, 200, max_grad_norm);
                 (l, td)
             }
         }
@@ -375,26 +381,6 @@ fn combine_dueling_into(v: &Matrix, a: &Matrix, out: &mut Matrix) {
             *o = vr + av - mean;
         }
     }
-}
-
-fn apply_subnet(
-    net: &mut Mlp,
-    optimizer: &mut Optimizer,
-    slot_base: usize,
-    max_grad_norm: Option<f32>,
-) {
-    // Mirror Mlp::apply_gradients but with an externally begun step and a
-    // slot offset so the three sub-networks don't collide.
-    let mut grads = net.drain_gradients();
-    if let Some(limit) = max_grad_norm {
-        let mut refs: Vec<&mut Matrix> = Vec::with_capacity(grads.len() * 2);
-        for (gw, gb) in grads.iter_mut() {
-            refs.push(gw);
-            refs.push(gb);
-        }
-        nn::optimizer::clip_global_norm(&mut refs, limit);
-    }
-    net.apply_external_gradients(&grads, optimizer, slot_base);
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Experience replay buffers.
 //!
-//! Two variants, matching the DQN lineage:
+//! Two samplers, matching the DQN lineage, over one storage,
+//! [`TransitionStore`]:
 //!
 //! * [`UniformReplay`] — the original DQN ring buffer with uniform sampling.
 //! * [`PrioritizedReplay`] — proportional prioritized experience replay
@@ -8,23 +9,30 @@
 //!   importance-sampling weight correction.
 
 pub mod prioritized;
+pub mod store;
 pub mod sumtree;
 pub mod uniform;
 
 pub use prioritized::{PerConfig, PrioritizedReplay};
+pub use store::{TransitionStore, CHUNK_ROWS};
 pub use uniform::UniformReplay;
 
-use crate::transition::Transition;
+use crate::transition::{AsTransition, Transition, TransitionRef};
 use rand::Rng;
 
 /// Common interface over replay buffers for code that is generic in the
 /// replay strategy (the DQN agent).
 pub trait Replay {
-    /// Inserts a transition, evicting the oldest when full.
-    fn push(&mut self, transition: Transition);
+    /// Copies a transition in, evicting the oldest when full.
+    fn push(&mut self, transition: impl AsTransition);
+
+    /// The transitions, stored.
+    fn store(&self) -> &TransitionStore;
 
     /// Number of stored transitions.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.store().len()
+    }
 
     /// Whether the buffer is empty.
     fn is_empty(&self) -> bool {
@@ -32,7 +40,9 @@ pub trait Replay {
     }
 
     /// Maximum capacity.
-    fn capacity(&self) -> usize;
+    fn capacity(&self) -> usize {
+        self.store().capacity()
+    }
 
     /// Samples `batch` transition ids into caller-owned buffers (cleared
     /// first), with their importance-sampling weights (all `1.0` for
@@ -54,12 +64,15 @@ pub trait Replay {
         weights: &mut Vec<f32>,
     );
 
-    /// Borrow of the transition behind a sampled id.
+    /// Borrowed view of the transition behind a sampled id (a terminal
+    /// one reads back with an empty next state).
     ///
     /// # Panics
     ///
     /// Panics if `id` does not refer to an occupied slot.
-    fn get_ref(&self, id: u64) -> &Transition;
+    fn get_ref(&self, id: u64) -> TransitionRef<'_> {
+        self.store().get(id as usize)
+    }
 
     /// Samples `batch` transitions. Returns indices (buffer-internal ids),
     /// cloned transitions, and importance-sampling weights (all `1.0` for
@@ -72,7 +85,7 @@ pub trait Replay {
         let mut indices = Vec::with_capacity(batch);
         let mut weights = Vec::with_capacity(batch);
         self.sample_into(batch, rng, &mut indices, &mut weights);
-        let transitions = indices.iter().map(|&i| self.get_ref(i).clone()).collect();
+        let transitions = indices.iter().map(|&i| self.get_ref(i).into()).collect();
         SampleBatch {
             indices,
             transitions,
@@ -90,7 +103,7 @@ pub trait Replay {
 pub struct SampleBatch {
     /// Buffer-internal identifiers for priority updates.
     pub indices: Vec<u64>,
-    /// The sampled transitions (cloned out of the buffer).
+    /// The sampled transitions (copied out of the buffer).
     pub transitions: Vec<Transition>,
     /// Importance-sampling weights, normalized to max 1.
     pub weights: Vec<f32>,

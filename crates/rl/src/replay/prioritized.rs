@@ -1,8 +1,8 @@
 //! Proportional prioritized experience replay (Schaul et al., 2016).
 
 use super::sumtree::SumTree;
-use super::Replay;
-use crate::transition::Transition;
+use super::{Replay, TransitionStore};
+use crate::transition::AsTransition;
 use rand::Rng;
 
 /// Hyperparameters for prioritized replay.
@@ -46,18 +46,14 @@ impl PerConfig {
 ///
 /// New transitions enter with the current maximum priority so everything is
 /// replayed at least once; priorities are subsequently refreshed from TD
-/// errors via [`Replay::update_priorities`]. The transitions' storage grows
-/// with use, up to `capacity`; the sum tree is sized for `capacity` up
-/// front.
+/// errors via [`Replay::update_priorities`]. The transitions live in a
+/// [`TransitionStore`], which grows with use up to `capacity`; the sum tree
+/// is sized for `capacity` up front, leaf `i` for the store's slot `i`.
 #[derive(Debug, Clone)]
 pub struct PrioritizedReplay {
-    /// The ring's occupied slots: they fill in order, so slot `i` is
-    /// `storage[i]`.
-    storage: Vec<Transition>,
+    store: TransitionStore,
     tree: SumTree,
     config: PerConfig,
-    capacity: usize,
-    head: usize,
     sample_calls: u64,
 }
 
@@ -68,14 +64,12 @@ impl PrioritizedReplay {
     ///
     /// Panics if `capacity == 0` or the config is invalid.
     pub fn new(capacity: usize, config: PerConfig) -> Self {
-        assert!(capacity > 0, "replay capacity must be positive");
+        let store = TransitionStore::new(capacity);
         config.validate();
         Self {
-            storage: Vec::new(),
+            store,
             tree: SumTree::new(capacity),
             config,
-            capacity,
-            head: 0,
             sample_calls: 0,
         }
     }
@@ -98,24 +92,15 @@ impl PrioritizedReplay {
 }
 
 impl Replay for PrioritizedReplay {
-    fn push(&mut self, transition: Transition) {
+    fn push(&mut self, transition: impl AsTransition) {
         // New samples get max priority so they are seen at least once.
         let p = self.tree.max_priority().max(self.priority_from_td(0.0));
-        if self.head == self.storage.len() {
-            self.storage.push(transition);
-        } else {
-            self.storage[self.head] = transition;
-        }
-        self.tree.set(self.head, p);
-        self.head = (self.head + 1) % self.capacity;
+        let slot = self.store.push(transition.view());
+        self.tree.set(slot, p);
     }
 
-    fn len(&self) -> usize {
-        self.storage.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
+    fn store(&self) -> &TransitionStore {
+        &self.store
     }
 
     fn sample_into<R: Rng + ?Sized>(
@@ -127,7 +112,7 @@ impl Replay for PrioritizedReplay {
     ) {
         assert!(batch > 0, "batch size must be positive");
         assert!(
-            !self.storage.is_empty(),
+            !self.store.is_empty(),
             "cannot sample from an empty replay buffer"
         );
         self.sample_calls += 1;
@@ -138,7 +123,7 @@ impl Replay for PrioritizedReplay {
 
         // Stratified sampling: one draw per equal-mass segment.
         let segment = total / batch as f64;
-        let n = self.storage.len() as f32;
+        let n = self.store.len() as f32;
         let mut max_w = 0.0f32;
         for k in 0..batch {
             let lo = segment * k as f64;
@@ -151,7 +136,7 @@ impl Replay for PrioritizedReplay {
             weights.push(w);
             max_w = max_w.max(w);
             debug_assert!(
-                idx < self.storage.len(),
+                idx < self.store.len(),
                 "sum-tree sampled an empty slot — priority/storage desync"
             );
         }
@@ -162,12 +147,6 @@ impl Replay for PrioritizedReplay {
         }
     }
 
-    fn get_ref(&self, id: u64) -> &Transition {
-        self.storage
-            .get(id as usize)
-            .expect("sum-tree sampled an empty slot — priority/storage desync")
-    }
-
     fn update_priorities(&mut self, indices: &[u64], td_errors: &[f32]) {
         assert_eq!(
             indices.len(),
@@ -176,7 +155,7 @@ impl Replay for PrioritizedReplay {
         );
         for (&i, &td) in indices.iter().zip(td_errors.iter()) {
             let idx = i as usize;
-            if idx < self.storage.len() {
+            if idx < self.store.len() {
                 let p = self.priority_from_td(td);
                 self.tree.set(idx, p);
             }
@@ -187,6 +166,7 @@ impl Replay for PrioritizedReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -317,11 +297,8 @@ mod tests {
             b.push(t(i as f32));
         }
         assert_eq!(b.len(), 100);
-        assert!(
-            b.storage.capacity() < 50_000,
-            "reserved {} slots for 100 transitions",
-            b.storage.capacity()
-        );
+        // One chunk each of records, states and the side ring; no masks.
+        assert_eq!(b.store().chunks_allocated(), 3);
     }
 
     #[test]

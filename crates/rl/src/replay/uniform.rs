@@ -1,13 +1,12 @@
 //! Uniform-sampling ring-buffer replay (the classic DQN buffer).
 
-use super::Replay;
-use crate::transition::Transition;
+use super::{Replay, TransitionStore};
+use crate::transition::AsTransition;
 use rand::Rng;
 
-/// Fixed-capacity ring buffer with uniform random sampling. Its storage
-/// grows with use, as a `Vec` grows, until it holds `capacity`
-/// transitions: a buffer allocates for what it holds, not for what it may
-/// hold.
+/// Fixed-capacity ring buffer with uniform random sampling over a
+/// [`TransitionStore`], which allocates for what it holds, not for what it
+/// may hold.
 ///
 /// # Examples
 ///
@@ -27,12 +26,7 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformReplay {
-    storage: Vec<Transition>,
-    capacity: usize,
-    /// Next write position.
-    head: usize,
-    /// Total number of pushes ever (for diagnostics).
-    pushed: u64,
+    store: TransitionStore,
 }
 
 impl UniformReplay {
@@ -42,43 +36,19 @@ impl UniformReplay {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "replay capacity must be positive");
         Self {
-            storage: Vec::new(),
-            capacity,
-            head: 0,
-            pushed: 0,
+            store: TransitionStore::new(capacity),
         }
-    }
-
-    /// Total number of transitions ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Immutable access to a stored transition by ring index.
-    pub fn get(&self, index: usize) -> Option<&Transition> {
-        self.storage.get(index)
     }
 }
 
 impl Replay for UniformReplay {
-    fn push(&mut self, transition: Transition) {
-        if self.storage.len() < self.capacity {
-            self.storage.push(transition);
-        } else {
-            self.storage[self.head] = transition;
-        }
-        self.head = (self.head + 1) % self.capacity;
-        self.pushed += 1;
+    fn push(&mut self, transition: impl AsTransition) {
+        self.store.push(transition.view());
     }
 
-    fn len(&self) -> usize {
-        self.storage.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
+    fn store(&self) -> &TransitionStore {
+        &self.store
     }
 
     fn sample_into<R: Rng + ?Sized>(
@@ -90,19 +60,15 @@ impl Replay for UniformReplay {
     ) {
         assert!(batch > 0, "batch size must be positive");
         assert!(
-            !self.storage.is_empty(),
+            !self.store.is_empty(),
             "cannot sample from an empty replay buffer"
         );
         indices.clear();
         for _ in 0..batch {
-            indices.push(rng.gen_range(0..self.storage.len()) as u64);
+            indices.push(rng.gen_range(0..self.store.len()) as u64);
         }
         weights.clear();
         weights.resize(batch, 1.0);
-    }
-
-    fn get_ref(&self, id: u64) -> &Transition {
-        &self.storage[id as usize]
     }
 
     fn update_priorities(&mut self, _indices: &[u64], _td_errors: &[f32]) {
@@ -113,6 +79,7 @@ impl Replay for UniformReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transition::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -137,7 +104,7 @@ mod tests {
         buf.push(t(0.0));
         buf.push(t(1.0));
         buf.push(t(2.0)); // evicts 0.0
-        let stored: Vec<f32> = (0..2).map(|i| buf.get(i).unwrap().reward).collect();
+        let stored: Vec<f32> = (0..2).map(|i| buf.get_ref(i).reward).collect();
         assert!(stored.contains(&1.0));
         assert!(stored.contains(&2.0));
         assert!(!stored.contains(&0.0));
@@ -150,7 +117,7 @@ mod tests {
             buf.push(t(i as f32));
             assert!(buf.len() <= 5);
         }
-        assert_eq!(buf.total_pushed(), 100);
+        assert_eq!(buf.store().total_pushed(), 100);
     }
 
     #[test]
@@ -188,11 +155,9 @@ mod tests {
             buf.push(t(i as f32));
         }
         assert_eq!(buf.len(), 100);
-        assert!(
-            buf.storage.capacity() < 50_000,
-            "reserved {} slots for 100 transitions",
-            buf.storage.capacity()
-        );
+        // One chunk each of records, states and the side ring (every next
+        // state differs from the following state); no masks.
+        assert_eq!(buf.store().chunks_allocated(), 3);
     }
 
     #[test]

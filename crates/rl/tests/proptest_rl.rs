@@ -1,14 +1,137 @@
-//! Property tests for the RL toolkit: replay-buffer capacity/recency,
-//! sum-tree consistency, schedule bounds and masked-argmax correctness.
+//! Property tests for the RL toolkit: replay-buffer capacity/recency, the
+//! transition store against a plain ring of owned transitions, sum-tree
+//! consistency, schedule bounds and masked-argmax correctness.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rl::prelude::*;
 use rl::replay::sumtree::SumTree;
 
 fn t(v: f32) -> Transition {
     Transition::new(vec![v], 0, v, vec![v], false)
+}
+
+/// The reference the store must match: the ring of owned transitions the
+/// replays kept before they shared state rows.
+struct ReferenceRing {
+    slots: Vec<Transition>,
+    capacity: usize,
+    head: usize,
+}
+
+impl ReferenceRing {
+    fn push(&mut self, t: Transition) {
+        if self.slots.len() < self.capacity {
+            self.slots.push(t);
+        } else {
+            self.slots[self.head] = t;
+        }
+        self.head = (self.head + 1) % self.capacity;
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `view` is `expected` bit for bit, but for a terminal transition's next
+/// state, which is not stored.
+fn same_transition(view: TransitionRef<'_>, expected: &Transition) -> bool {
+    let next_state: &[f32] = if expected.done {
+        &[]
+    } else {
+        &expected.next_state
+    };
+    bits(view.state) == bits(&expected.state)
+        && view.action == expected.action
+        && view.reward.to_bits() == expected.reward.to_bits()
+        && bits(view.next_state) == bits(next_state)
+        && view.done == expected.done
+        && view.next_mask == expected.next_mask.as_slice()
+}
+
+/// A value from a small set, so that neighbouring states often differ in
+/// one entry only, and `0.0` and `-0.0` (equal, not bitwise) both occur.
+fn entry(rng: &mut StdRng) -> f32 {
+    const ENTRIES: [f32; 5] = [0.0, -0.0, 1.0, -1.5, 0.25];
+    ENTRIES[rng.gen_range(0..ENTRIES.len())]
+}
+
+/// A stream of `n` transitions of `width`-float states, about a third
+/// terminal, whose non-terminal next states are the following state about
+/// two times in three (as the engine feeds them) and otherwise a state of
+/// their own, possibly equal to the following one only up to signed zeros.
+fn stream(seed: u64, width: usize, actions: usize, n: usize) -> Vec<Transition> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut states: Vec<Vec<f32>> = (0..=n)
+        .map(|_| (0..width).map(|_| entry(&mut rng)).collect())
+        .collect();
+    (0..n)
+        .map(|i| {
+            let done = rng.gen_bool(0.3);
+            let next_state = match rng.gen_range(0..3) {
+                0 => (0..width).map(|_| entry(&mut rng)).collect(),
+                1 => states[i + 1]
+                    .iter()
+                    .map(|&v| if v == 0.0 { -v } else { v })
+                    .collect(),
+                _ => states[i + 1].clone(),
+            };
+            let next_mask = if rng.gen_bool(0.5) {
+                Vec::new()
+            } else {
+                (0..actions).map(|a| a == 0 || rng.gen_bool(0.5)).collect()
+            };
+            Transition::with_mask(
+                std::mem::take(&mut states[i]),
+                rng.gen_range(0..actions),
+                entry(&mut rng),
+                next_state,
+                done,
+                next_mask,
+            )
+        })
+        .collect()
+}
+
+/// Pushes `stream` into `replay` and the reference side by side; after
+/// every push, every occupied slot and every sampled id must read back as
+/// the reference's transition in that slot.
+fn check_against_reference<R: Replay>(
+    replay: &mut R,
+    stream: &[Transition],
+    capacity: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut reference = ReferenceRing {
+        slots: Vec::new(),
+        capacity,
+        head: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut indices, mut weights) = (Vec::new(), Vec::new());
+    for t in stream {
+        replay.push(t);
+        reference.push(t.clone());
+        prop_assert_eq!(replay.len(), reference.slots.len());
+        for (slot, expected) in reference.slots.iter().enumerate() {
+            prop_assert!(
+                same_transition(replay.get_ref(slot as u64), expected),
+                "slot {slot}: {:?} != {expected:?}",
+                replay.get_ref(slot as u64)
+            );
+        }
+        replay.sample_into(5, &mut rng, &mut indices, &mut weights);
+        for &id in &indices {
+            prop_assert!(same_transition(
+                replay.get_ref(id),
+                &reference.slots[id as usize]
+            ));
+        }
+        replay.update_priorities(&indices, &weights);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -40,6 +163,24 @@ proptest! {
         for tr in sample.transitions {
             prop_assert!(tr.reward as usize >= total - capacity);
         }
+    }
+
+    #[test]
+    fn the_store_reads_back_a_plain_ring_bit_for_bit(
+        seed in 0u64..1_000_000,
+        capacity in 1usize..=8,
+        width in 1usize..=5,
+        actions in 1usize..=4,
+        pushes in 0usize..=30,
+    ) {
+        let stream = stream(seed, width, actions, pushes);
+        check_against_reference(&mut UniformReplay::new(capacity), &stream, capacity, seed)?;
+        check_against_reference(
+            &mut PrioritizedReplay::new(capacity, PerConfig::default()),
+            &stream,
+            capacity,
+            seed,
+        )?;
     }
 
     #[test]

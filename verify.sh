@@ -90,7 +90,7 @@ lint() {
 # `.unwrap()` / `.expect(` occurrences in `crates/*/src` and `src/`
 # (in-file unit tests count). The number only goes down: above it the lint
 # fails, below it prints the number to record here.
-UNWRAP_EXPECT_MAX=137
+UNWRAP_EXPECT_MAX=135
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
