@@ -24,11 +24,18 @@ fn bench_replay(c: &mut Criterion) {
         uniform.push(filled_transition(i));
         per.push(filled_transition(i));
     }
+    let (mut ids, mut weights) = (Vec::with_capacity(32), Vec::with_capacity(32));
     c.bench_function("uniform_replay_sample32", |b| {
-        b.iter(|| black_box(uniform.sample(32, &mut rng)))
+        b.iter(|| {
+            uniform.sample_into(32, &mut rng, &mut ids, &mut weights);
+            black_box((&ids, &weights));
+        })
     });
     c.bench_function("prioritized_replay_sample32", |b| {
-        b.iter(|| black_box(per.sample(32, &mut rng)))
+        b.iter(|| {
+            per.sample_into(32, &mut rng, &mut ids, &mut weights);
+            black_box((&ids, &weights));
+        })
     });
 }
 

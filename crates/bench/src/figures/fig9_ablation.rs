@@ -33,7 +33,6 @@ fn ablations() -> Vec<DrlManagerConfig> {
         DrlManagerConfig {
             dqn: DqnConfig {
                 target_sync_every: 0,
-                soft_tau: None,
                 ..base.clone()
             },
             label: "no-target-net".into(),

@@ -21,9 +21,6 @@ pub mod fig8_optgap;
 pub mod fig9_ablation;
 pub mod search_drive;
 pub mod summary;
-pub mod sweep_drive;
-pub mod sweep_merge;
-pub mod sweep_worker;
 pub mod table1_params;
 pub mod table2_hyperparams;
 pub mod table3_summary;
@@ -69,9 +66,6 @@ pub const REGISTRY: &[(&str, Run)] = &[
     ("figures", Run::Tool(figures)),
     ("search_drive", Run::Tool(search_drive::run)),
     ("summary", Run::Tool(summary::run)),
-    ("sweep_drive", Run::Tool(sweep_drive::run)),
-    ("sweep_merge", Run::Tool(sweep_merge::run)),
-    ("sweep_worker", Run::Tool(sweep_worker::run)),
 ];
 
 /// Runs every [`Run::Figure`] of [`REGISTRY`] in order; the first error

@@ -67,7 +67,6 @@ pub fn dqn_config() -> DqnConfig {
         learn_start: 500,
         train_every: 1,
         target_sync_every: 250,
-        soft_tau: None,
         double: true,
         prioritized: None,
         epsilon: EpsilonSchedule::Linear {

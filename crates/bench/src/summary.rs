@@ -5,7 +5,6 @@
 use mano::report::{BenchReport, SearchReport};
 use serde_json::{Error as JsonError, FromJson, Value};
 use std::path::Path;
-use sweep::fragment::ShardFragment;
 
 /// One row of `BENCH_metro.json`'s `scales` (fig13's streaming sweep).
 struct MetroScale {
@@ -88,13 +87,7 @@ pub fn results_markdown(dir: &Path) -> String {
     }
 
     let mut out = String::from("## Bench results\n\n");
-    let shards = shards_markdown(dir);
-    if grids.is_empty()
-        && searches.is_empty()
-        && metro.is_none()
-        && skipped.is_empty()
-        && shards.is_empty()
-    {
+    if grids.is_empty() && searches.is_empty() && metro.is_none() && skipped.is_empty() {
         out.push_str("_no BENCH_*.json reports found_\n");
         return out;
     }
@@ -118,7 +111,6 @@ pub fn results_markdown(dir: &Path) -> String {
     for line in &skipped {
         out.push_str(&format!("\n⚠ skipped {line}\n"));
     }
-    out.push_str(&shards);
     out
 }
 
@@ -174,77 +166,6 @@ fn checked_in_fingerprint(name: &str) -> Option<String> {
         .map(|m| m.fingerprint())
 }
 
-/// Digest of the shard fragments parked under `<dir>/shards/` (a sharded
-/// sweep whose merge has not run yet, or whose driver died mid-flight):
-/// one row per (grid, shard count) with landed/total coverage, plus an
-/// explicit one-line warning for every fragment the merge would refuse —
-/// wrong protocol version, or a fingerprint that no longer matches the
-/// registry grid. Silence here would read as "nothing pending" exactly
-/// when a stale fragment is waiting to poison a merge.
-fn shards_markdown(dir: &Path) -> String {
-    let shard_dir = sweep::fragment::shards_dir(dir);
-    let mut names: Vec<String> = std::fs::read_dir(&shard_dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.ends_with(".json"))
-                .collect()
-        })
-        .unwrap_or_default();
-    if names.is_empty() {
-        return String::new();
-    }
-    names.sort();
-
-    let mut out = String::from("\n### Pending shard fragments (shards/)\n\n");
-    let mut warnings: Vec<String> = Vec::new();
-    // (grid, shard_of) -> (landed shards, cells)
-    let mut coverage: Vec<((String, usize), (usize, usize))> = Vec::new();
-    for name in &names {
-        let frag = match ShardFragment::load(&shard_dir.join(name)) {
-            Ok(frag) => frag,
-            Err(e) => {
-                let e = JsonError { file: None, ..e };
-                warnings.push(format!("`{name}`: not a shard fragment: {e}"));
-                continue;
-            }
-        };
-        if frag.schema_version != sweep::plan::SWEEP_SCHEMA_VERSION {
-            warnings.push(format!(
-                "`{name}`: schema version {} != current {} — a merge will refuse it",
-                frag.schema_version,
-                sweep::plan::SWEEP_SCHEMA_VERSION
-            ));
-        }
-        if let Some(grid) = crate::sweep_grids::build_sweep_grid(&frag.grid_name) {
-            if frag.grid_fingerprint != grid.grid_fingerprint() {
-                warnings.push(format!(
-                    "`{name}`: fingerprint {} does not match the current {} grid \
-                     (stale fragment? different FAST mode?) — a merge will refuse it",
-                    frag.grid_fingerprint, frag.grid_name
-                ));
-            }
-        }
-        let key = (frag.grid_name.clone(), frag.shard_of);
-        match coverage.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, (landed, cells))) => {
-                *landed += 1;
-                *cells += frag.cells.len();
-            }
-            None => coverage.push((key, (1, frag.cells.len()))),
-        }
-    }
-    out.push_str("| grid | shards landed | cells |\n|---|---:|---:|\n");
-    for ((grid, shard_of), (landed, cells)) in &coverage {
-        out.push_str(&format!("| {grid} | {landed}/{shard_of} | {cells} |\n"));
-    }
-    for w in &warnings {
-        out.push_str(&format!("\n⚠ {w}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,61 +201,6 @@ mod tests {
         assert!(md.contains("| 1x | 5000 | 200000 | 0.2 |"), "{md}");
         assert!(md.contains("| 100x | 500000 | 250000 | 0.2 |"), "{md}");
         assert!(md.contains("throughput 1.40x, peak heap 1.02x"), "{md}");
-    }
-
-    #[test]
-    fn shard_fragments_fold_with_warnings() {
-        let dir = temp_dir("shards");
-        let cell = mano::report::BenchCell {
-            scenario: "s".into(),
-            policy: "p".into(),
-            x: 1.0,
-            seed: 7,
-            summary: mano::metrics::RunSummary {
-                slots: 10,
-                total_arrivals: 100,
-                total_accepted: 90,
-                total_rejected: 10,
-                acceptance_ratio: 0.9,
-                sla_violation_ratio: 0.05,
-                mean_admission_latency_ms: 25.0,
-                p50_admission_latency_ms: 20.0,
-                p95_admission_latency_ms: 60.0,
-                total_cost_usd: 5.0,
-                mean_slot_cost_usd: 0.5,
-                mean_utilization: 0.4,
-                mean_active_flows: 30.0,
-                mean_live_instances: 12.0,
-                mean_decision_time_us: 0.0,
-                flows_disrupted: 3,
-                replacement_success_rate: 2.0 / 3.0,
-                downtime_slots: 7,
-            },
-        };
-        // An unregistered grid name keeps the digest off the registry
-        // fingerprint path (which depends on the FAST environment).
-        let ok = sweep::fragment::fragment("offgrid", "fp", 0, 3, vec![(0, cell.clone())]);
-        ok.write_to(&dir).unwrap();
-        let mut stale = sweep::fragment::fragment("offgrid", "fp", 1, 3, vec![(1, cell)]);
-        stale.schema_version = 99;
-        stale.write_to(&dir).unwrap();
-        std::fs::write(sweep::fragment::shards_dir(&dir).join("junk.json"), "{oops").unwrap();
-        let md = results_markdown(&dir);
-        assert!(md.contains("| offgrid | 2/3 | 2 |"), "{md}");
-        assert!(
-            md.contains("schema version 99") && md.contains("merge will refuse"),
-            "{md}"
-        );
-        assert!(
-            md.contains("`junk.json`: not a shard fragment: byte 1: expected `\"`, found `o`"),
-            "{md}"
-        );
-    }
-
-    #[test]
-    fn no_shards_dir_adds_nothing() {
-        let dir = temp_dir("noshards");
-        assert!(!results_markdown(&dir).contains("shard"));
     }
 
     fn search_report(name: &str, fingerprint: &str) -> mano::report::SearchReport {

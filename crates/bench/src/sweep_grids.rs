@@ -1,22 +1,21 @@
-//! Registry of sharded-sweep grids: named manifests every process in a
-//! sweep can expand identically.
+//! Registry of sweep grids: named manifests that expand to the same grid
+//! wherever they are built.
 //!
-//! The sweep protocol never ships a grid over the wire — a worker is told
-//! only a *name* (plus its shard coordinate) and rebuilds the grid from
-//! this registry. Since the manifest redesign the registry holds
-//! [`ScenarioManifest`]s rather than hand-assembled builders: each entry
-//! is a pure value, expansion is a pure function of `(manifest, FAST)`,
-//! and the exact same manifests drive the in-process figures and
-//! the search driver, so the definitions can no longer drift apart. The
-//! structural fingerprint (`ExperimentGrid::auto_fingerprint`) is stamped
-//! on every plan and fragment so a merge refuses cells computed from a
-//! drifted registry (e.g. a worker built without `FAST=1` feeding a
-//! `FAST=1` driver).
+//! A sweep is planned, run and merged by name: `sweep::plan` cuts a
+//! registry grid's cells into shards, `ExperimentGrid::run_cells` runs a
+//! shard's cells on `exper::pool`'s threads, and `sweep::merge_fragments`
+//! folds the fragments back into one report, all in one process. The
+//! registry holds [`ScenarioManifest`]s rather than hand-assembled
+//! builders: each entry is a pure value, expansion is a pure function of
+//! `(manifest, FAST)`, and the exact same manifests drive the in-process
+//! figures and the search driver, so the definitions cannot drift apart.
+//! The structural fingerprint (`ExperimentGrid::auto_fingerprint`) is
+//! stamped on every plan and fragment so a merge refuses cells computed
+//! from a drifted registry (e.g. a fragment written without `FAST=1`
+//! merged into a `FAST=1` grid).
 //!
-//! Registry grids are baseline-only by design: DRL policies would require
-//! every worker to train (duplicating the most expensive phase N times)
-//! or a trained-weights shipping format — the multi-host outlook in
-//! `docs/sweep.md` covers that extension.
+//! Registry grids are baseline-only by design: a DRL policy would have to
+//! be trained before any shard runs, which is what the figures do.
 
 use crate::fast_mode;
 use exper::prelude::*;
@@ -76,28 +75,6 @@ pub fn sweep_grid_manifest(name: &str) -> Option<ScenarioManifest> {
     Some(manifest)
 }
 
-/// Prints `usage: <synopsis>` and the registry's grid names, then exits
-/// 2: the usage error of the sweep tools.
-pub fn sweep_usage(synopsis: &str) -> ! {
-    eprintln!(
-        "usage: {synopsis}\n       grids: {}",
-        sweep_grid_names().join(", ")
-    );
-    std::process::exit(2);
-}
-
-/// [`build_sweep_grid`] for the sweep tool `tool`: an unknown name prints
-/// every known one and exits 2.
-pub fn sweep_grid_or_exit(tool: &str, name: &str) -> ExperimentGrid {
-    build_sweep_grid(name).unwrap_or_else(|| {
-        eprintln!(
-            "[{tool}] unknown grid {name:?}; known: {}",
-            sweep_grid_names().join(", ")
-        );
-        std::process::exit(2);
-    })
-}
-
 /// Builds the named sweep grid with its structural fingerprint attached,
 /// or `None` for an unknown name — the manifest expansion for the current
 /// `FAST` mode.
@@ -134,7 +111,7 @@ mod tests {
             assert_eq!(
                 a.grid_fingerprint(),
                 b.grid_fingerprint(),
-                "{name} must rebuild to the same structure in every process"
+                "{name} must rebuild to the same structure every time"
             );
         }
     }
@@ -149,8 +126,8 @@ mod tests {
         assert_eq!(set.len(), fps.len());
     }
 
-    /// The registry fingerprints are wire protocol: a worker built from
-    /// one commit must be able to feed a driver built from another. These
+    /// The registry fingerprints are protocol: a fragment written by one
+    /// commit must merge in a build of another. These
     /// literals were captured from the pre-manifest hand-built grids; the
     /// manifest re-expression must reproduce them exactly, and any future
     /// edit that changes them is a breaking protocol change.

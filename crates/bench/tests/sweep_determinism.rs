@@ -2,12 +2,9 @@
 //! for ANY partition of a grid's cells into shard fragments — any shard
 //! count, any per-fragment cell order, any fragment completion order —
 //! the merged report's canonical JSON is byte-identical to the
-//! single-process `ExperimentGrid::run` output.
-//!
-//! The process-spawning path (real `bench sweep_worker` fleets) is
-//! exercised by `verify.sh sweep-smoke`, which byte-diffs the merged file
-//! on disk; here the same plan/execute/merge pipeline runs in-process so
-//! the property can be checked across many partitions quickly.
+//! `ExperimentGrid::run` output. The fragments take the same
+//! plan → run_cells → fragment → write/load → merge path that `perf/`'s
+//! `grid_sweep` workload measures.
 
 use exper::prelude::*;
 use mano::prelude::*;
@@ -53,8 +50,8 @@ fn shard_and_merge(grid: &ExperimentGrid, shards: usize) -> BenchReport {
     .expect("complete fragment set merges")
 }
 
-/// Pins the acceptance criterion on the registry figure grids: worker
-/// counts {1, 2, 4} reproduce the single-process bytes exactly.
+/// Pins the acceptance criterion on the registry figure grids: shard
+/// counts {1, 2, 4} reproduce the unsharded bytes exactly.
 fn assert_grid_shards_identically(name: &str) {
     std::env::set_var("FAST", "1");
     let grid = bench::sweep_grids::build_sweep_grid(name)
@@ -150,7 +147,7 @@ fn any_partition_any_order_merges_byte_identically() {
 }
 
 /// The disk round-trip preserves the bytes too: write fragments, load
-/// them back, merge, compare — the exact worker/driver handoff.
+/// them back, merge, compare.
 #[test]
 fn fragments_survive_the_disk_roundtrip_byte_identically() {
     let grid = tiny_grid();
@@ -190,26 +187,4 @@ fn fragments_survive_the_disk_roundtrip_byte_identically() {
     .expect("merge");
     assert_eq!(canonical_bytes(&merged), reference_bytes);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A count flag whose value is missing or unparsable must be a usage error
-/// (exit 2), not a silent fall-back to the default four-shard fleet.
-#[test]
-fn sweep_drive_rejects_malformed_counts() {
-    for bad in [
-        &["--shards", "abc"][..],
-        &["--workers", "4x"],
-        &["--shards"],
-    ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench"))
-            .args(["sweep_drive", "--grid", "fig2_load"])
-            .args(bad)
-            .output()
-            .expect("spawn sweep_drive");
-        assert_eq!(out.status.code(), Some(2), "{bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).starts_with("usage: sweep_drive"),
-            "{bad:?}"
-        );
-    }
 }

@@ -21,11 +21,9 @@ pub const THREADS_ENV: &str = "EXPER_THREADS";
 /// 1. An explicit `ExperimentGrid::threads(n)` — the grid never calls
 ///    this function at all (tests pin thread counts without touching the
 ///    process environment).
-/// 2. `EXPER_THREADS` (this function) — set per process. The sweep driver
-///    relies on this layer: it exports `EXPER_THREADS = max(1, budget /
-///    workers)` into every worker process it spawns so that N concurrent
-///    workers share the machine's cores instead of each claiming all of
-///    them (N × cores oversubscription).
+/// 2. `EXPER_THREADS` (this function) — set per process, e.g.
+///    `EXPER_THREADS=1` to check that a grid's bytes do not depend on its
+///    thread count (`./verify.sh search-smoke` does).
 /// 3. `std::thread::available_parallelism()`, the fallback.
 pub fn thread_count() -> usize {
     match std::env::var(THREADS_ENV) {

@@ -353,27 +353,6 @@ impl Dense {
         self.bias.add_scaled_assign(db, 1.0);
     }
 
-    /// Polyak/soft update toward `other`: `p ← (1 - tau) * p + tau * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layers have different shapes or `tau ∉ [0, 1]`.
-    pub fn soft_update_from(&mut self, other: &Dense, tau: f32) {
-        assert!(
-            (0.0..=1.0).contains(&tau),
-            "tau must be in [0,1], got {tau}"
-        );
-        assert_eq!(
-            self.weights.shape(),
-            other.weights.shape(),
-            "soft update shape mismatch"
-        );
-        self.weights.scale_assign(1.0 - tau);
-        self.weights.add_scaled_assign(&other.weights, tau);
-        self.bias.scale_assign(1.0 - tau);
-        self.bias.add_scaled_assign(&other.bias, tau);
-    }
-
     /// Mutable parameter access for optimizers: `(weights, bias)`.
     pub(crate) fn parameters_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.weights, &mut self.bias)
@@ -490,17 +469,6 @@ mod tests {
             Activation::Identity,
         );
         a.copy_parameters_from(&b);
-    }
-
-    #[test]
-    fn soft_update_interpolates() {
-        let mut a = layer_2x3();
-        let mut b = layer_2x3();
-        let (w, _) = b.parameters_mut();
-        w.scale_assign(3.0);
-        a.soft_update_from(&b, 0.5);
-        // Original weight (0,0) = 1.0, b's = 3.0, expect 2.0.
-        assert!((a.weights().get(0, 0) - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -663,21 +663,6 @@ impl Mlp {
         }
     }
 
-    /// Polyak soft update `p ← (1-tau)·p + tau·other` (target-network track).
-    ///
-    /// # Panics
-    ///
-    /// Panics if architectures differ or `tau ∉ [0,1]`.
-    pub fn soft_update_from(&mut self, other: &Mlp, tau: f32) {
-        assert_eq!(
-            self.config, other.config,
-            "cannot soft-update between different architectures"
-        );
-        for (mine, theirs) in self.layers.iter_mut().zip(other.layers.iter()) {
-            mine.soft_update_from(theirs, tau);
-        }
-    }
-
     /// `true` if any parameter is NaN/inf — a cheap divergence tripwire.
     pub fn has_non_finite_params(&self) -> bool {
         self.layers
@@ -828,19 +813,13 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_soft_update() {
+    fn copy_parameters_reproduces_outputs() {
         let config = MlpConfig::new(2, &[4], 2);
         let mut a = Mlp::new(&config, &mut rng());
         let b = Mlp::new(&config, &mut StdRng::seed_from_u64(999));
         let x = Matrix::from_rows(&[&[0.5, -0.5]]);
         a.copy_parameters_from(&b);
         assert_eq!(a.forward(&x), b.forward(&x));
-        // Soft update from a third net moves outputs strictly between.
-        let c = Mlp::new(&config, &mut StdRng::seed_from_u64(555));
-        let before = a.forward(&x).get(0, 0);
-        a.soft_update_from(&c, 0.5);
-        let after = a.forward(&x).get(0, 0);
-        assert!(after != before);
     }
 
     #[test]

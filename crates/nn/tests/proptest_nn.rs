@@ -152,23 +152,6 @@ proptest! {
         }
         prop_assert!(!model.net.has_non_finite_params());
     }
-
-    #[test]
-    fn soft_update_converges_to_source(seed in 0u64..10_000) {
-        let config = MlpConfig::new(2, &[4], 2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let source = Mlp::new(&config, &mut rng);
-        let mut target = Mlp::new(&config, &mut StdRng::seed_from_u64(seed.wrapping_add(1)));
-        for _ in 0..200 {
-            target.soft_update_from(&source, 0.1);
-        }
-        let x = Matrix::from_rows(&[&[0.3, -0.3]]);
-        let a = source.forward(&x);
-        let b = target.forward(&x);
-        for c in 0..2 {
-            prop_assert!((a.get(0, c) - b.get(0, c)).abs() < 1e-3);
-        }
-    }
 }
 
 /// The storage contract every `Matrix` operation keeps: the shape and data

@@ -40,9 +40,6 @@ pub struct DqnConfig {
     /// Hard target sync period in learn steps; `0` disables the separate
     /// target network (the ablation case: targets from the online network).
     pub target_sync_every: u64,
-    /// Optional Polyak averaging coefficient; when set, soft updates every
-    /// learn step replace hard syncs.
-    pub soft_tau: Option<f32>,
     /// Double-DQN action selection for bootstrapped targets.
     pub double: bool,
     /// Prioritized replay configuration; `None` = uniform replay.
@@ -64,7 +61,6 @@ impl Default for DqnConfig {
             learn_start: 500,
             train_every: 1,
             target_sync_every: 500,
-            soft_tau: None,
             double: true,
             prioritized: None,
             epsilon: EpsilonSchedule::default(),
@@ -83,9 +79,6 @@ impl DqnConfig {
         assert!(self.replay_capacity > 0, "replay capacity must be positive");
         assert!(self.batch_size > 0, "batch size must be positive");
         assert!(self.train_every > 0, "train_every must be positive");
-        if let Some(tau) = self.soft_tau {
-            assert!((0.0..=1.0).contains(&tau), "soft_tau must be in [0,1]");
-        }
         self.epsilon.validate();
         if let Some(per) = &self.prioritized {
             per.validate();
@@ -220,7 +213,7 @@ impl DqnAgent {
     ) -> Self {
         config.validate();
         let online = QNetwork::new(&config.network, state_dim, action_count, rng);
-        let target = if config.target_sync_every > 0 || config.soft_tau.is_some() {
+        let target = if config.target_sync_every > 0 {
             let mut t = QNetwork::new(&config.network, state_dim, action_count, rng);
             t.copy_parameters_from(&online);
             Some(t)
@@ -509,14 +502,11 @@ impl DqnAgent {
         self.replay.update_priorities(&self.scratch.indices, &td);
         self.learn_steps += 1;
 
-        // Target maintenance.
+        // Hard target sync (a target network exists iff the period is > 0).
         if let Some(target) = &mut self.target {
-            if let Some(tau) = self.config.soft_tau {
-                target.soft_update_from(&self.online, tau);
-            } else if self.config.target_sync_every > 0
-                && self
-                    .learn_steps
-                    .is_multiple_of(self.config.target_sync_every)
+            if self
+                .learn_steps
+                .is_multiple_of(self.config.target_sync_every)
             {
                 target.copy_parameters_from(&self.online);
             }
@@ -646,19 +636,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let config = DqnConfig {
             target_sync_every: 0,
-            soft_tau: None,
-            ..tiny_config()
-        };
-        let mut agent = DqnAgent::new(config, 2, 2, &mut rng);
-        push_n(&mut agent, 60, &mut rng);
-        assert!(agent.learn_steps() > 0);
-    }
-
-    #[test]
-    fn soft_target_mode_works() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let config = DqnConfig {
-            soft_tau: Some(0.05),
             ..tiny_config()
         };
         let mut agent = DqnAgent::new(config, 2, 2, &mut rng);

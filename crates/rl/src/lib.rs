@@ -66,9 +66,7 @@ pub mod prelude {
     pub use crate::reinforce::{
         masked_softmax, masked_softmax_into, ReinforceAgent, ReinforceConfig,
     };
-    pub use crate::replay::{
-        PerConfig, PrioritizedReplay, Replay, SampleBatch, TransitionStore, UniformReplay,
-    };
+    pub use crate::replay::{PerConfig, PrioritizedReplay, Replay, TransitionStore, UniformReplay};
     pub use crate::schedule::EpsilonSchedule;
     pub use crate::transition::{AsTransition, Transition, TransitionRef};
 }

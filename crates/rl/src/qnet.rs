@@ -314,34 +314,6 @@ impl QNetwork {
         }
     }
 
-    /// Polyak soft update toward `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if architectures differ.
-    pub fn soft_update_from(&mut self, other: &QNetwork, tau: f32) {
-        match (self, other) {
-            (QNetwork::Standard(a), QNetwork::Standard(b)) => a.soft_update_from(b, tau),
-            (
-                QNetwork::Dueling {
-                    trunk: t1,
-                    value: v1,
-                    advantage: a1,
-                },
-                QNetwork::Dueling {
-                    trunk: t2,
-                    value: v2,
-                    advantage: a2,
-                },
-            ) => {
-                t1.soft_update_from(t2, tau);
-                v1.soft_update_from(v2, tau);
-                a1.soft_update_from(a2, tau);
-            }
-            _ => panic!("cannot soft-update between different Q-network variants"),
-        }
-    }
-
     /// `true` if any parameter is NaN/inf.
     pub fn has_non_finite_params(&self) -> bool {
         match self {

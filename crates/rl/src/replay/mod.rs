@@ -17,7 +17,7 @@ pub use prioritized::{PerConfig, PrioritizedReplay};
 pub use store::{TransitionStore, CHUNK_ROWS};
 pub use uniform::UniformReplay;
 
-use crate::transition::{AsTransition, Transition, TransitionRef};
+use crate::transition::{AsTransition, TransitionRef};
 use rand::Rng;
 
 /// Common interface over replay buffers for code that is generic in the
@@ -46,12 +46,8 @@ pub trait Replay {
 
     /// Samples `batch` transition ids into caller-owned buffers (cleared
     /// first), with their importance-sampling weights (all `1.0` for
-    /// uniform replay). The allocation-free core of [`Replay::sample`]:
-    /// callers read the sampled transitions in place via
-    /// [`Replay::get_ref`] instead of cloning them out.
-    ///
-    /// Consumes the RNG identically to [`Replay::sample`], so both paths
-    /// draw the same batch from the same generator state.
+    /// uniform replay). Callers read the sampled transitions in place via
+    /// [`Replay::get_ref`]; nothing is cloned out.
     ///
     /// # Panics
     ///
@@ -74,37 +70,7 @@ pub trait Replay {
         self.store().get(id as usize)
     }
 
-    /// Samples `batch` transitions. Returns indices (buffer-internal ids),
-    /// cloned transitions, and importance-sampling weights (all `1.0` for
-    /// uniform replay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty or `batch == 0`.
-    fn sample<R: Rng + ?Sized>(&mut self, batch: usize, rng: &mut R) -> SampleBatch {
-        let mut indices = Vec::with_capacity(batch);
-        let mut weights = Vec::with_capacity(batch);
-        self.sample_into(batch, rng, &mut indices, &mut weights);
-        let transitions = indices.iter().map(|&i| self.get_ref(i).into()).collect();
-        SampleBatch {
-            indices,
-            transitions,
-            weights,
-        }
-    }
-
     /// Reports new TD-error magnitudes for previously sampled indices
     /// (no-op for uniform replay).
     fn update_priorities(&mut self, indices: &[u64], td_errors: &[f32]);
-}
-
-/// A sampled minibatch.
-#[derive(Debug, Clone)]
-pub struct SampleBatch {
-    /// Buffer-internal identifiers for priority updates.
-    pub indices: Vec<u64>,
-    /// The sampled transitions (copied out of the buffer).
-    pub transitions: Vec<Transition>,
-    /// Importance-sampling weights, normalized to max 1.
-    pub weights: Vec<f32>,
 }

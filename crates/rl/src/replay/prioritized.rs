@@ -12,7 +12,8 @@ pub struct PerConfig {
     pub alpha: f32,
     /// Initial importance-sampling exponent `β`; annealed to 1.
     pub beta0: f32,
-    /// Number of `sample` calls over which `β` anneals from `beta0` to 1.
+    /// Number of `sample_into` calls over which `β` anneals from `beta0`
+    /// to 1.
     pub beta_anneal_steps: u64,
     /// Small constant added to TD error magnitudes so no priority is zero.
     pub priority_eps: f32,
@@ -210,9 +211,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut count1 = 0;
         let draws = 2000;
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
         for _ in 0..draws {
-            let s = b.sample(1, &mut rng);
-            if s.transitions[0].reward == 1.0 {
+            b.sample_into(1, &mut rng, &mut ids, &mut weights);
+            if b.get_ref(ids[0]).reward == 1.0 {
                 count1 += 1;
             }
         }
@@ -227,12 +229,13 @@ mod tests {
         b.push(t(1.0));
         b.update_priorities(&[0, 1], &[0.1, 10.0]);
         let mut rng = StdRng::seed_from_u64(4);
-        let s = b.sample(32, &mut rng);
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        b.sample_into(32, &mut rng, &mut ids, &mut weights);
         // The high-priority item must carry a smaller IS weight.
         let mut w_high: Option<f32> = None;
         let mut w_low: Option<f32> = None;
-        for (tr, &w) in s.transitions.iter().zip(s.weights.iter()) {
-            if tr.reward == 1.0 {
+        for (&id, &w) in ids.iter().zip(weights.iter()) {
+            if b.get_ref(id).reward == 1.0 {
                 w_high = Some(w);
             } else {
                 w_low = Some(w);
@@ -245,7 +248,7 @@ mod tests {
             );
         }
         // All weights normalized to (0, 1].
-        assert!(s.weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
+        assert!(weights.iter().all(|&w| w > 0.0 && w <= 1.0 + 1e-6));
     }
 
     #[test]
@@ -260,8 +263,9 @@ mod tests {
         b.push(t(0.0));
         let mut rng = StdRng::seed_from_u64(0);
         assert!((b.beta() - 0.4).abs() < 1e-6);
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
         for _ in 0..10 {
-            let _ = b.sample(1, &mut rng);
+            b.sample_into(1, &mut rng, &mut ids, &mut weights);
         }
         assert!((b.beta() - 1.0).abs() < 1e-6);
     }

@@ -21,8 +21,10 @@ use rand::Rng;
 /// }
 /// assert_eq!(buf.len(), 2); // oldest evicted
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let batch = buf.sample(2, &mut rng);
-/// assert_eq!(batch.transitions.len(), 2);
+/// let (mut ids, mut weights) = (Vec::new(), Vec::new());
+/// buf.sample_into(2, &mut rng, &mut ids, &mut weights);
+/// assert_eq!(ids.len(), 2);
+/// assert!(ids.iter().all(|&id| buf.get_ref(id).state[0] >= 1.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformReplay {
@@ -127,9 +129,10 @@ mod tests {
             buf.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let batch = buf.sample(8, &mut rng);
-        assert_eq!(batch.transitions.len(), 8);
-        assert!(batch.weights.iter().all(|&w| w == 1.0));
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        buf.sample_into(8, &mut rng, &mut ids, &mut weights);
+        assert_eq!(ids.len(), 8);
+        assert!(weights.iter().all(|&w| w == 1.0));
     }
 
     #[test]
@@ -140,9 +143,11 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = [false; 4];
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
         for _ in 0..50 {
-            for tr in buf.sample(4, &mut rng).transitions {
-                seen[tr.reward as usize] = true;
+            buf.sample_into(4, &mut rng, &mut ids, &mut weights);
+            for &id in &ids {
+                seen[buf.get_ref(id).reward as usize] = true;
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -165,7 +170,7 @@ mod tests {
     fn sampling_empty_panics() {
         let mut buf = UniformReplay::new(2);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = buf.sample(1, &mut rng);
+        buf.sample_into(1, &mut rng, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]

@@ -159,9 +159,10 @@ proptest! {
         }
         // Everything still stored must be from the most recent `capacity`.
         let mut rng = StdRng::seed_from_u64(0);
-        let sample = buf.sample(64.min(buf.len() * 4), &mut rng);
-        for tr in sample.transitions {
-            prop_assert!(tr.reward as usize >= total - capacity);
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        buf.sample_into(64.min(buf.len() * 4), &mut rng, &mut ids, &mut weights);
+        for &id in &ids {
+            prop_assert!(buf.get_ref(id).reward as usize >= total - capacity);
         }
     }
 
@@ -195,9 +196,10 @@ proptest! {
         }
         prop_assert_eq!(buf.len(), pushes.min(capacity));
         let mut rng = StdRng::seed_from_u64(1);
-        let sample = buf.sample(batch, &mut rng);
-        prop_assert_eq!(sample.transitions.len(), batch);
-        for &w in &sample.weights {
+        let (mut ids, mut weights) = (Vec::new(), Vec::new());
+        buf.sample_into(batch, &mut rng, &mut ids, &mut weights);
+        prop_assert_eq!(ids.len(), batch);
+        for &w in &weights {
             prop_assert!(w > 0.0 && w <= 1.0 + 1e-5, "IS weight {w} out of (0,1]");
         }
     }

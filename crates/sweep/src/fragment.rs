@@ -1,11 +1,10 @@
-//! Partitioned output fragments: one worker's share of a grid run.
+//! Partitioned output fragments: one shard's share of a grid run.
 //!
-//! A worker executes exactly its shard's cells and writes ONE fragment —
+//! A shard's cells are written as ONE fragment —
 //! `shards/BENCH_<name>.shard<K>of<N>.json` under the results directory —
 //! carrying `(global index, cell)` pairs plus the schema version and grid
-//! fingerprint the merge validates. Fragments are a partitioned key
-//! layout: the file name alone identifies the (grid, shard) coordinate,
-//! so a driver (or a human) can see at a glance which shards have landed.
+//! fingerprint the merge validates. The file name alone identifies the
+//! (grid, shard) coordinate.
 
 use crate::plan::SWEEP_SCHEMA_VERSION;
 use mano::report::{cell_json, BenchCell};
@@ -20,7 +19,7 @@ pub struct ShardFragment {
     pub schema_version: u64,
     /// Registry name of the grid.
     pub grid_name: String,
-    /// Structural fingerprint of the grid the worker executed.
+    /// Structural fingerprint of the grid the shard was run from.
     pub grid_fingerprint: String,
     /// Which shard this fragment is, `0..shard_of`.
     pub shard_id: usize,

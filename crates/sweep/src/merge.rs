@@ -108,16 +108,16 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// Merges shard fragments back into one [`BenchReport`] whose canonical
-/// JSON is byte-identical to the single-process `ExperimentGrid::run`
-/// output — for any partition of the cells into fragments, delivered in
-/// any order, with any internal cell order.
+/// JSON is byte-identical to the `ExperimentGrid::run` output — for any
+/// partition of the cells into fragments, delivered in any order, with
+/// any internal cell order.
 ///
-/// Cells land in index-addressed slots (the cross-process extension of
-/// the in-process index-keyed reduction) and become a report through the
-/// same [`BenchReport::from_cells`] an in-process run uses. Measurement
+/// Cells land in index-addressed slots (the sharded form of the grid
+/// run's index-keyed reduction) and become a report through the same
+/// [`BenchReport::from_cells`] an unsharded run uses. Measurement
 /// metadata (`threads`, `wall_clock_secs`, `throughput_slots_per_sec`)
 /// is set to zero — the canonical form; whoever wants wall-clock numbers
-/// reads them from the driver's own log/series, not from the merged
+/// reads them from the caller's own log/series, not from the merged
 /// deterministic payload.
 ///
 /// # Errors

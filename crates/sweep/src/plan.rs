@@ -2,9 +2,8 @@
 //!
 //! A plan is a pure function of `(cell_count, shard_of)`: contiguous
 //! balanced blocks, the first `cell_count % shard_of` shards one cell
-//! longer. Every worker recomputes the whole plan locally from the
-//! registry grid, so there is no coordinator state and no plan document
-//! to ship.
+//! longer. The plan is recomputed from the registry grid wherever it is
+//! needed, so there is no coordinator state and no plan document.
 
 /// Version stamp of the sweep protocol's on-disk artifact, the output
 /// fragment. Bump on breaking changes so stale fragments are rejected by
@@ -68,10 +67,10 @@ impl ShardPlan {
 }
 
 /// Plans `cell_count` cells across `shard_of` shards: contiguous balanced
-/// blocks in grid-index order, deterministically — same inputs, same plan,
-/// on every process that computes it. Shards beyond the cell count get an
-/// empty range list (they run nothing but still write a fragment, so the
-/// merge's coverage check stays uniform).
+/// blocks in grid-index order, deterministically — same inputs, same
+/// plan. Shards beyond the cell count get an empty range list (they run
+/// nothing but still write a fragment, so the merge's coverage check
+/// stays uniform).
 ///
 /// # Panics
 ///

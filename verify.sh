@@ -14,7 +14,8 @@
 #                           # observation path out of the engine + hop
 #                           # costs priced at admission + one bench
 #                           # binary + no test-only code in the
-#                           # library crates (fast feedback)
+#                           # library crates + one process per
+#                           # sweep (fast feedback)
 #   ./verify.sh test        # release build + full test pyramid (incl. the
 #                           # slot-equivalence golden suite, run at both
 #                           # full and FAST=1 horizons); ends with the
@@ -28,7 +29,7 @@
 #   ./verify.sh bench-smoke # FAST=1 run of every figure and table
 #                           # (`bench figures`, one process); writes
 #                           # CSV/JSON artifacts into $RESULTS_DIR,
-#                           # runs the sweep and search smokes below, and
+#                           # runs the search smoke below, and
 #                           # prints the markdown digest of the
 #                           # BENCH_*.json reports (rates are measured by
 #                           # perf/run.sh, not gated here); ends with the
@@ -36,10 +37,6 @@
 #   ./verify.sh bench-full  # the same suite at full resolution (no FAST);
 #                           # slow — CI exposes it as a manual
 #                           # workflow_dispatch job
-#   ./verify.sh sweep-smoke # FAST=1 sharded-sweep determinism check: runs
-#                           # two figure grids single-process and as local
-#                           # multi-process worker fleets, then byte-diffs
-#                           # the merged BENCH_*.json against the reference
 #   ./verify.sh search-smoke# FAST=1 manifest-search determinism check:
 #                           # runs the tiny checked-in `smoke` manifest
 #                           # search twice (second run on a single worker
@@ -85,12 +82,13 @@ lint() {
   hop_costs_fixed_at_admission
   one_bench_binary
   library_ships_what_runs
+  one_process_per_sweep
 }
 
 # `.unwrap()` / `.expect(` occurrences in `crates/*/src` and `src/`
 # (in-file unit tests count). The number only goes down: above it the lint
 # fails, below it prints the number to record here.
-UNWRAP_EXPECT_MAX=135
+UNWRAP_EXPECT_MAX=132
 
 unwrap_ratchet() {
   echo "==> unwrap/expect ratchet (library sources, max $UNWRAP_EXPECT_MAX)"
@@ -262,6 +260,27 @@ library_ships_what_runs() {
   fi
 }
 
+# A sweep's grid runs on exper::pool's threads inside one process, with
+# byte identity across thread counts. Sharding it over child processes ran
+# at 0.62-1.02x of that on two cores (docs/sweep.md), so nothing in bench
+# or exper spawns a process, and the three retired subcommands stay gone.
+one_process_per_sweep() {
+  echo "==> no process spawning in bench or exper, no sweep process tools"
+  local found=0
+  if grep -rn --include='*.rs' 'process::Command' crates/bench/src crates/exper/src; then
+    found=1
+  fi
+  # The pattern's own text ("sweep_(") does not match it.
+  if grep -rnE 'sweep_(drive|worker|merge)' crates src verify.sh .github; then
+    found=1
+  fi
+  if [ "$found" -ne 0 ]; then
+    echo "a sweep runs in one process: run its grid on exper::pool's threads" \
+      "(ExperimentGrid::run), not in child processes" >&2
+    return 1
+  fi
+}
+
 run_tests() {
   echo "==> cargo test -q"
   cargo test -q
@@ -364,31 +383,6 @@ run_figures() {
   ls "$RESULTS_DIR"/BENCH_metro.json >/dev/null
 }
 
-# Byte-identity check for one grid: single-process reference vs a merged
-# N-shard × W-worker run. `bench sweep_drive` re-checks the bytes in memory; the
-# cmp here additionally pins the on-disk artifact (the thing figures and
-# the summary actually consume).
-run_sweep_grid_check() {
-  local grid="$1" shards="$2" workers="$3"
-  echo "==> sweep: $grid reference (single process)"
-  "$BENCH" sweep_drive --grid "$grid" --in-process
-  cp "$RESULTS_DIR/BENCH_$grid.json" "$RESULTS_DIR/BENCH_$grid.reference.json"
-
-  echo "==> sweep: $grid sharded ($shards shards, $workers workers)"
-  "$BENCH" sweep_drive --grid "$grid" --shards "$shards" --workers "$workers"
-
-  echo "==> sweep: byte-diff merged vs reference"
-  cmp "$RESULTS_DIR/BENCH_$grid.reference.json" "$RESULTS_DIR/BENCH_$grid.json"
-  rm -f "$RESULTS_DIR/BENCH_$grid.reference.json"
-}
-
-run_sweep_smoke() {
-  echo "==> cargo build --release -p bench"
-  cargo build --release -p bench
-  run_sweep_grid_check fig2_load 4 4
-  run_sweep_grid_check fig6_chains 2 2
-}
-
 # Byte-identity check for the manifest search: the checked-in two-axis
 # `smoke` manifest searched twice — the second run pinned to one worker
 # thread — must write byte-identical BENCH_search_smoke.json documents.
@@ -423,22 +417,14 @@ search_smoke() {
   run_search_smoke
 }
 
-sweep_smoke() {
-  export FAST=1
-  export RESULTS_DIR="${RESULTS_DIR:-results}"
-  run_sweep_smoke
-}
-
 bench_smoke() {
   export FAST=1
   export RESULTS_DIR="${RESULTS_DIR:-results}"
   run_figures
 
-  # Sweep and search smokes ahead of the summary: the merged grid reports
-  # and BENCH_search_smoke.json land in $RESULTS_DIR so the summary's grid
-  # table and search digest (and the fingerprint-drift ⚠) cover fresh
-  # documents.
-  run_sweep_smoke
+  # The search smoke ahead of the summary: BENCH_search_smoke.json lands
+  # in $RESULTS_DIR so the summary's search digest (and the
+  # fingerprint-drift ⚠) covers a fresh document.
   run_search_smoke
 
   echo "==> bench summary (markdown)"
@@ -461,7 +447,6 @@ case "${1:-all}" in
   test) test_ ;;
   bench-smoke) bench_smoke ;;
   bench-full) bench_full ;;
-  sweep-smoke) sweep_smoke ;;
   search-smoke) search_smoke ;;
   perf-smoke) perf_smoke ;;
   vector-width) vector_width ;;
@@ -471,7 +456,7 @@ case "${1:-all}" in
     vector_width
     ;;
   *)
-    echo "usage: $0 [lint|test|vector-width|bench-smoke|bench-full|sweep-smoke|search-smoke|perf-smoke|all]" >&2
+    echo "usage: $0 [lint|test|vector-width|bench-smoke|bench-full|search-smoke|perf-smoke|all]" >&2
     exit 2
     ;;
 esac
