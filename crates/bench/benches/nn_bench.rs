@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the neural-network substrate: forward and
-//! forward+backward passes at the DQN's working sizes.
+//! forward+backward passes at the DQN's working sizes, through the
+//! workspace pipeline the agent runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nn::prelude::*;
@@ -10,30 +11,43 @@ fn bench_forward(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     let config = MlpConfig::new(64, &[128, 128], 10);
     let net = Mlp::new(&config, &mut rng);
+    let mut ws = Workspace::new();
     let batch = Matrix::from_fn(32, 64, |r, c| ((r * 31 + c) % 17) as f32 / 17.0);
     c.bench_function("mlp_forward_32x64_128x128x10", |b| {
-        b.iter(|| black_box(net.forward(black_box(&batch))))
+        b.iter(|| {
+            black_box(net.forward_into(black_box(&batch), &mut ws));
+        })
     });
-    let single = Matrix::from_fn(1, 64, |_, c| (c % 13) as f32 / 13.0);
+    let single: Vec<f32> = (0..64).map(|c| (c % 13) as f32 / 13.0).collect();
     c.bench_function("mlp_forward_single", |b| {
-        b.iter(|| black_box(net.forward(black_box(&single))))
+        b.iter(|| {
+            black_box(net.forward_one_into(black_box(&single), &mut ws));
+        })
     });
 }
 
+/// One DQN update (`train_selected`: forward, Huber TD loss on the taken
+/// actions, backward, clipped Adam step) on a 32-row batch.
 fn bench_train_step(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let config = MlpConfig::new(64, &[128, 128], 10);
-    let mut model = TrainableMlp::new(
-        &config,
-        OptimizerConfig::adam(1e-3),
-        Loss::Huber(1.0),
-        Some(10.0),
-        &mut rng,
-    );
+    let mut net = Mlp::new(&config, &mut rng);
+    let mut adam = OptimizerConfig::adam(1e-3).build();
     let x = Matrix::from_fn(32, 64, |r, c| ((r * 7 + c) % 19) as f32 / 19.0);
-    let y = Matrix::from_fn(32, 10, |r, c| ((r + c) % 5) as f32 / 5.0);
-    c.bench_function("mlp_train_batch32", |b| {
-        b.iter(|| black_box(model.step(&x, &y)))
+    let actions: Vec<usize> = (0..32).map(|r| r % 10).collect();
+    let targets: Vec<f32> = (0..32).map(|r| (r % 5) as f32 / 5.0).collect();
+    c.bench_function("mlp_train_selected32", |b| {
+        b.iter(|| {
+            black_box(net.train_selected(
+                &x,
+                &actions,
+                &targets,
+                None,
+                Loss::Huber(1.0),
+                &mut adam,
+                Some(10.0),
+            ))
+        })
     });
 }
 

@@ -2,8 +2,8 @@
 //!
 //! A from-scratch, dependency-light neural network library sized exactly for
 //! the needs of the DRL-based VNF manager in this workspace: batched dense
-//! networks (MLPs) with explicit backprop, the DQN-style *selected-output*
-//! loss, SGD and Adam optimizers, and gradient clipping.
+//! ReLU networks (MLPs) with explicit backprop, the DQN's *selected-output*
+//! Huber loss, SGD and Adam optimizers, and gradient clipping.
 //!
 //! Design points:
 //!
@@ -14,34 +14,43 @@
 //!   [`rand::Rng`] values; the same seed reproduces the same network and the
 //!   same training trajectory bit-for-bit.
 //! * **Verified backprop.** The gradient checker in `tests/support/`
-//!   compares every layer/loss combination against central finite
-//!   differences; the test suite gates on it.
+//!   compares the analytic parameter gradients of the networks the system
+//!   trains (ReLU hidden layers, an identity or a ReLU output, under the
+//!   selected-output Huber loss) against central finite differences; the
+//!   test suite gates on it.
 //!
 //! # Examples
+//!
+//! The DQN's own update: regress the Q-value of the taken action toward its
+//! target under the Huber loss, with Adam and a clipped gradient norm.
 //!
 //! ```
 //! use nn::prelude::*;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let config = MlpConfig::new(2, &[16], 1).hidden_activation(Activation::Tanh);
-//! let mut model = TrainableMlp::new(&config, OptimizerConfig::adam(0.01), Loss::Mse, None, &mut rng);
+//! let mut net = Mlp::new(&MlpConfig::new(2, &[16], 2), &mut rng);
+//! let mut adam = OptimizerConfig::adam(0.01).build();
 //!
-//! // Fit y = x0 + x1 on a tiny batch.
-//! let x = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-//! let y = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[2.0]]);
+//! // Two states, the action taken in each, and its target Q-value.
+//! let states = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+//! let (actions, targets) = ([0, 1], [1.0, -1.0]);
 //! let mut loss = f32::MAX;
-//! for _ in 0..500 {
-//!     loss = model.step(&x, &y);
+//! for _ in 0..300 {
+//!     (loss, _) =
+//!         net.train_selected(&states, &actions, &targets, None, Loss::Huber(1.0), &mut adam, Some(10.0));
 //! }
-//! assert!(loss < 0.01);
+//! assert!(loss < 1e-3);
+//!
+//! let mut ws = Workspace::new();
+//! let q = net.forward_one_into(&[1.0, 0.0], &mut ws);
+//! assert!((q[0] - 1.0).abs() < 0.05);
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod activation;
-pub mod init;
 pub mod linear;
 pub mod loss;
 pub mod mlp;
@@ -51,10 +60,9 @@ pub mod tensor;
 /// Convenient glob-import of the common types.
 pub mod prelude {
     pub use crate::activation::Activation;
-    pub use crate::init::Init;
     pub use crate::linear::Dense;
     pub use crate::loss::Loss;
-    pub use crate::mlp::{Mlp, MlpConfig, TrainableMlp, Workspace};
+    pub use crate::mlp::{Mlp, MlpConfig, Workspace};
     pub use crate::optimizer::{Optimizer, OptimizerConfig};
     pub use crate::tensor::Matrix;
 }

@@ -1,7 +1,6 @@
 //! Fully-connected (dense) layer with cached forward pass for backprop.
 
 use crate::activation::Activation;
-use crate::init::Init;
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -54,7 +53,9 @@ struct BackwardScratch {
 }
 
 impl Dense {
-    /// Creates a layer with freshly initialized parameters.
+    /// Creates a layer with He-uniform weights (every weight drawn from
+    /// `[-limit, limit]`, `limit = sqrt(6 / in_dim)`, row by row) and a
+    /// zero bias: the initialization of every network the system trains.
     ///
     /// # Panics
     ///
@@ -63,14 +64,15 @@ impl Dense {
         in_dim: usize,
         out_dim: usize,
         activation: Activation,
-        init: Init,
         rng: &mut R,
     ) -> Self {
-        Self::from_parameters(
-            init.weights(in_dim, out_dim, rng),
-            init.bias(out_dim),
-            activation,
-        )
+        assert!(
+            in_dim > 0 && out_dim > 0,
+            "layer dimensions must be positive"
+        );
+        let limit = (6.0 / in_dim as f32).sqrt();
+        let weights = Matrix::from_fn(in_dim, out_dim, |_, _| rng.gen_range(-limit..=limit));
+        Self::from_parameters(weights, Matrix::zeros(1, out_dim), activation)
     }
 
     /// Creates a layer from explicit parameters (used by tests and loaders).
@@ -130,17 +132,6 @@ impl Dense {
         self.weights.len() + self.bias.len()
     }
 
-    /// Inference-only forward pass (no cache is stored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != in_dim`.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut out);
-        out
-    }
-
     /// Inference forward pass into a caller-owned buffer: matmul, bias
     /// broadcast, and activation all land in `out` with no allocation,
     /// through the fused kernel — bias and activation are applied at the
@@ -148,9 +139,8 @@ impl Dense {
     /// registers, sparing the decision path two full memory passes over
     /// the output. Identical per-element arithmetic in identical order to
     /// the unfused matmul → broadcast → activate sequence, so results are
-    /// bit-identical (pinned by the golden scratch tests). The common
-    /// activations get monomorphized epilogues; the rest dispatch through
-    /// [`Activation::apply_scalar`].
+    /// bit-identical (pinned by the golden scratch tests). Each activation
+    /// gets a monomorphized epilogue.
     ///
     /// # Panics
     ///
@@ -162,20 +152,12 @@ impl Dense {
             Activation::Relu => {
                 input.matmul_bias_map_into(w, b, |z| if z > 0.0 { z } else { 0.0 }, out)
             }
-            act => input.matmul_bias_map_into(w, b, move |z| act.apply_scalar(z), out),
         }
     }
 
-    /// Training forward pass: caches the input and pre-activation so a
-    /// subsequent [`Dense::backward`] can compute gradients.
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_train_into(input, &mut out);
-        out
-    }
-
-    /// Training forward pass into a caller-owned buffer. The (transposed)
-    /// input and the pre-activation land in the layer's persistent cache,
+    /// Training forward pass into a caller-owned buffer, caching what a
+    /// subsequent [`Dense::backward_into`] needs: the (transposed) input
+    /// and the pre-activation land in the layer's persistent cache,
     /// so the whole call is allocation-free at steady state. The bias joins
     /// the pre-activation at the kernel's store, as in
     /// [`Dense::forward_into`].
@@ -187,26 +169,15 @@ impl Dense {
         self.cache_armed = true;
     }
 
-    /// Backward pass. `grad_output` is dL/da for this layer's output;
-    /// returns dL/dx for the layer's input and accumulates parameter
-    /// gradients internally (summed across calls until [`Dense::take_gradients`]).
+    /// Backward pass. `grad_output` is dL/da for this layer's output; dL/dx
+    /// for the layer's input lands in a caller-owned buffer, and the
+    /// parameter gradients accumulate in the layer (summed across calls
+    /// until an update clears them; read them with [`Dense::gradients`]).
+    /// dL/dz and Wᵀ live in the layer's reusable scratch.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding [`Dense::forward_train`].
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_input);
-        grad_input
-    }
-
-    /// Backward pass writing dL/dx into a caller-owned buffer. dL/dz and
-    /// Wᵀ live in the layer's reusable scratch; dW and db go straight into
-    /// the accumulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a preceding [`Dense::forward_train`].
+    /// Panics if called without a preceding [`Dense::forward_train_into`].
     pub fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
         self.backward_params(grad_output);
         // dL/dx = dL/dz · Wᵀ, via a materialized transpose so the product
@@ -224,7 +195,7 @@ impl Dense {
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding [`Dense::forward_train`].
+    /// Panics if called without a preceding [`Dense::forward_train_into`].
     pub fn backward_params_only(&mut self, grad_output: &Matrix) {
         self.backward_params(grad_output);
     }
@@ -256,20 +227,6 @@ impl Dense {
             input_t.matmul_into(grad_z, &mut self.grad_weights);
             grad_z.col_sum_into(&mut self.grad_bias);
             self.has_grads = true;
-        }
-    }
-
-    /// Removes and returns accumulated `(dW, db)` gradients, leaving
-    /// nothing pending. Returns zero matrices if no backward pass happened.
-    pub fn take_gradients(&mut self) -> (Matrix, Matrix) {
-        if self.has_grads {
-            self.has_grads = false;
-            (self.grad_weights.clone(), self.grad_bias.clone())
-        } else {
-            (
-                Matrix::zeros(self.weights.rows(), self.weights.cols()),
-                Matrix::zeros(1, self.bias.cols()),
-            )
         }
     }
 
@@ -317,8 +274,7 @@ impl Dense {
         )
     }
 
-    /// Drops what is pending (the allocation-free sibling of
-    /// [`Dense::take_gradients`]). Nothing is zero-filled: the next
+    /// Drops what is pending. Nothing is zero-filled: the next
     /// backward pass overwrites every element, and a reader without one
     /// goes through [`Dense::settle_grads`].
     pub(crate) fn clear_grads(&mut self) {
@@ -343,16 +299,6 @@ impl Dense {
         self.bias.copy_from(&other.bias);
     }
 
-    /// Applies a parameter delta in place: `W += dw`, `b += db`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn apply_delta(&mut self, dw: &Matrix, db: &Matrix) {
-        self.weights.add_scaled_assign(dw, 1.0);
-        self.bias.add_scaled_assign(db, 1.0);
-    }
-
     /// Mutable parameter access for optimizers: `(weights, bias)`.
     pub(crate) fn parameters_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.weights, &mut self.bias)
@@ -373,11 +319,25 @@ mod tests {
         )
     }
 
+    /// `forward_train_into` then `backward_into`, returning dL/dx.
+    fn step(layer: &mut Dense, x: &Matrix, grad_out: &Matrix) -> Matrix {
+        layer.forward_train_into(x, &mut Matrix::default());
+        let mut grad_in = Matrix::default();
+        layer.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    fn forward(layer: &Dense, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        layer.forward_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn forward_matches_manual_computation() {
         let layer = layer_2x3();
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let out = layer.forward(&x);
+        let out = forward(&layer, &x);
         // z = [1*1+2*2, 1*0+2*1, 1*-1+2*0.5] + b = [5.1, 1.9, 0.0]
         assert!((out.get(0, 0) - 5.1).abs() < 1e-6);
         assert!((out.get(0, 1) - 1.9).abs() < 1e-6);
@@ -388,12 +348,10 @@ mod tests {
     fn backward_produces_expected_shapes() {
         let mut layer = layer_2x3();
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[0.5, -1.0]]);
-        let _ = layer.forward_train(&x);
-        let grad_in = layer.backward(&Matrix::full(2, 3, 1.0));
+        let grad_in = step(&mut layer, &x, &Matrix::full(2, 3, 1.0));
         assert_eq!(grad_in.shape(), (2, 2));
-        let (gw, gb) = layer.take_gradients();
-        assert_eq!(gw.shape(), (2, 3));
-        assert_eq!(gb.shape(), (1, 3));
+        let shapes = layer.gradients().map(|(gw, gb)| (gw.shape(), gb.shape()));
+        assert_eq!(shapes, Some(((2, 3), (1, 3))));
     }
 
     #[test]
@@ -401,17 +359,13 @@ mod tests {
         let mut layer = layer_2x3();
         let x = Matrix::from_rows(&[&[1.0, 1.0]]);
         let g = Matrix::full(1, 3, 1.0);
-        let _ = layer.forward_train(&x);
-        let _ = layer.backward(&g);
-        let (gw1, _) = {
-            let (w, b) = layer.gradients().expect("grads present");
-            (w.clone(), b.clone())
-        };
-        let _ = layer.forward_train(&x);
-        let _ = layer.backward(&g);
-        let (gw2, _) = layer.take_gradients();
-        assert_eq!(gw2, gw1.scale(2.0));
-        // Accumulator cleared after take.
+        step(&mut layer, &x, &g);
+        let twice_once = layer.gradients().map(|(gw, _)| gw.scale(2.0));
+        assert!(twice_once.is_some());
+        step(&mut layer, &x, &g);
+        assert_eq!(layer.gradients().map(|(gw, _)| gw.clone()), twice_once);
+        // Nothing pending once cleared.
+        layer.clear_grads();
         assert!(layer.gradients().is_none());
     }
 
@@ -419,7 +373,7 @@ mod tests {
     #[should_panic(expected = "without a cached forward_train")]
     fn backward_without_forward_panics() {
         let mut layer = layer_2x3();
-        let _ = layer.backward(&Matrix::full(1, 3, 1.0));
+        layer.backward_into(&Matrix::full(1, 3, 1.0), &mut Matrix::default());
     }
 
     #[test]
@@ -427,9 +381,8 @@ mod tests {
         // With identity activation: grad_in = grad_out · Wᵀ exactly.
         let mut layer = layer_2x3();
         let x = Matrix::from_rows(&[&[0.3, -0.7]]);
-        let _ = layer.forward_train(&x);
         let g = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let grad_in = layer.backward(&g);
+        let grad_in = step(&mut layer, &x, &g);
         let expected = g.matmul_t(layer.weights());
         assert_eq!(grad_in, expected);
     }
@@ -437,11 +390,10 @@ mod tests {
     #[test]
     fn copy_parameters_leaves_training_state_behind() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut online = Dense::new(5, 4, Activation::Relu, Init::HeUniform, &mut rng);
-        let mut target = Dense::new(5, 4, Activation::Relu, Init::HeUniform, &mut rng);
+        let mut online = Dense::new(5, 4, Activation::Relu, &mut rng);
+        let mut target = Dense::new(5, 4, Activation::Relu, &mut rng);
         let x = Matrix::full(3, 5, 0.25);
-        let _ = online.forward_train(&x);
-        let _ = online.backward(&Matrix::full(3, 4, 1.0));
+        step(&mut online, &x, &Matrix::full(3, 4, 1.0));
         let weights_at = target.weights().as_slice().as_ptr();
         let bias_at = target.bias().as_slice().as_ptr();
 
@@ -449,7 +401,7 @@ mod tests {
 
         assert_eq!(target.weights(), online.weights());
         assert_eq!(target.bias(), online.bias());
-        assert_eq!(target.forward(&x), online.forward(&x));
+        assert_eq!(forward(&target, &x), forward(&online, &x));
         // Copied into the allocations the target already had ...
         assert_eq!(target.weights().as_slice().as_ptr(), weights_at);
         assert_eq!(target.bias().as_slice().as_ptr(), bias_at);
@@ -471,12 +423,29 @@ mod tests {
         a.copy_parameters_from(&b);
     }
 
+    /// Shapes, the He-uniform limit, a zero bias, weights that differ, and
+    /// the same layer from the same seed.
     #[test]
     fn random_init_respects_dims() {
         let mut rng = StdRng::seed_from_u64(7);
-        let layer = Dense::new(4, 8, Activation::Relu, Init::HeUniform, &mut rng);
+        let layer = Dense::new(4, 8, Activation::Relu, &mut rng);
         assert_eq!(layer.in_dim(), 4);
         assert_eq!(layer.out_dim(), 8);
         assert_eq!(layer.param_count(), 4 * 8 + 8);
+
+        let limit = (6.0f32 / 64.0).sqrt();
+        let wide = Dense::new(64, 32, Activation::Relu, &mut StdRng::seed_from_u64(1));
+        let weights = wide.weights().as_slice();
+        assert!(weights.iter().all(|&v| v.abs() <= limit));
+        assert!(weights.iter().any(|&v| v != weights[0]));
+        assert!(wide.bias().as_slice().iter().all(|&v| v == 0.0));
+        let again = Dense::new(64, 32, Activation::Relu, &mut StdRng::seed_from_u64(1));
+        assert_eq!(again.weights(), wide.weights());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn zero_fan_in_panics() {
+        let _ = Dense::new(0, 4, Activation::Relu, &mut StdRng::seed_from_u64(0));
     }
 }

@@ -1,83 +1,35 @@
-//! Loss functions returning `(scalar_loss, gradient_wrt_prediction)`.
+//! The DQN's temporal-difference loss, returning the scalar loss and the
+//! gradient with respect to the prediction.
 //!
-//! DQN training regresses only the Q-value of the *taken* action, so besides
-//! the full-matrix losses there are masked variants that compute loss and
-//! gradient on one selected column per row, leaving every other entry with
-//! zero gradient.
+//! DQN training regresses only the Q-value of the *taken* action, so loss
+//! and gradient are computed on one selected column per row, leaving every
+//! other entry with zero gradient.
 
 use crate::tensor::Matrix;
 
 /// Loss function selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loss {
-    /// Mean squared error, `mean((pred - target)^2) / 2`.
-    Mse,
     /// Huber loss with the given `delta`; quadratic near zero, linear in the
     /// tails. The standard DQN choice (`delta = 1.0`) — bounds gradient
     /// magnitude against outlier TD errors.
     Huber(f32),
 }
 
-impl Default for Loss {
-    fn default() -> Self {
-        Loss::Huber(1.0)
-    }
-}
-
 impl Loss {
-    /// Loss and gradient over the full prediction matrix.
-    ///
-    /// The gradient is normalized by the number of rows (batch size) so that
-    /// learning rates are batch-size independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch or an empty batch.
-    pub fn evaluate(self, prediction: &Matrix, target: &Matrix) -> (f32, Matrix) {
-        assert_eq!(prediction.shape(), target.shape(), "loss shape mismatch");
-        assert!(prediction.rows() > 0, "loss on empty batch");
-        let n = prediction.rows() as f32;
-        let mut total = 0.0f64;
-        let mut grad = Matrix::zeros(prediction.rows(), prediction.cols());
-        for r in 0..prediction.rows() {
-            for c in 0..prediction.cols() {
-                let e = prediction.get(r, c) - target.get(r, c);
-                let (l, g) = self.pointwise(e);
-                total += l as f64;
-                grad.set(r, c, g / n);
-            }
-        }
-        ((total / n as f64) as f32, grad)
-    }
-
-    /// Loss and gradient on one selected column per row.
+    /// Loss and gradient on one selected column per row, the gradient
+    /// written into a caller-owned buffer (allocation-free once the buffer
+    /// is warm). Returns the loss.
     ///
     /// `selected[r]` is the column of row `r` that participates; all other
     /// entries of the gradient are zero. `targets[r]` is the regression
     /// target for that entry. This is exactly the DQN update, where the
-    /// selected column is the action taken in the transition.
+    /// selected column is the action taken in the transition. The gradient
+    /// is normalized by the number of rows (batch size) so that learning
+    /// rates are batch-size independent.
     ///
     /// Optional `weights` (importance-sampling weights from prioritized
     /// replay) scale each row's loss and gradient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths disagree with the batch size, a column index is out
-    /// of range, or the batch is empty.
-    pub fn evaluate_selected(
-        self,
-        prediction: &Matrix,
-        selected: &[usize],
-        targets: &[f32],
-        weights: Option<&[f32]>,
-    ) -> (f32, Matrix) {
-        let mut grad = Matrix::default();
-        let l = self.evaluate_selected_into(prediction, selected, targets, weights, &mut grad);
-        (l, grad)
-    }
-
-    /// [`Loss::evaluate_selected`] writing the gradient into a caller-owned
-    /// buffer (allocation-free once the buffer is warm). Returns the loss.
     ///
     /// # Panics
     ///
@@ -118,16 +70,12 @@ impl Loss {
     /// Per-element loss value and dL/de for error `e = pred - target`.
     #[inline]
     pub fn pointwise(self, e: f32) -> (f32, f32) {
-        match self {
-            Loss::Mse => (0.5 * e * e, e),
-            Loss::Huber(delta) => {
-                debug_assert!(delta > 0.0, "huber delta must be positive");
-                if e.abs() <= delta {
-                    (0.5 * e * e, e)
-                } else {
-                    (delta * (e.abs() - 0.5 * delta), delta * e.signum())
-                }
-            }
+        let Loss::Huber(delta) = self;
+        debug_assert!(delta > 0.0, "huber delta must be positive");
+        if e.abs() <= delta {
+            (0.5 * e * e, e)
+        } else {
+            (delta * (e.abs() - 0.5 * delta), delta * e.signum())
         }
     }
 }
@@ -136,29 +84,26 @@ impl Loss {
 mod tests {
     use super::*;
 
-    #[test]
-    fn mse_zero_at_perfect_prediction() {
-        let p = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let (loss, grad) = Loss::Mse.evaluate(&p, &p);
-        assert_eq!(loss, 0.0);
-        assert!(grad.as_slice().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let p = Matrix::from_rows(&[&[3.0]]);
-        let t = Matrix::from_rows(&[&[1.0]]);
-        let (loss, grad) = Loss::Mse.evaluate(&p, &t);
-        assert!((loss - 2.0).abs() < 1e-6); // 0.5 * (3-1)^2
-        assert!((grad.get(0, 0) - 2.0).abs() < 1e-6);
+    /// The selected-output Huber(1.0) gradient of `prediction`.
+    fn grad(
+        prediction: &Matrix,
+        selected: &[usize],
+        targets: &[f32],
+        weights: Option<&[f32]>,
+    ) -> (f32, Matrix) {
+        let mut grad = Matrix::default();
+        let l = Loss::Huber(1.0)
+            .evaluate_selected_into(prediction, selected, targets, weights, &mut grad);
+        (l, grad)
     }
 
     #[test]
     fn huber_matches_mse_inside_delta() {
-        let (l_h, g_h) = Loss::Huber(1.0).pointwise(0.5);
-        let (l_m, g_m) = Loss::Mse.pointwise(0.5);
-        assert_eq!(l_h, l_m);
-        assert_eq!(g_h, g_m);
+        // Inside δ the loss is the squared error's half and its gradient the
+        // error itself.
+        let (l, g) = Loss::Huber(1.0).pointwise(0.5);
+        assert_eq!(l, 0.5 * 0.5 * 0.5);
+        assert_eq!(g, 0.5);
     }
 
     #[test]
@@ -180,7 +125,7 @@ mod tests {
     #[test]
     fn selected_loss_only_grads_chosen_column() {
         let p = Matrix::from_rows(&[&[1.0, 5.0, 3.0], &[2.0, 0.0, -1.0]]);
-        let (_, grad) = Loss::Mse.evaluate_selected(&p, &[1, 2], &[4.0, 0.0], None);
+        let (_, grad) = grad(&p, &[1, 2], &[4.0, 0.0], None);
         // Row 0: only column 1 non-zero; row 1: only column 2 non-zero.
         assert_eq!(grad.get(0, 0), 0.0);
         assert!(grad.get(0, 1) != 0.0);
@@ -195,29 +140,29 @@ mod tests {
         // Two identical rows should give same loss as one row.
         let p1 = Matrix::from_rows(&[&[2.0, 0.0]]);
         let p2 = Matrix::from_rows(&[&[2.0, 0.0], &[2.0, 0.0]]);
-        let (l1, _) = Loss::Mse.evaluate_selected(&p1, &[0], &[0.0], None);
-        let (l2, _) = Loss::Mse.evaluate_selected(&p2, &[0, 0], &[0.0, 0.0], None);
+        let (l1, _) = grad(&p1, &[0], &[0.0], None);
+        let (l2, _) = grad(&p2, &[0, 0], &[0.0, 0.0], None);
         assert!((l1 - l2).abs() < 1e-6);
     }
 
     #[test]
     fn importance_weights_scale_gradient() {
         let p = Matrix::from_rows(&[&[2.0]]);
-        let (_, g_unweighted) = Loss::Mse.evaluate_selected(&p, &[0], &[0.0], None);
-        let (_, g_weighted) = Loss::Mse.evaluate_selected(&p, &[0], &[0.0], Some(&[0.5]));
+        let (_, g_unweighted) = grad(&p, &[0], &[0.0], None);
+        let (_, g_weighted) = grad(&p, &[0], &[0.0], Some(&[0.5]));
         assert!((g_weighted.get(0, 0) - 0.5 * g_unweighted.get(0, 0)).abs() < 1e-6);
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
+    #[should_panic(expected = "must equal batch size")]
     fn shape_mismatch_panics() {
-        let _ = Loss::Mse.evaluate(&Matrix::zeros(1, 2), &Matrix::zeros(2, 1));
+        let _ = grad(&Matrix::zeros(2, 1), &[0, 0], &[0.0], None);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn selected_column_out_of_range_panics() {
         let p = Matrix::zeros(1, 2);
-        let _ = Loss::Mse.evaluate_selected(&p, &[5], &[0.0], None);
+        let _ = grad(&p, &[5], &[0.0], None);
     }
 }

@@ -2,24 +2,22 @@
 //! agent in this workspace.
 
 use crate::activation::Activation;
-use crate::init::Init;
 use crate::linear::Dense;
 use crate::loss::Loss;
-use crate::optimizer::{Optimizer, OptimizerConfig};
+use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
 use rand::Rng;
 
-/// Declarative MLP architecture.
+/// Declarative MLP architecture: ReLU hidden layers with He-uniform
+/// weights and zero biases, the shape of every network the system trains.
 ///
 /// # Examples
 ///
 /// ```
 /// use nn::mlp::{Mlp, MlpConfig};
-/// use nn::activation::Activation;
 /// use rand::SeedableRng;
 ///
-/// let config = MlpConfig::new(4, &[16, 16], 2)
-///     .hidden_activation(Activation::Relu);
+/// let config = MlpConfig::new(4, &[16, 16], 2);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let net = Mlp::new(&config, &mut rng);
 /// assert_eq!(net.output_dim(), 2);
@@ -32,42 +30,24 @@ pub struct MlpConfig {
     pub hidden: Vec<usize>,
     /// Output dimension.
     pub output_dim: usize,
-    /// Activation for hidden layers.
-    pub hidden_activation: Activation,
     /// Activation for the output layer (identity for Q-values).
     pub output_activation: Activation,
-    /// Weight initialization scheme.
-    pub init: Init,
 }
 
 impl MlpConfig {
-    /// Config with ReLU hidden layers, identity output, He init.
+    /// Config with ReLU hidden layers and an identity output.
     pub fn new(input_dim: usize, hidden: &[usize], output_dim: usize) -> Self {
         Self {
             input_dim,
             hidden: hidden.to_vec(),
             output_dim,
-            hidden_activation: Activation::Relu,
             output_activation: Activation::Identity,
-            init: Init::HeUniform,
         }
-    }
-
-    /// Sets the hidden-layer activation.
-    pub fn hidden_activation(mut self, act: Activation) -> Self {
-        self.hidden_activation = act;
-        self
     }
 
     /// Sets the output-layer activation.
     pub fn output_activation(mut self, act: Activation) -> Self {
         self.output_activation = act;
-        self
-    }
-
-    /// Sets the weight initialization scheme.
-    pub fn init(mut self, init: Init) -> Self {
-        self.init = init;
         self
     }
 
@@ -82,7 +62,7 @@ impl MlpConfig {
             let act = if i + 2 == dims.len() {
                 self.output_activation
             } else {
-                self.hidden_activation
+                Activation::Relu
             };
             specs.push((dims[i], dims[i + 1], act));
         }
@@ -280,18 +260,13 @@ impl Mlp {
         let layers = config
             .layer_specs()
             .into_iter()
-            .map(|(i, o, a)| Dense::new(i, o, a, config.init, rng))
+            .map(|(i, o, a)| Dense::new(i, o, a, rng))
             .collect();
         Self {
             layers,
             config: config.clone(),
             scratch: TrainScratch::default(),
         }
-    }
-
-    /// The architecture this network was built from.
-    pub fn architecture(&self) -> &MlpConfig {
-        &self.config
     }
 
     /// Input dimension.
@@ -319,16 +294,6 @@ impl Mlp {
         &self.layers
     }
 
-    /// Inference forward pass over a batch (`batch x input_dim`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != input_dim`.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut ws = Workspace::new();
-        self.forward_into(input, &mut ws).clone()
-    }
-
     /// Inference forward pass through a caller-owned [`Workspace`]; returns
     /// a reference into the workspace, valid until its next use. With a
     /// warm workspace the whole pass is allocation-free.
@@ -348,12 +313,6 @@ impl Mlp {
         &*a
     }
 
-    /// Inference on a single state vector; returns the output row.
-    pub fn forward_one(&self, input: &[f32]) -> Vec<f32> {
-        let out = self.forward(&Matrix::row_vector(input));
-        out.row(0).to_vec()
-    }
-
     /// Single-state inference through a caller-owned [`Workspace`]; the
     /// decision hot path. Returns the output row, valid until the
     /// workspace's next use.
@@ -370,13 +329,9 @@ impl Mlp {
         a.row(0)
     }
 
-    /// Training forward pass, caching per-layer tensors for backprop.
-    pub fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        self.forward_train_scratch(input).clone()
-    }
-
-    /// Training forward pass through the network-owned scratch; returns a
-    /// reference to the output, valid until the next training call.
+    /// Training forward pass through the network-owned scratch, caching
+    /// per-layer tensors for backprop; returns a reference to the output,
+    /// valid until the next training call.
     /// Per-layer caches land in each layer's persistent buffers, so a warm
     /// network performs no allocation.
     ///
@@ -395,19 +350,21 @@ impl Mlp {
     }
 
     /// Backpropagates `grad_output` (dL/d output) through the network,
-    /// accumulating parameter gradients. Returns dL/d input.
+    /// accumulating parameter gradients. Returns dL/d input (what a
+    /// network feeding this one backpropagates next), a reference into the
+    /// network-owned scratch valid until the next training call.
     ///
     /// # Panics
     ///
-    /// Panics if no [`Mlp::forward_train`] preceded this call.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+    /// Panics if no [`Mlp::forward_train_scratch`] preceded this call.
+    pub fn backward(&mut self, grad_output: &Matrix) -> &Matrix {
         let TrainScratch { grad_a, grad_b, .. } = &mut self.scratch;
         grad_a.copy_from(grad_output);
         for layer in self.layers.iter_mut().rev() {
             layer.backward_into(&*grad_a, grad_b);
             std::mem::swap(grad_a, grad_b);
         }
-        grad_a.clone()
+        &*grad_a
     }
 
     /// Backpropagates through the network-owned scratch, accumulating
@@ -417,7 +374,7 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if no [`Mlp::forward_train`] preceded this call.
+    /// Panics if no [`Mlp::forward_train_scratch`] preceded this call.
     pub fn backward_scratch(&mut self, grad_output: &Matrix) {
         let TrainScratch { grad_a, grad_b, .. } = &mut self.scratch;
         grad_a.copy_from(grad_output);
@@ -532,29 +489,12 @@ impl Mlp {
         Some(norm)
     }
 
-    /// One supervised training step on `(input, target)` with the given
-    /// loss. Returns the batch loss.
-    pub fn train_batch(
-        &mut self,
-        input: &Matrix,
-        target: &Matrix,
-        loss: Loss,
-        optimizer: &mut Optimizer,
-        max_grad_norm: Option<f32>,
-    ) -> f32 {
-        let pred = self.forward_train(input);
-        let (l, grad) = loss.evaluate(&pred, target);
-        self.backward(&grad);
-        self.apply_gradients(optimizer, max_grad_norm);
-        l
-    }
-
     /// One Q-learning style step: regress `prediction[r, selected[r]]`
     /// toward `targets[r]`, with optional per-row importance weights.
     ///
     /// Returns `(loss, td_errors)` where `td_errors[r] = pred - target`
     /// (used by prioritized replay to update priorities).
-    #[allow(clippy::too_many_arguments)] // mirrors train_batch plus the selection triple
+    #[allow(clippy::too_many_arguments)] // the update's inputs and its three settings
     pub fn train_selected(
         &mut self,
         input: &Matrix,
@@ -565,61 +505,26 @@ impl Mlp {
         optimizer: &mut Optimizer,
         max_grad_norm: Option<f32>,
     ) -> (f32, Vec<f32>) {
-        assert_eq!(input.cols(), self.config.input_dim, "input width mismatch");
         // Forward, TD errors, the loss gradient, backward and the clipped
         // update all run inside network- and layer-owned buffers; the
-        // returned TD vector is a warm step's only allocation.
-        let (l, td) = {
-            let TrainScratch {
-                fwd_a,
-                fwd_b,
-                loss_grad,
-                ..
-            } = &mut self.scratch;
-            fwd_a.copy_from(input);
-            for layer in self.layers.iter_mut() {
-                layer.forward_train_into(&*fwd_a, fwd_b);
-                std::mem::swap(fwd_a, fwd_b);
-            }
-            let pred = &*fwd_a;
-            let td: Vec<f32> = selected
-                .iter()
-                .zip(targets.iter())
-                .enumerate()
-                .map(|(r, (&c, &t))| pred.get(r, c) - t)
-                .collect();
-            let l = loss.evaluate_selected_into(pred, selected, targets, weights, loss_grad);
-            (l, td)
-        };
-        {
-            let TrainScratch {
-                grad_a,
-                grad_b,
-                loss_grad,
-                ..
-            } = &mut self.scratch;
-            grad_a.copy_from(&*loss_grad);
-            for (idx, layer) in self.layers.iter_mut().enumerate().rev() {
-                if idx == 0 {
-                    // No caller consumes dL/dinput; skip its matmul.
-                    layer.backward_params_only(&*grad_a);
-                } else {
-                    layer.backward_into(&*grad_a, grad_b);
-                    std::mem::swap(grad_a, grad_b);
-                }
-            }
-        }
+        // returned TD vector is a warm step's only allocation. The loss
+        // gradient leaves the scratch for the backward pass that reads it.
+        let mut loss_grad = std::mem::take(&mut self.scratch.loss_grad);
+        let pred = self.forward_train_scratch(input);
+        let td: Vec<f32> = selected
+            .iter()
+            .zip(targets.iter())
+            .enumerate()
+            .map(|(r, (&c, &t))| pred.get(r, c) - t)
+            .collect();
+        let l = loss.evaluate_selected_into(pred, selected, targets, weights, &mut loss_grad);
+        self.backward_scratch(&loss_grad);
+        self.scratch.loss_grad = loss_grad;
         self.apply_gradients(optimizer, max_grad_norm);
         (l, td)
     }
 
-    /// Drains accumulated per-layer gradients as `(dW, db)` pairs without
-    /// applying them. Used by gradient checking and custom update rules.
-    pub fn drain_gradients(&mut self) -> Vec<(Matrix, Matrix)> {
-        self.layers.iter_mut().map(Dense::take_gradients).collect()
-    }
-
-    /// Applies externally drained gradients (from [`Mlp::drain_gradients`])
+    /// Applies externally supplied `(dW, db)` gradients, one pair per layer,
     /// through `optimizer`, using optimizer slots
     /// `slot_base + 2*layer` / `slot_base + 2*layer + 1`.
     ///
@@ -671,56 +576,20 @@ impl Mlp {
     }
 }
 
-/// Convenience: build network + optimizer together.
-#[derive(Debug, Clone)]
-pub struct TrainableMlp {
-    /// The network.
-    pub net: Mlp,
-    /// Its optimizer state.
-    pub optimizer: Optimizer,
-    /// Loss used by [`TrainableMlp::step`].
-    pub loss: Loss,
-    /// Optional global gradient-norm clip.
-    pub max_grad_norm: Option<f32>,
-}
-
-impl TrainableMlp {
-    /// Builds the network and its optimizer from configs.
-    pub fn new<R: Rng + ?Sized>(
-        config: &MlpConfig,
-        optimizer: OptimizerConfig,
-        loss: Loss,
-        max_grad_norm: Option<f32>,
-        rng: &mut R,
-    ) -> Self {
-        Self {
-            net: Mlp::new(config, rng),
-            optimizer: optimizer.build(),
-            loss,
-            max_grad_norm,
-        }
-    }
-
-    /// One supervised step; returns the batch loss.
-    pub fn step(&mut self, input: &Matrix, target: &Matrix) -> f32 {
-        self.net.train_batch(
-            input,
-            target,
-            self.loss,
-            &mut self.optimizer,
-            self.max_grad_norm,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::OptimizerConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1234)
+    }
+
+    /// The network's output on `x`, through a fresh workspace.
+    fn forward(net: &Mlp, x: &Matrix) -> Matrix {
+        net.forward_into(x, &mut Workspace::new()).clone()
     }
 
     #[test]
@@ -729,7 +598,7 @@ mod tests {
         let net = Mlp::new(&config, &mut rng());
         assert_eq!(net.layer_count(), 3);
         assert_eq!(net.param_count(), (3 * 5 + 5) + (5 * 7 + 7) + (7 * 2 + 2));
-        let out = net.forward(&Matrix::zeros(4, 3));
+        let out = forward(&net, &Matrix::zeros(4, 3));
         assert_eq!(out.shape(), (4, 2));
     }
 
@@ -738,29 +607,39 @@ mod tests {
         let config = MlpConfig::new(3, &[8], 2);
         let net = Mlp::new(&config, &mut rng());
         let x = [0.1, -0.2, 0.3];
-        let single = net.forward_one(&x);
-        let batched = net.forward(&Matrix::row_vector(&x));
+        let single = net.forward_one_into(&x, &mut Workspace::new()).to_vec();
+        let batched = forward(&net, &Matrix::row_vector(&x));
         assert_eq!(single, batched.row(0).to_vec());
+    }
+
+    /// `train_selected` on a one-output network: a supervised step.
+    fn fit_step(net: &mut Mlp, x: &Matrix, y: &Matrix, optimizer: &mut Optimizer) -> f32 {
+        let selected = vec![0; x.rows()];
+        let (loss, _) = net.train_selected(
+            x,
+            &selected,
+            y.as_slice(),
+            None,
+            Loss::Huber(1.0),
+            optimizer,
+            None,
+        );
+        loss
     }
 
     #[test]
     fn learns_linear_function() {
         // y = 2*x0 - x1; an MLP should fit this almost exactly.
-        let config = MlpConfig::new(2, &[16], 1).hidden_activation(Activation::Tanh);
-        let mut trainable = TrainableMlp::new(
-            &config,
-            OptimizerConfig::adam(0.01),
-            Loss::Mse,
-            None,
-            &mut rng(),
-        );
+        let config = MlpConfig::new(2, &[16], 1);
+        let mut net = Mlp::new(&config, &mut rng());
+        let mut opt = OptimizerConfig::adam(0.01).build();
         let mut r = rng();
         use rand::Rng as _;
         let mut final_loss = f32::MAX;
         for _ in 0..1500 {
             let x = Matrix::from_fn(16, 2, |_, _| r.gen_range(-1.0..1.0));
             let y = Matrix::from_fn(16, 1, |i, _| 2.0 * x.get(i, 0) - x.get(i, 1));
-            final_loss = trainable.step(&x, &y);
+            final_loss = fit_step(&mut net, &x, &y, &mut opt);
         }
         assert!(final_loss < 5e-3, "final loss {final_loss}");
     }
@@ -768,22 +647,17 @@ mod tests {
     #[test]
     fn learns_xor() {
         // Non-linearly-separable target proves backprop flows through depth.
-        let config = MlpConfig::new(2, &[8, 8], 1).hidden_activation(Activation::Tanh);
-        let mut t = TrainableMlp::new(
-            &config,
-            OptimizerConfig::adam(0.02),
-            Loss::Mse,
-            None,
-            &mut rng(),
-        );
+        let config = MlpConfig::new(2, &[8, 8], 1);
+        let mut net = Mlp::new(&config, &mut rng());
+        let mut opt = OptimizerConfig::adam(0.02).build();
         let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
         let y = Matrix::from_rows(&[&[0.0], &[1.0], &[1.0], &[0.0]]);
         let mut loss = f32::MAX;
         for _ in 0..2000 {
-            loss = t.step(&x, &y);
+            loss = fit_step(&mut net, &x, &y, &mut opt);
         }
         assert!(loss < 1e-2, "xor loss {loss}");
-        let pred = t.net.forward(&x);
+        let pred = forward(&net, &x);
         assert!(pred.get(0, 0) < 0.3 && pred.get(1, 0) > 0.7);
     }
 
@@ -793,7 +667,7 @@ mod tests {
         let mut net = Mlp::new(&config, &mut rng());
         let mut opt = OptimizerConfig::sgd(0.5).build();
         let x = Matrix::from_rows(&[&[1.0, 0.0]]);
-        let before = net.forward(&x);
+        let before = forward(&net, &x);
         // Push output 1 toward a big value; outputs 0 and 2 share input
         // weights but their columns should not change.
         let (_, td) = net.train_selected(
@@ -801,12 +675,12 @@ mod tests {
             &[1],
             &[before.get(0, 1) + 1.0],
             None,
-            Loss::Mse,
+            Loss::Huber(1.0),
             &mut opt,
             None,
         );
         assert!((td[0] + 1.0).abs() < 1e-5);
-        let after = net.forward(&x);
+        let after = forward(&net, &x);
         assert!((after.get(0, 0) - before.get(0, 0)).abs() < 1e-6);
         assert!((after.get(0, 2) - before.get(0, 2)).abs() < 1e-6);
         assert!(after.get(0, 1) > before.get(0, 1));
@@ -819,7 +693,7 @@ mod tests {
         let b = Mlp::new(&config, &mut StdRng::seed_from_u64(999));
         let x = Matrix::from_rows(&[&[0.5, -0.5]]);
         a.copy_parameters_from(&b);
-        assert_eq!(a.forward(&x), b.forward(&x));
+        assert_eq!(forward(&a, &x), forward(&b, &x));
     }
 
     #[test]
@@ -830,28 +704,45 @@ mod tests {
         let x = Matrix::from_rows(&[&[1000.0]]);
         let before = net.layers()[0].weights().get(0, 0);
         // Huge input would explode without clipping.
-        let target = Matrix::from_rows(&[&[0.0]]);
-        net.train_batch(&x, &target, Loss::Mse, &mut opt, Some(0.1));
+        net.train_selected(
+            &x,
+            &[0],
+            &[0.0],
+            None,
+            Loss::Huber(1.0),
+            &mut opt,
+            Some(0.1),
+        );
         let after = net.layers()[0].weights().get(0, 0);
         assert!((after - before).abs() <= 0.1 + 1e-4);
     }
 
+    /// Every layer's pending `(dW, db)`, copied out (`apply_external_gradients`
+    /// rejects the list if a layer had none).
+    fn pending_gradients(net: &Mlp) -> Vec<(Matrix, Matrix)> {
+        net.layers()
+            .iter()
+            .filter_map(Dense::gradients)
+            .map(|(gw, gb)| (gw.clone(), gb.clone()))
+            .collect()
+    }
+
     /// One `apply_gradients(Some(limit))` after a backward of `grad` on
     /// `x`, against `clip_global_norm` and `Optimizer::update` on the same
-    /// gradients drained, both with Adam: every parameter is compared
+    /// gradients copied out, both with Adam: every parameter is compared
     /// through `to_bits`, and so is the norm when `apply_gradients` took
     /// it. Returns `(apply_gradients's norm, clip_global_norm's norm)`.
     fn clip_against_staged(net: &Mlp, x: &Matrix, grad: &Matrix, limit: f32) -> (Option<f32>, f32) {
         let mut fused = net.clone();
-        let _ = fused.forward_train(x);
+        fused.forward_train_scratch(x);
         fused.backward(grad);
         let mut opt = OptimizerConfig::adam(0.01).build();
         let norm = fused.apply_gradients(&mut opt, Some(limit));
 
         let mut staged = net.clone();
-        let _ = staged.forward_train(x);
+        staged.forward_train_scratch(x);
         staged.backward(grad);
-        let mut grads = staged.drain_gradients();
+        let mut grads = pending_gradients(&staged);
         let mut refs: Vec<&mut Matrix> = Vec::new();
         for (gw, gb) in grads.iter_mut() {
             refs.push(gw);
@@ -943,8 +834,15 @@ mod tests {
         let mut net = Mlp::new(&config, &mut rng());
         let mut opt = OptimizerConfig::sgd(0.5).build();
         let x = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1.0, 0.25, -0.75]]);
-        let y = Matrix::from_rows(&[&[1.0, -1.0], &[0.0, 2.0]]);
-        net.train_batch(&x, &y, Loss::Mse, &mut opt, None);
+        net.train_selected(
+            &x,
+            &[0, 1],
+            &[1.0, 2.0],
+            None,
+            Loss::Huber(1.0),
+            &mut opt,
+            None,
+        );
         let before = net.clone();
 
         let norm = net.apply_gradients(&mut opt, Some(1.0));
@@ -956,10 +854,7 @@ mod tests {
             assert_eq!(a.weights(), b.weights());
             assert_eq!(a.bias(), b.bias());
         }
-        assert!(net
-            .drain_gradients()
-            .iter()
-            .all(|(gw, gb)| { gw.as_slice().iter().chain(gb.as_slice()).all(|&g| g == 0.0) }));
+        assert!(net.layers().iter().all(|l| l.gradients().is_none()));
     }
 
     proptest::proptest! {
@@ -1056,15 +951,17 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.1, 0.2, 0.3]]);
         let mut manual = x.clone();
         for layer in &restored {
-            manual = layer.forward(&manual);
+            let mut out = Matrix::default();
+            layer.forward_into(&manual, &mut out);
+            manual = out;
         }
-        assert_eq!(net.forward(&x), manual);
+        assert_eq!(forward(&net, &x), manual);
     }
 
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn wrong_input_width_panics() {
         let net = Mlp::new(&MlpConfig::new(3, &[4], 1), &mut rng());
-        let _ = net.forward(&Matrix::zeros(1, 5));
+        let _ = forward(&net, &Matrix::zeros(1, 5));
     }
 }

@@ -8,7 +8,6 @@
 //! no numerics.
 
 use nn::activation::Activation;
-use nn::init::Init;
 use nn::linear::Dense;
 use nn::loss::Loss;
 use nn::mlp::{Mlp, MlpConfig, Workspace};
@@ -248,22 +247,35 @@ fn broadcast_assign_matches_reference() {
     );
 }
 
+/// The pre-optimization activation pass: `f(z)` as a fresh matrix.
+fn apply(act: Activation, z: &Matrix) -> Matrix {
+    match act {
+        Activation::Identity => z.clone(),
+        Activation::Relu => z.map(|v| if v > 0.0 { v } else { 0.0 }),
+    }
+}
+
+/// The pre-optimization activation derivative: `f'(z)` materialized.
+fn derivative(act: Activation, z: &Matrix) -> Matrix {
+    match act {
+        Activation::Identity => Matrix::full(z.rows(), z.cols(), 1.0),
+        Activation::Relu => z.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
+    }
+}
+
 /// The pre-optimization dense forward pass, reconstructed from reference
 /// kernels: allocate-per-call matmul + broadcast + activation.
 fn reference_forward(layers: &[Dense], input: &Matrix) -> Matrix {
     let mut x = input.clone();
     for layer in layers {
         let z = reference::add_row_broadcast(&reference::matmul(&x, layer.weights()), layer.bias());
-        x = layer.activation().apply(&z);
+        x = apply(layer.activation(), &z);
     }
     x
 }
 
 fn test_net(rng: &mut StdRng) -> Mlp {
-    let config = MlpConfig::new(9, &[16, 12], 5)
-        .hidden_activation(Activation::Relu)
-        .init(Init::HeUniform);
-    Mlp::new(&config, rng)
+    Mlp::new(&MlpConfig::new(9, &[16, 12], 5), rng)
 }
 
 #[test]
@@ -277,7 +289,11 @@ fn forward_paths_are_bit_identical() {
     for &batch in &[1usize, 32, 1, 4, 32, 1] {
         let x = sparse_random(batch, 9, &mut rng);
         let expected = reference_forward(net.layers(), &x);
-        assert_eq!(net.forward(&x), expected, "allocating forward");
+        assert_eq!(
+            *net.forward_into(&x, &mut Workspace::new()),
+            expected,
+            "fresh-workspace forward"
+        );
         assert_eq!(
             *net.forward_into(&x, &mut ws),
             expected,
@@ -286,7 +302,11 @@ fn forward_paths_are_bit_identical() {
         let row = net.forward_one_into(x.row(0), &mut ws).to_vec();
         let single = reference_forward(net.layers(), &Matrix::row_vector(x.row(0)));
         assert_eq!(row, single.row(0).to_vec(), "single-row forward");
-        assert_eq!(net.forward_one(x.row(0)), row, "allocating forward_one");
+        assert_eq!(
+            net.forward_one_into(x.row(0), &mut Workspace::new()),
+            row,
+            "fresh-workspace single-row forward"
+        );
     }
 }
 
@@ -303,7 +323,7 @@ fn reference_backward(
     let mut caches = Vec::new();
     for layer in layers {
         let z = reference::add_row_broadcast(&reference::matmul(&x, layer.weights()), layer.bias());
-        let a = layer.activation().apply(&z);
+        let a = apply(layer.activation(), &z);
         caches.push((x.clone(), z));
         x = a;
     }
@@ -312,7 +332,7 @@ fn reference_backward(
     let mut g = grad_output.clone();
     for (i, layer) in layers.iter().enumerate().rev() {
         let (cache_in, z) = &caches[i];
-        let grad_z = g.hadamard(&layer.activation().derivative(z));
+        let grad_z = g.hadamard(&derivative(layer.activation(), z));
         grads[i] = (reference::tmatmul(cache_in, &grad_z), grad_z.col_sum());
         g = reference::matmul_t(&grad_z, layer.weights());
     }
@@ -323,45 +343,57 @@ fn reference_backward(
 fn backward_matches_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(321);
     let mut net = test_net(&mut rng);
+    // Applying each batch's gradients clears them for the next, whose
+    // reference is taken on the parameters as they then are.
+    let mut sgd = OptimizerConfig::sgd(0.01).build();
     for &batch in &[4usize, 1, 16] {
         let x = sparse_random(batch, 9, &mut rng);
         let grad_out = sparse_random(batch, 5, &mut rng);
         let expected = reference_backward(net.layers(), &x, &grad_out);
 
-        let _ = net.forward_train(&x);
+        net.forward_train_scratch(&x);
         net.backward(&grad_out);
-        let got = net.drain_gradients();
-        for (l, ((gw, gb), (ew, eb))) in got.iter().zip(expected.iter()).enumerate() {
+        for (l, (layer, (ew, eb))) in net.layers().iter().zip(expected.iter()).enumerate() {
+            let (gw, gb) = layer.gradients().expect("backward left gradients");
             assert_eq!(gw, ew, "layer {l} dW (batch {batch})");
             assert_eq!(gb, eb, "layer {l} db (batch {batch})");
         }
+        net.apply_gradients(&mut sgd, None);
     }
 }
 
 /// One `Dense` at the learn step's first-layer shape (32 x 74 -> 128, ReLU,
-/// half-zero input): forward_train -> backward must hand back the
-/// gradients of `reference::tmatmul` / `reference::matmul_t`, cold and
-/// then again on a warm cache and scratch.
+/// half-zero input), the one layer of a ReLU-output network: forward_train
+/// -> backward must hand back the gradients of `reference::tmatmul` /
+/// `reference::matmul_t`, cold and then again on a warm cache and scratch
+/// (the update between the passes clears the gradients and moves the
+/// parameters the second reference is taken on).
 #[test]
 fn dense_backward_at_learn_step_shape_matches_reference_bitwise() {
     let mut rng = StdRng::seed_from_u64(74);
-    let mut layer = Dense::new(74, 128, Activation::Relu, Init::HeUniform, &mut rng);
+    let config = MlpConfig::new(74, &[], 128).output_activation(Activation::Relu);
+    let mut net = Mlp::new(&config, &mut rng);
     let x = sparse_random_with(32, 74, 0.5, &mut rng);
     let grad_out = sparse_random(32, 128, &mut rng);
-
-    let (expected_dw, expected_db) =
-        reference_backward(std::slice::from_ref(&layer), &x, &grad_out).remove(0);
-    let z = reference::add_row_broadcast(&reference::matmul(&x, layer.weights()), layer.bias());
-    let grad_z = grad_out.hadamard(&layer.activation().derivative(&z));
-    let expected_dx = reference::matmul_t(&grad_z, layer.weights());
+    let mut sgd = OptimizerConfig::sgd(0.01).build();
 
     for pass in 0..2 {
-        let _ = layer.forward_train(&x);
-        let grad_in = layer.backward(&grad_out);
-        let (dw, db) = layer.take_gradients();
-        assert_eq!(dw, expected_dw, "dL/dW, pass {pass}");
-        assert_eq!(db, expected_db, "dL/db, pass {pass}");
+        let layer = &net.layers()[0];
+        let (expected_dw, expected_db) =
+            reference_backward(std::slice::from_ref(layer), &x, &grad_out).remove(0);
+        let z = reference::add_row_broadcast(&reference::matmul(&x, layer.weights()), layer.bias());
+        let grad_z = grad_out.hadamard(&derivative(layer.activation(), &z));
+        let expected_dx = reference::matmul_t(&grad_z, layer.weights());
+
+        net.forward_train_scratch(&x);
+        let grad_in = net.backward(&grad_out).clone();
+        let (dw, db) = net.layers()[0]
+            .gradients()
+            .expect("backward left gradients");
+        assert_eq!(*dw, expected_dw, "dL/dW, pass {pass}");
+        assert_eq!(*db, expected_db, "dL/db, pass {pass}");
         assert_eq!(grad_in, expected_dx, "dL/dx, pass {pass}");
+        net.apply_gradients(&mut sgd, None);
     }
 }
 
@@ -399,7 +431,8 @@ fn train_selected_step_matches_reference_bitwise() {
             .map(|((w, b), l)| Dense::from_parameters(w.clone(), b.clone(), l.activation()))
             .collect();
         let pred = reference_forward(&ref_layers, &x);
-        let (_, grad) = loss.evaluate_selected(&pred, &selected, &targets, None);
+        let mut grad = Matrix::default();
+        loss.evaluate_selected_into(&pred, &selected, &targets, None, &mut grad);
         let mut expected_grads = reference_backward(&ref_layers, &x, &grad);
         {
             let mut refs: Vec<&mut Matrix> = Vec::new();

@@ -526,11 +526,6 @@ impl DqnAgent {
             t.copy_parameters_from(&self.online);
         }
     }
-
-    /// Q-values for a state (diagnostics).
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        self.online.q_values(state)
-    }
 }
 
 #[cfg(test)]
@@ -550,6 +545,11 @@ mod tests {
             epsilon: EpsilonSchedule::Constant(0.1),
             ..DqnConfig::default()
         }
+    }
+
+    /// Q-values of one state, through a fresh workspace.
+    fn q_values(net: &QNetwork, state: &[f32]) -> Vec<f32> {
+        net.q_values_into(state, &mut QNetWorkspace::new()).to_vec()
     }
 
     fn push_n(agent: &mut DqnAgent, n: usize, rng: &mut StdRng) {
@@ -612,7 +612,7 @@ mod tests {
                 &mut rng,
             );
         }
-        let q = agent.q_values(&[1.0])[0];
+        let q = q_values(agent.online_network(), &[1.0])[0];
         assert!((q - 1.0).abs() < 0.1, "Q = {q}, expected ≈ 1.0");
     }
 
@@ -678,7 +678,7 @@ mod tests {
         // Q(s,0) - γ Q(s',1) exactly; just assert it is finite and the agent
         // didn't pick the masked max (which would differ when Q(s',0) is the
         // global max). Compute both to verify.
-        let q = agent.q_values(&[1.0]);
+        let q = q_values(agent.online_network(), &[1.0]);
         let expected_td = q[0] - agent.config().gamma * q[1];
         assert!((stats.mean_abs_td - expected_td.abs()).abs() < 1e-3);
     }
@@ -697,6 +697,7 @@ mod tests {
                     trunk,
                     value,
                     advantage,
+                    ..
                 } => vec![trunk, value, advantage],
             };
             subnets
@@ -796,9 +797,9 @@ mod tests {
                                 continue;
                             }
                             let mask = t.next_mask().unwrap_or(&before.scratch.all_valid);
-                            let q_target = bootstrap.q_values(t.next_state);
+                            let q_target = q_values(bootstrap, t.next_state);
                             let future = if double {
-                                let q_online = before.online.q_values(t.next_state);
+                                let q_online = q_values(&before.online, t.next_state);
                                 masked_argmax(&q_online, mask).map_or(0.0, |a| q_target[a])
                             } else {
                                 masked_max(&q_target, mask).unwrap_or(0.0)
@@ -861,7 +862,10 @@ mod tests {
             for r in 0..rows {
                 let mask: Vec<bool> = masks[r * 4..(r + 1) * 4].to_vec();
                 assert_eq!(batch_actions[r], agent.act_greedy(states.row(r), &mask));
-                assert_eq!(q_batch.row(r), agent.q_values(states.row(r)).as_slice());
+                assert_eq!(
+                    q_batch.row(r),
+                    q_values(agent.online_network(), states.row(r))
+                );
             }
         }
     }

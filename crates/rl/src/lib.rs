@@ -2,10 +2,15 @@
 //!
 //! Discrete-action RL machinery for the DRL-based VNF manager: **action
 //! masking** (saturated edge nodes must never be selected or bootstrapped
-//! through), uniform and prioritized experience replay, ε-schedules, a DQN
-//! agent with the Double/Dueling/PER extensions — each independently
-//! switchable to support the paper's ablation study — and REINFORCE as the
-//! policy-gradient comparison.
+//! through), uniform and prioritized experience replay, a linear (or
+//! constant) ε-schedule, a DQN agent with the Double/Dueling/PER
+//! extensions — each independently switchable to support the paper's
+//! ablation study — and REINFORCE as the policy-gradient comparison.
+//!
+//! Every Q-network is `nn`'s ReLU MLP trained on the Huber TD loss through
+//! its workspace pipeline: inference through a caller-owned
+//! [`qnet::QNetWorkspace`], a learn step in network-owned buffers, so a warm
+//! learn step allocates only the TD-error vector it returns, dueling or not.
 //!
 //! Validation: `tests/learning.rs` trains both agents on environments with
 //! known optimal returns (a contextual bandit, a chain, a masked grid world,

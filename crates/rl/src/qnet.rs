@@ -51,6 +51,18 @@ impl QNetWorkspace {
     }
 }
 
+/// The dueling learn step's buffers, reused across steps: the combined
+/// Q-values, their loss gradient, the two heads' output gradients and the
+/// trunk's output gradient (their sum after the heads' backward passes).
+#[derive(Debug, Clone, Default)]
+pub struct DuelingScratch {
+    q: Matrix,
+    grad_q: Matrix,
+    grad_v: Matrix,
+    grad_a: Matrix,
+    grad_t: Matrix,
+}
+
 /// A trainable state-action value function `Q(s, ·)` over discrete actions.
 // The dueling variant inlines three MLPs (each carrying its own training
 // scratch); boxing them would put an indirection on the hottest forward
@@ -69,6 +81,8 @@ pub enum QNetwork {
         value: Mlp,
         /// Advantage head (`action_count` outputs).
         advantage: Mlp,
+        /// Learn-step buffers (not part of the model's state).
+        scratch: DuelingScratch,
     },
 }
 
@@ -110,6 +124,7 @@ impl QNetwork {
                     trunk: Mlp::new(&trunk_cfg, rng),
                     value: Mlp::new(&value_cfg, rng),
                     advantage: Mlp::new(&adv_cfg, rng),
+                    scratch: DuelingScratch::default(),
                 }
             }
         }
@@ -139,18 +154,14 @@ impl QNetwork {
                 trunk,
                 value,
                 advantage,
+                ..
             } => trunk.param_count() + value.param_count() + advantage.param_count(),
         }
     }
 
-    /// Inference: batched Q-values (`batch x action_count`).
-    pub fn forward(&self, states: &Matrix) -> Matrix {
-        let mut ws = QNetWorkspace::new();
-        self.forward_into(states, &mut ws).clone()
-    }
-
-    /// Batched inference through a caller-owned workspace; returns a
-    /// reference into the workspace, valid until its next use.
+    /// Batched Q-values (`batch x action_count`) through a caller-owned
+    /// workspace; returns a reference into the workspace, valid until its
+    /// next use.
     /// Allocation-free once the workspace is warm.
     pub fn forward_into<'w>(&self, states: &Matrix, ws: &'w mut QNetWorkspace) -> &'w Matrix {
         let QNetWorkspace {
@@ -177,6 +188,7 @@ impl QNetwork {
                 trunk,
                 value,
                 advantage,
+                ..
             } => {
                 let t = trunk.forward_into(states, trunk_ws);
                 let v = value.forward_into(t, value_ws);
@@ -185,11 +197,6 @@ impl QNetwork {
                 &*q
             }
         }
-    }
-
-    /// Inference on a single state.
-    pub fn q_values(&self, state: &[f32]) -> Vec<f32> {
-        self.forward(&Matrix::row_vector(state)).row(0).to_vec()
     }
 
     /// Single-state inference through a caller-owned workspace; the action
@@ -236,12 +243,22 @@ impl QNetwork {
                 trunk,
                 value,
                 advantage,
+                scratch,
             } => {
-                // Forward with caches.
-                let t = trunk.forward_train(states);
-                let v = value.forward_train(&t);
-                let a = advantage.forward_train(&t);
-                let q = combine_dueling(&v, &a);
+                // Forward with caches, every tensor in a network-owned
+                // buffer: the returned TD vector is a warm step's only
+                // allocation, as for a standard network.
+                let DuelingScratch {
+                    q,
+                    grad_q,
+                    grad_v,
+                    grad_a,
+                    grad_t,
+                } = scratch;
+                let t = trunk.forward_train_scratch(states);
+                let v = value.forward_train_scratch(t);
+                let a = advantage.forward_train_scratch(t);
+                combine_dueling_into(v, a, q);
 
                 let td: Vec<f32> = selected
                     .iter()
@@ -249,25 +266,27 @@ impl QNetwork {
                     .enumerate()
                     .map(|(r, (&c, &tgt))| q.get(r, c) - tgt)
                     .collect();
-                let (l, grad_q) = loss.evaluate_selected(&q, selected, targets, weights);
+                let l = loss.evaluate_selected_into(q, selected, targets, weights, grad_q);
 
                 // Q_{r,c} = V_r + A_{r,c} - mean_k A_{r,k}
                 // dL/dV_r = Σ_c dL/dQ_{r,c}
                 // dL/dA_{r,c} = dL/dQ_{r,c} - (1/K) Σ_k dL/dQ_{r,k}
                 let k = grad_q.cols() as f32;
-                let mut grad_v = Matrix::zeros(grad_q.rows(), 1);
-                let mut grad_a = grad_q.clone();
+                grad_v.reset_for_overwrite(grad_q.rows(), 1);
+                grad_a.reset_for_overwrite(grad_q.rows(), grad_q.cols());
                 for r in 0..grad_q.rows() {
                     let row_sum: f32 = grad_q.row(r).iter().sum();
                     grad_v.set(r, 0, row_sum);
-                    for c in 0..grad_q.cols() {
-                        grad_a.set(r, c, grad_q.get(r, c) - row_sum / k);
+                    for (ga, &gq) in grad_a.row_mut(r).iter_mut().zip(grad_q.row(r)) {
+                        *ga = gq - row_sum / k;
                     }
                 }
-                let g_t_from_v = value.backward(&grad_v);
-                let g_t_from_a = advantage.backward(&grad_a);
-                let grad_t = g_t_from_v.add(&g_t_from_a);
-                trunk.backward(&grad_t);
+                // dL/dtrunk output = the value head's input gradient plus
+                // the advantage head's (`1.0 · x` is `x`, so these are the
+                // bits of an element-wise add).
+                grad_t.copy_from(value.backward(grad_v));
+                grad_t.add_scaled_assign(advantage.backward(grad_a), 1.0);
+                trunk.backward_scratch(grad_t);
 
                 // Apply all three sub-networks under one optimizer step
                 // using disjoint slot ranges (layer indices offset per
@@ -299,11 +318,13 @@ impl QNetwork {
                     trunk: t1,
                     value: v1,
                     advantage: a1,
+                    ..
                 },
                 QNetwork::Dueling {
                     trunk: t2,
                     value: v2,
                     advantage: a2,
+                    ..
                 },
             ) => {
                 t1.copy_parameters_from(t2);
@@ -322,6 +343,7 @@ impl QNetwork {
                 trunk,
                 value,
                 advantage,
+                ..
             } => {
                 trunk.has_non_finite_params()
                     || value.has_non_finite_params()
@@ -331,16 +353,10 @@ impl QNetwork {
     }
 }
 
-/// `Q = V + A - mean(A)` with mean subtracted per row (identifiability).
-fn combine_dueling(v: &Matrix, a: &Matrix) -> Matrix {
-    let mut out = Matrix::default();
-    combine_dueling_into(v, a, &mut out);
-    out
-}
-
-/// [`combine_dueling`] into a reusable buffer. The per-row mean is computed
-/// once (bit-identical to recomputing it per column, as the allocating form
-/// historically did — the summation order is unchanged).
+/// `Q = V + A - mean(A)` with the mean subtracted per row
+/// (identifiability), into a reusable buffer. The per-row mean is computed
+/// once (bit-identical to recomputing it per column: the summation order
+/// is unchanged).
 fn combine_dueling_into(v: &Matrix, a: &Matrix, out: &mut Matrix) {
     assert_eq!(v.rows(), a.rows(), "dueling heads batch mismatch");
     assert_eq!(v.cols(), 1, "value head must have one output");
@@ -365,6 +381,11 @@ mod tests {
         StdRng::seed_from_u64(77)
     }
 
+    /// Q-values of one state, through a fresh workspace.
+    fn q_values(net: &QNetwork, state: &[f32]) -> Vec<f32> {
+        net.q_values_into(state, &mut QNetWorkspace::new()).to_vec()
+    }
+
     #[test]
     fn standard_shapes() {
         let net = QNetwork::new(
@@ -375,7 +396,7 @@ mod tests {
         );
         assert_eq!(net.state_dim(), 4);
         assert_eq!(net.action_count(), 3);
-        assert_eq!(net.q_values(&[0.0; 4]).len(), 3);
+        assert_eq!(q_values(&net, &[0.0; 4]).len(), 3);
     }
 
     #[test]
@@ -398,7 +419,8 @@ mod tests {
     fn dueling_combine_is_mean_centered() {
         let v = Matrix::from_rows(&[&[2.0]]);
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let q = combine_dueling(&v, &a);
+        let mut q = Matrix::default();
+        combine_dueling_into(&v, &a, &mut q);
         // mean(A) = 2 → Q = 2 + [-1, 0, 1]
         assert_eq!(q, Matrix::from_rows(&[&[1.0, 2.0, 3.0]]));
         // Mean of Q equals V.
@@ -425,7 +447,7 @@ mod tests {
                 &selected,
                 &targets,
                 None,
-                Loss::Mse,
+                Loss::Huber(1.0),
                 &mut opt,
                 None,
             );
@@ -460,7 +482,7 @@ mod tests {
                 &selected,
                 &targets,
                 None,
-                Loss::Mse,
+                Loss::Huber(1.0),
                 &mut opt,
                 None,
             );
@@ -482,7 +504,7 @@ mod tests {
         let mut b = QNetwork::new(&config, 3, 2, &mut StdRng::seed_from_u64(1));
         b.copy_parameters_from(&a);
         let s = [0.3, -0.2, 0.9];
-        assert_eq!(a.q_values(&s), b.q_values(&s));
+        assert_eq!(q_values(&a, &s), q_values(&b, &s));
     }
 
     #[test]

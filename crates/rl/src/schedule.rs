@@ -14,15 +14,6 @@ pub enum EpsilonSchedule {
         /// Number of steps to decay over.
         steps: u64,
     },
-    /// Exponential decay: `end + (start - end) * exp(-step / tau)`.
-    Exponential {
-        /// Initial ε at step 0.
-        start: f32,
-        /// Asymptotic ε.
-        end: f32,
-        /// Decay time constant in steps.
-        tau: f64,
-    },
 }
 
 impl Default for EpsilonSchedule {
@@ -49,10 +40,6 @@ impl EpsilonSchedule {
                     start + (end - start) * frac
                 }
             }
-            EpsilonSchedule::Exponential { start, end, tau } => {
-                let decayed = (start - end) as f64 * (-(step as f64) / tau.max(1e-9)).exp();
-                end + decayed as f32
-            }
         }
     }
 
@@ -70,11 +57,6 @@ impl EpsilonSchedule {
             EpsilonSchedule::Linear { start, end, .. } => {
                 check(start, "start");
                 check(end, "end");
-            }
-            EpsilonSchedule::Exponential { start, end, tau } => {
-                check(start, "start");
-                check(end, "end");
-                assert!(tau > 0.0, "tau must be positive");
             }
         }
     }
@@ -115,23 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_decays_monotonically_to_end() {
-        let s = EpsilonSchedule::Exponential {
-            start: 1.0,
-            end: 0.1,
-            tau: 100.0,
-        };
-        let mut prev = s.value(0);
-        assert!((prev - 1.0).abs() < 1e-6);
-        for step in (10..2000).step_by(10) {
-            let v = s.value(step);
-            assert!(v <= prev + 1e-6, "not monotone at {step}");
-            prev = v;
-        }
-        assert!((s.value(1_000_000) - 0.1).abs() < 1e-4);
-    }
-
-    #[test]
     fn values_stay_in_unit_interval() {
         let schedules = [
             EpsilonSchedule::Constant(0.5),
@@ -139,11 +104,6 @@ mod tests {
                 start: 0.9,
                 end: 0.02,
                 steps: 1000,
-            },
-            EpsilonSchedule::Exponential {
-                start: 1.0,
-                end: 0.01,
-                tau: 333.0,
             },
         ];
         for s in schedules {

@@ -12,9 +12,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::dqn::{DqnAgent, DqnConfig};
 use rl::env::{masked_argmax, masked_max};
-use rl::qnet::QNetworkConfig;
+use rl::qnet::{QNetWorkspace, QNetwork, QNetworkConfig};
 use rl::reinforce::{ReinforceAgent, ReinforceConfig};
 use rl::schedule::EpsilonSchedule;
+
+/// Q-values of one state, through a fresh workspace.
+fn q_values(net: &QNetwork, state: &[f32]) -> Vec<f32> {
+    net.q_values_into(state, &mut QNetWorkspace::new()).to_vec()
+}
 
 /// Random batch of states plus row-major masks (last action always valid,
 /// mirroring the engine's always-valid reject action).
@@ -78,7 +83,7 @@ fn served_wave_q_rows_equal_single_row_forwards() {
             for r in 0..rows {
                 assert_eq!(
                     q_batch.row(r),
-                    agent.q_values(states.row(r)),
+                    q_values(agent.online_network(), states.row(r)),
                     "Q-row {r} of {rows}"
                 );
                 let mask = &masks[r * actions..(r + 1) * actions];
@@ -128,7 +133,7 @@ proptest! {
 
         for r in 0..rows {
             let mask = &masks[r * actions..(r + 1) * actions];
-            let q_single = agent.q_values(states.row(r));
+            let q_single = q_values(agent.online_network(), states.row(r));
             let single = agent.act_greedy(states.row(r), mask);
             prop_assert_eq!(batch_actions[r], single, "row {} action diverged", r);
             // Q-rows of the batched forward must match the single-state

@@ -1,7 +1,8 @@
 //! Golden-equality suite for the agent-level scratch paths: the
 //! workspace-routed `act_greedy` / `q_values_into` and the batched learn
-//! step must be bit-identical to the allocate-per-call forms, under heavy
-//! interleaving (warm, resized scratch buffers are the point).
+//! step on warm, resized buffers must be bit-identical to the same calls on
+//! a fresh workspace, under heavy interleaving (warm, resized scratch
+//! buffers are the point).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,6 +11,11 @@ use rl::env::masked_argmax;
 use rl::qnet::{QNetWorkspace, QNetwork, QNetworkConfig};
 use rl::schedule::EpsilonSchedule;
 use rl::transition::Transition;
+
+/// Q-values of one state, through a fresh workspace.
+fn q_values(net: &QNetwork, state: &[f32]) -> Vec<f32> {
+    net.q_values_into(state, &mut QNetWorkspace::new()).to_vec()
+}
 
 fn random_state(dim: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..dim)
@@ -47,15 +53,15 @@ fn act_greedy_matches_allocating_q_values_under_interleaving() {
         let mask = vec![true, false, true, true];
         for i in 0..60 {
             let s = random_state(9, &mut rng);
-            // Allocating diagnostic path (row_vector + fresh matrices).
-            let q_alloc = agent.q_values(&s);
+            // The same forward on a fresh workspace.
+            let q_alloc = q_values(agent.online_network(), &s);
             // Workspace path, with learn steps interleaved so the scratch
             // matrices keep getting resized between 1-row and batched use.
             let choice = agent.act_greedy(&s, &mask);
             assert_eq!(
                 Some(choice),
                 masked_argmax(&q_alloc, &mask),
-                "workspace argmax diverged from allocating path at step {i}"
+                "workspace argmax diverged from a fresh workspace at step {i}"
             );
             let t = Transition::new(s.clone(), choice, 0.5, s, i % 5 == 0);
             agent.observe(t, &mut rng);
@@ -82,11 +88,11 @@ fn batched_forward_into_matches_allocating_forward() {
     let mut ws = QNetWorkspace::new();
     for &batch in &[1usize, 16, 3, 16, 1] {
         let states = nn::tensor::Matrix::from_fn(batch, 7, |_, _| rng.gen_range(-1.0..1.0));
-        let expected = net.forward(&states);
+        let expected = net.forward_into(&states, &mut QNetWorkspace::new()).clone();
         assert_eq!(*net.forward_into(&states, &mut ws), expected);
         // Single-row path against the matching batched row.
         let row = net.q_values_into(states.row(0), &mut ws).to_vec();
-        assert_eq!(row, net.q_values(states.row(0)));
+        assert_eq!(row, q_values(&net, states.row(0)));
     }
 }
 
@@ -124,7 +130,10 @@ fn learn_step_is_bit_identical_between_cold_and_warm_scratch() {
         stats_cold.mean_abs_td.to_bits()
     );
     let probe = random_state(6, &mut StdRng::seed_from_u64(9));
-    assert_eq!(warm.q_values(&probe), cold.q_values(&probe));
+    assert_eq!(
+        q_values(warm.online_network(), &probe),
+        q_values(cold.online_network(), &probe)
+    );
 }
 
 /// FNV-1a over the bits of every parameter of a standard Q-network:

@@ -37,6 +37,7 @@ fn parameter_digest(net: &QNetwork) -> u64 {
             trunk,
             value,
             advantage,
+            ..
         } => vec![trunk, value, advantage],
     };
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

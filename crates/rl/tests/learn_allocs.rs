@@ -7,7 +7,8 @@
 //! Adam moments) is reused at its steady-state size, so storage that
 //! re-aligned or reallocated on every step, or a bootstrap minibatch whose
 //! reservation followed its varying row count, fails here. The dueling
-//! network and `observe` have a case each below.
+//! network (the same single allocation) and `observe` have a case each
+//! below.
 //!
 //! The counting `#[global_allocator]` is the one
 //! `crates/core/tests/decision_allocs.rs` uses; an integration test file is
@@ -118,13 +119,14 @@ fn a_warm_learn_step_allocates_only_its_td_vector() {
 }
 
 /// The dueling Q-network's learn step, at 74 → (128 → 64) → (32 → 1,
-/// 32 → 10): exactly 12 allocations, every one an activation or its
-/// gradient that the dueling forward and backward build as a fresh matrix
-/// (the three sub-networks' outputs, the combined Q, the TD vector, the
-/// loss gradient, the value and advantage gradients, the three input
-/// gradients and their sum). No parameter gradient is copied: each
-/// sub-network is clipped and updated in place (18 more allocations per
-/// step when the update drained and cloned them).
+/// 32 → 10): exactly one allocation, the TD vector, as for a standard
+/// network. The three sub-networks' activations and input gradients live
+/// in their own training scratch, and the combined Q, its loss gradient,
+/// the two heads' output gradients and the trunk's in the dueling
+/// network's (12 allocations per step when the dueling forward and
+/// backward built each of them as a fresh matrix). No parameter gradient
+/// is copied: each sub-network is clipped and updated in place (18 more
+/// allocations per step when the update drained and cloned them).
 #[test]
 fn a_warm_dueling_learn_step_allocates_no_gradient_copies() {
     let mut rng = StdRng::seed_from_u64(2027);
@@ -165,9 +167,8 @@ fn a_warm_dueling_learn_step_allocates_no_gradient_copies() {
         allocated as f64 / steps as f64
     );
     assert_eq!(
-        allocated,
-        12 * steps,
-        "a warm dueling learn step allocates 12 times"
+        allocated, steps,
+        "a warm dueling learn step allocates only its TD vector"
     );
 }
 

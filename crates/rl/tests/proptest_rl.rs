@@ -247,7 +247,6 @@ proptest! {
         let schedules = [
             EpsilonSchedule::Constant(start),
             EpsilonSchedule::Linear { start, end, steps },
-            EpsilonSchedule::Exponential { start, end, tau: steps as f64 },
         ];
         for s in schedules {
             let v = s.value(probe);
