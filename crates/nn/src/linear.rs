@@ -423,8 +423,6 @@ mod tests {
         a.copy_parameters_from(&b);
     }
 
-    /// Shapes, the He-uniform limit, a zero bias, weights that differ, and
-    /// the same layer from the same seed.
     #[test]
     fn random_init_respects_dims() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -432,15 +430,30 @@ mod tests {
         assert_eq!(layer.in_dim(), 4);
         assert_eq!(layer.out_dim(), 8);
         assert_eq!(layer.param_count(), 4 * 8 + 8);
+    }
 
+    #[test]
+    fn he_uniform_within_limit() {
         let limit = (6.0f32 / 64.0).sqrt();
-        let wide = Dense::new(64, 32, Activation::Relu, &mut StdRng::seed_from_u64(1));
-        let weights = wide.weights().as_slice();
+        let layer = Dense::new(64, 32, Activation::Relu, &mut StdRng::seed_from_u64(1));
+        let weights = layer.weights().as_slice();
         assert!(weights.iter().all(|&v| v.abs() <= limit));
+        // Should not collapse to a constant.
         assert!(weights.iter().any(|&v| v != weights[0]));
-        assert!(wide.bias().as_slice().iter().all(|&v| v == 0.0));
-        let again = Dense::new(64, 32, Activation::Relu, &mut StdRng::seed_from_u64(1));
-        assert_eq!(again.weights(), wide.weights());
+    }
+
+    #[test]
+    fn bias_defaults_to_zero() {
+        let layer = Dense::new(16, 8, Activation::Relu, &mut StdRng::seed_from_u64(3));
+        assert!(layer.bias().as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let a = Dense::new(5, 5, Activation::Relu, &mut StdRng::seed_from_u64(42));
+        let b = Dense::new(5, 5, Activation::Relu, &mut StdRng::seed_from_u64(42));
+        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.bias(), b.bias());
     }
 
     #[test]
